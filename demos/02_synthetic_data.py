@@ -23,7 +23,7 @@ cfg = SyntheticConfig(
     obs_noise_std=0.1,
     seed=42,
 )
-ds = generate_synthetic(cfg)
+ds, truth = generate_synthetic(cfg)
 
 print(f"panel: {cfg.n_counties} counties x {cfg.n_years} years, "
       f"T={cfg.T} days, d={cfg.d} weather channels")
@@ -36,9 +36,10 @@ print(f"\nfirst record: county={rec.county} year={rec.year} "
 # ---------------------------------------------------------------------------
 # Hidden structure: clusters share a yield response function.
 
-truth = ds.truth
+cluster_of = {county: truth.rows[(county, ds.years[0])].cluster
+              for county in ds.counties}
 clusters = {}
-for county, cl in truth.cluster_of.items():
+for county, cl in cluster_of.items():
     clusters.setdefault(cl, []).append(county)
 for cl in sorted(clusters):
     print(f"cluster {cl}: {len(clusters[cl])} counties")
@@ -60,7 +61,7 @@ for i in range(len(counties)):
     for j in range(i + 1, len(counties)):
         a, b = mat[i], mat[j]
         c = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12))
-        if truth.cluster_of[counties[i]] == truth.cluster_of[counties[j]]:
+        if cluster_of[counties[i]] == cluster_of[counties[j]]:
             same.append(c)
         else:
             diff.append(c)
@@ -77,10 +78,10 @@ for y, t in zip(years, trend):
     print(f"  {y}: {t:7.3f}")
 
 # ---------------------------------------------------------------------------
-# Splitting holds out the final year; its labels exist only in the truth
-# table, never in the records handed to a model.
+# Splitting holds out the final year.  Its records keep their labels, but
+# a run reads them only when it evaluates, under the label audit.
 
-train, test = train_test_split(ds, test_year=years[-1])
+train, test = split_by_test_year(ds, test_year=years[-1])
 print(f"\ntrain records: {len(train.records)} (years {years[0]}..{years[-2]})")
 print(f"test records:  {len(test.records)} (year {years[-1]})")
 assert all(r.year != years[-1] for r in train.records)

@@ -3,12 +3,15 @@ yearly embeddings with label and year-index injection, cross-year attention,
 MLP head, plus the global GRU regressor used for label substitution and
 residuals.
 
-Two layers of API live here.  The public per-record functions (`gru_encode`,
-`attention_pool`, `yearly_embedding`, `cross_year_attention`, `lyra_predict`,
-`global_gru_predict`) operate on numpy arrays and run untraced.  The batched
-engine (`lyra_forward`, `global_forward`, `gruatt_forward`) builds the same
-computation on a ComputeTape over stacked sequences, which is what training
-differentiates through.  A consistency test holds the two paths together.
+There is one forward implementation, a batched engine over stacked
+sequences [B,T,d]: `gru_encode` is the encoder every model shares,
+`embed_batch` adds attention pooling and the yearly embeddings, and
+`lyra_forward` adds cross-year attention and the head (`global_forward` and
+`gruatt_forward` are the two smaller models).  With a ComputeTape the engine
+records for training; with tape None it runs as plain inference.
+`lyra_predict` is the per-county prediction entry point: it stacks one
+county's window, extras and target and makes one untraced `lyra_forward`
+call.
 
 Features entering any function here are assumed z-score normalized, as are
 the labels stored on training records; predictions come back in physical
@@ -17,6 +20,7 @@ units via NormStats.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, replace
 
@@ -147,20 +151,6 @@ class LyraParams:
 
 
 @dataclass
-class YearlyEmbedding:
-    county: str
-    year: int
-    z: np.ndarray
-    label_used: float
-
-
-@dataclass
-class LookbackContext:
-    target: YearlyEmbedding
-    history: list
-
-
-@dataclass
 class LyraSample:
     """Engine sample: indices into the embedding-triple table."""
 
@@ -180,7 +170,8 @@ class PredictResult:
 # batched forward engine
 
 
-def _bind(tape, store: ParamStore) -> dict:
+def bind_params(tape, store: ParamStore) -> dict:
+    """Every parameter of `store` as a Tensor: tape leaves, or constants if tape is None."""
     return {name: nc.ComputeTape.bind(tape, store, name) for name in store.names()}
 
 
@@ -191,8 +182,13 @@ def _mlp(bound: dict, x: Tensor, prefix: str) -> Tensor:
     return nc.add_bias(nc.matmul(x, bound[prefix + ".out.W"]), bound[prefix + ".out.b"])
 
 
-def _gru_steps(bound: dict, xs: np.ndarray) -> list:
-    """GRU over xs [B,T,d]; returns the list of [B x H] hidden states."""
+def gru_encode(bound: dict, xs: np.ndarray) -> Tensor:
+    """GRU over xs [B,T,d]; returns sample-major hidden states [B*T x H].
+
+    Row b*T + t holds sequence b's state after day t (see stack_steps).
+    """
+    if xs.ndim != 3:
+        raise DimensionError(f"gru_encode expects [B,T,d] sequences, got shape {xs.shape}")
     B, T, d = xs.shape
     W_r, U_r, b_r = bound["gru.W_r"], bound["gru.U_r"], bound["gru.b_r"]
     W_u, U_u, b_u = bound["gru.W_u"], bound["gru.U_u"], bound["gru.b_u"]
@@ -216,13 +212,13 @@ def _gru_steps(bound: dict, xs: np.ndarray) -> list:
             )
             h = nc.add(nc.mul(nc.sub(_ONE, u), h), nc.mul(u, c))
         hs.append(h)
-    return hs
+    return nc.stack_steps(hs)
 
 
 def _pooled_batch(bound: dict, xs: np.ndarray):
     """Encoder plus attention pooling; returns (pooled [B x H], weights [B x T])."""
     B, T, _ = xs.shape
-    stack = nc.stack_steps(_gru_steps(bound, xs))  # sample-major [B*T x H]
+    stack = gru_encode(bound, xs)
     scores = nc.reshape(_mlp(bound, stack, "attn"), (B, T))
     weights = nc.softmax_rows(scores)
     pooled = nc.pool_rows(stack, weights)
@@ -231,9 +227,9 @@ def _pooled_batch(bound: dict, xs: np.ndarray):
 
 def global_forward(tape, p: GruParams, xs: np.ndarray) -> Tensor:
     """Normalized predictions [B] of the global model on xs [B,T,d]."""
-    bound = _bind(tape, p.store)
+    bound = bind_params(tape, p.store)
     B, T, _ = xs.shape
-    stack = nc.stack_steps(_gru_steps(bound, xs))
+    stack = gru_encode(bound, xs)
     mean_w = Tensor(np.full((B, T), 1.0 / T))
     pooled = nc.pool_rows(stack, mean_w)
     return nc.reshape(_mlp(bound, pooled, "readout"), (B,))
@@ -241,7 +237,7 @@ def global_forward(tape, p: GruParams, xs: np.ndarray) -> Tensor:
 
 def gruatt_forward(tape, p: GruAttParams, xs: np.ndarray) -> Tensor:
     """Normalized predictions [B] of the pooled-only ablation backbone."""
-    bound = _bind(tape, p.store)
+    bound = bind_params(tape, p.store)
     pooled, _ = _pooled_batch(bound, xs)
     return nc.reshape(_mlp(bound, pooled, "head"), (B := xs.shape[0],))
 
@@ -252,7 +248,7 @@ def embed_batch(tape, p: LyraParams, xs: np.ndarray, triples):
     Returns (z_all Tensor [R x Z], pooled Tensor [U x H], attention weights
     Tensor [U x T]).  Shared by training and the pooled-frozen fine-tune path.
     """
-    bound = _bind(tape, p.store)
+    bound = bind_params(tape, p.store)
     pooled, attn_w = _pooled_batch(bound, xs)
     z_all = _embed_from_pooled(bound, pooled, triples)
     return z_all, pooled, attn_w
@@ -279,7 +275,7 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     """
     if not samples:
         raise ContractError("no samples to run")
-    bound = _bind(tape, p.store)
+    bound = bind_params(tape, p.store)
     if pooled_const is not None:
         pooled = Tensor(np.asarray(pooled_const, dtype=np.float64))
     else:
@@ -314,76 +310,6 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     return preds, betas
 
 
-# ---------------------------------------------------------------------------
-# public per-record operations (untraced)
-
-
-def gru_encode(x: np.ndarray, p) -> np.ndarray:
-    """Hidden states [T x H] for one normalized daily sequence [T x d]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError("gru_encode expects a [T x d] matrix")
-    hs = _gru_steps(_bind(None, p.store), x[None, :, :])
-    return np.concatenate([h.data for h in hs], axis=0)
-
-
-def attention_pool(h: np.ndarray, p):
-    """Softmax attention over time steps; returns (weights [T], pooled [H])."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise DimensionError("attention_pool expects a nonempty [T x H] matrix")
-    bound = _bind(None, p.store)
-    scores = _mlp(bound, Tensor(h), "attn")
-    weights = nc.softmax_rows(nc.reshape(scores, (1, h.shape[0]))).data[0]
-    return weights, weights @ h
-
-
-def yearly_embedding(pooled: np.ndarray, label: float, year: int, p: LyraParams) -> np.ndarray:
-    """Yearly embedding from pooled states, a label value, and the year index."""
-    row = p.year_row(year)
-    bound = _bind(None, p.store)
-    pooled = np.asarray(pooled, dtype=np.float64).reshape(1, -1)
-    triples = (np.array([0]), np.array([float(label)]), np.array([row]))
-    return _embed_from_pooled(bound, Tensor(pooled), triples).data[0]
-
-
-def cross_year_attention(ctx: LookbackContext):
-    """Dot-product attention of history embeddings against the target.
-
-    Returns (beta weights over history order, residual-combined z_tilde).
-    """
-    if not ctx.history:
-        raise ContractError("look-back history is empty")
-    z_t = np.asarray(ctx.target.z, dtype=np.float64)
-    z_h = np.stack([np.asarray(h.z, dtype=np.float64) for h in ctx.history])
-    if z_h.shape[1] != z_t.shape[0]:
-        raise DimensionError("embedding dimensions differ across the context")
-    scores = z_h @ z_t  # unscaled dot products
-    e = np.exp(scores - scores.max())
-    beta = e / e.sum()
-    return beta, z_t + beta @ z_h
-
-
-def head_value(z_tilde: np.ndarray, p) -> float:
-    """Normalized scalar prediction from a combined embedding."""
-    bound = _bind(None, p.store)
-    z = np.asarray(z_tilde, dtype=np.float64).reshape(1, -1)
-    return float(_mlp(bound, Tensor(z), "head").data[0, 0])
-
-
-def global_gru_predict(x: np.ndarray, p: GruParams, stats: NormStats | None = None) -> float:
-    """Prediction of the global model on one sequence.
-
-    With `stats` the value is mapped back to physical label units;
-    without it the raw (normalized-space) output is returned.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError("global_gru_predict expects a [T x d] matrix")
-    norm = float(global_forward(None, p, x[None, :, :]).data[0])
-    return stats.denormalize_label(norm) if stats is not None else norm
-
-
 def assemble_history(train_ds, county: str, target_year: int, w: int) -> list:
     """The county's last-w training records before target_year, ascending."""
     years = [y for y in train_ds.county_years(county) if y < target_year]
@@ -403,27 +329,27 @@ def lyra_predict(
     global_params: GruParams | None = None,
     extra_context=(),
 ) -> PredictResult:
-    """Compose encoder, pooling, embeddings, cross-year attention and head.
+    """One county's prediction: a single untraced lyra_forward call.
 
     history: the county's prior-year records (normalized features, normalized
     labels); only the last w are used.  label_source chooses the target-year
     label substitute: "model" runs the global model, "observed" normalizes the
     target record's own stored physical label (a guarded read at test time).
-    extra_context appends pre-built YearlyEmbedding entries (refined samples
-    under context augmentation).
+    extra_context appends (record, normalized label) pairs to the look-back
+    set, after the history (refined samples under context augmentation).
+    The window records, the extras and the target are stacked into one
+    sequence table and run as one engine sample.
     """
     history = sorted(history, key=lambda r: r.year)
     if not history:
         raise ContractError(
             f"empty history for {target.county}: need at least one year before {target.year}"
         )
-    hist = history[-p.w:]
 
     if label_source == "model":
         if global_params is None:
             raise ContractError("label_source='model' needs global_params")
-        fhat = global_gru_predict(target.features, global_params, stats)
-        label_used = stats.normalize_label(fhat)
+        label_used = float(global_forward(None, global_params, target.features[None]).data[0])
     elif label_source == "observed":
         raw = target.yield_label
         if raw is None:
@@ -432,24 +358,20 @@ def lyra_predict(
     else:
         raise ContractError(f"unknown label_source {label_source!r}")
 
-    hist_embeddings = []
-    for rec in hist:
-        _, pooled = attention_pool(gru_encode(rec.features, p), p)
-        z = yearly_embedding(pooled, rec.yield_label, rec.year, p)
-        hist_embeddings.append(YearlyEmbedding(rec.county, rec.year, z, rec.yield_label))
-    _, pooled_t = attention_pool(gru_encode(target.features, p), p)
-    z_t = yearly_embedding(pooled_t, label_used, target.year, p)
-
-    ctx = LookbackContext(
-        target=YearlyEmbedding(target.county, target.year, z_t, label_used),
-        history=hist_embeddings + list(extra_context),
+    context = [(rec, rec.yield_label) for rec in history[-p.w:]] + list(extra_context)
+    entries = context + [(target, label_used)]
+    xs = np.stack([rec.features for rec, _ in entries])
+    triples = (
+        np.arange(len(entries)),
+        np.array([label for _, label in entries], dtype=np.float64),
+        np.array([p.year_row(rec.year) for rec, _ in entries]),
     )
-    beta, z_tilde = cross_year_attention(ctx)
-    prediction = stats.denormalize_label(head_value(z_tilde, p))
+    sample = LyraSample(target=len(context), history=tuple(range(len(context))))
+    preds, betas = lyra_forward(None, p, xs, triples, [sample])
     return PredictResult(
-        prediction=prediction,
-        beta=beta,
-        history_years=[h.year for h in ctx.history],
+        prediction=stats.denormalize_label(float(preds.data[0])),
+        beta=betas[0],
+        history_years=[rec.year for rec, _ in context],
         label_used=label_used,
     )
 
@@ -477,7 +399,7 @@ def save_checkpoint(path: str, params, stats: NormStats | None) -> None:
         }
     else:
         meta = {
-            "dims": vars(params.dims).copy() if not isinstance(params.dims, LyraDims) else params.dims.__dict__.copy(),
+            "dims": dataclasses.asdict(params.dims),
             "w": params.w,
             "year_min": params.year_min,
             "year_max": params.year_max,

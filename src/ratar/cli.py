@@ -239,7 +239,7 @@ def _cmd_train_lyra(args) -> int:
 
 
 def _retrieval_inputs(args, cfg, with_lyra):
-    """Models plus mode-specific retrieval keys for retrieve/refine/predict."""
+    """Models plus mode-specific retrieval keys for retrieve/refine."""
     with_lyra = with_lyra or cfg.retrieval_mode == "embedding"
     ds, models = _prepare_models(args, cfg, with_lyra=with_lyra)
     adjacency = pl._adjacency_of(cfg, ds, None)
@@ -307,8 +307,9 @@ def _cmd_predict(args) -> int:
     seed = cfg.seeds[0]
     label_audit.reset()
     with label_audit.guard(cfg.test_year):
-        _ds, models, adjacency, residuals, mean_emb = _retrieval_inputs(args, cfg, with_lyra=True)
-        _res2, _emb2, biases, sigma_phys = pl._retrieval_context(cfg, models, seed)
+        ds, models = _prepare_models(args, cfg, with_lyra=True)
+        adjacency = pl._adjacency_of(cfg, ds, None)
+        residuals, mean_emb, biases, sigma_phys = pl._retrieval_context(cfg, models, seed)
         predictions, fallbacks, _rtr, _refined, _att = pl._predict_counties(
             cfg, models, seed, biases, residuals, mean_emb, adjacency, sigma_phys)
         lines = ["county,year,prediction,fallback"]

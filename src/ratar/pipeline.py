@@ -7,6 +7,12 @@ the test year, integrate them (per-county fine-tuning or context
 augmentation), predict, and evaluate physical-unit RMSE.  Reports
 aggregate mean and standard deviation across seeds.
 
+Every integration mode predicts through the same call: `lyra_predict`
+runs one batched engine forward per county.  Fine-tuning changes the
+parameters it is given; context augmentation appends the refined
+samples, as (record, normalized refined label) pairs, to the look-back
+set that cross-year attention runs over.
+
 Every stage error is re-raised tagged with its stage name.  A label
 audit guards the test year for the entire run; only evaluation reads
 test labels, inside an explicit allow scope.  Counties whose retrieval
@@ -29,21 +35,15 @@ import numpy as np
 from . import refinement as rf
 from . import retrieval as rt
 from .backbone import (
-    GruAttParams,
     GruParams,
-    LookbackContext,
     LyraDims,
     LyraParams,
-    YearlyEmbedding,
     assemble_history,
-    attention_pool,
     embed_batch,
     global_forward,
-    gru_encode,
     gruatt_forward,
     lyra_predict,
     save_checkpoint,
-    yearly_embedding,
 )
 from .data import (
     Dataset,
@@ -347,39 +347,15 @@ def _retrieve_for(cfg, county, residuals, mean_emb, adjacency, train_n):
                                  threshold=cfg.threshold, top_k=cfg.top_k)
 
 
-def _embed_refined(refined, p: LyraParams, stats):
-    """Yearly embeddings of refined samples, labels swapped for refined ones."""
-    extras = []
-    for entry in refined.entries:
-        rec = entry.record
-        _, pooled = attention_pool(gru_encode(rec.features, p), p)
-        label_n = stats.normalize_label(entry.label_refined)
-        z = yearly_embedding(pooled, label_n, rec.year, p)
-        extras.append(YearlyEmbedding(rec.county, rec.year, z, label_n))
-    return extras
-
-
-def integrate_context(ctx: LookbackContext, refined, p: LyraParams,
-                      stats) -> LookbackContext:
-    """Append refined retrieved samples to a look-back context.
-
-    Each sample is embedded with its refined label and its own source
-    year's embedding row, then added to the history set that cross-year
-    attention runs over.  An empty refined set returns the context
-    unchanged.  Records must carry normalized features.
-    """
-    if not refined.entries:
-        return ctx
-    return LookbackContext(target=ctx.target,
-                           history=list(ctx.history) + _embed_refined(refined, p, stats))
-
-
 def _predict_counties(cfg, models: _SeedModels, seed, biases, residuals,
                       mean_emb, adjacency, sigma_phys):
     """Retrieve/refine/integrate/predict for every test county.
 
-    Returns (predictions, fallbacks, retrieval results, refined sets,
-    attention rows).
+    Each county is one `lyra_predict` call, with the fine-tuned copy of
+    the parameters or the refined extras as its integration requires.
+    Counties are not batched together, because fine-tuned counties each
+    carry their own parameters.  Returns (predictions, fallbacks,
+    retrieval results, refined sets, attention rows).
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
     tcfg = replace(cfg.train, seed=seed)
@@ -419,7 +395,8 @@ def _predict_counties(cfg, models: _SeedModels, seed, biases, residuals,
                 params = fine_tune(models.lyra, refined, train_n, tcfg,
                                    stats=stats, global_params=models.f)
             elif cfg.integration == "context":
-                extra = _embed_refined(refined, models.lyra, stats)
+                extra = [(e.record, stats.normalize_label(e.label_refined))
+                         for e in refined.entries]
 
         with _stage(f"predict county {county}"):
             out = lyra_predict(history, target, params, stats,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numcore as nc
 from .data import CountyYearRecord
 from .numcore import ContractError
 
@@ -51,25 +50,6 @@ class YearRegressor:
         return (Z - self.z_mean) / self.z_scale @ self.coef + self.intercept
 
 
-class MlpYearRegressor:
-    """One-hidden-layer alternative to the affine per-year map."""
-
-    def __init__(self, year, store, z_mean, z_scale):
-        self.year = year
-        self._store = store
-        self.z_mean = z_mean
-        self.z_scale = z_scale
-
-    def predict(self, Z):
-        Z = np.asarray(Z, dtype=np.float64)
-        if Z.ndim == 1:
-            Z = Z[None, :]
-        X = (Z - self.z_mean) / self.z_scale
-        s = self._store
-        h = np.tanh(X @ s.value("g.h.W") + s.value("g.h.b"))
-        return (h @ s.value("g.out.W") + s.value("g.out.b"))[:, 0]
-
-
 def _standardize(Z):
     mean = Z.mean(axis=0)
     scale = Z.std(axis=0)
@@ -90,44 +70,12 @@ def embedding_moments(Z):
     return mean, scale
 
 
-def _fit_mlp(year, X, y, seed, hidden=16, epochs=300, lr=0.02):
-    n, d = X.shape
-    rng = np.random.default_rng(seed)
-    store = nc.ParamStore()
-    store.add("g.h.W", rng.normal(0.0, 1.0 / np.sqrt(d), (d, hidden)))
-    store.add("g.h.b", np.zeros(hidden))
-    store.add("g.out.W", rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, 1)))
-    store.add("g.out.b", np.array([float(y.mean())]))
-    target = nc.Tensor(y)
-    xt = nc.Tensor(X)
-    m = {name: np.zeros_like(store.value(name)) for name in store.names()}
-    v = {name: np.zeros_like(store.value(name)) for name in store.names()}
-    for step in range(1, epochs + 1):
-        tape = nc.ComputeTape()
-        h = nc.tanh(nc.add_bias(nc.matmul(xt, tape.bind(tape, store, "g.h.W")),
-                                tape.bind(tape, store, "g.h.b")))
-        pred = nc.add_bias(nc.matmul(h, tape.bind(tape, store, "g.out.W")),
-                           tape.bind(tape, store, "g.out.b"))
-        loss = nc.mse_loss(nc.reshape(pred, (n,)), target)
-        store.zero_grad()
-        nc.backward(tape, loss)
-        for name in store.names():
-            g = store.grad(name)
-            m[name] = 0.9 * m[name] + 0.1 * g
-            v[name] = 0.999 * v[name] + 0.001 * g * g
-            mhat = m[name] / (1.0 - 0.9 ** step)
-            vhat = v[name] / (1.0 - 0.999 ** step)
-            store.set_value(name, store.value(name) - lr * mhat / (np.sqrt(vhat) + 1e-8))
-    return store
-
-
-def fit_year_regressor(year, Z, y, lam=_RIDGE_LAM, family="ridge", seed=0,
-                       z_mean=None, z_scale=None):
+def fit_year_regressor(year, Z, y, lam=_RIDGE_LAM, z_mean=None, z_scale=None):
     """Fit the year-s map g_s on all (embedding, label) pairs from year s.
 
     Embeddings are standardized per dimension before fitting; the
     intercept is left unpenalized by centering the targets, which makes
-    the mean in-year residual exactly zero for the ridge family.
+    the mean in-year residual exactly zero.
 
     By default the standardization statistics come from the fitted
     year's own embeddings. Callers that evaluate g_s on other years'
@@ -160,11 +108,6 @@ def fit_year_regressor(year, Z, y, lam=_RIDGE_LAM, family="ridge", seed=0,
         X = (Z - z_mean) / z_scale
     else:
         X, z_mean, z_scale = _standardize(Z)
-    if family == "mlp":
-        store = _fit_mlp(year, X, y, seed)
-        return MlpYearRegressor(year, store, z_mean, z_scale)
-    if family != "ridge":
-        raise ContractError(f"unknown regressor family {family!r}")
     y_mean = float(y.mean())
     yc = y - y_mean
     A = X.T @ X + lam * np.eye(X.shape[1])

@@ -96,11 +96,7 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
     defined as 0 so they never clear a positive retrieval threshold.
     """
     common = sorted(set(a.years) & set(b.years))
-    if len(common) < min(_MIN_COMMON_YEARS, len(a.years), len(b.years)):
-        raise ContractError(
-            f"counties {a.county} and {b.county} share only {len(common)} years"
-        )
-    if len(common) < 2:
+    if len(common) < max(2, min(_MIN_COMMON_YEARS, len(a.years), len(b.years))):
         raise ContractError(
             f"counties {a.county} and {b.county} share only {len(common)} years"
         )
@@ -130,7 +126,7 @@ def recent_training_years(train, n=_RECENT_YEARS):
     return train.years[-n:]
 
 
-def _collect_samples(matched, train, flags):
+def _collect_samples(matched, train):
     recent = set(recent_training_years(train))
     samples = []
     for county, _sim in matched:
@@ -173,7 +169,7 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None, min_common=_MIN
     if top_k is not None:
         matched = matched[:top_k]
     result.matched = matched
-    result.samples = _collect_samples(matched, train, result.flags)
+    result.samples = _collect_samples(matched, train)
     return result
 
 
@@ -194,7 +190,7 @@ def retrieve_neighboring(query, adjacency, train):
         return result
     matched = [(c, _NEIGHBOR_SENTINEL) for c in sorted(adjacency[query])]
     result.matched = matched
-    result.samples = _collect_samples(matched, train, result.flags)
+    result.samples = _collect_samples(matched, train)
     return result
 
 
@@ -222,7 +218,7 @@ def retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=None):
     if top_k is not None:
         matched = matched[:top_k]
     result.matched = matched
-    result.samples = _collect_samples(matched, train, result.flags)
+    result.samples = _collect_samples(matched, train)
     return result
 
 

@@ -332,7 +332,7 @@ def _build_lyra_engine(train, w, p: LyraParams, target_label_source, global_para
         year_rows=np.asarray(year_rows, dtype=np.int64),
         samples=samples,
         targets=np.asarray(targets, dtype=np.float64),
-    ), specs
+    )
 
 
 def sync_year_rows(p: LyraParams, trained_years) -> list:
@@ -377,8 +377,8 @@ def train_lyra(train, w: int, cfg: TrainConfig, dims: LyraDims | None = None,
     year_max = train.years[-1] if year_max is None else year_max
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
-    engine, _specs = _build_lyra_engine(train, w, params, cfg.target_label_source,
-                                        global_params)
+    engine = _build_lyra_engine(train, w, params, cfg.target_label_source,
+                                global_params)
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
@@ -481,17 +481,15 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
         pooled_const = pooled.data
 
     opt = Adam(tuned.store, cfg.fine_tune_lr, cfg.clip_norm)
-    target = Tensor(engine.targets)
+
+    def forward(tape):
+        return lyra_forward(tape, tuned, engine.xs, engine.triples, engine.samples,
+                            pooled_const=pooled_const)[0]
+
     for epoch in range(1, cfg.fine_tune_epochs + 1):
         try:
-            tape = ComputeTape()
-            preds, _ = lyra_forward(tape, tuned, engine.xs, engine.triples,
-                                    engine.samples, pooled_const=pooled_const)
-            loss = nc.mse_loss(preds, target)
-            tuned.store.zero_grad()
-            nc.backward(tape, loss)
-            opt.step()
+            loss = _mse_step(tuned.store, opt, forward, engine.targets)
         except NumericError as exc:
             raise TrainingError(f"fine-tuning diverged at epoch {epoch}: {exc}") from exc
-        _check_finite(float(loss.data), epoch)
+        _check_finite(loss, epoch)
     return tuned

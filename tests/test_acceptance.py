@@ -43,7 +43,7 @@ def test_c01_gradients_match_finite_differences():
     def pooled(tape, store):
         return nc.mse_loss(bb.gruatt_forward(tape, p2, xs2), t2)
 
-    worst["attention_pool"] = nc.grad_check(pooled, p2.store, eps=1e-5)
+    worst["pooled_encoder"] = nc.grad_check(pooled, p2.store, eps=1e-5)
 
     p3 = bb.LyraParams.init(
         LyraDims(d=3, H=4, Z=4, E=2, attn_hidden=2, mlp_hidden=3),
@@ -76,30 +76,44 @@ def test_c01_gradients_match_finite_differences():
 def test_c02_attention_weights_normalized():
     """Intra-year and cross-year attention weights are distributions."""
     rng = np.random.default_rng(7)
-    p = bb.GruAttParams.init(d=3, H=5, attn_hidden=3, head_hidden=0, seed=7)
     lp = bb.LyraParams.init(
-        LyraDims(d=3, H=5, Z=4, E=2, attn_hidden=0, mlp_hidden=0),
+        LyraDims(d=3, H=5, Z=4, E=2, attn_hidden=3, mlp_hidden=0),
         w=4, year_min=2000, year_max=2010, seed=8,
     )
+    # sharpen both softmaxes: the encoder's states stay inside (-1, 1), so
+    # scaled attention and embedding maps give the draws wide score ranges
+    lp.store.set_value("attn.out.W", lp.store.value("attn.out.W") * 10.0)
+    lp.store.set_value("embed.out.W", lp.store.value("embed.out.W") * 3.0)
     worst_alpha = worst_beta = 0.0
+    alpha_spread, beta_score = [], []
     for _ in range(1000):
-        h = rng.standard_normal((int(rng.integers(2, 12)), 5)) * 3.0
-        alpha, _ = bb.attention_pool(h, p)
-        assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
-        worst_alpha = max(worst_alpha, abs(float(alpha.sum()) - 1.0))
-
         n_hist = int(rng.integers(1, 6))
-        target = bb.YearlyEmbedding("q", 2006, rng.standard_normal(4) * 2.0, 0.0)
-        history = [
-            bb.YearlyEmbedding("q", 2000 + j, rng.standard_normal(4) * 2.0, 0.0)
-            for j in range(n_hist)
-        ]
-        beta, _ = bb.cross_year_attention(bb.LookbackContext(target, history))
+        n = n_hist + 1
+        xs = rng.standard_normal((n, int(rng.integers(2, 12)), 3)) * 3.0
+        triples = (np.arange(n), rng.standard_normal(n) * 2.0, rng.integers(0, 11, n))
+        z_all, pooled, alpha = bb.embed_batch(None, lp, xs, triples)
+        alpha = alpha.data
+        assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
+        worst_alpha = max(worst_alpha, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
+        alpha_spread.extend(np.log(alpha.max(axis=1)) - np.log(alpha.min(axis=1)))
+
+        sample = bb.LyraSample(target=n_hist, history=tuple(range(n_hist)))
+        _, betas = bb.lyra_forward(None, lp, xs, triples, [sample],
+                                   pooled_const=pooled.data)
+        beta = betas[0]
         assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
         worst_beta = max(worst_beta, abs(float(beta.sum()) - 1.0))
-    print(f"c02 attention sums: alpha off by {worst_alpha:.2e}, beta by {worst_beta:.2e}")
+        z = z_all.data
+        beta_score.append(float(np.abs(z[:n_hist] @ z[n_hist]).max()))
+    print(f"c02 attention sums: alpha off by {worst_alpha:.2e}, beta by {worst_beta:.2e}; "
+          f"median alpha score spread {np.median(alpha_spread):.2f}, "
+          f"median |beta score| {np.median(beta_score):.2f}")
     assert worst_alpha < 1e-9
     assert worst_beta < 1e-9
+    # score magnitudes at least those of random [T x H] states scaled by 3
+    # and random embeddings scaled by 2 (medians 1.6 and 8.2)
+    assert np.median(alpha_spread) > 1.6
+    assert np.median(beta_score) > 8.2
 
 
 def test_c03_similarity_algebra():

@@ -1,8 +1,9 @@
 """Backbone tests: GRU recurrence, attention pooling, yearly embeddings,
 cross-year attention, composed prediction, gradients, checkpoints.
 
-Hand oracles recompute every expected value with plain numpy from the stored
-parameter arrays.
+Every forward check runs the batched engine (`gru_encode`, `embed_batch`,
+`lyra_forward`, `global_forward`, `lyra_predict`).  Hand oracles recompute
+every expected value with plain numpy from the stored parameter arrays.
 """
 
 import numpy as np
@@ -23,6 +24,97 @@ def tiny_lyra(seed=0, **overrides):
     return bb.LyraParams.init(
         bb.LyraDims(**dims), w=2, year_min=2000, year_max=2006, seed=seed
     )
+
+
+# ---------------------------------------------------------------------------
+# plain-numpy oracles over the stored parameter arrays
+
+
+def np_mlp(store, x, prefix):
+    if prefix + ".h.W" in store:
+        x = np.tanh(x @ store.value(prefix + ".h.W") + store.value(prefix + ".h.b"))
+    return x @ store.value(prefix + ".out.W") + store.value(prefix + ".out.b")
+
+
+def np_gru(store, x):
+    """Hidden states [T x H] of one sequence [T x d] from a zero state."""
+    v = store.value
+    h = np.zeros(v("gru.b_r").shape[0])
+    out = []
+    for xt in x:
+        r = sig(xt @ v("gru.W_r") + h @ v("gru.U_r") + v("gru.b_r"))
+        u = sig(xt @ v("gru.W_u") + h @ v("gru.U_u") + v("gru.b_u"))
+        c = np.tanh(xt @ v("gru.W_c") + (r * h) @ v("gru.U_c") + v("gru.b_c"))
+        h = (1.0 - u) * h + u * c
+        out.append(h)
+    return np.array(out)
+
+
+def np_softmax(scores):
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
+
+
+def np_pool(store, h):
+    """Attention pooling of hidden states h [T x H]: (weights [T], pooled [H])."""
+    alpha = np_softmax(np_mlp(store, h, "attn")[:, 0])
+    return alpha, alpha @ h
+
+
+def np_embed(p, pooled, label, year):
+    year_vec = p.store.value("year_table")[p.year_row(year)]
+    return np_mlp(p.store, np.concatenate([pooled, [label], year_vec]), "embed")
+
+
+def np_cross_head(p, z_target, z_hist):
+    """Cross-year attention plus head: (normalized prediction, beta)."""
+    beta = np_softmax(z_hist @ z_target)
+    return float(np_mlp(p.store, z_target + beta @ z_hist, "head")[0]), beta
+
+
+def np_lyra_predict(p, stats, context, target, target_label):
+    """Oracle of lyra_predict from (record, label) context pairs."""
+    def z_of(rec, label):
+        return np_embed(p, np_pool(p.store, np_gru(p.store, rec.features))[1], label, rec.year)
+
+    z_hist = np.array([z_of(rec, label) for rec, label in context])
+    norm, beta = np_cross_head(p, z_of(target, target_label), z_hist)
+    return stats.denormalize_label(norm), beta
+
+
+def np_global(p, x):
+    """Normalized global-model prediction for one sequence [T x d]."""
+    return float(np_mlp(p.store, np_gru(p.store, x).mean(axis=0), "readout")[0])
+
+
+# ---------------------------------------------------------------------------
+# engine entry points in per-test shapes
+
+
+def encode(p, xs):
+    """Engine hidden states of xs [B,T,d], reshaped to [B,T,H]."""
+    xs = np.asarray(xs, dtype=np.float64)
+    stack = bb.gru_encode(bb.bind_params(None, p.store), xs)
+    return stack.data.reshape(xs.shape[0], xs.shape[1], -1)
+
+
+def pool(p, xs):
+    """Engine attention weights [B x T] and pooled states [B x H] of xs."""
+    xs = np.asarray(xs, dtype=np.float64)
+    n = xs.shape[0]
+    triples = (np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+    _, pooled, weights = bb.embed_batch(None, p, xs, triples)
+    return weights.data, pooled.data
+
+
+def cross(p, pooled, labels, years, target, history):
+    """One lyra_forward sample over given pooled vectors: (prediction, beta)."""
+    triples = (np.arange(len(labels)), np.asarray(labels, dtype=np.float64),
+               np.array([p.year_row(y) for y in years]))
+    sample = bb.LyraSample(target=target, history=tuple(history))
+    preds, betas = bb.lyra_forward(None, p, None, triples, [sample],
+                                   pooled_const=np.asarray(pooled, dtype=np.float64))
+    return float(preds.data[0]), betas[0]
 
 
 class TestInit:
@@ -62,18 +154,18 @@ class TestInit:
 class TestGruEncode:
     def test_zero_input_zero_bias_stays_zero(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=0)
-        h = bb.gru_encode(np.zeros((5, 2)), p)
+        h = encode(p, np.zeros((1, 5, 2)))
         # candidate tanh(0) = 0 from the zero state, so the state never moves
-        np.testing.assert_array_equal(h, np.zeros((5, 3)))
+        np.testing.assert_array_equal(h, np.zeros((1, 5, 3)))
 
     def test_causality(self):
         p = bb.GruParams.init(d=2, H=4, readout_hidden=2, seed=1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 2))
-        base = bb.gru_encode(x, p)
+        base = encode(p, x[None])[0]
         bumped = x.copy()
         bumped[5] += 1.0
-        out = bb.gru_encode(bumped, p)
+        out = encode(p, bumped[None])[0]
         assert np.array_equal(out[:5], base[:5])
         assert not np.allclose(out[5:], base[5:])
 
@@ -87,7 +179,7 @@ class TestGruEncode:
         for name, v in vals.items():
             p.store.set_value(name, np.array(v, dtype=np.float64))
         x = np.array([[0.8], [-0.3]])
-        h = bb.gru_encode(x, p)
+        h = encode(p, x[None])[0]
 
         u1 = sig(0.8 * -0.4)
         c1 = np.tanh(0.8 * 1.2 + 0.05)
@@ -99,26 +191,44 @@ class TestGruEncode:
         np.testing.assert_allclose(h[0, 0], h1, atol=1e-14)
         np.testing.assert_allclose(h[1, 0], h2, atol=1e-14)
 
+    def test_batch_rows_match_numpy_oracle(self):
+        """Row b*T + t of the sample-major stack is sequence b after day t."""
+        p = bb.GruParams.init(d=3, H=4, readout_hidden=0, seed=2)
+        rng = np.random.default_rng(3)
+        xs = rng.standard_normal((3, 6, 3))
+        h = encode(p, xs)
+        for b in range(3):
+            np.testing.assert_allclose(h[b], np_gru(p.store, xs[b]), atol=1e-12)
+
     def test_column_mismatch(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=0)
         with pytest.raises(nc.DimensionError):
-            bb.gru_encode(np.zeros((4, 3)), p)
+            encode(p, np.zeros((1, 4, 3)))
+        with pytest.raises(nc.DimensionError):
+            bb.gru_encode(bb.bind_params(None, p.store), np.zeros((4, 2)))
 
 
 class TestAttentionPool:
     def test_identical_rows_uniform(self):
+        # zero input weights, update gate saturated at exactly 1: every day's
+        # state is the candidate tanh(b_c), so all rows are identical
         p = tiny_lyra()
-        h = np.tile([[0.3, -0.2, 0.5]], (6, 1))
-        weights, pooled = bb.attention_pool(h, p)
-        np.testing.assert_allclose(weights, np.full(6, 1.0 / 6.0), atol=1e-12)
-        np.testing.assert_allclose(pooled, h[0], atol=1e-12)
+        for gate in ("r", "u", "c"):
+            p.store.set_value(f"gru.W_{gate}", np.zeros((2, 3)))
+            p.store.set_value(f"gru.U_{gate}", np.zeros((3, 3)))
+        p.store.set_value("gru.b_u", np.full(3, 40.0))
+        p.store.set_value("gru.b_c", np.array([0.3, -0.2, 0.5]))
+        rng = np.random.default_rng(1)
+        weights, pooled = pool(p, rng.standard_normal((1, 6, 2)))
+        np.testing.assert_allclose(weights[0], np.full(6, 1.0 / 6.0), atol=1e-12)
+        np.testing.assert_allclose(pooled[0], np.tanh([0.3, -0.2, 0.5]), atol=1e-12)
 
     def test_singleton(self):
         p = tiny_lyra()
-        h = np.array([[1.0, 2.0, 3.0]])
-        weights, pooled = bb.attention_pool(h, p)
-        np.testing.assert_allclose(weights, [1.0])
-        np.testing.assert_allclose(pooled, h[0])
+        x = np.array([[[1.0, -2.0]]])
+        weights, pooled = pool(p, x)
+        np.testing.assert_allclose(weights, [[1.0]])
+        np.testing.assert_allclose(pooled[0], np_gru(p.store, x[0])[0], atol=1e-14)
 
     def test_hand_softmax_oracle(self):
         p = tiny_lyra(attn_hidden=0)
@@ -126,31 +236,32 @@ class TestAttentionPool:
         p.store.set_value("attn.out.W", w)
         p.store.set_value("attn.out.b", np.array([0.2]))
         rng = np.random.default_rng(2)
-        h = rng.standard_normal((3, 3))
-        scores = (h @ w + 0.2).ravel()
-        e = np.exp(scores - scores.max())
-        expected_w = e / e.sum()
-        weights, pooled = bb.attention_pool(h, p)
-        np.testing.assert_allclose(weights, expected_w, atol=1e-12)
-        np.testing.assert_allclose(pooled, expected_w @ h, atol=1e-12)
+        xs = rng.standard_normal((2, 5, 2))
+        weights, pooled = pool(p, xs)
+        for b in range(2):
+            h = np_gru(p.store, xs[b])
+            expected_w = np_softmax((h @ w + 0.2).ravel())
+            np.testing.assert_allclose(weights[b], expected_w, atol=1e-12)
+            np.testing.assert_allclose(pooled[b], expected_w @ h, atol=1e-12)
 
     def test_weights_normalized_random(self):
         p = tiny_lyra()
+        p.store.set_value("attn.out.W", p.store.value("attn.out.W") * 10.0)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            h = rng.standard_normal((rng.integers(1, 9), 3)) * 10.0
-            weights, _ = bb.attention_pool(h, p)
-            assert abs(weights.sum() - 1.0) < 1e-9
+            xs = rng.standard_normal((2, rng.integers(1, 9), 2)) * 10.0
+            weights, _ = pool(p, xs)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(weights >= 0.0)
 
 
-class TestYearlyEmbedding:
+class TestEmbedBatch:
     def test_label_enters(self):
         p = tiny_lyra()
-        pooled = np.array([0.1, 0.2, 0.3])
-        za = bb.yearly_embedding(pooled, 0.5, 2001, p)
-        zb = bb.yearly_embedding(pooled, -0.5, 2001, p)
-        assert not np.allclose(za, zb)
+        xs = np.random.default_rng(4).standard_normal((1, 5, 2))
+        triples = (np.array([0, 0]), np.array([0.5, -0.5]), np.array([1, 1]))
+        z, _, _ = bb.embed_batch(None, p, xs, triples)
+        assert not np.allclose(z.data[0], z.data[1])
 
     def test_identity_mlp_exposes_concat(self):
         # with a linear embed map set to the identity, z is the raw concat
@@ -163,63 +274,75 @@ class TestYearlyEmbedding:
         table = p.store.value("year_table").copy()
         table[2] = [0.77]
         p.store.set_value("year_table", table)
-        z = bb.yearly_embedding(np.array([0.3, -0.4]), 1.5, 2002, p)
-        np.testing.assert_allclose(z, [0.3, -0.4, 1.5, 0.77], atol=1e-14)
+        xs = np.random.default_rng(5).standard_normal((1, 4, 2))
+        z, pooled, _ = bb.embed_batch(None, p, xs, (np.array([0]), np.array([1.5]),
+                                                    np.array([p.year_row(2002)])))
+        _, want_pooled = np_pool(p.store, np_gru(p.store, xs[0]))
+        np.testing.assert_allclose(pooled.data[0], want_pooled, atol=1e-12)
+        np.testing.assert_allclose(z.data[0], [*want_pooled, 1.5, 0.77], atol=1e-12)
 
     def test_unknown_year_rejected(self):
-        p = tiny_lyra()
-        with pytest.raises(nc.ContractError):
-            bb.yearly_embedding(np.zeros(3), 0.0, 2050, p)
+        p = tiny_lyra()  # year table 2000..2006
+        rng = np.random.default_rng(6)
+        hist = history_records(rng)
+        target = CountyYearRecord("c9", 2050, rng.standard_normal((6, 2)), 2.0)
+        with pytest.raises(nc.ContractError, match="2050"):
+            bb.lyra_predict(hist, target, p, norm_stats(), label_source="observed")
 
 
 class TestCrossYearAttention:
-    @staticmethod
-    def ctx_from(z_target, z_hist):
-        target = bb.YearlyEmbedding("c", 2005, np.asarray(z_target, dtype=float), 0.0)
-        hist = [
-            bb.YearlyEmbedding("c", 2000 + i, np.asarray(z, dtype=float), 0.0)
-            for i, z in enumerate(z_hist)
-        ]
-        return bb.LookbackContext(target=target, history=hist)
+    def oracle(self, p, pooled, labels, years, target, history):
+        z = np.array([np_embed(p, pooled[i], labels[i], years[i]) for i in range(len(labels))])
+        return np_cross_head(p, z[target], z[list(history)])
 
     def test_single_history(self):
-        ctx = self.ctx_from([1.0, 0.0], [[0.3, 0.4]])
-        beta, z_tilde = bb.cross_year_attention(ctx)
+        p = tiny_lyra()
+        pooled = np.array([[0.3, 0.4, -0.1], [1.0, 0.0, 0.2]])
+        pred, beta = cross(p, pooled, [0.1, 0.0], [2001, 2002], target=1, history=[0])
         np.testing.assert_allclose(beta, [1.0])
-        np.testing.assert_allclose(z_tilde, [1.3, 0.4])
+        z_h = np_embed(p, pooled[0], 0.1, 2001)
+        z_t = np_embed(p, pooled[1], 0.0, 2002)
+        want = float(np_mlp(p.store, z_t + z_h, "head")[0])
+        np.testing.assert_allclose(pred, want, atol=1e-12)
 
     def test_identical_history_uniform(self):
-        ctx = self.ctx_from([0.5, -1.0], [[0.2, 0.1]] * 4)
-        beta, z_tilde = bb.cross_year_attention(ctx)
+        p = tiny_lyra()
+        pooled = np.array([[0.2, 0.1, -0.3]] * 4 + [[0.5, -1.0, 0.4]])
+        pred, beta = cross(p, pooled, [0.3] * 4 + [0.0], [2001] * 4 + [2005],
+                           target=4, history=[0, 1, 2, 3])
         np.testing.assert_allclose(beta, np.full(4, 0.25), atol=1e-12)
-        np.testing.assert_allclose(z_tilde, [0.7, -0.9], atol=1e-12)
+        z_h = np_embed(p, pooled[0], 0.3, 2001)
+        z_t = np_embed(p, pooled[4], 0.0, 2005)
+        want = float(np_mlp(p.store, z_t + z_h, "head")[0])
+        np.testing.assert_allclose(pred, want, atol=1e-12)
 
     def test_hand_softmax_oracle(self):
+        p = tiny_lyra()
         rng = np.random.default_rng(4)
-        zt = rng.standard_normal(3)
-        zh = rng.standard_normal((3, 3))
-        scores = zh @ zt  # unscaled dot products
-        e = np.exp(scores - scores.max())
-        expected_beta = e / e.sum()
-        ctx = self.ctx_from(zt, zh)
-        beta, z_tilde = bb.cross_year_attention(ctx)
-        np.testing.assert_allclose(beta, expected_beta, atol=1e-12)
-        np.testing.assert_allclose(z_tilde, zt + expected_beta @ zh, atol=1e-12)
+        pooled = rng.standard_normal((4, 3)) * 2.0
+        labels = rng.standard_normal(4)
+        years = [2001, 2002, 2003, 2004]
+        pred, beta = cross(p, pooled, labels, years, target=3, history=[0, 1, 2])
+        want_pred, want_beta = self.oracle(p, pooled, labels, years, 3, [0, 1, 2])
+        np.testing.assert_allclose(beta, want_beta, atol=1e-12)
+        np.testing.assert_allclose(pred, want_pred, atol=1e-12)
 
     def test_permutation_equivariance(self):
+        p = tiny_lyra()
         rng = np.random.default_rng(5)
-        zt = rng.standard_normal(4)
-        zh = rng.standard_normal((5, 4))
-        beta, z_tilde = bb.cross_year_attention(self.ctx_from(zt, zh))
+        pooled = rng.standard_normal((6, 3)) * 2.0
+        labels = rng.standard_normal(6)
+        years = [2000, 2001, 2002, 2003, 2004, 2005]
+        pred, beta = cross(p, pooled, labels, years, target=5, history=[0, 1, 2, 3, 4])
         perm = [3, 0, 4, 1, 2]
-        beta_p, z_tilde_p = bb.cross_year_attention(self.ctx_from(zt, zh[perm]))
+        pred_p, beta_p = cross(p, pooled, labels, years, target=5, history=perm)
         np.testing.assert_allclose(beta_p, beta[perm], atol=1e-14)
-        np.testing.assert_allclose(z_tilde_p, z_tilde, atol=1e-14)
+        np.testing.assert_allclose(pred_p, pred, atol=1e-14)
 
     def test_empty_history_rejected(self):
-        target = bb.YearlyEmbedding("c", 2005, np.zeros(3), 0.0)
+        p = tiny_lyra()
         with pytest.raises(nc.ContractError):
-            bb.cross_year_attention(bb.LookbackContext(target=target, history=[]))
+            cross(p, np.zeros((1, 3)), [0.0], [2005], target=0, history=[])
 
 
 def norm_stats():
@@ -250,31 +373,37 @@ class TestLyraPredict:
         assert a.prediction == b.prediction
 
     def test_compositional_oracle(self):
-        """lyra_predict equals the explicit composition of the public ops."""
+        """lyra_predict equals a plain-numpy composition of the whole model."""
         p = tiny_lyra()
         rng = np.random.default_rng(7)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
         stats = norm_stats()
-
-        embeddings = []
-        for rec in hist:
-            _, pooled = bb.attention_pool(bb.gru_encode(rec.features, p), p)
-            embeddings.append(bb.yearly_embedding(pooled, rec.yield_label, rec.year, p))
-        _, pooled_t = bb.attention_pool(bb.gru_encode(target.features, p), p)
-        label_norm = stats.normalize_label(2.4)
-        z_t = bb.yearly_embedding(pooled_t, label_norm, target.year, p)
-        ctx = bb.LookbackContext(
-            target=bb.YearlyEmbedding("c9", 2003, z_t, label_norm),
-            history=[
-                bb.YearlyEmbedding(r.county, r.year, z, r.yield_label)
-                for r, z in zip(hist, embeddings)
-            ],
-        )
-        beta, z_tilde = bb.cross_year_attention(ctx)
-        expected = stats.denormalize_label(bb.head_value(z_tilde, p))
+        context = [(rec, rec.yield_label) for rec in hist]
+        expected, beta = np_lyra_predict(p, stats, context, target,
+                                         stats.normalize_label(2.4))
 
         out = bb.lyra_predict(hist, target, p, stats, label_source="observed")
+        np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
+        np.testing.assert_allclose(out.beta, beta, atol=1e-12)
+        assert out.history_years == [2001, 2002]
+
+    def test_extra_context_follows_history(self):
+        """Extra (record, label) pairs join the look-back set after the window."""
+        p = tiny_lyra()
+        rng = np.random.default_rng(17)
+        hist = history_records(rng)
+        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.4)
+        extras = [(CountyYearRecord("c3", 2000, rng.standard_normal((6, 2)), 0.7), -0.35),
+                  (CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1), 0.8)]
+        stats = norm_stats()
+        context = [(rec, rec.yield_label) for rec in hist] + extras
+        expected, beta = np_lyra_predict(p, stats, context, target,
+                                         stats.normalize_label(2.4))
+
+        out = bb.lyra_predict(hist, target, p, stats, label_source="observed",
+                              extra_context=extras)
+        assert out.history_years == [2001, 2002, 2000, 2003]
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
@@ -286,8 +415,10 @@ class TestLyraPredict:
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), None)
         stats = norm_stats()
         out = bb.lyra_predict(hist, target, p, stats, label_source="model", global_params=gp)
-        fhat = bb.global_gru_predict(target.features, gp, stats)
-        np.testing.assert_allclose(out.label_used, stats.normalize_label(fhat), atol=1e-12)
+        np.testing.assert_allclose(out.label_used, np_global(gp, target.features), atol=1e-12)
+        expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
+                                      out.label_used)
+        np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
 
     def test_empty_history_rejected(self):
         p = tiny_lyra()
@@ -309,50 +440,17 @@ class TestGlobalGruPredict:
     def test_composition_oracle(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=11)
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((7, 2))
-        stats = norm_stats()
-        h = bb.gru_encode(x, p)
-        mean_h = h.mean(axis=0)
-        hidden = np.tanh(mean_h @ p.store.value("readout.h.W") + p.store.value("readout.h.b"))
-        norm_pred = float(
-            (hidden @ p.store.value("readout.out.W") + p.store.value("readout.out.b"))[0]
-        )
-        expected = stats.denormalize_label(norm_pred)
-        np.testing.assert_allclose(bb.global_gru_predict(x, p, stats), expected, atol=1e-12)
+        xs = rng.standard_normal((2, 7, 2))
+        got = bb.global_forward(None, p, xs).data
+        for b in range(2):
+            np.testing.assert_allclose(got[b], np_global(p, xs[b]), atol=1e-12)
 
     def test_deterministic(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=13)
-        x = np.random.default_rng(1).standard_normal((5, 2))
-        stats = norm_stats()
-        assert bb.global_gru_predict(x, p, stats) == bb.global_gru_predict(x, p, stats)
-
-
-class TestBatchEngineConsistency:
-    def test_batch_forward_matches_single_path(self):
-        """The grouped training engine and the public per-record path agree."""
-        p = tiny_lyra()
-        rng = np.random.default_rng(14)
-        T, d = 6, 2
-        xs = rng.standard_normal((4, T, d))  # rows: years 2000..2003 of one county
-        labels = np.array([0.1, -0.2, 0.3, 0.05])
-        year_rows = np.array([p.year_row(2000 + i) for i in range(4)])
-
-        # sample: target row 3 (year 2003), history rows 1,2
-        triples = (np.array([1, 2, 3]), np.array([labels[1], labels[2], -0.4]),
-                   np.array([year_rows[1], year_rows[2], year_rows[3]]))
-        samples = [bb.LyraSample(target=2, history=(0, 1))]
-        preds, betas = bb.lyra_forward(None, p, xs, triples, samples)
-
-        recs = [
-            CountyYearRecord("c", 2000 + i, xs[i], float(labels[i])) for i in range(4)
-        ]
-        stats = NormStats(np.zeros(d), np.ones(d), 0.0, 1.0)
-        out = bb.lyra_predict(
-            recs[1:3], recs[3].with_changes(yield_label=-0.4), p, stats,
-            label_source="observed",
-        )
-        np.testing.assert_allclose(float(preds.data[0]), out.prediction, atol=1e-12)
-        np.testing.assert_allclose(betas[0], out.beta, atol=1e-12)
+        xs = np.random.default_rng(1).standard_normal((1, 5, 2))
+        a = bb.global_forward(None, p, xs).data
+        b = bb.global_forward(None, p, xs).data
+        assert np.array_equal(a, b)
 
 
 class TestGradCheck:

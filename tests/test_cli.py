@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ratar import cli
+from ratar import retrieval as rt
 from ratar.data import load_adjacency, load_dataset
 from ratar.numcore import ContractError
 
@@ -183,6 +184,30 @@ class TestPiecewise:
         assert rc == 0
         lines = (pdir / "predictions.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 8
+
+    def test_predict_computes_residuals_once(self, tmp_path, monkeypatch):
+        cfgp = tiny_config(tmp_path)
+        calls = []
+        original = rt.compute_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rt, "compute_residuals", counting)
+        pdir = tmp_path / "p3"
+        assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 0
+        assert len(calls) == 1
+        # same predictions, to the last digit, as the full run's seed 0
+        rdir = tmp_path / "run3"
+        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 0
+        run_rows = (rdir / "predictions.csv").read_text().strip().splitlines()[1:]
+        want = {}
+        for line in run_rows:
+            _seed, county, year, pred, _label, _err, fallback = line.split(",")
+            want[county] = f"{county},{year},{pred},{fallback}"
+        got = (pdir / "predictions.csv").read_text().strip().splitlines()[1:]
+        assert got == [want[c] for c in sorted(want)]
 
 
 class TestSweepAblate:

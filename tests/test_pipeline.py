@@ -9,17 +9,7 @@ import pytest
 
 from ratar import pipeline as pl
 from ratar import training as tr
-from ratar.backbone import (
-    LyraDims,
-    assemble_history,
-    cross_year_attention,
-    gru_encode,
-    attention_pool,
-    yearly_embedding,
-    LookbackContext,
-    YearlyEmbedding,
-    lyra_predict,
-)
+from ratar.backbone import LyraDims, assemble_history, lyra_predict
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -114,18 +104,11 @@ class TestIntegrateContext:
         self.lyra, _ = tr.train_lyra(self.train, 3, cfg, dims=tiny_dims(),
                                      year_max=2005, global_params=self.f)
 
-    def build_ctx(self, county):
+    def predict(self, county, extra=()):
         history = assemble_history(self.train, county, 2005, 3)
-        embeds = []
-        for rec in history:
-            _, pooled = attention_pool(gru_encode(rec.features, self.lyra), self.lyra)
-            z = yearly_embedding(pooled, rec.yield_label, rec.year, self.lyra)
-            embeds.append(YearlyEmbedding(rec.county, rec.year, z, rec.yield_label))
-        target = self.test.get(county, 2005)
-        _, pooled_t = attention_pool(gru_encode(target.features, self.lyra), self.lyra)
-        z_t = yearly_embedding(pooled_t, 0.0, 2005, self.lyra)
-        return LookbackContext(target=YearlyEmbedding(county, 2005, z_t, 0.0),
-                               history=embeds)
+        return lyra_predict(history, self.test.get(county, 2005), self.lyra, self.stats,
+                            label_source="model", global_params=self.f,
+                            extra_context=extra)
 
     def refined_entries(self, county, n=2):
         entries = []
@@ -137,37 +120,74 @@ class TestIntegrateContext:
         return rf.RefinedSampleSet(query=county, target_year=2005, sigma=0.0,
                                    entries=entries)
 
-    def test_empty_set_is_identity(self):
+    def context_run(self, monkeypatch, threshold):
+        """Context-mode predictions, recording each lyra_predict's extras."""
+        cfg = pl.ExperimentConfig(test_year=2005, w=3, threshold=threshold,
+                                  integration="context", sigma=0.0, seeds=(0,),
+                                  dims=tiny_dims())
+        models = pl._SeedModels(stats=self.stats, train_phys=None, train_n=self.train,
+                                test_n=self.test, f=self.f, lyra=self.lyra)
+        extras = {}
+
+        def recording(history, target, *args, extra_context=(), **kwargs):
+            extras[target.county] = list(extra_context)
+            return lyra_predict(history, target, *args, extra_context=extra_context,
+                                **kwargs)
+
+        monkeypatch.setattr(pl, "lyra_predict", recording)
+        residuals, mean_emb, biases, sigma = pl._retrieval_context(cfg, models, 0)
+        preds, fallbacks, _rtr, refined_sets, attention = pl._predict_counties(
+            cfg, models, 0, biases, residuals, mean_emb, {}, sigma)
+        return preds, fallbacks, refined_sets, attention, extras
+
+    def test_empty_set_is_identity(self, monkeypatch):
         county = self.train.counties[0]
-        ctx = self.build_ctx(county)
-        empty = rf.RefinedSampleSet(query=county, target_year=2005, sigma=0.0, entries=[])
-        out = pl.integrate_context(ctx, empty, self.lyra, self.stats)
-        assert out.history is ctx.history or len(out.history) == len(ctx.history)
+        plain = self.predict(county)
+        empty = self.predict(county, extra=[])
+        assert empty.prediction == plain.prediction
+        assert empty.history_years == plain.history_years
+        np.testing.assert_array_equal(empty.beta, plain.beta)
+        # nothing retrieved: every county falls back to the plain prediction
+        preds, fallbacks, _refined, _att, extras = self.context_run(monkeypatch, 1.0)
+        assert fallbacks == set(preds)
+        for c, pred in preds.items():
+            assert extras[c] == []
+            assert pred == self.predict(c).prediction
 
     def test_extended_window_beta(self):
         county = self.train.counties[0]
-        ctx = self.build_ctx(county)
-        w = len(ctx.history)
+        w = len(self.predict(county).history_years)
         refined = self.refined_entries(county, n=2)
-        out = pl.integrate_context(ctx, refined, self.lyra, self.stats)
-        assert len(out.history) == w + 2
-        beta, _ = cross_year_attention(out)
-        assert beta.shape == (w + 2,)
-        np.testing.assert_allclose(beta.sum(), 1.0, atol=1e-9)
-        assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
+        extra = [(e.record, self.stats.normalize_label(e.label_refined))
+                 for e in refined.entries]
+        out = self.predict(county, extra=extra)
+        assert out.beta.shape == (w + 2,)
+        assert out.history_years[w:] == [e.record.year for e in refined.entries]
+        np.testing.assert_allclose(out.beta.sum(), 1.0, atol=1e-9)
+        assert np.all(out.beta >= 0.0) and np.all(out.beta <= 1.0)
 
-    def test_refined_label_feeds_embedding(self):
-        county = self.train.counties[0]
-        ctx = self.build_ctx(county)
-        refined = self.refined_entries(county, n=1)
-        out = pl.integrate_context(ctx, refined, self.lyra, self.stats)
-        appended = out.history[-1]
-        entry = refined.entries[0]
-        _, pooled = attention_pool(gru_encode(entry.record.features, self.lyra), self.lyra)
-        want = yearly_embedding(pooled, self.stats.normalize_label(entry.label_refined),
-                                entry.record.year, self.lyra)
-        np.testing.assert_allclose(appended.z, want, atol=1e-12)
-        assert appended.year == entry.record.year
+    def test_refined_label_feeds_embedding(self, monkeypatch):
+        # the pipeline appends each refined sample with its refined label,
+        # normalized, after the county's own window
+        preds, fallbacks, refined_sets, attention, extras = self.context_run(
+            monkeypatch, 0.0)
+        assert refined_sets and any(s.entries for s in refined_sets)
+        for refined in refined_sets:
+            want = [(e.record, self.stats.normalize_label(e.label_refined))
+                    for e in refined.entries]
+            assert extras[refined.query] == want
+            if want:
+                assert refined.query not in fallbacks
+        # the refined label reaches the appended embedding: a different
+        # label value moves the prediction
+        county = next(s.query for s in refined_sets if s.entries)
+        rec, label_n = extras[county][-1]
+        shifted = extras[county][:-1] + [(rec, label_n + 1.0)]
+        assert self.predict(county, extras[county]).prediction == preds[county]
+        assert self.predict(county, shifted).prediction != preds[county]
+        rows = [a for a in attention if a[0] == county]
+        assert [a[2] for a in rows] == (self.predict(county).history_years
+                                        + [r.year for r, _ in extras[county]])
 
 
 class TestRunExperiment:

@@ -56,15 +56,6 @@ class TestYearRegressor:
         b = rf.fit_year_regressor(2000, Z, y)
         assert np.array_equal(a.coef, b.coef) and a.intercept == b.intercept
 
-    def test_mlp_variant_fits_nonlinear_map(self):
-        rng = np.random.default_rng(4)
-        Z = rng.standard_normal((60, 2))
-        y = np.tanh(Z[:, 0]) * 2.0 + 0.3 * Z[:, 1] + 5.0
-        g = rf.fit_year_regressor(2000, Z, y, family="mlp", seed=0)
-        rmse = float(np.sqrt(np.mean((g.predict(Z) - y) ** 2)))
-        base = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-        assert rmse < 0.5 * base
-
 
 def toy_regressors(years, coef, intercepts):
     out = {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ratar import retrieval as rt
-from ratar.backbone import GruParams, global_gru_predict, global_forward
+from ratar.backbone import GruParams, global_forward
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -46,7 +46,7 @@ class TestComputeResiduals:
         for rec in self.ds.records:
             rv = res[rec.county]
             k = rv.years.index(rec.year)
-            pred = global_gru_predict(rec.features, self.params)
+            pred = global_forward(None, self.params, rec.features[None]).data[0]
             np.testing.assert_allclose(rv.r[k], rec.yield_label - pred, atol=1e-10)
 
     def test_constant_offset_algebra(self):
@@ -66,7 +66,7 @@ class TestComputeResiduals:
             rv = res_norm[rec.county]
             k = rv.years.index(rec.year)
             norm_rec = [r for r in norm.records if r.county == rec.county and r.year == rec.year][0]
-            pred_norm = global_gru_predict(norm_rec.features, self.params)
+            pred_norm = global_forward(None, self.params, norm_rec.features[None]).data[0]
             pred_phys = stats.denormalize_label(pred_norm)
             np.testing.assert_allclose(rv.r[k], rec.yield_label - pred_phys, atol=1e-9)
 
