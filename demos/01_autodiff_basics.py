@@ -41,7 +41,7 @@ print(f"forward loss: {loss.data:.6f}")
 # 2. One backward pass fills store.grad for every bound parameter.
 
 store.zero_grad()
-nc.backward(tape, loss)
+tape.backward(loss)
 for name in store.names():
     g = store.grad(name)
     print(f"d loss / d {name}: shape {g.shape}, |g|_max {np.abs(g).max():.5f}")
@@ -63,7 +63,7 @@ for step in range(1, 6):
     tape = nc.ComputeTape()
     loss = loss_fn(tape, store)
     store.zero_grad()
-    nc.backward(tape, loss)
+    tape.backward(loss)
     for name in store.names():
         store.set_value(name, store.value(name) - lr * store.grad(name))
     print(f"step {step}: loss {loss.data:.6f}")

@@ -6,6 +6,13 @@ save checkpoints, `retrieve` / `refine` export the retrieval and bias
 diagnostics, `predict` writes per-county predictions, and `run` /
 `sweep` / `ablate` drive full multi-seed experiments.
 
+Every experiment subcommand runs on the pipeline's public per-seed API
+and nothing else: `load` and `train_models` (with any checkpoints) for
+the first seed, then `retrieval_context`, `retrieve_refine` and
+`predict_counties` as far as the subcommand needs.  `retrieve` and
+`refine` therefore write exactly what `run` computes for the same
+counties; `--county` only selects which county is written.
+
 All experiment subcommands share one configuration surface: an
 optional JSON file (--config) whose keys mirror ExperimentConfig
 fields (with nested `train`, `dims`, and `synthetic` objects),
@@ -36,13 +43,7 @@ from .data import (
     save_truth_csv,
 )
 from .numcore import ContractError, NumericError
-from .training import (
-    TrainConfig,
-    TrainingError,
-    save_train_report,
-    train_global,
-    train_lyra,
-)
+from .training import TrainConfig, TrainingError, save_train_report
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -154,19 +155,26 @@ def _load_params(path):
     return params
 
 
-def _prepare_models(args, cfg, with_lyra):
-    """Load data, then train or load the models this subcommand needs.
+def _seed_models(args, cfg, with_lyra=True):
+    """Load data, then train or load the models of the first seed.
 
     Checkpoints must come from the same dataset and test year: feature
     and label statistics are refit from the training split.
     """
-    with pl._stage("load"):
-        ds = pl._load(cfg, None)
-    f = _load_params(getattr(args, "global_ckpt", None))
-    lyra = _load_params(getattr(args, "lyra_ckpt", None))
-    models = pl._train_stage(cfg, ds, cfg.seeds[0], f=f, lyra=lyra,
+    ds, adjacency = pl.load(cfg)
+    models = pl.train_models(cfg, ds, cfg.seeds[0],
+                             f=_load_params(getattr(args, "global_ckpt", None)),
+                             lyra=_load_params(getattr(args, "lyra_ckpt", None)),
                              with_lyra=with_lyra)
-    return ds, models
+    return models, adjacency
+
+
+def _query_counties(args, models) -> list:
+    if args.county is None:
+        return models.test_counties
+    if args.county not in models.test_counties:
+        raise ContractError(f"county {args.county} has no test-year record")
+    return [args.county]
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +198,21 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _save_trained(out, name, params, stats, report):
+    ckpt = os.path.join(out, f"{name}.npz")
+    save_checkpoint(ckpt, params, stats)
+    report = replace(report, checkpoint=ckpt)
+    save_train_report(report, os.path.join(out, f"train_{name}.csv"),
+                      os.path.join(out, f"train_{name}.json"))
+    return ckpt, report
+
+
 def _cmd_train_global(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    with pl._stage("load"):
-        ds = pl._load(cfg, None)
-    stats, _train_phys, train_n, _test_n = pl._split_stage(cfg, ds)
-    tcfg = replace(cfg.train, seed=cfg.seeds[0])
-    with pl._stage("train_global"):
-        params, report = train_global(train_n, tcfg, H=cfg.global_H,
-                                      readout_hidden=cfg.global_readout_hidden)
-    ckpt = os.path.join(out, "global.npz")
-    save_checkpoint(ckpt, params, stats)
-    report = replace(report, checkpoint=ckpt)
-    save_train_report(report, os.path.join(out, "train_global.csv"),
-                      os.path.join(out, "train_global.json"))
+    models, _adjacency = _seed_models(args, cfg, with_lyra=False)
+    ckpt, report = _save_trained(out, "global", models.f, models.stats,
+                                 models.global_report)
     print(f"global model: final loss {report.final_loss:.6f}, "
           f"{len(report.losses)} epochs, checkpoint {ckpt}")
     return 0
@@ -213,62 +221,22 @@ def _cmd_train_global(args) -> int:
 def _cmd_train_lyra(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    with pl._stage("load"):
-        ds = pl._load(cfg, None)
-    stats, _train_phys, train_n, _test_n = pl._split_stage(cfg, ds)
-    tcfg = replace(cfg.train, seed=cfg.seeds[0])
-    global_params = _load_params(getattr(args, "global_ckpt", None))
-    if global_params is None and cfg.train.target_label_source == "model":
-        with pl._stage("train_global"):
-            global_params, _ = train_global(
-                train_n, tcfg, H=cfg.global_H,
-                readout_hidden=cfg.global_readout_hidden)
-    dims = cfg.dims if cfg.dims is not None else LyraDims(d=train_n.d)
-    with pl._stage("train_lyra"):
-        params, report = train_lyra(train_n, cfg.w, tcfg, dims=dims,
-                                    year_max=cfg.test_year,
-                                    global_params=global_params)
-    ckpt = os.path.join(out, "lyra.npz")
-    save_checkpoint(ckpt, params, stats)
-    report = replace(report, checkpoint=ckpt)
-    save_train_report(report, os.path.join(out, "train_lyra.csv"),
-                      os.path.join(out, "train_lyra.json"))
+    models, _adjacency = _seed_models(args, cfg)
+    ckpt, report = _save_trained(out, "lyra", models.lyra, models.stats,
+                                 models.lyra_report)
     print(f"cross-year model: final loss {report.final_loss:.6f}, "
           f"{report.n_samples} window samples, checkpoint {ckpt}")
     return 0
 
 
-def _retrieval_inputs(args, cfg, with_lyra):
-    """Models plus mode-specific retrieval keys for retrieve/refine."""
-    with_lyra = with_lyra or cfg.retrieval_mode == "embedding"
-    ds, models = _prepare_models(args, cfg, with_lyra=with_lyra)
-    adjacency = pl._adjacency_of(cfg, ds, None)
-    residuals, mean_emb = {}, {}
-    if cfg.retrieval_mode == "residual":
-        with pl._stage("residuals"):
-            residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
-    elif cfg.retrieval_mode == "embedding":
-        with pl._stage("embeddings"):
-            embeddings = pl._training_embeddings(models, cfg.refine_label_source)
-            mean_emb = pl._mean_embeddings(embeddings, models.train_n.counties)
-    return ds, models, adjacency, residuals, mean_emb
-
-
-def _query_counties(args, models) -> list:
-    if getattr(args, "county", None):
-        return [args.county]
-    return sorted({r.county for r in models.test_n.records})
-
-
 def _cmd_retrieve(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    _ds, models, adjacency, residuals, mean_emb = _retrieval_inputs(args, cfg, with_lyra=False)
-    results = []
-    for county in _query_counties(args, models):
-        with pl._stage(f"retrieval county {county}"):
-            results.append(pl._retrieve_for(cfg, county, residuals, mean_emb,
-                                            adjacency, models.train_n))
+    models, adjacency = _seed_models(args, cfg,
+                                     with_lyra=cfg.retrieval_mode == "embedding")
+    ctx = pl.retrieval_context(cfg, models, adjacency)
+    results = [pl.retrieve_refine(cfg, models, ctx, county)[0]
+               for county in _query_counties(args, models)]
     path = os.path.join(out, "retrieval.csv")
     rt.save_retrieval_csv(results, path)
     total = sum(len(r.samples) for r in results)
@@ -279,22 +247,11 @@ def _cmd_retrieve(args) -> int:
 def _cmd_refine(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    _ds, models, adjacency, residuals, mean_emb = _retrieval_inputs(args, cfg, with_lyra=True)
-    with pl._stage("refinement_setup"):
-        _embeddings, _regressors, biases = pl._refinement_setup(cfg, models)
-    sigma_phys = (cfg.sigma if cfg.sigma is not None
-                  else pl._SIGMA_FRACTION * models.stats.label_std)
-    refined_sets = []
-    for idx, county in enumerate(_query_counties(args, models)):
-        with pl._stage(f"retrieval county {county}"):
-            result = pl._retrieve_for(cfg, county, residuals, mean_emb,
-                                      adjacency, models.train_n)
-        with pl._stage(f"refinement county {county}"):
-            refined_sets.append(rf.refine_labels(
-                result, biases, sigma=sigma_phys,
-                seed=cfg.seeds[0] * 1000003 + idx, target_year=cfg.test_year,
-                copies=cfg.refine_copies, stats=models.stats))
-    rf.save_bias_csv(biases, os.path.join(out, "bias.csv"))
+    models, adjacency = _seed_models(args, cfg)
+    ctx = pl.retrieval_context(cfg, models, adjacency)
+    refined_sets = [pl.retrieve_refine(cfg, models, ctx, county)[1]
+                    for county in _query_counties(args, models)]
+    rf.save_bias_csv(ctx.biases, os.path.join(out, "bias.csv"))
     rf.save_refined_csv(refined_sets, os.path.join(out, "refined.csv"))
     total = sum(len(s.entries) for s in refined_sets)
     print(f"refined {total} samples across {len(refined_sets)} queries -> {out}")
@@ -304,14 +261,13 @@ def _cmd_refine(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    seed = cfg.seeds[0]
     label_audit.reset()
     with label_audit.guard(cfg.test_year):
-        ds, models = _prepare_models(args, cfg, with_lyra=True)
-        adjacency = pl._adjacency_of(cfg, ds, None)
-        residuals, mean_emb, biases, sigma_phys = pl._retrieval_context(cfg, models, seed)
-        predictions, fallbacks, _rtr, _refined, _att = pl._predict_counties(
-            cfg, models, seed, biases, residuals, mean_emb, adjacency, sigma_phys)
+        models, adjacency = _seed_models(args, cfg)
+        ctx = (pl.retrieval_context(cfg, models, adjacency)
+               if cfg.integration != "none" else None)
+        predicted = pl.predict_counties(cfg, models, ctx)
+        predictions, fallbacks = predicted.predictions, predicted.fallbacks
         lines = ["county,year,prediction,fallback"]
         for county in sorted(predictions):
             lines.append(f"{county},{cfg.test_year},{predictions[county]!r},"
@@ -321,7 +277,7 @@ def _cmd_predict(args) -> int:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(predictions)} predictions -> {path}")
         if any(r.has_label for r in models.test_n.records):
-            report = pl.evaluate(predictions, models.test_n, seed,
+            report = pl.evaluate(predictions, models.test_n, models.seed,
                                  fallbacks=fallbacks)
             print(f"test rmse {report.rmse_mean:.4f} (physical units)")
     return 0
@@ -448,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_experiment_flags(p)
         p.add_argument("--global-ckpt")
         p.add_argument("--lyra-ckpt")
-        p.add_argument("--county", help="restrict to one query county")
+        if name != "predict":
+            p.add_argument("--county", help="write only this query county")
         p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over one config axis")

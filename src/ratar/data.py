@@ -54,9 +54,6 @@ class LabelAudit:
     def violation_count(self) -> int:
         return len(self._violations)
 
-    def violations(self) -> list:
-        return list(self._violations)
-
     def reset(self) -> None:
         self._guarded.clear()
         self._allow_depth = 0
@@ -143,9 +140,6 @@ class Dataset:
             return self._index[(county, year)]
         except KeyError:
             raise ContractError(f"no record for ({county},{year})") from None
-
-    def has(self, county, year) -> bool:
-        return (county, year) in self._index
 
     def county_years(self, county) -> list:
         return [y for y in self.years if (county, y) in self._index]

@@ -99,9 +99,6 @@ class ParamStore:
             clone.add(name, val)
         return clone
 
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._values.values())
-
 
 class ComputeTape:
     """Ordered op records enabling one reverse traversal per backward call."""
@@ -147,10 +144,6 @@ class ComputeTape:
         for key, (store, name, _t) in self._leaves.items():
             if key in grads:
                 store._grads[name] += grads[key]
-
-
-def backward(tape: ComputeTape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def _tape_of(*tensors) -> ComputeTape | None:
@@ -260,11 +253,6 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(x.tape, out, [(x, lambda g: g * (1.0 - out * out))])
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    return _emit(x.tape, x.data * mask, [(x, lambda g: g * mask)])
-
-
 def softmax(v: Tensor) -> Tensor:
     """Max-stabilized softmax of a 1-D vector."""
     if v.ndim != 1 or v.shape[0] == 0:
@@ -347,18 +335,6 @@ def concat_rows(parts) -> Tensor:
         (p, make_vjp(offsets[i], offsets[i + 1])) for i, p in enumerate(parts)
     ]
     return _emit(_tape_of(*parts), out, pairs)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.ndim != 2 or not (0 <= lo <= hi <= a.shape[1]):
-        raise DimensionError(f"slice_cols [{lo}:{hi}] of {a.shape}")
-
-    def vjp(g):
-        full = np.zeros(a.shape)
-        full[:, lo:hi] = g
-        return full
-
-    return _emit(a.tape, a.data[:, lo:hi].copy(), [(a, vjp)])
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -472,7 +448,7 @@ def grad_check(f, store: ParamStore, eps: float = 1e-5) -> float:
     store.zero_grad()
     tape = ComputeTape()
     loss = f(tape, store)
-    backward(tape, loss)
+    tape.backward(loss)
 
     worst = 0.0
     for name in store.names():

@@ -1,11 +1,23 @@
 """End-to-end experiment orchestration.
 
-A run executes, per seed: split by test year, normalize on training
-statistics, train the global model and the cross-year model, then for
-each county retrieve relevant neighbors, refine their labels toward
-the test year, integrate them (per-county fine-tuning or context
-augmentation), predict, and evaluate physical-unit RMSE.  Reports
-aggregate mean and standard deviation across seeds.
+A run executes one chain per seed.  Each link is a public call, and
+`run_experiment`, `ablate` and every CLI subcommand are built from the
+same links:
+
+- `load`: the dataset and the county adjacency;
+- `train_models`: split by test year, normalize on training statistics,
+  train the global and the cross-year model (or take them from
+  checkpoints), giving a `SeedModels`;
+- `retrieval_context`: residuals, training embeddings, bias matrices
+  and the resolved refinement sigma, giving a `RetrievalContext`;
+- `retrieve_refine`: one test county's retrieved samples, with their
+  labels refined toward the test year;
+- `predict_counties`: for each county in turn, retrieve and refine,
+  integrate (per-county fine-tuning or context augmentation) and
+  predict, giving `CountyPredictions`;
+- `evaluate`: physical-unit RMSE.
+
+Reports aggregate mean and standard deviation across seeds.
 
 Every integration mode predicts through the same call: `lyra_predict`
 runs one batched engine forward per county.  Fine-tuning changes the
@@ -29,6 +41,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +71,14 @@ from .data import (
     zscore_fit,
 )
 from .numcore import ContractError
-from .training import TrainConfig, fine_tune, train_global, train_gru_att, train_lyra
+from .training import (
+    TrainConfig,
+    TrainReport,
+    fine_tune,
+    train_global,
+    train_gru_att,
+    train_lyra,
+)
 
 _RETRIEVAL_MODES = ("residual", "neighboring", "embedding")
 _INTEGRATION_MODES = ("finetune", "context", "none")
@@ -194,79 +214,89 @@ def _merge_reports(variant, per_seed, seconds, violations=0):
 
 
 # ---------------------------------------------------------------------------
-# data plumbing
+# the per-seed API
 
 
-def _load(cfg: ExperimentConfig, dataset):
-    if dataset is not None:
-        return dataset
-    if cfg.data_path is not None:
-        return load_dataset(cfg.data_path)
-    if cfg.synthetic is not None:
-        ds, _truth = generate_synthetic(cfg.synthetic)
-        return ds
-    raise ContractError("no data source: need dataset, data_path, or synthetic config")
+def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
+         adjacency: dict | None = None):
+    """The run's (dataset, adjacency); given values pass through.
 
-
-def _adjacency_of(cfg, ds, adjacency):
-    if adjacency is not None:
-        return adjacency
-    if cfg.adjacency_path is not None:
-        return load_adjacency(cfg.adjacency_path)
-    adj = {}
-    for county in ds.counties:
-        rec = ds.records_of_county(county)[0]
-        if rec.neighbors is not None:
-            adj[county] = list(rec.neighbors)
-    return adj
-
-
-# ---------------------------------------------------------------------------
-# per-seed stages
+    The dataset otherwise comes from `cfg.data_path` or `cfg.synthetic`,
+    the adjacency from `cfg.adjacency_path` or the records' own
+    neighbor lists.
+    """
+    with _stage("load"):
+        if dataset is None:
+            if cfg.data_path is not None:
+                dataset = load_dataset(cfg.data_path)
+            elif cfg.synthetic is not None:
+                dataset, _truth = generate_synthetic(cfg.synthetic)
+            else:
+                raise ContractError(
+                    "no data source: need dataset, data_path, or synthetic config")
+        if adjacency is None and cfg.adjacency_path is not None:
+            adjacency = load_adjacency(cfg.adjacency_path)
+        elif adjacency is None:
+            adjacency = {}
+            for county in dataset.counties:
+                rec = dataset.records_of_county(county)[0]
+                if rec.neighbors is not None:
+                    adjacency[county] = list(rec.neighbors)
+    return dataset, adjacency
 
 
 @dataclass
-class _SeedModels:
+class SeedModels:
+    """One seed's normalized split and models.
+
+    A report is None for a model that was passed in rather than trained.
+    """
+    seed: int
     stats: NormStats
-    train_phys: Dataset
     train_n: Dataset
     test_n: Dataset
     f: GruParams
     lyra: LyraParams | None
+    global_report: TrainReport | None = None
+    lyra_report: TrainReport | None = None
+
+    @cached_property
+    def test_counties(self) -> list:
+        """Counties with a test-year record, sorted: the per-county order."""
+        return sorted({r.county for r in self.test_n.records})
 
 
-def _split_stage(cfg, ds):
+def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=None,
+                 with_lyra=True) -> SeedModels:
+    """Split, normalize, and train the models a seed's run needs.
+
+    Pre-trained parameters (from checkpoints) can be injected via `f`
+    and `lyra` to skip the corresponding training runs; `with_lyra`
+    false skips the cross-year model altogether.
+    """
     with _stage("split"):
         train_phys, test_phys = split_by_test_year(ds, cfg.test_year)
     with _stage("normalize"):
         stats = zscore_fit(train_phys)
         train_n = zscore_apply(train_phys, stats)
         test_n = zscore_apply(test_phys, stats, labels=False)
-    return stats, train_phys, train_n, test_n
-
-
-def _train_stage(cfg, ds, seed, f=None, lyra=None, with_lyra=True) -> _SeedModels:
-    """Split, normalize, and train the models a seed's run needs.
-
-    Pre-trained parameters (from checkpoints) can be injected via `f`
-    and `lyra` to skip the corresponding training runs.
-    """
-    stats, train_phys, train_n, test_n = _split_stage(cfg, ds)
+    models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n,
+                        f=f, lyra=lyra)
     tcfg = replace(cfg.train, seed=seed)
     if f is None:
         with _stage(f"train_global seed {seed}"):
-            f, _ = train_global(train_n, tcfg, H=cfg.global_H,
-                                readout_hidden=cfg.global_readout_hidden)
+            models.f, models.global_report = train_global(
+                train_n, tcfg, H=cfg.global_H, readout_hidden=cfg.global_readout_hidden)
     if with_lyra and lyra is None:
         with _stage(f"train_lyra seed {seed}"):
             dims = cfg.dims if cfg.dims is not None else LyraDims(d=train_n.d)
-            lyra, _ = train_lyra(train_n, cfg.w, tcfg, dims=dims,
-                                 year_max=cfg.test_year, global_params=f)
-    return _SeedModels(stats=stats, train_phys=train_phys, train_n=train_n,
-                       test_n=test_n, f=f, lyra=lyra)
+            models.lyra, models.lyra_report = train_lyra(
+                train_n, cfg.w, tcfg, dims=dims, year_max=cfg.test_year,
+                global_params=models.f)
+    return models
 
 
-def _training_embeddings(models: _SeedModels, label_source: str):
+def _training_embeddings(models: SeedModels, label_source: str):
     """One yearly embedding per training record, keyed (county, year).
 
     These embeddings feed the per-year regressors and county matching,
@@ -297,7 +327,7 @@ def _training_embeddings(models: _SeedModels, label_source: str):
     return {(r.county, r.year): z_all.data[i] for i, r in enumerate(train_n.records)}
 
 
-def _refinement_setup(cfg, models: _SeedModels):
+def _refinement_setup(models: SeedModels, embeddings):
     """Per-year regressors and per-county bias matrices (physical units).
 
     All per-year fits share one standardization, computed over every
@@ -306,7 +336,6 @@ def _refinement_setup(cfg, models: _SeedModels):
     must be common across years; a per-year scale would blow up along
     dimensions that vary little within a year but drift between years.
     """
-    embeddings = _training_embeddings(models, cfg.refine_label_source)
     train_n, stats = models.train_n, models.stats
     z_mean, z_scale = rf.embedding_moments(np.stack(list(embeddings.values())))
     regressors = {}
@@ -324,7 +353,7 @@ def _refinement_setup(cfg, models: _SeedModels):
         labels = {y: stats.denormalize_label(train_n.get(county, y).yield_label)
                   for y in train_n.county_years(county)}
         biases[county] = rf.build_bias_matrix(county, regressors, emb, labels)
-    return embeddings, regressors, biases
+    return regressors, biases
 
 
 def _mean_embeddings(embeddings, counties):
@@ -337,60 +366,119 @@ def _mean_embeddings(embeddings, counties):
     return out
 
 
-def _retrieve_for(cfg, county, residuals, mean_emb, adjacency, train_n):
+@dataclass
+class RetrievalContext:
+    """What per-county retrieval and refinement read, for one seed.
+
+    `residuals` are filled in residual mode only.  The training
+    `embeddings` (keyed (county, year)), the per-year `regressors`, the
+    per-county `biases` and mean embeddings `mean_emb` need the
+    cross-year model and are empty without one.  `sigma` is the
+    refinement noise scale in physical units.
+    """
+    adjacency: dict
+    sigma: float
+    residuals: dict = field(default_factory=dict)
+    embeddings: dict = field(default_factory=dict)
+    regressors: dict = field(default_factory=dict)
+    biases: dict = field(default_factory=dict)
+    mean_emb: dict = field(default_factory=dict)
+
+
+def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
+                      adjacency: dict) -> RetrievalContext:
+    """Residuals, embeddings, bias matrices and resolved sigma for one seed.
+
+    The training embeddings are computed once; the bias matrices and
+    the embedding-mode match keys both come from them.  An unset
+    `cfg.sigma` resolves to a fixed fraction of the training label std.
+    """
+    sigma = (cfg.sigma if cfg.sigma is not None
+             else _SIGMA_FRACTION * models.stats.label_std)
+    ctx = RetrievalContext(adjacency=adjacency, sigma=sigma)
     if cfg.retrieval_mode == "residual":
-        return rt.retrieve(county, residuals, train_n,
-                           threshold=cfg.threshold, top_k=cfg.top_k)
-    if cfg.retrieval_mode == "neighboring":
-        return rt.retrieve_neighboring(county, adjacency, train_n)
-    return rt.retrieve_embedding(county, mean_emb, train_n,
+        with _stage(f"residuals seed {models.seed}"):
+            ctx.residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
+    if models.lyra is not None:
+        with _stage(f"refinement_setup seed {models.seed}"):
+            ctx.embeddings = _training_embeddings(models, cfg.refine_label_source)
+            ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
+            ctx.mean_emb = _mean_embeddings(ctx.embeddings, models.train_n.counties)
+    return ctx
+
+
+def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalContext,
+                    county: str):
+    """One test county's (retrieval result, refined sample set).
+
+    The refinement noise is seeded from the seed and the county's index
+    in `models.test_counties`, so it does not depend on which other
+    counties are processed.  With `cfg.refine` off, labels pass through
+    unshifted and without noise.
+    """
+    idx = models.test_counties.index(county)
+    train_n = models.train_n
+    with _stage(f"retrieval county {county}"):
+        if cfg.retrieval_mode == "residual":
+            result = rt.retrieve(county, ctx.residuals, train_n,
                                  threshold=cfg.threshold, top_k=cfg.top_k)
+        elif cfg.retrieval_mode == "neighboring":
+            result = rt.retrieve_neighboring(county, ctx.adjacency, train_n)
+        else:
+            result = rt.retrieve_embedding(county, ctx.mean_emb, train_n,
+                                           threshold=cfg.threshold, top_k=cfg.top_k)
+    with _stage(f"refinement county {county}"):
+        refined = rf.refine_labels(
+            result,
+            ctx.biases if cfg.refine else {},
+            sigma=ctx.sigma if cfg.refine else 0.0,
+            seed=models.seed * 1000003 + idx,
+            target_year=cfg.test_year,
+            copies=cfg.refine_copies,
+            stats=models.stats,
+        )
+    return result, refined
 
 
-def _predict_counties(cfg, models: _SeedModels, seed, biases, residuals,
-                      mean_emb, adjacency, sigma_phys):
+@dataclass
+class CountyPredictions:
+    """One seed's per-county outputs, in `SeedModels.test_counties` order."""
+    predictions: dict = field(default_factory=dict)
+    fallbacks: set = field(default_factory=set)
+    retrievals: list = field(default_factory=list)
+    refined_sets: list = field(default_factory=list)
+    attention: list = field(default_factory=list)  # (county, year, history year, beta)
+
+
+def predict_counties(cfg: ExperimentConfig, models: SeedModels,
+                     ctx: RetrievalContext | None) -> CountyPredictions:
     """Retrieve/refine/integrate/predict for every test county.
 
     Each county is one `lyra_predict` call, with the fine-tuned copy of
     the parameters or the refined extras as its integration requires.
-    Counties are not batched together, because fine-tuned counties each
-    carry their own parameters.  Returns (predictions, fallbacks,
-    retrieval results, refined sets, attention rows).
+    Counties run one at a time, so no county's fine-tuned copy outlives
+    its prediction.  `ctx` is not read when `cfg.integration` is "none".
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
-    tcfg = replace(cfg.train, seed=seed)
-    predictions, fallbacks = {}, set()
-    retrievals, refined_sets, attention = [], [], []
-    counties = sorted({r.county for r in test_n.records})
-    for idx, county in enumerate(counties):
+    tcfg = replace(cfg.train, seed=models.seed)
+    out = CountyPredictions()
+    for county in models.test_counties:
         target = test_n.get(county, cfg.test_year)
         with _stage(f"history county {county}"):
             history = assemble_history(train_n, county, cfg.test_year, cfg.w)
 
         refined = None
         if cfg.integration != "none":
-            with _stage(f"retrieval county {county}"):
-                result = _retrieve_for(cfg, county, residuals, mean_emb,
-                                       adjacency, train_n)
-                retrievals.append(result)
-            with _stage(f"refinement county {county}"):
-                refined = rf.refine_labels(
-                    result,
-                    biases if cfg.refine else {},
-                    sigma=sigma_phys if cfg.refine else 0.0,
-                    seed=seed * 1000003 + idx,
-                    target_year=cfg.test_year,
-                    copies=cfg.refine_copies,
-                    stats=stats,
-                )
-                refined_sets.append(refined)
+            result, refined = retrieve_refine(cfg, models, ctx, county)
+            out.retrievals.append(result)
+            out.refined_sets.append(refined)
 
         with _stage(f"integration county {county}"):
             params = models.lyra
             extra = ()
             if refined is None or not refined.entries:
                 if cfg.integration != "none":
-                    fallbacks.add(county)
+                    out.fallbacks.add(county)
             elif cfg.integration == "finetune":
                 params = fine_tune(models.lyra, refined, train_n, tcfg,
                                    stats=stats, global_params=models.f)
@@ -399,53 +487,29 @@ def _predict_counties(cfg, models: _SeedModels, seed, biases, residuals,
                          for e in refined.entries]
 
         with _stage(f"predict county {county}"):
-            out = lyra_predict(history, target, params, stats,
-                               label_source="model", global_params=models.f,
-                               extra_context=extra)
-            predictions[county] = out.prediction
-            for year, beta in zip(out.history_years, out.beta):
-                attention.append((county, cfg.test_year, year, float(beta)))
-    return predictions, fallbacks, retrievals, refined_sets, attention
+            pred = lyra_predict(history, target, params, stats,
+                                label_source="model", global_params=models.f,
+                                extra_context=extra)
+            out.predictions[county] = pred.prediction
+            for year, beta in zip(pred.history_years, pred.beta):
+                out.attention.append((county, cfg.test_year, year, float(beta)))
+    return out
 
 
-@dataclass
-class _SeedArtifacts:
-    retrievals: list
-    refined_sets: list
-    attention: list
-    biases: dict
-    models: _SeedModels
-
-
-def _retrieval_context(cfg, models: _SeedModels, seed):
-    """Residuals, mean embeddings, bias matrices, resolved sigma for one seed."""
-    residuals, mean_emb, biases = {}, {}, {}
-    sigma_phys = 0.0
-    if cfg.integration != "none":
-        with _stage(f"residuals seed {seed}"):
-            if cfg.retrieval_mode == "residual":
-                residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
-        with _stage(f"refinement_setup seed {seed}"):
-            embeddings, _regressors, biases = _refinement_setup(cfg, models)
-            if cfg.retrieval_mode == "embedding":
-                mean_emb = _mean_embeddings(embeddings, models.train_n.counties)
-            sigma_phys = (cfg.sigma if cfg.sigma is not None
-                          else _SIGMA_FRACTION * models.stats.label_std)
-    return residuals, mean_emb, biases, sigma_phys
+def _evaluate_seed(variant, models: SeedModels, out: CountyPredictions) -> EvalReport:
+    retrieved = sum(len(r.samples) for r in out.retrievals)
+    return evaluate(out.predictions, models.test_n, models.seed, variant=variant,
+                    fallbacks=out.fallbacks, retrieved=retrieved)
 
 
 def _run_seed(cfg, ds, seed, adjacency):
-    models = _train_stage(cfg, ds, seed)
-    residuals, mean_emb, biases, sigma_phys = _retrieval_context(cfg, models, seed)
-    predictions, fallbacks, retrievals, refined_sets, attention = _predict_counties(
-        cfg, models, seed, biases, residuals, mean_emb, adjacency, sigma_phys)
+    models = train_models(cfg, ds, seed)
+    ctx = (retrieval_context(cfg, models, adjacency) if cfg.integration != "none"
+           else RetrievalContext(adjacency=adjacency, sigma=0.0))
+    out = predict_counties(cfg, models, ctx)
     with _stage(f"evaluate seed {seed}"):
-        retrieved = sum(len(r.samples) for r in retrievals)
-        report = evaluate(predictions, models.test_n, seed, variant=cfg.variant,
-                          fallbacks=fallbacks, retrieved=retrieved)
-    artifacts = _SeedArtifacts(retrievals=retrievals, refined_sets=refined_sets,
-                               attention=attention, biases=biases, models=models)
-    return report, artifacts
+        report = _evaluate_seed(cfg.variant, models, out)
+    return report, (models, ctx.biases, out)
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
@@ -457,9 +521,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     """
     with _stage("config"):
         cfg.validate()
-    with _stage("load"):
-        ds = _load(cfg, dataset)
-        adjacency = _adjacency_of(cfg, ds, adjacency)
+    ds, adjacency = load(cfg, dataset, adjacency)
     start = time.perf_counter()
     label_audit.reset()
     per_seed, first_artifacts = [], None
@@ -473,7 +535,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                             label_audit.violation_count())
     if cfg.out_dir is not None:
         with _stage("export"):
-            export_diagnostics(cfg, merged, first_artifacts)
+            export_diagnostics(cfg, merged, *first_artifacts)
     return merged
 
 
@@ -495,8 +557,8 @@ def _config_blob(cfg: ExperimentConfig):
     return blob
 
 
-def export_diagnostics(cfg: ExperimentConfig, report: EvalReport,
-                       artifacts: _SeedArtifacts) -> None:
+def export_diagnostics(cfg: ExperimentConfig, report: EvalReport, models: SeedModels,
+                       biases: dict, predicted: CountyPredictions) -> None:
     """Write the run's output directory.
 
     report.csv and predictions.csv cover all seeds; the diagnostic CSVs
@@ -527,7 +589,7 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport,
     _write(os.path.join(out, "predictions.csv"), lines)
 
     lines = ["county,target_year,history_year,beta"]
-    for county, ty, hy, beta in artifacts.attention:
+    for county, ty, hy, beta in predicted.attention:
         lines.append(f"{county},{ty},{hy},{beta!r}")
     _write(os.path.join(out, "attention.csv"), lines)
 
@@ -537,12 +599,11 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport,
         lines.append(f"{row.county},{row.year},{row.error!r}")
     _write(os.path.join(out, "errors.csv"), lines)
 
-    rt.save_retrieval_csv(artifacts.retrievals, os.path.join(out, "retrieval.csv"))
-    rf.save_bias_csv(artifacts.biases, os.path.join(out, "bias.csv"))
-    if artifacts.refined_sets:
-        rf.save_refined_csv(artifacts.refined_sets, os.path.join(out, "refined.csv"))
+    rt.save_retrieval_csv(predicted.retrievals, os.path.join(out, "retrieval.csv"))
+    rf.save_bias_csv(biases, os.path.join(out, "bias.csv"))
+    if predicted.refined_sets:
+        rf.save_refined_csv(predicted.refined_sets, os.path.join(out, "refined.csv"))
 
-    models = artifacts.models
     seed0 = report.seed_results[0].seed
     save_checkpoint(os.path.join(out, "ckpt", f"global_seed{seed0}.npz"),
                     models.f, models.stats)
@@ -584,10 +645,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = No
     return reports
 
 
-def _gruatt_predictions(cfg, models: _SeedModels, seed):
-    tcfg = replace(cfg.train, seed=seed)
+def _gruatt_predictions(cfg, models: SeedModels):
+    tcfg = replace(cfg.train, seed=models.seed)
     dims = cfg.dims if cfg.dims is not None else LyraDims(d=models.train_n.d)
-    with _stage(f"train_gruatt seed {seed}"):
+    with _stage(f"train_gruatt seed {models.seed}"):
         params, _ = train_gru_att(models.train_n, tcfg, H=dims.H,
                                   attn_hidden=dims.attn_hidden,
                                   head_hidden=dims.mlp_hidden)
@@ -611,9 +672,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
         cfg.validate()
         if cfg.integration == "none":
             raise ContractError("ablate needs an integrating base config")
-    with _stage("load"):
-        ds = _load(cfg, dataset)
-        adjacency = _adjacency_of(cfg, ds, adjacency)
+    ds, adjacency = load(cfg, dataset, adjacency)
 
     variants = ["ratar", "wo_refine", "lyra", "gruatt"]
     if cfg.integration == "finetune":
@@ -623,17 +682,12 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
     label_audit.reset()
     with label_audit.guard(cfg.test_year):
         for seed in cfg.seeds:
-            models = _train_stage(cfg, ds, seed)
-            residuals, mean_emb, biases, sigma_phys = _retrieval_context(
-                cfg, models, seed)
+            models = train_models(cfg, ds, seed)
+            ctx = retrieval_context(cfg, models, adjacency)
 
             def seed_eval(variant, sub_cfg):
-                preds, fb, rtr, _refined, _att = _predict_counties(
-                    sub_cfg, models, seed, biases, residuals, mean_emb,
-                    adjacency, sigma_phys)
-                retrieved = sum(len(r.samples) for r in rtr)
-                return evaluate(preds, models.test_n, seed, variant=variant,
-                                fallbacks=fb, retrieved=retrieved)
+                return _evaluate_seed(variant, models,
+                                      predict_counties(sub_cfg, models, ctx))
 
             per_variant["ratar"].append(seed_eval("ratar", cfg))
             per_variant["wo_refine"].append(
@@ -643,7 +697,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
             if "ratar_context" in per_variant:
                 per_variant["ratar_context"].append(
                     seed_eval("ratar_context", replace(cfg, integration="context")))
-            gp = _gruatt_predictions(cfg, models, seed)
+            gp = _gruatt_predictions(cfg, models)
             with _stage(f"evaluate gruatt seed {seed}"):
                 per_variant["gruatt"].append(
                     evaluate(gp, models.test_n, seed, variant="gruatt"))

@@ -188,7 +188,7 @@ def _mse_step(params_store, opt, forward_fn, targets):
     preds = forward_fn(tape)
     loss = nc.mse_loss(preds, Tensor(targets))
     params_store.zero_grad()
-    nc.backward(tape, loss)
+    tape.backward(loss)
     opt.step()
     return float(loss.data)
 

@@ -31,10 +31,10 @@ class RefineSetup:
             dims=LyraDims(d=12, H=12, Z=6, E=3, attn_hidden=0, mlp_hidden=0),
             global_H=12, global_readout_hidden=0, out_dir=None,
         )
-        self.models = pl._train_stage(self.cfg, self.dataset, 0)
-        self.embeddings, self.regressors, self.biases = pl._refinement_setup(
-            self.cfg, self.models
-        )
+        self.models = pl.train_models(self.cfg, self.dataset, 0)
+        ctx = pl.retrieval_context(self.cfg, self.models, {})
+        self.embeddings, self.regressors, self.biases = (
+            ctx.embeddings, ctx.regressors, ctx.biases)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ class AblationSetup:
         self.elapsed = time.perf_counter() - t0
         self.rmse = {name: rep.rmse_mean for name, rep in self.reports.items()}
         # seed-0 models for the retrieval-relevance comparison
-        self.models = pl._train_stage(self.cfg, self.dataset, 0)
+        self.models = pl.train_models(self.cfg, self.dataset, 0)
         self.cluster = {
             county: self.truth.rows[(county, self.dataset.years[0])].cluster
             for county in self.dataset.counties

@@ -282,10 +282,9 @@ def test_c09_residual_retrieval_finds_cluster_mates(ablation_setup):
     s = ablation_setup
     models = s.models
     top_k = 10
-    residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
-    embeddings = pl._training_embeddings(models, s.cfg.refine_label_source)
-    mean_emb = pl._mean_embeddings(embeddings, models.train_n.counties)
-    adjacency = pl._adjacency_of(s.cfg, s.dataset, None)
+    _ds, adjacency = pl.load(s.cfg, s.dataset)
+    ctx = pl.retrieval_context(s.cfg, models, adjacency)
+    residuals, mean_emb = ctx.residuals, ctx.mean_emb
     purity = {}
     for mode in ("residual", "embedding", "neighboring"):
         hits = total = 0

@@ -1,12 +1,15 @@
 """Command-line interface tests: argument parsing, config-file merging,
 each subcommand end to end on tiny synthetic data, and failure exit codes."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ratar import cli
+from ratar import pipeline as pl
 from ratar import retrieval as rt
 from ratar.data import load_adjacency, load_dataset
 from ratar.numcore import ContractError
@@ -85,6 +88,23 @@ class TestParsing:
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["run", "--mode", "psychic"])
+
+    def test_predict_has_no_county_flag(self):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(
+                ["predict", "--county", "c003", "--test-year", "2004"])
+
+    def test_cli_uses_only_public_pipeline_names(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.name == "pipeline"}
+        assert aliases
+        private = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in aliases and node.attr.startswith("_"))
+        assert private == []
 
 
 class TestSynth:
@@ -208,6 +228,60 @@ class TestPiecewise:
             want[county] = f"{county},{year},{pred},{fallback}"
         got = (pdir / "predictions.csv").read_text().strip().splitlines()[1:]
         assert got == [want[c] for c in sorted(want)]
+
+
+def csv_rows(path, prefix=""):
+    return [line for line in path.read_text().splitlines()[1:]
+            if line.startswith(prefix)]
+
+
+class TestRetrieveRefine:
+    """`retrieve` and `refine` write what `run` computes for the same config."""
+
+    def test_retrieve_trains_no_cross_year_model(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("retrieve trained the cross-year model")
+
+        monkeypatch.setattr(pl, "train_lyra", refuse)
+        cfgp = tiny_config(tmp_path)
+        for mode in ("residual", "neighboring"):
+            assert cli.main(["retrieve", "--config", cfgp, "--mode", mode,
+                             "--out", str(tmp_path / mode)]) == 0
+
+    def test_county_rows_match_run(self, tmp_path):
+        cfgp = tiny_config(tmp_path, sigma=None)  # default sigma: noise on
+        fdir, rdir = tmp_path / "f", tmp_path / "run"
+        assert cli.main(["refine", "--config", cfgp, "--county", "c003",
+                         "--out", str(fdir)]) == 0
+        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 0
+        got = csv_rows(fdir / "refined.csv")
+        assert got and all(line.startswith("c003,") for line in got)
+        assert got == csv_rows(rdir / "refined.csv", "c003,")
+
+    def test_no_refine_leaves_labels(self, tmp_path):
+        cfgp = tiny_config(tmp_path, sigma=None)
+        fdir = tmp_path / "f"
+        assert cli.main(["refine", "--config", cfgp, "--no-refine",
+                         "--out", str(fdir)]) == 0
+        rows = [line.split(",") for line in csv_rows(fdir / "refined.csv")]
+        assert rows
+        for _query, _county, _year, label, bias_hat, label_refined in rows:
+            assert float(bias_hat) == 0.0
+            assert label_refined == label
+
+    def test_embedding_mode_embeds_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = pl.embed_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "embed_batch", counting)
+        cfgp = tiny_config(tmp_path)
+        assert cli.main(["refine", "--config", cfgp, "--mode", "embedding",
+                         "--out", str(tmp_path / "f")]) == 0
+        assert len(calls) == 1
 
 
 class TestSweepAblate:

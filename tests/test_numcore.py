@@ -49,7 +49,7 @@ class TestParamStore:
         tape = nc.ComputeTape()
         p = tape.leaf(store, "p")
         loss = nc.mse_loss(nc.mul(p, p), nc.Tensor([0.0]))
-        nc.backward(tape, loss)
+        tape.backward(loss)
         assert store.grad("p")[0] != 0.0
         store.zero_grad()
         assert store.grad("p")[0] == 0.0
@@ -142,10 +142,6 @@ class TestElementwise:
             nc.tanh(x).data, -nc.tanh(nc.Tensor([-0.7])).data
         )
 
-    def test_relu(self):
-        out = nc.relu(nc.Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
     def test_add(self):
         out = nc.add(nc.Tensor([1.0, 2.0]), nc.Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
@@ -191,10 +187,6 @@ class TestStructuralOps:
         out = nc.concat_cols([nc.Tensor([[1.0], [2.0]]), nc.Tensor([[3.0, 4.0], [5.0, 6.0]])])
         np.testing.assert_array_equal(out.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
-    def test_slice_cols(self):
-        m = nc.Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        np.testing.assert_array_equal(nc.slice_cols(m, 1, 3).data, [[2.0, 3.0], [5.0, 6.0]])
-
     def test_gather_rows(self):
         table = nc.Tensor([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         out = nc.gather_rows(table, np.array([2, 0, 2]))
@@ -234,7 +226,7 @@ class TestBackward:
         tape = nc.ComputeTape()
         p = tape.leaf(store, "p")
         loss = nc.mul(p, p)  # size-1 tensor is an acceptable scalar loss
-        nc.backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_allclose(store.grad("p"), [6.0])
 
     def test_constant_loss_zero_grad(self):
@@ -243,7 +235,7 @@ class TestBackward:
         tape.leaf(store, "p")
         c = nc.Tensor([5.0])
         loss = nc.mse_loss(c, nc.Tensor([1.0]))
-        nc.backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(store.grad("p"), [0.0])
 
     def test_accumulation_doubles(self):
@@ -251,9 +243,9 @@ class TestBackward:
         tape = nc.ComputeTape()
         p = tape.leaf(store, "p")
         loss = nc.mul(p, p)
-        nc.backward(tape, loss)
+        tape.backward(loss)
         once = store.grad("p").copy()
-        nc.backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_allclose(store.grad("p"), 2.0 * once)
 
     def test_non_scalar_loss_rejected(self):
@@ -261,7 +253,7 @@ class TestBackward:
         tape = nc.ComputeTape()
         p = tape.leaf(store, "p")
         with pytest.raises(nc.ContractError):
-            nc.backward(tape, nc.mul(p, p))
+            tape.backward(nc.mul(p, p))
 
     def test_reused_tensor_accumulates(self):
         # loss = mean((p + p - 0)^2) = 4 p^2, derivative 8p
@@ -269,7 +261,7 @@ class TestBackward:
         tape = nc.ComputeTape()
         p = tape.leaf(store, "p")
         loss = nc.mse_loss(nc.add(p, p), nc.Tensor([0.0]))
-        nc.backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_allclose(store.grad("p"), [8.0 * 1.5 / 1.0])
 
     def test_untraced_ops_record_nothing(self):
@@ -353,12 +345,11 @@ class TestGradients:
         run_check(f, store)
 
     def test_activations(self):
-        # keep relu inputs away from the kink
         store = leaf_store(x=np.array([-1.4, -0.3, 0.6, 2.1]))
 
         def f(tape, s):
             x = nc.ComputeTape.bind(tape, s, "x")
-            out = nc.add(nc.relu(x), nc.add(nc.tanh(x), nc.sigmoid(x)))
+            out = nc.add(nc.tanh(x), nc.sigmoid(x))
             return nc.mse_loss(out, nc.Tensor(np.zeros(4)))
 
         run_check(f, store)
@@ -391,8 +382,7 @@ class TestGradients:
             a = nc.ComputeTape.bind(tape, s, "a")
             b = nc.ComputeTape.bind(tape, s, "b")
             cat = nc.concat_cols([a, b])
-            mid = nc.slice_cols(cat, 1, 4)
-            return nc.mse_loss(nc.reshape(mid, (6,)), nc.Tensor(np.zeros(6)))
+            return nc.mse_loss(nc.reshape(cat, (10,)), nc.Tensor(np.arange(10.0)))
 
         run_check(f, store)
 
@@ -465,7 +455,7 @@ class TestGradients:
         # analytic grads via backward
         store.zero_grad()
         tape = nc.ComputeTape()
-        nc.backward(tape, f(tape, store))
+        tape.backward(f(tape, store))
         ref = fd_reference(f, store)
         for name in store.names():
             np.testing.assert_allclose(store.grad(name), ref[name], atol=1e-7)

@@ -125,8 +125,8 @@ class TestIntegrateContext:
         cfg = pl.ExperimentConfig(test_year=2005, w=3, threshold=threshold,
                                   integration="context", sigma=0.0, seeds=(0,),
                                   dims=tiny_dims())
-        models = pl._SeedModels(stats=self.stats, train_phys=None, train_n=self.train,
-                                test_n=self.test, f=self.f, lyra=self.lyra)
+        models = pl.SeedModels(seed=0, stats=self.stats, train_n=self.train,
+                               test_n=self.test, f=self.f, lyra=self.lyra)
         extras = {}
 
         def recording(history, target, *args, extra_context=(), **kwargs):
@@ -135,10 +135,8 @@ class TestIntegrateContext:
                                 **kwargs)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
-        residuals, mean_emb, biases, sigma = pl._retrieval_context(cfg, models, 0)
-        preds, fallbacks, _rtr, refined_sets, attention = pl._predict_counties(
-            cfg, models, 0, biases, residuals, mean_emb, {}, sigma)
-        return preds, fallbacks, refined_sets, attention, extras
+        out = pl.predict_counties(cfg, models, pl.retrieval_context(cfg, models, {}))
+        return out.predictions, out.fallbacks, out.refined_sets, out.attention, extras
 
     def test_empty_set_is_identity(self, monkeypatch):
         county = self.train.counties[0]
