@@ -28,9 +28,10 @@ import numpy as np
 
 from . import numcore as nc
 from .data import NormStats
-from .numcore import ContractError, DimensionError, ParamStore, Tensor
+from .numcore import ContractError, ParamStore, Tensor
 
-_ONE = Tensor(np.float64(1.0))
+# nc.gru_sequence's parameter order
+_GRU_PARAMS = tuple(f"gru.{m}_{gate}" for gate in "ruc" for m in "WUb")
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +186,10 @@ def _mlp(bound: dict, x: Tensor, prefix: str) -> Tensor:
 def gru_encode(bound: dict, xs: np.ndarray) -> Tensor:
     """GRU over xs [B,T,d]; returns sample-major hidden states [B*T x H].
 
-    Row b*T + t holds sequence b's state after day t (see stack_steps).
+    Row b*T + t holds sequence b's state after day t; the whole recurrence
+    is one `nc.gru_sequence` op.
     """
-    if xs.ndim != 3:
-        raise DimensionError(f"gru_encode expects [B,T,d] sequences, got shape {xs.shape}")
-    B, T, d = xs.shape
-    W_r, U_r, b_r = bound["gru.W_r"], bound["gru.U_r"], bound["gru.b_r"]
-    W_u, U_u, b_u = bound["gru.W_u"], bound["gru.U_u"], bound["gru.b_u"]
-    W_c, U_c, b_c = bound["gru.W_c"], bound["gru.U_c"], bound["gru.b_c"]
-    if W_r.shape[0] != d:
-        raise DimensionError(f"input has {d} features, encoder expects {W_r.shape[0]}")
-    h = None
-    hs = []
-    for t in range(T):
-        x = Tensor(xs[:, t, :])
-        if h is None:
-            # zero initial state: reset gate and U-terms contribute nothing
-            u = nc.sigmoid(nc.add_bias(nc.matmul(x, W_u), b_u))
-            c = nc.tanh(nc.add_bias(nc.matmul(x, W_c), b_c))
-            h = nc.mul(u, c)
-        else:
-            r = nc.sigmoid(nc.add_bias(nc.add(nc.matmul(x, W_r), nc.matmul(h, U_r)), b_r))
-            u = nc.sigmoid(nc.add_bias(nc.add(nc.matmul(x, W_u), nc.matmul(h, U_u)), b_u))
-            c = nc.tanh(
-                nc.add_bias(nc.add(nc.matmul(x, W_c), nc.matmul(nc.mul(r, h), U_c)), b_c)
-            )
-            h = nc.add(nc.mul(nc.sub(_ONE, u), h), nc.mul(u, c))
-        hs.append(h)
-    return nc.stack_steps(hs)
+    return nc.gru_sequence(xs, *(bound[name] for name in _GRU_PARAMS))
 
 
 def _pooled_batch(bound: dict, xs: np.ndarray):

@@ -8,6 +8,12 @@ gradients into the owning ParamStore.  Running the same ops with untraced
 tensors performs no recording, which is how inference and finite-difference
 evaluation stay cheap.
 
+An op may cover a whole recurrence: gru_sequence runs a GRU over every
+day of a batch of sequences in plain numpy and records a single entry whose
+hand-written backward-through-time pass returns all its parameter
+cotangents.  This keeps the daily encoder from costing one record, and one
+Python dispatch, per gate per day.
+
 Broadcasting is restricted to scalar-vs-tensor; everything else must match
 shapes exactly so gradient rules stay auditable.
 """
@@ -78,10 +84,12 @@ class ParamStore:
         return self._grads[name]
 
     def set_value(self, name: str, value) -> None:
+        """Overwrite a parameter in place: value() arrays and tape leaves see it."""
         arr = _as_array(value)
-        if arr.shape != self._values[name].shape:
+        current = self._values[name]
+        if arr.shape != current.shape:
             raise DimensionError(f"shape change for parameter {name!r}")
-        self._values[name] = arr.copy()
+        current[...] = arr
 
     def names(self) -> list:
         return list(self._values.keys())
@@ -202,18 +210,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         [
             (a, lambda g: _reduce_to(g, a.shape)),
             (b, lambda g: _reduce_to(g, b.shape)),
-        ],
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    return _emit(
-        _tape_of(a, b),
-        a.data - b.data,
-        [
-            (a, lambda g: _reduce_to(g, a.shape)),
-            (b, lambda g: _reduce_to(-g, b.shape)),
         ],
     )
 
@@ -403,26 +399,104 @@ def rowdot_groups(stack: Tensor, ref: Tensor) -> Tensor:
     return _emit(_tape_of(stack, ref), out, [(stack, vjp_stack), (ref, vjp_ref)])
 
 
-def stack_steps(parts) -> Tensor:
-    """Interleave per-step batches [B x n] into sample-major [B*L x n].
+_GRU_NAMES = ("W_r", "U_r", "b_r", "W_u", "U_u", "b_u", "W_c", "U_c", "b_c")
 
-    With L step tensors, output row b*L + l is parts[l][b], the layout that
-    pool_rows and rowdot_groups group by.
+
+def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
+    """GRU (Cho et al. 2014) over constant sequences xs [B,T,d] from a zero state.
+
+    Returns the hidden states sample-major, [B*T x H]: row b*T + t is
+    sequence b after day t, the layout pool_rows and rowdot_groups group by.
+    Each step computes, with sigmoid s,
+        r = s((x@W_r + h@U_r) + b_r)    u = s((x@W_u + h@U_u) + b_u)
+        c = tanh((x@W_c + (r*h)@U_c) + b_c)    h' = (1-u)*h + u*c
+    and the first step, from h = 0, is h' = u*c.  The recurrence runs in
+    plain numpy and records one tape entry; its backward-through-time pass
+    runs once per backward and yields all nine parameter cotangents.  Every
+    step's gate pre-activations must be finite: tanh and sigmoid would
+    otherwise saturate an overflow into a finite state.
     """
-    parts = list(parts)
-    if not parts or any(p.ndim != 2 for p in parts):
-        raise DimensionError("stack_steps takes a nonempty list of matrices")
-    b_count, n = parts[0].shape
-    if any(p.shape != (b_count, n) for p in parts):
-        raise DimensionError("stack_steps parts must share one shape")
-    l_count = len(parts)
-    out = np.stack([p.data for p in parts], axis=1).reshape(b_count * l_count, n)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3:
+        raise DimensionError(f"gru_sequence expects [B,T,d] sequences, got shape {xs.shape}")
+    B, T, d = xs.shape
+    params = (W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c)
+    if W_r.ndim != 2 or W_r.shape[0] != d:
+        raise DimensionError(f"input has {d} features, encoder expects {W_r.shape[0]}")
+    H = W_r.shape[1]
+    for name, p, shape in zip(_GRU_NAMES, params, ((d, H), (H, H), (H,)) * 3):
+        if p.shape != shape:
+            raise DimensionError(f"gru_sequence {name} has shape {p.shape}, expected {shape}")
+    if T == 0:
+        raise DimensionError("gru_sequence needs at least one step")
+    if not np.all(np.isfinite(xs)):
+        raise NumericError("non-finite values in tensor")
+    Wr, Ur, br, Wu, Uu, bu, Wc, Uc, bc = (p.data for p in params)
 
-    def make_vjp(step):
-        return lambda g: g.reshape(b_count, l_count, n)[:, step, :]
+    # Products stay per step and per gate, in the shapes of the unfused ops:
+    # BLAS may sum in another order for one GEMM over all days or gates, and
+    # these shapes keep the states bitwise those of the op-by-op recurrence.
+    pre = np.zeros((T, 3, B, H))  # gate pre-activations r, u, c per step
+    gates = np.zeros((T, 3, B, H))  # r, u, c per step; r is unused on the first
+    hs = np.zeros((T + 1, B, H))  # hs[t + 1] is the state after day t
+    with np.errstate(over="ignore"):  # sigmoid: exp overflow saturates to 0
+        for t in range(T):
+            x = xs[:, t, :]
+            a_r, a_u, a_c = pre[t]
+            r, u, c = gates[t]
+            if t == 0:
+                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wu, bu, out=a_u)), out=u)
+                np.tanh(np.add(x @ Wc, bc, out=a_c), out=c)
+                np.multiply(u, c, out=hs[1])
+            else:
+                h = hs[t]
+                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wr + h @ Ur, br, out=a_r)), out=r)
+                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wu + h @ Uu, bu, out=a_u)), out=u)
+                np.tanh(np.add(x @ Wc + (r * h) @ Uc, bc, out=a_c), out=c)
+                np.add((1.0 - u) * h, u * c, out=hs[t + 1])
+            if not np.isfinite(pre[t]).all():
+                raise NumericError("non-finite values in tensor")
+    out = hs[1:].transpose(1, 0, 2).reshape(B * T, H)
 
-    pairs = [(p, make_vjp(step)) for step, p in enumerate(parts)]
-    return _emit(_tape_of(*parts), out, pairs)
+    def bptt(g):
+        G = g.reshape(B, T, H)
+        R, U, C = gates.transpose(1, 0, 2, 3)  # [T,B,H] each
+        Hp = hs[:-1]  # state entering each step
+        f_u = (C - Hp) * U * (1.0 - U)  # dh -> da_u
+        f_c = U * (1.0 - C * C)  # dh -> da_c
+        f_r = Hp * R * (1.0 - R)  # d(r*h) -> da_r
+        keep = 1.0 - U
+        DA = np.zeros((3, T, B, H))  # da_r, da_u, da_c per step
+        da_r, da_u, da_c = DA
+        carry = 0.0
+        for t in range(T - 1, -1, -1):
+            dh = G[:, t, :] + carry
+            np.multiply(dh, f_u[t], out=da_u[t])
+            np.multiply(dh, f_c[t], out=da_c[t])
+            if t:  # the first step starts from the constant zero state
+                d_rh = da_c[t] @ Uc.T
+                np.multiply(d_rh, f_r[t], out=da_r[t])
+                carry = dh * keep[t] + d_rh * R[t] + da_r[t] @ Ur.T + da_u[t] @ Uu.T
+        X = xs.transpose(1, 0, 2).reshape(T * B, d)
+        hp = Hp.reshape(T * B, H)
+        rhp = (R * Hp).reshape(T * B, H)
+        flat_r, flat_u, flat_c = DA.reshape(3, T * B, H)
+        return (X.T @ flat_r, hp.T @ flat_r, flat_r.sum(axis=0),
+                X.T @ flat_u, hp.T @ flat_u, flat_u.sum(axis=0),
+                X.T @ flat_c, rhp.T @ flat_c, flat_c.sum(axis=0))
+
+    last = [None, None]  # (cotangent, bptt of it): one pass serves all nine inputs
+
+    def joint(g):
+        if last[0] is not g:
+            last[:] = g, bptt(g)
+        return last[1]
+
+    return _emit(
+        _tape_of(*params),
+        out,
+        [(p, lambda g, i=i: joint(g)[i]) for i, p in enumerate(params)],
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -107,8 +107,9 @@ class Adam:
 
     Gradients are first rescaled so their global norm never exceeds
     clip_norm, then each parameter gets the standard bias-corrected
-    first/second-moment update.  A zero gradient on a fresh optimizer
-    leaves parameters bitwise unchanged.
+    first/second-moment update.  Moments and parameters are updated in
+    place.  A zero gradient on a fresh optimizer leaves parameters bitwise
+    unchanged.
     """
 
     def __init__(self, store, lr, clip_norm=5.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -135,10 +136,13 @@ class Adam:
         b1, b2 = self._b1, self._b2
         for n in names:
             g = store.grad(n) * scale
-            self._m[n] = b1 * self._m[n] + (1 - b1) * g
-            self._v[n] = b2 * self._v[n] + (1 - b2) * g * g
-            mhat = self._m[n] / (1 - b1 ** self._t)
-            vhat = self._v[n] / (1 - b2 ** self._t)
+            m, v = self._m[n], self._v[n]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** self._t)
+            vhat = v / (1 - b2 ** self._t)
             store.set_value(n, store.value(n) - self._lr * mhat / (np.sqrt(vhat) + self._eps))
 
 

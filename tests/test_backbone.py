@@ -50,6 +50,55 @@ def np_gru(store, x):
     return np.array(out)
 
 
+def np_gru_unfused(store, xs):
+    """Batched hidden states [B,T,H], written op by op in the engine's order.
+
+    Each product has the shape the per-op encoder used ([B x d] @ [d x H]
+    per step), so a fused encoder that keeps the order matches it bitwise.
+    """
+    v = store.value
+    h = None
+    out = []
+    for t in range(xs.shape[1]):
+        x = xs[:, t, :]
+        if h is None:
+            u = sig(x @ v("gru.W_u") + v("gru.b_u"))
+            h = u * np.tanh(x @ v("gru.W_c") + v("gru.b_c"))
+        else:
+            r = sig((x @ v("gru.W_r") + h @ v("gru.U_r")) + v("gru.b_r"))
+            u = sig((x @ v("gru.W_u") + h @ v("gru.U_u")) + v("gru.b_u"))
+            c = np.tanh((x @ v("gru.W_c") + (r * h) @ v("gru.U_c")) + v("gru.b_c"))
+            h = (1.0 - u) * h + u * c
+        out.append(h)
+    return np.stack(out, axis=1)
+
+
+def unfused_global_forward(tape, p, xs):
+    """global_forward with the recurrence recorded op by op on the tape."""
+    bound = bb.bind_params(tape, p.store)
+    g = {gate: (bound[f"gru.W_{gate}"], bound[f"gru.U_{gate}"], bound[f"gru.b_{gate}"])
+         for gate in "ruc"}
+    minus_one = nc.Tensor(np.float64(-1.0))
+    B, T, _ = xs.shape
+    h = nc.Tensor(np.zeros((B, p.H)))
+    pooled = None
+    for t in range(T):
+        x = nc.Tensor(xs[:, t, :])
+
+        def pre(gate, state):
+            W, U, b = g[gate]
+            return nc.add_bias(nc.add(nc.matmul(x, W), nc.matmul(state, U)), b)
+
+        r = nc.sigmoid(pre("r", h))
+        u = nc.sigmoid(pre("u", h))
+        c = nc.tanh(pre("c", nc.mul(r, h)))
+        h = nc.add(h, nc.mul(u, nc.add(c, nc.mul(minus_one, h))))  # (1-u)*h + u*c
+        step = nc.mul(nc.Tensor(np.float64(1.0 / T)), h)
+        pooled = step if pooled is None else nc.add(pooled, step)
+    readout = nc.add_bias(nc.matmul(pooled, bound["readout.out.W"]), bound["readout.out.b"])
+    return nc.reshape(readout, (B,))
+
+
 def np_softmax(scores):
     e = np.exp(scores - scores.max())
     return e / e.sum()
@@ -199,6 +248,35 @@ class TestGruEncode:
         h = encode(p, xs)
         for b in range(3):
             np.testing.assert_allclose(h[b], np_gru(p.store, xs[b]), atol=1e-12)
+
+    def test_matches_unfused_recurrence_bitwise(self):
+        rng = np.random.default_rng(4)
+        for B, T, d, H in ((1, 40, 12, 16), (64, 40, 12, 16), (5, 9, 20, 33)):
+            p = bb.GruParams.init(d=d, H=H, readout_hidden=0, seed=B)
+            for gate in "ruc":
+                p.store.set_value(f"gru.b_{gate}", rng.normal(0.0, 0.5, H))
+            xs = rng.standard_normal((B, T, d))
+            np.testing.assert_array_equal(encode(p, xs), np_gru_unfused(p.store, xs))
+
+    def test_overflow_raises(self):
+        # tanh saturates the overflowed candidate to a finite state, so only
+        # the gate pre-activations show it
+        p = bb.GruParams.init(d=2, H=3, readout_hidden=0, seed=0)
+        p.store.set_value("gru.W_c", np.ones((2, 3)))
+        with pytest.raises(nc.NumericError):
+            encode(p, np.full((2, 3, 2), 1e308))
+
+    def test_later_step_overflow_raises(self):
+        # the first step never reads U_c; the second overflows (r*h) @ U_c
+        p = bb.GruParams.init(d=2, H=8, readout_hidden=0, seed=0)
+        for gate in "ruc":
+            p.store.set_value(f"gru.W_{gate}", np.full((2, 8), 2.5))
+            p.store.set_value(f"gru.U_{gate}", np.zeros((8, 8)))
+        p.store.set_value("gru.U_c", np.full((8, 8), 1e308))
+        xs = np.ones((1, 2, 2))
+        encode(p, xs[:, :1])  # one step: finite
+        with pytest.raises(nc.NumericError):
+            encode(p, xs)
 
     def test_column_mismatch(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=0)
@@ -477,6 +555,45 @@ class TestGradCheck:
             return nc.mse_loss(preds, targets)
 
         assert nc.grad_check(f, p.store, eps=1e-5) < 1e-4
+
+    def test_long_sequence_batch(self):
+        p = bb.GruParams.init(d=2, H=3, readout_hidden=0, seed=0)
+        rng = np.random.default_rng(100)
+        for gate in "ruc":
+            p.store.set_value(f"gru.b_{gate}", rng.normal(0.0, 0.5, 3))
+        xs = rng.standard_normal((3, 8, 2))
+        targets = nc.Tensor(rng.standard_normal(3))
+
+        def f(tape, store):
+            return nc.mse_loss(bb.global_forward(tape, p, xs), targets)
+
+        assert nc.grad_check(f, p.store, eps=1e-5) < 1e-6
+
+    def test_fused_gru_matches_unfused_tape(self):
+        p = bb.GruParams.init(d=3, H=4, readout_hidden=0, seed=23)
+        rng = np.random.default_rng(24)
+        for gate in "ruc":
+            p.store.set_value(f"gru.b_{gate}", rng.normal(0.0, 0.5, 4))
+        xs = rng.standard_normal((5, 12, 3))
+        targets = nc.Tensor(rng.standard_normal(5))
+        grads = []
+        for forward in (bb.global_forward, unfused_global_forward):
+            p.store.zero_grad()
+            tape = nc.ComputeTape()
+            tape.backward(nc.mse_loss(forward(tape, p, xs), targets))
+            grads.append({n: p.store.grad(n).copy() for n in p.store.names()})
+        for name, fused in grads[0].items():
+            np.testing.assert_allclose(fused, grads[1][name], rtol=1e-12, atol=0.0)
+
+    def test_tape_entries_do_not_grow_with_days(self):
+        p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=25)
+        rng = np.random.default_rng(26)
+        counts = []
+        for T in (5, 50):
+            tape = nc.ComputeTape()
+            bb.global_forward(tape, p, rng.standard_normal((3, T, 2)))
+            counts.append(len(tape._records))
+        assert counts[0] == counts[1] <= 10
 
     def test_gru_att_variant(self):
         p = bb.GruAttParams.init(d=2, H=3, attn_hidden=2, head_hidden=2, seed=19)

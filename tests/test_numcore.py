@@ -54,6 +54,21 @@ class TestParamStore:
         store.zero_grad()
         assert store.grad("p")[0] == 0.0
 
+    def test_set_value_writes_in_place(self):
+        store = leaf_store(w=np.ones(2))
+        arr = store.value("w")
+        store.set_value("w", [3.0, 4.0])
+        assert store.value("w") is arr
+        np.testing.assert_array_equal(arr, [3.0, 4.0])
+
+    def test_set_value_checks_before_writing(self):
+        store = leaf_store(w=np.ones(2))
+        with pytest.raises(nc.NumericError):
+            store.set_value("w", [np.nan, 0.0])
+        with pytest.raises(nc.DimensionError):
+            store.set_value("w", np.zeros(3))
+        np.testing.assert_array_equal(store.value("w"), [1.0, 1.0])
+
     def test_copy_is_isolated(self):
         store = leaf_store(w=np.ones(2))
         clone = store.copy()
@@ -209,15 +224,6 @@ class TestStructuralOps:
         m = nc.Tensor([[1.0, 2.0, 3.0, 4.0]])
         np.testing.assert_array_equal(nc.reshape(m, (2, 2)).data, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_stack_steps_sample_major(self):
-        # two steps of a batch of two samples; rows come out grouped by sample
-        s0 = nc.Tensor([[1.0, 1.0], [2.0, 2.0]])
-        s1 = nc.Tensor([[3.0, 3.0], [4.0, 4.0]])
-        out = nc.stack_steps([s0, s1])
-        np.testing.assert_array_equal(
-            out.data, [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0], [4.0, 4.0]]
-        )
-
 
 class TestBackward:
     def test_square_derivative(self):
@@ -327,7 +333,7 @@ class TestGradients:
         def f(tape, s):
             a = nc.ComputeTape.bind(tape, s, "a")
             c = nc.ComputeTape.bind(tape, s, "c")
-            out = nc.sub(nc.mul(a, c), nc.add(a, c))
+            out = nc.add(nc.mul(a, c), nc.add(a, c))
             return nc.mse_loss(out, nc.Tensor(np.zeros(5)))
 
         run_check(f, store)
@@ -423,19 +429,6 @@ class TestGradients:
             ref = nc.ComputeTape.bind(tape, s, "ref")
             out = nc.rowdot_groups(stack, ref)
             return nc.mse_loss(nc.reshape(out, (6,)), nc.Tensor(np.zeros(6)))
-
-        run_check(f, store)
-
-    def test_stack_steps(self):
-        rng = np.random.default_rng(10)
-        store = leaf_store(s0=rng.standard_normal((3, 2)), s1=rng.standard_normal((3, 2)))
-
-        def f(tape, s):
-            s0 = nc.ComputeTape.bind(tape, s, "s0")
-            s1 = nc.ComputeTape.bind(tape, s, "s1")
-            stack = nc.stack_steps([s0, s1])
-            pooled = nc.pool_rows(stack, nc.Tensor(np.full((3, 2), 0.5)))
-            return nc.mse_loss(nc.reshape(pooled, (6,)), nc.Tensor(np.zeros(6)))
 
         run_check(f, store)
 

@@ -114,6 +114,24 @@ class TestAdam:
         for name in start:
             np.testing.assert_allclose(store.value(name), want[name], atol=1e-12)
 
+    def test_updates_in_place_bitwise(self):
+        store = self.make_store()
+        start = store_arrays(store)
+        opt = tr.Adam(store, lr=0.05, clip_norm=1.0)
+        arrays = {n: (store.value(n), opt._m[n], opt._v[n]) for n in store.names()}
+        rng = np.random.default_rng(1)
+        grad_seq = []
+        for _ in range(5):
+            grads = {"a": 2.0 * rng.standard_normal(3), "b": rng.standard_normal((1, 2))}
+            grad_seq.append(grads)
+            self.inject(store, grads)
+            opt.step()
+            for n, (value, m, v) in arrays.items():
+                assert store.value(n) is value and opt._m[n] is m and opt._v[n] is v
+        want = adam_oracle(start, grad_seq, lr=0.05, clip=1.0)
+        for name in start:
+            np.testing.assert_array_equal(store.value(name), want[name])
+
     def test_clip_applied(self):
         store = self.make_store()
         start = store_arrays(store)
