@@ -8,12 +8,15 @@ and cross-year attention over the county's recent history. All four run
 in one batched engine over stacked [B,T,d] sequences. This script walks
 a single county through the engine's stages with freshly initialized
 parameters, checking the structural invariants as it goes, and ends
-with `lyra_predict`, which makes the same computation in one call.
+with `lyra_predict`, which makes the same computation in one call from
+a `LyraWindow` (the target season plus its (season, label) context) that
+`window_table` turns into the engine's inputs.
 """
 import numpy as np
 
-from ratar.backbone import (LyraDims, LyraParams, LyraSample, bind_params,
-                            embed_batch, gru_encode, lyra_forward, lyra_predict)
+from ratar.backbone import (GruParams, LyraDims, LyraParams, LyraSample, LyraWindow,
+                            bind_params, embed_batch, global_forward, gru_encode,
+                            lyra_forward, lyra_predict, window_table)
 from ratar.data import CountyYearRecord, NormStats
 
 rng = np.random.default_rng(7)
@@ -23,10 +26,13 @@ dims = LyraDims(d=d, H=8, Z=5, E=3, attn_hidden=4, mlp_hidden=0)
 p = LyraParams.init(dims, w=3, year_min=2000, year_max=2005, seed=1)
 
 # One county: three history years with labels, and the target year 2003.
-# Rows 0..2 of xs are the history, row 3 the target.
+# Rows 0..2 of xs are the history, row 3 the target.  The target year has
+# no label yet: the global model's prediction stands in for it.
 years = [2000, 2001, 2002, 2003]
 xs = rng.standard_normal((4, T, d))
-labels = np.array([float(rng.normal()) for _ in range(3)] + [0.42])
+gp = GruParams.init(d=d, H=8, readout_hidden=0, seed=2)
+target_label = float(global_forward(None, gp, xs[3:]).data[0])
+labels = np.array([float(rng.normal()) for _ in range(3)] + [target_label])
 
 # ---------------------------------------------------------------------------
 # 1. Daily encoder: [B,T,d] drivers become sample-major [B*T x H] states.
@@ -73,13 +79,19 @@ print("head(z_target + z_history) verified")
 
 # ---------------------------------------------------------------------------
 # 6. lyra_predict does steps 1-4 for one county's records in one call and
-# maps the result back to physical units.
+# maps the result back to physical units.  Its window holds the target,
+# the global model's label for it and the (record, label) history pairs;
+# window_table turns that into the same xs, triples and sample as above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
 history = [CountyYearRecord("c01", y, xs[i], float(labels[i])) for i, y in enumerate(years[:3])]
-target = CountyYearRecord("c01", 2003, xs[3], stats.denormalize_label(0.42))
-out = lyra_predict(history, target, p, stats, label_source="observed")
+target = CountyYearRecord("c01", 2003, xs[3], None)
+window = LyraWindow(target, target_label, tuple((rec, rec.yield_label) for rec in history))
+xs_w, triples_w, samples_w = window_table(p, [window])
+assert np.array_equal(xs_w, xs) and samples_w == [sample]
+assert all(np.array_equal(a, b) for a, b in zip(triples_w, triples))
+out = lyra_predict(history, target, p, stats, gp)
 print(f"lyra_predict: {out.prediction:.4f} (physical units), "
       f"history years {out.history_years}")
 assert np.allclose(out.beta, beta, atol=1e-12)

@@ -9,8 +9,12 @@ sequences [B,T,d]: `gru_encode` is the encoder every model shares,
 `lyra_forward` adds cross-year attention and the head (`global_forward` and
 `gruatt_forward` are the two smaller models).  With a ComputeTape the engine
 records for training; with tape None it runs as plain inference.
-`lyra_predict` is the per-county prediction entry point: it stacks one
-county's window, extras and target and makes one untraced `lyra_forward`
+
+Training, fine-tuning and prediction all describe their work as
+`LyraWindow`s, a target season plus (season, label) context pairs, and
+`window_table` is the one place windows become the engine's inputs.
+`lyra_predict` is the per-county prediction entry point: one window of the
+county's history, extras and target, run as one untraced `lyra_forward`
 call.
 
 Features entering any function here are assumed z-score normalized, as are
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numcore as nc
-from .data import NormStats
+from .data import CountyYearRecord, NormStats
 from .numcore import ContractError, ParamStore, Tensor
 
 # nc.gru_sequence's parameter order
@@ -159,6 +163,19 @@ class LyraSample:
     history: tuple
 
 
+@dataclass(frozen=True)
+class LyraWindow:
+    """A target season and the look-back context its prediction attends over.
+
+    label is the (normalized) label fed to the target year's own embedding;
+    context holds (record, normalized label) pairs in attention order.
+    """
+
+    target: CountyYearRecord
+    label: float
+    context: tuple
+
+
 @dataclass
 class PredictResult:
     prediction: float
@@ -287,6 +304,47 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     return preds, betas
 
 
+def window_table(p: LyraParams, windows):
+    """Engine inputs (xs, triples, samples) for windows, one sample each, in order.
+
+    Sequences are keyed by (county, year) and context triples by (county,
+    year, label), so a record shared by windows is encoded once and two
+    labels of one record stay two triples; every window's target gets a
+    triple of its own.  Sequences and context triples are sorted by key,
+    the target triples follow in sorted order, and each sample's history
+    lists its window's context in order.
+    """
+    if not windows:
+        raise ContractError("no windows to tabulate")
+    ctx_keys = [[(rec.county, rec.year, float(label)) for rec, label in win.context]
+                for win in windows]
+    records = {(win.target.county, win.target.year): win.target for win in windows}
+    for win in windows:
+        for rec, _ in win.context:
+            records[(rec.county, rec.year)] = rec
+    seq_keys = sorted(records)
+    seq_row = {key: i for i, key in enumerate(seq_keys)}
+    ctx_table = sorted({key for keys in ctx_keys for key in keys})
+    ctx_row = {key: i for i, key in enumerate(ctx_table)}
+    tgt_keys = [(win.target.county, win.target.year, float(win.label)) for win in windows]
+    tgt_order = sorted(range(len(windows)), key=tgt_keys.__getitem__)
+    tgt_row = {i: k for k, i in enumerate(tgt_order, start=len(ctx_table))}
+
+    table = ctx_table + [tgt_keys[i] for i in tgt_order]
+    years = np.array([year for _, year, _ in table], dtype=np.int64)
+    p.year_row(int(years.min()))  # the range check: raises on a year outside the table
+    p.year_row(int(years.max()))
+    triples = (
+        np.array([seq_row[county, year] for county, year, _ in table], dtype=np.int64),
+        np.array([label for _, _, label in table], dtype=np.float64),
+        years - p.year_min,
+    )
+    samples = [LyraSample(target=tgt_row[i], history=tuple(ctx_row[key] for key in keys))
+               for i, keys in enumerate(ctx_keys)]
+    xs = np.stack([records[key].features for key in seq_keys])
+    return xs, triples, samples
+
+
 def assemble_history(train_ds, county: str, target_year: int, w: int) -> list:
     """The county's last-w training records before target_year, ascending."""
     years = [y for y in train_ds.county_years(county) if y < target_year]
@@ -302,49 +360,27 @@ def lyra_predict(
     target,
     p: LyraParams,
     stats: NormStats,
-    label_source: str = "model",
-    global_params: GruParams | None = None,
+    global_params: GruParams,
     extra_context=(),
 ) -> PredictResult:
     """One county's prediction: a single untraced lyra_forward call.
 
     history: the county's prior-year records (normalized features, normalized
-    labels); only the last w are used.  label_source chooses the target-year
-    label substitute: "model" runs the global model, "observed" normalizes the
-    target record's own stored physical label (a guarded read at test time).
-    extra_context appends (record, normalized label) pairs to the look-back
-    set, after the history (refined samples under context augmentation).
-    The window records, the extras and the target are stacked into one
-    sequence table and run as one engine sample.
+    labels); only the last w are used.  The target year's label is the
+    global model's prediction for the target record.  extra_context appends
+    (record, normalized label) pairs to the look-back set, after the history
+    (refined samples under context augmentation).  The context and the
+    target form one window, run as one engine sample.
     """
     history = sorted(history, key=lambda r: r.year)
     if not history:
         raise ContractError(
             f"empty history for {target.county}: need at least one year before {target.year}"
         )
-
-    if label_source == "model":
-        if global_params is None:
-            raise ContractError("label_source='model' needs global_params")
-        label_used = float(global_forward(None, global_params, target.features[None]).data[0])
-    elif label_source == "observed":
-        raw = target.yield_label
-        if raw is None:
-            raise ContractError(f"no observed label for ({target.county},{target.year})")
-        label_used = stats.normalize_label(raw)
-    else:
-        raise ContractError(f"unknown label_source {label_source!r}")
-
-    context = [(rec, rec.yield_label) for rec in history[-p.w:]] + list(extra_context)
-    entries = context + [(target, label_used)]
-    xs = np.stack([rec.features for rec, _ in entries])
-    triples = (
-        np.arange(len(entries)),
-        np.array([label for _, label in entries], dtype=np.float64),
-        np.array([p.year_row(rec.year) for rec, _ in entries]),
-    )
-    sample = LyraSample(target=len(context), history=tuple(range(len(context))))
-    preds, betas = lyra_forward(None, p, xs, triples, [sample])
+    label_used = float(global_forward(None, global_params, target.features[None]).data[0])
+    context = tuple((rec, rec.yield_label) for rec in history[-p.w:]) + tuple(extra_context)
+    window = LyraWindow(target, label_used, context)
+    preds, betas = lyra_forward(None, p, *window_table(p, [window]))
     return PredictResult(
         prediction=stats.denormalize_label(float(preds.data[0])),
         beta=betas[0],

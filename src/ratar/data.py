@@ -147,9 +147,6 @@ class Dataset:
     def records_of_year(self, year) -> list:
         return [r for r in self.records if r.year == year]
 
-    def records_of_county(self, county) -> list:
-        return [r for r in self.records if r.county == county]
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -351,18 +348,6 @@ def zscore_apply(ds: Dataset, stats: NormStats, labels: bool = True) -> Dataset:
         feats = (rec.features - stats.feature_mean) / stats.feature_std
         if labels and rec.has_label:
             label = (rec._yield_label - stats.label_mean) / stats.label_std
-        else:
-            label = rec._yield_label
-        out.append(rec.with_changes(features=feats, yield_label=label))
-    return Dataset(out)
-
-
-def zscore_invert(ds: Dataset, stats: NormStats, labels: bool = True) -> Dataset:
-    out = []
-    for rec in ds.records:
-        feats = rec.features * stats.feature_std + stats.feature_mean
-        if labels and rec.has_label:
-            label = rec._yield_label * stats.label_std + stats.label_mean
         else:
             label = rec._yield_label
         out.append(rec.with_changes(features=feats, yield_label=label))

@@ -239,7 +239,7 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
         elif adjacency is None:
             adjacency = {}
             for county in dataset.counties:
-                rec = dataset.records_of_county(county)[0]
+                rec = dataset.get(county, dataset.county_years(county)[0])
                 if rec.neighbors is not None:
                     adjacency[county] = list(rec.neighbors)
     return dataset, adjacency
@@ -487,8 +487,7 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                          for e in refined.entries]
 
         with _stage(f"predict county {county}"):
-            pred = lyra_predict(history, target, params, stats,
-                                label_source="model", global_params=models.f,
+            pred = lyra_predict(history, target, params, stats, models.f,
                                 extra_context=extra)
             out.predictions[county] = pred.prediction
             for year, beta in zip(pred.history_years, pred.beta):

@@ -1,11 +1,14 @@
 """Training loops for the global model, the backbones, and per-county
 fine-tuning.
 
-All loops share the same skeleton: build engine inputs once, then per
-epoch record a tape, run the batched forward, backprop MSE, and apply
-an adaptive-moment update with global-norm gradient clipping.  Every
-source of randomness (init, shuffling) is seeded through TrainConfig,
-so a (seed, config, data) triple reproduces its loss trace bitwise.
+All loops share the same skeleton: per step record a tape, run the
+batched forward, backprop MSE, and apply an adaptive-moment update with
+global-norm gradient clipping.  The cross-year model's work is a list of
+`LyraWindow`s built once (one per training season, or one per usable
+refined sample when fine-tuning); each step's engine inputs are
+`window_table` of that batch's windows.  Every source of randomness
+(init, shuffling) is seeded through TrainConfig, so a (seed, config,
+data) triple reproduces its loss trace bitwise.
 
 Fine-tuning never touches the input parameters: it deep-copies the
 store, trains the copy on refined retrieved samples, and returns it,
@@ -27,11 +30,12 @@ from .backbone import (
     GruParams,
     LyraDims,
     LyraParams,
-    LyraSample,
+    LyraWindow,
     embed_batch,
     global_forward,
     gruatt_forward,
     lyra_forward,
+    window_table,
 )
 from .numcore import ComputeTape, ContractError, NumericError, Tensor
 
@@ -146,12 +150,16 @@ class Adam:
             store.set_value(n, store.value(n) - self._lr * mhat / (np.sqrt(vhat) + self._eps))
 
 
-def _labeled_arrays(train):
+def _check_labeled(train):
     unlabeled = [(r.county, r.year) for r in train.records if not r.has_label]
     if unlabeled:
         raise ContractError(f"training records without labels: {unlabeled[:5]}")
     if len(train) == 0:
         raise ContractError("empty training set")
+
+
+def _labeled_arrays(train):
+    _check_labeled(train)
     xs = np.stack([r.features for r in train.records])
     ys = np.array([r.yield_label for r in train.records], dtype=np.float64)
     return xs, ys
@@ -232,111 +240,39 @@ def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(ys))
 
 
-@dataclass
-class LyraSampleSpec:
-    """One training sample: a county's target year plus its lookback years."""
+def _target_labels(records, source: str, global_params) -> list:
+    """The label fed to each record's target-year embedding.
 
-    county: str
-    target_year: int
-    history_years: list
+    "model" substitutes the global model's prediction, mirroring test time;
+    "observed" uses the record's own label.
+    """
+    if source == "observed":
+        return [r.yield_label for r in records]
+    if global_params is None:
+        raise ContractError("target_label_source='model' needs global_params")
+    xs = np.stack([r.features for r in records])
+    return global_forward(None, global_params, xs).data.tolist()
 
 
-def lyra_training_samples(train, w: int) -> list:
-    """Every (county, target year) pair with at least one prior year.
+def training_windows(train, w: int, labels) -> list:
+    """One LyraWindow per (county, year) with at least one prior year.
 
-    Windows hold the last w years strictly before the target, truncated
-    to what the county actually has, so a two-year county still yields
-    one valid sample.
+    The context holds the county's last w years strictly before the
+    target with their observed labels, truncated to what the county
+    actually has, so a two-year county still yields one window.
+    labels[i] is the target-year label of train.records[i]; windows come
+    in (county, year) order.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
-    specs = []
-    for county in train.counties:
-        years = train.county_years(county)
-        for j in range(1, len(years)):
-            history = years[max(0, j - w):j]
-            specs.append(LyraSampleSpec(county, years[j], list(history)))
-    return specs
-
-
-@dataclass
-class _LyraEngineInputs:
-    xs: np.ndarray          # [U,T,d] unique sequences
-    seq_rows: np.ndarray    # triple -> sequence row
-    labels: np.ndarray      # triple -> embedding label input
-    year_rows: np.ndarray   # triple -> year-table row
-    samples: list           # LyraSample index structures
-    targets: np.ndarray     # supervision per sample
-
-    @property
-    def triples(self):
-        return self.seq_rows, self.labels, self.year_rows
-
-    def subset(self, sample_idx):
-        """Remap a sample subset onto compact triple/sequence tables."""
-        keep_triples = sorted({t for i in sample_idx
-                               for t in (self.samples[i].target, *self.samples[i].history)})
-        tmap = {t: k for k, t in enumerate(keep_triples)}
-        seq_keep = sorted({int(self.seq_rows[t]) for t in keep_triples})
-        smap = {u: k for k, u in enumerate(seq_keep)}
-        samples = [
-            LyraSample(target=tmap[self.samples[i].target],
-                       history=tuple(tmap[h] for h in self.samples[i].history))
-            for i in sample_idx
-        ]
-        return _LyraEngineInputs(
-            xs=self.xs[seq_keep],
-            seq_rows=np.array([smap[int(self.seq_rows[t])] for t in keep_triples]),
-            labels=self.labels[keep_triples],
-            year_rows=self.year_rows[keep_triples],
-            samples=samples,
-            targets=self.targets[sample_idx],
-        )
-
-
-def _build_lyra_engine(train, w, p: LyraParams, target_label_source, global_params):
-    """Assemble shared engine inputs for LYRA training.
-
-    History triples carry observed labels; each sample's target triple
-    carries either the global model's prediction for that year (the
-    default, mirroring test-time substitution) or the observed label.
-    """
-    xs, ys = _labeled_arrays(train)
-    row_of = {(r.county, r.year): i for i, r in enumerate(train.records)}
-    specs = lyra_training_samples(train, w)
-    if not specs:
-        raise ContractError("no trainable samples: every county has a single year")
-
-    if target_label_source == "model":
-        if global_params is None:
-            raise ContractError("target_label_source='model' needs global_params")
-        target_labels = global_forward(None, global_params, xs).data
-    else:
-        target_labels = ys
-
-    U = len(train.records)
-    seq_rows = list(range(U))
-    labels = list(ys)
-    year_rows = [p.year_row(r.year) for r in train.records]
-    samples, targets = [], []
-    for spec in specs:
-        u = row_of[(spec.county, spec.target_year)]
-        seq_rows.append(u)
-        labels.append(target_labels[u])
-        year_rows.append(p.year_row(spec.target_year))
-        samples.append(
-            LyraSample(target=len(seq_rows) - 1,
-                       history=tuple(row_of[(spec.county, y)] for y in spec.history_years))
-        )
-        targets.append(ys[u])
-    return _LyraEngineInputs(
-        xs=xs,
-        seq_rows=np.asarray(seq_rows, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.float64),
-        year_rows=np.asarray(year_rows, dtype=np.int64),
-        samples=samples,
-        targets=np.asarray(targets, dtype=np.float64),
-    )
+    windows, prior = [], []
+    for rec, label in zip(train.records, labels):  # records sorted by (county, year)
+        if prior and prior[-1][0].county != rec.county:
+            prior = []
+        if prior:
+            windows.append(LyraWindow(rec, label, tuple(prior[-w:])))
+        prior.append((rec, rec.yield_label))
+    return windows
 
 
 def sync_year_rows(p: LyraParams, trained_years) -> list:
@@ -381,81 +317,25 @@ def train_lyra(train, w: int, cfg: TrainConfig, dims: LyraDims | None = None,
     year_max = train.years[-1] if year_max is None else year_max
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
-    engine = _build_lyra_engine(train, w, params, cfg.target_label_source,
-                                global_params)
+    _check_labeled(train)
+    labels = _target_labels(train.records, cfg.target_label_source, global_params)
+    windows = training_windows(train, w, labels)
+    if not windows:
+        raise ContractError("no trainable samples: every county has a single year")
+    targets = np.array([win.target.yield_label for win in windows], dtype=np.float64)
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
-        sub = engine if idx.size == len(engine.samples) else engine.subset(idx)
+        xs, triples, samples = window_table(params, [windows[i] for i in idx])
         loss = _mse_step(
             params.store, opt,
-            lambda tape: lyra_forward(tape, params, sub.xs, sub.triples, sub.samples)[0],
-            sub.targets)
+            lambda tape: lyra_forward(tape, params, xs, triples, samples)[0],
+            targets[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(cfg, len(engine.samples), epoch_fn)
+    losses, seconds = _run_epochs(cfg, len(windows), epoch_fn)
     sync_year_rows(params, train.years)
-    return params, TrainReport(losses=losses, seconds=seconds,
-                               n_samples=len(engine.samples))
-
-
-def _build_fine_tune_engine(p, sample_set, train, cfg, stats, global_params):
-    """Engine inputs for fine-tuning: one sample per refined entry.
-
-    Entries carry physical-unit refined labels; supervision is their
-    normalized value.  History windows come from the source county's
-    own training years before the sample year.
-    """
-    usable = []
-    for entry in sample_set.entries:
-        rec = entry.record
-        history = [y for y in train.county_years(rec.county) if y < rec.year][-p.w:]
-        if not history:
-            warnings.warn(
-                f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
-            )
-            continue
-        usable.append((entry, history))
-    if not usable:
-        return None
-
-    needed = sorted({(e.record.county, y) for e, hist in usable for y in hist}
-                    | {(e.record.county, e.record.year) for e, _ in usable})
-    row_of = {key: i for i, key in enumerate(needed)}
-    xs = np.stack([train.get(c, y).features for c, y in needed])
-
-    if cfg.target_label_source == "model":
-        if global_params is None:
-            raise ContractError("target_label_source='model' needs global_params")
-        target_labels = global_forward(None, global_params, xs).data
-    else:
-        target_labels = np.array([train.get(c, y).yield_label for c, y in needed])
-
-    seq_rows, labels, year_rows = [], [], []
-    for c, y in needed:  # history triples, one per needed record
-        seq_rows.append(row_of[(c, y)])
-        labels.append(train.get(c, y).yield_label)
-        year_rows.append(p.year_row(y))
-    samples, targets = [], []
-    for entry, history in usable:
-        rec = entry.record
-        u = row_of[(rec.county, rec.year)]
-        seq_rows.append(u)
-        labels.append(target_labels[u])
-        year_rows.append(p.year_row(rec.year))
-        samples.append(LyraSample(
-            target=len(seq_rows) - 1,
-            history=tuple(row_of[(rec.county, y)] for y in history)))
-        refined = entry.label_refined
-        targets.append(stats.normalize_label(refined) if stats is not None else refined)
-    return _LyraEngineInputs(
-        xs=xs,
-        seq_rows=np.asarray(seq_rows, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.float64),
-        year_rows=np.asarray(year_rows, dtype=np.int64),
-        samples=samples,
-        targets=np.asarray(targets, dtype=np.float64),
-    )
+    return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
 
 def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
@@ -464,35 +344,54 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
 
     Returns a county-specific copy after a few full-batch MSE steps on
     the refined retrieved samples; the input parameters are never
-    mutated.  An empty or unusable sample set returns an unchanged copy
-    with a warning.  freeze_encoder pins the sequence encoder and
-    attention pooling by reusing their pooled outputs as constants.
+    mutated.  Each refined entry with history is one window: its season
+    as the target, the source county's last w training years before it
+    as context, and its normalized refined label as supervision.  An
+    empty or unusable sample set returns an unchanged copy with a
+    warning.  freeze_encoder pins the sequence encoder and attention
+    pooling by reusing their pooled outputs as constants.
     """
     cfg.validate()
     tuned = p.copy()
     if not sample_set.entries:
         warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
         return tuned
-    engine = _build_fine_tune_engine(tuned, sample_set, train, cfg, stats, global_params)
-    if engine is None:
+    usable = []  # (target record, history records, normalized refined label)
+    for entry in sample_set.entries:
+        rec = entry.record
+        years = [y for y in train.county_years(rec.county) if y < rec.year]
+        if not years:
+            warnings.warn(
+                f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
+            )
+            continue
+        refined = entry.label_refined
+        usable.append((train.get(rec.county, rec.year),
+                       [train.get(rec.county, y) for y in years[-tuned.w:]],
+                       stats.normalize_label(refined) if stats is not None else refined))
+    if not usable or cfg.fine_tune_epochs == 0:
         return tuned
-    if cfg.fine_tune_epochs == 0:
-        return tuned
+
+    seasons, histories, supervision = zip(*usable)
+    labels = _target_labels(seasons, cfg.target_label_source, global_params)
+    windows = [LyraWindow(rec, label, tuple((h, h.yield_label) for h in history))
+               for rec, label, history in zip(seasons, labels, histories)]
+    xs, triples, samples = window_table(tuned, windows)
+    targets = np.asarray(supervision, dtype=np.float64)
 
     pooled_const = None
     if cfg.freeze_encoder:
-        _, pooled, _ = embed_batch(None, tuned, engine.xs, engine.triples)
+        _, pooled, _ = embed_batch(None, tuned, xs, triples)
         pooled_const = pooled.data
 
     opt = Adam(tuned.store, cfg.fine_tune_lr, cfg.clip_norm)
 
     def forward(tape):
-        return lyra_forward(tape, tuned, engine.xs, engine.triples, engine.samples,
-                            pooled_const=pooled_const)[0]
+        return lyra_forward(tape, tuned, xs, triples, samples, pooled_const=pooled_const)[0]
 
     for epoch in range(1, cfg.fine_tune_epochs + 1):
         try:
-            loss = _mse_step(tuned.store, opt, forward, engine.targets)
+            loss = _mse_step(tuned.store, opt, forward, targets)
         except NumericError as exc:
             raise TrainingError(f"fine-tuning diverged at epoch {epoch}: {exc}") from exc
         _check_finite(loss, epoch)

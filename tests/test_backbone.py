@@ -365,7 +365,7 @@ class TestEmbedBatch:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2050, rng.standard_normal((6, 2)), 2.0)
         with pytest.raises(nc.ContractError, match="2050"):
-            bb.lyra_predict(hist, target, p, norm_stats(), label_source="observed")
+            bb.lyra_predict(hist, target, p, norm_stats(), tiny_global())
 
 
 class TestCrossYearAttention:
@@ -432,6 +432,10 @@ def norm_stats():
     )
 
 
+def tiny_global(seed=9):
+    return bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=seed)
+
+
 def history_records(rng, n=2, T=6, d=2, first_year=2001):
     return [
         CountyYearRecord("c9", first_year + i, rng.standard_normal((T, d)), 0.2 * i - 0.1)
@@ -445,9 +449,9 @@ class TestLyraPredict:
         rng = np.random.default_rng(6)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
-        stats = norm_stats()
-        a = bb.lyra_predict(hist, target, p, stats, label_source="observed")
-        b = bb.lyra_predict(hist, target, p, stats, label_source="observed")
+        stats, gp = norm_stats(), tiny_global()
+        a = bb.lyra_predict(hist, target, p, stats, gp)
+        b = bb.lyra_predict(hist, target, p, stats, gp)
         assert a.prediction == b.prediction
 
     def test_compositional_oracle(self):
@@ -456,12 +460,12 @@ class TestLyraPredict:
         rng = np.random.default_rng(7)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
-        stats = norm_stats()
+        stats, gp = norm_stats(), tiny_global()
         context = [(rec, rec.yield_label) for rec in hist]
         expected, beta = np_lyra_predict(p, stats, context, target,
-                                         stats.normalize_label(2.4))
+                                         np_global(gp, target.features))
 
-        out = bb.lyra_predict(hist, target, p, stats, label_source="observed")
+        out = bb.lyra_predict(hist, target, p, stats, gp)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
         assert out.history_years == [2001, 2002]
@@ -474,25 +478,48 @@ class TestLyraPredict:
         target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.4)
         extras = [(CountyYearRecord("c3", 2000, rng.standard_normal((6, 2)), 0.7), -0.35),
                   (CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1), 0.8)]
-        stats = norm_stats()
+        stats, gp = norm_stats(), tiny_global()
         context = [(rec, rec.yield_label) for rec in hist] + extras
         expected, beta = np_lyra_predict(p, stats, context, target,
-                                         stats.normalize_label(2.4))
+                                         np_global(gp, target.features))
 
-        out = bb.lyra_predict(hist, target, p, stats, label_source="observed",
-                              extra_context=extras)
+        out = bb.lyra_predict(hist, target, p, stats, gp, extra_context=extras)
         assert out.history_years == [2001, 2002, 2000, 2003]
+        np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
+        np.testing.assert_allclose(out.beta, beta, atol=1e-12)
+
+    def test_repeated_extra_keeps_both_labels(self):
+        """One record given twice as an extra, with two labels, is two triples."""
+        p = tiny_lyra()
+        rng = np.random.default_rng(18)
+        hist = history_records(rng)
+        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.4)
+        extra = CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1)
+        extras = [(extra, 0.8), (extra, -0.6)]
+        stats, gp = norm_stats(), tiny_global()
+        context = [(rec, rec.yield_label) for rec in hist] + extras
+
+        xs, (seq_rows, labels, _), samples = bb.window_table(
+            p, [bb.LyraWindow(target, 0.0, tuple(context))])
+        assert len(xs) == 4 and len(labels) == 5
+        history = samples[0].history
+        assert seq_rows[history[2]] == seq_rows[history[3]]
+        assert [labels[i] for i in history[2:]] == [0.8, -0.6]
+
+        expected, beta = np_lyra_predict(p, stats, context, target,
+                                         np_global(gp, target.features))
+        out = bb.lyra_predict(hist, target, p, stats, gp, extra_context=extras)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
     def test_model_label_source_uses_global_model(self):
         p = tiny_lyra()
-        gp = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=9)
+        gp = tiny_global()
         rng = np.random.default_rng(8)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), None)
         stats = norm_stats()
-        out = bb.lyra_predict(hist, target, p, stats, label_source="model", global_params=gp)
+        out = bb.lyra_predict(hist, target, p, stats, gp)
         np.testing.assert_allclose(out.label_used, np_global(gp, target.features), atol=1e-12)
         expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
                                       out.label_used)
@@ -503,15 +530,44 @@ class TestLyraPredict:
         rng = np.random.default_rng(9)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 1.0)
         with pytest.raises(nc.ContractError, match="2001|2002|history"):
-            bb.lyra_predict([], target, p, norm_stats(), label_source="observed")
+            bb.lyra_predict([], target, p, norm_stats(), tiny_global())
 
     def test_window_truncation(self):
         p = tiny_lyra()  # w=2
         rng = np.random.default_rng(10)
         hist = history_records(rng, n=4, first_year=2000)
         target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.0)
-        out = bb.lyra_predict(hist, target, p, norm_stats(), label_source="observed")
+        out = bb.lyra_predict(hist, target, p, norm_stats(), tiny_global())
         assert out.history_years == [2002, 2003]  # last w years only
+
+
+class TestWindowTable:
+    def test_shared_record_tabulated_once(self):
+        """A record in two windows is one sequence row and one context triple."""
+        p = tiny_lyra()
+        rng = np.random.default_rng(19)
+        recs = history_records(rng, n=4, first_year=2001)  # 2001..2004
+        pairs = [(rec, rec.yield_label) for rec in recs]
+        windows = [bb.LyraWindow(recs[3], 0.5, tuple(pairs[1:3])),
+                   bb.LyraWindow(recs[2], -0.5, tuple(pairs[0:2]))]
+        xs, (seq_rows, labels, year_rows), samples = bb.window_table(p, windows)
+
+        # sequences in (county, year) order, 2002 once though both windows use it
+        np.testing.assert_array_equal(xs, np.stack([r.features for r in recs]))
+        # sorted context triples (2001, 2002, 2003), then sorted targets (2003, 2004)
+        np.testing.assert_array_equal(seq_rows, [0, 1, 2, 2, 3])
+        np.testing.assert_array_equal(labels, [label for _, label in pairs[:3]] + [-0.5, 0.5])
+        np.testing.assert_array_equal(year_rows, [1, 2, 3, 3, 4])
+        # samples in window order, histories in context order
+        assert [(s.target, s.history) for s in samples] == [(4, (1, 2)), (3, (0, 1))]
+
+    def test_year_outside_table_rejected(self):
+        p = tiny_lyra()  # year table 2000..2006
+        rng = np.random.default_rng(20)
+        old = CountyYearRecord("c9", 1999, rng.standard_normal((6, 2)), 0.0)
+        target = CountyYearRecord("c9", 2001, rng.standard_normal((6, 2)), 0.0)
+        with pytest.raises(nc.ContractError, match="1999"):
+            bb.window_table(p, [bb.LyraWindow(target, 0.0, ((old, 0.0),))])
 
 
 class TestGlobalGruPredict:

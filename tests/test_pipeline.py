@@ -107,8 +107,7 @@ class TestIntegrateContext:
     def predict(self, county, extra=()):
         history = assemble_history(self.train, county, 2005, 3)
         return lyra_predict(history, self.test.get(county, 2005), self.lyra, self.stats,
-                            label_source="model", global_params=self.f,
-                            extra_context=extra)
+                            self.f, extra_context=extra)
 
     def refined_entries(self, county, n=2):
         entries = []
@@ -207,7 +206,7 @@ class TestRunExperiment:
         for county in test_n.counties:
             history = assemble_history(train_n, county, cfg.test_year, cfg.w)
             want = lyra_predict(history, test_n.get(county, cfg.test_year), lyra,
-                                stats, label_source="model", global_params=f)
+                                stats, f)
             np.testing.assert_allclose(rows[county], want.prediction, atol=1e-12)
 
     def test_artifacts_written(self, tmp_path):

@@ -11,9 +11,11 @@ from ratar import training as tr
 from ratar.backbone import (
     LyraDims,
     LyraParams,
+    LyraWindow,
     global_forward,
     lyra_forward,
     lyra_predict,
+    window_table,
 )
 from ratar.data import (
     CountyYearRecord,
@@ -220,31 +222,38 @@ class TestTrainGruAtt:
 
 
 class TestLyraSampleSpecs:
+    @staticmethod
+    def windows(ds, w):
+        return tr.training_windows(ds, w, [0.0] * len(ds))
+
     def test_window_truncation(self):
         recs = []
         for y in range(2000, 2006):
             recs.append(CountyYearRecord("aa", y, np.zeros((3, 2)), 1.0))
         ds = Dataset(recs)
-        specs = tr.lyra_training_samples(ds, w=3)
-        by_target = {s.target_year: s.history_years for s in specs}
+        windows = self.windows(ds, w=3)
+        by_target = {win.target.year: [rec.year for rec, _ in win.context] for win in windows}
         assert by_target[2001] == [2000]
         assert by_target[2002] == [2000, 2001]
         assert by_target[2004] == [2001, 2002, 2003]
-        assert len(specs) == 5
+        assert len(windows) == 5
 
     def test_two_year_county_single_sample(self):
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("aa", 2001, np.zeros((3, 2)), 2.0)]
-        specs = tr.lyra_training_samples(Dataset(recs), w=5)
-        assert len(specs) == 1
-        assert specs[0].target_year == 2001 and specs[0].history_years == [2000]
+        windows = tr.training_windows(Dataset(recs), 5, [0.5, 0.25])
+        assert len(windows) == 1
+        win = windows[0]
+        assert win.target.year == 2001 and win.label == 0.25
+        assert [(rec.year, label) for rec, label in win.context] == [(2000, 1.0)]
 
     def test_single_year_county_contributes_nothing(self):
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("bb", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("bb", 2001, np.zeros((3, 2)), 2.0)]
-        specs = tr.lyra_training_samples(Dataset(recs), w=2)
-        assert [(s.county, s.target_year) for s in specs] == [("bb", 2001)]
+        windows = self.windows(Dataset(recs), w=2)
+        assert [(win.target.county, win.target.year) for win in windows] == [("bb", 2001)]
+        assert [(rec.county, rec.year) for rec, _ in windows[0].context] == [("bb", 2000)]
 
 
 def tiny_dims():
@@ -358,10 +367,14 @@ class TestFineTune:
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
                              target_label_source="observed")
         probe = self.refined_set(shift=0.0)
-        engine = tr._build_fine_tune_engine(self.params, probe, self.ds, cfg,
-                                            self.stats, None)
-        preds = lyra_forward(None, self.params, engine.xs, engine.triples,
-                             engine.samples)[0].data
+        windows = []
+        for e in probe.entries:
+            rec = e.record
+            history = [self.ds.get(rec.county, y)
+                       for y in self.ds.county_years(rec.county) if y < rec.year][-self.params.w:]
+            windows.append(LyraWindow(rec, rec.yield_label,
+                                      tuple((h, h.yield_label) for h in history)))
+        preds = lyra_forward(None, self.params, *window_table(self.params, windows))[0].data
         entries = [
             rf.RefinedSample(e.record, e.label, 0.0,
                              self.stats.denormalize_label(preds[i]), True, "ols")
@@ -382,10 +395,8 @@ class TestFineTune:
         rec = refined.entries[-1].record
         history = [self.ds.get(rec.county, y)
                    for y in self.ds.county_years(rec.county) if y < rec.year]
-        before = lyra_predict(history, rec, self.params, self.stats,
-                              label_source="observed").prediction
-        after = lyra_predict(history, rec, tuned, self.stats,
-                             label_source="observed").prediction
+        before = lyra_predict(history, rec, self.params, self.stats, self.f).prediction
+        after = lyra_predict(history, rec, tuned, self.stats, self.f).prediction
         target = refined.entries[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
@@ -398,6 +409,29 @@ class TestFineTune:
                    if not np.array_equal(tuned.store.value(n), self.params.store.value(n))]
         assert changed, "fine-tuning with a label shift must move some parameters"
         assert not any(n.startswith(("gru.", "attn.")) for n in changed)
+
+    def test_duplicate_entries_keep_own_targets(self, monkeypatch):
+        """Two copies of one entry, refined to two labels, stay two samples."""
+        rec = self.ds.get(self.county, self.ds.years[-1])
+        entries = [rf.RefinedSample(rec, rec.yield_label, shift, rec.yield_label + shift,
+                                    True, "ols") for shift in (-1.0, 1.0)]
+        refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
+                                      sigma=0.0, entries=entries)
+        tables = []
+
+        def recording(p, windows):
+            tables.append(window_table(p, windows))
+            return tables[-1]
+
+        monkeypatch.setattr(tr, "window_table", recording)
+        cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=1)
+        tr.fine_tune(self.params, refined, self.ds, cfg, stats=self.stats,
+                     global_params=self.f)
+        (xs, (seq_rows, _, _), samples), = tables
+        assert len(xs) == 1 + self.params.w and len(samples) == 2
+        assert samples[0].target != samples[1].target
+        assert seq_rows[samples[0].target] == seq_rows[samples[1].target]
+        assert samples[0].history == samples[1].history
 
     def test_sample_without_history_skipped(self):
         rec = self.ds.get(self.county, self.ds.years[0])
