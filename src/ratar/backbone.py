@@ -8,7 +8,9 @@ sequences [B,T,d]: `gru_encode` is the encoder every model shares,
 `embed_batch` adds attention pooling and the yearly embeddings, and
 `lyra_forward` adds cross-year attention and the head (`global_forward` and
 `gruatt_forward` are the two smaller models).  With a ComputeTape the engine
-records for training; with tape None it runs as plain inference.
+records for training; with tape None it runs as plain inference.  Windows
+of any history lengths share one cross-year attention pass, padded to the
+longest history and masked so that padded slots get weight exactly 0.
 
 Training, fine-tuning and prediction all describe their work as
 `LyraWindow`s, a target season plus (season, label) context pairs, and
@@ -258,6 +260,10 @@ def _embed_from_pooled(bound: dict, pooled: Tensor, triples) -> Tensor:
     return _mlp(bound, nc.concat_cols([base, lab, emb]), "embed")
 
 
+# padded history slots' scores: finite, unlike -inf, and exp of it is 0
+_PAD_SCORE = -1e300
+
+
 def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_const=None):
     """Batched LYRA forward over window samples.
 
@@ -266,9 +272,15 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     pooled_const short-circuits the encoder with precomputed pooled vectors
     (frozen-encoder fine-tuning).  Returns (normalized predictions Tensor [S]
     in sample order, list of per-sample attention weight arrays).
+
+    Every history is padded to the longest by repeating its first index,
+    and _PAD_SCORE on the padded scores gives them softmax weight exactly
+    0, so each sample's betas are its own row cut to its own length.
     """
     if not samples:
         raise ContractError("no samples to run")
+    if any(len(s.history) < 1 for s in samples):
+        raise ContractError("sample with empty history window")
     bound = bind_params(tape, p.store)
     if pooled_const is not None:
         pooled = Tensor(np.asarray(pooled_const, dtype=np.float64))
@@ -276,31 +288,17 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
         pooled, _ = _pooled_batch(bound, xs)
     z_all = _embed_from_pooled(bound, pooled, triples)
 
-    by_len: dict[int, list] = {}
-    for i, s in enumerate(samples):
-        if len(s.history) < 1:
-            raise ContractError("sample with empty history window")
-        by_len.setdefault(len(s.history), []).append(i)
-
-    parts = []
-    order = []
-    betas: list = [None] * len(samples)
-    for length in sorted(by_len):
-        idxs = by_len[length]
-        hist_idx = np.array([samples[i].history for i in idxs], dtype=np.int64)
-        tgt_idx = np.array([samples[i].target for i in idxs], dtype=np.int64)
-        stack = nc.gather_rows(z_all, hist_idx.ravel())
-        tgt = nc.gather_rows(z_all, tgt_idx)
-        beta = nc.softmax_rows(nc.rowdot_groups(stack, tgt))
-        z_tilde = nc.add(tgt, nc.pool_rows(stack, beta))
-        parts.append(_mlp(bound, z_tilde, "head"))
-        order.extend(idxs)
-        for row, i in enumerate(idxs):
-            betas[i] = beta.data[row].copy()
-
-    stacked = parts[0] if len(parts) == 1 else nc.concat_rows(parts)
-    inverse = np.argsort(np.asarray(order, dtype=np.int64), kind="stable")
-    preds = nc.reshape(nc.gather_rows(stacked, inverse), (len(samples),))
+    lengths = np.array([len(s.history) for s in samples])
+    width = int(lengths.max())
+    hist_idx = np.array([s.history + s.history[:1] * (width - len(s.history)) for s in samples],
+                        dtype=np.int64)
+    mask = np.where(np.arange(width) < lengths[:, None], 0.0, _PAD_SCORE)
+    stack = nc.gather_rows(z_all, hist_idx.ravel())
+    tgt = nc.gather_rows(z_all, np.array([s.target for s in samples], dtype=np.int64))
+    beta = nc.softmax_rows(nc.add(nc.rowdot_groups(stack, tgt), Tensor(mask)))
+    z_tilde = nc.add(tgt, nc.pool_rows(stack, beta))
+    preds = nc.reshape(_mlp(bound, z_tilde, "head"), (len(samples),))
+    betas = [beta.data[i, :n].copy() for i, n in enumerate(lengths)]
     return preds, betas
 
 

@@ -125,8 +125,13 @@ class Dataset:
             raise IngestionError(f"inconsistent feature shapes {sorted(shapes)}")
         self.records = records
         self._index = index
-        self.years = sorted({rec.year for rec in records})
-        self.counties = sorted({rec.county for rec in records})
+        self._years_of = {}  # county -> its years, ascending
+        self._records_in = {}  # year -> its records, by county
+        for rec in records:
+            self._years_of.setdefault(rec.county, []).append(rec.year)
+            self._records_in.setdefault(rec.year, []).append(rec)
+        self.years = sorted(self._records_in)
+        self.counties = sorted(self._years_of)
         self.T, self.d = (records[0].features.shape if records else (0, 0))
 
     def __len__(self):
@@ -142,10 +147,10 @@ class Dataset:
             raise ContractError(f"no record for ({county},{year})") from None
 
     def county_years(self, county) -> list:
-        return [y for y in self.years if (county, y) in self._index]
+        return list(self._years_of.get(county, ()))
 
     def records_of_year(self, year) -> list:
-        return [r for r in self.records if r.year == year]
+        return list(self._records_in.get(year, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ gradients into the owning ParamStore.  Running the same ops with untraced
 tensors performs no recording, which is how inference and finite-difference
 evaluation stay cheap.
 
+Records and leaves are keyed by each traced Tensor's node index on its tape,
+and closures capture arrays and shapes, never Tensors.  So the tape holds no
+reference back to its Tensors, and reference counting frees a step's graph
+without the cyclic garbage collector.
+
 An op may cover a whole recurrence: gru_sequence runs a GRU over every
 day of a batch of sequences in plain numpy and records a single entry whose
 hand-written backward-through-time pass returns all its parameter
@@ -19,6 +24,8 @@ shapes exactly so gradient rules stay auditable.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -45,11 +52,12 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """Immutable dense float64 array, optionally attached to a tape."""
 
-    __slots__ = ("data", "tape")
+    __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape: "ComputeTape | None" = None):
         self.data = _as_array(data)
         self.tape = tape
+        self.node = None if tape is None else next(tape._nodes)
 
     @property
     def shape(self):
@@ -112,12 +120,13 @@ class ComputeTape:
     """Ordered op records enabling one reverse traversal per backward call."""
 
     def __init__(self):
-        self._records = []  # (out Tensor, tuple of (input Tensor, vjp fn))
-        self._leaves = {}  # id(tensor) -> (store, name, tensor ref)
+        self._records = []  # (out node, tuple of (input node, vjp fn))
+        self._leaves = {}  # leaf node -> (store, name)
+        self._nodes = itertools.count()
 
     def leaf(self, store: ParamStore, name: str) -> Tensor:
         t = Tensor(store.value(name), tape=self)
-        self._leaves[id(t)] = (store, name, t)
+        self._leaves[t.node] = (store, name)
         return t
 
     @staticmethod
@@ -128,7 +137,7 @@ class ComputeTape:
         return tape.leaf(store, name)
 
     def record(self, out: Tensor, pairs) -> None:
-        self._records.append((out, tuple(pairs)))
+        self._records.append((out.node, tuple((t.node, fn) for t, fn in pairs)))
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
@@ -137,21 +146,20 @@ class ComputeTape:
             return  # loss constant in every parameter: all gradients zero
         if loss.tape is not self:
             raise ContractError("loss does not belong to this tape")
-        grads = {id(loss): np.ones_like(loss.data)}
+        grads = {loss.node: np.ones_like(loss.data)}
         for out, pairs in reversed(self._records):
-            g = grads.pop(id(out), None)
+            g = grads.pop(out, None)
             if g is None:
                 continue
             for inp, vjp in pairs:
                 contribution = vjp(g)
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
+                if inp in grads:
+                    grads[inp] = grads[inp] + contribution
                 else:
-                    grads[key] = contribution
-        for key, (store, name, _t) in self._leaves.items():
-            if key in grads:
-                store._grads[name] += grads[key]
+                    grads[inp] = contribution
+        for node, (store, name) in self._leaves.items():
+            if node in grads:
+                store._grads[name] += grads[node]
 
 
 def _tape_of(*tensors) -> ComputeTape | None:
@@ -178,12 +186,11 @@ def _emit(tape, data, pairs) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
-    tape = _tape_of(a, b)
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
     return _emit(
-        tape,
-        out,
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
+        _tape_of(a, b),
+        ad @ bd,
+        [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)],
     )
 
 
@@ -204,24 +211,26 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
+    sa, sb = a.shape, b.shape
     return _emit(
         _tape_of(a, b),
         a.data + b.data,
         [
-            (a, lambda g: _reduce_to(g, a.shape)),
-            (b, lambda g: _reduce_to(g, b.shape)),
+            (a, lambda g: _reduce_to(g, sa)),
+            (b, lambda g: _reduce_to(g, sb)),
         ],
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
+    ad, bd = a.data, b.data
     return _emit(
         _tape_of(a, b),
-        a.data * b.data,
+        ad * bd,
         [
-            (a, lambda g: _reduce_to(g * b.data, a.shape)),
-            (b, lambda g: _reduce_to(g * a.data, b.shape)),
+            (a, lambda g: _reduce_to(g * bd, ad.shape)),
+            (b, lambda g: _reduce_to(g * ad, bd.shape)),
         ],
     )
 
@@ -314,25 +323,6 @@ def concat_cols(parts) -> Tensor:
     return _emit(_tape_of(*parts), out, pairs)
 
 
-def concat_rows(parts) -> Tensor:
-    parts = list(parts)
-    if not parts or any(p.ndim != 2 for p in parts):
-        raise DimensionError("concat_rows takes a nonempty list of matrices")
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise DimensionError("concat_rows column counts differ")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-    out = np.concatenate([p.data for p in parts], axis=0)
-
-    def make_vjp(lo, hi):
-        return lambda g: g[lo:hi, :]
-
-    pairs = [
-        (p, make_vjp(offsets[i], offsets[i + 1])) for i, p in enumerate(parts)
-    ]
-    return _emit(_tape_of(*parts), out, pairs)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows by integer index; gradient scatter-adds into the table."""
     idx = np.asarray(indices)
@@ -341,8 +331,10 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError("gather_rows index out of range")
 
+    shape = table.shape
+
     def vjp(g):
-        full = np.zeros(table.shape)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return full
 
@@ -363,11 +355,12 @@ def pool_rows(stack: Tensor, weights: Tensor) -> Tensor:
             f"pool_rows stack rows {stack.shape[0]} != {g_count}*{l_count}"
         )
     n = stack.shape[1]
+    w = weights.data
     grouped = stack.data.reshape(g_count, l_count, n)
-    out = np.einsum("gl,gln->gn", weights.data, grouped)
+    out = np.einsum("gl,gln->gn", w, grouped)
 
     def vjp_stack(g):
-        return (weights.data[:, :, None] * g[:, None, :]).reshape(-1, n)
+        return (w[:, :, None] * g[:, None, :]).reshape(-1, n)
 
     def vjp_weights(g):
         return np.einsum("gn,gln->gl", g, grouped)
@@ -387,11 +380,12 @@ def rowdot_groups(stack: Tensor, ref: Tensor) -> Tensor:
     if stack.shape[0] % g_count != 0:
         raise DimensionError("rowdot_groups stack rows not a multiple of groups")
     l_count = stack.shape[0] // g_count
+    r = ref.data
     grouped = stack.data.reshape(g_count, l_count, n)
-    out = np.einsum("gln,gn->gl", grouped, ref.data)
+    out = np.einsum("gln,gn->gl", grouped, r)
 
     def vjp_stack(g):
-        return (g[:, :, None] * ref.data[:, None, :]).reshape(-1, n)
+        return (g[:, :, None] * r[:, None, :]).reshape(-1, n)
 
     def vjp_ref(g):
         return np.einsum("gl,gln->gn", g, grouped)
@@ -503,7 +497,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise DimensionError(f"reshape {a.shape} -> {shape}")
-    return _emit(a.tape, a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    before = a.shape
+    return _emit(a.tape, a.data.reshape(shape), [(a, lambda g: g.reshape(before))])
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def _collect_samples(matched, train):
     return samples
 
 
-def retrieve(query, residuals, train, threshold=0.9, top_k=None, min_common=_MIN_COMMON_YEARS):
+def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     """Counties whose residual vectors track the query's, with samples.
 
     Matches are every other county with similarity strictly above the
@@ -157,7 +157,7 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None, min_common=_MIN
             continue
         rv = residuals[county]
         common = set(rq.years) & set(rv.years)
-        if len(common) < min_common:
+        if len(common) < _MIN_COMMON_YEARS:
             result.flags.append(f"insufficient_overlap:{county}")
             continue
         if float(np.linalg.norm(rv.r - rv.r.mean())) < _ZERO_NORM:

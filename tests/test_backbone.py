@@ -570,6 +570,36 @@ class TestWindowTable:
             bb.window_table(p, [bb.LyraWindow(target, 0.0, ((old, 0.0),))])
 
 
+class TestMixedLengthBatch:
+    """Windows of different history lengths run as one masked pass."""
+
+    def windows(self, lengths, seed=30):
+        # one county over 2000..2006; a window of length n targets year 2000+n
+        p = tiny_lyra(seed=seed)
+        recs = history_records(np.random.default_rng(seed), n=7, first_year=2000)
+        pairs = [(rec, rec.yield_label) for rec in recs]
+        return p, [bb.LyraWindow(recs[n], 0.1 * n, tuple(pairs[:n])) for n in lengths]
+
+    def test_each_sample_matches_its_solo_run(self):
+        p, windows = self.windows(range(1, 6))  # lengths 1..w at the workloads' w=5
+        xs, triples, samples = bb.window_table(p, windows)
+        preds, betas = bb.lyra_forward(None, p, xs, triples, samples)
+        for i, sample in enumerate(samples):
+            solo_pred, solo_betas = bb.lyra_forward(None, p, xs, triples, [sample])
+            assert len(betas[i]) == len(sample.history) == i + 1
+            np.testing.assert_array_equal(betas[i], solo_betas[0])
+            np.testing.assert_allclose(preds.data[i], solo_pred.data[0], rtol=1e-12, atol=0.0)
+
+    def test_tape_entries_do_not_grow_with_distinct_lengths(self):
+        counts = []
+        for lengths in ([3, 3, 3], [1, 2, 3]):
+            p, windows = self.windows(lengths)
+            tape = nc.ComputeTape()
+            bb.lyra_forward(tape, p, *bb.window_table(p, windows))
+            counts.append(len(tape._records))
+        assert counts[0] == counts[1]
+
+
 class TestGlobalGruPredict:
     def test_composition_oracle(self):
         p = bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=11)

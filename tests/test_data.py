@@ -207,6 +207,41 @@ class TestSplit:
             data.split_by_test_year(ds, 2003)
 
 
+class TestDatasetIndexes:
+    """county_years and records_of_year against their scan definitions."""
+
+    def gappy(self):
+        # 4 counties x 2000..2005, given in shuffled order, with some
+        # (county, year) records missing and one county without 2000
+        rng = np.random.default_rng(0)
+        keys = [(f"c{i}", year) for i in range(4) for year in range(2000, 2006)
+                if (i + year) % 3 != 0 and (i, year) != (2, 2000)]
+        recs = [data.CountyYearRecord(county, year, rng.standard_normal((3, 2)), 1.0)
+                for county, year in keys]
+        order = rng.permutation(len(recs))
+        return data.Dataset([recs[i] for i in order]), set(keys)
+
+    def test_county_years_matches_scan(self):
+        ds, keys = self.gappy()
+        for county in ds.counties + ["absent"]:
+            want = [y for y in ds.years if (county, y) in keys]
+            assert ds.county_years(county) == want
+
+    def test_records_of_year_matches_scan(self):
+        ds, _ = self.gappy()
+        for year in ds.years + [1999]:
+            want = [r for r in ds.records if r.year == year]
+            got = ds.records_of_year(year)
+            assert [(r.county, r.year) for r in got] == [(r.county, r.year) for r in want]
+            assert all(a is b for a, b in zip(got, want))
+
+    def test_lookups_return_new_lists(self):
+        ds, _ = self.gappy()
+        ds.county_years("c0").clear()
+        ds.records_of_year(2001).clear()
+        assert ds.county_years("c0") and ds.records_of_year(2001)
+
+
 class TestSyntheticGenerator:
     CFG = data.SyntheticConfig(
         n_counties=12,

@@ -1,7 +1,9 @@
 """Training tests: optimizer semantics, global/backbone training loops,
-window-sample construction, and per-county fine-tuning."""
+window-sample construction, per-county fine-tuning, and step memory."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from ratar import refinement as rf
 from ratar import training as tr
 from ratar.backbone import (
+    GruParams,
     LyraDims,
     LyraParams,
     LyraWindow,
@@ -442,6 +445,44 @@ class TestFineTune:
         with pytest.warns(UserWarning, match="history"):
             tuned = tr.fine_tune(self.params, refined, self.ds, cfg, stats=self.stats)
         assert stores_equal(tuned.store, self.params.store)
+
+
+class TestStepMemory:
+    """A step's tape and graph are freed by reference counting alone."""
+
+    def forward_fn(self, model, train):
+        if model == "global":
+            p = GruParams.init(d=train.d, H=8, readout_hidden=0, seed=1)
+            xs = np.stack([r.features for r in train.records])
+            ys = np.array([r.yield_label for r in train.records])
+            return p.store, (lambda tape: global_forward(tape, p, xs)), ys
+        p = LyraParams.init(LyraDims(d=train.d, H=8, Z=8, E=4, attn_hidden=0, mlp_hidden=0),
+                            w=5, year_min=train.years[0], year_max=train.years[-1], seed=1)
+        windows = tr.training_windows(train, 5, [r.yield_label for r in train.records])
+        xs, triples, samples = window_table(p, windows)  # histories of lengths 1..5
+        ys = np.array([win.target.yield_label for win in windows])
+        return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys
+
+    @pytest.mark.parametrize("model", ["global", "lyra"])
+    def test_live_memory_flat_without_gc(self, model):
+        ds = small_synth(n_counties=8, n_years=7, T=20, d=4)
+        train = zscore_apply(ds, zscore_fit(ds))
+        store, forward, ys = self.forward_fn(model, train)
+        opt = tr.Adam(store, 1e-3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            tr._mse_step(store, opt, forward, ys)  # first-call allocations
+            base = tracemalloc.get_traced_memory()[0]
+            for step in range(5):
+                tr._mse_step(store, opt, forward, ys)
+                grown = tracemalloc.get_traced_memory()[0] - base
+                assert grown < 64 * 1024, f"step {step}: {grown} bytes still live"
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
 
 
 class TestReports:
