@@ -15,8 +15,8 @@ a `LyraWindow` (the target season plus its (season, label) context) that
 import numpy as np
 
 from ratar.backbone import (GruParams, LyraDims, LyraParams, LyraSample, LyraWindow,
-                            bind_params, embed_batch, global_forward, gru_encode,
-                            lyra_forward, lyra_predict, window_table)
+                            bind_params, embed_batch, gru_encode, lyra_forward,
+                            lyra_predict, model_labels, window_table)
 from ratar.data import CountyYearRecord, NormStats
 
 rng = np.random.default_rng(7)
@@ -31,7 +31,8 @@ p = LyraParams.init(dims, w=3, year_min=2000, year_max=2005, seed=1)
 years = [2000, 2001, 2002, 2003]
 xs = rng.standard_normal((4, T, d))
 gp = GruParams.init(d=d, H=8, readout_hidden=0, seed=2)
-target_label = float(global_forward(None, gp, xs[3:]).data[0])
+target = CountyYearRecord("c01", 2003, xs[3], None)
+target_label = model_labels(gp, [target])[("c01", 2003)]
 labels = np.array([float(rng.normal()) for _ in range(3)] + [target_label])
 
 # ---------------------------------------------------------------------------
@@ -79,19 +80,20 @@ print("head(z_target + z_history) verified")
 
 # ---------------------------------------------------------------------------
 # 6. lyra_predict does steps 1-4 for one county's records in one call and
-# maps the result back to physical units.  Its window holds the target,
-# the global model's label for it and the (record, label) history pairs;
-# window_table turns that into the same xs, triples and sample as above.
+# maps the result back to physical units.  It takes the target's label
+# from the caller (a run reads it from the per-seed `model_labels` table).
+# Its window holds the target, that label and the (record, label) history
+# pairs; window_table turns it into the same xs, triples and sample as
+# above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
 history = [CountyYearRecord("c01", y, xs[i], float(labels[i])) for i, y in enumerate(years[:3])]
-target = CountyYearRecord("c01", 2003, xs[3], None)
 window = LyraWindow(target, target_label, tuple((rec, rec.yield_label) for rec in history))
 xs_w, triples_w, samples_w = window_table(p, [window])
 assert np.array_equal(xs_w, xs) and samples_w == [sample]
 assert all(np.array_equal(a, b) for a, b in zip(triples_w, triples))
-out = lyra_predict(history, target, p, stats, gp)
+out = lyra_predict(history, target, p, stats, target_label)
 print(f"lyra_predict: {out.prediction:.4f} (physical units), "
       f"history years {out.history_years}")
 assert np.allclose(out.beta, beta, atol=1e-12)

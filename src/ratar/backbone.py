@@ -3,6 +3,10 @@ yearly embeddings with label and year-index injection, cross-year attention,
 MLP head, plus the global GRU regressor used for label substitution and
 residuals.
 
+A target season's label is unknown, so the global model's prediction
+stands in for it in that season's embedding; `model_labels` makes those
+predictions, one `global_forward` over a list of records.
+
 There is one forward implementation, a batched engine over stacked
 sequences [B,T,d]: `gru_encode` is the encoder every model shares,
 `embed_batch` adds attention pooling and the yearly embeddings, and
@@ -16,8 +20,8 @@ Training, fine-tuning and prediction all describe their work as
 `LyraWindow`s, a target season plus (season, label) context pairs, and
 `window_table` is the one place windows become the engine's inputs.
 `lyra_predict` is the per-county prediction entry point: one window of the
-county's history, extras and target, run as one untraced `lyra_forward`
-call.
+county's history, extras and target (with the target's label passed in),
+run as one untraced `lyra_forward` call.
 
 Features entering any function here are assumed z-score normalized, as are
 the labels stored on training records; predictions come back in physical
@@ -183,7 +187,6 @@ class PredictResult:
     prediction: float
     beta: np.ndarray
     history_years: list
-    label_used: float
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +232,18 @@ def global_forward(tape, p: GruParams, xs: np.ndarray) -> Tensor:
     mean_w = Tensor(np.full((B, T), 1.0 / T))
     pooled = nc.pool_rows(stack, mean_w)
     return nc.reshape(_mlp(bound, pooled, "readout"), (B,))
+
+
+def model_labels(p: GruParams, records) -> dict:
+    """The global model's normalized prediction per record, keyed (county, year).
+
+    One `global_forward` over the records in the given order; a record's
+    value can differ in its last bits with the batch it is computed in,
+    so each run computes every label it uses once, from one table.
+    """
+    xs = np.stack([rec.features for rec in records])
+    preds = global_forward(None, p, xs).data.tolist()
+    return {(rec.county, rec.year): pred for rec, pred in zip(records, preds)}
 
 
 def gruatt_forward(tape, p: GruAttParams, xs: np.ndarray) -> Tensor:
@@ -358,32 +373,31 @@ def lyra_predict(
     target,
     p: LyraParams,
     stats: NormStats,
-    global_params: GruParams,
+    target_label: float,
     extra_context=(),
 ) -> PredictResult:
     """One county's prediction: a single untraced lyra_forward call.
 
     history: the county's prior-year records (normalized features, normalized
-    labels); only the last w are used.  The target year's label is the
-    global model's prediction for the target record.  extra_context appends
-    (record, normalized label) pairs to the look-back set, after the history
-    (refined samples under context augmentation).  The context and the
-    target form one window, run as one engine sample.
+    labels); only the last w are used.  target_label is the normalized label
+    fed to the target year's own embedding (the global model's prediction,
+    see `model_labels`).  extra_context appends (record, normalized label)
+    pairs to the look-back set, after the history (refined samples under
+    context augmentation).  The context and the target form one window, run
+    as one engine sample.
     """
     history = sorted(history, key=lambda r: r.year)
     if not history:
         raise ContractError(
             f"empty history for {target.county}: need at least one year before {target.year}"
         )
-    label_used = float(global_forward(None, global_params, target.features[None]).data[0])
     context = tuple((rec, rec.yield_label) for rec in history[-p.w:]) + tuple(extra_context)
-    window = LyraWindow(target, label_used, context)
+    window = LyraWindow(target, target_label, context)
     preds, betas = lyra_forward(None, p, *window_table(p, [window]))
     return PredictResult(
         prediction=stats.denormalize_label(float(preds.data[0])),
         beta=betas[0],
         history_years=[rec.year for rec, _ in context],
-        label_used=label_used,
     )
 
 

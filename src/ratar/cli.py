@@ -75,8 +75,7 @@ def _parse_values(axis: str, text: str) -> list:
 _SCALAR_FIELDS = (
     "data_path", "adjacency_path", "test_year", "w", "retrieval_mode",
     "threshold", "top_k", "integration", "refine", "sigma", "refine_copies",
-    "refine_label_source", "variant", "global_H", "global_readout_hidden",
-    "out_dir",
+    "variant", "global_H", "global_readout_hidden", "out_dir",
 )
 _TRAIN_FIELDS = ("lr", "batch_size", "epochs", "clip_norm", "fine_tune_lr",
                  "fine_tune_epochs", "freeze_encoder")
@@ -340,8 +339,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float,
                    help="refinement noise scale (physical units)")
     p.add_argument("--copies", type=int, dest="refine_copies")
-    p.add_argument("--label-source", dest="refine_label_source",
-                   choices=["model", "observed"])
     p.add_argument("--seed", dest="seeds", help="comma list, e.g. 0,1,2")
     p.add_argument("--variant", help="label for reports")
     p.add_argument("--global-h", type=int, dest="global_H")

@@ -70,9 +70,9 @@ class CountyYearRecord:
     `has_label` answers presence without counting as a read.
     """
 
-    __slots__ = ("county", "year", "features", "_yield_label", "neighbors", "seed_loc")
+    __slots__ = ("county", "year", "features", "_yield_label", "neighbors")
 
-    def __init__(self, county, year, features, yield_label, neighbors=None, seed_loc=None):
+    def __init__(self, county, year, features, yield_label, neighbors=None):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise IngestionError(f"features of ({county},{year}) must be 2-D")
@@ -87,7 +87,6 @@ class CountyYearRecord:
         self.features = features
         self._yield_label = yield_label
         self.neighbors = list(neighbors) if neighbors is not None else None
-        self.seed_loc = tuple(seed_loc) if seed_loc is not None else None
 
     @property
     def yield_label(self):
@@ -105,7 +104,6 @@ class CountyYearRecord:
             self.features if features is None else features,
             self._yield_label if yield_label == "keep" else yield_label,
             neighbors=self.neighbors,
-            seed_loc=self.seed_loc,
         )
 
 
@@ -482,11 +480,9 @@ def generate_synthetic(cfg: SyntheticConfig):
 
     # grid geography: row-major placement, 4-neighborhood adjacency
     side = int(math.ceil(math.sqrt(n)))
-    seed_locs = {}
     neighbors = {}
     for idx, county in enumerate(counties):
         r, c = divmod(idx, side)
-        seed_locs[county] = (40.0 + 0.1 * r, -95.0 + 0.1 * c)
         nbs = []
         for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
             rr, cc = r + dr, c + dc
@@ -564,7 +560,6 @@ def generate_synthetic(cfg: SyntheticConfig):
                     features,
                     float(observed),
                     neighbors=neighbors[county],
-                    seed_loc=seed_locs[county],
                 )
             )
     return Dataset(records), truth

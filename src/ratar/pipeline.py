@@ -7,7 +7,12 @@ same links:
 - `load`: the dataset and the county adjacency;
 - `train_models`: split by test year, normalize on training statistics,
   train the global and the cross-year model (or take them from
-  checkpoints), giving a `SeedModels`;
+  checkpoints), giving a `SeedModels`.  Its `model_labels` table holds
+  the global model's prediction for every training and test record,
+  made once per seed by one `global_forward` over each split; every
+  label the global model stands in for (the cross-year model's target
+  seasons in training, fine-tuning and prediction, the residuals and
+  the training embeddings) is read from it;
 - `retrieval_context`: residuals, training embeddings, bias matrices
   and the resolved refinement sigma, giving a `RetrievalContext`;
 - `retrieve_refine`: one test county's retrieved samples, with their
@@ -53,9 +58,9 @@ from .backbone import (
     LyraParams,
     assemble_history,
     embed_batch,
-    global_forward,
     gruatt_forward,
     lyra_predict,
+    model_labels,
     save_checkpoint,
 )
 from .data import (
@@ -113,7 +118,6 @@ class ExperimentConfig:
     refine: bool = True
     sigma: float | None = None  # None: _SIGMA_FRACTION * training label std
     refine_copies: int = 1
-    refine_label_source: str = "model"
     seeds: tuple = (0, 1, 2)
     train: TrainConfig = field(default_factory=TrainConfig)
     dims: LyraDims | None = None
@@ -129,8 +133,6 @@ class ExperimentConfig:
             raise ContractError(f"retrieval_mode must be one of {_RETRIEVAL_MODES}")
         if self.integration not in _INTEGRATION_MODES:
             raise ContractError(f"integration must be one of {_INTEGRATION_MODES}")
-        if self.refine_label_source not in ("model", "observed"):
-            raise ContractError("refine_label_source must be 'model' or 'observed'")
         if self.w < 1:
             raise ContractError("look-back window must be at least 1")
         if self.sigma is not None and self.sigma < 0:
@@ -265,6 +267,16 @@ class SeedModels:
         """Counties with a test-year record, sorted: the per-county order."""
         return sorted({r.county for r in self.test_n.records})
 
+    @cached_property
+    def model_labels(self) -> dict:
+        """The global model's normalized prediction per (county, year).
+
+        One `global_forward` over the training records (the batch every
+        training-side reader shares) and one over the test records.
+        """
+        return {**model_labels(self.f, self.train_n.records),
+                **model_labels(self.f, self.test_n.records)}
+
 
 def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=None,
                  with_lyra=True) -> SeedModels:
@@ -291,31 +303,27 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
         with _stage(f"train_lyra seed {seed}"):
             dims = cfg.dims if cfg.dims is not None else LyraDims(d=train_n.d)
             models.lyra, models.lyra_report = train_lyra(
-                train_n, cfg.w, tcfg, dims=dims, year_max=cfg.test_year,
-                global_params=models.f)
+                train_n, cfg.w, tcfg, models.model_labels, dims=dims,
+                year_max=cfg.test_year)
     return models
 
 
-def _training_embeddings(models: SeedModels, label_source: str):
+def _training_embeddings(models: SeedModels):
     """One yearly embedding per training record, keyed (county, year).
 
     These embeddings feed the per-year regressors and county matching,
     both of which compare years against each other, so they are
-    computed in a year-neutral frame: the label input follows
-    `label_source` (default: the global model's prediction, same
-    substitution the backbone applies to the target year) and the
-    year-embedding input is held at the mean training-year row. Feeding
-    year-identity inputs (the stored label, or the year's own learned
-    embedding row) would let a regressor fit on year s track the very
-    cross-year drift the bias matrix is supposed to expose, collapsing
-    the measured biases toward zero.
+    computed in a year-neutral frame: the label input is the global
+    model's prediction from `models.model_labels` (the substitution the
+    target year gets) and the year-embedding input is held at the mean
+    training-year row. Feeding year-identity inputs (the stored label,
+    or the year's own learned embedding row) would let a regressor fit
+    on year s track the very cross-year drift the bias matrix is
+    supposed to expose, collapsing the measured biases toward zero.
     """
     train_n = models.train_n
     xs = np.stack([r.features for r in train_n.records])
-    if label_source == "model":
-        labels = global_forward(None, models.f, xs).data
-    else:
-        labels = np.array([r.yield_label for r in train_n.records])
+    labels = np.array([models.model_labels[r.county, r.year] for r in train_n.records])
     lyra = models.lyra.copy()
     table = lyra.store.value("year_table")
     rows = sorted({lyra.year_row(r.year) for r in train_n.records})
@@ -398,10 +406,11 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
     ctx = RetrievalContext(adjacency=adjacency, sigma=sigma)
     if cfg.retrieval_mode == "residual":
         with _stage(f"residuals seed {models.seed}"):
-            ctx.residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
+            ctx.residuals = rt.compute_residuals(models.train_n, models.model_labels,
+                                                 models.stats)
     if models.lyra is not None:
         with _stage(f"refinement_setup seed {models.seed}"):
-            ctx.embeddings = _training_embeddings(models, cfg.refine_label_source)
+            ctx.embeddings = _training_embeddings(models)
             ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
             ctx.mean_emb = _mean_embeddings(ctx.embeddings, models.train_n.counties)
     return ctx
@@ -481,13 +490,14 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                     out.fallbacks.add(county)
             elif cfg.integration == "finetune":
                 params = fine_tune(models.lyra, refined, train_n, tcfg,
-                                   stats=stats, global_params=models.f)
+                                   models.model_labels, stats=stats)
             elif cfg.integration == "context":
                 extra = [(e.record, stats.normalize_label(e.label_refined))
                          for e in refined.entries]
 
         with _stage(f"predict county {county}"):
-            pred = lyra_predict(history, target, params, stats, models.f,
+            pred = lyra_predict(history, target, params, stats,
+                                models.model_labels[county, cfg.test_year],
                                 extra_context=extra)
             out.predictions[county] = pred.prediction
             for year, beta in zip(pred.history_years, pred.beta):

@@ -50,40 +50,31 @@ class YearRegressor:
         return (Z - self.z_mean) / self.z_scale @ self.coef + self.intercept
 
 
-def _standardize(Z):
-    mean = Z.mean(axis=0)
-    scale = Z.std(axis=0)
-    scale = np.where(scale < _SCALE_FLOOR, 1.0, scale)
-    return (Z - mean) / scale, mean, scale
-
-
 def embedding_moments(Z):
     """Per-dimension mean and scale of a pooled embedding table.
 
     Pass the result as `z_mean`/`z_scale` to every per-year fit so the
-    regressors for different years share one standardization.
+    regressors for different years share one standardization.  A
+    dimension with (near) zero spread gets scale 1.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 2:
         raise ContractError("expected an embedding table of shape [n, Z] with n >= 2")
-    _, mean, scale = _standardize(Z)
-    return mean, scale
+    scale = Z.std(axis=0)
+    return Z.mean(axis=0), np.where(scale < _SCALE_FLOOR, 1.0, scale)
 
 
-def fit_year_regressor(year, Z, y, lam=_RIDGE_LAM, z_mean=None, z_scale=None):
+def fit_year_regressor(year, Z, y, z_mean, z_scale, lam=_RIDGE_LAM):
     """Fit the year-s map g_s on all (embedding, label) pairs from year s.
 
-    Embeddings are standardized per dimension before fitting; the
-    intercept is left unpenalized by centering the targets, which makes
-    the mean in-year residual exactly zero.
-
-    By default the standardization statistics come from the fitted
-    year's own embeddings. Callers that evaluate g_s on other years'
-    embeddings should pass shared `z_mean`/`z_scale` (for example,
-    moments over all training years) so that fit and evaluation use
-    one consistent scale; a dimension that barely varies within one
-    year would otherwise get a huge per-year gain that amplifies
-    ordinary cross-year shifts into wild extrapolations.
+    Embeddings are standardized per dimension with the shared `z_mean`/
+    `z_scale` (from `embedding_moments` over all training years), so
+    that fit and evaluation on other years' embeddings use one
+    consistent scale; a per-year scale would give a dimension that
+    barely varies within one year a huge gain that amplifies ordinary
+    cross-year shifts into wild extrapolations.  The intercept is left
+    unpenalized by centering the targets, which makes the mean in-year
+    residual exactly zero.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -92,22 +83,17 @@ def fit_year_regressor(year, Z, y, lam=_RIDGE_LAM, z_mean=None, z_scale=None):
     n = Z.shape[0]
     if n < 2:
         raise ContractError(f"year {year} has {n} samples, need at least 2 to fit")
-    if (z_mean is None) != (z_scale is None):
-        raise ContractError("z_mean and z_scale must be passed together")
-    if z_mean is not None:
-        z_mean = np.asarray(z_mean, dtype=np.float64)
-        z_scale = np.asarray(z_scale, dtype=np.float64)
-        if z_mean.shape != (Z.shape[1],) or z_scale.shape != (Z.shape[1],):
-            raise ContractError("z_mean and z_scale must have shape [Z]")
-        # keep the shared scale but absorb this year's mean into the
-        # stored offset, so the design matrix is centered (the intercept
-        # carries the year level) while evaluation on any year's
-        # embeddings still uses one common scale
-        x_bar = (Z - z_mean).mean(axis=0) / z_scale
-        z_mean = z_mean + x_bar * z_scale
-        X = (Z - z_mean) / z_scale
-    else:
-        X, z_mean, z_scale = _standardize(Z)
+    z_mean = np.asarray(z_mean, dtype=np.float64)
+    z_scale = np.asarray(z_scale, dtype=np.float64)
+    if z_mean.shape != (Z.shape[1],) or z_scale.shape != (Z.shape[1],):
+        raise ContractError("z_mean and z_scale must have shape [Z]")
+    # keep the shared scale but absorb this year's mean into the stored
+    # offset, so the design matrix is centered (the intercept carries the
+    # year level) while evaluation on any year's embeddings still uses one
+    # common scale
+    x_bar = (Z - z_mean).mean(axis=0) / z_scale
+    z_mean = z_mean + x_bar * z_scale
+    X = (Z - z_mean) / z_scale
     y_mean = float(y.mean())
     yc = y - y_mean
     A = X.T @ X + lam * np.eye(X.shape[1])

@@ -6,9 +6,13 @@ batched forward, backprop MSE, and apply an adaptive-moment update with
 global-norm gradient clipping.  The cross-year model's work is a list of
 `LyraWindow`s built once (one per training season, or one per usable
 refined sample when fine-tuning); each step's engine inputs are
-`window_table` of that batch's windows.  Every source of randomness
-(init, shuffling) is seeded through TrainConfig, so a (seed, config,
-data) triple reproduces its loss trace bitwise.
+`window_table` of that batch's windows.  The label a window feeds its
+target season comes from the caller's `target_labels` table, keyed
+(county, year); the pipeline fills it with the global model's
+predictions (`backbone.model_labels`), so the cross-year loops never
+run the global model.  Every source of randomness (init, shuffling) is
+seeded through TrainConfig, so a (seed, config, data) triple
+reproduces its loss trace bitwise.
 
 Fine-tuning never touches the input parameters: it deep-copies the
 store, trains the copy on refined retrieved samples, and returns it,
@@ -54,9 +58,6 @@ class TrainConfig:
     fine_tune_lr: float = 1e-4
     fine_tune_epochs: int = 20
     freeze_encoder: bool = False
-    # label fed to the target-year embedding during training; "model"
-    # substitutes the global model's prediction, mirroring test time
-    target_label_source: str = "model"
 
     def validate(self):
         if self.lr <= 0 or self.fine_tune_lr <= 0:
@@ -69,10 +70,6 @@ class TrainConfig:
             raise ContractError("clip norm must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractError("batch size must be positive or None")
-        if self.target_label_source not in ("model", "observed"):
-            raise ContractError(
-                f"target_label_source must be 'model' or 'observed', got {self.target_label_source!r}"
-            )
         return self
 
 
@@ -240,37 +237,23 @@ def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(ys))
 
 
-def _target_labels(records, source: str, global_params) -> list:
-    """The label fed to each record's target-year embedding.
-
-    "model" substitutes the global model's prediction, mirroring test time;
-    "observed" uses the record's own label.
-    """
-    if source == "observed":
-        return [r.yield_label for r in records]
-    if global_params is None:
-        raise ContractError("target_label_source='model' needs global_params")
-    xs = np.stack([r.features for r in records])
-    return global_forward(None, global_params, xs).data.tolist()
-
-
 def training_windows(train, w: int, labels) -> list:
     """One LyraWindow per (county, year) with at least one prior year.
 
     The context holds the county's last w years strictly before the
     target with their observed labels, truncated to what the county
     actually has, so a two-year county still yields one window.
-    labels[i] is the target-year label of train.records[i]; windows come
-    in (county, year) order.
+    labels maps (county, year) to the label fed to that season's target
+    embedding; windows come in (county, year) order.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
     windows, prior = [], []
-    for rec, label in zip(train.records, labels):  # records sorted by (county, year)
+    for rec in train.records:  # sorted by (county, year)
         if prior and prior[-1][0].county != rec.county:
             prior = []
         if prior:
-            windows.append(LyraWindow(rec, label, tuple(prior[-w:])))
+            windows.append(LyraWindow(rec, labels[rec.county, rec.year], tuple(prior[-w:])))
         prior.append((rec, rec.yield_label))
     return windows
 
@@ -297,12 +280,13 @@ def sync_year_rows(p: LyraParams, trained_years) -> list:
     return synced
 
 
-def train_lyra(train, w: int, cfg: TrainConfig, dims: LyraDims | None = None,
-               year_max: int | None = None, global_params: GruParams | None = None):
+def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
+               dims: LyraDims | None = None, year_max: int | None = None):
     """Fit the full cross-year model on all window samples by MSE.
 
     The supervision target is always the observed label; the label fed
-    into the target year's own embedding never is (see TrainConfig).
+    into the target year's own embedding is `target_labels[(county,
+    year)]`, the same substitute the target year gets at test time.
     Untrained year-table rows are synced to the nearest trained year
     afterwards so a held-out year can be embedded.
     """
@@ -318,8 +302,7 @@ def train_lyra(train, w: int, cfg: TrainConfig, dims: LyraDims | None = None,
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
     _check_labeled(train)
-    labels = _target_labels(train.records, cfg.target_label_source, global_params)
-    windows = training_windows(train, w, labels)
+    windows = training_windows(train, w, target_labels)
     if not windows:
         raise ContractError("no trainable samples: every county has a single year")
     targets = np.array([win.target.yield_label for win in windows], dtype=np.float64)
@@ -339,24 +322,25 @@ def train_lyra(train, w: int, cfg: TrainConfig, dims: LyraDims | None = None,
 
 
 def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
-              stats=None, global_params: GruParams | None = None) -> LyraParams:
+              target_labels: dict, stats=None) -> LyraParams:
     """Adapt a copy of the parameters to one county's refined samples.
 
     Returns a county-specific copy after a few full-batch MSE steps on
     the refined retrieved samples; the input parameters are never
     mutated.  Each refined entry with history is one window: its season
     as the target, the source county's last w training years before it
-    as context, and its normalized refined label as supervision.  An
-    empty or unusable sample set returns an unchanged copy with a
-    warning.  freeze_encoder pins the sequence encoder and attention
-    pooling by reusing their pooled outputs as constants.
+    as context, its `target_labels` entry fed to its own embedding, and
+    its normalized refined label as supervision.  An empty or unusable
+    sample set returns an unchanged copy with a warning.  freeze_encoder
+    pins the sequence encoder and attention pooling by reusing their
+    pooled outputs as constants.
     """
     cfg.validate()
     tuned = p.copy()
     if not sample_set.entries:
         warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
         return tuned
-    usable = []  # (target record, history records, normalized refined label)
+    windows, targets = [], []  # targets: normalized refined labels
     for entry in sample_set.entries:
         rec = entry.record
         years = [y for y in train.county_years(rec.county) if y < rec.year]
@@ -365,19 +349,17 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
             continue
+        history = [train.get(rec.county, y) for y in years[-tuned.w:]]
+        windows.append(LyraWindow(train.get(rec.county, rec.year),
+                                  target_labels[rec.county, rec.year],
+                                  tuple((h, h.yield_label) for h in history)))
         refined = entry.label_refined
-        usable.append((train.get(rec.county, rec.year),
-                       [train.get(rec.county, y) for y in years[-tuned.w:]],
-                       stats.normalize_label(refined) if stats is not None else refined))
-    if not usable or cfg.fine_tune_epochs == 0:
+        targets.append(stats.normalize_label(refined) if stats is not None else refined)
+    if not windows or cfg.fine_tune_epochs == 0:
         return tuned
 
-    seasons, histories, supervision = zip(*usable)
-    labels = _target_labels(seasons, cfg.target_label_source, global_params)
-    windows = [LyraWindow(rec, label, tuple((h, h.yield_label) for h in history))
-               for rec, label, history in zip(seasons, labels, histories)]
     xs, triples, samples = window_table(tuned, windows)
-    targets = np.asarray(supervision, dtype=np.float64)
+    targets = np.array(targets, dtype=np.float64)
 
     pooled_const = None
     if cfg.freeze_encoder:

@@ -236,7 +236,7 @@ def test_c06_refinement_halves_stale_label_error(refine_setup):
     """Extrapolated bias correction cuts retrieved-label RMSE by half."""
     s = refine_setup
     models = s.models
-    residuals = rt.compute_residuals(models.train_n, models.f, models.stats)
+    residuals = rt.compute_residuals(models.train_n, models.model_labels, models.stats)
     unrefined, refined = [], []
     for idx, county in enumerate(sorted(models.train_n.counties)):
         result = rt.retrieve(county, residuals, models.train_n,

@@ -365,7 +365,7 @@ class TestEmbedBatch:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2050, rng.standard_normal((6, 2)), 2.0)
         with pytest.raises(nc.ContractError, match="2050"):
-            bb.lyra_predict(hist, target, p, norm_stats(), tiny_global())
+            bb.lyra_predict(hist, target, p, norm_stats(), 0.3)
 
 
 class TestCrossYearAttention:
@@ -449,9 +449,9 @@ class TestLyraPredict:
         rng = np.random.default_rng(6)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
-        stats, gp = norm_stats(), tiny_global()
-        a = bb.lyra_predict(hist, target, p, stats, gp)
-        b = bb.lyra_predict(hist, target, p, stats, gp)
+        stats = norm_stats()
+        a = bb.lyra_predict(hist, target, p, stats, 0.3)
+        b = bb.lyra_predict(hist, target, p, stats, 0.3)
         assert a.prediction == b.prediction
 
     def test_compositional_oracle(self):
@@ -460,12 +460,11 @@ class TestLyraPredict:
         rng = np.random.default_rng(7)
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
-        stats, gp = norm_stats(), tiny_global()
+        stats = norm_stats()
         context = [(rec, rec.yield_label) for rec in hist]
-        expected, beta = np_lyra_predict(p, stats, context, target,
-                                         np_global(gp, target.features))
+        expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = bb.lyra_predict(hist, target, p, stats, gp)
+        out = bb.lyra_predict(hist, target, p, stats, 0.3)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
         assert out.history_years == [2001, 2002]
@@ -478,12 +477,11 @@ class TestLyraPredict:
         target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.4)
         extras = [(CountyYearRecord("c3", 2000, rng.standard_normal((6, 2)), 0.7), -0.35),
                   (CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1), 0.8)]
-        stats, gp = norm_stats(), tiny_global()
+        stats = norm_stats()
         context = [(rec, rec.yield_label) for rec in hist] + extras
-        expected, beta = np_lyra_predict(p, stats, context, target,
-                                         np_global(gp, target.features))
+        expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = bb.lyra_predict(hist, target, p, stats, gp, extra_context=extras)
+        out = bb.lyra_predict(hist, target, p, stats, 0.3, extra_context=extras)
         assert out.history_years == [2001, 2002, 2000, 2003]
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
@@ -496,7 +494,7 @@ class TestLyraPredict:
         target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.4)
         extra = CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1)
         extras = [(extra, 0.8), (extra, -0.6)]
-        stats, gp = norm_stats(), tiny_global()
+        stats = norm_stats()
         context = [(rec, rec.yield_label) for rec in hist] + extras
 
         xs, (seq_rows, labels, _), samples = bb.window_table(
@@ -506,9 +504,8 @@ class TestLyraPredict:
         assert seq_rows[history[2]] == seq_rows[history[3]]
         assert [labels[i] for i in history[2:]] == [0.8, -0.6]
 
-        expected, beta = np_lyra_predict(p, stats, context, target,
-                                         np_global(gp, target.features))
-        out = bb.lyra_predict(hist, target, p, stats, gp, extra_context=extras)
+        expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
+        out = bb.lyra_predict(hist, target, p, stats, 0.3, extra_context=extras)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
@@ -519,10 +516,15 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), None)
         stats = norm_stats()
-        out = bb.lyra_predict(hist, target, p, stats, gp)
-        np.testing.assert_allclose(out.label_used, np_global(gp, target.features), atol=1e-12)
+        labels = bb.model_labels(gp, hist + [target])
+        assert list(labels) == [("c9", 2001), ("c9", 2002), ("c9", 2003)]
+        for rec in hist + [target]:
+            np.testing.assert_allclose(labels[rec.county, rec.year],
+                                       np_global(gp, rec.features), atol=1e-12)
+        label = labels["c9", 2003]
+        out = bb.lyra_predict(hist, target, p, stats, label)
         expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
-                                      out.label_used)
+                                      label)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
 
     def test_empty_history_rejected(self):
@@ -530,14 +532,14 @@ class TestLyraPredict:
         rng = np.random.default_rng(9)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 1.0)
         with pytest.raises(nc.ContractError, match="2001|2002|history"):
-            bb.lyra_predict([], target, p, norm_stats(), tiny_global())
+            bb.lyra_predict([], target, p, norm_stats(), 0.3)
 
     def test_window_truncation(self):
         p = tiny_lyra()  # w=2
         rng = np.random.default_rng(10)
         hist = history_records(rng, n=4, first_year=2000)
         target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.0)
-        out = bb.lyra_predict(hist, target, p, norm_stats(), tiny_global())
+        out = bb.lyra_predict(hist, target, p, norm_stats(), 0.3)
         assert out.history_years == [2002, 2003]  # last w years only
 
 

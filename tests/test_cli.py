@@ -85,6 +85,23 @@ class TestParsing:
         with pytest.raises(ContractError, match="bogus_knob"):
             cli._experiment_config(args)
 
+    def test_label_source_flag_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(
+                ["run", "--test-year", "2004", "--label-source", "observed"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("blob, message", [
+        ({"refine_label_source": "observed"}, "bad config"),
+        ({"train": {"target_label_source": "observed"}}, "bad train config"),
+    ])
+    def test_removed_label_source_keys_rejected(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"test_year": 2004, **blob}))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "label_source" in err
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["run", "--mode", "psychic"])

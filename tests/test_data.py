@@ -272,7 +272,6 @@ class TestSyntheticGenerator:
         for rec in ds:
             assert rec.yield_label is not None and rec.yield_label >= 0.0
             assert rec.neighbors is not None
-            assert rec.seed_loc is not None
 
     @staticmethod
     def fitted_year_trend(slope, seed=5):

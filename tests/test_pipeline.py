@@ -2,14 +2,16 @@
 integration, artifact export, determinism, and the ablation matrix."""
 
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ratar import backbone as bb
 from ratar import pipeline as pl
 from ratar import training as tr
-from ratar.backbone import LyraDims, assemble_history, lyra_predict
+from ratar.backbone import LyraDims, assemble_history, lyra_predict, model_labels
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -101,13 +103,15 @@ class TestIntegrateContext:
         self.test = zscore_apply(test, self.stats, labels=False)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=5, seed=0)
         self.f, _ = tr.train_global(self.train, cfg, H=6, readout_hidden=0)
-        self.lyra, _ = tr.train_lyra(self.train, 3, cfg, dims=tiny_dims(),
-                                     year_max=2005, global_params=self.f)
+        self.labels = {**model_labels(self.f, self.train.records),
+                       **model_labels(self.f, self.test.records)}
+        self.lyra, _ = tr.train_lyra(self.train, 3, cfg, self.labels, dims=tiny_dims(),
+                                     year_max=2005)
 
     def predict(self, county, extra=()):
         history = assemble_history(self.train, county, 2005, 3)
         return lyra_predict(history, self.test.get(county, 2005), self.lyra, self.stats,
-                            self.f, extra_context=extra)
+                            self.labels[county, 2005], extra_context=extra)
 
     def refined_entries(self, county, n=2):
         entries = []
@@ -200,13 +204,14 @@ class TestRunExperiment:
         tcfg = replace(cfg.train, seed=cfg.seeds[0])
         f, _ = tr.train_global(train_n, tcfg, H=cfg.global_H,
                                readout_hidden=cfg.global_readout_hidden)
-        lyra, _ = tr.train_lyra(train_n, cfg.w, tcfg, dims=cfg.dims,
-                                year_max=cfg.test_year, global_params=f)
+        lyra, _ = tr.train_lyra(train_n, cfg.w, tcfg, model_labels(f, train_n.records),
+                                dims=cfg.dims, year_max=cfg.test_year)
+        test_labels = model_labels(f, test_n.records)
         rows = {r.county: r.prediction for r in report.seed_results[0].rows}
         for county in test_n.counties:
             history = assemble_history(train_n, county, cfg.test_year, cfg.w)
             want = lyra_predict(history, test_n.get(county, cfg.test_year), lyra,
-                                stats, f)
+                                stats, test_labels[county, cfg.test_year])
             np.testing.assert_allclose(rows[county], want.prediction, atol=1e-12)
 
     def test_artifacts_written(self, tmp_path):
@@ -330,3 +335,73 @@ class TestAblate:
         b = {r.county: r.prediction for r in r_plain.seed_results[0].rows}
         for county in a:
             np.testing.assert_allclose(a[county], b[county], atol=1e-12)
+
+
+def count_global_forward(monkeypatch):
+    """Count `global_forward` calls made outside `train_global`.
+
+    Every `ratar` module binding of the function is replaced, so the
+    count does not depend on which module makes the call.
+    """
+    original = bb.global_forward
+    state = {"calls": 0, "in_train_global": False}
+
+    def counting(*args, **kwargs):
+        if not state["in_train_global"]:
+            state["calls"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ratar" or name.startswith("ratar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    train_global = pl.train_global
+
+    def flagged(*args, **kwargs):
+        state["in_train_global"] = True
+        try:
+            return train_global(*args, **kwargs)
+        finally:
+            state["in_train_global"] = False
+
+    monkeypatch.setattr(pl, "train_global", flagged)
+    return state
+
+
+class TestModelLabels:
+    """The global model's labels are made once per seed and read everywhere."""
+
+    @staticmethod
+    def config(tmp_path, **overrides):
+        return base_config(tmp_path, out_dir=None,
+                           train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                                                fine_tune_lr=1e-3, fine_tune_epochs=2),
+                           **overrides)
+
+    @pytest.mark.parametrize("entry", ["run_experiment", "ablate"])
+    def test_two_global_forward_calls_per_seed(self, tmp_path, monkeypatch, entry):
+        state = count_global_forward(monkeypatch)
+        cfg = self.config(tmp_path, seeds=(0, 1))
+        getattr(pl, entry)(cfg)
+        assert state["calls"] == 2 * len(cfg.seeds)
+
+    def test_every_window_reads_the_table(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path)
+        ds, adjacency = pl.load(cfg)
+        models = pl.train_models(cfg, ds, 0)
+        ctx = pl.retrieval_context(cfg, models, adjacency)
+        recorded = {"fine_tune": [], "predict": []}
+
+        def recording(kind, original):
+            def wrapper(p, windows):
+                recorded[kind].extend(windows)
+                return original(p, windows)
+            return wrapper
+
+        monkeypatch.setattr(tr, "window_table", recording("fine_tune", tr.window_table))
+        monkeypatch.setattr(bb, "window_table", recording("predict", bb.window_table))
+        pl.predict_counties(cfg, models, ctx)
+        assert recorded["fine_tune"] and len(recorded["predict"]) == len(models.test_counties)
+        for win in recorded["fine_tune"] + recorded["predict"]:
+            assert win.label == models.model_labels[win.target.county, win.target.year]

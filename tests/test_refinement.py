@@ -26,34 +26,35 @@ class TestYearRegressor:
         Z = rng.standard_normal((30, 4))
         w = np.array([1.0, -2.0, 0.5, 3.0])
         y = Z @ w + 7.0
-        g = rf.fit_year_regressor(2005, Z, y, lam=1e-8)
+        g = rf.fit_year_regressor(2005, Z, y, *rf.embedding_moments(Z), lam=1e-8)
         np.testing.assert_allclose(g.predict(Z), y, atol=1e-6)
 
     def test_constant_labels_intercept_only(self):
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((12, 3))
         y = np.full(12, 4.2)
-        g = rf.fit_year_regressor(2005, Z, y)
+        g = rf.fit_year_regressor(2005, Z, y, *rf.embedding_moments(Z))
         np.testing.assert_allclose(g.predict(rng.standard_normal((5, 3))), 4.2, atol=1e-9)
 
     def test_in_year_mean_bias_is_zero(self):
         rng = np.random.default_rng(2)
         Z = rng.standard_normal((25, 6))
         y = rng.standard_normal(25) * 3.0 + 10.0
-        g = rf.fit_year_regressor(2001, Z, y)
+        g = rf.fit_year_regressor(2001, Z, y, *rf.embedding_moments(Z))
         residuals = y - g.predict(Z)
         np.testing.assert_allclose(residuals.mean(), 0.0, atol=1e-10)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ContractError):
-            rf.fit_year_regressor(2001, np.zeros((1, 3)), np.zeros(1))
+            rf.fit_year_regressor(2001, np.zeros((1, 3)), np.zeros(1),
+                                  np.zeros(3), np.ones(3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
-        a = rf.fit_year_regressor(2000, Z, y)
-        b = rf.fit_year_regressor(2000, Z, y)
+        a = rf.fit_year_regressor(2000, Z, y, *rf.embedding_moments(Z))
+        b = rf.fit_year_regressor(2000, Z, y, *rf.embedding_moments(Z))
         assert np.array_equal(a.coef, b.coef) and a.intercept == b.intercept
 
 
@@ -90,7 +91,7 @@ class TestBiasMatrix:
         for s in years:
             Z = rng.standard_normal((8, 3))
             yv = rng.standard_normal(8)
-            regs[s] = rf.fit_year_regressor(s, Z, yv)
+            regs[s] = rf.fit_year_regressor(s, Z, yv, *rf.embedding_moments(Z))
         bm = rf.build_bias_matrix("c0", regs, embeddings, labels)
         for si, s in enumerate(years):
             for ki, k in enumerate(years):

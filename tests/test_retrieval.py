@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ratar import retrieval as rt
-from ratar.backbone import GruParams, global_forward
+from ratar.backbone import GruParams, global_forward, model_labels
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -40,7 +40,7 @@ class TestComputeResiduals:
         self.params = GruParams.init(d=4, H=5, readout_hidden=0, seed=0)
 
     def test_matches_per_record_definition(self):
-        res = rt.compute_residuals(self.ds, self.params)
+        res = rt.compute_residuals(self.ds, model_labels(self.params, self.ds.records))
         for rv in res.values():
             assert len(rv.years) == 5
         for rec in self.ds.records:
@@ -51,17 +51,19 @@ class TestComputeResiduals:
 
     def test_constant_offset_algebra(self):
         # r + f(x) must reproduce y exactly, so shifting labels by c shifts r by c
-        res = rt.compute_residuals(self.ds, self.params)
+        preds = model_labels(self.params, self.ds.records)
+        res = rt.compute_residuals(self.ds, preds)
         shifted = Dataset(records=[r.with_changes(yield_label=r.yield_label + 2.5)
                                    for r in self.ds.records])
-        res2 = rt.compute_residuals(shifted, self.params)
+        res2 = rt.compute_residuals(shifted, preds)
         for c in res:
             np.testing.assert_allclose(res2[c].r - res[c].r, 2.5, atol=1e-9)
 
     def test_normalized_dataset_physical_units(self):
         stats = zscore_fit(self.ds)
         norm = zscore_apply(self.ds, stats)
-        res_norm = rt.compute_residuals(norm, self.params, stats=stats)
+        res_norm = rt.compute_residuals(norm, model_labels(self.params, norm.records),
+                                        stats=stats)
         for rec in self.ds.records:
             rv = res_norm[rec.county]
             k = rv.years.index(rec.year)
@@ -75,7 +77,7 @@ class TestComputeResiduals:
         lone = [CountyYearRecord("zz", y, np.zeros((6, 4)), None) for y in range(2000, 2005)]
         ds = Dataset(records=recs + lone)
         with pytest.warns(UserWarning, match="zz"):
-            res = rt.compute_residuals(ds, self.params)
+            res = rt.compute_residuals(ds, model_labels(self.params, ds.records))
         assert "zz" not in res
 
     def test_same_cluster_pairs_more_similar(self):
@@ -84,7 +86,7 @@ class TestComputeResiduals:
                               seed=11)
         ds, truth = generate_synthetic(cfg)
         params = GruParams.init(d=6, H=6, readout_hidden=0, seed=1)
-        res = rt.compute_residuals(ds, params)
+        res = rt.compute_residuals(ds, model_labels(params, ds.records))
         cluster = {c: truth.rows[(c, ds.years[0])].cluster for c in ds.counties}
         within, across = [], []
         counties = sorted(res)

@@ -18,6 +18,7 @@ from ratar.backbone import (
     global_forward,
     lyra_forward,
     lyra_predict,
+    model_labels,
     window_table,
 )
 from ratar.data import (
@@ -45,6 +46,11 @@ def small_synth(seed=0, n_counties=8, n_years=6, T=8, d=4):
     return ds
 
 
+def observed_labels(ds):
+    """Each record's own label, keyed (county, year), as a target-label table."""
+    return {(r.county, r.year): r.yield_label for r in ds.records}
+
+
 def store_arrays(store):
     return {name: store.value(name).copy() for name in store.names()}
 
@@ -70,8 +76,6 @@ class TestTrainConfig:
             tr.TrainConfig(epochs=0).validate()
         with pytest.raises(ContractError):
             tr.TrainConfig(fine_tune_lr=-1.0).validate()
-        with pytest.raises(ContractError):
-            tr.TrainConfig(target_label_source="nope").validate()
 
 
 def adam_oracle(values, grads_per_step, lr, clip, b1=0.9, b2=0.999, eps=1e-8):
@@ -227,7 +231,7 @@ class TestTrainGruAtt:
 class TestLyraSampleSpecs:
     @staticmethod
     def windows(ds, w):
-        return tr.training_windows(ds, w, [0.0] * len(ds))
+        return tr.training_windows(ds, w, {(r.county, r.year): 0.0 for r in ds.records})
 
     def test_window_truncation(self):
         recs = []
@@ -244,7 +248,7 @@ class TestLyraSampleSpecs:
     def test_two_year_county_single_sample(self):
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("aa", 2001, np.zeros((3, 2)), 2.0)]
-        windows = tr.training_windows(Dataset(recs), 5, [0.5, 0.25])
+        windows = tr.training_windows(Dataset(recs), 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
         assert len(windows) == 1
         win = windows[0]
         assert win.target.year == 2001 and win.label == 0.25
@@ -268,46 +272,37 @@ class TestTrainLyra:
         self.ds = small_synth()
         self.cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=25, seed=0)
         gcfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=30, seed=0)
-        self.f, _ = tr.train_global(self.ds, gcfg, H=6, readout_hidden=0)
+        f, _ = tr.train_global(self.ds, gcfg, H=6, readout_hidden=0)
+        self.labels = model_labels(f, self.ds.records)
 
     def test_w1_loss_decreases(self):
         params, report = tr.train_lyra(self.ds, 1, self.cfg, dims=tiny_dims(),
-                                       global_params=self.f)
+                                       target_labels=self.labels)
         assert report.losses[-1] <= report.losses[0]
         assert np.all(np.isfinite(report.losses))
         assert report.n_samples == 8 * 5
 
     def test_invalid_window(self):
         with pytest.raises(ContractError):
-            tr.train_lyra(self.ds, 0, self.cfg, dims=tiny_dims(), global_params=self.f)
-
-    def test_model_source_requires_global_params(self):
-        with pytest.raises(ContractError):
-            tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims())
-
-    def test_observed_source_runs_without_global(self):
-        cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=5, seed=0,
-                             target_label_source="observed")
-        params, report = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims())
-        assert np.all(np.isfinite(report.losses))
+            tr.train_lyra(self.ds, 0, self.cfg, dims=tiny_dims(), target_labels=self.labels)
 
     def test_determinism(self):
-        p1, r1 = tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), global_params=self.f)
-        p2, r2 = tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), global_params=self.f)
+        p1, r1 = tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
+        p2, r2 = tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
         assert stores_equal(p1.store, p2.store)
         assert r1.losses == r2.losses
 
     def test_minibatch_deterministic(self):
         cfg = tr.TrainConfig(lr=3e-3, batch_size=8, epochs=5, seed=2)
-        p1, r1 = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(), global_params=self.f)
-        p2, r2 = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(), global_params=self.f)
+        p1, r1 = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(), target_labels=self.labels)
+        p2, r2 = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(), target_labels=self.labels)
         assert stores_equal(p1.store, p2.store)
         assert r1.losses == r2.losses
 
     def test_year_row_sync(self):
         test_year = self.ds.years[-1] + 1
         params, _ = tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(),
-                                  year_max=test_year, global_params=self.f)
+                                  year_max=test_year, target_labels=self.labels)
         table = params.store.value("year_table")
         assert np.array_equal(table[params.year_row(test_year)],
                               table[params.year_row(self.ds.years[-1])])
@@ -316,7 +311,7 @@ class TestTrainLyra:
         test_year = self.ds.years[-1] + 1
         label_audit.reset()
         with label_audit.guard(test_year):
-            tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), global_params=self.f)
+            tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
         assert label_audit.violation_count() == 0
 
 
@@ -325,9 +320,10 @@ class TestFineTune:
         self.ds = small_synth()
         self.stats = identity_stats(4)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=20, seed=0)
-        self.f, _ = tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
+        f, _ = tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
+        self.labels = model_labels(f, self.ds.records)
         self.params, _ = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(),
-                                       global_params=self.f)
+                                       target_labels=self.labels)
         self.county = self.ds.counties[0]
 
     def refined_set(self, shift=0.0, years=None, county=None):
@@ -344,7 +340,7 @@ class TestFineTune:
     def test_zero_epochs_identity(self):
         cfg = tr.TrainConfig(fine_tune_epochs=0)
         tuned = tr.fine_tune(self.params, self.refined_set(), self.ds, cfg,
-                             stats=self.stats, global_params=self.f)
+                             target_labels=self.labels, stats=self.stats)
         assert tuned is not self.params
         assert stores_equal(tuned.store, self.params.store)
 
@@ -353,22 +349,21 @@ class TestFineTune:
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="empty"):
             tuned = tr.fine_tune(self.params, empty, self.ds, cfg,
-                                 stats=self.stats, global_params=self.f)
+                                 target_labels=self.labels, stats=self.stats)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_global_params_never_mutated(self):
         before = store_arrays(self.params.store)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
-                     stats=self.stats, global_params=self.f)
+                     target_labels=self.labels, stats=self.stats)
         after = store_arrays(self.params.store)
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_zero_gradient_case(self):
         # supervision set to the model's own predictions -> exactly zero
         # gradients -> fine-tuning must leave the copy bitwise unchanged
-        cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
-                             target_label_source="observed")
+        cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
         windows = []
         for e in probe.entries:
@@ -386,20 +381,20 @@ class TestFineTune:
         refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
                                       sigma=0.0, entries=entries)
         tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             stats=self.stats, global_params=self.f)
+                             target_labels=observed_labels(self.ds), stats=self.stats)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_moves_toward_refined_labels(self):
-        cfg = tr.TrainConfig(fine_tune_lr=5e-3, fine_tune_epochs=30,
-                             target_label_source="observed")
+        cfg = tr.TrainConfig(fine_tune_lr=5e-3, fine_tune_epochs=30)
         refined = self.refined_set(shift=3.0)
         tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             stats=self.stats, global_params=self.f)
+                             target_labels=observed_labels(self.ds), stats=self.stats)
         rec = refined.entries[-1].record
         history = [self.ds.get(rec.county, y)
                    for y in self.ds.county_years(rec.county) if y < rec.year]
-        before = lyra_predict(history, rec, self.params, self.stats, self.f).prediction
-        after = lyra_predict(history, rec, tuned, self.stats, self.f).prediction
+        label = self.labels[rec.county, rec.year]
+        before = lyra_predict(history, rec, self.params, self.stats, label).prediction
+        after = lyra_predict(history, rec, tuned, self.stats, label).prediction
         target = refined.entries[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
@@ -407,7 +402,7 @@ class TestFineTune:
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
                              freeze_encoder=True)
         tuned = tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
-                             stats=self.stats, global_params=self.f)
+                             target_labels=self.labels, stats=self.stats)
         changed = [n for n in self.params.store.names()
                    if not np.array_equal(tuned.store.value(n), self.params.store.value(n))]
         assert changed, "fine-tuning with a label shift must move some parameters"
@@ -428,8 +423,8 @@ class TestFineTune:
 
         monkeypatch.setattr(tr, "window_table", recording)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=1)
-        tr.fine_tune(self.params, refined, self.ds, cfg, stats=self.stats,
-                     global_params=self.f)
+        tr.fine_tune(self.params, refined, self.ds, cfg, target_labels=self.labels,
+                     stats=self.stats)
         (xs, (seq_rows, _, _), samples), = tables
         assert len(xs) == 1 + self.params.w and len(samples) == 2
         assert samples[0].target != samples[1].target
@@ -441,9 +436,10 @@ class TestFineTune:
         entries = [rf.RefinedSample(rec, rec.yield_label, 0.0, rec.yield_label, True, "ols")]
         refined = rf.RefinedSampleSet(query="qq", target_year=2010, sigma=0.0,
                                       entries=entries)
-        cfg = tr.TrainConfig(target_label_source="observed")
+        cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="history"):
-            tuned = tr.fine_tune(self.params, refined, self.ds, cfg, stats=self.stats)
+            tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
+                                 target_labels=observed_labels(self.ds), stats=self.stats)
         assert stores_equal(tuned.store, self.params.store)
 
 
@@ -458,7 +454,7 @@ class TestStepMemory:
             return p.store, (lambda tape: global_forward(tape, p, xs)), ys
         p = LyraParams.init(LyraDims(d=train.d, H=8, Z=8, E=4, attn_hidden=0, mlp_hidden=0),
                             w=5, year_min=train.years[0], year_max=train.years[-1], seed=1)
-        windows = tr.training_windows(train, 5, [r.yield_label for r in train.records])
+        windows = tr.training_windows(train, 5, observed_labels(train))
         xs, triples, samples = window_table(p, windows)  # histories of lengths 1..5
         ys = np.array([win.target.yield_label for win in windows])
         return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys
