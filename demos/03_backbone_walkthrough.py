@@ -9,15 +9,15 @@ in one batched engine over stacked [B,T,d] sequences. This script walks
 a single county through the engine's stages with freshly initialized
 parameters, checking the structural invariants as it goes, and ends
 with `lyra_predict`, which makes the same computation in one call from
-a `LyraWindow` (the target season plus its (season, label) context) that
-`window_table` turns into the engine's inputs.
+a `LyraWindow` (the target season plus its (season, label) context, picked
+by `lookback_window`) that `window_table` turns into the engine's inputs.
 """
 import numpy as np
 
-from ratar.backbone import (GruParams, LyraDims, LyraParams, LyraSample, LyraWindow,
-                            bind_params, embed_batch, gru_encode, lyra_forward,
+from ratar.backbone import (GruParams, LyraDims, LyraParams, LyraSample, bind_params,
+                            embed_batch, gru_encode, lookback_window, lyra_forward,
                             lyra_predict, model_labels, window_table)
-from ratar.data import CountyYearRecord, NormStats
+from ratar.data import CountyYearRecord, Dataset, NormStats
 
 rng = np.random.default_rng(7)
 
@@ -79,21 +79,24 @@ assert np.allclose(one.data[0], by_hand[0], atol=1e-12)
 print("head(z_target + z_history) verified")
 
 # ---------------------------------------------------------------------------
-# 6. lyra_predict does steps 1-4 for one county's records in one call and
-# maps the result back to physical units.  It takes the target's label
-# from the caller (a run reads it from the per-seed `model_labels` table).
-# Its window holds the target, that label and the (record, label) history
-# pairs; window_table turns it into the same xs, triples and sample as
-# above.
+# 6. lyra_predict does steps 1-4 for a list of windows in one call and
+# maps the results back to physical units.  A window holds the target,
+# the label fed to the target's own embedding (a run reads it from the
+# per-seed `model_labels` table) and the (record, label) context pairs;
+# `lookback_window` picks that context as the county's last w training
+# seasons, and window_table turns the window into the same xs, triples
+# and sample as above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
 history = [CountyYearRecord("c01", y, xs[i], float(labels[i])) for i, y in enumerate(years[:3])]
-window = LyraWindow(target, target_label, tuple((rec, rec.yield_label) for rec in history))
+window = lookback_window(Dataset(history), target, target_label, p.w)
+print(f"look-back window of {target.county} {target.year}: "
+      f"{[rec.year for rec, _ in window.context]}")
 xs_w, triples_w, samples_w = window_table(p, [window])
 assert np.array_equal(xs_w, xs) and samples_w == [sample]
 assert all(np.array_equal(a, b) for a, b in zip(triples_w, triples))
-out = lyra_predict(history, target, p, stats, target_label)
+(out,) = lyra_predict(p, stats, [window])
 print(f"lyra_predict: {out.prediction:.4f} (physical units), "
       f"history years {out.history_years}")
 assert np.allclose(out.beta, beta, atol=1e-12)

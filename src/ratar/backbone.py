@@ -17,11 +17,12 @@ of any history lengths share one cross-year attention pass, padded to the
 longest history and masked so that padded slots get weight exactly 0.
 
 Training, fine-tuning and prediction all describe their work as
-`LyraWindow`s, a target season plus (season, label) context pairs, and
-`window_table` is the one place windows become the engine's inputs.
-`lyra_predict` is the per-county prediction entry point: one window of the
-county's history, extras and target (with the target's label passed in),
-run as one untraced `lyra_forward` call.
+`LyraWindow`s, a target season plus (season, label) context pairs.
+`lookback_window` is the one place a window's context is chosen (the
+county's last w training seasons before the target, then any extras),
+and `window_table` is the one place windows become the engine's inputs.
+`lyra_predict` predicts any number of windows on one parameter set as one
+untraced `lyra_forward` call.
 
 Features entering any function here are assumed z-score normalized, as are
 the labels stored on training records; predictions come back in physical
@@ -358,47 +359,38 @@ def window_table(p: LyraParams, windows):
     return xs, triples, samples
 
 
-def assemble_history(train_ds, county: str, target_year: int, w: int) -> list:
-    """The county's last-w training records before target_year, ascending."""
-    years = [y for y in train_ds.county_years(county) if y < target_year]
+def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
+    """The window predicting `target` from its county's look-back window.
+
+    The context is the county's last w training seasons before
+    target.year, ascending, with their observed labels, followed by the
+    `extra` (record, normalized label) pairs.  label is the normalized
+    label fed to the target season's own embedding.  This is the one
+    place a look-back window is chosen.
+    """
+    if w < 1:
+        raise ContractError("look-back window must be at least 1")
+    years = [y for y in train.county_years(target.county) if y < target.year][-w:]
     if not years:
         raise ContractError(
-            f"county {county} has no feature history before {target_year}"
+            f"county {target.county} has no feature history before {target.year}"
         )
-    return [train_ds.get(county, y) for y in years[-w:]]
+    records = [train.get(target.county, y) for y in years]
+    return LyraWindow(target, label,
+                      tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
 
 
-def lyra_predict(
-    history,
-    target,
-    p: LyraParams,
-    stats: NormStats,
-    target_label: float,
-    extra_context=(),
-) -> PredictResult:
-    """One county's prediction: a single untraced lyra_forward call.
+def lyra_predict(p: LyraParams, stats: NormStats, windows) -> list:
+    """Predictions for windows on one parameter set, in order.
 
-    history: the county's prior-year records (normalized features, normalized
-    labels); only the last w are used.  target_label is the normalized label
-    fed to the target year's own embedding (the global model's prediction,
-    see `model_labels`).  extra_context appends (record, normalized label)
-    pairs to the look-back set, after the history (refined samples under
-    context augmentation).  The context and the target form one window, run
-    as one engine sample.
+    One untraced lyra_forward call over `window_table(p, windows)`;
+    each result carries the prediction in physical units, the window's
+    attention weights and the years of its context, in attention order.
     """
-    history = sorted(history, key=lambda r: r.year)
-    if not history:
-        raise ContractError(
-            f"empty history for {target.county}: need at least one year before {target.year}"
-        )
-    context = tuple((rec, rec.yield_label) for rec in history[-p.w:]) + tuple(extra_context)
-    window = LyraWindow(target, target_label, context)
-    preds, betas = lyra_forward(None, p, *window_table(p, [window]))
-    return PredictResult(
-        prediction=stats.denormalize_label(float(preds.data[0])),
-        beta=betas[0],
-        history_years=[rec.year for rec, _ in context],
-    )
+    preds, betas = lyra_forward(None, p, *window_table(p, windows))
+    return [PredictResult(prediction=stats.denormalize_label(pred), beta=beta,
+                          history_years=[rec.year for rec, _ in win.context])
+            for win, pred, beta in zip(windows, preds.data.tolist(), betas)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,18 @@ same links:
   and the resolved refinement sigma, giving a `RetrievalContext`;
 - `retrieve_refine`: one test county's retrieved samples, with their
   labels refined toward the test year;
-- `predict_counties`: for each county in turn, retrieve and refine,
-  integrate (per-county fine-tuning or context augmentation) and
+- `predict_counties`: for each county in turn, retrieve and refine and
+  integrate (per-county fine-tuning or context augmentation), then
   predict, giving `CountyPredictions`;
 - `evaluate`: physical-unit RMSE.
 
 Reports aggregate mean and standard deviation across seeds.
 
 Every integration mode predicts through the same call: `lyra_predict`
-runs one batched engine forward per county.  Fine-tuning changes the
-parameters it is given; context augmentation appends the refined
-samples, as (record, normalized refined label) pairs, to the look-back
-set that cross-year attention runs over.
+runs one batched engine forward over the windows of one parameter set.
+Fine-tuning changes the parameters of one county; context augmentation
+appends the refined samples, as (record, normalized refined label)
+pairs, to the look-back window that cross-year attention runs over.
 
 Every stage error is re-raised tagged with its stage name.  A label
 audit guards the test year for the entire run; only evaluation reads
@@ -56,9 +56,9 @@ from .backbone import (
     GruParams,
     LyraDims,
     LyraParams,
-    assemble_history,
     embed_batch,
     gruatt_forward,
+    lookback_window,
     lyra_predict,
     model_labels,
     save_checkpoint,
@@ -283,9 +283,12 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
     """Split, normalize, and train the models a seed's run needs.
 
     Pre-trained parameters (from checkpoints) can be injected via `f`
-    and `lyra` to skip the corresponding training runs; `with_lyra`
-    false skips the cross-year model altogether.
+    and `lyra` (whose window must be `cfg.w`) to skip the corresponding
+    training runs; `with_lyra` false skips the cross-year model.
     """
+    if lyra is not None and lyra.w != cfg.w:
+        raise ContractError(
+            f"cross-year model has look-back window w={lyra.w}, config has w={cfg.w}")
     with _stage("split"):
         train_phys, test_phys = split_by_test_year(ds, cfg.test_year)
     with _stage("normalize"):
@@ -463,18 +466,23 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                      ctx: RetrievalContext | None) -> CountyPredictions:
     """Retrieve/refine/integrate/predict for every test county.
 
-    Each county is one `lyra_predict` call, with the fine-tuned copy of
-    the parameters or the refined extras as its integration requires.
-    Counties run one at a time, so no county's fine-tuned copy outlives
-    its prediction.  `ctx` is not read when `cfg.integration` is "none".
+    A fine-tuned county is one `lyra_predict` call right after its
+    `fine_tune`, so no tuned copy outlives its county; every county on
+    the seed's shared parameters (no integration, context, fallbacks)
+    is predicted in one call at the end.  Outputs come in
+    `test_counties` order.  `ctx` is not read when `cfg.integration` is
+    "none".
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
     tcfg = replace(cfg.train, seed=models.seed)
+    w = models.lyra.w
     out = CountyPredictions()
+    results, shared = {}, []  # shared: windows predicted on models.lyra
     for county in models.test_counties:
         target = test_n.get(county, cfg.test_year)
+        label = models.model_labels[county, cfg.test_year]
         with _stage(f"history county {county}"):
-            history = assemble_history(train_n, county, cfg.test_year, cfg.w)
+            window = lookback_window(train_n, target, label, w)
 
         refined = None
         if cfg.integration != "none":
@@ -483,25 +491,29 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
             out.refined_sets.append(refined)
 
         with _stage(f"integration county {county}"):
-            params = models.lyra
-            extra = ()
             if refined is None or not refined.entries:
                 if cfg.integration != "none":
                     out.fallbacks.add(county)
+                shared.append(window)
             elif cfg.integration == "finetune":
-                params = fine_tune(models.lyra, refined, train_n, tcfg,
-                                   models.model_labels, stats=stats)
-            elif cfg.integration == "context":
+                tuned = fine_tune(models.lyra, refined, train_n, tcfg,
+                                  models.model_labels, stats=stats)
+                with _stage(f"predict county {county}"):
+                    results[county] = lyra_predict(tuned, stats, [window])[0]
+            else:
                 extra = [(e.record, stats.normalize_label(e.label_refined))
                          for e in refined.entries]
+                shared.append(lookback_window(train_n, target, label, w, extra))
 
-        with _stage(f"predict county {county}"):
-            pred = lyra_predict(history, target, params, stats,
-                                models.model_labels[county, cfg.test_year],
-                                extra_context=extra)
-            out.predictions[county] = pred.prediction
-            for year, beta in zip(pred.history_years, pred.beta):
-                out.attention.append((county, cfg.test_year, year, float(beta)))
+    if shared:
+        with _stage(f"predict seed {models.seed}"):
+            results.update(zip((win.target.county for win in shared),
+                               lyra_predict(models.lyra, stats, shared)))
+    for county in models.test_counties:
+        pred = results[county]
+        out.predictions[county] = pred.prediction
+        for year, beta in zip(pred.history_years, pred.beta):
+            out.attention.append((county, cfg.test_year, year, float(beta)))
     return out
 
 

@@ -1,18 +1,18 @@
 """Training loops for the global model, the backbones, and per-county
 fine-tuning.
 
-All loops share the same skeleton: per step record a tape, run the
+All loops share one epoch driver and one step: record a tape, run the
 batched forward, backprop MSE, and apply an adaptive-moment update with
 global-norm gradient clipping.  The cross-year model's work is a list of
-`LyraWindow`s built once (one per training season, or one per usable
-refined sample when fine-tuning); each step's engine inputs are
-`window_table` of that batch's windows.  The label a window feeds its
-target season comes from the caller's `target_labels` table, keyed
-(county, year); the pipeline fills it with the global model's
-predictions (`backbone.model_labels`), so the cross-year loops never
-run the global model.  Every source of randomness (init, shuffling) is
-seeded through TrainConfig, so a (seed, config, data) triple
-reproduces its loss trace bitwise.
+`LyraWindow`s built once by `backbone.lookback_window` (one per training
+season with an earlier season, or one per usable refined sample when
+fine-tuning); each step's engine inputs are `window_table` of that
+batch's windows.  The label a window feeds its target season comes from
+the caller's `target_labels` table, keyed (county, year); the pipeline
+fills it with the global model's predictions (`backbone.model_labels`),
+so the cross-year loops never run the global model.  Every source of
+randomness (init, shuffling) is seeded through TrainConfig, so a (seed,
+config, data) triple reproduces its loss trace bitwise.
 
 Fine-tuning never touches the input parameters: it deep-copies the
 store, trains the copy on refined retrieved samples, and returns it,
@@ -34,10 +34,10 @@ from .backbone import (
     GruParams,
     LyraDims,
     LyraParams,
-    LyraWindow,
     embed_batch,
     global_forward,
     gruatt_forward,
+    lookback_window,
     lyra_forward,
     window_table,
 )
@@ -167,20 +167,20 @@ def _check_finite(loss, epoch):
         raise TrainingError(f"training diverged at epoch {epoch}: loss {loss}")
 
 
-def _run_epochs(cfg, n, epoch_fn):
-    """Shared epoch/minibatch driver; epoch_fn(idx array) -> (loss, size)."""
-    rng = np.random.default_rng([cfg.seed, 211])
+def _run_epochs(n, epochs, epoch_fn, batch_size=None, seed=0):
+    """Shared epoch driver, batch_size None for full batch; epoch_fn(idx) -> (loss, size)."""
+    rng = np.random.default_rng([seed, 211])
     losses = []
     start = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         try:
-            if cfg.batch_size is None or cfg.batch_size >= n:
+            if batch_size is None or batch_size >= n:
                 loss, _ = epoch_fn(np.arange(n))
             else:
                 perm = rng.permutation(n)
                 total, seen = 0.0, 0
-                for lo in range(0, n, cfg.batch_size):
-                    chunk = perm[lo:lo + cfg.batch_size]
+                for lo in range(0, n, batch_size):
+                    chunk = perm[lo:lo + batch_size]
                     chunk_loss, size = epoch_fn(chunk)
                     total += chunk_loss * size
                     seen += size
@@ -202,60 +202,51 @@ def _mse_step(params_store, opt, forward_fn, targets):
     return float(loss.data)
 
 
-def train_global(train, cfg: TrainConfig, H=64, readout_hidden=64):
-    """Fit the global sequence regressor on all training records by MSE."""
+def _fit_records(train, cfg: TrainConfig, make_params, forward):
+    """Fit make_params() by MSE of forward(tape, params, xs) on every training record."""
     cfg.validate()
     xs, ys = _labeled_arrays(train)
-    params = GruParams.init(d=train.d, H=H, readout_hidden=readout_hidden, seed=cfg.seed)
+    params = make_params()
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
         loss = _mse_step(params.store, opt,
-                         lambda tape: global_forward(tape, params, xs[idx]),
+                         lambda tape: forward(tape, params, xs[idx]),
                          ys[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(cfg, len(ys), epoch_fn)
+    losses, seconds = _run_epochs(len(ys), cfg.epochs, epoch_fn, cfg.batch_size, cfg.seed)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(ys))
+
+
+def train_global(train, cfg: TrainConfig, H=64, readout_hidden=64):
+    """Fit the global sequence regressor on all training records by MSE."""
+    return _fit_records(
+        train, cfg,
+        lambda: GruParams.init(d=train.d, H=H, readout_hidden=readout_hidden, seed=cfg.seed),
+        global_forward)
 
 
 def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64):
     """Fit the attention-pooled backbone (no cross-year stage) by MSE."""
-    cfg.validate()
-    xs, ys = _labeled_arrays(train)
-    params = GruAttParams.init(d=train.d, H=H, attn_hidden=attn_hidden,
-                               head_hidden=head_hidden, seed=cfg.seed)
-    opt = Adam(params.store, cfg.lr, cfg.clip_norm)
-
-    def epoch_fn(idx):
-        loss = _mse_step(params.store, opt,
-                         lambda tape: gruatt_forward(tape, params, xs[idx]),
-                         ys[idx])
-        return loss, idx.size
-
-    losses, seconds = _run_epochs(cfg, len(ys), epoch_fn)
-    return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(ys))
+    return _fit_records(
+        train, cfg,
+        lambda: GruAttParams.init(d=train.d, H=H, attn_hidden=attn_hidden,
+                                  head_hidden=head_hidden, seed=cfg.seed),
+        gruatt_forward)
 
 
 def training_windows(train, w: int, labels) -> list:
-    """One LyraWindow per (county, year) with at least one prior year.
+    """One LyraWindow per training season that has an earlier season.
 
-    The context holds the county's last w years strictly before the
-    target with their observed labels, truncated to what the county
-    actually has, so a two-year county still yields one window.
-    labels maps (county, year) to the label fed to that season's target
+    Each is the season's `lookback_window`: the county's last w seasons
+    before it, so a two-year county still yields one window.  labels
+    maps (county, year) to the label fed to that season's target
     embedding; windows come in (county, year) order.
     """
-    if w < 1:
-        raise ContractError("look-back window must be at least 1")
-    windows, prior = [], []
-    for rec in train.records:  # sorted by (county, year)
-        if prior and prior[-1][0].county != rec.county:
-            prior = []
-        if prior:
-            windows.append(LyraWindow(rec, labels[rec.county, rec.year], tuple(prior[-w:])))
-        prior.append((rec, rec.yield_label))
-    return windows
+    return [lookback_window(train, rec, labels[rec.county, rec.year], w)
+            for rec in train.records  # sorted by (county, year)
+            if train.county_years(rec.county)[0] < rec.year]
 
 
 def sync_year_rows(p: LyraParams, trained_years) -> list:
@@ -316,7 +307,8 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
             targets[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(cfg, len(windows), epoch_fn)
+    losses, seconds = _run_epochs(len(windows), cfg.epochs, epoch_fn, cfg.batch_size,
+                                  cfg.seed)
     sync_year_rows(params, train.years)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
@@ -327,13 +319,13 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
 
     Returns a county-specific copy after a few full-batch MSE steps on
     the refined retrieved samples; the input parameters are never
-    mutated.  Each refined entry with history is one window: its season
-    as the target, the source county's last w training years before it
-    as context, its `target_labels` entry fed to its own embedding, and
-    its normalized refined label as supervision.  An empty or unusable
-    sample set returns an unchanged copy with a warning.  freeze_encoder
-    pins the sequence encoder and attention pooling by reusing their
-    pooled outputs as constants.
+    mutated.  Each refined entry with an earlier season is one window:
+    the `lookback_window` of its season, with its `target_labels` entry
+    fed to its own embedding and its normalized refined label as
+    supervision.  An entry without an earlier season is skipped with a
+    warning; an empty or unusable sample set returns an unchanged copy.
+    freeze_encoder pins the sequence encoder and attention pooling by
+    reusing their pooled outputs as constants.
     """
     cfg.validate()
     tuned = p.copy()
@@ -342,17 +334,14 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
         return tuned
     windows, targets = [], []  # targets: normalized refined labels
     for entry in sample_set.entries:
-        rec = entry.record
-        years = [y for y in train.county_years(rec.county) if y < rec.year]
-        if not years:
+        rec = train.get(entry.record.county, entry.record.year)
+        if train.county_years(rec.county)[0] == rec.year:
             warnings.warn(
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
             continue
-        history = [train.get(rec.county, y) for y in years[-tuned.w:]]
-        windows.append(LyraWindow(train.get(rec.county, rec.year),
-                                  target_labels[rec.county, rec.year],
-                                  tuple((h, h.yield_label) for h in history)))
+        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year],
+                                       tuned.w))
         refined = entry.label_refined
         targets.append(stats.normalize_label(refined) if stats is not None else refined)
     if not windows or cfg.fine_tune_epochs == 0:
@@ -368,13 +357,13 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
 
     opt = Adam(tuned.store, cfg.fine_tune_lr, cfg.clip_norm)
 
-    def forward(tape):
-        return lyra_forward(tape, tuned, xs, triples, samples, pooled_const=pooled_const)[0]
+    def epoch_fn(idx):
+        loss = _mse_step(
+            tuned.store, opt,
+            lambda tape: lyra_forward(tape, tuned, xs, triples, samples,
+                                      pooled_const=pooled_const)[0],
+            targets)
+        return loss, idx.size
 
-    for epoch in range(1, cfg.fine_tune_epochs + 1):
-        try:
-            loss = _mse_step(tuned.store, opt, forward, targets)
-        except NumericError as exc:
-            raise TrainingError(f"fine-tuning diverged at epoch {epoch}: {exc}") from exc
-        _check_finite(loss, epoch)
+    _run_epochs(len(windows), cfg.fine_tune_epochs, epoch_fn)
     return tuned

@@ -2,7 +2,8 @@
 cross-year attention, composed prediction, gradients, checkpoints.
 
 Every forward check runs the batched engine (`gru_encode`, `embed_batch`,
-`lyra_forward`, `global_forward`, `lyra_predict`).  Hand oracles recompute
+`lyra_forward`, `global_forward`, `lyra_predict`), and windows come
+from `lookback_window`.  Hand oracles recompute
 every expected value with plain numpy from the stored parameter arrays.
 """
 
@@ -11,7 +12,7 @@ import pytest
 
 from ratar import backbone as bb
 from ratar import numcore as nc
-from ratar.data import CountyYearRecord, NormStats
+from ratar.data import CountyYearRecord, Dataset, NormStats
 
 
 def sig(x):
@@ -365,7 +366,7 @@ class TestEmbedBatch:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2050, rng.standard_normal((6, 2)), 2.0)
         with pytest.raises(nc.ContractError, match="2050"):
-            bb.lyra_predict(hist, target, p, norm_stats(), 0.3)
+            bb.lyra_predict(p, norm_stats(), [window(hist, target, 0.3)])
 
 
 class TestCrossYearAttention:
@@ -436,11 +437,21 @@ def tiny_global(seed=9):
     return bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=seed)
 
 
-def history_records(rng, n=2, T=6, d=2, first_year=2001):
+def history_records(rng, n=2, T=6, d=2, first_year=2001, county="c9"):
     return [
-        CountyYearRecord("c9", first_year + i, rng.standard_normal((T, d)), 0.2 * i - 0.1)
+        CountyYearRecord(county, first_year + i, rng.standard_normal((T, d)), 0.2 * i - 0.1)
         for i in range(n)
     ]
+
+
+def window(hist, target, label, extras=()):
+    """The window of target over all of hist (observed labels), then extras."""
+    return bb.LyraWindow(target, label,
+                         tuple((rec, rec.yield_label) for rec in hist) + tuple(extras))
+
+
+def predict_one(p, stats, win):
+    return bb.lyra_predict(p, stats, [win])[0]
 
 
 class TestLyraPredict:
@@ -450,8 +461,8 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
         stats = norm_stats()
-        a = bb.lyra_predict(hist, target, p, stats, 0.3)
-        b = bb.lyra_predict(hist, target, p, stats, 0.3)
+        a = predict_one(p, stats, window(hist, target, 0.3))
+        b = predict_one(p, stats, window(hist, target, 0.3))
         assert a.prediction == b.prediction
 
     def test_compositional_oracle(self):
@@ -464,7 +475,7 @@ class TestLyraPredict:
         context = [(rec, rec.yield_label) for rec in hist]
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = bb.lyra_predict(hist, target, p, stats, 0.3)
+        out = predict_one(p, stats, window(hist, target, 0.3))
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
         assert out.history_years == [2001, 2002]
@@ -481,7 +492,7 @@ class TestLyraPredict:
         context = [(rec, rec.yield_label) for rec in hist] + extras
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = bb.lyra_predict(hist, target, p, stats, 0.3, extra_context=extras)
+        out = predict_one(p, stats, window(hist, target, 0.3, extras))
         assert out.history_years == [2001, 2002, 2000, 2003]
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
@@ -505,7 +516,7 @@ class TestLyraPredict:
         assert [labels[i] for i in history[2:]] == [0.8, -0.6]
 
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
-        out = bb.lyra_predict(hist, target, p, stats, 0.3, extra_context=extras)
+        out = predict_one(p, stats, window(hist, target, 0.3, extras))
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
@@ -522,7 +533,7 @@ class TestLyraPredict:
             np.testing.assert_allclose(labels[rec.county, rec.year],
                                        np_global(gp, rec.features), atol=1e-12)
         label = labels["c9", 2003]
-        out = bb.lyra_predict(hist, target, p, stats, label)
+        out = predict_one(p, stats, window(hist, target, label))
         expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
                                       label)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
@@ -531,16 +542,80 @@ class TestLyraPredict:
         p = tiny_lyra()
         rng = np.random.default_rng(9)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 1.0)
-        with pytest.raises(nc.ContractError, match="2001|2002|history"):
-            bb.lyra_predict([], target, p, norm_stats(), 0.3)
+        with pytest.raises(nc.ContractError, match="history"):
+            bb.lyra_predict(p, norm_stats(), [window([], target, 0.3)])
+        with pytest.raises(nc.ContractError, match="no windows"):
+            bb.lyra_predict(p, norm_stats(), [])
+
+    def test_batch_matches_single_windows(self):
+        """One call over windows of mixed lengths and counties equals a call per window."""
+        p = tiny_lyra()
+        rng = np.random.default_rng(20)
+        stats = norm_stats()
+        extras = [(CountyYearRecord("c3", 2002, rng.standard_normal((6, 2)), 0.4), 0.9)]
+        windows = []
+        for k, county in enumerate(["c1", "c2", "c4", "c5"]):
+            hist = history_records(rng, n=1 + k % 3, first_year=2001, county=county)
+            target = CountyYearRecord(county, 2005, rng.standard_normal((6, 2)), None)
+            windows.append(window(hist, target, 0.1 * k - 0.2, extras if k == 2 else ()))
+
+        batch = bb.lyra_predict(p, stats, windows)
+        assert len(batch) == len(windows)
+        for win, out in zip(windows, batch):
+            solo = predict_one(p, stats, win)
+            np.testing.assert_allclose(out.prediction, solo.prediction, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(out.beta, solo.beta, rtol=1e-15, atol=1e-300)
+            assert out.beta.shape == (len(win.context),)
+            assert abs(out.beta.sum() - 1.0) < 1e-12
+            assert out.history_years == [rec.year for rec, _ in win.context]
+
+
+class TestLookbackWindow:
+    @staticmethod
+    def train_panel(rng):
+        """c9 with seasons 2000..2003 and c3 with 2001 only."""
+        return Dataset(history_records(rng, n=4, first_year=2000)
+                       + history_records(rng, n=1, county="c3"))
 
     def test_window_truncation(self):
-        p = tiny_lyra()  # w=2
+        """The last w seasons before the target, with their observed labels."""
         rng = np.random.default_rng(10)
-        hist = history_records(rng, n=4, first_year=2000)
-        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), 2.0)
-        out = bb.lyra_predict(hist, target, p, norm_stats(), 0.3)
-        assert out.history_years == [2002, 2003]  # last w years only
+        train = self.train_panel(rng)
+        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
+        win = bb.lookback_window(train, target, 0.3, w=2)
+        assert win.target is target and win.label == 0.3
+        assert [(rec.county, rec.year) for rec, _ in win.context] == [("c9", 2002),
+                                                                       ("c9", 2003)]
+        assert [label for _, label in win.context] == [
+            train.get("c9", y).yield_label for y in (2002, 2003)]
+        # a shorter history is taken whole; seasons from the target year on are not
+        mid = bb.lookback_window(train, train.get("c9", 2002), 0.0, w=5)
+        assert [rec.year for rec, _ in mid.context] == [2000, 2001]
+
+    def test_extra_follows_history(self):
+        rng = np.random.default_rng(11)
+        train = self.train_panel(rng)
+        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
+        extra = [(train.get("c3", 2001), 1.5), (train.get("c9", 2000), -0.5)]
+        win = bb.lookback_window(train, target, 0.3, w=2, extra=extra)
+        assert win.context[:2] == bb.lookback_window(train, target, 0.3, w=2).context
+        assert win.context[2:] == tuple(extra)
+
+    def test_no_earlier_season_names_county(self):
+        rng = np.random.default_rng(12)
+        train = self.train_panel(rng)
+        with pytest.raises(nc.ContractError, match="c3"):
+            bb.lookback_window(train, train.get("c3", 2001), 0.0, w=3)
+        unknown = CountyYearRecord("c7", 2004, rng.standard_normal((6, 2)), None)
+        with pytest.raises(nc.ContractError, match="c7"):
+            bb.lookback_window(train, unknown, 0.0, w=3)
+
+    def test_window_of_zero_rejected(self):
+        rng = np.random.default_rng(13)
+        train = self.train_panel(rng)
+        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
+        with pytest.raises(nc.ContractError, match="at least 1"):
+            bb.lookback_window(train, target, 0.0, w=0)
 
 
 class TestWindowTable:

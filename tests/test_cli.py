@@ -214,6 +214,24 @@ class TestPiecewise:
         assert lines[0] == "county,year,prediction,fallback"
         assert len(lines) == 1 + 8  # one row per county
 
+    def test_predict_rejects_checkpoint_of_other_window(self, tmp_path, capsys):
+        """A cross-year checkpoint trained with w=2 cannot predict under --w 3."""
+        data_dir = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data_dir)] + SYNTH_FLAGS) == 0
+        cfgp = tiny_config(tmp_path, synthetic=None, data_path=str(data_dir / "data.csv"))
+        gdir, ldir = tmp_path / "g", tmp_path / "l"
+        assert cli.main(["train-global", "--config", cfgp, "--out", str(gdir)]) == 0
+        assert cli.main(["train-lyra", "--config", cfgp, "--global-ckpt",
+                         str(gdir / "global.npz"), "--out", str(ldir)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["predict", "--config", cfgp, "--w", "3",
+                       "--global-ckpt", str(gdir / "global.npz"),
+                       "--lyra-ckpt", str(ldir / "lyra.npz"), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "w=2" in err and "w=3" in err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
     def test_predict_without_checkpoints_trains_in_place(self, tmp_path):
         cfgp = tiny_config(tmp_path, integration="none", refine=False)
         pdir = tmp_path / "p2"

@@ -11,7 +11,7 @@ import pytest
 from ratar import backbone as bb
 from ratar import pipeline as pl
 from ratar import training as tr
-from ratar.backbone import LyraDims, assemble_history, lyra_predict, model_labels
+from ratar.backbone import LyraDims, lookback_window, lyra_predict, model_labels
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -108,10 +108,12 @@ class TestIntegrateContext:
         self.lyra, _ = tr.train_lyra(self.train, 3, cfg, self.labels, dims=tiny_dims(),
                                      year_max=2005)
 
+    def window(self, county, extra=()):
+        return lookback_window(self.train, self.test.get(county, 2005),
+                               self.labels[county, 2005], self.lyra.w, extra)
+
     def predict(self, county, extra=()):
-        history = assemble_history(self.train, county, 2005, 3)
-        return lyra_predict(history, self.test.get(county, 2005), self.lyra, self.stats,
-                            self.labels[county, 2005], extra_context=extra)
+        return lyra_predict(self.lyra, self.stats, [self.window(county, extra)])[0]
 
     def refined_entries(self, county, n=2):
         entries = []
@@ -124,22 +126,25 @@ class TestIntegrateContext:
                                    entries=entries)
 
     def context_run(self, monkeypatch, threshold):
-        """Context-mode predictions, recording each lyra_predict's extras."""
+        """Context-mode outputs, and the windows of each lyra_predict call."""
         cfg = pl.ExperimentConfig(test_year=2005, w=3, threshold=threshold,
                                   integration="context", sigma=0.0, seeds=(0,),
                                   dims=tiny_dims())
         models = pl.SeedModels(seed=0, stats=self.stats, train_n=self.train,
                                test_n=self.test, f=self.f, lyra=self.lyra)
-        extras = {}
+        calls = []
 
-        def recording(history, target, *args, extra_context=(), **kwargs):
-            extras[target.county] = list(extra_context)
-            return lyra_predict(history, target, *args, extra_context=extra_context,
-                                **kwargs)
+        def recording(p, stats, windows):
+            calls.append(list(windows))
+            return lyra_predict(p, stats, windows)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
         out = pl.predict_counties(cfg, models, pl.retrieval_context(cfg, models, {}))
-        return out.predictions, out.fallbacks, out.refined_sets, out.attention, extras
+        return out, calls
+
+    @staticmethod
+    def keys(win):
+        return [(rec.county, rec.year, label) for rec, label in win.context]
 
     def test_empty_set_is_identity(self, monkeypatch):
         county = self.train.counties[0]
@@ -148,12 +153,16 @@ class TestIntegrateContext:
         assert empty.prediction == plain.prediction
         assert empty.history_years == plain.history_years
         np.testing.assert_array_equal(empty.beta, plain.beta)
-        # nothing retrieved: every county falls back to the plain prediction
-        preds, fallbacks, _refined, _att, extras = self.context_run(monkeypatch, 1.0)
-        assert fallbacks == set(preds)
-        for c, pred in preds.items():
-            assert extras[c] == []
-            assert pred == self.predict(c).prediction
+        # nothing retrieved: every county falls back to its plain window,
+        # and all of them are predicted in one call
+        out, calls = self.context_run(monkeypatch, 1.0)
+        assert out.fallbacks == set(out.predictions)
+        (windows,) = calls
+        assert [win.target.county for win in windows] == sorted(out.predictions)
+        for win in windows:
+            assert self.keys(win) == self.keys(self.window(win.target.county))
+        for win, want in zip(windows, lyra_predict(self.lyra, self.stats, windows)):
+            assert out.predictions[win.target.county] == want.prediction
 
     def test_extended_window_beta(self):
         county = self.train.counties[0]
@@ -170,25 +179,32 @@ class TestIntegrateContext:
     def test_refined_label_feeds_embedding(self, monkeypatch):
         # the pipeline appends each refined sample with its refined label,
         # normalized, after the county's own window
-        preds, fallbacks, refined_sets, attention, extras = self.context_run(
-            monkeypatch, 0.0)
-        assert refined_sets and any(s.entries for s in refined_sets)
-        for refined in refined_sets:
-            want = [(e.record, self.stats.normalize_label(e.label_refined))
+        out, calls = self.context_run(monkeypatch, 0.0)
+        (windows,) = calls
+        by_county = {win.target.county: win for win in windows}
+        assert out.refined_sets and any(s.entries for s in out.refined_sets)
+        for refined in out.refined_sets:
+            want = [(e.record.county, e.record.year, self.stats.normalize_label(e.label_refined))
                     for e in refined.entries]
-            assert extras[refined.query] == want
+            assert self.keys(by_county[refined.query]) == (
+                self.keys(self.window(refined.query)) + want)
             if want:
-                assert refined.query not in fallbacks
+                assert refined.query not in out.fallbacks
+        batch = lyra_predict(self.lyra, self.stats, windows)
+        for win, want in zip(windows, batch):
+            assert out.predictions[win.target.county] == want.prediction
         # the refined label reaches the appended embedding: a different
         # label value moves the prediction
-        county = next(s.query for s in refined_sets if s.entries)
-        rec, label_n = extras[county][-1]
-        shifted = extras[county][:-1] + [(rec, label_n + 1.0)]
-        assert self.predict(county, extras[county]).prediction == preds[county]
-        assert self.predict(county, shifted).prediction != preds[county]
-        rows = [a for a in attention if a[0] == county]
-        assert [a[2] for a in rows] == (self.predict(county).history_years
-                                        + [r.year for r, _ in extras[county]])
+        i, win = next((i, win) for i, win in enumerate(windows)
+                      if len(win.context) > len(self.window(win.target.county).context))
+        county = win.target.county
+        rec, label_n = win.context[-1]
+        shifted = replace(win, context=win.context[:-1] + ((rec, label_n + 1.0),))
+        moved = lyra_predict(self.lyra, self.stats, windows[:i] + [shifted] + windows[i + 1:])
+        assert moved[i].prediction != out.predictions[county]
+        rows = [a for a in out.attention if a[0] == county]
+        assert [a[2] for a in rows] == [r.year for r, _ in win.context]
+        np.testing.assert_array_equal([a[3] for a in rows], batch[i].beta)
 
 
 class TestRunExperiment:
@@ -208,11 +224,11 @@ class TestRunExperiment:
                                 dims=cfg.dims, year_max=cfg.test_year)
         test_labels = model_labels(f, test_n.records)
         rows = {r.county: r.prediction for r in report.seed_results[0].rows}
-        for county in test_n.counties:
-            history = assemble_history(train_n, county, cfg.test_year, cfg.w)
-            want = lyra_predict(history, test_n.get(county, cfg.test_year), lyra,
-                                stats, test_labels[county, cfg.test_year])
-            np.testing.assert_allclose(rows[county], want.prediction, atol=1e-12)
+        windows = [lookback_window(train_n, test_n.get(county, cfg.test_year),
+                                   test_labels[county, cfg.test_year], cfg.w)
+                   for county in test_n.counties]
+        for win, want in zip(windows, lyra_predict(lyra, stats, windows)):
+            assert rows[win.target.county] == want.prediction
 
     def test_artifacts_written(self, tmp_path):
         cfg = base_config(tmp_path, seeds=(0, 1), sigma=0.1)
@@ -405,3 +421,62 @@ class TestModelLabels:
         assert recorded["fine_tune"] and len(recorded["predict"]) == len(models.test_counties)
         for win in recorded["fine_tune"] + recorded["predict"]:
             assert win.label == models.model_labels[win.target.county, win.target.year]
+
+
+class TestPredictCalls:
+    """Shared-parameter counties are predicted in one call, tuned ones one each."""
+
+    @staticmethod
+    def config(tmp_path, **overrides):
+        return base_config(tmp_path, out_dir=None,
+                           train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                                                fine_tune_lr=1e-3, fine_tune_epochs=2),
+                           **overrides)
+
+    @staticmethod
+    def recorded_run(cfg, monkeypatch):
+        ds, adjacency = pl.load(cfg)
+        models = pl.train_models(cfg, ds, 0)
+        ctx = pl.retrieval_context(cfg, models, adjacency)
+        calls = []
+
+        def recording(p, stats, windows):
+            calls.append((p, list(windows)))
+            return lyra_predict(p, stats, windows)
+
+        monkeypatch.setattr(pl, "lyra_predict", recording)
+        return models, pl.predict_counties(cfg, models, ctx), calls
+
+    @pytest.mark.parametrize("integration", ["none", "context"])
+    def test_one_call_on_shared_parameters(self, tmp_path, monkeypatch, integration):
+        cfg = self.config(tmp_path, integration=integration, refine=integration != "none")
+        models, out, calls = self.recorded_run(cfg, monkeypatch)
+        (p, windows), = calls
+        assert p is models.lyra
+        assert [win.target.county for win in windows] == models.test_counties
+        for win in windows:
+            solo = lyra_predict(models.lyra, models.stats, [win])[0]
+            np.testing.assert_allclose(out.predictions[win.target.county], solo.prediction,
+                                       rtol=1e-15, atol=0)
+        assert list(out.predictions) == models.test_counties
+        # attention rows: county after county in test order, each summing to 1
+        counties = [row[0] for row in out.attention]
+        assert sorted(set(counties), key=counties.index) == models.test_counties
+        assert counties == sorted(counties, key=models.test_counties.index)
+        for county in models.test_counties:
+            betas = [row[3] for row in out.attention if row[0] == county]
+            assert abs(sum(betas) - 1.0) < 1e-12
+
+    # on this panel: every county tuned, four fallbacks, every county a fallback
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.9999])
+    def test_finetune_one_call_per_tuned_county(self, tmp_path, monkeypatch, threshold):
+        cfg = self.config(tmp_path, threshold=threshold)
+        models, out, calls = self.recorded_run(cfg, monkeypatch)
+        tuned = [c for c in models.test_counties if c not in out.fallbacks]
+        assert len(calls) == len(tuned) + (1 if out.fallbacks else 0)
+        solo = [windows[0].target.county for p, windows in calls if p is not models.lyra]
+        assert solo == tuned and all(len(w) == 1 for p, w in calls if p is not models.lyra)
+        if out.fallbacks:
+            p, windows = calls[-1]
+            assert p is models.lyra
+            assert [win.target.county for win in windows] == sorted(out.fallbacks)

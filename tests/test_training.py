@@ -14,8 +14,8 @@ from ratar.backbone import (
     GruParams,
     LyraDims,
     LyraParams,
-    LyraWindow,
     global_forward,
+    lookback_window,
     lyra_forward,
     lyra_predict,
     model_labels,
@@ -365,13 +365,8 @@ class TestFineTune:
         # gradients -> fine-tuning must leave the copy bitwise unchanged
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
-        windows = []
-        for e in probe.entries:
-            rec = e.record
-            history = [self.ds.get(rec.county, y)
-                       for y in self.ds.county_years(rec.county) if y < rec.year][-self.params.w:]
-            windows.append(LyraWindow(rec, rec.yield_label,
-                                      tuple((h, h.yield_label) for h in history)))
+        windows = [lookback_window(self.ds, e.record, e.record.yield_label, self.params.w)
+                   for e in probe.entries]
         preds = lyra_forward(None, self.params, *window_table(self.params, windows))[0].data
         entries = [
             rf.RefinedSample(e.record, e.label, 0.0,
@@ -390,11 +385,10 @@ class TestFineTune:
         tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
                              target_labels=observed_labels(self.ds), stats=self.stats)
         rec = refined.entries[-1].record
-        history = [self.ds.get(rec.county, y)
-                   for y in self.ds.county_years(rec.county) if y < rec.year]
-        label = self.labels[rec.county, rec.year]
-        before = lyra_predict(history, rec, self.params, self.stats, label).prediction
-        after = lyra_predict(history, rec, tuned, self.stats, label).prediction
+        window = lookback_window(self.ds, rec, self.labels[rec.county, rec.year],
+                                 self.params.w)
+        before = lyra_predict(self.params, self.stats, [window])[0].prediction
+        after = lyra_predict(tuned, self.stats, [window])[0].prediction
         target = refined.entries[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
