@@ -13,12 +13,15 @@ import ratar.numcore as nc
 rng = np.random.default_rng(0)
 
 # ---------------------------------------------------------------------------
-# 1. Parameters live in a ParamStore; a tape binds them into one graph.
+# 1. Parameters live in a ParamStore, built once from a name -> array
+# mapping and packed into one flat vector; a tape binds them into one graph.
 
-store = nc.ParamStore()
-store.add("W", rng.normal(0.0, 0.5, (3, 4)))
-store.add("b", np.zeros(4))
-store.add("v", rng.normal(0.0, 0.5, (4, 1)))
+store = nc.ParamStore({
+    "W": rng.normal(0.0, 0.5, (3, 4)),
+    "b": np.zeros(4),
+    "v": rng.normal(0.0, 0.5, (4, 1)),
+})
+print(f"{len(store.names())} named views over {store.flat.size} flat parameters")
 
 x = rng.standard_normal((8, 3))
 targets = nc.Tensor(rng.standard_normal(8))
@@ -56,7 +59,8 @@ print(f"worst relative gradient error vs finite differences: {err:.2e}")
 assert err < 1e-4
 
 # ---------------------------------------------------------------------------
-# 4. The same machinery drives a few steps of plain gradient descent.
+# 4. The same machinery drives a few steps of plain gradient descent,
+# one whole-vector update per step: store.grad(name) views store.flat_grad.
 
 lr = 0.3
 for step in range(1, 6):
@@ -64,6 +68,5 @@ for step in range(1, 6):
     loss = loss_fn(tape, store)
     store.zero_grad()
     tape.backward(loss)
-    for name in store.names():
-        store.set_value(name, store.value(name) - lr * store.grad(name))
+    store.set_flat(store.flat - lr * store.flat_grad)
     print(f"step {step}: loss {loss.data:.6f}")

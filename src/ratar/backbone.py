@@ -59,25 +59,25 @@ class LyraDims:
     mlp_hidden: int = 64
 
 
-def _init_linear(store: ParamStore, prefix: str, fan_in: int, fan_out: int, rng) -> None:
-    store.add(prefix + ".W", rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-    store.add(prefix + ".b", np.zeros(fan_out))
+def _init_linear(arrays: dict, prefix: str, fan_in: int, fan_out: int, rng) -> None:
+    arrays[prefix + ".W"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out))
+    arrays[prefix + ".b"] = np.zeros(fan_out)
 
 
-def _init_mlp(store: ParamStore, prefix: str, n_in: int, hidden: int, n_out: int, rng) -> None:
+def _init_mlp(arrays: dict, prefix: str, n_in: int, hidden: int, n_out: int, rng) -> None:
     # hidden == 0 collapses to a single linear map, handy for identity tests
     if hidden > 0:
-        _init_linear(store, prefix + ".h", n_in, hidden, rng)
-        _init_linear(store, prefix + ".out", hidden, n_out, rng)
+        _init_linear(arrays, prefix + ".h", n_in, hidden, rng)
+        _init_linear(arrays, prefix + ".out", hidden, n_out, rng)
     else:
-        _init_linear(store, prefix + ".out", n_in, n_out, rng)
+        _init_linear(arrays, prefix + ".out", n_in, n_out, rng)
 
 
-def _init_gru(store: ParamStore, d: int, H: int, rng) -> None:
+def _init_gru(arrays: dict, d: int, H: int, rng) -> None:
     for gate in ("r", "u", "c"):
-        store.add(f"gru.W_{gate}", rng.normal(0.0, 1.0 / np.sqrt(d), (d, H)))
-        store.add(f"gru.U_{gate}", rng.normal(0.0, 1.0 / np.sqrt(H), (H, H)))
-        store.add(f"gru.b_{gate}", np.zeros(H))
+        arrays[f"gru.W_{gate}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, H))
+        arrays[f"gru.U_{gate}"] = rng.normal(0.0, 1.0 / np.sqrt(H), (H, H))
+        arrays[f"gru.b_{gate}"] = np.zeros(H)
 
 
 @dataclass
@@ -92,13 +92,10 @@ class GruParams:
     @classmethod
     def init(cls, d: int, H: int = 64, readout_hidden: int = 64, seed: int = 0):
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        _init_gru(store, d, H, rng)
-        _init_mlp(store, "readout", H, readout_hidden, 1, rng)
-        return cls(store=store, d=d, H=H, readout_hidden=readout_hidden)
-
-    def copy(self) -> "GruParams":
-        return replace(self, store=self.store.copy())
+        arrays = {}
+        _init_gru(arrays, d, H, rng)
+        _init_mlp(arrays, "readout", H, readout_hidden, 1, rng)
+        return cls(store=ParamStore(arrays), d=d, H=H, readout_hidden=readout_hidden)
 
 
 @dataclass
@@ -114,14 +111,12 @@ class GruAttParams:
     @classmethod
     def init(cls, d: int, H: int = 64, attn_hidden: int = 32, head_hidden: int = 64, seed: int = 0):
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        _init_gru(store, d, H, rng)
-        _init_mlp(store, "attn", H, attn_hidden, 1, rng)
-        _init_mlp(store, "head", H, head_hidden, 1, rng)
-        return cls(store=store, d=d, H=H, attn_hidden=attn_hidden, head_hidden=head_hidden)
-
-    def copy(self) -> "GruAttParams":
-        return replace(self, store=self.store.copy())
+        arrays = {}
+        _init_gru(arrays, d, H, rng)
+        _init_mlp(arrays, "attn", H, attn_hidden, 1, rng)
+        _init_mlp(arrays, "head", H, head_hidden, 1, rng)
+        return cls(store=ParamStore(arrays), d=d, H=H, attn_hidden=attn_hidden,
+                   head_hidden=head_hidden)
 
 
 @dataclass
@@ -139,13 +134,14 @@ class LyraParams:
         if year_max < year_min:
             raise ContractError("empty year range for the embedding table")
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        _init_gru(store, dims.d, dims.H, rng)
-        _init_mlp(store, "attn", dims.H, dims.attn_hidden, 1, rng)
-        _init_mlp(store, "embed", dims.H + 1 + dims.E, dims.mlp_hidden, dims.Z, rng)
-        _init_mlp(store, "head", dims.Z, dims.mlp_hidden, 1, rng)
-        store.add("year_table", rng.normal(0.0, 0.1, (year_max - year_min + 1, dims.E)))
-        return cls(store=store, dims=dims, w=w, year_min=year_min, year_max=year_max)
+        arrays = {}
+        _init_gru(arrays, dims.d, dims.H, rng)
+        _init_mlp(arrays, "attn", dims.H, dims.attn_hidden, 1, rng)
+        _init_mlp(arrays, "embed", dims.H + 1 + dims.E, dims.mlp_hidden, dims.Z, rng)
+        _init_mlp(arrays, "head", dims.Z, dims.mlp_hidden, 1, rng)
+        arrays["year_table"] = rng.normal(0.0, 0.1, (year_max - year_min + 1, dims.E))
+        return cls(store=ParamStore(arrays), dims=dims, w=w, year_min=year_min,
+                   year_max=year_max)
 
     def year_row(self, year: int) -> int:
         if not (self.year_min <= year <= self.year_max):
@@ -397,34 +393,20 @@ def lyra_predict(p: LyraParams, stats: NormStats, windows) -> list:
 # checkpoints
 
 _MAGIC = "ratar-checkpoint-v1"
-_KINDS = {"GruParams": "gru", "GruAttParams": "gruatt", "LyraParams": "lyra"}
+_KINDS = {"gru": GruParams, "gruatt": GruAttParams, "lyra": LyraParams}
 
 
 def save_checkpoint(path: str, params, stats: NormStats | None) -> None:
     """Single-file npz container: magic tag, dims header, named tensors."""
-    kind = _KINDS.get(type(params).__name__)
+    kind = next((k for k, cls in _KINDS.items() if type(params) is cls), None)
     if kind is None:
         raise ContractError(f"cannot checkpoint {type(params).__name__}")
-    if kind == "gru":
-        meta = {"d": params.d, "H": params.H, "readout_hidden": params.readout_hidden}
-    elif kind == "gruatt":
-        meta = {
-            "d": params.d,
-            "H": params.H,
-            "attn_hidden": params.attn_hidden,
-            "head_hidden": params.head_hidden,
-        }
-    else:
-        meta = {
-            "dims": dataclasses.asdict(params.dims),
-            "w": params.w,
-            "year_min": params.year_min,
-            "year_max": params.year_max,
-        }
+    meta = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)
+            if f.name != "store"}
     arrays = {
         "magic": np.array(_MAGIC),
         "kind": np.array(kind),
-        "meta": np.array(json.dumps(meta, sort_keys=True)),
+        "meta": np.array(json.dumps(meta, sort_keys=True, default=dataclasses.asdict)),
     }
     for name in params.store.names():
         arrays["param:" + name] = params.store.value(name)
@@ -441,26 +423,14 @@ def load_checkpoint(path: str):
             raise ContractError(f"{path} is not a recognized checkpoint")
         kind = str(z["kind"])
         meta = json.loads(str(z["meta"]))
-        store = ParamStore()
-        for key in z.files:
-            if key.startswith("param:"):
-                store.add(key[len("param:"):], z[key])
+        store = ParamStore({key[len("param:"):]: z[key] for key in z.files
+                            if key.startswith("param:")})
         stats = None
         stat_keys = {k[len("stats:"):]: z[k] for k in z.files if k.startswith("stats:")}
         if stat_keys:
             stats = NormStats.from_arrays(stat_keys)
-    if kind == "gru":
-        params = GruParams(store=store, **meta)
-    elif kind == "gruatt":
-        params = GruAttParams(store=store, **meta)
-    elif kind == "lyra":
-        params = LyraParams(
-            store=store,
-            dims=LyraDims(**meta["dims"]),
-            w=meta["w"],
-            year_min=meta["year_min"],
-            year_max=meta["year_max"],
-        )
-    else:
+    if kind not in _KINDS:
         raise ContractError(f"unknown checkpoint kind {kind!r}")
-    return params, stats
+    if "dims" in meta:
+        meta["dims"] = LyraDims(**meta["dims"])
+    return _KINDS[kind](store=store, **meta), stats

@@ -8,6 +8,11 @@ gradients into the owning ParamStore.  Running the same ops with untraced
 tensors performs no recording, which is how inference and finite-difference
 evaluation stay cheap.
 
+A ParamStore packs every parameter of a model into one flat vector with
+a gradient vector of the same length; the named arrays the ops bind are
+views into them, so an optimizer updates a whole model in a few vector
+ops and grad_check perturbs one flat coordinate at a time.
+
 Records and leaves are keyed by each traced Tensor's node index on its tape,
 and closures capture arrays and shapes, never Tensors.  So the tape holds no
 reference back to its Tensors, and reference counting frees a step's graph
@@ -72,18 +77,28 @@ class Tensor:
 
 
 class ParamStore:
-    """Named parameters with gradient buffers of identical shape."""
+    """Named parameters packed into one flat vector, with a gradient twin.
 
-    def __init__(self):
+    Built once from a name -> array mapping, copied into `flat` in the
+    mapping's order; `flat_grad` has the same length.  Every value(name)
+    and grad(name) is a reshaped view into those two vectors, so a
+    whole-vector update (Adam) and a per-name write (set_value) see each
+    other, as do tape leaves bound to the views.
+    """
+
+    def __init__(self, arrays):
+        arrays = {name: _as_array(value) for name, value in arrays.items()}
+        self.flat = np.empty(sum(arr.size for arr in arrays.values()))
+        self.flat_grad = np.zeros_like(self.flat)
         self._values: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, value) -> None:
-        if name in self._values:
-            raise ContractError(f"duplicate parameter id {name!r}")
-        arr = _as_array(value).copy()
-        self._values[name] = arr
-        self._grads[name] = np.zeros_like(arr)
+        lo = 0
+        for name, arr in arrays.items():
+            hi = lo + arr.size
+            self._values[name] = self.flat[lo:hi].reshape(arr.shape)
+            self._values[name][...] = arr
+            self._grads[name] = self.flat_grad[lo:hi].reshape(arr.shape)
+            lo = hi
 
     def value(self, name: str) -> np.ndarray:
         return self._values[name]
@@ -99,6 +114,13 @@ class ParamStore:
             raise DimensionError(f"shape change for parameter {name!r}")
         current[...] = arr
 
+    def set_flat(self, values) -> None:
+        """Overwrite every parameter in place; checks all values before writing any."""
+        arr = _as_array(values)
+        if arr.shape != self.flat.shape:
+            raise DimensionError(f"flat write of shape {arr.shape} into {self.flat.shape}")
+        self.flat[...] = arr
+
     def names(self) -> list:
         return list(self._values.keys())
 
@@ -106,14 +128,10 @@ class ParamStore:
         return name in self._values
 
     def zero_grad(self) -> None:
-        for g in self._grads.values():
-            g.fill(0.0)
+        self.flat_grad.fill(0.0)
 
     def copy(self) -> "ParamStore":
-        clone = ParamStore()
-        for name, val in self._values.items():
-            clone.add(name, val)
-        return clone
+        return ParamStore(self._values)
 
 
 class ComputeTape:
@@ -520,24 +538,19 @@ def grad_check(f, store: ParamStore, eps: float = 1e-5) -> float:
     tape.backward(loss)
 
     worst = 0.0
-    for name in store.names():
-        val = store.value(name)
-        ana = store.grad(name)
-        it = np.nditer(val, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = val[idx]
-            val[idx] = orig + eps
-            fp = float(f(None, store).data)
-            val[idx] = orig - eps
-            fm = float(f(None, store).data)
-            val[idx] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise NumericError("non-finite loss during finite differencing")
-            num = (fp - fm) / (2.0 * eps)
-            a = float(ana[idx])
-            rel = abs(a - num) / max(abs(a), abs(num), 1e-8)
-            if rel > worst:
-                worst = rel
-            it.iternext()
+    flat, ana = store.flat, store.flat_grad
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = float(f(None, store).data)
+        flat[i] = orig - eps
+        fm = float(f(None, store).data)
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError("non-finite loss during finite differencing")
+        num = (fp - fm) / (2.0 * eps)
+        a = float(ana[i])
+        rel = abs(a - num) / max(abs(a), abs(num), 1e-8)
+        if rel > worst:
+            worst = rel
     return worst

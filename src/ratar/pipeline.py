@@ -283,12 +283,17 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
     """Split, normalize, and train the models a seed's run needs.
 
     Pre-trained parameters (from checkpoints) can be injected via `f`
-    and `lyra` (whose window must be `cfg.w`) to skip the corresponding
-    training runs; `with_lyra` false skips the cross-year model.
+    and `lyra` (whose window must be `cfg.w` and whose last year must be
+    `cfg.test_year`) to skip the corresponding training runs;
+    `with_lyra` false skips the cross-year model.
     """
     if lyra is not None and lyra.w != cfg.w:
         raise ContractError(
             f"cross-year model has look-back window w={lyra.w}, config has w={cfg.w}")
+    if lyra is not None and lyra.year_max != cfg.test_year:
+        raise ContractError(
+            f"cross-year model was trained for test year {lyra.year_max}, "
+            f"config has test year {cfg.test_year}")
     with _stage("split"):
         train_phys, test_phys = split_by_test_year(ds, cfg.test_year)
     with _stage("normalize"):

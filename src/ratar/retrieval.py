@@ -139,6 +139,22 @@ def _collect_samples(matched, train):
     return samples
 
 
+def _match(result, sims, train, threshold, top_k):
+    """Fill result from (county, similarity) pairs and return it.
+
+    Keeps pairs strictly above threshold, ordered by (descending
+    similarity, county id), capped at top_k, and collects the matched
+    counties' samples.
+    """
+    matched = [(c, s) for c, s in sims if s > threshold]
+    matched.sort(key=lambda cs: (-cs[1], cs[0]))
+    if top_k is not None:
+        matched = matched[:top_k]
+    result.matched = matched
+    result.samples = _collect_samples(matched, train)
+    return result
+
+
 def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     """Counties whose residual vectors track the query's, with samples.
 
@@ -167,13 +183,7 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
             result.flags.append(f"zero_norm:{county}")
             continue
         sims.append((county, centered_cosine(rq, rv)))
-    matched = [(c, s) for c, s in sims if s > threshold]
-    matched.sort(key=lambda cs: (-cs[1], cs[0]))
-    if top_k is not None:
-        matched = matched[:top_k]
-    result.matched = matched
-    result.samples = _collect_samples(matched, train)
-    return result
+    return _match(result, sims, train, threshold, top_k)
 
 
 _NEIGHBOR_SENTINEL = 1.0
@@ -216,13 +226,7 @@ def retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=None):
             result.flags.append(f"zero_norm:{county}")
             continue
         sims.append((county, sim))
-    matched = [(c, s) for c, s in sims if s > threshold]
-    matched.sort(key=lambda cs: (-cs[1], cs[0]))
-    if top_k is not None:
-        matched = matched[:top_k]
-    result.matched = matched
-    result.samples = _collect_samples(matched, train)
-    return result
+    return _match(result, sims, train, threshold, top_k)
 
 
 def save_retrieval_csv(results, path):

@@ -104,13 +104,15 @@ def save_train_report(report: TrainReport, csv_path: str, json_path: str) -> Non
 
 
 class Adam:
-    """Adaptive-moment gradient step over a ParamStore.
+    """Adaptive-moment gradient step over a ParamStore's flat vector.
 
     Gradients are first rescaled so their global norm never exceeds
-    clip_norm, then each parameter gets the standard bias-corrected
-    first/second-moment update.  Moments and parameters are updated in
-    place.  A zero gradient on a fresh optimizer leaves parameters bitwise
-    unchanged.
+    clip_norm, then the whole flat vector gets the standard
+    bias-corrected first/second-moment update.  The norm sums each
+    parameter's squares separately, in store order, so it rounds exactly
+    as a per-parameter loop would.  The flat moments and parameters are
+    updated in place.  A zero gradient on a fresh optimizer leaves
+    parameters bitwise unchanged.
     """
 
     def __init__(self, store, lr, clip_norm=5.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -125,26 +127,24 @@ class Adam:
         self._b2 = beta2
         self._eps = eps
         self._t = 0
-        self._m = {n: np.zeros_like(store.value(n)) for n in store.names()}
-        self._v = {n: np.zeros_like(store.value(n)) for n in store.names()}
+        self._m = np.zeros_like(store.flat)
+        self._v = np.zeros_like(store.flat)
 
     def step(self):
         store = self._store
-        names = store.names()
-        total = np.sqrt(sum(float((store.grad(n) ** 2).sum()) for n in names))
+        total = np.sqrt(sum(float((store.grad(n) ** 2).sum()) for n in store.names()))
         scale = self._clip / total if total > self._clip else 1.0
         self._t += 1
         b1, b2 = self._b1, self._b2
-        for n in names:
-            g = store.grad(n) * scale
-            m, v = self._m[n], self._v[n]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self._t)
-            vhat = v / (1 - b2 ** self._t)
-            store.set_value(n, store.value(n) - self._lr * mhat / (np.sqrt(vhat) + self._eps))
+        g = store.flat_grad * scale
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** self._t)
+        vhat = v / (1 - b2 ** self._t)
+        store.set_flat(store.flat - self._lr * mhat / (np.sqrt(vhat) + self._eps))
 
 
 def _check_labeled(train):

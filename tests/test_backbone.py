@@ -7,6 +7,8 @@ from `lookback_window`.  Hand oracles recompute
 every expected value with plain numpy from the stored parameter arrays.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -817,6 +819,29 @@ class TestCheckpoint:
         loaded, _ = bb.load_checkpoint(path)
         assert isinstance(loaded, bb.GruParams)
         assert (loaded.d, loaded.H) == (3, 4)
+
+    @pytest.mark.parametrize("kind,params,meta", [
+        ("gru", lambda: bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=1),
+         '{"H": 3, "d": 2, "readout_hidden": 2}'),
+        ("gruatt", lambda: bb.GruAttParams.init(d=2, H=3, attn_hidden=2, head_hidden=0, seed=2),
+         '{"H": 3, "attn_hidden": 2, "d": 2, "head_hidden": 0}'),
+        ("lyra", lambda: tiny_lyra(seed=3),
+         '{"dims": {"E": 2, "H": 3, "Z": 4, "attn_hidden": 2, "d": 2, "mlp_hidden": 3}, '
+         '"w": 2, "year_max": 2006, "year_min": 2000}'),
+    ])
+    def test_meta_header_pinned(self, tmp_path, kind, params, meta):
+        p = params()
+        path = str(tmp_path / f"{kind}.npz")
+        bb.save_checkpoint(path, p, None)
+        with np.load(path) as z:
+            assert (str(z["kind"]), str(z["meta"])) == (kind, meta)
+            assert [k for k in z.files if k.startswith("param:")] == [
+                "param:" + name for name in p.store.names()]
+        loaded, stats = bb.load_checkpoint(path)
+        assert stats is None and type(loaded) is type(p)
+        assert loaded.store.names() == p.store.names()
+        np.testing.assert_array_equal(loaded.store.flat, p.store.flat)
+        assert dataclasses.replace(loaded, store=p.store) == p
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

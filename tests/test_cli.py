@@ -232,6 +232,26 @@ class TestPiecewise:
         assert "w=2" in err and "w=3" in err
         assert not (tmp_path / "p" / "predictions.csv").exists()
 
+    def test_predict_rejects_checkpoint_of_other_test_year(self, tmp_path, capsys):
+        """A cross-year model trained with 2004's labels cannot predict 2004."""
+        data_dir = tmp_path / "data"
+        flags = SYNTH_FLAGS.copy()
+        flags[flags.index("--years") + 1] = "6"  # 2000..2005
+        assert cli.main(["synth", "--out", str(data_dir)] + flags) == 0
+        cfgp = tiny_config(tmp_path, synthetic=None, data_path=str(data_dir / "data.csv"))
+        gdir, ldir = tmp_path / "g", tmp_path / "l"
+        assert cli.main(["train-global", "--config", cfgp, "--out", str(gdir)]) == 0
+        assert cli.main(["train-lyra", "--config", cfgp, "--test-year", "2005",
+                         "--global-ckpt", str(gdir / "global.npz"), "--out", str(ldir)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["predict", "--config", cfgp, "--test-year", "2004",
+                       "--global-ckpt", str(gdir / "global.npz"),
+                       "--lyra-ckpt", str(ldir / "lyra.npz"), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2005" in err and "2004" in err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
     def test_predict_without_checkpoints_trains_in_place(self, tmp_path):
         cfgp = tiny_config(tmp_path, integration="none", refine=False)
         pdir = tmp_path / "p2"

@@ -12,10 +12,7 @@ from ratar import numcore as nc
 
 def leaf_store(**arrays):
     """Build a ParamStore holding the given named arrays."""
-    store = nc.ParamStore()
-    for name, arr in arrays.items():
-        store.add(name, np.asarray(arr, dtype=np.float64))
-    return store
+    return nc.ParamStore(arrays)
 
 
 class TestTensor:
@@ -34,10 +31,62 @@ class TestTensor:
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = leaf_store(w=[1.0])
-        with pytest.raises(nc.ContractError):
-            store.add("w", np.zeros(1))
+    def test_flat_packs_values_in_mapping_order(self):
+        store = leaf_store(b=[[1.0, 2.0], [3.0, 4.0]], a=[5.0], c=6.0)
+        assert store.names() == ["b", "a", "c"]
+        np.testing.assert_array_equal(store.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert store.value("b").shape == (2, 2) and store.value("c").shape == ()
+        assert store.flat_grad.shape == store.flat.shape
+
+    def test_named_views_alias_flat(self):
+        store = leaf_store(a=[1.0, 2.0], b=np.ones((2, 2)))
+        for name in store.names():
+            assert np.shares_memory(store.value(name), store.flat)
+            assert np.shares_memory(store.grad(name), store.flat_grad)
+        store.flat[2] = 7.0
+        assert store.value("b")[0, 0] == 7.0
+        store.grad("a")[1] = 3.0
+        assert store.flat_grad[1] == 3.0
+
+    def test_constructor_copies_its_input(self):
+        src = np.ones(2)
+        store = leaf_store(w=src)
+        store.flat[0] = 5.0
+        assert src[0] == 1.0
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(nc.NumericError):
+            leaf_store(w=[1.0, np.inf])
+
+    def test_set_value_shows_in_flat_and_tape_leaf(self):
+        store = leaf_store(a=[1.0], w=[1.0, 2.0])
+        tape = nc.ComputeTape()
+        leaf = tape.leaf(store, "w")
+        store.set_value("w", [3.0, 4.0])
+        np.testing.assert_array_equal(store.flat, [1.0, 3.0, 4.0])
+        np.testing.assert_array_equal(leaf.data, [3.0, 4.0])
+
+    def test_set_flat_writes_in_place(self):
+        store = leaf_store(a=[1.0], w=[1.0, 2.0])
+        flat, view = store.flat, store.value("w")
+        store.set_flat([9.0, 8.0, 7.0])
+        assert store.flat is flat and store.value("w") is view
+        np.testing.assert_array_equal(view, [8.0, 7.0])
+
+    def test_set_flat_checks_before_writing(self):
+        store = leaf_store(a=[1.0], w=[1.0, 2.0])
+        with pytest.raises(nc.NumericError):
+            store.set_flat([0.0, 0.0, np.nan])
+        with pytest.raises(nc.DimensionError):
+            store.set_flat(np.zeros(2))
+        np.testing.assert_array_equal(store.flat, [1.0, 1.0, 2.0])
+
+    def test_backward_accumulates_into_flat_grad(self):
+        store = leaf_store(a=[5.0], p=[3.0])
+        tape = nc.ComputeTape()
+        p = tape.leaf(store, "p")
+        tape.backward(nc.mse_loss(nc.mul(p, p), nc.Tensor([0.0])))
+        np.testing.assert_array_equal(store.flat_grad, [0.0, 4.0 * 27.0])
 
     def test_grad_shape_matches_value(self):
         store = leaf_store(w=np.ones((3, 2)))
@@ -70,10 +119,16 @@ class TestParamStore:
         np.testing.assert_array_equal(store.value("w"), [1.0, 1.0])
 
     def test_copy_is_isolated(self):
-        store = leaf_store(w=np.ones(2))
+        store = leaf_store(w=np.ones(2), v=[2.0])
         clone = store.copy()
+        assert clone.names() == store.names()
+        np.testing.assert_array_equal(clone.flat, store.flat)
         clone.value("w")[0] = 99.0
+        clone.flat_grad[:] = 1.0
         assert store.value("w")[0] == 1.0
+        assert not store.flat_grad.any()
+        store.set_flat([5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(clone.flat, [99.0, 1.0, 2.0])
 
 
 class TestMatmul:

@@ -78,35 +78,64 @@ class TestTrainConfig:
             tr.TrainConfig(fine_tune_lr=-1.0).validate()
 
 
+def adam_oracle_step(values, m, v2, grads, t, lr, clip, b1=0.9, b2=0.999, eps=1e-8):
+    """One reference step, parameter by parameter, on dicts of arrays.
+
+    Rebinds the entries of values, m and v2; returns whether the global
+    gradient norm exceeded clip.
+    """
+    norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    scale = clip / norm if norm > clip else 1.0
+    for k in values:
+        g = grads[k] * scale
+        m[k] = b1 * m[k] + (1 - b1) * g
+        v2[k] = b2 * v2[k] + (1 - b2) * g * g
+        mhat = m[k] / (1 - b1 ** t)
+        vhat = v2[k] / (1 - b2 ** t)
+        values[k] = values[k] - lr * mhat / (np.sqrt(vhat) + eps)
+    return norm > clip
+
+
 def adam_oracle(values, grads_per_step, lr, clip, b1=0.9, b2=0.999, eps=1e-8):
     """Reference optimizer trajectory written independently of the library."""
     values = {k: v.astype(float).copy() for k, v in values.items()}
     m = {k: np.zeros_like(v) for k, v in values.items()}
     v2 = {k: np.zeros_like(v) for k, v in values.items()}
     for t, grads in enumerate(grads_per_step, start=1):
-        norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-        scale = clip / norm if norm > clip else 1.0
-        for k in values:
-            g = grads[k] * scale
-            m[k] = b1 * m[k] + (1 - b1) * g
-            v2[k] = b2 * v2[k] + (1 - b2) * g * g
-            mhat = m[k] / (1 - b1 ** t)
-            vhat = v2[k] / (1 - b2 ** t)
-            values[k] = values[k] - lr * mhat / (np.sqrt(vhat) + eps)
+        adam_oracle_step(values, m, v2, grads, t, lr, clip, b1, b2, eps)
     return values
+
+
+class OracleAdam:
+    """adam_oracle_step as a drop-in for tr.Adam: per-parameter, written back by name."""
+
+    instances = []
+
+    def __init__(self, store, lr, clip_norm=5.0):
+        self.store, self.lr, self.clip = store, lr, clip_norm
+        self.m = {n: np.zeros_like(store.value(n)) for n in store.names()}
+        self.v = {n: np.zeros_like(store.value(n)) for n in store.names()}
+        self.t = self.clipped = 0
+        OracleAdam.instances.append(self)
+
+    def step(self):
+        self.t += 1
+        values = {n: self.store.value(n).copy() for n in self.store.names()}
+        grads = {n: self.store.grad(n).copy() for n in self.store.names()}
+        self.clipped += adam_oracle_step(values, self.m, self.v, grads, self.t,
+                                         self.lr, self.clip)
+        for name, value in values.items():
+            self.store.set_value(name, value)
 
 
 class TestAdam:
     def make_store(self):
-        store = ParamStore()
-        store.add("a", np.array([1.0, -2.0, 3.0]))
-        store.add("b", np.array([[0.5, 0.5]]))
-        return store
+        return ParamStore({"a": np.array([1.0, -2.0, 3.0]), "b": np.array([[0.5, 0.5]])})
 
     def inject(self, store, grads):
         store.zero_grad()
         for name, g in grads.items():
-            store._grads[name] += g
+            store.grad(name)[...] += g
 
     def test_matches_reference_trajectory(self):
         store = self.make_store()
@@ -127,7 +156,9 @@ class TestAdam:
         store = self.make_store()
         start = store_arrays(store)
         opt = tr.Adam(store, lr=0.05, clip_norm=1.0)
-        arrays = {n: (store.value(n), opt._m[n], opt._v[n]) for n in store.names()}
+        flat, m, v = store.flat, opt._m, opt._v
+        assert m.shape == v.shape == flat.shape == (5,)
+        views = {n: store.value(n) for n in store.names()}
         rng = np.random.default_rng(1)
         grad_seq = []
         for _ in range(5):
@@ -135,8 +166,8 @@ class TestAdam:
             grad_seq.append(grads)
             self.inject(store, grads)
             opt.step()
-            for n, (value, m, v) in arrays.items():
-                assert store.value(n) is value and opt._m[n] is m and opt._v[n] is v
+            assert store.flat is flat and opt._m is m and opt._v is v
+            assert all(store.value(n) is view for n, view in views.items())
         want = adam_oracle(start, grad_seq, lr=0.05, clip=1.0)
         for name in start:
             np.testing.assert_array_equal(store.value(name), want[name])
@@ -164,6 +195,46 @@ class TestAdam:
     def test_invalid_lr(self):
         with pytest.raises(ContractError):
             tr.Adam(self.make_store(), lr=0.0, clip_norm=5.0)
+
+
+class TestFlatAdamMatchesPerParameter:
+    """Training through the flat Adam equals the per-parameter reference bitwise."""
+
+    def run_both(self, monkeypatch, train_fn):
+        real = train_fn()
+        OracleAdam.instances = []
+        monkeypatch.setattr(tr, "Adam", OracleAdam)
+        oracle = train_fn()
+        monkeypatch.undo()
+        assert OracleAdam.instances
+        steps = sum(opt.t for opt in OracleAdam.instances)
+        clipped = sum(opt.clipped for opt in OracleAdam.instances)
+        assert 0 < clipped, f"clipping never fired in {steps} steps"
+        assert real.store.names() == oracle.store.names()
+        np.testing.assert_array_equal(real.store.flat, oracle.store.flat)
+
+    def test_train_global(self, monkeypatch):
+        ds = small_synth()
+        cfg = tr.TrainConfig(lr=3e-2, batch_size=16, epochs=6, seed=3, clip_norm=0.05)
+        self.run_both(monkeypatch, lambda: tr.train_global(ds, cfg, H=5, readout_hidden=3)[0])
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_fine_tune(self, monkeypatch, freeze):
+        ds = small_synth()
+        base = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=10, seed=0)
+        f, _ = tr.train_global(ds, base, H=6, readout_hidden=0)
+        labels = model_labels(f, ds.records)
+        params, _ = tr.train_lyra(ds, 2, base, dims=tiny_dims(), target_labels=labels)
+        county = ds.counties[0]
+        entries = [rf.RefinedSample(ds.get(county, y), ds.get(county, y).yield_label, 2.0,
+                                    ds.get(county, y).yield_label + 2.0, True, "ols")
+                   for y in ds.years[-3:]]
+        refined = rf.RefinedSampleSet(query="qq", target_year=ds.years[-1] + 1, sigma=0.0,
+                                      entries=entries)
+        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=8, clip_norm=0.05,
+                             freeze_encoder=freeze)
+        self.run_both(monkeypatch, lambda: tr.fine_tune(
+            params, refined, ds, cfg, target_labels=labels, stats=identity_stats(4)))
 
 
 class TestTrainGlobal:
