@@ -4,7 +4,7 @@
 The numeric core records every array operation on a tape and replays
 it backwards to accumulate gradients. This walk-through builds a tiny
 regression head by hand, checks its gradients against central finite
-differences, and peeks at what the tape actually stores.
+differences, and takes a few plain gradient-descent steps.
 """
 import numpy as np
 

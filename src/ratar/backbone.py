@@ -432,5 +432,15 @@ def load_checkpoint(path: str):
     if kind not in _KINDS:
         raise ContractError(f"unknown checkpoint kind {kind!r}")
     if "dims" in meta:
-        meta["dims"] = LyraDims(**meta["dims"])
-    return _KINDS[kind](store=store, **meta), stats
+        meta["dims"] = _from_meta(path, LyraDims, meta["dims"])
+    return _from_meta(path, _KINDS[kind], meta, store=store), stats
+
+
+def _from_meta(path: str, cls, meta: dict, **given):
+    """cls(**meta, **given) once meta holds exactly cls's other fields."""
+    expected = {f.name for f in dataclasses.fields(cls)} - given.keys()
+    odd = sorted(expected ^ meta.keys())
+    if odd:
+        state = "lacks" if odd[0] in expected else "has unknown"
+        raise ContractError(f"checkpoint {path} {state} {cls.__name__} field {odd[0]!r}")
+    return cls(**meta, **given)

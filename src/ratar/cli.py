@@ -147,24 +147,28 @@ def _require_out(cfg) -> str:
     return cfg.out_dir
 
 
-def _load_params(path):
-    if path is None:
-        return None
-    params, _stats = load_checkpoint(path)
-    return params
+def _stats_bits(stats) -> dict:
+    return {key: (arr.shape, arr.tobytes()) for key, arr in stats.to_arrays().items()}
 
 
 def _seed_models(args, cfg, with_lyra=True):
     """Load data, then train or load the models of the first seed.
 
     Checkpoints must come from the same dataset and test year: feature
-    and label statistics are refit from the training split.
+    and label statistics are refit from the training split, and a
+    checkpoint saved with any other statistics (or none) is refused.
     """
     ds, adjacency = pl.load(cfg)
-    models = pl.train_models(cfg, ds, cfg.seeds[0],
-                             f=_load_params(getattr(args, "global_ckpt", None)),
-                             lyra=_load_params(getattr(args, "lyra_ckpt", None)),
-                             with_lyra=with_lyra)
+    paths = {"f": getattr(args, "global_ckpt", None),
+             "lyra": getattr(args, "lyra_ckpt", None)}
+    loaded = {key: load_checkpoint(path) for key, path in paths.items() if path is not None}
+    models = pl.train_models(cfg, ds, cfg.seeds[0], with_lyra=with_lyra,
+                             **{key: params for key, (params, _stats) in loaded.items()})
+    for key, (_params, stats) in loaded.items():
+        if stats is None or _stats_bits(stats) != _stats_bits(models.stats):
+            raise ContractError(
+                f"checkpoint {paths[key]} does not hold the normalization statistics of "
+                f"this run's training split (test year {cfg.test_year})")
     return models, adjacency
 
 

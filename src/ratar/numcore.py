@@ -1,12 +1,16 @@
 """Dense float64 tensor ops with reverse-mode gradients on an explicit tape.
 
-The design is deliberately small: a Tensor wraps a numpy array, every op is a
-pure function that computes the result eagerly and, when any operand belongs
-to a tape, records a closure that maps the output cotangent to input
-cotangents.  backward() walks the records once in reverse and accumulates leaf
-gradients into the owning ParamStore.  Running the same ops with untraced
-tensors performs no recording, which is how inference and finite-difference
-evaluation stay cheap.
+The design is deliberately small: a Tensor wraps a numpy array, and every op
+is a pure function that computes its result eagerly and hands it, with its
+input Tensors and one vector-Jacobian product, to _emit.  When any input
+belongs to a tape, _emit appends one record to it,
+    (out node, input nodes, vjp),
+where vjp(g) maps the output cotangent g to one cotangent per input, in
+input order, and an untraced input's node is None.  backward() walks the
+records once in reverse, accumulates each traced input's cotangent in input
+order, drops the rest, and adds leaf gradients into the owning ParamStore.
+Running the same ops with untraced tensors records nothing, which is how
+inference and finite-difference evaluation stay cheap.
 
 A ParamStore packs every parameter of a model into one flat vector with
 a gradient vector of the same length; the named arrays the ops bind are
@@ -14,13 +18,13 @@ views into them, so an optimizer updates a whole model in a few vector
 ops and grad_check perturbs one flat coordinate at a time.
 
 Records and leaves are keyed by each traced Tensor's node index on its tape,
-and closures capture arrays and shapes, never Tensors.  So the tape holds no
+and vjps capture arrays and shapes, never Tensors.  So the tape holds no
 reference back to its Tensors, and reference counting frees a step's graph
 without the cyclic garbage collector.
 
 An op may cover a whole recurrence: gru_sequence runs a GRU over every
 day of a batch of sequences in plain numpy and records a single entry whose
-hand-written backward-through-time pass returns all its parameter
+vjp, a hand-written backward-through-time pass, returns all nine parameter
 cotangents.  This keeps the daily encoder from costing one record, and one
 Python dispatch, per gate per day.
 
@@ -55,7 +59,12 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally attached to a tape."""
+    """Dense float64 array, optionally attached to a tape.
+
+    No op writes into a Tensor's data, but a Tensor bound from a ParamStore
+    (a tape leaf, or an untraced ComputeTape.bind) wraps the store's view
+    without copying, so a later write to the store changes its data.
+    """
 
     __slots__ = ("data", "tape", "node")
 
@@ -138,7 +147,7 @@ class ComputeTape:
     """Ordered op records enabling one reverse traversal per backward call."""
 
     def __init__(self):
-        self._records = []  # (out node, tuple of (input node, vjp fn))
+        self._records = []  # (out node, input nodes, vjp); None for an untraced input
         self._leaves = {}  # leaf node -> (store, name)
         self._nodes = itertools.count()
 
@@ -149,13 +158,13 @@ class ComputeTape:
 
     @staticmethod
     def bind(tape: "ComputeTape | None", store: ParamStore, name: str) -> Tensor:
-        """Leaf when tracing, plain snapshot when not."""
+        """Leaf when tracing; when not, an untraced Tensor over the store's view.
+
+        Neither copies: a later set_value or set_flat shows in the Tensor.
+        """
         if tape is None:
             return Tensor(store.value(name))
         return tape.leaf(store, name)
-
-    def record(self, out: Tensor, pairs) -> None:
-        self._records.append((out.node, tuple((t.node, fn) for t, fn in pairs)))
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
@@ -165,12 +174,13 @@ class ComputeTape:
         if loss.tape is not self:
             raise ContractError("loss does not belong to this tape")
         grads = {loss.node: np.ones_like(loss.data)}
-        for out, pairs in reversed(self._records):
+        for out, inputs, vjp in reversed(self._records):
             g = grads.pop(out, None)
             if g is None:
                 continue
-            for inp, vjp in pairs:
-                contribution = vjp(g)
+            for inp, contribution in zip(inputs, vjp(g)):
+                if inp is None:
+                    continue
                 if inp in grads:
                     grads[inp] = grads[inp] + contribution
                 else:
@@ -180,20 +190,17 @@ class ComputeTape:
                 store._grads[name] += grads[node]
 
 
-def _tape_of(*tensors) -> ComputeTape | None:
+def _emit(data, inputs, vjp) -> Tensor:
+    """The op result `data`, recorded on its inputs' tape if any is traced."""
     tape = None
-    for t in tensors:
+    for t in inputs:
         if t.tape is not None:
             if tape is not None and tape is not t.tape:
                 raise ContractError("operands belong to different tapes")
             tape = t.tape
-    return tape
-
-
-def _emit(tape, data, pairs) -> Tensor:
     out = Tensor(data, tape=tape)
     if tape is not None:
-        tape.record(out, [(t, fn) for t, fn in pairs if t.tape is not None])
+        tape._records.append((out.node, tuple(t.node for t in inputs), vjp))
     return out
 
 
@@ -205,11 +212,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _emit(
-        _tape_of(a, b),
-        ad @ bd,
-        [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)],
-    )
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def _binary_shapes(a: Tensor, b: Tensor):
@@ -230,50 +233,33 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
     sa, sb = a.shape, b.shape
-    return _emit(
-        _tape_of(a, b),
-        a.data + b.data,
-        [
-            (a, lambda g: _reduce_to(g, sa)),
-            (b, lambda g: _reduce_to(g, sb)),
-        ],
-    )
+    return _emit(a.data + b.data, (a, b), lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
     ad, bd = a.data, b.data
-    return _emit(
-        _tape_of(a, b),
-        ad * bd,
-        [
-            (a, lambda g: _reduce_to(g * bd, ad.shape)),
-            (b, lambda g: _reduce_to(g * ad, bd.shape)),
-        ],
-    )
+    return _emit(ad * bd, (a, b),
+                 lambda g: (_reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)))
 
 
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     """Row-vector bias added to every row of a matrix."""
     if m.ndim != 2 or bias.ndim != 1 or m.shape[1] != bias.shape[0]:
         raise DimensionError(f"add_bias shapes {m.shape} + {bias.shape}")
-    return _emit(
-        _tape_of(m, bias),
-        m.data + bias.data[None, :],
-        [(m, lambda g: g), (bias, lambda g: g.sum(axis=0))],
-    )
+    return _emit(m.data + bias.data[None, :], (m, bias), lambda g: (g, g.sum(axis=0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # exp overflow on large negative inputs is plain saturation to 0
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + np.exp(-x.data))
-    return _emit(x.tape, out, [(x, lambda g: g * out * (1.0 - out))])
+    return _emit(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    return _emit(x.tape, out, [(x, lambda g: g * (1.0 - out * out))])
+    return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def softmax(v: Tensor) -> Tensor:
@@ -283,11 +269,7 @@ def softmax(v: Tensor) -> Tensor:
     shifted = v.data - v.data.max()
     e = np.exp(shifted)
     out = e / e.sum()
-
-    def vjp(g):
-        return out * (g - float(g @ out))
-
-    return _emit(v.tape, out, [(v, vjp)])
+    return _emit(out, (v,), lambda g: (out * (g - float(g @ out)),))
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -297,11 +279,7 @@ def softmax_rows(m: Tensor) -> Tensor:
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return out * (g - (g * out).sum(axis=1, keepdims=True))
-
-    return _emit(m.tape, out, [(m, vjp)])
+    return _emit(out, (m,), lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -312,14 +290,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = pred.shape[0]
     out = np.asarray((diff @ diff) / n)
-    return _emit(
-        _tape_of(pred, target),
-        out,
-        [
-            (pred, lambda g: (2.0 / n) * diff * g),
-            (target, lambda g: (-2.0 / n) * diff * g),
-        ],
-    )
+    return _emit(out, (pred, target), lambda g: ((2.0 / n) * diff * g, (-2.0 / n) * diff * g))
 
 
 def concat_cols(parts) -> Tensor:
@@ -331,14 +302,7 @@ def concat_cols(parts) -> Tensor:
         raise DimensionError("concat_cols row counts differ")
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     out = np.concatenate([p.data for p in parts], axis=1)
-
-    def make_vjp(lo, hi):
-        return lambda g: g[:, lo:hi]
-
-    pairs = [
-        (p, make_vjp(offsets[i], offsets[i + 1])) for i, p in enumerate(parts)
-    ]
-    return _emit(_tape_of(*parts), out, pairs)
+    return _emit(out, parts, lambda g: np.split(g, offsets[1:-1], axis=1))
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -354,9 +318,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     def vjp(g):
         full = np.zeros(shape)
         np.add.at(full, idx, g)
-        return full
+        return (full,)
 
-    return _emit(table.tape, table.data[idx], [(table, vjp)])
+    return _emit(table.data[idx], (table,), vjp)
 
 
 def pool_rows(stack: Tensor, weights: Tensor) -> Tensor:
@@ -377,17 +341,11 @@ def pool_rows(stack: Tensor, weights: Tensor) -> Tensor:
     grouped = stack.data.reshape(g_count, l_count, n)
     out = np.einsum("gl,gln->gn", w, grouped)
 
-    def vjp_stack(g):
-        return (w[:, :, None] * g[:, None, :]).reshape(-1, n)
+    def vjp(g):
+        return ((w[:, :, None] * g[:, None, :]).reshape(-1, n),
+                np.einsum("gn,gln->gl", g, grouped))
 
-    def vjp_weights(g):
-        return np.einsum("gn,gln->gl", g, grouped)
-
-    return _emit(
-        _tape_of(stack, weights),
-        out,
-        [(stack, vjp_stack), (weights, vjp_weights)],
-    )
+    return _emit(out, (stack, weights), vjp)
 
 
 def rowdot_groups(stack: Tensor, ref: Tensor) -> Tensor:
@@ -402,13 +360,11 @@ def rowdot_groups(stack: Tensor, ref: Tensor) -> Tensor:
     grouped = stack.data.reshape(g_count, l_count, n)
     out = np.einsum("gln,gn->gl", grouped, r)
 
-    def vjp_stack(g):
-        return (g[:, :, None] * r[:, None, :]).reshape(-1, n)
+    def vjp(g):
+        return ((g[:, :, None] * r[:, None, :]).reshape(-1, n),
+                np.einsum("gl,gln->gn", g, grouped))
 
-    def vjp_ref(g):
-        return np.einsum("gl,gln->gn", g, grouped)
-
-    return _emit(_tape_of(stack, ref), out, [(stack, vjp_stack), (ref, vjp_ref)])
+    return _emit(out, (stack, ref), vjp)
 
 
 _GRU_NAMES = ("W_r", "U_r", "b_r", "W_u", "U_u", "b_u", "W_c", "U_c", "b_c")
@@ -423,10 +379,10 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
         r = s((x@W_r + h@U_r) + b_r)    u = s((x@W_u + h@U_u) + b_u)
         c = tanh((x@W_c + (r*h)@U_c) + b_c)    h' = (1-u)*h + u*c
     and the first step, from h = 0, is h' = u*c.  The recurrence runs in
-    plain numpy and records one tape entry; its backward-through-time pass
-    runs once per backward and yields all nine parameter cotangents.  Every
-    step's gate pre-activations must be finite: tanh and sigmoid would
-    otherwise saturate an overflow into a finite state.
+    plain numpy and records one tape entry whose vjp, the backward-through-
+    time pass, yields all nine parameter cotangents at once.  Every step's
+    gate pre-activations must be finite: tanh and sigmoid would otherwise
+    saturate an overflow into a finite state.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3:
@@ -497,18 +453,7 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
                 X.T @ flat_u, hp.T @ flat_u, flat_u.sum(axis=0),
                 X.T @ flat_c, rhp.T @ flat_c, flat_c.sum(axis=0))
 
-    last = [None, None]  # (cotangent, bptt of it): one pass serves all nine inputs
-
-    def joint(g):
-        if last[0] is not g:
-            last[:] = g, bptt(g)
-        return last[1]
-
-    return _emit(
-        _tape_of(*params),
-        out,
-        [(p, lambda g, i=i: joint(g)[i]) for i, p in enumerate(params)],
-    )
+    return _emit(out, params, bptt)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -516,7 +461,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise DimensionError(f"reshape {a.shape} -> {shape}")
     before = a.shape
-    return _emit(a.tape, a.data.reshape(shape), [(a, lambda g: g.reshape(before))])
+    return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(before),))
 
 
 # ---------------------------------------------------------------------------

@@ -110,21 +110,6 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
     return _centered_cos(va, vb)
 
 
-def pairwise_cosine(M: np.ndarray) -> np.ndarray:
-    """Centered cosine between all row pairs of an aligned matrix [n x K]."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] < 2:
-        raise ContractError("pairwise_cosine expects [n x K] with K >= 2")
-    C = M - M.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(C, axis=1)
-    safe = np.where(norms < _ZERO_NORM, 1.0, norms)
-    U = C / safe[:, None]
-    sims = U @ U.T
-    sims[norms < _ZERO_NORM, :] = 0.0
-    sims[:, norms < _ZERO_NORM] = 0.0
-    return sims
-
-
 def recent_training_years(train, n=_RECENT_YEARS):
     return train.years[-n:]
 

@@ -8,6 +8,8 @@ every expected value with plain numpy from the stored parameter arrays.
 """
 
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -842,6 +844,26 @@ class TestCheckpoint:
         assert loaded.store.names() == p.store.names()
         np.testing.assert_array_equal(loaded.store.flat, p.store.flat)
         assert dataclasses.replace(loaded, store=p.store) == p
+
+    @pytest.mark.parametrize("params,edit,message", [
+        (lambda: bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=1),
+         lambda meta: meta.pop("H"), "lacks GruParams field 'H'"),
+        (lambda: bb.GruParams.init(d=2, H=3, readout_hidden=2, seed=1),
+         lambda meta: meta.update(depth=2), "has unknown GruParams field 'depth'"),
+        (lambda: tiny_lyra(seed=3),
+         lambda meta: meta["dims"].pop("Z"), "lacks LyraDims field 'Z'"),
+    ], ids=["missing", "unknown", "missing_dims"])
+    def test_malformed_meta_names_path_and_field(self, tmp_path, params, edit, message):
+        path = str(tmp_path / "m.npz")
+        bb.save_checkpoint(path, params(), None)
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(nc.ContractError, match=re.escape(f"{path} {message}")):
+            bb.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

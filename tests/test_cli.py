@@ -11,6 +11,7 @@ import pytest
 from ratar import cli
 from ratar import pipeline as pl
 from ratar import retrieval as rt
+from ratar.backbone import GruParams, save_checkpoint
 from ratar.data import load_adjacency, load_dataset
 from ratar.numcore import ContractError
 
@@ -240,7 +241,8 @@ class TestPiecewise:
         assert cli.main(["synth", "--out", str(data_dir)] + flags) == 0
         cfgp = tiny_config(tmp_path, synthetic=None, data_path=str(data_dir / "data.csv"))
         gdir, ldir = tmp_path / "g", tmp_path / "l"
-        assert cli.main(["train-global", "--config", cfgp, "--out", str(gdir)]) == 0
+        assert cli.main(["train-global", "--config", cfgp, "--test-year", "2005",
+                         "--out", str(gdir)]) == 0
         assert cli.main(["train-lyra", "--config", cfgp, "--test-year", "2005",
                          "--global-ckpt", str(gdir / "global.npz"), "--out", str(ldir)]) == 0
         capsys.readouterr()
@@ -251,6 +253,48 @@ class TestPiecewise:
         err = capsys.readouterr().err
         assert "2005" in err and "2004" in err
         assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_predict_rejects_global_checkpoint_of_other_split(self, tmp_path, capsys):
+        """A global model fit on 2004's labels cannot substitute labels for 2004."""
+        data_dir = tmp_path / "data"
+        flags = SYNTH_FLAGS.copy()
+        flags[flags.index("--years") + 1] = "6"  # 2000..2005
+        assert cli.main(["synth", "--out", str(data_dir)] + flags) == 0
+        cfgp = tiny_config(tmp_path, synthetic=None, data_path=str(data_dir / "data.csv"))
+        gdir = tmp_path / "g"
+        assert cli.main(["train-global", "--config", cfgp, "--test-year", "2005",
+                         "--out", str(gdir)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["predict", "--config", cfgp, "--test-year", "2004",
+                       "--global-ckpt", str(gdir / "global.npz"), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert str(gdir / "global.npz") in capsys.readouterr().err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_predict_rejects_checkpoint_without_stats(self, tmp_path, capsys):
+        cfgp = tiny_config(tmp_path)
+        path = str(tmp_path / "global.npz")
+        save_checkpoint(path, GruParams.init(d=4, H=6, readout_hidden=0), None)
+        rc = cli.main(["predict", "--config", cfgp, "--global-ckpt", path,
+                       "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_predict_rejects_malformed_checkpoint_meta(self, tmp_path, capsys):
+        """A checkpoint whose meta lacks a field is an error, not a traceback."""
+        cfgp = tiny_config(tmp_path)
+        path = str(tmp_path / "global.npz")
+        save_checkpoint(path, GruParams.init(d=4, H=6, readout_hidden=0), None)
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        arrays["meta"] = np.array(json.dumps({"d": 4, "readout_hidden": 0}))
+        np.savez(path, **arrays)
+        rc = cli.main(["predict", "--config", cfgp, "--global-ckpt", path,
+                       "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert path in err and "'H'" in err
 
     def test_predict_without_checkpoints_trains_in_place(self, tmp_path):
         cfgp = tiny_config(tmp_path, integration="none", refine=False)

@@ -118,6 +118,16 @@ class TestParamStore:
             store.set_value("w", np.zeros(3))
         np.testing.assert_array_equal(store.value("w"), [1.0, 1.0])
 
+    def test_untraced_bind_aliases_the_store(self):
+        # pinned: neither an untraced bind nor a leaf copies the store's view
+        store = leaf_store(a=[1.0], w=[1.0, 2.0])
+        bound = nc.ComputeTape.bind(None, store, "w")
+        leaf = nc.ComputeTape.bind(nc.ComputeTape(), store, "w")
+        assert bound.tape is None and np.shares_memory(bound.data, store.flat)
+        store.set_flat([0.0, 5.0, 6.0])
+        np.testing.assert_array_equal(bound.data, [5.0, 6.0])
+        np.testing.assert_array_equal(leaf.data, [5.0, 6.0])
+
     def test_copy_is_isolated(self):
         store = leaf_store(w=np.ones(2), v=[2.0])
         clone = store.copy()
@@ -329,6 +339,42 @@ class TestBackward:
         a = nc.Tensor([1.0, 2.0])
         out = nc.mul(a, a)
         assert out.tape is None
+
+    def test_one_record_per_op_with_a_cotangent_per_input(self):
+        # x @ w with a constant x: one record, input nodes (None, w), and a
+        # vjp returning both cotangents; backward drops the constant's
+        store = leaf_store(w=[[1.0], [2.0]])
+        tape = nc.ComputeTape()
+        w = tape.leaf(store, "w")
+        x = np.array([[3.0, 4.0]])
+        out = nc.matmul(nc.Tensor(x), w)
+        [(node, inputs, vjp)] = tape._records
+        assert node == out.node and inputs == (None, w.node)
+        g = np.array([[2.0]])
+        dx, dw = vjp(g)
+        np.testing.assert_array_equal(dx, g @ store.value("w").T)
+        np.testing.assert_array_equal(dw, x.T @ g)
+        tape.backward(nc.reshape(out, (1,)))
+        np.testing.assert_array_equal(store.grad("w"), x.T)
+
+    def test_gru_sequence_records_one_entry_for_nine_inputs(self):
+        rng = np.random.default_rng(0)
+        d, H = 2, 3
+        store = leaf_store(**{name: rng.standard_normal(shape) for name, shape in zip(
+            ("W_r", "U_r", "b_r", "W_u", "U_u", "b_u", "W_c", "U_c", "b_c"),
+            ((d, H), (H, H), (H,)) * 3)})
+        tape = nc.ComputeTape()
+        params = [tape.leaf(store, name) for name in store.names()]
+        nc.gru_sequence(rng.standard_normal((2, 4, d)), *params)
+        [(_node, inputs, _vjp)] = tape._records
+        assert inputs == tuple(p.node for p in params)
+
+    def test_operands_of_two_tapes_rejected(self):
+        store = leaf_store(p=[1.0])
+        a = nc.ComputeTape().leaf(store, "p")
+        b = nc.ComputeTape().leaf(store, "p")
+        with pytest.raises(nc.ContractError):
+            nc.add(a, b)
 
 
 def fd_reference(f, store, eps=1e-5):

@@ -150,23 +150,6 @@ class TestCenteredCosine:
         assert rt.centered_cosine(a, b) == 0.0
 
 
-class TestPairwiseCosine:
-    def test_matches_per_pair(self):
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((12, 7))
-        sims = rt.pairwise_cosine(M)
-        years = list(range(2000, 2007))
-        for i in range(12):
-            for j in range(12):
-                a, b = vec(str(i), years, M[i]), vec(str(j), years, M[j])
-                np.testing.assert_allclose(sims[i, j], rt.centered_cosine(a, b), atol=1e-12)
-
-    def test_constant_row_zeroed(self):
-        M = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-        sims = rt.pairwise_cosine(M)
-        assert sims[0, 1] == 0.0 and sims[1, 0] == 0.0
-
-
 class TestRetrieve:
     def setup_method(self):
         years = list(range(2000, 2010))
