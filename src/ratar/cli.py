@@ -41,6 +41,8 @@ from .data import (
     save_adjacency_csv,
     save_dataset_csv,
     save_truth_csv,
+    split_by_test_year,
+    zscore_fit,
 )
 from .numcore import ContractError, NumericError
 from .training import TrainConfig, TrainingError, save_train_report
@@ -154,21 +156,26 @@ def _stats_bits(stats) -> dict:
 def _seed_models(args, cfg, with_lyra=True):
     """Load data, then train or load the models of the first seed.
 
-    Checkpoints must come from the same dataset and test year: feature
-    and label statistics are refit from the training split, and a
-    checkpoint saved with any other statistics (or none) is refused.
+    Checkpoints must come from the same dataset and test year: the
+    training split's feature and label statistics are fit first, and a
+    checkpoint saved with any other statistics (or none) is refused
+    before any model is trained.
     """
     ds, adjacency = pl.load(cfg)
-    paths = {"f": getattr(args, "global_ckpt", None),
-             "lyra": getattr(args, "lyra_ckpt", None)}
+    paths = {"lyra": getattr(args, "lyra_ckpt", None),
+             "f": getattr(args, "global_ckpt", None)}
     loaded = {key: load_checkpoint(path) for key, path in paths.items() if path is not None}
+    if loaded:
+        split_stats = zscore_fit(split_by_test_year(ds, cfg.test_year)[0])
+    for key, (params, stats) in loaded.items():
+        if stats is None or _stats_bits(stats) != _stats_bits(split_stats):
+            # only the cross-year model records the test year it was fit for
+            fit_for = f" (fit for test year {params.year_max})" if key == "lyra" else ""
+            raise ContractError(
+                f"checkpoint {paths[key]}{fit_for} does not hold the normalization "
+                f"statistics of this run's training split (test year {cfg.test_year})")
     models = pl.train_models(cfg, ds, cfg.seeds[0], with_lyra=with_lyra,
                              **{key: params for key, (params, _stats) in loaded.items()})
-    for key, (_params, stats) in loaded.items():
-        if stats is None or _stats_bits(stats) != _stats_bits(models.stats):
-            raise ContractError(
-                f"checkpoint {paths[key]} does not hold the normalization statistics of "
-                f"this run's training split (test year {cfg.test_year})")
     return models, adjacency
 
 

@@ -14,9 +14,14 @@ same links:
   seasons in training, fine-tuning and prediction, the residuals and
   the training embeddings) is read from it;
 - `retrieval_context`: residuals, training embeddings, bias matrices
-  and the resolved refinement sigma, giving a `RetrievalContext`;
+  and the resolved refinement sigma, giving a `RetrievalContext`.  The
+  residuals (and, in embedding mode, the mean embeddings) are held as a
+  `retrieval.ResidualPanel`, whose all-pairs similarity screen is built
+  once per seed on the first query;
 - `retrieve_refine`: one test county's retrieved samples, with their
-  labels refined toward the test year;
+  labels refined toward the test year.  Retrieval reads the query's row
+  of the screen and computes exact similarities for its short list
+  only;
 - `predict_counties`: for each county in turn, retrieve and refine and
   integrate (per-county fine-tuning or context augmentation), then
   predict, giving `CountyPredictions`;
@@ -44,6 +49,7 @@ import json
 import os
 import time
 import warnings
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -386,19 +392,20 @@ def _mean_embeddings(embeddings, counties):
 class RetrievalContext:
     """What per-county retrieval and refinement read, for one seed.
 
-    `residuals` are filled in residual mode only.  The training
-    `embeddings` (keyed (county, year)), the per-year `regressors`, the
-    per-county `biases` and mean embeddings `mean_emb` need the
+    `residuals` (a `retrieval.ResidualPanel`) are filled in residual
+    mode only.  The training `embeddings` (keyed (county, year)), the
+    per-year `regressors`, the per-county `biases` and the mean
+    embeddings `mean_emb` (a `retrieval.embedding_panel`) need the
     cross-year model and are empty without one.  `sigma` is the
     refinement noise scale in physical units.
     """
     adjacency: dict
     sigma: float
-    residuals: dict = field(default_factory=dict)
+    residuals: Mapping = field(default_factory=dict)
     embeddings: dict = field(default_factory=dict)
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
-    mean_emb: dict = field(default_factory=dict)
+    mean_emb: Mapping = field(default_factory=dict)
 
 
 def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
@@ -420,7 +427,8 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
         with _stage(f"refinement_setup seed {models.seed}"):
             ctx.embeddings = _training_embeddings(models)
             ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
-            ctx.mean_emb = _mean_embeddings(ctx.embeddings, models.train_n.counties)
+            ctx.mean_emb = rt.embedding_panel(
+                _mean_embeddings(ctx.embeddings, models.train_n.counties))
     return ctx
 
 
@@ -588,7 +596,7 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport, models: SeedMo
     """Write the run's output directory.
 
     report.csv and predictions.csv cover all seeds; the diagnostic CSVs
-    (attention, errors, retrieval, bias) describe the first seed's run,
+    (attention, errors, retrieval, flags, bias) describe the first seed's run,
     matching their fixed single-run column layouts.  Nothing written
     here includes wall-clock values, so reruns are byte-identical.
     """
@@ -626,6 +634,7 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport, models: SeedMo
     _write(os.path.join(out, "errors.csv"), lines)
 
     rt.save_retrieval_csv(predicted.retrievals, os.path.join(out, "retrieval.csv"))
+    rt.save_flags_csv(predicted.retrievals, os.path.join(out, "flags.csv"))
     rf.save_bias_csv(biases, os.path.join(out, "bias.csv"))
     if predicted.refined_sets:
         rf.save_refined_csv(predicted.refined_sets, os.path.join(out, "refined.csv"))

@@ -6,16 +6,39 @@ conditions, so one county's recent seasons are useful extra training
 material for the other.  Retrieval here means: build each county's
 residual vector against the global model's predictions (the per-seed
 label table of `backbone.model_labels`), compare query and candidates
-with centered cosine similarity, keep candidates above a threshold, and
-collect their records from the most recent five training years.
+with centered cosine similarity over their common years, keep
+candidates above a threshold, and collect their records from the most
+recent five training years.
+
+Every county is compared with every other, so the comparison is made
+once per seed for all pairs, then screened per query and confirmed
+exactly:
+
+- `compute_residuals` returns a `ResidualPanel`: the residual vectors,
+  plus a county-by-county similarity table built on first use from four
+  matrix products over the [counties x years] residual matrix.  That is
+  O(N^2 * years) multiply-adds in BLAS, once per seed.
+- A query reads its row of the table.  A candidate that could still
+  clear the threshold and the top-k cut, allowing for the table's
+  rounding, is short-listed; so is every pair whose common-year
+  variance is too small next to its magnitude for the table to be
+  trusted.
+- Only short-listed pairs are computed with the scalar
+  `centered_cosine`, the one exact formula; matching sorts and cuts on
+  those values.  So matches, their order and their similarity bits are
+  the same as comparing every pair with `centered_cosine`, at one scalar
+  call per short-listed pair: about `top_k` per query when it is set,
+  every candidate above the threshold when it is not.
 
 Two baselines share the result type: geographic adjacency and mean
-yearly-embedding similarity.
+yearly-embedding similarity.  The latter runs through the same panel,
+with the embedding dimensions as its common "years".
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +51,18 @@ from .numcore import ContractError
 _ZERO_NORM = 1e-12
 _MIN_COMMON_YEARS = 3
 _RECENT_YEARS = 5
+# A trusted pair's screened similarity is within a few 1e-10 of its scalar
+# value (see `ResidualPanel._build_tables`), so a candidate screened more
+# than this below the threshold, or below the top_k-th best screened
+# value, cannot be a match.
+_SCREEN_MARGIN = 1e-9
+# The screen trusts a pair only if, for both of its vectors, the centered
+# sum of squares over the common years exceeds _CANCEL_TOL times their
+# sum of squares about the full-vector mean (bounding the cancellation
+# in SS - S^2/n) plus _OFFSET_TOL times n * max r^2 (bounding the
+# rounding of centering values far from zero).
+_CANCEL_TOL = 1e-3
+_OFFSET_TOL = 1e-9
 
 
 @dataclass
@@ -54,7 +89,8 @@ def compute_residuals(train, predictions, stats=None):
     f(x^k) for every labeled record.  When `stats` is given the dataset
     is assumed normalized and both labels and predictions are mapped
     back to physical units first.  Counties with no labeled years are
-    excluded with a warning.
+    excluded with a warning.  The result maps county to
+    `ResidualVector`, as a `ResidualPanel`.
     """
     labeled = [rec for rec in train.records if rec.has_label]
     skipped = sorted({rec.county for rec in train.records} - {rec.county for rec in labeled})
@@ -79,7 +115,7 @@ def compute_residuals(train, predictions, stats=None):
         rv.r = np.asarray(rv.r, dtype=np.float64)[order]
         if not np.all(np.isfinite(rv.r)):
             raise ContractError(f"non-finite residuals for county {rv.county}")
-    return out
+    return ResidualPanel(out)
 
 
 def _centered_cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,6 +144,93 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
     va = a.r[[ia[y] for y in common]]
     vb = b.r[[ib[y] for y in common]]
     return _centered_cos(va, vb)
+
+
+class ResidualPanel(Mapping):
+    """Residual vectors by county, with the all-pairs similarity screen.
+
+    Reads like the `{county: ResidualVector}` dict it wraps.  Row i of
+    `R` is the i-th county in sorted order: its residuals less their
+    full-vector mean in the columns of its years, 0 elsewhere.  `M` is
+    the matching 0/1 year mask.  `min_common` is the fewest common
+    years a pair needs to be compared (0: no such rule).  The
+    similarity and common-year-count tables are built on the first
+    `tables()` call and kept; nothing else N x N outlives the build.
+    """
+
+    def __init__(self, vectors, min_common=_MIN_COMMON_YEARS):
+        self._vectors = dict(vectors)
+        self.min_common = min_common
+        self.counties = sorted(self._vectors)
+        self.index = {c: i for i, c in enumerate(self.counties)}
+        years = sorted({y for rv in self._vectors.values() for y in rv.years})
+        column = {y: j for j, y in enumerate(years)}
+        shape = (len(self.counties), len(years))
+        self.R, self.M = np.zeros(shape), np.zeros(shape)
+        self.peak2 = np.zeros(shape[0])  # max r^2 per county
+        self.zero_norm = np.zeros(shape[0], dtype=bool)
+        for i, county in enumerate(self.counties):
+            rv = self._vectors[county]
+            centered = rv.r - rv.r.mean()
+            cols = [column[y] for y in rv.years]
+            self.R[i, cols] = centered
+            self.M[i, cols] = 1.0
+            self.peak2[i] = np.max(rv.r * rv.r)
+            self.zero_norm[i] = float(np.linalg.norm(centered)) < _ZERO_NORM
+        self._tables = None
+
+    def __getitem__(self, county):
+        return self._vectors[county]
+
+    def __iter__(self):
+        return iter(self._vectors)
+
+    def __len__(self):
+        return len(self._vectors)
+
+    def tables(self):
+        """(screened similarity, common-year count), both N x N."""
+        if self._tables is None:
+            self._tables = self._build_tables()
+        return self._tables
+
+    def _build_tables(self):
+        """Every pair's centered cosine over its common years, screened.
+
+        With R zero off the mask, R @ M.T, (R * R) @ M.T, R @ R.T and
+        M @ M.T give every pair's sums over the years it shares; the
+        common-year centered moments follow from them.  Rounding: the
+        centering of R is off by a few eps * max|r| per entry, and the
+        products by about n * eps times their sums of absolute terms.
+        Where the trust test below holds, both move the similarity by
+        well under 1e-9, and the scalar formula's own rounding is of
+        the same size.  Pairs that fail it, or come out non-finite,
+        read NaN: their value must be computed exactly.
+        """
+        R, M = self.R, self.M
+        n = M @ M.T
+        s = R @ M.T  # s[i, j]: sum of row i over the years i and j share
+        var = (R * R) @ M.T  # sum of squares, centered below
+        limit = n * self.peak2[:, None]
+        limit *= _OFFSET_TOL
+        limit += _CANCEL_TOL * var
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tmp = s * s
+            tmp /= n
+            var -= tmp
+            trusted = var > limit
+            del limit
+            trusted &= trusted.T
+            sim = R @ R.T
+            np.multiply(s, s.T, out=tmp)
+            tmp /= n
+            sim -= tmp
+            np.multiply(var, var.T, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            sim /= tmp
+            trusted &= np.isfinite(tmp) & np.isfinite(sim)
+        sim[~trusted] = np.nan
+        return sim, n
 
 
 def recent_training_years(train, n=_RECENT_YEARS):
@@ -140,6 +263,44 @@ def _match(result, sims, train, threshold, top_k):
     return result
 
 
+def _screened(query, panel, train, threshold, top_k):
+    """One query's retrieval from its row of the panel's similarity table.
+
+    Flags come from the masks, in sorted-county order.  The exact value
+    is computed for every untrusted pair (NaN in the table) and for
+    every trusted candidate screened within the margin of both the
+    threshold and the top_k-th best screened value; `_match` then sorts
+    and cuts on the exact values only.
+    """
+    result = RetrievalResult(query=query)
+    q = panel.index[query]
+    if panel.zero_norm[q]:
+        result.flags.append(f"degenerate_query:{query}")
+        return result
+    sim, overlap = panel.tables()
+    short = overlap[q] < panel.min_common
+    flagged = short | panel.zero_norm
+    flagged[q] = False
+    for j in np.flatnonzero(flagged):
+        kind = "insufficient_overlap" if short[j] else "zero_norm"
+        result.flags.append(f"{kind}:{panel.counties[j]}")
+    live = ~flagged
+    live[q] = False
+    row = sim[q]
+    keep = live & (row > threshold - _SCREEN_MARGIN)
+    if top_k is not None and 0 < top_k < np.count_nonzero(keep):
+        screened = row[keep]
+        kth = np.partition(screened, screened.size - top_k)[screened.size - top_k]
+        keep &= row >= kth - _SCREEN_MARGIN
+    keep |= live & np.isnan(row)
+    rq = panel[query]
+    sims = []
+    for j in np.flatnonzero(keep):
+        county = panel.counties[j]
+        sims.append((county, centered_cosine(rq, panel[county])))
+    return _match(result, sims, train, threshold, top_k)
+
+
 def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     """Counties whose residual vectors track the query's, with samples.
 
@@ -147,28 +308,19 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     threshold, ordered by (descending similarity, county id).  Samples
     are all records of matched counties from the last five training
     years.  An optional top_k caps the match list after sorting.
+
+    Candidates sharing fewer than three years with the query, or whose
+    residuals are constant, are flagged and skipped.  `residuals` is
+    the `ResidualPanel` of `compute_residuals`; a plain dict of
+    `ResidualVector`s is wrapped in one first.  A panel builds its
+    all-pairs screen once (O(N^2) in BLAS); each query then costs one
+    row scan plus one `centered_cosine` call per short-listed pair.
     """
     if query not in residuals:
         raise ContractError(f"no residual vector for query county {query}")
-    rq = residuals[query]
-    result = RetrievalResult(query=query)
-    if float(np.linalg.norm(rq.r - rq.r.mean())) < _ZERO_NORM:
-        result.flags.append(f"degenerate_query:{query}")
-        return result
-    sims = []
-    for county in sorted(residuals):
-        if county == query:
-            continue
-        rv = residuals[county]
-        common = set(rq.years) & set(rv.years)
-        if len(common) < _MIN_COMMON_YEARS:
-            result.flags.append(f"insufficient_overlap:{county}")
-            continue
-        if float(np.linalg.norm(rv.r - rv.r.mean())) < _ZERO_NORM:
-            result.flags.append(f"zero_norm:{county}")
-            continue
-        sims.append((county, centered_cosine(rq, rv)))
-    return _match(result, sims, train, threshold, top_k)
+    if not isinstance(residuals, ResidualPanel):
+        residuals = ResidualPanel(residuals)
+    return _screened(query, residuals, train, threshold, top_k)
 
 
 _NEIGHBOR_SENTINEL = 1.0
@@ -192,26 +344,29 @@ def retrieve_neighboring(query, adjacency, train):
     return result
 
 
+def embedding_panel(embeddings) -> ResidualPanel:
+    """Mean embeddings as a panel: every dimension is a shared "year".
+
+    No common-year rule applies, so only constant embeddings are
+    skipped.
+    """
+    return ResidualPanel(
+        {county: ResidualVector(county, list(range(len(z))), np.asarray(z, dtype=np.float64))
+         for county, z in embeddings.items()},
+        min_common=0)
+
+
 def retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=None):
-    """Baseline: match counties by centered cosine over mean yearly embeddings."""
+    """Baseline: match counties by centered cosine over mean yearly embeddings.
+
+    `embeddings` is an `embedding_panel`, or a plain dict of vectors
+    that is wrapped in one first; matching is as in `retrieve`.
+    """
     if query not in embeddings:
         raise ContractError(f"no embedding for query county {query}")
-    zq = np.asarray(embeddings[query], dtype=np.float64)
-    result = RetrievalResult(query=query)
-    if float(np.linalg.norm(zq - zq.mean())) < _ZERO_NORM:
-        result.flags.append(f"degenerate_query:{query}")
-        return result
-    sims = []
-    for county in sorted(embeddings):
-        if county == query:
-            continue
-        zc = np.asarray(embeddings[county], dtype=np.float64)
-        sim = _centered_cos(zq, zc)
-        if sim == 0.0 and float(np.linalg.norm(zc - zc.mean())) < _ZERO_NORM:
-            result.flags.append(f"zero_norm:{county}")
-            continue
-        sims.append((county, sim))
-    return _match(result, sims, train, threshold, top_k)
+    if not isinstance(embeddings, ResidualPanel):
+        embeddings = embedding_panel(embeddings)
+    return _screened(query, embeddings, train, threshold, top_k)
 
 
 def save_retrieval_csv(results, path):
@@ -221,5 +376,21 @@ def save_retrieval_csv(results, path):
         sim_of = dict(res.matched)
         for rec in res.samples:
             lines.append(f"{res.query},{rec.county},{sim_of[rec.county]!r},{rec.year}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_flags_csv(results, path):
+    """One row per retrieval flag: query,flag,county.
+
+    A flag names a skipped candidate (`insufficient_overlap`,
+    `zero_norm`) or a query that could not be matched
+    (`degenerate_query`, `missing_adjacency`).
+    """
+    lines = ["query,flag,county"]
+    for res in results:
+        for flag in res.flags:
+            kind, county = flag.split(":", 1)
+            lines.append(f"{res.query},{kind},{county}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

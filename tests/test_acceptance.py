@@ -325,7 +325,7 @@ def test_c10_reproducible_and_leak_free(tmp_path):
         )
         reports.append(pl.run_experiment(cfg, dataset=ds))
     names = ["run.json", "report.csv", "predictions.csv", "attention.csv",
-             "errors.csv", "retrieval.csv", "bias.csv", "refined.csv"]
+             "errors.csv", "retrieval.csv", "flags.csv", "bias.csv", "refined.csv"]
     for fname in names:
         a = (tmp_path / "a" / fname).read_bytes()
         b = (tmp_path / "b" / fname).read_bytes()

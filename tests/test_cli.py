@@ -254,8 +254,13 @@ class TestPiecewise:
         assert "2005" in err and "2004" in err
         assert not (tmp_path / "p" / "predictions.csv").exists()
 
-    def test_predict_rejects_global_checkpoint_of_other_split(self, tmp_path, capsys):
-        """A global model fit on 2004's labels cannot substitute labels for 2004."""
+    def test_predict_rejects_global_checkpoint_of_other_split(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """A global model fit on 2004's labels cannot substitute labels for 2004.
+
+        The checkpoint is refused before any model is trained; on its own
+        split it is used, and only the missing cross-year model trains.
+        """
         data_dir = tmp_path / "data"
         flags = SYNTH_FLAGS.copy()
         flags[flags.index("--years") + 1] = "6"  # 2000..2005
@@ -264,12 +269,23 @@ class TestPiecewise:
         gdir = tmp_path / "g"
         assert cli.main(["train-global", "--config", cfgp, "--test-year", "2005",
                          "--out", str(gdir)]) == 0
+        trained = []
+        for name in ("train_global", "train_lyra"):
+            def counting(*args, _name=name, _original=getattr(pl, name), **kwargs):
+                trained.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pl, name, counting)
         capsys.readouterr()
         rc = cli.main(["predict", "--config", cfgp, "--test-year", "2004",
                        "--global-ckpt", str(gdir / "global.npz"), "--out", str(tmp_path / "p")])
         assert rc == 2
         assert str(gdir / "global.npz") in capsys.readouterr().err
         assert not (tmp_path / "p" / "predictions.csv").exists()
+        assert trained == []
+        assert cli.main(["predict", "--config", cfgp, "--test-year", "2005",
+                         "--global-ckpt", str(gdir / "global.npz"),
+                         "--out", str(tmp_path / "p5")]) == 0
+        assert trained == ["train_lyra"]
 
     def test_predict_rejects_checkpoint_without_stats(self, tmp_path, capsys):
         cfgp = tiny_config(tmp_path)

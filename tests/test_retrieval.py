@@ -278,3 +278,268 @@ class TestCsvExport:
         assert lines[0] == "query,matched,similarity,sample_year"
         assert len(lines) == 1 + len(out.samples)
         assert lines[1].startswith("q,m,")
+
+
+# ---------------------------------------------------------------------------
+# The all-pairs screen against the per-pair loop it replaced
+
+
+def _oracle_collect_samples(matched, train):
+    recent = set(rt.recent_training_years(train))
+    samples = []
+    for county, _sim in matched:
+        for year in train.county_years(county):
+            if year in recent:
+                samples.append(train.get(county, year))
+    return samples
+
+
+def _oracle_match(result, sims, train, threshold, top_k):
+    matched = [(c, s) for c, s in sims if s > threshold]
+    matched.sort(key=lambda cs: (-cs[1], cs[0]))
+    if top_k is not None:
+        matched = matched[:top_k]
+    result.matched = matched
+    result.samples = _oracle_collect_samples(matched, train)
+    return result
+
+
+def oracle_retrieve(query, residuals, train, threshold=0.9, top_k=None):
+    """The per-pair loop: one `centered_cosine` call per candidate."""
+    if query not in residuals:
+        raise ContractError(f"no residual vector for query county {query}")
+    rq = residuals[query]
+    result = rt.RetrievalResult(query=query)
+    if float(np.linalg.norm(rq.r - rq.r.mean())) < rt._ZERO_NORM:
+        result.flags.append(f"degenerate_query:{query}")
+        return result
+    sims = []
+    for county in sorted(residuals):
+        if county == query:
+            continue
+        rv = residuals[county]
+        common = set(rq.years) & set(rv.years)
+        if len(common) < rt._MIN_COMMON_YEARS:
+            result.flags.append(f"insufficient_overlap:{county}")
+            continue
+        if float(np.linalg.norm(rv.r - rv.r.mean())) < rt._ZERO_NORM:
+            result.flags.append(f"zero_norm:{county}")
+            continue
+        sims.append((county, rt.centered_cosine(rq, rv)))
+    return _oracle_match(result, sims, train, threshold, top_k)
+
+
+def oracle_retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=None):
+    """The per-pair loop over mean embeddings."""
+    if query not in embeddings:
+        raise ContractError(f"no embedding for query county {query}")
+    zq = np.asarray(embeddings[query], dtype=np.float64)
+    result = rt.RetrievalResult(query=query)
+    if float(np.linalg.norm(zq - zq.mean())) < rt._ZERO_NORM:
+        result.flags.append(f"degenerate_query:{query}")
+        return result
+    sims = []
+    for county in sorted(embeddings):
+        if county == query:
+            continue
+        zc = np.asarray(embeddings[county], dtype=np.float64)
+        sim = rt._centered_cos(zq, zc)
+        if sim == 0.0 and float(np.linalg.norm(zc - zc.mean())) < rt._ZERO_NORM:
+            result.flags.append(f"zero_norm:{county}")
+            continue
+        sims.append((county, sim))
+    return _oracle_match(result, sims, train, threshold, top_k)
+
+
+def outcome(result):
+    """A result as exact bits: matched (float hex), sample keys, flags."""
+    return ([(c, float(s).hex()) for c, s in result.matched],
+            [(r.county, r.year) for r in result.samples],
+            list(result.flags))
+
+
+def random_rows(seed, width, n=36):
+    """County -> value row: clustered, constant, near-constant, offset, duplicated."""
+    rng = np.random.default_rng(seed)
+    patterns = rng.standard_normal((3, width))
+    rows = {}
+    for i in range(n):
+        rows[f"c{i:03d}"] = patterns[i % 3] + 0.4 * rng.standard_normal(width)
+    rows["const0"] = np.full(width, 2.5)
+    rows["const1"] = np.zeros(width)
+    rows["near0"] = 3.0 + 1e-14 * rng.standard_normal(width)  # below the zero-norm cut
+    rows["near1"] = 3.0 + 1e-10 * patterns[0]  # above it, tiny next to its size
+    rows["near2"] = -7.0 + 1e-9 * (patterns[1] + 0.1 * rng.standard_normal(width))
+    for k in range(3):
+        rows[f"big{k}"] = 1e6 + 1e-3 * (patterns[k] + rng.standard_normal(width))
+    rows["big3"] = -1e6 + 1e-4 * patterns[0]
+    for k in (4, 5):  # 1e13 times their spread: centering rounds visibly
+        rows[f"big{k}"] = 1e6 + 1e-7 * (patterns[k - 3] + rng.standard_normal(width))
+    for src in ("c000", "c003", "c004", "big0", "near1"):
+        rows["d" + src] = rows[src].copy()  # ties, broken by county id
+    return rows
+
+
+def random_residuals(seed, n_years=12):
+    rng = np.random.default_rng(seed + 1000)
+    years = list(range(2000, 2000 + n_years))
+    residuals = {}
+    for county, row in random_rows(seed, n_years).items():
+        present = rng.random(n_years) > 0.1  # ~10% missing years
+        if county.startswith("d"):
+            present = np.ones(n_years, dtype=bool)
+        keep = [j for j in range(n_years) if present[j]]
+        residuals[county] = vec(county, [years[j] for j in keep], row[keep])
+    residuals["short0"] = vec("short0", years[-2:], [1.0, -1.0])  # < 3 years
+    residuals["short1"] = vec("short1", years[:3], [0.5, 2.0, -1.0])
+    residuals["short2"] = vec("short2", [years[0], years[5], years[9]], [1.0, 2.0, 4.0])
+    # far from its full-vector mean on the years the partners keep: the
+    # common-year centering cancels most of the sum of squares
+    late = years[n_years // 2:]
+    pattern = random_rows(seed, n_years)["c000"][n_years // 2:]
+    residuals["shift0"] = vec("shift0", years, np.concatenate(
+        [2e4 + rng.standard_normal(n_years // 2), pattern + rng.standard_normal(len(late))]))
+    for k in (1, 2):
+        residuals[f"shift{k}"] = vec(f"shift{k}", late,
+                                     pattern + rng.standard_normal(len(late)))
+    return residuals
+
+
+def boundary_thresholds(sims):
+    """Thresholds exactly at some pairs' similarities and 1 ulp either side."""
+    out = []
+    for s in sims:
+        out += [s, float(np.nextafter(s, -np.inf)), float(np.nextafter(s, np.inf))]
+    return out
+
+
+def assert_same_as_oracle(panel, plain, oracle, retrieve_fn, train, queries):
+    """Every query at several thresholds and top_k values.
+
+    Queries on rows the screen cannot resolve ("big", "near", "shift")
+    are also cut exactly at, and 1 ulp either side of, every similarity.
+    """
+    for query in queries:
+        # at threshold -2.0 the loop keeps every pair it compared, so each
+        # other setting is its match step over the same pairs
+        full = oracle(query, plain, train, threshold=-2.0)
+        ranked = [s for _c, s in full.matched]
+        settings = [(t, k) for t in [-2.0, 0.0, 0.9] + boundary_thresholds(ranked[:3] + ranked[-2:])
+                    for k in (None, 1, 2, 3)]
+        if query.startswith(("big", "near", "shift")):
+            settings += [(t, k) for t in boundary_thresholds(ranked) for k in (None, 1)]
+        for threshold, top_k in settings:
+            want = rt.RetrievalResult(query=query, flags=list(full.flags))
+            if not any(f.startswith("degenerate_query:") for f in full.flags):
+                _oracle_match(want, full.matched, train, threshold, top_k)
+            got = retrieve_fn(query, panel, train, threshold=threshold, top_k=top_k)
+            assert outcome(got) == outcome(want), (query, threshold, top_k)
+
+
+class TestScreenEquivalence:
+    """Matches, samples and flags are bit-identical to the per-pair loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residual_mode(self, seed):
+        residuals = random_residuals(seed)
+        train = toy_dataset(sorted(residuals), range(2000, 2012))
+        panel = rt.ResidualPanel(residuals)
+        assert_same_as_oracle(panel, residuals, oracle_retrieve, rt.retrieve, train,
+                              sorted(residuals))
+
+    def test_plain_dict_is_wrapped(self):
+        residuals = random_residuals(2)
+        train = toy_dataset(sorted(residuals), range(2000, 2012))
+        for query in ("c000", "big1", "near1", "short0", "const0", "shift0"):
+            for top_k in (None, 1):
+                want = oracle_retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
+                got = rt.retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
+                assert outcome(got) == outcome(want)
+
+    def test_cancellation_pairs_are_exact(self):
+        # offset rows carry 1e6 next to 1e-3 of signal: the screen cannot
+        # resolve them, so their values must come from the scalar formula
+        residuals = random_residuals(3)
+        panel = rt.ResidualPanel(residuals)
+        sim, _overlap = panel.tables()
+        big = [panel.index[c] for c in ("big0", "big1", "big4", "dbig0", "near1")]
+        assert np.all(np.isnan(sim[np.ix_(big, big)]))
+        shifted = panel.index["shift0"], panel.index["shift1"]
+        assert np.isnan(sim[shifted]) and np.isnan(sim[shifted[::-1]])
+        assert np.isfinite(sim[panel.index["shift1"], panel.index["shift2"]])
+
+    def test_top_k_cut_inside_a_tie(self):
+        residuals = random_residuals(4)
+        train = toy_dataset(sorted(residuals), range(2000, 2012))
+        # c000 and dc000 hold the same row, so c003's similarity to them ties
+        want = oracle_retrieve("c003", residuals, train, threshold=-2.0)
+        sims = dict(want.matched)
+        assert "c000" in sims and sims["c000"] == sims["dc000"]
+        rank = [c for c, _s in want.matched].index("c000")
+        got = rt.retrieve("c003", rt.ResidualPanel(residuals), train, threshold=-2.0,
+                          top_k=rank + 1)
+        assert [c for c, _s in got.matched][-1] == "c000"
+        assert outcome(got) == outcome(oracle_retrieve("c003", residuals, train,
+                                                       threshold=-2.0, top_k=rank + 1))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 8])
+    def test_embedding_mode(self, width):
+        embeddings = random_rows(width, width)
+        train = toy_dataset(sorted(embeddings), range(2000, 2008))
+        panel = rt.embedding_panel(embeddings)
+        queries = sorted(embeddings)[::3] + ["big0", "near1", "const0", "dc000"]
+        assert_same_as_oracle(panel, embeddings, oracle_retrieve_embedding,
+                              rt.retrieve_embedding, train, queries)
+        for query in ("c001", "const1"):
+            want = oracle_retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
+            got = rt.retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
+            assert outcome(got) == outcome(want)
+
+
+class TestScreenCost:
+    def test_table_built_once_and_few_scalar_calls(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        years = list(range(2000, 2012))
+        patterns = rng.standard_normal((4, len(years)))
+        residuals = {f"c{i:03d}": vec(f"c{i:03d}", years,
+                                      patterns[i % 4] + 0.5 * rng.standard_normal(len(years)))
+                     for i in range(200)}
+        train = toy_dataset(sorted(residuals), years, T=1, d=1)
+        cosine_calls, builds = [], []
+        original_cosine, original_build = rt.centered_cosine, rt.ResidualPanel._build_tables
+
+        def counting_cosine(a, b):
+            cosine_calls.append((a.county, b.county))
+            return original_cosine(a, b)
+
+        def counting_build(self):
+            builds.append(len(self))
+            return original_build(self)
+
+        monkeypatch.setattr(rt, "centered_cosine", counting_cosine)
+        monkeypatch.setattr(rt.ResidualPanel, "_build_tables", counting_build)
+        panel = rt.ResidualPanel(residuals)
+        matched = 0
+        for query in sorted(residuals):
+            matched += len(rt.retrieve(query, panel, train, threshold=0.5, top_k=1).matched)
+        assert builds == [200]
+        assert matched > 100
+        assert len(cosine_calls) <= 2 * 200
+
+
+class TestFlagsCsv:
+    def test_one_row_per_flag(self, tmp_path):
+        years = list(range(2000, 2010))
+        p = np.arange(10.0) % 4
+        residuals = {"q": vec("q", years, p), "flat": vec("flat", years, np.ones(10)),
+                     "new": vec("new", years[-2:], [1.0, 2.0]), "m": vec("m", years, p + 1)}
+        train = toy_dataset(sorted(residuals), years)
+        results = [rt.retrieve(c, residuals, train, threshold=0.5) for c in ("q", "flat")]
+        path = tmp_path / "flags.csv"
+        rt.save_flags_csv(results, str(path))
+        assert path.read_text().splitlines() == [
+            "query,flag,county",
+            "q,zero_norm,flat",
+            "q,insufficient_overlap,new",
+            "flat,degenerate_query,flat",
+        ]
