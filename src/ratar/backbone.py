@@ -21,8 +21,15 @@ Training, fine-tuning and prediction all describe their work as
 `lookback_window` is the one place a window's context is chosen (the
 county's last w training seasons before the target, then any extras),
 and `window_table` is the one place windows become the engine's inputs.
-`lyra_predict` predicts any number of windows on one parameter set as one
-untraced `lyra_forward` call.
+`lyra_predict` predicts any number of windows as one untraced
+`lyra_forward` call.
+
+The engine also runs K stacked copies of a model at once (a `ParamStore`
+of K copies, every parameter with a leading model axis): each input is
+then laid out county-major in K equal row groups, group k run by copy k.
+`stack_tables` builds such inputs from one `window_table` per copy,
+padding them to equal sizes; per-county fine-tuning trains all of a
+seed's tuned copies this way, and `lyra_predict` predicts them.
 
 Features entering any function here are assumed z-score normalized, as are
 the labels stored on training records; predictions come back in physical
@@ -152,6 +159,14 @@ class LyraParams:
 
     def copy(self) -> "LyraParams":
         return replace(self, store=self.store.copy())
+
+    def stack(self, copies: int) -> "LyraParams":
+        """`copies` stacked copies of these parameters (see `ParamStore.stack`)."""
+        return replace(self, store=self.store.stack(copies))
+
+    def member(self, k: int) -> "LyraParams":
+        """Copy k of stacked parameters, as plain parameters of its own."""
+        return replace(self, store=self.store.member(k))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +298,8 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     defining the embedding table rows; samples: LyraSample index structures.
     pooled_const short-circuits the encoder with precomputed pooled vectors
     (frozen-encoder fine-tuning).  Returns (normalized predictions Tensor [S]
-    in sample order, list of per-sample attention weight arrays).
+    in sample order, list of per-sample attention weight arrays).  On K
+    stacked copies the inputs are `stack_tables` of K tables.
 
     Every history is padded to the longest by repeating its first index,
     and _PAD_SCORE on the padded scores gives them softmax weight exactly
@@ -376,14 +392,60 @@ def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
                       tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
 
 
-def lyra_predict(p: LyraParams, stats: NormStats, windows) -> list:
-    """Predictions for windows on one parameter set, in order.
+def stack_tables(p: LyraParams, tables):
+    """One engine input over K `window_table`s, for K stacked copies of p.
 
-    One untraced lyra_forward call over `window_table(p, windows)`;
-    each result carries the prediction in physical units, the window's
-    attention weights and the years of its context, in attention order.
+    Returns (xs, triples, samples, counts).  Table k fills the k-th of K
+    equal row groups of every input, padded to the largest table's counts
+    of sequences, triples and samples: a padded sequence is all zeros, and
+    padded triples (label 0) and samples point at their group's first
+    sequence, year row and triple.  Sequence, triple and year rows are
+    offset by their group's start (year rows into the row stack of K
+    stacked year tables), so group k reads only table k.  counts[k] is
+    table k's own sample count; its real samples lead its group.  A single
+    table comes back unpadded and unshifted.
     """
-    preds, betas = lyra_forward(None, p, *window_table(p, windows))
+    K = len(tables)
+    U = max(len(xs) for xs, _, _ in tables)
+    R = max(len(triples[0]) for _, triples, _ in tables)
+    S = max(len(samples) for _, _, samples in tables)
+    n_years = p.year_max - p.year_min + 1
+    group = np.arange(K, dtype=np.int64)[:, None]
+    xs = np.zeros((K, U) + tables[0][0].shape[1:])
+    seq_rows = np.tile(group * U, (1, R))
+    labels = np.zeros((K, R))
+    year_rows = np.tile(group * n_years, (1, R))
+    samples, counts = [], []
+    for k, (x, (seq, lab, year), table_samples) in enumerate(tables):
+        xs[k, :len(x)] = x
+        seq_rows[k, :len(seq)] += seq
+        labels[k, :len(lab)] = lab
+        year_rows[k, :len(year)] += year
+        base = k * R
+        samples += [LyraSample(base + s.target, tuple(base + i for i in s.history))
+                    for s in table_samples]
+        samples += [LyraSample(base, (base,))] * (S - len(table_samples))
+        counts.append(len(table_samples))
+    return (xs.reshape((K * U,) + xs.shape[2:]),
+            (seq_rows.ravel(), labels.ravel(), year_rows.ravel()), samples, counts)
+
+
+def lyra_predict(p: LyraParams, stats: NormStats, windows) -> list:
+    """Predictions for windows, in order, in one untraced lyra_forward call.
+
+    On plain parameters every window is predicted by them; on K stacked
+    copies the windows come in K equal groups, group k predicted by copy
+    k, over `stack_tables` of one `window_table` per group.  Each result
+    carries the prediction in physical units, the window's attention
+    weights and the years of its context, in attention order.
+    """
+    groups = p.store.copies or 1
+    size = len(windows) // groups
+    if size * groups != len(windows):
+        raise ContractError(f"{len(windows)} windows for {groups} parameter copies")
+    tables = [window_table(p, windows[k * size:(k + 1) * size]) for k in range(groups)]
+    xs, triples, samples, _ = stack_tables(p, tables)
+    preds, betas = lyra_forward(None, p, xs, triples, samples)
     return [PredictResult(prediction=stats.denormalize_label(pred), beta=beta,
                           history_years=[rec.year for rec, _ in win.context])
             for win, pred, beta in zip(windows, preds.data.tolist(), betas)]

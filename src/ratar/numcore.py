@@ -17,6 +17,17 @@ a gradient vector of the same length; the named arrays the ops bind are
 views into them, so an optimizer updates a whole model in a few vector
 ops and grad_check perturbs one flat coordinate at a time.
 
+A ParamStore can also hold K independent copies of a model, as one
+[K x n] flat vector whose named views carry a leading model axis,
+[K, *shape].  The ops that read parameters (matmul with the parameter on
+the right, add_bias, gru_sequence, and gather_rows on the year table)
+accept such a stacked parameter and run K models in one op.  Their
+activations are then laid out county-major: the rows form K equal groups,
+and group k meets copy k.  Row-wise ops (softmax_rows, pool_rows,
+rowdot_groups, concat_cols, gather_rows on activations, reshape, add)
+need no model axis, and mse_loss can sum per-group means over padded
+groups.  A plain parameter runs exactly the single-model computation.
+
 Records and leaves are keyed by each traced Tensor's node index on its tape,
 and vjps capture arrays and shapes, never Tensors.  So the tape holds no
 reference back to its Tensors, and reference counting frees a step's graph
@@ -93,20 +104,32 @@ class ParamStore:
     and grad(name) is a reshaped view into those two vectors, so a
     whole-vector update (Adam) and a per-name write (set_value) see each
     other, as do tape leaves bound to the views.
+
+    A store of `copies` K holds K independent copies of a model: `flat`
+    is [K x n], row k holding copy k, and each array (given and viewed)
+    has a leading model axis, [K, *shape].  `stack` makes one from a
+    plain store and `member` takes one copy back out.
     """
 
-    def __init__(self, arrays):
+    def __init__(self, arrays, copies: int | None = None):
         arrays = {name: _as_array(value) for name, value in arrays.items()}
-        self.flat = np.empty(sum(arr.size for arr in arrays.values()))
+        lead = () if copies is None else (copies,)
+        for name, arr in arrays.items():
+            if arr.shape[:len(lead)] != lead:
+                raise DimensionError(f"parameter {name!r} lacks the model axis of {copies}")
+        sizes = {name: int(np.prod(arr.shape[len(lead):], dtype=np.int64))
+                 for name, arr in arrays.items()}
+        self.copies = copies
+        self.flat = np.empty(lead + (sum(sizes.values()),))
         self.flat_grad = np.zeros_like(self.flat)
         self._values: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
         lo = 0
         for name, arr in arrays.items():
-            hi = lo + arr.size
-            self._values[name] = self.flat[lo:hi].reshape(arr.shape)
+            hi = lo + sizes[name]
+            self._values[name] = self.flat[..., lo:hi].reshape(arr.shape)
             self._values[name][...] = arr
-            self._grads[name] = self.flat_grad[lo:hi].reshape(arr.shape)
+            self._grads[name] = self.flat_grad[..., lo:hi].reshape(arr.shape)
             lo = hi
 
     def value(self, name: str) -> np.ndarray:
@@ -140,7 +163,20 @@ class ParamStore:
         self.flat_grad.fill(0.0)
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self._values)
+        return ParamStore(self._values, self.copies)
+
+    def stack(self, copies: int) -> "ParamStore":
+        """A store of `copies` copies of this plain store."""
+        if self.copies is not None or copies < 1:
+            raise ContractError("stack takes a plain store and at least one copy")
+        return ParamStore({name: np.broadcast_to(arr, (copies,) + arr.shape)
+                           for name, arr in self._values.items()}, copies)
+
+    def member(self, k: int) -> "ParamStore":
+        """Copy k of a stacked store, as a plain store of its own."""
+        if self.copies is None:
+            raise ContractError("member takes a stacked store")
+        return ParamStore({name: arr[k] for name, arr in self._values.items()})
 
 
 class ComputeTape:
@@ -208,11 +244,52 @@ def _emit(data, inputs, vjp) -> Tensor:
 # primitive ops
 
 
+def _group_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; with b [K, m, p], each of a's K equal row groups times its slice of b."""
+    if b.ndim == 2:
+        return a @ b
+    return (a.reshape(b.shape[0], -1, a.shape[1]) @ b).reshape(-1, b.shape[2])
+
+
+def _group_outer(a: np.ndarray, g: np.ndarray, copies: int | None) -> np.ndarray:
+    """a.T @ g, or with copies K one such product per equal row group, [K, m, p]."""
+    if copies is None:
+        return a.T @ g
+    return a.reshape(copies, -1, a.shape[1]).swapaxes(1, 2) @ g.reshape(copies, -1, g.shape[1])
+
+
+def _group_sum(g: np.ndarray, copies: int | None) -> np.ndarray:
+    """Column sums of g, or with copies K the column sums of each equal row group, [K, n]."""
+    if copies is None:
+        return g.sum(axis=0)
+    return g.reshape(copies, -1, g.shape[1]).sum(axis=1)
+
+
+def _copies_of(param: np.ndarray, plain_ndim: int, rows: int, what: str) -> int | None:
+    """The model-axis length K of a parameter (None for a plain one).
+
+    A stacked parameter has one leading axis more than a plain one, and the
+    activations it meets must split into K equal row groups.
+    """
+    if param.ndim == plain_ndim:
+        return None
+    if param.ndim != plain_ndim + 1 or param.shape[0] < 1 or rows % param.shape[0]:
+        raise DimensionError(f"{what}: parameter {param.shape} against {rows} rows")
+    return param.shape[0]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a [N x m] @ b [m x p].
+
+    A parameter b [K, m, p] of K stacked copies multiplies a's K equal
+    (county-major) row groups, group k by b[k].
+    """
+    if a.ndim != 2 or b.ndim < 2 or a.shape[1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
+    copies = _copies_of(b.data, 2, a.shape[0], "matmul")
     ad, bd = a.data, b.data
-    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _emit(_group_matmul(ad, bd), (a, b),
+                 lambda g: (_group_matmul(g, bd.swapaxes(-1, -2)), _group_outer(ad, g, copies)))
 
 
 def _binary_shapes(a: Tensor, b: Tensor):
@@ -244,10 +321,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Row-vector bias added to every row of a matrix."""
-    if m.ndim != 2 or bias.ndim != 1 or m.shape[1] != bias.shape[0]:
+    """Row-vector bias added to every row of a matrix.
+
+    A bias [K x n] of K stacked copies adds row k to the k-th of m's K
+    equal row groups.
+    """
+    if m.ndim != 2 or bias.ndim < 1 or m.shape[1] != bias.shape[-1]:
         raise DimensionError(f"add_bias shapes {m.shape} + {bias.shape}")
-    return _emit(m.data + bias.data[None, :], (m, bias), lambda g: (g, g.sum(axis=0)))
+    copies = _copies_of(bias.data, 1, m.shape[0], "add_bias")
+    b = bias.data if copies is None else np.repeat(bias.data, m.shape[0] // copies, axis=0)
+    return _emit(m.data + b, (m, bias), lambda g: (g, _group_sum(g, copies)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -282,15 +365,34 @@ def softmax_rows(m: Tensor) -> Tensor:
     return _emit(out, (m,), lambda g: (out * (g - (g * out).sum(axis=1, keepdims=True)),))
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+def mse_loss(pred: Tensor, target: Tensor, counts=None) -> Tensor:
+    """Mean squared error of two vectors.
+
+    With counts, both vectors are K equal groups, group k holding counts[k]
+    real entries followed by padding.  The loss is then the sum over groups
+    of each group's mean over its real entries: padding gets no gradient,
+    and each group's gradient is that of its own mean.
+    """
     if pred.ndim != 1 or target.ndim != 1 or pred.shape != target.shape:
         raise DimensionError(f"mse_loss shapes {pred.shape} vs {target.shape}")
     if pred.shape[0] == 0:
         raise DimensionError("mse_loss over empty vectors")
     diff = pred.data - target.data
-    n = pred.shape[0]
-    out = np.asarray((diff @ diff) / n)
-    return _emit(out, (pred, target), lambda g: ((2.0 / n) * diff * g, (-2.0 / n) * diff * g))
+    if counts is None:
+        n = pred.shape[0]
+        out = np.asarray((diff @ diff) / n)
+        return _emit(out, (pred, target),
+                     lambda g: ((2.0 / n) * diff * g, (-2.0 / n) * diff * g))
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or counts.size == 0 or pred.shape[0] % counts.size:
+        raise DimensionError(f"mse_loss counts {counts.tolist()} for {pred.shape[0]} entries")
+    size = pred.shape[0] // counts.size
+    if counts.min() < 1 or counts.max() > size:
+        raise DimensionError(f"mse_loss counts {counts.tolist()} for groups of {size}")
+    diff = np.where((np.arange(size) < counts[:, None]).ravel(), diff, 0.0)
+    out = np.asarray(((diff * diff).reshape(counts.size, size).sum(axis=1) / counts).sum())
+    scale = np.repeat(2.0 / counts, size)
+    return _emit(out, (pred, target), lambda g: (scale * diff * g, -scale * diff * g))
 
 
 def concat_cols(parts) -> Tensor:
@@ -306,21 +408,25 @@ def concat_cols(parts) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows by integer index; gradient scatter-adds into the table."""
+    """Select rows by integer index; gradient scatter-adds into the table.
+
+    A table [K, R, n] of K stacked copies is indexed as its [K*R x n] row
+    stack: row r of copy k is row k*R + r.
+    """
     idx = np.asarray(indices)
-    if table.ndim != 2 or idx.ndim != 1:
-        raise DimensionError("gather_rows takes a matrix and an index vector")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if table.ndim not in (2, 3) or idx.ndim != 1:
+        raise DimensionError("gather_rows takes a matrix (or a stack of them) and an index vector")
+    shape = table.shape
+    rows = table.data.reshape(-1, shape[-1])
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
         raise ContractError("gather_rows index out of range")
 
-    shape = table.shape
-
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(rows.shape)
         np.add.at(full, idx, g)
-        return (full,)
+        return (full.reshape(shape),)
 
-    return _emit(table.data[idx], (table,), vjp)
+    return _emit(rows[idx], (table,), vjp)
 
 
 def pool_rows(stack: Tensor, weights: Tensor) -> Tensor:
@@ -383,77 +489,96 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
     time pass, yields all nine parameter cotangents at once.  Every step's
     gate pre-activations must be finite: tanh and sigmoid would otherwise
     saturate an overflow into a finite state.
+
+    Parameters of K stacked copies ([K, d, H], [K, H, H], [K, H]) run the
+    K equal groups of sequences, group k on copy k, in one recurrence.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3:
         raise DimensionError(f"gru_sequence expects [B,T,d] sequences, got shape {xs.shape}")
     B, T, d = xs.shape
     params = (W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c)
-    if W_r.ndim != 2 or W_r.shape[0] != d:
-        raise DimensionError(f"input has {d} features, encoder expects {W_r.shape[0]}")
-    H = W_r.shape[1]
+    copies = _copies_of(W_r.data, 2, B, "gru_sequence")
+    lead = () if copies is None else (copies,)
+    if W_r.shape[-2] != d:
+        raise DimensionError(f"input has {d} features, encoder expects {W_r.shape[-2]}")
+    H = W_r.shape[-1]
     for name, p, shape in zip(_GRU_NAMES, params, ((d, H), (H, H), (H,)) * 3):
-        if p.shape != shape:
-            raise DimensionError(f"gru_sequence {name} has shape {p.shape}, expected {shape}")
+        if p.shape != lead + shape:
+            raise DimensionError(
+                f"gru_sequence {name} has shape {p.shape}, expected {lead + shape}")
     if T == 0:
         raise DimensionError("gru_sequence needs at least one step")
     if not np.all(np.isfinite(xs)):
         raise NumericError("non-finite values in tensor")
     Wr, Ur, br, Wu, Uu, bu, Wc, Uc, bc = (p.data for p in params)
-
+    if copies is not None:  # each copy's bias repeated over its group's rows
+        br, bu, bc = (np.repeat(b, B // copies, axis=0) for b in (br, bu, bc))
+    mm = _group_matmul
     # Products stay per step and per gate, in the shapes of the unfused ops:
     # BLAS may sum in another order for one GEMM over all days or gates, and
     # these shapes keep the states bitwise those of the op-by-op recurrence.
-    pre = np.zeros((T, 3, B, H))  # gate pre-activations r, u, c per step
+    groups = copies or 1
+    grouped = (groups, B // groups, H)  # a step's [B x H] rows, copy by copy
+    pre = np.zeros((3, B, H))  # the step's gate pre-activations r, u, c
     gates = np.zeros((T, 3, B, H))  # r, u, c per step; r is unused on the first
-    hs = np.zeros((T + 1, B, H))  # hs[t + 1] is the state after day t
+    hs = np.zeros((B, T, H))  # hs[:, t] is the state after day t
     with np.errstate(over="ignore"):  # sigmoid: exp overflow saturates to 0
         for t in range(T):
             x = xs[:, t, :]
-            a_r, a_u, a_c = pre[t]
+            a_r, a_u, a_c = pre
             r, u, c = gates[t]
             if t == 0:
-                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wu, bu, out=a_u)), out=u)
-                np.tanh(np.add(x @ Wc, bc, out=a_c), out=c)
-                np.multiply(u, c, out=hs[1])
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu), bu, out=a_u)), out=u)
+                np.tanh(np.add(mm(x, Wc), bc, out=a_c), out=c)
+                np.multiply(u, c, out=hs[:, 0])
             else:
-                h = hs[t]
-                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wr + h @ Ur, br, out=a_r)), out=r)
-                np.divide(1.0, 1.0 + np.exp(-np.add(x @ Wu + h @ Uu, bu, out=a_u)), out=u)
-                np.tanh(np.add(x @ Wc + (r * h) @ Uc, bc, out=a_c), out=c)
-                np.add((1.0 - u) * h, u * c, out=hs[t + 1])
-            if not np.isfinite(pre[t]).all():
+                h = hs[:, t - 1]
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wr) + mm(h, Ur), br, out=a_r)), out=r)
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu) + mm(h, Uu), bu, out=a_u)), out=u)
+                np.tanh(np.add(mm(x, Wc) + mm(r * h, Uc), bc, out=a_c), out=c)
+                np.add((1.0 - u) * h, u * c, out=hs[:, t])
+            if not np.isfinite(pre).all():
                 raise NumericError("non-finite values in tensor")
-    out = hs[1:].transpose(1, 0, 2).reshape(B * T, H)
+
+    def by_copy(a):  # [T, B, n] -> [T*B x n], rows (k, t, b): copy by copy, day-major
+        n = a.shape[-1]
+        return a.reshape(T, groups, B // groups, n).swapaxes(0, 1).reshape(T * B, n)
 
     def bptt(g):
         G = g.reshape(B, T, H)
-        R, U, C = gates.transpose(1, 0, 2, 3)  # [T,B,H] each
-        Hp = hs[:-1]  # state entering each step
-        f_u = (C - Hp) * U * (1.0 - U)  # dh -> da_u
-        f_c = U * (1.0 - C * C)  # dh -> da_c
-        f_r = Hp * R * (1.0 - R)  # d(r*h) -> da_r
-        keep = 1.0 - U
-        DA = np.zeros((3, T, B, H))  # da_r, da_u, da_c per step
-        da_r, da_u, da_c = DA
+        UrT, UuT, UcT = (m.swapaxes(-1, -2) for m in (Ur, Uu, Uc))
+        # da_r, da_u, da_c, each laid out as by_copy lays out its rows
+        DA = np.zeros((3, groups, T) + grouped[1:])
         carry = 0.0
         for t in range(T - 1, -1, -1):
+            h = hs[:, t - 1] if t else 0.0  # the state entering the step
+            r, u, c = gates[t]
             dh = G[:, t, :] + carry
-            np.multiply(dh, f_u[t], out=da_u[t])
-            np.multiply(dh, f_c[t], out=da_c[t])
+            da_u = dh * ((c - h) * u * (1.0 - u))
+            da_c = dh * (u * (1.0 - c * c))
+            DA[1, :, t] = da_u.reshape(grouped)
+            DA[2, :, t] = da_c.reshape(grouped)
             if t:  # the first step starts from the constant zero state
-                d_rh = da_c[t] @ Uc.T
-                np.multiply(d_rh, f_r[t], out=da_r[t])
-                carry = dh * keep[t] + d_rh * R[t] + da_r[t] @ Ur.T + da_u[t] @ Uu.T
-        X = xs.transpose(1, 0, 2).reshape(T * B, d)
-        hp = Hp.reshape(T * B, H)
-        rhp = (R * Hp).reshape(T * B, H)
+                d_rh = mm(da_c, UcT)
+                da_r = d_rh * (h * r * (1.0 - r))
+                DA[0, :, t] = da_r.reshape(grouped)
+                carry = dh * (1.0 - u) + d_rh * r + mm(da_r, UrT) + mm(da_u, UuT)
+        X = by_copy(xs.transpose(1, 0, 2))
+        hp = np.zeros((groups, T) + grouped[1:])  # states entering each step, by_copy rows
+        hp[:, 1:] = hs[:, :-1].reshape(groups, B // groups, T - 1, H).swapaxes(1, 2)
+        hp = hp.reshape(T * B, H)
+        rhp = by_copy(gates[:, 0])  # a copy: gates interleaves r with u and c
+        rhp *= hp
         flat_r, flat_u, flat_c = DA.reshape(3, T * B, H)
-        return (X.T @ flat_r, hp.T @ flat_r, flat_r.sum(axis=0),
-                X.T @ flat_u, hp.T @ flat_u, flat_u.sum(axis=0),
-                X.T @ flat_c, rhp.T @ flat_c, flat_c.sum(axis=0))
+        return (_group_outer(X, flat_r, copies), _group_outer(hp, flat_r, copies),
+                _group_sum(flat_r, copies),
+                _group_outer(X, flat_u, copies), _group_outer(hp, flat_u, copies),
+                _group_sum(flat_u, copies),
+                _group_outer(X, flat_c, copies), _group_outer(rhp, flat_c, copies),
+                _group_sum(flat_c, copies))
 
-    return _emit(out, params, bptt)
+    return _emit(hs.reshape(B * T, H), params, bptt)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -483,7 +608,7 @@ def grad_check(f, store: ParamStore, eps: float = 1e-5) -> float:
     tape.backward(loss)
 
     worst = 0.0
-    flat, ana = store.flat, store.flat_grad
+    flat, ana = store.flat.reshape(-1), store.flat_grad.reshape(-1)  # views
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps

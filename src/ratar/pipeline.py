@@ -21,19 +21,23 @@ same links:
 - `retrieve_refine`: one test county's retrieved samples, with their
   labels refined toward the test year.  Retrieval reads the query's row
   of the screen and computes exact similarities for its short list
-  only;
-- `predict_counties`: for each county in turn, retrieve and refine and
-  integrate (per-county fine-tuning or context augmentation), then
-  predict, giving `CountyPredictions`;
+  only.  The context keeps each county's results, so runs sharing it
+  retrieve and refine a county once;
+- `predict_counties`: retrieve and refine every county, integrate
+  (per-county fine-tuning or context augmentation), then predict,
+  giving `CountyPredictions`;
 - `evaluate`: physical-unit RMSE.
 
 Reports aggregate mean and standard deviation across seeds.
 
 Every integration mode predicts through the same call: `lyra_predict`
-runs one batched engine forward over the windows of one parameter set.
-Fine-tuning changes the parameters of one county; context augmentation
-appends the refined samples, as (record, normalized refined label)
-pairs, to the look-back window that cross-year attention runs over.
+runs one batched engine forward over a list of windows.  Fine-tuning
+gives each county with refined samples its own copy of the parameters;
+one `fine_tune` call trains all of a seed's copies, stacked on a leading
+model axis, and one `lyra_predict` on the stack predicts their counties.
+Context augmentation appends the refined samples, as (record,
+normalized refined label) pairs, to the look-back window that
+cross-year attention runs over.
 
 Every stage error is re-raised tagged with its stage name.  A label
 audit guards the test year for the entire run; only evaluation reads
@@ -397,7 +401,10 @@ class RetrievalContext:
     per-year `regressors`, the per-county `biases` and the mean
     embeddings `mean_emb` (a `retrieval.embedding_panel`) need the
     cross-year model and are empty without one.  `sigma` is the
-    refinement noise scale in physical units.
+    refinement noise scale in physical units.  `retrieved` and `refined`
+    keep what `retrieve_refine` computed from it, so that runs sharing
+    the context (the ablation variants) retrieve and refine each county
+    once.
     """
     adjacency: dict
     sigma: float
@@ -406,6 +413,8 @@ class RetrievalContext:
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
     mean_emb: Mapping = field(default_factory=dict)
+    retrieved: dict = field(default_factory=dict)
+    refined: dict = field(default_factory=dict)
 
 
 def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
@@ -439,30 +448,39 @@ def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalCon
     The refinement noise is seeded from the seed and the county's index
     in `models.test_counties`, so it does not depend on which other
     counties are processed.  With `cfg.refine` off, labels pass through
-    unshifted and without noise.
+    unshifted and without noise.  Results are kept in `ctx.retrieved`
+    and `ctx.refined`, keyed by the county and the settings they depend
+    on: a county is retrieved once per retrieval setting and refined
+    once per refinement setting.
     """
     idx = models.test_counties.index(county)
     train_n = models.train_n
-    with _stage(f"retrieval county {county}"):
-        if cfg.retrieval_mode == "residual":
-            result = rt.retrieve(county, ctx.residuals, train_n,
-                                 threshold=cfg.threshold, top_k=cfg.top_k)
-        elif cfg.retrieval_mode == "neighboring":
-            result = rt.retrieve_neighboring(county, ctx.adjacency, train_n)
-        else:
-            result = rt.retrieve_embedding(county, ctx.mean_emb, train_n,
-                                           threshold=cfg.threshold, top_k=cfg.top_k)
-    with _stage(f"refinement county {county}"):
-        refined = rf.refine_labels(
-            result,
-            ctx.biases if cfg.refine else {},
-            sigma=ctx.sigma if cfg.refine else 0.0,
-            seed=models.seed * 1000003 + idx,
-            target_year=cfg.test_year,
-            copies=cfg.refine_copies,
-            stats=models.stats,
-        )
-    return result, refined
+    key = (county, cfg.retrieval_mode, cfg.threshold, cfg.top_k)
+    if key not in ctx.retrieved:
+        with _stage(f"retrieval county {county}"):
+            if cfg.retrieval_mode == "residual":
+                result = rt.retrieve(county, ctx.residuals, train_n,
+                                     threshold=cfg.threshold, top_k=cfg.top_k)
+            elif cfg.retrieval_mode == "neighboring":
+                result = rt.retrieve_neighboring(county, ctx.adjacency, train_n)
+            else:
+                result = rt.retrieve_embedding(county, ctx.mean_emb, train_n,
+                                               threshold=cfg.threshold, top_k=cfg.top_k)
+        ctx.retrieved[key] = result
+    result = ctx.retrieved[key]
+    refine_key = key + (cfg.refine, cfg.refine_copies, cfg.test_year)
+    if refine_key not in ctx.refined:
+        with _stage(f"refinement county {county}"):
+            ctx.refined[refine_key] = rf.refine_labels(
+                result,
+                ctx.biases if cfg.refine else {},
+                sigma=ctx.sigma if cfg.refine else 0.0,
+                seed=models.seed * 1000003 + idx,
+                target_year=cfg.test_year,
+                copies=cfg.refine_copies,
+                stats=models.stats,
+            )
+    return result, ctx.refined[refine_key]
 
 
 @dataclass
@@ -479,18 +497,19 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                      ctx: RetrievalContext | None) -> CountyPredictions:
     """Retrieve/refine/integrate/predict for every test county.
 
-    A fine-tuned county is one `lyra_predict` call right after its
-    `fine_tune`, so no tuned copy outlives its county; every county on
-    the seed's shared parameters (no integration, context, fallbacks)
-    is predicted in one call at the end.  Outputs come in
-    `test_counties` order.  `ctx` is not read when `cfg.integration` is
-    "none".
+    Fine-tuning tunes every county with refined samples in one
+    `fine_tune` call, which returns their copies stacked, and predicts
+    them in one `lyra_predict` call on the stack; every county on the
+    seed's shared parameters (no integration, context, fallbacks) is
+    predicted in one call at the end.  Outputs come in `test_counties`
+    order.  `ctx` is not read when `cfg.integration` is "none".
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
     tcfg = replace(cfg.train, seed=models.seed)
     w = models.lyra.w
     out = CountyPredictions()
     results, shared = {}, []  # shared: windows predicted on models.lyra
+    tuned_windows, tuned_sets = [], []  # one window and sample set per tuned county
     for county in models.test_counties:
         target = test_n.get(county, cfg.test_year)
         label = models.model_labels[county, cfg.test_year]
@@ -503,21 +522,25 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
             out.retrievals.append(result)
             out.refined_sets.append(refined)
 
-        with _stage(f"integration county {county}"):
-            if refined is None or not refined.entries:
-                if cfg.integration != "none":
-                    out.fallbacks.add(county)
-                shared.append(window)
-            elif cfg.integration == "finetune":
-                tuned = fine_tune(models.lyra, refined, train_n, tcfg,
-                                  models.model_labels, stats=stats)
-                with _stage(f"predict county {county}"):
-                    results[county] = lyra_predict(tuned, stats, [window])[0]
-            else:
-                extra = [(e.record, stats.normalize_label(e.label_refined))
-                         for e in refined.entries]
+        if refined is None or not refined.entries:
+            if cfg.integration != "none":
+                out.fallbacks.add(county)
+            shared.append(window)
+        elif cfg.integration == "finetune":
+            tuned_windows.append(window)
+            tuned_sets.append(refined)
+        else:
+            extra = [(e.record, stats.normalize_label(e.label_refined))
+                     for e in refined.entries]
+            with _stage(f"integration county {county}"):
                 shared.append(lookback_window(train_n, target, label, w, extra))
 
+    if tuned_sets:
+        counties = [win.target.county for win in tuned_windows]
+        with _stage(f"fine_tune seed {models.seed} counties {' '.join(counties)}"):
+            tuned = fine_tune(models.lyra, tuned_sets, train_n, tcfg,
+                              models.model_labels, stats=stats)
+            results.update(zip(counties, lyra_predict(tuned, stats, tuned_windows)))
     if shared:
         with _stage(f"predict seed {models.seed}"):
             results.update(zip((win.target.county for win in shared),

@@ -245,13 +245,18 @@ def save_bias_csv(biases, path):
 
 
 def save_refined_csv(sample_sets, path):
-    """Write refined samples as query,source_county,source_year,label,bias_hat,label_refined."""
-    lines = ["query,source_county,source_year,label,bias_hat,label_refined"]
+    """Write refined samples as
+    query,source_county,source_year,label,bias_hat,label_refined,method.
+
+    method is how the bias was estimated: "ols", "row_mean", "zero", or
+    "missing" for a sample that passed through unrefined.
+    """
+    lines = ["query,source_county,source_year,label,bias_hat,label_refined,method"]
     for ss in sample_sets:
         for e in ss.entries:
             lines.append(
                 f"{ss.query},{e.record.county},{e.record.year},"
-                f"{e.label!r},{e.bias_hat!r},{e.label_refined!r}"
+                f"{e.label!r},{e.bias_hat!r},{e.label_refined!r},{e.method}"
             )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

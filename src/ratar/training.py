@@ -14,9 +14,11 @@ so the cross-year loops never run the global model.  Every source of
 randomness (init, shuffling) is seeded through TrainConfig, so a (seed,
 config, data) triple reproduces its loss trace bitwise.
 
-Fine-tuning never touches the input parameters: it deep-copies the
-store, trains the copy on refined retrieved samples, and returns it,
-so one county's adaptation cannot leak into another's.
+Fine-tuning never touches the input parameters.  It trains one copy of
+them per county, on that county's refined retrieved samples, and all of a
+seed's copies train at once: stacked on a leading model axis, one tape
+per epoch, with a loss and a gradient clip that keep each copy's update
+exactly its own, so one county's adaptation cannot leak into another's.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .backbone import (
     gruatt_forward,
     lookback_window,
     lyra_forward,
+    stack_tables,
     window_table,
 )
 from .numcore import ComputeTape, ContractError, NumericError, Tensor
+from .refinement import RefinedSampleSet
 
 
 class TrainingError(RuntimeError):
@@ -110,9 +114,11 @@ class Adam:
     clip_norm, then the whole flat vector gets the standard
     bias-corrected first/second-moment update.  The norm sums each
     parameter's squares separately, in store order, so it rounds exactly
-    as a per-parameter loop would.  The flat moments and parameters are
-    updated in place.  A zero gradient on a fresh optimizer leaves
-    parameters bitwise unchanged.
+    as a per-parameter loop would.  On a store of K stacked copies the
+    norm and the clip are per copy (per row of the [K x n] flat vector),
+    so copy k moves exactly as it would under an optimizer of its own.
+    The flat moments and parameters are updated in place.  A zero
+    gradient on a fresh optimizer leaves parameters bitwise unchanged.
     """
 
     def __init__(self, store, lr, clip_norm=5.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -132,11 +138,14 @@ class Adam:
 
     def step(self):
         store = self._store
-        total = np.sqrt(sum(float((store.grad(n) ** 2).sum()) for n in store.names()))
-        scale = self._clip / total if total > self._clip else 1.0
+        rows = store.copies or 1
+        squares = [(store.grad(n) ** 2).reshape(rows, -1).sum(axis=1).tolist()
+                   for n in store.names()]
+        total = np.sqrt([sum(row) for row in zip(*squares)])
+        scale = self._clip / np.maximum(total, self._clip)
         self._t += 1
         b1, b2 = self._b1, self._b2
-        g = store.flat_grad * scale
+        g = store.flat_grad * scale.reshape(store.flat.shape[:-1] + (1,))
         m, v = self._m, self._v
         m *= b1
         m += (1 - b1) * g
@@ -192,10 +201,10 @@ def _run_epochs(n, epochs, epoch_fn, batch_size=None, seed=0):
     return losses, time.perf_counter() - start
 
 
-def _mse_step(params_store, opt, forward_fn, targets):
+def _mse_step(params_store, opt, forward_fn, targets, counts=None):
     tape = ComputeTape()
     preds = forward_fn(tape)
-    loss = nc.mse_loss(preds, Tensor(targets))
+    loss = nc.mse_loss(preds, Tensor(targets), counts)
     params_store.zero_grad()
     tape.backward(loss)
     opt.step()
@@ -313,26 +322,11 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
 
-def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
-              target_labels: dict, stats=None) -> LyraParams:
-    """Adapt a copy of the parameters to one county's refined samples.
-
-    Returns a county-specific copy after a few full-batch MSE steps on
-    the refined retrieved samples; the input parameters are never
-    mutated.  Each refined entry with an earlier season is one window:
-    the `lookback_window` of its season, with its `target_labels` entry
-    fed to its own embedding and its normalized refined label as
-    supervision.  An entry without an earlier season is skipped with a
-    warning; an empty or unusable sample set returns an unchanged copy.
-    freeze_encoder pins the sequence encoder and attention pooling by
-    reusing their pooled outputs as constants.
-    """
-    cfg.validate()
-    tuned = p.copy()
+def _tuning_windows(p: LyraParams, sample_set, train, target_labels, stats):
+    """One county's fine-tune windows and normalized targets; warns on what it skips."""
     if not sample_set.entries:
         warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
-        return tuned
-    windows, targets = [], []  # targets: normalized refined labels
+    windows, targets = [], []
     for entry in sample_set.entries:
         rec = train.get(entry.record.county, entry.record.year)
         if train.county_years(rec.county)[0] == rec.year:
@@ -340,30 +334,78 @@ def fine_tune(p: LyraParams, sample_set, train, cfg: TrainConfig,
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
             continue
-        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year],
-                                       tuned.w))
+        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year], p.w))
         refined = entry.label_refined
         targets.append(stats.normalize_label(refined) if stats is not None else refined)
-    if not windows or cfg.fine_tune_epochs == 0:
-        return tuned
+    return windows, targets
 
-    xs, triples, samples = window_table(tuned, windows)
-    targets = np.array(targets, dtype=np.float64)
+
+def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
+              target_labels: dict, stats=None) -> LyraParams:
+    """Adapt copies of the parameters to counties' refined samples, in one pass.
+
+    sample_sets is one county's RefinedSampleSet, giving its tuned copy as
+    plain parameters, or a list of them, giving stacked parameters (see
+    `LyraParams.stack`) whose copy k is tuned on set k.  Each copy takes a
+    few full-batch MSE steps on its refined retrieved samples; the input
+    parameters are never mutated.  Each refined entry with an earlier
+    season is one window: the `lookback_window` of its season, with its
+    `target_labels` entry fed to its own embedding and its normalized
+    refined label as supervision.  An entry without an earlier season is
+    skipped with a warning; a copy whose set is empty or unusable stays
+    an unchanged copy.  freeze_encoder pins the sequence encoder and
+    attention pooling by reusing their pooled outputs as constants.
+
+    All copies with windows train together: one tape per epoch over
+    `stack_tables` of their window tables, with a loss that sums each
+    copy's own mean squared error, so each copy's gradient is the one it
+    would get alone, and Adam clips each copy's gradient by its own norm.
+    """
+    cfg.validate()
+    single = isinstance(sample_sets, RefinedSampleSet)
+    sets = [sample_sets] if single else list(sample_sets)
+    tuned = p.stack(len(sets))
+    active, windows, targets = [], [], []
+    for k, sample_set in enumerate(sets):
+        copy_windows, copy_targets = _tuning_windows(p, sample_set, train, target_labels,
+                                                     stats)
+        if copy_windows and cfg.fine_tune_epochs > 0:
+            active.append(k)
+            windows.append(copy_windows)
+            targets.append(copy_targets)
+    if active:
+        inputs = stack_tables(p, [window_table(p, w) for w in windows])
+        tuned.store.flat[active] = _tune_stack(p, inputs, targets, cfg).store.flat
+    return tuned.member(0) if single else tuned
+
+
+def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
+    """Stacked copies of p, copy k trained on group k of the `stack_tables` inputs.
+
+    targets[k] lists copy k's normalized targets, one per real sample.
+    """
+    xs, triples, samples, counts = inputs
+    stack = p.stack(len(targets))
+    size = len(samples) // len(targets)
+    padded = np.zeros((len(targets), size))
+    for k, copy_targets in enumerate(targets):
+        padded[k, :len(copy_targets)] = copy_targets
+    padded = padded.ravel()
 
     pooled_const = None
     if cfg.freeze_encoder:
-        _, pooled, _ = embed_batch(None, tuned, xs, triples)
+        _, pooled, _ = embed_batch(None, stack, xs, triples)
         pooled_const = pooled.data
 
-    opt = Adam(tuned.store, cfg.fine_tune_lr, cfg.clip_norm)
+    opt = Adam(stack.store, cfg.fine_tune_lr, cfg.clip_norm)
 
     def epoch_fn(idx):
         loss = _mse_step(
-            tuned.store, opt,
-            lambda tape: lyra_forward(tape, tuned, xs, triples, samples,
+            stack.store, opt,
+            lambda tape: lyra_forward(tape, stack, xs, triples, samples,
                                       pooled_const=pooled_const)[0],
-            targets)
+            padded, counts)
         return loss, idx.size
 
-    _run_epochs(len(windows), cfg.fine_tune_epochs, epoch_fn)
-    return tuned
+    _run_epochs(len(samples), cfg.fine_tune_epochs, epoch_fn)
+    return stack

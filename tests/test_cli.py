@@ -380,9 +380,10 @@ class TestRetrieveRefine:
                          "--out", str(fdir)]) == 0
         rows = [line.split(",") for line in csv_rows(fdir / "refined.csv")]
         assert rows
-        for _query, _county, _year, label, bias_hat, label_refined in rows:
+        for _query, _county, _year, label, bias_hat, label_refined, method in rows:
             assert float(bias_hat) == 0.0
             assert label_refined == label
+            assert method == "missing"
 
     def test_embedding_mode_embeds_once(self, tmp_path, monkeypatch):
         calls = []

@@ -565,3 +565,110 @@ class TestGradients:
 
         err = nc.grad_check(f, store, eps=1e-5)
         assert 0.0 <= err < 1e-6
+
+
+class TestModelAxis:
+    """K stacked copies in one op equal K separate ops, one per row group."""
+
+    K = 3
+
+    @staticmethod
+    def stacked(rng, shapes, K=3):
+        """(stacked store, per-copy plain stores) with random values."""
+        plain = [nc.ParamStore({n: rng.standard_normal(shape) for n, shape in shapes.items()})
+                 for _ in range(K)]
+        stacked = nc.ParamStore({n: np.stack([st.value(n) for st in plain]) for n in shapes},
+                                copies=K)
+        return stacked, plain
+
+    def test_store_views_carry_the_model_axis(self):
+        store = leaf_store(a=np.arange(3.0), b=np.ones((2, 2)))
+        stack = store.stack(2)
+        assert stack.copies == 2 and store.copies is None
+        assert stack.flat.shape == (2, 7) and stack.value("b").shape == (2, 2, 2)
+        stack.value("b")[1, 0, 0] = 9.0
+        assert stack.flat[1, 3] == 9.0 and store.value("b")[0, 0] == 1.0
+        stack.grad("a")[0] += 1.0
+        assert stack.flat_grad[0, :3].tolist() == [1.0, 1.0, 1.0]
+        member = stack.member(1)
+        assert member.copies is None and member.value("b")[0, 0] == 9.0
+        member.set_value("a", np.zeros(3))
+        assert stack.value("a")[1].tolist() == [0.0, 1.0, 2.0]
+        assert stack.copy().copies == 2
+
+    def test_store_rejects_missing_model_axis(self):
+        with pytest.raises(nc.DimensionError):
+            nc.ParamStore({"a": np.zeros((2, 3)), "b": np.zeros((3,))}, copies=2)
+        with pytest.raises(nc.ContractError):
+            leaf_store(a=np.zeros(2)).stack(2).stack(2)
+
+    def test_ops_match_per_copy_ops(self):
+        rng = np.random.default_rng(20)
+        stacked, plain = self.stacked(rng, {"W": (4, 2), "b": (2,), "table": (5, 3)})
+        x = rng.standard_normal((self.K * 6, 4))
+        idx = rng.integers(0, 5, size=4)
+        bound = {n: nc.Tensor(stacked.value(n)) for n in stacked.names()}
+        out = nc.add_bias(nc.matmul(nc.Tensor(x), bound["W"]), bound["b"]).data
+        rows = nc.gather_rows(bound["table"],
+                              np.concatenate([idx + 5 * k for k in range(self.K)])).data
+        for k, st in enumerate(plain):
+            want = nc.add_bias(nc.matmul(nc.Tensor(x[6 * k:6 * (k + 1)]),
+                                         nc.Tensor(st.value("W"))),
+                               nc.Tensor(st.value("b"))).data
+            np.testing.assert_allclose(out[6 * k:6 * (k + 1)], want, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(rows[4 * k:4 * (k + 1)], st.value("table")[idx])
+
+    def test_rows_must_split_into_groups(self):
+        W = nc.Tensor(np.zeros((3, 4, 2)))
+        with pytest.raises(nc.DimensionError):
+            nc.matmul(nc.Tensor(np.zeros((5, 4))), W)
+        with pytest.raises(nc.DimensionError):
+            nc.add_bias(nc.Tensor(np.zeros((5, 2))), nc.Tensor(np.zeros((3, 2))))
+
+    def test_gru_sequence_matches_per_copy(self):
+        rng = np.random.default_rng(21)
+        d, H, T, Bk = 3, 4, 5, 2
+        shapes = dict(zip(nc._GRU_NAMES, ((d, H), (H, H), (H,)) * 3))
+        stacked, plain = self.stacked(rng, shapes)
+        xs = rng.standard_normal((self.K * Bk, T, d))
+        g = rng.standard_normal((self.K * Bk * T, H))
+        tape = nc.ComputeTape()
+        out = nc.gru_sequence(xs, *(tape.leaf(stacked, n) for n in nc._GRU_NAMES))
+        stacked.zero_grad()
+        tape.backward(nc.mse_loss(nc.reshape(out, (out.data.size,)), nc.Tensor(g.ravel())))
+        for k, st in enumerate(plain):
+            tape = nc.ComputeTape()
+            solo = nc.gru_sequence(xs[Bk * k:Bk * (k + 1)],
+                                   *(tape.leaf(st, n) for n in nc._GRU_NAMES))
+            np.testing.assert_allclose(out.data[Bk * T * k:Bk * T * (k + 1)], solo.data,
+                                       rtol=1e-14, atol=0)
+            st.zero_grad()
+            rows = g[Bk * T * k:Bk * T * (k + 1)].ravel()
+            loss = nc.mse_loss(nc.reshape(solo, (rows.size,)), nc.Tensor(rows))
+            tape.backward(loss)
+            # the stacked loss averages over all K groups, the solo one over one
+            np.testing.assert_allclose(stacked.flat_grad[k] * self.K, st.flat_grad,
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_grouped_mse_is_a_sum_of_group_means(self):
+        pred = nc.Tensor(np.array([1.0, 2.0, 7.0, 3.0, 0.0, 5.0]))
+        target = nc.Tensor(np.zeros(6))
+        loss = nc.mse_loss(pred, target, counts=[2, 1])  # rows 2, 4 and 5 are padding
+        assert float(loss.data) == (1.0 + 4.0) / 2 + 9.0
+        with pytest.raises(nc.DimensionError):
+            nc.mse_loss(pred, target, counts=[4, 1])
+
+    def test_grad_check_on_a_stacked_store(self):
+        rng = np.random.default_rng(22)
+        stacked, _ = self.stacked(rng, {"W": (3, 2), "b": (2,), "table": (4, 3)}, K=2)
+        x = nc.Tensor(rng.standard_normal((6, 3)))
+        idx = np.array([0, 3, 1, 4, 7, 6])  # rows of both copies' tables
+
+        def f(tape, s):
+            W, b, table = (nc.ComputeTape.bind(tape, s, n) for n in ("W", "b", "table"))
+            h = nc.add(x, nc.gather_rows(table, idx))
+            out = nc.tanh(nc.add_bias(nc.matmul(h, W), b))
+            return nc.mse_loss(nc.reshape(out, (12,)), nc.Tensor(np.zeros(12)),
+                               counts=[5, 4])
+
+        run_check(f, stacked)

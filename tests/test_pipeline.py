@@ -424,7 +424,7 @@ class TestModelLabels:
 
 
 class TestPredictCalls:
-    """Shared-parameter counties are predicted in one call, tuned ones one each."""
+    """Shared-parameter counties are predicted in one call, tuned ones in one more."""
 
     @staticmethod
     def config(tmp_path, **overrides):
@@ -469,14 +469,80 @@ class TestPredictCalls:
 
     # on this panel: every county tuned, four fallbacks, every county a fallback
     @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.9999])
-    def test_finetune_one_call_per_tuned_county(self, tmp_path, monkeypatch, threshold):
+    def test_finetune_one_stacked_call_per_seed(self, tmp_path, monkeypatch, threshold):
         cfg = self.config(tmp_path, threshold=threshold)
+        tunes = []
+
+        def recording_fine_tune(p, sample_sets, *args, **kwargs):
+            tuned = tr.fine_tune(p, sample_sets, *args, **kwargs)
+            tunes.append((list(sample_sets), tuned))
+            return tuned
+
+        monkeypatch.setattr(pl, "fine_tune", recording_fine_tune)
         models, out, calls = self.recorded_run(cfg, monkeypatch)
         tuned = [c for c in models.test_counties if c not in out.fallbacks]
-        assert len(calls) == len(tuned) + (1 if out.fallbacks else 0)
-        solo = [windows[0].target.county for p, windows in calls if p is not models.lyra]
-        assert solo == tuned and all(len(w) == 1 for p, w in calls if p is not models.lyra)
+        assert len(tunes) == (1 if tuned else 0)
+        assert len(calls) == (1 if tuned else 0) + (1 if out.fallbacks else 0)
+        if tuned:
+            (sets, stack), = tunes
+            assert [s.query for s in sets] == tuned
+            p, windows = calls[0]
+            assert p is stack and p.store.copies == len(tuned)
+            assert [win.target.county for win in windows] == tuned
+            for k, win in enumerate(windows):
+                solo = lyra_predict(stack.member(k), models.stats, [win])[0]
+                np.testing.assert_allclose(out.predictions[win.target.county],
+                                           solo.prediction, rtol=1e-12, atol=0)
         if out.fallbacks:
             p, windows = calls[-1]
             assert p is models.lyra
             assert [win.target.county for win in windows] == sorted(out.fallbacks)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_finetune_divergence_names_seed_and_counties(self, tmp_path):
+        train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                               fine_tune_lr=1e200, fine_tune_epochs=5)
+        cfg = base_config(tmp_path, out_dir=None, train=train)
+        with pytest.raises(pl.PipelineError) as info:
+            pl.run_experiment(cfg)
+        message = str(info.value)
+        assert message.startswith("[fine_tune seed 0 counties c000 ")
+        assert "diverged at epoch" in message
+
+
+class TestSharedRetrieval:
+    """Ablation variants share one retrieval and one refinement per setting."""
+
+    def test_ablate_retrieves_and_refines_once(self, tmp_path, monkeypatch):
+        counts = {"retrieve": 0, "refine": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pl.rt, "retrieve", counting("retrieve", pl.rt.retrieve))
+        monkeypatch.setattr(pl.rf, "refine_labels", counting("refine", pl.rf.refine_labels))
+        cfg = base_config(tmp_path, out_dir=None, seeds=(0, 1),
+                          train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                                               fine_tune_lr=1e-3, fine_tune_epochs=2))
+        pl.ablate(cfg)
+        n = len(cfg.seeds) * cfg.synthetic.n_counties
+        assert counts == {"retrieve": n, "refine": 2 * n}
+
+    def test_shared_results_match_fresh_ones(self, tmp_path):
+        cfg = base_config(tmp_path, out_dir=None)
+        ds, adjacency = pl.load(cfg)
+        models = pl.train_models(cfg, ds, 0)
+        shared = pl.retrieval_context(cfg, models, adjacency)
+        county = models.test_counties[2]
+        for refine in (True, False, True):
+            sub = replace(cfg, refine=refine)
+            got = pl.retrieve_refine(sub, models, shared, county)
+            fresh = pl.retrieve_refine(sub, models,
+                                       pl.retrieval_context(sub, models, adjacency), county)
+            assert got[0].samples == fresh[0].samples
+            assert [e.label_refined for e in got[1].entries] == \
+                [e.label_refined for e in fresh[1].entries]
+        assert len(shared.retrieved) == 1 and len(shared.refined) == 2

@@ -282,5 +282,6 @@ class TestCsvExports:
         path = tmp_path / "refined.csv"
         rf.save_refined_csv([out], str(path))
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "query,source_county,source_year,label,bias_hat,label_refined"
+        assert lines[0] == "query,source_county,source_year,label,bias_hat,label_refined,method"
         assert len(lines) == 2
+        assert lines[1].split(",")[-1] == "ols"

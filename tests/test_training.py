@@ -1,9 +1,11 @@
 """Training tests: optimizer semantics, global/backbone training loops,
-window-sample construction, per-county fine-tuning, and step memory."""
+window-sample construction, per-county fine-tuning (checked against the
+per-county loop it replaced), and step memory."""
 
 import gc
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ratar.backbone import (
     GruParams,
     LyraDims,
     LyraParams,
+    embed_batch,
     global_forward,
     lookback_window,
     lyra_forward,
@@ -195,6 +198,39 @@ class TestAdam:
     def test_invalid_lr(self):
         with pytest.raises(ContractError):
             tr.Adam(self.make_store(), lr=0.0, clip_norm=5.0)
+
+
+class TestStackedAdam:
+    """A [K x n] Adam moves each row exactly as an Adam of its own would."""
+
+    def test_rows_match_independent_optimizers_bitwise(self):
+        rng = np.random.default_rng(5)
+        K = 4
+        plain = [ParamStore({"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2))})
+                 for _ in range(K)]
+        stacked = ParamStore({name: np.stack([st.value(name) for st in plain])
+                              for name in plain[0].names()}, copies=K)
+        solo = [tr.Adam(st, lr=0.05, clip_norm=1.0) for st in plain]
+        opt = tr.Adam(stacked, lr=0.05, clip_norm=1.0)
+        clipped = set()
+        for _ in range(6):
+            stacked.zero_grad()
+            for k, st in enumerate(plain):
+                st.zero_grad()
+                scale = 10.0 ** (k - 2)  # rows 0 and 1 below the clip, 2 and 3 above
+                for name in st.names():
+                    g = scale * rng.standard_normal(st.value(name).shape)
+                    st.grad(name)[...] = g
+                    stacked.grad(name)[k] = g
+                if np.sqrt((st.flat_grad ** 2).sum()) > 1.0:
+                    clipped.add(k)
+                solo[k].step()
+            opt.step()
+        assert clipped == {2, 3}
+        for k, st in enumerate(plain):
+            np.testing.assert_array_equal(stacked.flat[k], st.flat)
+            np.testing.assert_array_equal(opt._m[k], solo[k]._m)
+            np.testing.assert_array_equal(opt._v[k], solo[k]._v)
 
 
 class TestFlatAdamMatchesPerParameter:
@@ -506,6 +542,204 @@ class TestFineTune:
             tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
                                  target_labels=observed_labels(self.ds), stats=self.stats)
         assert stores_equal(tuned.store, self.params.store)
+
+
+def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
+    """The per-county fine-tune loop that the stacked `tr.fine_tune` replaced.
+
+    Kept verbatim as the stacked path's oracle: one county's copy, one
+    tape per epoch.
+    """
+    cfg.validate()
+    tuned = p.copy()
+    if not sample_set.entries:
+        warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
+        return tuned
+    windows, targets = [], []  # targets: normalized refined labels
+    for entry in sample_set.entries:
+        rec = train.get(entry.record.county, entry.record.year)
+        if train.county_years(rec.county)[0] == rec.year:
+            warnings.warn(
+                f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
+            )
+            continue
+        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year],
+                                       tuned.w))
+        refined = entry.label_refined
+        targets.append(stats.normalize_label(refined) if stats is not None else refined)
+    if not windows or cfg.fine_tune_epochs == 0:
+        return tuned
+
+    xs, triples, samples = window_table(tuned, windows)
+    targets = np.array(targets, dtype=np.float64)
+
+    pooled_const = None
+    if cfg.freeze_encoder:
+        _, pooled, _ = embed_batch(None, tuned, xs, triples)
+        pooled_const = pooled.data
+
+    opt = tr.Adam(tuned.store, cfg.fine_tune_lr, cfg.clip_norm)
+
+    def epoch_fn(idx):
+        loss = tr._mse_step(
+            tuned.store, opt,
+            lambda tape: lyra_forward(tape, tuned, xs, triples, samples,
+                                      pooled_const=pooled_const)[0],
+            targets)
+        return loss, idx.size
+
+    tr._run_epochs(len(windows), cfg.fine_tune_epochs, epoch_fn)
+    return tuned
+
+
+class ClipRecordingAdam(tr.Adam):
+    """tr.Adam that records, per step, whether the gradient norm exceeded the clip."""
+
+    clipped = []
+
+    def step(self):
+        norm = np.sqrt((self._store.flat_grad ** 2).sum())
+        ClipRecordingAdam.clipped.append(bool(norm > self._clip))
+        super().step()
+
+
+class TestStackedFineTune:
+    """One `fine_tune` over many sets equals the per-county loop, set by set."""
+
+    def setup_method(self):
+        raw = small_synth(seed=4)
+        self.stats = zscore_fit(raw)
+        self.ds = zscore_apply(raw, self.stats)
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=20, seed=0)
+        f, _ = tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
+        self.labels = model_labels(f, self.ds.records)
+        self.params, _ = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(),
+                                       target_labels=self.labels)
+
+    def entry(self, county, year, shift):
+        rec = self.ds.get(county, year)
+        label = self.stats.denormalize_label(rec.yield_label)
+        return rf.RefinedSample(rec, label, shift, label + shift, True, "ols")
+
+    def sample_set(self, k, entries):
+        return rf.RefinedSampleSet(query=f"q{k}", target_year=self.ds.years[-1] + 1,
+                                   sigma=0.0, entries=entries)
+
+    def random_sets(self, seed, n=6):
+        """Sets of 1-4 entries from random counties, so window counts differ.
+
+        Odd sets get label shifts ten times larger than even ones, so
+        their gradients are larger.
+        """
+        rng = np.random.default_rng(seed)
+        sets = []
+        for k in range(n):
+            county = self.ds.counties[rng.integers(len(self.ds.counties))]
+            years = rng.choice(self.ds.years[1:], size=rng.integers(1, 5), replace=False)
+            spread = 3.0 if k % 2 else 0.3
+            sets.append(self.sample_set(k, [self.entry(county, int(y),
+                                                       float(rng.normal(0, spread)))
+                                            for y in sorted(years)]))
+        return sets
+
+    def compare(self, monkeypatch, sets, cfg):
+        """Check the stacked run against the reference.
+
+        Returns the stacked parameters and, per set, the reference run's
+        clip record.
+        """
+        refs, clipped = [], []
+        with monkeypatch.context() as m:
+            m.setattr(tr, "Adam", ClipRecordingAdam)
+            for sample_set in sets:
+                ClipRecordingAdam.clipped = []
+                refs.append(reference_fine_tune(self.params, sample_set, self.ds, cfg,
+                                                self.labels, self.stats))
+                clipped.append(ClipRecordingAdam.clipped)
+        before = self.params.store.flat.copy()
+        stack = tr.fine_tune(self.params, sets, self.ds, cfg, self.labels, self.stats)
+        np.testing.assert_array_equal(self.params.store.flat, before)
+        assert stack.store.copies == len(sets)
+
+        counties = self.ds.counties[:len(sets)]
+        year = self.ds.years[-1]
+        windows = [lookback_window(self.ds, self.ds.get(c, year), self.labels[c, year],
+                                   self.params.w) for c in counties]
+        got = np.array([r.prediction for r in lyra_predict(stack, self.stats, windows)])
+        want = np.array([lyra_predict(ref, self.stats, [win])[0].prediction
+                         for ref, win in zip(refs, windows)])
+        for name in self.params.store.names():
+            tuned = stack.store.value(name)
+            ref_values = np.stack([ref.store.value(name) for ref in refs])
+            if name == "attn.out.b":
+                # Softmax ignores a shift of all scores, so this bias's true
+                # gradient is 0: its computed gradient is rounding noise, which
+                # padding reorders and Adam scales up by about 1/eps.  It moves
+                # by ~1e-11 and cannot change a prediction.
+                np.testing.assert_allclose(tuned, ref_values, rtol=0, atol=1e-10)
+            else:
+                np.testing.assert_allclose(tuned, ref_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        ref_flat = np.stack([ref.store.flat for ref in refs])
+        print(f"stacked fine-tune vs per-county loop: "
+              f"{(stack.store.flat == ref_flat).mean():.4f} of parameters and "
+              f"{(got == want).mean():.4f} of predictions bit-equal")
+        return stack, clipped
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_ragged_sets_match_reference(self, monkeypatch, freeze, seed):
+        sets = self.random_sets(seed)
+        assert len({len(s.entries) for s in sets}) > 1, "sets must need padding"
+        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=6, clip_norm=5.0,
+                             freeze_encoder=freeze)
+        _, clipped = self.compare(monkeypatch, sets, cfg)
+        assert any(any(c) for c in clipped) and any(not any(c) for c in clipped), \
+            "clipping must fire in some sets and not in others"
+
+    def test_empty_and_skipped_sets_stay_unchanged(self, monkeypatch):
+        sets = self.random_sets(9, n=4)
+        first = self.ds.years[0]
+        sets.insert(1, self.sample_set(10, []))
+        sets.insert(3, self.sample_set(11, [self.entry(c, first, 1.0)
+                                            for c in self.ds.counties[:2]]))
+        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=4)
+        with pytest.warns(UserWarning) as record:
+            stack, _ = self.compare(monkeypatch, sets, cfg)
+        messages = [str(w.message) for w in record]
+        assert any("empty" in m for m in messages) and any("history" in m for m in messages)
+        for k in (1, 3):
+            np.testing.assert_array_equal(stack.store.flat[k], self.params.store.flat)
+
+    def test_zero_epochs_leaves_every_copy_unchanged(self, monkeypatch):
+        sets = self.random_sets(11, n=3)
+        cfg = tr.TrainConfig(fine_tune_epochs=0)
+        stack, _ = self.compare(monkeypatch, sets, cfg)
+        for k in range(3):
+            np.testing.assert_array_equal(stack.store.flat[k], self.params.store.flat)
+
+    def test_duplicate_entries_match_reference(self, monkeypatch):
+        sets = self.random_sets(12, n=3)
+        county, year = self.ds.counties[3], self.ds.years[-1]
+        sets.append(self.sample_set(3, [self.entry(county, year, shift)
+                                        for shift in (-2.0, 2.0, 2.0)]))
+        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=4)
+        self.compare(monkeypatch, sets, cfg)
+
+    def test_single_set_gives_plain_parameters(self):
+        sample_set = self.random_sets(13, n=1)[0]
+        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=3)
+        solo = tr.fine_tune(self.params, sample_set, self.ds, cfg, self.labels, self.stats)
+        stack = tr.fine_tune(self.params, [sample_set], self.ds, cfg, self.labels, self.stats)
+        assert solo.store.copies is None and stack.store.copies == 1
+        np.testing.assert_array_equal(solo.store.flat, stack.store.flat[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_reported_with_epoch(self):
+        cfg = tr.TrainConfig(fine_tune_lr=1e200, fine_tune_epochs=5)
+        with pytest.raises(tr.TrainingError, match="epoch"):
+            tr.fine_tune(self.params, self.random_sets(14, n=3), self.ds, cfg,
+                         self.labels, self.stats)
 
 
 class TestStepMemory:
