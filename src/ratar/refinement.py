@@ -7,7 +7,10 @@ county's label drifts across years and shifts retrieved labels forward:
 1.  For every training year s, fit a small regressor g_s from yearly
     embeddings to labels using all counties observed in year s.
 2.  For a county i, the bias matrix holds B[s, k] = y_i^k - g_s(z_i^k),
-    the gap between year k's label and what year s's map expects.
+    the gap between year k's label and what year s's map expects.  Row s
+    is one `g_s.predict` over the county's stacked embeddings, computed
+    as one [1 x E] . [E] product per cell rather than one GEMV, so each
+    cell has the same bits as predicting its embedding alone.
 3.  Each row s is extrapolated with a least-squares line over k to the
     target year, giving a per-sample correction b_hat.
 4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
@@ -40,14 +43,24 @@ class YearRegressor:
     z_scale: np.ndarray
 
     def predict(self, Z):
+        """g(z) for one embedding [E] or each row of a table [n, E]; returns [n].
+
+        Each row is its own [1 x E] . [E] product, so a row's value has the
+        same bits however many rows are predicted together.  A plain GEMV
+        `X @ coef` (or `einsum`, or `(X * coef).sum(1)`) sums in another
+        order and changes the last bits of some rows.
+        """
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim == 1:
             Z = Z[None, :]
+        if Z.ndim != 2:
+            raise ContractError(f"expected embeddings of shape [E] or [n, E], got shape {Z.shape}")
         if Z.shape[1] != self.coef.shape[0]:
             raise ContractError(
                 f"embedding width {Z.shape[1]} does not match regressor width {self.coef.shape[0]}"
             )
-        return (Z - self.z_mean) / self.z_scale @ self.coef + self.intercept
+        X = (Z - self.z_mean) / self.z_scale
+        return (X[:, None, :] @ self.coef)[:, 0] + self.intercept
 
 
 def embedding_moments(Z):
@@ -120,11 +133,21 @@ def build_bias_matrix(county, regressors, embeddings, labels):
     """Assemble the bias matrix for one county.
 
     `regressors` maps year -> fitted g_s, `embeddings` maps year -> z
-    vector for this county, `labels` maps year -> physical label.
+    vector for this county, `labels` maps year -> physical label.  Row s
+    is one `g_s.predict` over the county's stacked embeddings, B[s] =
+    y - g_s(Z), and each cell has the bits of predicting its embedding
+    alone (see `YearRegressor.predict`).  Rows of years without a
+    regressor stay zero and invalid.
     """
     years = sorted(set(embeddings) & set(labels))
     if not years:
         raise ContractError(f"county {county}: no years with both embedding and label")
+    rows = [np.asarray(embeddings[k], dtype=np.float64) for k in years]
+    shapes = sorted({z.shape for z in rows})
+    if len(shapes) > 1 or len(shapes[0]) != 1:
+        raise ContractError(f"county {county}: expected embeddings of one shape [E], got {shapes}")
+    Z = np.stack(rows)
+    y = np.array([labels[k] for k in years], dtype=np.float64)
     K = len(years)
     B = np.zeros((K, K))
     valid = np.zeros((K, K), dtype=bool)
@@ -132,10 +155,8 @@ def build_bias_matrix(county, regressors, embeddings, labels):
         g = regressors.get(s)
         if g is None:
             continue
-        for ki, k in enumerate(years):
-            pred = float(g.predict(embeddings[k][None, :])[0])
-            B[si, ki] = labels[k] - pred
-            valid[si, ki] = True
+        B[si] = y - g.predict(Z)
+        valid[si] = True
     return BiasMatrix(county=county, years=years, B=B, valid=valid)
 
 

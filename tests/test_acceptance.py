@@ -162,11 +162,13 @@ def test_c03_similarity_algebra():
 
 
 def test_c04_bias_reconstruction_identity(refine_setup):
-    """Every valid bias cell satisfies B[s,k] + g_s(z^k) == y^k."""
+    """Every valid bias cell satisfies B[s,k] + g_s(z^k) == y^k, and holds
+    the bits of y^k - g_s(z^k) computed for that cell alone."""
     s = refine_setup
     train_n, stats = s.models.train_n, s.models.stats
     checked = 0
     worst = 0.0
+    bit_equal = 0
     for county, bm in s.biases.items():
         labels = {
             y: stats.denormalize_label(train_n.get(county, y).yield_label)
@@ -180,12 +182,16 @@ def test_c04_bias_reconstruction_identity(refine_setup):
                 if not bm.valid[si, ki]:
                     continue
                 z = s.embeddings[(county, yk)]
-                err = abs(bm.B[si, ki] + float(g.predict(z)[0]) - labels[yk])
+                pred = float(g.predict(z)[0])
+                err = abs(bm.B[si, ki] + pred - labels[yk])
                 worst = max(worst, err)
+                bit_equal += bm.B[si, ki] == labels[yk] - pred
                 checked += 1
-    print(f"c04 bias identity: {checked} cells, worst {worst:.2e}")
+    print(f"c04 bias identity: {checked} cells, worst {worst:.2e}, "
+          f"{bit_equal} bit-equal to the one-cell form")
     assert checked > 0
     assert worst < 1e-10
+    assert bit_equal == checked
 
 
 def test_c05_extrapolation_matches_independent_solver():

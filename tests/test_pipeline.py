@@ -546,3 +546,29 @@ class TestSharedRetrieval:
             assert [e.label_refined for e in got[1].entries] == \
                 [e.label_refined for e in fresh[1].entries]
         assert len(shared.retrieved) == 1 and len(shared.refined) == 2
+
+
+class TestRefinementSetupCalls:
+    """Bias matrices cost one regressor call per row, not one per cell."""
+
+    def test_one_predict_per_county_and_regressor_year(self, tmp_path, monkeypatch):
+        synth = replace(synth_cfg(), n_counties=24, n_years=12)
+        cfg = base_config(tmp_path, out_dir=None, synthetic=synth, test_year=2011,
+                          train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=1, seed=0,
+                                               fine_tune_lr=1e-3, fine_tune_epochs=1))
+        ds, adjacency = pl.load(cfg)
+        models = pl.train_models(cfg, ds, 0)
+        calls = []
+        original = rf.YearRegressor.predict
+
+        def counting(self, Z):
+            calls.append(self.year)
+            return original(self, Z)
+
+        monkeypatch.setattr(rf.YearRegressor, "predict", counting)
+        ctx = pl.retrieval_context(cfg, models, adjacency)
+        train_n = models.train_n
+        rows = sum(len(set(ctx.regressors) & set(train_n.county_years(c)))
+                   for c in train_n.counties)
+        assert len(train_n.counties) == 24 and rows == 264
+        assert 0 < len(calls) <= rows

@@ -58,6 +58,39 @@ class TestYearRegressor:
         assert np.array_equal(a.coef, b.coef) and a.intercept == b.intercept
 
 
+class TestPredictShapes:
+    @staticmethod
+    def regressor(E, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((3 * E + 4, E)) * rng.uniform(0.1, 10.0, E)
+        y = rng.standard_normal(3 * E + 4) * 4.0 + 50.0
+        return rf.fit_year_regressor(2001, Z, y, *rf.embedding_moments(Z)), rng
+
+    @pytest.mark.parametrize("E", [1, 2, 5, 8, 16])
+    def test_rows_independent_of_batch_size(self, E):
+        g, rng = self.regressor(E, E)
+        for n in range(1, 65):
+            Z = rng.standard_normal((n, E)) * 3.0
+            batch = g.predict(Z)
+            assert batch.shape == (n,)
+            for i in range(n):
+                assert batch[i].tobytes() == g.predict(Z[i])[0].tobytes()
+                # the one-row form every cell used before rows were batched
+                one_row = (Z[i:i + 1] - g.z_mean) / g.z_scale @ g.coef + g.intercept
+                assert batch[i].tobytes() == one_row[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2, 4, 4), (1, 1, 4), (2, 3, 4, 4)])
+    def test_rejects_other_ranks(self, shape):
+        g, _ = self.regressor(4, 0)
+        with pytest.raises(ContractError, match=r"got shape \(" + ", ".join(map(str, shape))):
+            g.predict(np.zeros(shape))
+
+    def test_rejects_width_mismatch(self):
+        g, _ = self.regressor(4, 0)
+        with pytest.raises(ContractError, match="width 3"):
+            g.predict(np.zeros((2, 3)))
+
+
 def toy_regressors(years, coef, intercepts):
     out = {}
     for i, s in enumerate(years):
@@ -124,6 +157,81 @@ class TestBiasMatrix:
     def test_empty_embeddings_rejected(self):
         with pytest.raises(ContractError):
             rf.build_bias_matrix("c0", {}, {}, {})
+
+
+def reference_bias_matrix(county, regressors, embeddings, labels):
+    """One `predict` call per cell: the bias matrix before rows were batched."""
+    years = sorted(set(embeddings) & set(labels))
+    if not years:
+        raise ContractError(f"county {county}: no years with both embedding and label")
+    K = len(years)
+    B = np.zeros((K, K))
+    valid = np.zeros((K, K), dtype=bool)
+    for si, s in enumerate(years):
+        g = regressors.get(s)
+        if g is None:
+            continue
+        for ki, k in enumerate(years):
+            pred = float(g.predict(embeddings[k][None, :])[0])
+            B[si, ki] = labels[k] - pred
+            valid[si, ki] = True
+    return rf.BiasMatrix(county=county, years=years, B=B, valid=valid)
+
+
+class TestBiasMatrixOracle:
+    """Row-wise bias matrices carry the bits of the per-cell reference."""
+
+    @staticmethod
+    def random_county(rng, E, n_years):
+        pool = np.arange(1980, 2030)
+        years = sorted(int(y) for y in rng.choice(pool, size=n_years, replace=False))
+        shift = rng.standard_normal(E) * 5.0
+        spread = rng.uniform(0.05, 20.0, E)
+        Z_all = shift + spread * rng.standard_normal((len(years) * 6, E))
+        z_mean, z_scale = rf.embedding_moments(Z_all)
+        regs = {}
+        for s in years:
+            if rng.random() < 0.25:
+                continue  # a year without a regressor
+            Z = shift + spread * rng.standard_normal((int(rng.integers(2, 12)), E))
+            yv = rng.standard_normal(len(Z)) * 30.0 + 150.0
+            regs[s] = rf.fit_year_regressor(s, Z, yv, z_mean, z_scale)
+        embeddings = {y: shift + spread * rng.standard_normal(E) for y in years}
+        labels = {y: float(rng.standard_normal() * 30.0 + 150.0) for y in years}
+        return regs, embeddings, labels
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert got.county == want.county and got.years == want.years
+        assert got.B.dtype == want.B.dtype and got.B.tobytes() == want.B.tobytes()
+        assert np.array_equal(got.valid, want.valid)
+
+    @pytest.mark.parametrize("E", [1, 2, 5, 8, 16])
+    def test_random_counties(self, E):
+        rng = np.random.default_rng(100 + E)
+        for n_years in range(1, 26):
+            regs, embeddings, labels = self.random_county(rng, E, n_years)
+            got = rf.build_bias_matrix("c0", regs, embeddings, labels)
+            self.assert_bit_equal(got, reference_bias_matrix("c0", regs, embeddings, labels))
+            for si, s in enumerate(got.years):
+                if s not in regs:
+                    assert not got.valid[si].any() and not got.B[si].any()
+
+    def test_one_year_county(self):
+        rng = np.random.default_rng(7)
+        regs, embeddings, labels = self.random_county(rng, 5, 3)
+        year = sorted(regs)[0]
+        one = ({year: embeddings[year]}, {year: labels[year]})
+        got = rf.build_bias_matrix("c0", regs, *one)
+        assert got.years == [year] and got.valid.all()
+        self.assert_bit_equal(got, reference_bias_matrix("c0", regs, *one))
+
+    @pytest.mark.parametrize("shapes", [[(2,), (3,)], [(), ()], [(1, 2), (1, 2)]])
+    def test_malformed_embeddings_name_county(self, shapes):
+        regs = toy_regressors([2000, 2001], [1.0, 2.0], [0.0, 0.0])
+        embeddings = {2000: np.zeros(shapes[0]), 2001: np.zeros(shapes[1])}
+        with pytest.raises(ContractError, match="county c7"):
+            rf.build_bias_matrix("c7", regs, embeddings, {2000: 1.0, 2001: 2.0})
 
 
 class TestExtrapolateBias:
