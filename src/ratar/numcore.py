@@ -37,7 +37,15 @@ An op may cover a whole recurrence: gru_sequence runs a GRU over every
 day of a batch of sequences in plain numpy and records a single entry whose
 vjp, a hand-written backward-through-time pass, returns all nine parameter
 cotangents.  This keeps the daily encoder from costing one record, and one
-Python dispatch, per gate per day.
+Python dispatch, per gate per day.  Inside, every GEMM keeps its per-day
+shape, as a slice of one of a few batched np.matmul calls: each slice is
+still its own BLAS call, so the bits are those of the op-by-op
+recurrence, whereas one GEMM over all days lets BLAS pick another kernel
+and summation order.  The backward pass computes every day's gate factors
+at once into its cotangent buffer and takes that buffer, like the rest of
+its scratch, from the _reused_scratch block around a training loop, so
+they live from the loop's first backward pass to its end instead of being
+allocated and page-faulted in again every step.
 
 Broadcasting is restricted to scalar-vs-tensor; everything else must match
 shapes exactly so gradient rules stay auditable.
@@ -45,7 +53,10 @@ shapes exactly so gradient rules stay auditable.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
+import math
 
 import numpy as np
 
@@ -476,6 +487,46 @@ def rowdot_groups(stack: Tensor, ref: Tensor) -> Tensor:
 _GRU_NAMES = ("W_r", "U_r", "b_r", "W_u", "U_u", "b_u", "W_c", "U_c", "b_c")
 
 
+class _Scratch:
+    """Grow-only float64 buffers by name; take() views a buffer's first entries."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+_SCRATCH = contextvars.ContextVar("_SCRATCH", default=None)
+
+
+@contextlib.contextmanager
+def _reused_scratch():
+    """Within the block, every gru_sequence backward pass reuses one _Scratch.
+
+    A training loop runs one backward per step on similar shapes; reusing
+    the buffers spares the allocator from freeing and page-faulting them
+    back each step.  They are freed when the block ends.
+    """
+    token = _SCRATCH.set(_Scratch())
+    try:
+        yield
+    finally:
+        _SCRATCH.reset(token)
+
+
+def _sigmoid_into(a, out):
+    """out = 1 / (1 + exp(-a)), each step in place; exp overflow saturates to 0."""
+    np.negative(a, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.divide(1.0, out, out=out)
+
+
 def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
     """GRU (Cho et al. 2014) over constant sequences xs [B,T,d] from a zero state.
 
@@ -492,6 +543,21 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
 
     Parameters of K stacked copies ([K, d, H], [K, H, H], [K, H]) run the
     K equal groups of sequences, group k on copy k, in one recurrence.
+
+    Every product is a [B/K x n] @ [n x H] GEMM per day, gate and copy,
+    the shapes of the op-by-op recurrence, so states and cotangents keep
+    its bits.  One np.matmul over a stack of such slices (x@W for all days
+    and gates up front, h@U_r and h@U_u together per day) runs each slice
+    as its own GEMM and changes no bit; one GEMM over all days,
+    [T*B x d] @ [d x H], would, because BLAS picks its kernels, and with
+    them the order in which a dot product is summed, by matrix shape.  The
+    forward writes x@W into `gates` and overwrites it in place with the
+    activations.  BPTT writes every day's local gate factors (h*r)*(1-r),
+    ((c-h)*u)*(1-u) and u*(1-c*c) into the three slots of its cotangent
+    buffer DA at once and scales them per day in place.  DA and BPTT's
+    other buffers come from the enclosing _reused_scratch block, which
+    training opens around each loop, so they live from the loop's first
+    backward pass to its end; outside a block, for one backward pass.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3:
@@ -511,72 +577,105 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
         raise DimensionError("gru_sequence needs at least one step")
     if not np.all(np.isfinite(xs)):
         raise NumericError("non-finite values in tensor")
-    Wr, Ur, br, Wu, Uu, bu, Wc, Uc, bc = (p.data for p in params)
-    if copies is not None:  # each copy's bias repeated over its group's rows
-        br, bu, bc = (np.repeat(b, B // copies, axis=0) for b in (br, bu, bc))
-    mm = _group_matmul
-    # Products stay per step and per gate, in the shapes of the unfused ops:
-    # BLAS may sum in another order for one GEMM over all days or gates, and
-    # these shapes keep the states bitwise those of the op-by-op recurrence.
-    groups = copies or 1
-    grouped = (groups, B // groups, H)  # a step's [B x H] rows, copy by copy
-    pre = np.zeros((3, B, H))  # the step's gate pre-activations r, u, c
-    gates = np.zeros((T, 3, B, H))  # r, u, c per step; r is unused on the first
-    hs = np.zeros((B, T, H))  # hs[:, t] is the state after day t
-    with np.errstate(over="ignore"):  # sigmoid: exp overflow saturates to 0
-        for t in range(T):
-            x = xs[:, t, :]
-            a_r, a_u, a_c = pre
-            r, u, c = gates[t]
-            if t == 0:
-                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu), bu, out=a_u)), out=u)
-                np.tanh(np.add(mm(x, Wc), bc, out=a_c), out=c)
-                np.multiply(u, c, out=hs[:, 0])
-            else:
-                h = hs[:, t - 1]
-                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wr) + mm(h, Ur), br, out=a_r)), out=r)
-                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu) + mm(h, Uu), bu, out=a_u)), out=u)
-                np.tanh(np.add(mm(x, Wc) + mm(r * h, Uc), bc, out=a_c), out=c)
-                np.add((1.0 - u) * h, u * c, out=hs[:, t])
+    # A plain parameter is one copy: every array below carries the copy
+    # axis K, and a step's [B x n] rows are [K, B/K, n], group k on copy k.
+    K = copies or 1
+    Bk = B // K
+    Wr, Ur, br, Wu, Uu, bu, Wc, Uc, bc = (
+        p.data if copies else p.data[None] for p in params)
+    W = np.stack((Wr, Wu, Wc))  # [3, K, d, H]
+    Uru = np.stack((Ur, Uu))  # [2, K, H, H]
+    bias = np.stack((br, bu, bc))[:, :, None, :]  # [3, K, 1, H], over each group's rows
+    gates = np.empty((T, 3, B, H))  # r, u, c per day; r is zero on the first
+    hs = np.empty((B, T, H))  # hs[:, t] is the state after day t
+    steps = gates.reshape(T, 3, K, Bk, H)
+    states = hs.reshape(K, Bk, T, H)
+    pre = np.empty((3, K, Bk, H))  # the day's gate pre-activations r, u, c
+    rh = np.empty((K, Bk, H))  # r*h
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks raise
+        # x@W_r, x@W_u, x@W_c for every day: [T, 1, K, B/K, d] @ [3, K, d, H]
+        np.matmul(xs.transpose(1, 0, 2).reshape(T, 1, K, Bk, d), W, out=steps)
+        r, u, c = steps[0]
+        np.add(steps[0, 1:], bias[1:], out=pre[1:])
+        if not np.isfinite(pre[1:]).all():
+            raise NumericError("non-finite values in tensor")
+        r.fill(0.0)
+        _sigmoid_into(pre[1], u)
+        np.tanh(pre[2], out=c)
+        np.multiply(u, c, out=states[:, :, 0])
+        for t in range(1, T):
+            h = states[:, :, t - 1]
+            ru, (r, u, c) = steps[t, :2], steps[t]
+            np.matmul(h, Uru, out=pre[:2])
+            np.add(ru, pre[:2], out=pre[:2])
+            np.add(pre[:2], bias[:2], out=pre[:2])
+            _sigmoid_into(pre[:2], ru)
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, Uc, out=pre[2])
+            np.add(c, pre[2], out=pre[2])
+            np.add(pre[2], bias[2], out=pre[2])
             if not np.isfinite(pre).all():
                 raise NumericError("non-finite values in tensor")
-
-    def by_copy(a):  # [T, B, n] -> [T*B x n], rows (k, t, b): copy by copy, day-major
-        n = a.shape[-1]
-        return a.reshape(T, groups, B // groups, n).swapaxes(0, 1).reshape(T * B, n)
+            np.tanh(pre[2], out=c)
+            np.subtract(1.0, u, out=pre[0])  # the pre-activations are spent
+            np.multiply(pre[0], h, out=pre[0])
+            np.multiply(u, c, out=pre[1])
+            np.add(pre[0], pre[1], out=states[:, :, t])
+    del pre, rh  # before the output Tensor's finite check allocates
 
     def bptt(g):
-        G = g.reshape(B, T, H)
-        UrT, UuT, UcT = (m.swapaxes(-1, -2) for m in (Ur, Uu, Uc))
-        # da_r, da_u, da_c, each laid out as by_copy lays out its rows
-        DA = np.zeros((3, groups, T) + grouped[1:])
-        carry = 0.0
+        scratch = _SCRATCH.get() or _Scratch()
+        # rows (k, t, b): copy by copy, day-major, as _group_outer groups them
+        X = scratch.take("X", (K, T, Bk, d))
+        np.copyto(X, xs.reshape(K, Bk, T, d).swapaxes(1, 2))
+        hp = scratch.take("hp", (K, T, Bk, H))  # the state entering each day
+        hp[:, 0] = 0.0
+        np.copyto(hp[:, 1:], states[:, :, :-1].swapaxes(1, 2))
+        rs, us, cs = steps.transpose(1, 2, 0, 3, 4)  # every day's r, u, c, like X
+        # da_r, da_u, da_c: first every day's local factors (h*r)*(1-r),
+        # ((c-h)*u)*(1-u) and u*(1-c*c), each (1-g) in a slot not yet
+        # filled; the loop below scales them in place
+        DA = scratch.take("DA", (3, K, T, Bk, H))
+        np.subtract(cs, hp, out=DA[1])
+        np.multiply(DA[1], us, out=DA[1])
+        np.subtract(1.0, us, out=DA[0])
+        np.multiply(DA[1], DA[0], out=DA[1])
+        np.multiply(hp, rs, out=DA[0])
+        np.subtract(1.0, rs, out=DA[2])
+        np.multiply(DA[0], DA[2], out=DA[0])
+        np.multiply(cs, cs, out=DA[2])
+        np.subtract(1.0, DA[2], out=DA[2])
+        np.multiply(us, DA[2], out=DA[2])
+        G = g.reshape(K, Bk, T, H)
+        UcT, UruT = Uc.swapaxes(-1, -2), Uru.swapaxes(-1, -2)
+        dh, carry, d_rh = (scratch.take(name, (K, Bk, H)) for name in ("dh", "carry", "d_rh"))
+        du = scratch.take("du", (2, K, Bk, H))  # da_r@U_r.T, da_u@U_u.T
+        carry.fill(0.0)
         for t in range(T - 1, -1, -1):
-            h = hs[:, t - 1] if t else 0.0  # the state entering the step
-            r, u, c = gates[t]
-            dh = G[:, t, :] + carry
-            da_u = dh * ((c - h) * u * (1.0 - u))
-            da_c = dh * (u * (1.0 - c * c))
-            DA[1, :, t] = da_u.reshape(grouped)
-            DA[2, :, t] = da_c.reshape(grouped)
+            da_r, da_u, da_c = DA[:, :, t]
+            np.add(G[:, :, t], carry, out=dh)
+            np.multiply(dh, da_u, out=da_u)
+            np.multiply(dh, da_c, out=da_c)
             if t:  # the first step starts from the constant zero state
-                d_rh = mm(da_c, UcT)
-                da_r = d_rh * (h * r * (1.0 - r))
-                DA[0, :, t] = da_r.reshape(grouped)
-                carry = dh * (1.0 - u) + d_rh * r + mm(da_r, UrT) + mm(da_u, UuT)
-        X = by_copy(xs.transpose(1, 0, 2))
-        hp = np.zeros((groups, T) + grouped[1:])  # states entering each step, by_copy rows
-        hp[:, 1:] = hs[:, :-1].reshape(groups, B // groups, T - 1, H).swapaxes(1, 2)
-        hp = hp.reshape(T * B, H)
-        rhp = by_copy(gates[:, 0])  # a copy: gates interleaves r with u and c
-        rhp *= hp
+                r, u, _ = steps[t]
+                np.matmul(da_c, UcT, out=d_rh)
+                np.multiply(d_rh, da_r, out=da_r)
+                np.matmul(DA[:2, :, t], UruT, out=du)
+                np.subtract(1.0, u, out=carry)
+                np.multiply(dh, carry, out=carry)
+                np.multiply(d_rh, r, out=d_rh)
+                np.add(carry, d_rh, out=carry)
+                np.add(carry, du[0], out=carry)
+                np.add(carry, du[1], out=carry)
         flat_r, flat_u, flat_c = DA.reshape(3, T * B, H)
-        return (_group_outer(X, flat_r, copies), _group_outer(hp, flat_r, copies),
-                _group_sum(flat_r, copies),
-                _group_outer(X, flat_u, copies), _group_outer(hp, flat_u, copies),
-                _group_sum(flat_u, copies),
-                _group_outer(X, flat_c, copies), _group_outer(rhp, flat_c, copies),
-                _group_sum(flat_c, copies))
+        X, hp_flat = X.reshape(T * B, d), hp.reshape(T * B, H)
+        cotangents = [_group_outer(X, flat_r, copies), _group_outer(hp_flat, flat_r, copies),
+                      _group_sum(flat_r, copies),
+                      _group_outer(X, flat_u, copies), _group_outer(hp_flat, flat_u, copies),
+                      _group_sum(flat_u, copies),
+                      _group_outer(X, flat_c, copies)]
+        np.multiply(rs, hp, out=DA[0])  # r*h, U_c's input, in da_r's spent slot
+        return (*cotangents, _group_outer(flat_r, flat_c, copies), _group_sum(flat_c, copies))
 
     return _emit(hs.reshape(B * T, H), params, bptt)
 

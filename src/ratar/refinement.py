@@ -12,7 +12,8 @@ county's label drifts across years and shifts retrieved labels forward:
     as one [1 x E] . [E] product per cell rather than one GEMV, so each
     cell has the same bits as predicting its embedding alone.
 3.  Each row s is extrapolated with a least-squares line over k to the
-    target year, giving a per-sample correction b_hat.
+    target year, giving a per-sample correction b_hat.  A row's line is
+    fitted once, on first use, and evaluated for every target year.
 4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
     Gaussian noise, leaving features untouched.
 
@@ -120,13 +121,44 @@ class BiasMatrix:
 
     B[s, k] holds y^k - g_s(z^k) for this county; `years` maps both
     axes to calendar years and `valid` masks cells where either the
-    year-s regressor or the year-k observation was unavailable.
+    year-s regressor or the year-k observation was unavailable.  Each
+    row's extrapolation line is cached on first use, so B and valid must
+    not change after the first `extrapolate_bias` call.
     """
 
     county: str
     years: list
     B: np.ndarray
     valid: np.ndarray
+    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def row_line(self, source_year):
+        """(method, x0, slope, intercept) of row `source_year`, fitted once.
+
+        Fits a degree-1 least-squares line over the row's valid cells,
+        with the year axis centred at x0.  Fewer than 2 valid cells gives
+        the row mean as the intercept ("row_mean"); an empty row gives 0
+        ("zero").  Either way the slope is 0.
+        """
+        if source_year not in self.years:
+            raise ContractError(f"county {self.county}: year {source_year} not in bias matrix")
+        line = self._lines.get(source_year)
+        if line is None:
+            line = self._lines[source_year] = self._fit_row(self.years.index(source_year))
+        return line
+
+    def _fit_row(self, si):
+        mask = self.valid[si]
+        xs = np.asarray(self.years, dtype=np.float64)[mask]
+        ys = self.B[si][mask]
+        if xs.size == 0:
+            return "zero", 0.0, 0.0, 0.0
+        if xs.size == 1:
+            return "row_mean", 0.0, 0.0, float(ys[0])
+        # center the year axis before the polynomial fit for conditioning
+        x0 = xs.mean()
+        slope, intercept = np.polyfit(xs - x0, ys, 1)
+        return "ols", x0, slope, intercept
 
 
 def build_bias_matrix(county, regressors, embeddings, labels):
@@ -169,24 +201,14 @@ class BiasEstimate:
 def extrapolate_bias(bm, source_year, target_year):
     """Extend row `source_year` of the bias matrix to `target_year`.
 
-    Fits a degree-1 least-squares line over the row's valid cells and
-    evaluates it at the target year.  Fewer than 2 valid cells falls
-    back to the row mean; an empty row yields a zero bias.  The method
-    used is reported so callers can surface degraded rows.
+    Evaluates the row's least-squares line (`BiasMatrix.row_line`) at the
+    target year; a row with fewer than 2 valid cells gives its mean, an
+    empty row a zero bias.  The method used is reported so callers can
+    surface degraded rows.
     """
-    if source_year not in bm.years:
-        raise ContractError(f"county {bm.county}: year {source_year} not in bias matrix")
-    si = bm.years.index(source_year)
-    mask = bm.valid[si]
-    xs = np.asarray(bm.years, dtype=np.float64)[mask]
-    ys = bm.B[si][mask]
-    if xs.size == 0:
-        return BiasEstimate(0.0, "zero")
-    if xs.size == 1:
-        return BiasEstimate(float(ys[0]), "row_mean")
-    # center the year axis before the polynomial fit for conditioning
-    x0 = xs.mean()
-    slope, intercept = np.polyfit(xs - x0, ys, 1)
+    method, x0, slope, intercept = bm.row_line(source_year)
+    if method != "ols":
+        return BiasEstimate(intercept, method)
     return BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
 
 

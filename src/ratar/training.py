@@ -181,23 +181,24 @@ def _run_epochs(n, epochs, epoch_fn, batch_size=None, seed=0):
     rng = np.random.default_rng([seed, 211])
     losses = []
     start = time.perf_counter()
-    for epoch in range(1, epochs + 1):
-        try:
-            if batch_size is None or batch_size >= n:
-                loss, _ = epoch_fn(np.arange(n))
-            else:
-                perm = rng.permutation(n)
-                total, seen = 0.0, 0
-                for lo in range(0, n, batch_size):
-                    chunk = perm[lo:lo + batch_size]
-                    chunk_loss, size = epoch_fn(chunk)
-                    total += chunk_loss * size
-                    seen += size
-                loss = total / seen
-        except NumericError as exc:
-            raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
-        _check_finite(loss, epoch)
-        losses.append(float(loss))
+    with nc._reused_scratch():  # one set of BPTT buffers for every step
+        for epoch in range(1, epochs + 1):
+            try:
+                if batch_size is None or batch_size >= n:
+                    loss, _ = epoch_fn(np.arange(n))
+                else:
+                    perm = rng.permutation(n)
+                    total, seen = 0.0, 0
+                    for lo in range(0, n, batch_size):
+                        chunk = perm[lo:lo + batch_size]
+                        chunk_loss, size = epoch_fn(chunk)
+                        total += chunk_loss * size
+                        seen += size
+                    loss = total / seen
+            except NumericError as exc:
+                raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
+            _check_finite(loss, epoch)
+            losses.append(float(loss))
     return losses, time.perf_counter() - start
 
 

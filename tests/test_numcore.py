@@ -4,10 +4,15 @@ Expected values are hand-derived or computed by independent numpy code in the
 test body, never by the library under test.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from ratar import numcore as nc
+from ratar.numcore import (_GRU_NAMES, DimensionError, NumericError, Tensor, _copies_of, _emit,
+                           _group_matmul, _group_outer, _group_sum)
 
 
 def leaf_store(**arrays):
@@ -672,3 +677,306 @@ class TestModelAxis:
                                counts=[5, 4])
 
         run_check(f, stacked)
+
+
+# ---------------------------------------------------------------------------
+# the batched GRU kernel against the per-day kernel it replaced
+
+
+def reference_gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
+    """The per-day GRU kernel that nc.gru_sequence replaced, kept verbatim.
+
+    Each day makes its own gate products and temporaries; the bitwise
+    oracle tests below require the batched kernel to reproduce its states
+    and cotangents bit for bit.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3:
+        raise DimensionError(f"gru_sequence expects [B,T,d] sequences, got shape {xs.shape}")
+    B, T, d = xs.shape
+    params = (W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c)
+    copies = _copies_of(W_r.data, 2, B, "gru_sequence")
+    lead = () if copies is None else (copies,)
+    if W_r.shape[-2] != d:
+        raise DimensionError(f"input has {d} features, encoder expects {W_r.shape[-2]}")
+    H = W_r.shape[-1]
+    for name, p, shape in zip(_GRU_NAMES, params, ((d, H), (H, H), (H,)) * 3):
+        if p.shape != lead + shape:
+            raise DimensionError(
+                f"gru_sequence {name} has shape {p.shape}, expected {lead + shape}")
+    if T == 0:
+        raise DimensionError("gru_sequence needs at least one step")
+    if not np.all(np.isfinite(xs)):
+        raise NumericError("non-finite values in tensor")
+    Wr, Ur, br, Wu, Uu, bu, Wc, Uc, bc = (p.data for p in params)
+    if copies is not None:  # each copy's bias repeated over its group's rows
+        br, bu, bc = (np.repeat(b, B // copies, axis=0) for b in (br, bu, bc))
+    mm = _group_matmul
+    # Products stay per step and per gate, in the shapes of the unfused ops:
+    # BLAS may sum in another order for one GEMM over all days or gates, and
+    # these shapes keep the states bitwise those of the op-by-op recurrence.
+    groups = copies or 1
+    grouped = (groups, B // groups, H)  # a step's [B x H] rows, copy by copy
+    pre = np.zeros((3, B, H))  # the step's gate pre-activations r, u, c
+    gates = np.zeros((T, 3, B, H))  # r, u, c per step; r is unused on the first
+    hs = np.zeros((B, T, H))  # hs[:, t] is the state after day t
+    with np.errstate(over="ignore"):  # sigmoid: exp overflow saturates to 0
+        for t in range(T):
+            x = xs[:, t, :]
+            a_r, a_u, a_c = pre
+            r, u, c = gates[t]
+            if t == 0:
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu), bu, out=a_u)), out=u)
+                np.tanh(np.add(mm(x, Wc), bc, out=a_c), out=c)
+                np.multiply(u, c, out=hs[:, 0])
+            else:
+                h = hs[:, t - 1]
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wr) + mm(h, Ur), br, out=a_r)), out=r)
+                np.divide(1.0, 1.0 + np.exp(-np.add(mm(x, Wu) + mm(h, Uu), bu, out=a_u)), out=u)
+                np.tanh(np.add(mm(x, Wc) + mm(r * h, Uc), bc, out=a_c), out=c)
+                np.add((1.0 - u) * h, u * c, out=hs[:, t])
+            if not np.isfinite(pre).all():
+                raise NumericError("non-finite values in tensor")
+
+    def by_copy(a):  # [T, B, n] -> [T*B x n], rows (k, t, b): copy by copy, day-major
+        n = a.shape[-1]
+        return a.reshape(T, groups, B // groups, n).swapaxes(0, 1).reshape(T * B, n)
+
+    def bptt(g):
+        G = g.reshape(B, T, H)
+        UrT, UuT, UcT = (m.swapaxes(-1, -2) for m in (Ur, Uu, Uc))
+        # da_r, da_u, da_c, each laid out as by_copy lays out its rows
+        DA = np.zeros((3, groups, T) + grouped[1:])
+        carry = 0.0
+        for t in range(T - 1, -1, -1):
+            h = hs[:, t - 1] if t else 0.0  # the state entering the step
+            r, u, c = gates[t]
+            dh = G[:, t, :] + carry
+            da_u = dh * ((c - h) * u * (1.0 - u))
+            da_c = dh * (u * (1.0 - c * c))
+            DA[1, :, t] = da_u.reshape(grouped)
+            DA[2, :, t] = da_c.reshape(grouped)
+            if t:  # the first step starts from the constant zero state
+                d_rh = mm(da_c, UcT)
+                da_r = d_rh * (h * r * (1.0 - r))
+                DA[0, :, t] = da_r.reshape(grouped)
+                carry = dh * (1.0 - u) + d_rh * r + mm(da_r, UrT) + mm(da_u, UuT)
+        X = by_copy(xs.transpose(1, 0, 2))
+        hp = np.zeros((groups, T) + grouped[1:])  # states entering each step, by_copy rows
+        hp[:, 1:] = hs[:, :-1].reshape(groups, B // groups, T - 1, H).swapaxes(1, 2)
+        hp = hp.reshape(T * B, H)
+        rhp = by_copy(gates[:, 0])  # a copy: gates interleaves r with u and c
+        rhp *= hp
+        flat_r, flat_u, flat_c = DA.reshape(3, T * B, H)
+        return (_group_outer(X, flat_r, copies), _group_outer(hp, flat_r, copies),
+                _group_sum(flat_r, copies),
+                _group_outer(X, flat_u, copies), _group_outer(hp, flat_u, copies),
+                _group_sum(flat_u, copies),
+                _group_outer(X, flat_c, copies), _group_outer(rhp, flat_c, copies),
+                _group_sum(flat_c, copies))
+
+    return _emit(hs.reshape(B * T, H), params, bptt)
+
+
+def gru_values(rng, d, H, copies=None, scale=0.5):
+    lead = () if copies is None else (copies,)
+    return {n: rng.standard_normal(lead + shape) * scale
+            for n, shape in zip(nc._GRU_NAMES, ((d, H), (H, H), (H,)) * 3)}
+
+
+def run_kernel(kernel, xs, store, g):
+    """(states, the nine cotangents) of one traced kernel call and its vjp."""
+    tape = nc.ComputeTape()
+    out = kernel(xs, *(tape.leaf(store, n) for n in nc._GRU_NAMES))
+    [(_node, _inputs, vjp)] = tape._records
+    return out.data, vjp(g)
+
+
+def bits(a):
+    return [v.hex() for v in np.asarray(a, dtype=np.float64).ravel().tolist()]
+
+
+def assert_bit_equal(got, want):
+    (states, cots), (ref_states, ref_cots) = got, want
+    assert bits(states) == bits(ref_states)
+    assert len(cots) == len(ref_cots) == 9
+    for name, a, b in zip(nc._GRU_NAMES, cots, ref_cots):
+        assert a.shape == b.shape, name
+        assert bits(a) == bits(b), name
+
+
+def scratch_buffers():
+    return list(nc._SCRATCH.get()._buffers.values())
+
+
+class TestGruKernelOracle:
+    """nc.gru_sequence keeps every bit of reference_gru_sequence."""
+
+    # (B, T, d, H, copies).  Not B/K = 1 with H = 1 beyond T = 2: there the
+    # reference's r*h buffer is a strided view of its gates (see
+    # test_bptt_twice_returns_the_same_cotangents), so its U_c cotangent is
+    # a strided dot product whose last bit can differ.
+    GRID = [
+        (1, 1, 1, 1, None), (1, 2, 1, 1, None), (1, 2, 3, 1, None), (1, 7, 1, 4, None),
+        (2, 1, 1, 3, None), (3, 2, 4, 1, None), (5, 9, 2, 5, None), (64, 40, 12, 16, None),
+        (257, 6, 8, 8, None), (3000, 4, 8, 8, None),
+        (4, 5, 3, 4, 1), (5, 8, 2, 3, 5), (10, 6, 4, 5, 5), (30, 4, 3, 8, 10),
+        (120, 12, 12, 16, 10),
+    ]
+
+    @pytest.mark.parametrize("B,T,d,H,copies", GRID)
+    def test_states_and_cotangents_bit_equal(self, B, T, d, H, copies):
+        rng = np.random.default_rng([B, T, d, H, copies or 0])
+        store = nc.ParamStore(gru_values(rng, d, H, copies), copies=copies)
+        xs = rng.standard_normal((B, T, d))
+        g = rng.standard_normal((B * T, H))
+        assert_bit_equal(run_kernel(nc.gru_sequence, xs, store, g),
+                         run_kernel(reference_gru_sequence, xs, store, g))
+
+    def test_saturated_gates_bit_equal(self):
+        # pre-activations far beyond the range where exp(-a) overflows
+        rng = np.random.default_rng(30)
+        store = nc.ParamStore(gru_values(rng, 6, 8, scale=300.0))
+        xs = rng.standard_normal((40, 10, 6))
+        g = rng.standard_normal((400, 8))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(-(xs @ store.value("W_u")))).any()
+        assert_bit_equal(run_kernel(nc.gru_sequence, xs, store, g),
+                         run_kernel(reference_gru_sequence, xs, store, g))
+
+    # d = 2, H = 4; every other weight is 0.1 and the inputs x are constant
+    OVERFLOWS = {
+        "x@W_u on day 0": (dict(W_u=np.full((2, 4), 1e308)), 2.0),
+        "x@W_c to NaN": (dict(W_c=np.array([[1e308] * 4, [-1e308] * 4])), 2.0),
+        "x@W_r meets h@U_r": (dict(W_r=np.full((2, 4), 1e308), U_r=np.full((4, 4), -1.5e308),
+                                   b_u=np.full(4, 5.0), b_c=np.full(4, 5.0)), 2.0),
+    }
+    RECURRENT = {  # x@W finite; h near 1 from day 0 on, so h@U overflows
+        "h@U_r": dict(U_r=np.full((4, 4), 1.5e308)),
+        "h@U_u to NaN": dict(U_u=np.array([[1.5e308] * 4] * 2 + [[-1.5e308] * 4] * 2)),
+    }
+
+    @staticmethod
+    def overflow_case(overrides, x):
+        """(xs [3, 5, 2] filled with x, a store of 0.1 weights with overrides)."""
+        values = {n: np.full(shape, 0.1)
+                  for n, shape in zip(nc._GRU_NAMES, ((2, 4), (4, 4), (4,)) * 3)}
+        values.update(overrides)
+        return np.full((3, 5, 2), x), nc.ParamStore(values)
+
+    @staticmethod
+    def bound(store):
+        return [nc.Tensor(store.value(n)) for n in nc._GRU_NAMES]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_input_overflow_raises_without_warning(self, case):
+        xs, store = self.overflow_case(*self.OVERFLOWS[case])
+        with pytest.raises(nc.NumericError):
+            nc.gru_sequence(xs, *self.bound(store))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference warns on inf - inf
+            with pytest.raises(nc.NumericError):
+                reference_gru_sequence(xs, *self.bound(store))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(RECURRENT))
+    def test_recurrent_overflow_raises_without_warning(self, case):
+        overrides = dict(self.RECURRENT[case], b_u=np.full(4, 5.0), b_c=np.full(4, 5.0))
+        xs, store = self.overflow_case(overrides, 1.0)
+        nc.gru_sequence(xs[:, :1], *self.bound(store))  # one day: no recurrent term
+        with pytest.raises(nc.NumericError):
+            nc.gru_sequence(xs, *self.bound(store))
+        with pytest.raises(nc.NumericError):
+            reference_gru_sequence(xs, *self.bound(store))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_day_reset_gate_is_unused(self):
+        # x@W_r overflows on day 0 only, where r does not enter the state
+        xs, store = self.overflow_case(dict(W_r=np.full((2, 4), 1e308)), 1e-10)
+        xs[:, 0] = 2.0
+        g = np.random.default_rng(35).standard_normal((3 * 5, 4))
+        assert_bit_equal(run_kernel(nc.gru_sequence, xs, store, g),
+                         run_kernel(reference_gru_sequence, xs, store, g))
+
+    def test_two_ops_on_one_tape(self):
+        rng = np.random.default_rng(32)
+        d, H = 3, 5
+        values = gru_values(rng, d, H)
+        # backward meets the larger op first, so the smaller one reuses its buffers
+        xs_small, xs_large = rng.standard_normal((4, 3, d)), rng.standard_normal((6, 9, d))
+        targets = [rng.standard_normal(4 * 3 * H), rng.standard_normal(6 * 9 * H)]
+        gs = [rng.standard_normal((y.size // H, H)) for y in targets]
+        grads, cotangents, buffers = {}, {}, {}
+        for kernel in (nc.gru_sequence, reference_gru_sequence):
+            store = nc.ParamStore(values)
+            tape = nc.ComputeTape()
+            bound = [tape.leaf(store, n) for n in nc._GRU_NAMES]
+            outs = [kernel(xs, *bound) for xs in (xs_small, xs_large)]
+            loss = nc.add(*(nc.mse_loss(nc.reshape(out, (y.size,)), nc.Tensor(y))
+                            for out, y in zip(outs, targets)))
+            with nc._reused_scratch():
+                tape.backward(loss)
+                cotangents[kernel] = [vjp(g) for (_, _, vjp), g in
+                                      zip(reversed(tape._records[:2]), reversed(gs))]
+                buffers[kernel] = scratch_buffers()
+            grads[kernel] = store.flat_grad.copy()
+        assert bits(grads[nc.gru_sequence]) == bits(grads[reference_gru_sequence])
+        scratch = buffers[nc.gru_sequence]
+        assert scratch and not buffers[reference_gru_sequence]
+        for new, ref in zip(cotangents[nc.gru_sequence], cotangents[reference_gru_sequence]):
+            assert [bits(c) for c in new] == [bits(c) for c in ref]
+            assert not any(np.shares_memory(c, buf) for c in new for buf in scratch)
+
+    @pytest.mark.parametrize("B,T,d,H,copies", [(1, 5, 2, 1, None), (6, 8, 3, 4, None),
+                                                (6, 4, 2, 3, 3)])
+    def test_bptt_twice_returns_the_same_cotangents(self, B, T, d, H, copies):
+        # At B/K = 1 and H = 1 the reference fails this: reshaping its gates'
+        # r slice to rows is a view, and its in-place r*h overwrites r.
+        rng = np.random.default_rng(33)
+        store = nc.ParamStore(gru_values(rng, d, H, copies), copies=copies)
+        tape = nc.ComputeTape()
+        nc.gru_sequence(rng.standard_normal((B, T, d)),
+                        *(tape.leaf(store, n) for n in nc._GRU_NAMES))
+        [(_node, _inputs, vjp)] = tape._records
+        g = rng.standard_normal((B * T, H))
+        with nc._reused_scratch():
+            first = vjp(g)
+            first_bits = [bits(c) for c in first]
+            second = vjp(g)
+            buffers = scratch_buffers()
+        assert [bits(c) for c in second] == first_bits
+        assert [bits(c) for c in first] == first_bits  # the second call wrote none of them
+        assert [bits(c) for c in vjp(g)] == first_bits  # nor does a one-off scratch differ
+        assert not any(np.shares_memory(c, buf) for c in first + second for buf in buffers)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_scratch_ends_with_its_block(self):
+        assert nc._SCRATCH.get() is None
+        with nc._reused_scratch():
+            assert nc._SCRATCH.get() is not None
+        assert nc._SCRATCH.get() is None
+
+    def test_peak_memory_no_higher_than_reference(self):
+        rng = np.random.default_rng(34)
+        B, T, d, H = 64, 40, 12, 16
+        values = gru_values(rng, d, H)
+        xs = rng.standard_normal((B, T, d))
+        target = nc.Tensor(rng.standard_normal(B * T * H))
+        peaks = {}
+        tracing = tracemalloc.is_tracing()
+        for kernel in (reference_gru_sequence, nc.gru_sequence):
+            store = nc.ParamStore(values)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                tape = nc.ComputeTape()
+                out = kernel(xs, *(tape.leaf(store, n) for n in nc._GRU_NAMES))
+                tape.backward(nc.mse_loss(nc.reshape(out, (B * T * H,)), target))
+                peaks[kernel] = tracemalloc.get_traced_memory()[1] - base
+                del tape, out
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+        assert peaks[nc.gru_sequence] <= peaks[reference_gru_sequence]

@@ -572,3 +572,64 @@ class TestRefinementSetupCalls:
                    for c in train_n.counties)
         assert len(train_n.counties) == 24 and rows == 264
         assert 0 < len(calls) <= rows
+
+
+def reference_extrapolate_bias(bm, source_year, target_year):
+    """extrapolate_bias as it was before row lines were cached: one fit per call."""
+    if source_year not in bm.years:
+        raise ContractError(f"county {bm.county}: year {source_year} not in bias matrix")
+    si = bm.years.index(source_year)
+    mask = bm.valid[si]
+    xs = np.asarray(bm.years, dtype=np.float64)[mask]
+    ys = bm.B[si][mask]
+    if xs.size == 0:
+        return rf.BiasEstimate(0.0, "zero")
+    if xs.size == 1:
+        return rf.BiasEstimate(float(ys[0]), "row_mean")
+    # center the year axis before the polynomial fit for conditioning
+    x0 = xs.mean()
+    slope, intercept = np.polyfit(xs - x0, ys, 1)
+    return rf.BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
+
+
+class TestExtrapolationFits:
+    """Each (county, source year) bias row is fitted once and keeps its bits."""
+
+    def test_cached_lines_match_per_call_fits(self):
+        rng = np.random.default_rng(7)
+        years = [2000, 2001, 2003, 2004, 2007, 2008]
+        for _ in range(50):
+            B = rng.standard_normal((6, 6)) * 3.0
+            valid = rng.random((6, 6)) < 0.7
+            bm = rf.BiasMatrix("c", years, B, valid)
+            for target in (2009, 2010, 2009, 2015):
+                for s in years:
+                    got, want = (rf.extrapolate_bias(bm, s, target),
+                                 reference_extrapolate_bias(bm, s, target))
+                    assert (got.value.hex(), got.method) == (want.value.hex(), want.method)
+
+    def test_one_polyfit_per_row_and_refined_csv_unchanged(self, tmp_path, monkeypatch):
+        synth = replace(synth_cfg(), n_counties=24, n_years=12)
+        train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=1, seed=0,
+                               fine_tune_lr=1e-3, fine_tune_epochs=1)
+        fits = []
+        polyfit = np.polyfit
+
+        def counting(x, y, deg):
+            fits.append(deg)
+            return polyfit(x, y, deg)
+
+        def run(name):
+            out = tmp_path / name
+            pl.run_experiment(base_config(tmp_path, synthetic=synth, test_year=2011,
+                                          train=train, out_dir=str(out)))
+            return (out / "refined.csv").read_bytes()
+
+        monkeypatch.setattr(np, "polyfit", counting)
+        cached = run("cached")
+        lines = [line.split(",") for line in cached.decode().splitlines()[1:]]
+        fitted = [(f[1], f[2]) for f in lines if f[-1] == "ols"]
+        assert len(fitted) > len(set(fitted)) > 0  # samples share rows
+        assert 0 < len(fits) <= len(set(fitted))
+        monkeypatch.setattr(rf, "extrapolate_bias", reference_extrapolate_bias)
+        assert run("per_sample") == cached

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ratar import numcore as nc
 from ratar import refinement as rf
 from ratar import training as tr
 from ratar.backbone import (
@@ -299,6 +300,22 @@ class TestTrainGlobal:
         assert stores_equal(p1.store, p2.store)
         assert r1.losses == r2.losses
         assert np.all(np.isfinite(r1.losses))
+
+    def test_one_gru_scratch_per_training_loop(self, monkeypatch):
+        # minibatches of 20, 20 and 8: every step reuses the loop's BPTT
+        # buffers, which are gone once training returns
+        made = []
+        init = nc._Scratch.__init__
+
+        def counting(scratch):
+            made.append(scratch)
+            init(scratch)
+
+        monkeypatch.setattr(nc._Scratch, "__init__", counting)
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=20, epochs=3, seed=1)
+        tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
+        assert len(self.ds) == 48 and len(made) == 1
+        assert nc._SCRATCH.get() is None
 
     def test_beats_mean_predictor(self):
         # trained in normalized space, where the mean predictor scores ~1.0
