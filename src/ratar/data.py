@@ -4,14 +4,25 @@ Labels are guarded by a module-level access audit: every read of a record's
 yield label is reported to `label_audit`, and reads of a guarded (test) year
 outside an explicit allow() scope count as violations.  Evaluation code opens
 an allow() scope; nothing else should.
+
+CSV ingestion (`load_dataset`) parses a chunk of rows at a time: each
+chunk is transposed into columns, and its numbers are converted with
+Python's `int` and `float` straight into arrays.  Those two parsers, and
+not numpy's, decide which strings a file may hold (`float` reads `1_000`,
+padded or non-ASCII digits), so every accepted value has the bits `float`
+gives it.  The checks on each (county, year) then run as array operations
+once the last chunk is in, and the loaded records view the rows of one
+[records x T x d] feature block.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -76,7 +87,7 @@ class CountyYearRecord:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise IngestionError(f"features of ({county},{year}) must be 2-D")
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise NumericError(f"non-finite features in ({county},{year})")
         if yield_label is not None:
             yield_label = float(yield_label)
@@ -154,12 +165,212 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
+# Data rows parsed per bulk step.  The rows of one chunk are the only
+# per-row Python objects alive at a time; their numbers go into arrays.
+_CHUNK_ROWS = 1024
+# Days at or beyond +-2**62 (absurd, but `int` reads them) are stored as
+# int64 codes below -2**62, where no other day lies, so that equal days
+# keep equal codes and the group still fails the contiguity check.
+_DAY_LIMIT = 2 ** 62
 
-def _parse_float(text, row_no, what):
+
+def _row_fault(row, d, row_no):
+    """The first fault of one data row, or None, checked field by field.
+
+    Returns (error, keyed): `keyed` when year and day parsed and the error
+    comes after the duplicate-day check, which the caller makes.
+    """
+    if len(row) != d + 4:
+        return IngestionError(f"row {row_no}: expected {d + 4} fields, got {len(row)}"), False
     try:
-        return float(text)
+        year = int(row[1])
+        int(row[2])
     except ValueError:
-        raise IngestionError(f"row {row_no}: non-numeric {what} {text!r}") from None
+        return IngestionError(f"row {row_no}: non-integer year/day"), False
+    values = []
+    for text in row[3:-1]:
+        try:
+            values.append(float(text))
+        except ValueError:
+            return IngestionError(f"row {row_no}: non-numeric feature {text!r}"), False
+    for text, value in zip(row[3:-1], values):
+        if not math.isfinite(value):
+            return NumericError(
+                f"row {row_no}: non-finite feature {text!r} in ({row[0]},{year})"), False
+    label_text = row[-1].strip()
+    if label_text:
+        try:
+            value = float(label_text)
+        except ValueError:
+            return IngestionError(f"row {row_no}: non-numeric yield {label_text!r}"), True
+        if not math.isfinite(value):
+            return NumericError(
+                f"row {row_no}: non-finite yield {label_text!r} in ({row[0]},{year})"), True
+    return None
+
+
+class _Rows:
+    """The data rows of one CSV file, read chunk by chunk into arrays.
+
+    Each (county, year) gets a group id in first-appearance order.  Per
+    row, the chunk arrays hold its group id, day, features and yield (NaN
+    when the row gives none: a NaN in the file is a row fault).
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.row_no = 2  # file row number of the next chunk's first row
+        self.n = 0  # data rows read
+        self.group_of = {}  # (county, year) -> group id
+        self.gid, self.day, self.features, self.label = [], [], [], []
+        self.blanks = []  # per blank row: how many data rows came before it
+        self.huge_days = {}  # day beyond _DAY_LIMIT -> its code
+
+    def read(self, chunk):
+        """Add one chunk of csv rows, or raise the first row fault up to it."""
+        rows = list(filter(None, chunk))
+        parsed = self._parse(rows)
+        if parsed is None:
+            self._raise_first_fault(chunk)
+        if len(rows) < len(chunk):
+            seen = self.n
+            for row in chunk:
+                if row:
+                    seen += 1
+                else:
+                    self.blanks.append(seen)
+        keys, days, features, labels = parsed
+        for key in dict.fromkeys(keys):
+            self.group_of.setdefault(key, len(self.group_of))
+        self.gid.append(np.fromiter(map(self.group_of.__getitem__, keys), np.intp, len(keys)))
+        self.day.append(days)
+        self.features.append(features)
+        self.label.append(labels)
+        self.n += len(rows)
+        self.row_no += len(chunk)
+
+    def _parse(self, rows):
+        """(keys, days, features, labels) of fault-free rows, else None."""
+        n, d = len(rows), self.d
+        if not rows:
+            return [], np.empty(0, np.int64), np.empty((0, d)), np.empty(0)
+        if set(map(len, rows)) != {d + 4}:
+            return None
+        counties, years, days, *columns, label_texts = zip(*rows)
+        try:
+            years = list(map(int, years))
+            days = list(map(int, days))
+            features = np.fromiter(map(float, chain.from_iterable(columns)),
+                                   np.float64, n * d).reshape(d, n).T
+            label_texts = list(map(str.strip, label_texts))
+            given = list(map(bool, label_texts))
+            values = np.fromiter(map(float, compress(label_texts, given)), np.float64)
+        except ValueError:
+            return None
+        if not (np.isfinite(features).all() and np.isfinite(values).all()):
+            return None
+        if min(days) < -_DAY_LIMIT or max(days) >= _DAY_LIMIT:
+            days = list(map(self._code, days))
+        labels = np.full(n, np.nan)
+        labels[np.array(given, dtype=bool)] = values
+        return list(zip(counties, years)), np.array(days, np.int64), features, labels
+
+    def _raise_first_fault(self, chunk):
+        """Raise the first row fault in file order; one lies in `chunk`."""
+        i, (error, keyed) = next((i, fault) for i, row in enumerate(chunk)
+                                 if row and (fault := _row_fault(row, self.d, self.row_no + i)))
+        self.read(chunk[:i])
+        row = chunk[i]
+        key = (row[0], int(row[1])) if keyed else None
+        # a duplicate day is named before a fault in the same row's yield
+        self.check_duplicates((self.group_of[key], self._code(int(row[2])))
+                              if key in self.group_of else None)
+        raise error
+
+    def _code(self, day):
+        if -_DAY_LIMIT <= day < _DAY_LIMIT:
+            return day
+        return self.huge_days.setdefault(day, -_DAY_LIMIT - 1 - len(self.huge_days))
+
+    @staticmethod
+    def _concat(parts):
+        """The chunk arrays as one array, which then replaces them."""
+        if len(parts) != 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
+
+    def check_duplicates(self, extra=None):
+        """Raise for the first row whose (county, year, day) came before.
+
+        `extra` is the (group id, day) of one more row after the read ones.
+        Returns the stable order of the rows by (group, day), or None when
+        they already come in that order.
+        """
+        gid, day = self._concat(self.gid), self._concat(self.day)
+        if extra is not None:
+            gid, day = np.append(gid, extra[0]), np.append(day, extra[1])
+        if ((gid[1:] > gid[:-1]) | ((gid[1:] == gid[:-1]) & (day[1:] > day[:-1]))).all():
+            return None
+        order = np.lexsort((day, gid))
+        gs, ds = gid[order], day[order]
+        same = (gs[1:] == gs[:-1]) & (ds[1:] == ds[:-1])
+        if same.any():
+            i = int(order[1:][same].min())
+            code = int(day[i])
+            value = next((v for v, c in self.huge_days.items() if c == code), code)
+            key = list(self.group_of)[gid[i]]
+            row_no = i + 2 + bisect.bisect_right(self.blanks, i)
+            raise IngestionError(f"row {row_no}: duplicate day {value} for {key}")
+        return order
+
+    def dataset(self):
+        """Check each (county, year) group and build the Dataset."""
+        if not self.group_of:
+            raise IngestionError("no data rows")
+        keys = list(self.group_of)
+        order = self.check_duplicates()
+        gid, day = self._concat(self.gid), self._concat(self.day)
+        label, features = self._concat(self.label), self._concat(self.features)
+        ds = day if order is None else day[order]  # by group, then day
+
+        n = np.bincount(gid, minlength=len(keys))
+        end = np.cumsum(n)
+        contiguous = (ds[end - n] == 1) & (ds[end - 1] == n)
+        T = 365 if n[0] == 366 else int(n[0])  # a trailing leap-year day is dropped
+        kept = np.where((n == 366) & (T == 365), 365, n)
+
+        labeled = np.flatnonzero(~np.isnan(label))
+        labeled_gid = gid[labeled]
+        groups, first = np.unique(labeled_gid, return_index=True)
+        has_label = np.zeros(len(keys), bool)
+        has_label[groups] = True
+        first_label = np.full(len(keys), np.nan)
+        first_label[groups] = label[labeled[first]]
+        conflicting = np.zeros(len(keys), bool)
+        conflicting[labeled_gid[label[labeled] != first_label[labeled_gid]]] = True
+
+        bad = ~contiguous | (kept != T) | conflicting | (first_label < 0)
+        if bad.any():
+            g = int(np.argmax(bad))
+            county, year = keys[g]
+            if not contiguous[g]:
+                raise IngestionError(f"({county},{year}): days are not contiguous from 1")
+            if kept[g] != T:
+                raise IngestionError(f"({county},{year}): {int(kept[g])} days, expected {T}")
+            if conflicting[g]:
+                values = set(label[(gid == g) & ~np.isnan(label)].tolist())
+                raise IngestionError(
+                    f"({county},{year}): conflicting yield values {sorted(values)}")
+            raise IngestionError(f"({county},{year}): negative yield {first_label[g].item()}")
+
+        if order is None and len(day) == len(keys) * T:
+            block = features.reshape(len(keys), T, self.d)
+        else:
+            rows = np.arange(len(day)) if order is None else order
+            block = features[rows[ds <= T]].reshape(len(keys), T, self.d)
+        labels = [v if h else None for v, h in zip(first_label.tolist(), has_label.tolist())]
+        return Dataset([CountyYearRecord(county, year, block[g], labels[g])
+                        for g, (county, year) in enumerate(keys)])
 
 
 def load_dataset(path: str) -> Dataset:
@@ -168,6 +379,22 @@ def load_dataset(path: str) -> Dataset:
     The yield value may repeat on every day-row of its county-year or appear
     on day 1 only.  A 366th day is dropped when the year length is 365.
     Errors carry 1-based row numbers (header is row 1).
+
+    Rows are read in chunks of `_CHUNK_ROWS`, and only one chunk's strings
+    are held at a time.  A chunk is parsed column by column with Python's
+    `int` and `float`, so the same strings are accepted and give the same
+    bits as a row-by-row parse.  Errors keep their rows: a chunk whose bulk
+    parse fails (wrong field count, unreadable or non-finite number) is
+    scanned again row by row, and the first faulty row in file order is
+    named, with the checks of a row made in this order: field count, year
+    and day, features, duplicate day, yield.  A duplicate day in an earlier
+    chunk comes first, since duplicates among all rows read so far are
+    found before that row's fault is raised.  Once every row is in, the
+    (county, year) checks run in first-appearance order: contiguous days
+    from 1, the 366th-day rule, one day count for all, one yield value, no
+    negative yield.  The records view the rows of one [records x T x d]
+    block; rows that already come in (county, year, day) order are not
+    copied again to build it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -177,64 +404,20 @@ def load_dataset(path: str) -> Dataset:
             raise IngestionError("empty file") from None
         if len(header) < 5 or header[:3] != ["county", "year", "day"] or header[-1] != "yield":
             raise IngestionError(f"bad header {header!r}")
-        d = len(header) - 4
-
-        groups: dict[tuple, dict] = {}
-        order: list[tuple] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 4:
-                raise IngestionError(f"row {row_no}: expected {d + 4} fields, got {len(row)}")
-            county = row[0]
+        rows = _Rows(len(header) - 4)
+        while True:
+            chunk, stopped = [], None
             try:
-                year = int(row[1])
-                day = int(row[2])
-            except ValueError:
-                raise IngestionError(f"row {row_no}: non-integer year/day") from None
-            feats = [_parse_float(v, row_no, "feature") for v in row[3:-1]]
-            label_text = row[-1].strip()
-            key = (county, year)
-            if key not in groups:
-                groups[key] = {"days": {}, "labels": [], "first_row": row_no}
-                order.append(key)
-            g = groups[key]
-            if day in g["days"]:
-                raise IngestionError(f"row {row_no}: duplicate day {day} for {key}")
-            g["days"][day] = feats
-            if label_text:
-                g["labels"].append((row_no, _parse_float(label_text, row_no, "yield")))
-
-    if not order:
-        raise IngestionError("no data rows")
-
-    records = []
-    expected_T = None
-    for key in order:
-        county, year = key
-        g = groups[key]
-        days = g["days"]
-        n_days = len(days)
-        if sorted(days) != list(range(1, n_days + 1)):
-            raise IngestionError(f"({county},{year}): days are not contiguous from 1")
-        if n_days == 366 and (expected_T in (None, 365)):
-            del days[366]  # trailing leap-year day
-            n_days = 365
-        if expected_T is None:
-            expected_T = n_days
-        elif n_days != expected_T:
-            raise IngestionError(
-                f"({county},{year}): {n_days} days, expected {expected_T}"
-            )
-        features = np.array([days[t] for t in range(1, expected_T + 1)])
-        label_values = {v for _rn, v in g["labels"]}
-        if len(label_values) > 1:
-            raise IngestionError(f"({county},{year}): conflicting yield values {sorted(label_values)}")
-        label = g["labels"][0][1] if g["labels"] else None
-        if label is not None and label < 0:
-            raise IngestionError(f"({county},{year}): negative yield {label}")
-        records.append(CountyYearRecord(county, year, features, label))
-    return Dataset(records)
+                chunk.extend(islice(reader, _CHUNK_ROWS))
+            except Exception as exc:  # raised after the faults of the rows before it
+                stopped = exc
+            rows.read(chunk)
+            if stopped is not None:
+                rows.check_duplicates()
+                raise stopped
+            if not chunk:
+                break
+    return rows.dataset()
 
 
 def _fmt(x: float) -> str:
@@ -345,10 +528,19 @@ def zscore_fit(train: Dataset) -> NormStats:
 
 
 def zscore_apply(ds: Dataset, stats: NormStats, labels: bool = True) -> Dataset:
-    """Return a normalized copy; labels transform only when labels=True."""
+    """Return a normalized copy; labels transform only when labels=True.
+
+    All features are normalized in one subtraction and one division over
+    their stack, which gives each element the bits the per-record
+    expression gives; each new record views its row of the result.
+    """
+    if not ds.records:
+        return Dataset([])
+    stacked = np.stack([rec.features for rec in ds.records])
+    stacked -= stats.feature_mean
+    stacked /= stats.feature_std
     out = []
-    for rec in ds.records:
-        feats = (rec.features - stats.feature_mean) / stats.feature_std
+    for rec, feats in zip(ds.records, stacked):
         if labels and rec.has_label:
             label = (rec._yield_label - stats.label_mean) / stats.label_std
         else:

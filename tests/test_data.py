@@ -1,10 +1,15 @@
 """Data layer tests: CSV ingestion, normalization, splits, synthetic oracle."""
 
+import csv
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ratar import data
-from ratar.numcore import ContractError
+from ratar.data import CountyYearRecord, Dataset, IngestionError
+from ratar.numcore import ContractError, NumericError
 
 
 def write_csv(path, text):
@@ -443,3 +448,432 @@ class TestLabelAudit:
             pass
         _ = rec.yield_label
         assert data.label_audit.violation_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# ingestion oracle: the row-by-row loader that the chunked one replaced
+
+
+def _parse_float(text, row_no, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise IngestionError(f"row {row_no}: non-numeric {what} {text!r}") from None
+
+
+def reference_load_dataset(path: str) -> Dataset:
+    """Read the `county,year,day,f1..fd,yield` CSV into a Dataset.
+
+    The yield value may repeat on every day-row of its county-year or appear
+    on day 1 only.  A 366th day is dropped when the year length is 365.
+    Errors carry 1-based row numbers (header is row 1).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError("empty file") from None
+        if len(header) < 5 or header[:3] != ["county", "year", "day"] or header[-1] != "yield":
+            raise IngestionError(f"bad header {header!r}")
+        d = len(header) - 4
+
+        groups: dict[tuple, dict] = {}
+        order: list[tuple] = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 4:
+                raise IngestionError(f"row {row_no}: expected {d + 4} fields, got {len(row)}")
+            county = row[0]
+            try:
+                year = int(row[1])
+                day = int(row[2])
+            except ValueError:
+                raise IngestionError(f"row {row_no}: non-integer year/day") from None
+            feats = [_parse_float(v, row_no, "feature") for v in row[3:-1]]
+            label_text = row[-1].strip()
+            key = (county, year)
+            if key not in groups:
+                groups[key] = {"days": {}, "labels": [], "first_row": row_no}
+                order.append(key)
+            g = groups[key]
+            if day in g["days"]:
+                raise IngestionError(f"row {row_no}: duplicate day {day} for {key}")
+            g["days"][day] = feats
+            if label_text:
+                g["labels"].append((row_no, _parse_float(label_text, row_no, "yield")))
+
+    if not order:
+        raise IngestionError("no data rows")
+
+    records = []
+    expected_T = None
+    for key in order:
+        county, year = key
+        g = groups[key]
+        days = g["days"]
+        n_days = len(days)
+        if sorted(days) != list(range(1, n_days + 1)):
+            raise IngestionError(f"({county},{year}): days are not contiguous from 1")
+        if n_days == 366 and (expected_T in (None, 365)):
+            del days[366]  # trailing leap-year day
+            n_days = 365
+        if expected_T is None:
+            expected_T = n_days
+        elif n_days != expected_T:
+            raise IngestionError(
+                f"({county},{year}): {n_days} days, expected {expected_T}"
+            )
+        features = np.array([days[t] for t in range(1, expected_T + 1)])
+        label_values = {v for _rn, v in g["labels"]}
+        if len(label_values) > 1:
+            raise IngestionError(f"({county},{year}): conflicting yield values {sorted(label_values)}")
+        label = g["labels"][0][1] if g["labels"] else None
+        if label is not None and label < 0:
+            raise IngestionError(f"({county},{year}): negative yield {label}")
+        records.append(CountyYearRecord(county, year, features, label))
+    return Dataset(records)
+
+
+def record_bits(ds):
+    """Every record's key, feature shape and bits, and label bits."""
+    return [
+        (rec.county, rec.year, rec.features.dtype.str, rec.features.shape,
+         [v.hex() for v in rec.features.ravel().tolist()],
+         rec._yield_label.hex() if rec.has_label else None)
+        for rec in ds.records
+    ]
+
+
+def outcome(loader, path):
+    """The records' bits, or the type and message of the error raised."""
+    try:
+        return record_bits(loader(path))
+    except Exception as exc:  # the comparison is of whatever is raised
+        return type(exc), str(exc)
+
+
+# strings `float` reads that a stricter parser would reject or round
+# differently: underscores, padding, a sign, non-ASCII digits, subnormals
+ODD_FLOATS = ("1_000.5", " 2.5 ", "+3", "١٢.5", "4.9e-324", "-0.0", "1E3", "5.")
+
+
+def panel_rows(n_counties, years, T, d, seed=0, leap=(), labels="every", names=None):
+    """Data rows of a generated panel, as lists of strings, in file order.
+
+    `leap` years get 366 days; `labels` is "every" (repeated on each day
+    row), "first" (day 1 only), "none", or "mixed" (a mix of those, with
+    -0.0 and padded values).
+    """
+    rng = np.random.default_rng(seed)
+    names = names or [f"c{i:03d}" for i in range(n_counties)]
+    rows = []
+    for g, (county, year) in enumerate((c, y) for c in names for y in years):
+        mode = labels if labels != "mixed" else ("every", "first", "none", "negzero", "pad")[g % 5]
+        value = repr(float(rng.uniform(0.0, 20.0)))
+        for day in range(1, (366 if year in leap else T) + 1):
+            feats = [repr(float(v)) for v in rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)]
+            if rng.random() < 0.02:
+                feats[rng.integers(d)] = ODD_FLOATS[rng.integers(len(ODD_FLOATS))]
+            label = {"every": value, "first": value if day == 1 else "", "none": "",
+                     "negzero": "-0.0" if day == 1 else "0.0", "pad": f"  {value} "}[mode]
+            year_text = str(year) if rng.random() < 0.9 else f" 0{year}"
+            rows.append([county, year_text, str(day)] + feats + [label])
+    return rows
+
+
+def write_rows(path, rows, blank_every=0):
+    """Write a panel CSV (d from the first row); `blank_every` puts a blank
+    line after every n-th row."""
+    d = len(rows[0]) - 4
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["county", "year", "day"] + [f"f{j + 1}" for j in range(d)] + ["yield"])
+        for i, row in enumerate(rows, start=1):
+            writer.writerow(row)
+            if blank_every and i % blank_every == 0:
+                fh.write("\n")
+    return str(path)
+
+
+CHUNK = data._CHUNK_ROWS
+
+
+class TestIngestionOracle:
+    """The chunked loader against the row-by-row reference, bit for bit."""
+
+    PANELS = {
+        "tiny": dict(n_counties=1, years=[2000], T=1, d=1),
+        "tiny_three_years": dict(n_counties=2, years=[2000, 2001, 2002], T=1, d=1),
+        "leap_first": dict(n_counties=2, years=[2000, 2001], T=365, d=1, leap={2000}),
+        "leap_later": dict(n_counties=2, years=[2000, 2001, 2002], T=365, d=2, leap={2001}),
+        "first_day_labels": dict(n_counties=3, years=[2000, 2001], T=5, d=3, labels="first"),
+        "no_labels": dict(n_counties=3, years=[2000, 2001], T=5, d=3, labels="none"),
+        "mixed_labels": dict(n_counties=7, years=[2000, 2001, 2002], T=6, d=4, labels="mixed"),
+        "quoted_names": dict(n_counties=3, years=[1999, 2000], T=4, d=2,
+                             names=['Adams, IL', 'Lee "East", IA', 'Polk,\nTX']),
+        "several_chunks": dict(n_counties=40, years=[2000, 2001, 2002], T=20, d=3,
+                               labels="mixed"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PANELS))
+    @pytest.mark.parametrize("layout", ["ordered", "blank_lines", "shuffled"])
+    def test_records_bit_equal(self, tmp_path, name, layout):
+        spec = self.PANELS[name]
+        rows = panel_rows(**spec)
+        if layout == "shuffled":
+            rows = [rows[i] for i in np.random.default_rng(1).permutation(len(rows))]
+        path = write_rows(tmp_path / "p.csv", rows,
+                          blank_every=7 if layout == "blank_lines" else 0)
+        want = outcome(reference_load_dataset, path)
+        assert not isinstance(want, tuple), want
+        assert outcome(data.load_dataset, path) == want
+
+    def test_several_chunks_is_several_chunks(self):
+        assert len(panel_rows(**self.PANELS["several_chunks"])) > 2 * CHUNK
+
+    @staticmethod
+    def workload_panels(monkeypatch):
+        from test_perfbench_names import load_workloads
+
+        workloads = load_workloads(monkeypatch)
+        return {name: workloads.get(name).panel(1) for name in workloads.WORKLOADS}
+
+    def test_benchmark_panels_bit_equal(self, tmp_path, monkeypatch):
+        for name, ds in self.workload_panels(monkeypatch).items():
+            path = str(tmp_path / f"{name}.csv")
+            data.save_dataset_csv(ds, path)
+            want = record_bits(reference_load_dataset(path))
+            assert record_bits(data.load_dataset(path)) == want, name
+
+
+def base_rows(n=3 * CHUNK // 20):
+    """A valid panel of n county-years x T=20 days, d=2: three chunks."""
+    return panel_rows(n_counties=n // 2, years=[2000, 2001], T=20, d=2, seed=3)
+
+
+def edited(rows, *edits):
+    """Copy of `rows` with (data row index, field index, text) edits; a
+    field index of None replaces the whole row with `text`."""
+    rows = [list(r) for r in rows]
+    for i, j, text in edits:
+        if j is None:
+            rows[i] = list(text)
+        else:
+            rows[i][j] = text
+    return rows
+
+
+def _malformed():
+    rows = base_rows()
+    n = len(rows)
+    leap = panel_rows(1, [2000, 2001], 365, 1, leap={2000})
+    late = 2 * CHUNK + 37  # a data row in the third chunk
+    dup_late = list(rows[5])  # (c000, 2000) day 6 again, in the third chunk
+    cases = {
+        "wrong_field_count": edited(rows, (late, None, rows[late] + ["9"])),
+        "short_row": edited(rows, (9, None, rows[9][:3])),
+        "bad_year": edited(rows, (late, 1, "20x0")),
+        "bad_day": edited(rows, (CHUNK + 3, 2, "1.0")),
+        "bad_feature": edited(rows, (late, 4, "oops")),
+        "empty_feature": edited(rows, (17, 3, "")),
+        "bad_yield": edited(rows, (late, -1, "n/a")),
+        "duplicate_in_chunk": edited(rows, (7, 2, "3")),
+        "duplicate_across_chunks": rows + [dup_late],
+        "day_zero_twice": edited(rows, (0, 2, "0"), (1, 2, "0")),
+        "not_contiguous": edited(rows, (45, 2, "25")),
+        "missing_last_day": rows[:19] + rows[20:],
+        "extra_day_later": rows[:60] + [rows[59][:2] + ["21"] + rows[59][3:]] + rows[60:],
+        "conflicting_yield": edited(rows, (CHUNK + 11, -1, "1.5")),
+        "conflicting_later_yield": edited(rows, (n - 1, -1, "1.5")),
+        "negative_yield": [r[:-1] + ["-" + r[-1]] if r[0] == "c001" else r for r in rows],
+        "huge_day": edited(rows, (30, 2, "9" * 30)),
+        "huge_day_twice": edited(rows, (30, 2, "9" * 30), (CHUNK + 30, None,
+                                                            rows[30][:2] + ["9" * 30] + rows[30][3:])),
+        "huge_negative_day_twice": edited(rows, (30, 2, "-" + "9" * 19), (31, 2, "-" + "9" * 19)),
+        "first_year_367_days": leap[:366] + [leap[0][:2] + ["367"] + leap[0][3:]] + leap[366:],
+        "leap_year_when_T_is_4": panel_rows(2, [2000, 2001], 4, 1, leap={2001}),
+        # two faults of different kinds: the earlier row is named
+        "duplicate_then_bad_feature": edited(rows, (40, 2, "2"), (late, 4, "oops")),
+        "bad_feature_then_duplicate": edited(rows, (40, 4, "oops"), (late, 2, "2")),
+        "duplicate_then_bad_yield_same_chunk": edited(rows, (CHUNK + 5, 2, "1"), (CHUNK + 9, -1, "x")),
+        "bad_yield_then_duplicate_same_chunk": edited(rows, (CHUNK + 5, -1, "x"), (CHUNK + 9, 2, "1")),
+        "duplicate_row_with_bad_yield": edited(rows, (late, None, rows[3][:-1] + ["x"])),
+        "duplicate_row_with_bad_feature": edited(rows, (late, None, rows[3][:3] + ["x", "1"] + rows[3][-1:])),
+        "bad_year_then_wrong_count_same_row": edited(rows, (late, None, ["c000", "y", "1"])),
+        "negative_first_group_and_late_row_fault": edited(
+            [r[:-1] + ["-" + r[-1]] if r[0] == "c000" else r for r in rows], (n - 1, 3, "z")),
+        "not_contiguous_before_conflict": edited(rows, (CHUNK + 11, -1, "1.5"), (45, 2, "25")),
+        "conflict_before_not_contiguous": edited(rows, (11, -1, "1.5"), (CHUNK + 45, 2, "25")),
+    }
+    return cases
+
+
+MALFORMED = _malformed()
+
+
+class TestIngestionErrors:
+    """Malformed files raise the reference's exception type and message."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_error(self, tmp_path, name):
+        path = write_rows(tmp_path / "bad.csv", MALFORMED[name],
+                          blank_every=11 if "chunk" in name else 0)
+        want = outcome(reference_load_dataset, path)
+        assert isinstance(want, tuple), f"{name} is not malformed"
+        assert outcome(data.load_dataset, path) == want
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "county,year,day,f1,yield\n",
+        "county,year,day,f1,yield\n\n\n",
+        "county,year,f1,yield\nc,2000,1,1.0\n",
+        "county,year,day,f1,yield\nc,2000,1,1.0,2.0\n\nc,2000,1,1.0,2.0\n",
+        "county,year,day,f1,yield\nc,2000,1,1.0,2.0\nc,2000,2,\"1.0\n",
+    ])
+    def test_same_error_small_files(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        want = outcome(reference_load_dataset, str(path))
+        assert outcome(data.load_dataset, str(path)) == want
+
+    @pytest.mark.parametrize("fault_row", [5, CHUNK + 5])
+    def test_reader_error_after_duplicate(self, tmp_path, fault_row):
+        # the csv reader stops on an over-long field; a duplicate day
+        # before it is still named first, and without one the reader's
+        # own error comes through
+        rows = base_rows()
+        for dup in (True, False):
+            bad = edited(rows, (fault_row, 3, "1" * (csv.field_size_limit() + 1)))
+            if dup:
+                bad = edited(bad, (fault_row - 2, 2, "1"))
+            path = write_rows(tmp_path / "bad.csv", bad)
+            want = outcome(reference_load_dataset, path)
+            assert want[0] is (data.IngestionError if dup else csv.Error)
+            assert outcome(data.load_dataset, path) == want
+
+    @pytest.mark.parametrize("dup", [True, False])
+    def test_undecodable_bytes(self, tmp_path, dup):
+        path = tmp_path / "bad.csv"
+        write_rows(path, edited(base_rows(), (CHUNK + 1, 2, "1")) if dup else base_rows())
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) * 3 // 4] = 0xFF
+        path.write_bytes(bytes(raw))
+        want = outcome(reference_load_dataset, str(path))
+        assert want[0] is (data.IngestionError if dup else UnicodeDecodeError)
+        assert outcome(data.load_dataset, str(path)) == want
+
+
+class TestNonFiniteValues:
+    """A non-finite feature or yield is a row fault naming its row and record."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("c1,2000,3,0.3,1.2,5.0", "c1,2000,3,nan,1.2,5.0",
+         "row 4: non-finite feature 'nan' in (c1,2000)"),
+        ("c2,2001,2,2.6,0.1,4.5", "c2,2001,2,2.6,1e400,4.5",
+         "row 19: non-finite feature '1e400' in (c2,2001)"),
+        ("c1,2002,4,1.2,1.3,7.0", "c1,2002,4,-inf,1.3,7.0",
+         "row 13: non-finite feature '-inf' in (c1,2002)"),
+        ("c1,2001,1,0.5,1.0,6.0", "c1,2001,1,0.5,1.0,inf",
+         "row 6: non-finite yield 'inf' in (c1,2001)"),
+    ])
+    def test_row_named(self, tmp_path, old, new, message):
+        path = write_csv(tmp_path / "d.csv", FIXTURE_CSV.replace(old, new))
+        with pytest.raises(NumericError) as info:
+            data.load_dataset(path)
+        assert str(info.value) == message
+
+    def test_nan_yield_on_day_one_only(self, tmp_path):
+        text = "county,year,day,f1,yield\na,2000,1,0.5,nan\na,2000,2,0.5,\n"
+        with pytest.raises(NumericError) as info:
+            data.load_dataset(write_csv(tmp_path / "d.csv", text))
+        assert str(info.value) == "row 2: non-finite yield 'nan' in (a,2000)"
+
+    def test_nan_yield_on_every_day(self, tmp_path):
+        text = "county,year,day,f1,yield\na,2000,1,0.5,nan\na,2000,2,0.5,nan\n"
+        with pytest.raises(NumericError) as info:
+            data.load_dataset(write_csv(tmp_path / "d.csv", text))
+        assert str(info.value) == "row 2: non-finite yield 'nan' in (a,2000)"
+
+    def test_first_of_two_row_faults(self, tmp_path):
+        # a non-finite value and a duplicate day: whichever row comes first
+        rows = base_rows()
+        late = 2 * CHUNK + 37
+        cases = [
+            (edited(rows, (40, 3, "nan"), (late, 2, "2")), NumericError,
+             "row 42: non-finite feature 'nan' in (c001,2000)"),
+            (edited(rows, (40, 2, "2"), (late, -1, "inf")), IngestionError,
+             "row 43: duplicate day 2 for ('c001', 2000)"),
+            (edited(rows, (late, None, rows[3][:-1] + ["nan"])), IngestionError,
+             f"row {late + 2}: duplicate day 4 for ('c000', 2000)"),
+            (edited(rows, (late, None, rows[3][:3] + ["nan", "1"] + rows[3][-1:])), NumericError,
+             f"row {late + 2}: non-finite feature 'nan' in (c000,{int(rows[3][1])})"),
+            (edited(rows, (late, 3, "oops"), (late, 4, "nan")), IngestionError,
+             f"row {late + 2}: non-numeric feature 'oops'"),
+            (edited(rows, (late, 3, "nan"), (late, 4, "oops")), IngestionError,
+             f"row {late + 2}: non-numeric feature 'oops'"),
+        ]
+        for bad, kind, message in cases:
+            with pytest.raises(kind) as info:
+                data.load_dataset(write_rows(tmp_path / "bad.csv", bad))
+            assert str(info.value) == message
+
+
+def traced_peak(loader, path):
+    """Peak bytes tracemalloc sees while `loader` reads `path`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loader(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_counties=200, T=4, d=8),  # wide and short
+    dict(n_counties=8, T=40, d=12),  # narrow and long
+])
+def test_load_peak_memory_within_reference(tmp_path, shape):
+    cfg = data.SyntheticConfig(n_years=12, n_hidden_clusters=4, year_bias_slope=0.6,
+                               year_shock_std=0.1, obs_noise_std=0.1, seed=1, **shape)
+    path = str(tmp_path / "panel.csv")
+    data.save_dataset_csv(data.generate_synthetic(cfg)[0], path)
+    data.load_dataset(path)  # first-call allocations (imports, caches) are not the loader's
+    reference = traced_peak(reference_load_dataset, path)
+    assert traced_peak(data.load_dataset, path) <= reference
+
+
+def reference_zscore_apply(ds, stats, labels=True):
+    """The per-record loop the one-op normalization replaced."""
+    out = []
+    for rec in ds.records:
+        feats = (rec.features - stats.feature_mean) / stats.feature_std
+        if labels and rec.has_label:
+            label = (rec._yield_label - stats.label_mean) / stats.label_std
+        else:
+            label = rec._yield_label
+        out.append(rec.with_changes(features=feats, yield_label=label))
+    return Dataset(out)
+
+
+class TestZscoreApplyBits:
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_bit_equal_to_per_record_loop(self, labels):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        train, _ = data.split_by_test_year(ds, max(ds.years))
+        stats = data.zscore_fit(train)
+        got = data.zscore_apply(ds, stats, labels=labels)
+        assert record_bits(got) == record_bits(reference_zscore_apply(ds, stats, labels))
+        assert [r.neighbors for r in got] == [r.neighbors for r in ds]
+
+    def test_records_view_one_block(self):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        got = data.zscore_apply(ds, data.zscore_fit(ds))
+        block = got.records[0].features.base
+        assert block is not None and all(r.features.base is block for r in got)
+
+    def test_empty_dataset(self):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        assert len(data.zscore_apply(data.Dataset([]), data.zscore_fit(ds))) == 0
