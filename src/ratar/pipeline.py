@@ -1,8 +1,7 @@
 """End-to-end experiment orchestration.
 
-A run executes one chain per seed.  Each link is a public call, and
-`run_experiment`, `ablate` and every CLI subcommand are built from the
-same links:
+A run executes one chain per seed.  Each link is a public call, and the
+experiment driver and every CLI subcommand are built from the same links:
 
 - `load`: the dataset and the county adjacency;
 - `train_models`: split by test year, normalize on training statistics,
@@ -28,7 +27,12 @@ same links:
   giving `CountyPredictions`;
 - `evaluate`: physical-unit RMSE.
 
-Reports aggregate mean and standard deviation across seeds.
+`run_experiment`, `sweep` and `ablate` share one driver over a table of
+named variant configs.  Per seed it trains the global model once, and
+the cross-year model and its retrieval context once per distinct
+look-back window, then predicts and evaluates every variant on them.
+Reports aggregate mean and standard deviation across seeds and carry
+their first seed's models, biases and predictions for export.
 
 Every integration mode predicts through the same call: `lyra_predict`
 runs one batched engine forward over a list of windows.  Fine-tuning
@@ -145,6 +149,8 @@ class ExperimentConfig:
             raise ContractError(f"integration must be one of {_INTEGRATION_MODES}")
         if self.w < 1:
             raise ContractError("look-back window must be at least 1")
+        if self.top_k is not None and self.top_k < 1:
+            raise ContractError(f"top_k must be at least 1, got {self.top_k}")
         if self.sigma is not None and self.sigma < 0:
             raise ContractError("sigma must be nonnegative")
         if self.refine_copies < 1:
@@ -180,6 +186,9 @@ class EvalReport:
     seconds: float = 0.0
     audit_violations: int = 0
     retrieved_total: float = 0.0
+    # the first seed's (SeedModels, bias matrices, CountyPredictions), for
+    # export and inspection; written to no artifact
+    first_seed: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
@@ -222,6 +231,7 @@ def _merge_reports(variant, per_seed, seconds, violations=0):
         seconds=seconds,
         audit_violations=violations,
         retrieved_total=retrieved,
+        first_seed=per_seed[0].first_seed,
     )
 
 
@@ -403,8 +413,8 @@ class RetrievalContext:
     cross-year model and are empty without one.  `sigma` is the
     refinement noise scale in physical units.  `retrieved` and `refined`
     keep what `retrieve_refine` computed from it, so that runs sharing
-    the context (the ablation variants) retrieve and refine each county
-    once.
+    the context (the variants of one driver run) retrieve and refine
+    each county once per setting.
     """
     adjacency: dict
     sigma: float
@@ -458,14 +468,12 @@ def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalCon
     key = (county, cfg.retrieval_mode, cfg.threshold, cfg.top_k)
     if key not in ctx.retrieved:
         with _stage(f"retrieval county {county}"):
-            if cfg.retrieval_mode == "residual":
-                result = rt.retrieve(county, ctx.residuals, train_n,
-                                     threshold=cfg.threshold, top_k=cfg.top_k)
-            elif cfg.retrieval_mode == "neighboring":
+            if cfg.retrieval_mode == "neighboring":
                 result = rt.retrieve_neighboring(county, ctx.adjacency, train_n)
             else:
-                result = rt.retrieve_embedding(county, ctx.mean_emb, train_n,
-                                               threshold=cfg.threshold, top_k=cfg.top_k)
+                panel = ctx.residuals if cfg.retrieval_mode == "residual" else ctx.mean_emb
+                result = rt.retrieve(county, panel, train_n, threshold=cfg.threshold,
+                                     top_k=cfg.top_k)
         ctx.retrieved[key] = result
     result = ctx.retrieved[key]
     refine_key = key + (cfg.refine, cfg.refine_copies, cfg.test_year)
@@ -553,20 +561,63 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
     return out
 
 
-def _evaluate_seed(variant, models: SeedModels, out: CountyPredictions) -> EvalReport:
-    retrieved = sum(len(r.samples) for r in out.retrievals)
-    return evaluate(out.predictions, models.test_n, models.seed, variant=variant,
-                    fallbacks=out.fallbacks, retrieved=retrieved)
+def _gruatt_predictions(cfg, models: SeedModels) -> CountyPredictions:
+    tcfg = replace(cfg.train, seed=models.seed)
+    dims = cfg.dims if cfg.dims is not None else LyraDims(d=models.train_n.d)
+    with _stage(f"train_gruatt seed {models.seed}"):
+        params, _ = train_gru_att(models.train_n, tcfg, H=dims.H,
+                                  attn_hidden=dims.attn_hidden,
+                                  head_hidden=dims.mlp_hidden)
+    recs = sorted(models.test_n.records, key=lambda r: r.county)
+    xs = np.stack([r.features for r in recs])
+    preds = gruatt_forward(None, params, xs).data
+    return CountyPredictions({r.county: models.stats.denormalize_label(p)
+                              for r, p in zip(recs, preds)})
 
 
-def _run_seed(cfg, ds, seed, adjacency):
-    models = train_models(cfg, ds, seed)
-    ctx = (retrieval_context(cfg, models, adjacency) if cfg.integration != "none"
-           else RetrievalContext(adjacency=adjacency, sigma=0.0))
-    out = predict_counties(cfg, models, ctx)
-    with _stage(f"evaluate seed {seed}"):
-        report = _evaluate_seed(cfg.variant, models, out)
-    return report, (models, ctx.biases, out)
+def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> list:
+    """One merged report per (name, config) variant, in table order.
+
+    Variants may differ from `cfg` only in `w` and in what prediction
+    reads (threshold, top_k, refine, integration); a None config is the
+    pooled-only GRU-attention baseline.  All are validated before any
+    data is loaded.  The test year's labels are guarded for the whole
+    run; every report carries the run's seconds and audit violations.
+    """
+    groups: dict[int, list] = {}  # w -> (index, name, config) of the variants sharing it
+    with _stage("config"):
+        for i, (name, sub) in enumerate(variants):
+            if sub is not None:
+                sub.validate()
+            groups.setdefault(cfg.w if sub is None else sub.w, []).append((i, name, sub))
+    ds, adjacency = load(cfg, dataset, adjacency)
+    per_variant = [[] for _ in variants]
+    start = time.perf_counter()
+    label_audit.reset()
+    with label_audit.guard(cfg.test_year):
+        for n, seed in enumerate(cfg.seeds):
+            f = None  # the seed's global model, once trained
+            for w, members in groups.items():
+                models = train_models(replace(cfg, w=w), ds, seed, f=f)
+                f = models.f
+                ctx = None
+                if any(sub is not None and sub.integration != "none" for *_, sub in members):
+                    ctx = retrieval_context(cfg, models, adjacency)
+                for i, name, sub in members:
+                    with _stage(f"evaluate {name} seed {seed}"):
+                        out = (_gruatt_predictions(cfg, models) if sub is None
+                               else predict_counties(sub, models, ctx))
+                        report = evaluate(out.predictions, models.test_n, seed, name,
+                                          out.fallbacks,
+                                          sum(len(r.samples) for r in out.retrievals))
+                    if n == 0:
+                        report.first_seed = (models, ctx.biases if ctx else {}, out)
+                    per_variant[i].append(report)
+                del models, ctx, out  # nothing of this seed is alive in the next one
+    seconds = time.perf_counter() - start
+    violations = label_audit.violation_count()
+    return [_merge_reports(name, reports, seconds, violations)
+            for (name, _sub), reports in zip(variants, per_variant)]
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
@@ -576,24 +627,11 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     The test year's labels are guarded for the whole run; the report
     carries the audit's violation count (which must be zero).
     """
-    with _stage("config"):
-        cfg.validate()
-    ds, adjacency = load(cfg, dataset, adjacency)
-    start = time.perf_counter()
-    label_audit.reset()
-    per_seed, first_artifacts = [], None
-    with label_audit.guard(cfg.test_year):
-        for seed in cfg.seeds:
-            report, artifacts = _run_seed(cfg, ds, seed, adjacency)
-            per_seed.append(report)
-            if first_artifacts is None:
-                first_artifacts = artifacts
-    merged = _merge_reports(cfg.variant, per_seed, time.perf_counter() - start,
-                            label_audit.violation_count())
+    (report,) = _run_variants(cfg, [(cfg.variant, cfg)], dataset, adjacency)
     if cfg.out_dir is not None:
         with _stage("export"):
-            export_diagnostics(cfg, merged, *first_artifacts)
-    return merged
+            export_diagnostics(cfg, report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +652,16 @@ def _config_blob(cfg: ExperimentConfig):
     return blob
 
 
-def export_diagnostics(cfg: ExperimentConfig, report: EvalReport, models: SeedModels,
-                       biases: dict, predicted: CountyPredictions) -> None:
+def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
     """Write the run's output directory.
 
     report.csv and predictions.csv cover all seeds; the diagnostic CSVs
     (attention, errors, retrieval, flags, bias) describe the first seed's run,
-    matching their fixed single-run column layouts.  Nothing written
+    matching their fixed single-run column layouts, and the checkpoints
+    hold its models (all from `report.first_seed`).  Nothing written
     here includes wall-clock values, so reruns are byte-identical.
     """
+    models, biases, predicted = report.first_seed
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "ckpt"), exist_ok=True)
@@ -682,39 +721,26 @@ _SWEEP_AXES = {
 
 def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = None,
           adjacency: dict | None = None) -> list:
-    """One full experiment per axis value, seeds shared, plus sweep.csv."""
+    """One report per axis value, seeds and models shared, plus sweep.csv.
+
+    Every value is validated before any training.  Threshold and top-k
+    values share every model of a seed; look-back values share its
+    global model.
+    """
     if axis not in _SWEEP_AXES:
         raise ContractError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}")
     if not values:
         raise ContractError("sweep needs at least one value")
-    out_dir = cfg.out_dir
-    reports = []
-    for value in values:
-        sub = _SWEEP_AXES[axis](cfg, value)
-        sub = replace(sub, out_dir=None, variant=f"{axis}={value}")
-        reports.append(run_experiment(sub, dataset=dataset, adjacency=adjacency))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    variants = [(f"{axis}={value}", _SWEEP_AXES[axis](cfg, value)) for value in values]
+    reports = _run_variants(cfg, variants, dataset, adjacency)
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["axis,value,rmse_mean,rmse_std,retrieved_total"]
         for value, rep in zip(values, reports):
             lines.append(f"{axis},{value},{rep.rmse_mean!r},{rep.rmse_std!r},"
                          f"{rep.retrieved_total!r}")
-        _write(os.path.join(out_dir, "sweep.csv"), lines)
+        _write(os.path.join(cfg.out_dir, "sweep.csv"), lines)
     return reports
-
-
-def _gruatt_predictions(cfg, models: SeedModels):
-    tcfg = replace(cfg.train, seed=models.seed)
-    dims = cfg.dims if cfg.dims is not None else LyraDims(d=models.train_n.d)
-    with _stage(f"train_gruatt seed {models.seed}"):
-        params, _ = train_gru_att(models.train_n, tcfg, H=dims.H,
-                                  attn_hidden=dims.attn_hidden,
-                                  head_hidden=dims.mlp_hidden)
-    test_n = models.test_n
-    recs = sorted(test_n.records, key=lambda r: r.county)
-    xs = np.stack([r.features for r in recs])
-    preds = gruatt_forward(None, params, xs).data
-    return {r.county: models.stats.denormalize_label(p) for r, p in zip(recs, preds)}
 
 
 def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
@@ -727,48 +753,18 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
     fine-tuning.
     """
     with _stage("config"):
-        cfg.validate()
         if cfg.integration == "none":
             raise ContractError("ablate needs an integrating base config")
-    ds, adjacency = load(cfg, dataset, adjacency)
-
-    variants = ["ratar", "wo_refine", "lyra", "gruatt"]
+    variants = [("ratar", cfg), ("wo_refine", replace(cfg, refine=False)),
+                ("lyra", replace(cfg, integration="none", refine=False)), ("gruatt", None)]
     if cfg.integration == "finetune":
-        variants.append("ratar_context")
-    per_variant: dict[str, list] = {v: [] for v in variants}
-    start = time.perf_counter()
-    label_audit.reset()
-    with label_audit.guard(cfg.test_year):
-        for seed in cfg.seeds:
-            models = train_models(cfg, ds, seed)
-            ctx = retrieval_context(cfg, models, adjacency)
-
-            def seed_eval(variant, sub_cfg):
-                return _evaluate_seed(variant, models,
-                                      predict_counties(sub_cfg, models, ctx))
-
-            per_variant["ratar"].append(seed_eval("ratar", cfg))
-            per_variant["wo_refine"].append(
-                seed_eval("wo_refine", replace(cfg, refine=False)))
-            per_variant["lyra"].append(
-                seed_eval("lyra", replace(cfg, integration="none", refine=False)))
-            if "ratar_context" in per_variant:
-                per_variant["ratar_context"].append(
-                    seed_eval("ratar_context", replace(cfg, integration="context")))
-            gp = _gruatt_predictions(cfg, models)
-            with _stage(f"evaluate gruatt seed {seed}"):
-                per_variant["gruatt"].append(
-                    evaluate(gp, models.test_n, seed, variant="gruatt"))
-
-    seconds = time.perf_counter() - start
-    violations = label_audit.violation_count()
-    reports = {v: _merge_reports(v, reps, seconds, violations)
-               for v, reps in per_variant.items()}
+        variants.append(("ratar_context", replace(cfg, integration="context")))
+    reports = dict(zip((name for name, _sub in variants),
+                       _run_variants(cfg, variants, dataset, adjacency)))
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["variant,rmse_mean,rmse_std"]
-        for v in variants:
-            rep = reports[v]
-            lines.append(f"{v},{rep.rmse_mean!r},{rep.rmse_std!r}")
+        for name, rep in reports.items():
+            lines.append(f"{name},{rep.rmse_mean!r},{rep.rmse_std!r}")
         _write(os.path.join(cfg.out_dir, "ablate.csv"), lines)
     return reports

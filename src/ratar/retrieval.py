@@ -31,8 +31,8 @@ exactly:
   every candidate above the threshold when it is not.
 
 Two baselines share the result type: geographic adjacency and mean
-yearly-embedding similarity.  The latter runs through the same panel,
-with the embedding dimensions as its common "years".
+yearly-embedding similarity.  The latter is a `retrieve` over an
+`embedding_panel`, whose embedding dimensions are its common "years".
 """
 
 from __future__ import annotations
@@ -263,15 +263,33 @@ def _match(result, sims, train, threshold, top_k):
     return result
 
 
-def _screened(query, panel, train, threshold, top_k):
-    """One query's retrieval from its row of the panel's similarity table.
+def retrieve(query, residuals, train, threshold=0.9, top_k=None):
+    """Counties whose residual vectors track the query's, with samples.
 
-    Flags come from the masks, in sorted-county order.  The exact value
-    is computed for every untrusted pair (NaN in the table) and for
-    every trusted candidate screened within the margin of both the
-    threshold and the top_k-th best screened value; `_match` then sorts
-    and cuts on the exact values only.
+    Matches are every other county with similarity strictly above the
+    threshold, ordered by (descending similarity, county id).  Samples
+    are all records of matched counties from the last five training
+    years.  An optional top_k (at least 1) caps the match list after
+    sorting.
+
+    Candidates sharing fewer than the panel's `min_common` years with
+    the query (three for residuals), or whose vectors are constant, are
+    flagged and skipped.  `residuals` is the `ResidualPanel` of
+    `compute_residuals`, or an `embedding_panel` for the mean-embedding
+    baseline; a plain dict of `ResidualVector`s is wrapped in one first.
+
+    A panel builds its all-pairs screen once (O(N^2) in BLAS); each
+    query then reads its row, with flags from the masks in sorted-county
+    order.  The exact value is computed for every untrusted pair (NaN in
+    the table) and for every trusted candidate screened within the
+    margin of both the threshold and the top_k-th best screened value;
+    `_match` then sorts and cuts on the exact values only.
     """
+    if top_k is not None and top_k < 1:
+        raise ContractError(f"top_k must be at least 1, got {top_k}")
+    if query not in residuals:
+        raise ContractError(f"no residual vector for query county {query}")
+    panel = residuals if isinstance(residuals, ResidualPanel) else ResidualPanel(residuals)
     result = RetrievalResult(query=query)
     q = panel.index[query]
     if panel.zero_norm[q]:
@@ -288,7 +306,7 @@ def _screened(query, panel, train, threshold, top_k):
     live[q] = False
     row = sim[q]
     keep = live & (row > threshold - _SCREEN_MARGIN)
-    if top_k is not None and 0 < top_k < np.count_nonzero(keep):
+    if top_k is not None and top_k < np.count_nonzero(keep):
         screened = row[keep]
         kth = np.partition(screened, screened.size - top_k)[screened.size - top_k]
         keep &= row >= kth - _SCREEN_MARGIN
@@ -299,28 +317,6 @@ def _screened(query, panel, train, threshold, top_k):
         county = panel.counties[j]
         sims.append((county, centered_cosine(rq, panel[county])))
     return _match(result, sims, train, threshold, top_k)
-
-
-def retrieve(query, residuals, train, threshold=0.9, top_k=None):
-    """Counties whose residual vectors track the query's, with samples.
-
-    Matches are every other county with similarity strictly above the
-    threshold, ordered by (descending similarity, county id).  Samples
-    are all records of matched counties from the last five training
-    years.  An optional top_k caps the match list after sorting.
-
-    Candidates sharing fewer than three years with the query, or whose
-    residuals are constant, are flagged and skipped.  `residuals` is
-    the `ResidualPanel` of `compute_residuals`; a plain dict of
-    `ResidualVector`s is wrapped in one first.  A panel builds its
-    all-pairs screen once (O(N^2) in BLAS); each query then costs one
-    row scan plus one `centered_cosine` call per short-listed pair.
-    """
-    if query not in residuals:
-        raise ContractError(f"no residual vector for query county {query}")
-    if not isinstance(residuals, ResidualPanel):
-        residuals = ResidualPanel(residuals)
-    return _screened(query, residuals, train, threshold, top_k)
 
 
 _NEIGHBOR_SENTINEL = 1.0
@@ -354,19 +350,6 @@ def embedding_panel(embeddings) -> ResidualPanel:
         {county: ResidualVector(county, list(range(len(z))), np.asarray(z, dtype=np.float64))
          for county, z in embeddings.items()},
         min_common=0)
-
-
-def retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=None):
-    """Baseline: match counties by centered cosine over mean yearly embeddings.
-
-    `embeddings` is an `embedding_panel`, or a plain dict of vectors
-    that is wrapped in one first; matching is as in `retrieve`.
-    """
-    if query not in embeddings:
-        raise ContractError(f"no embedding for query county {query}")
-    if not isinstance(embeddings, ResidualPanel):
-        embeddings = embedding_panel(embeddings)
-    return _screened(query, embeddings, train, threshold, top_k)
 
 
 def save_retrieval_csv(results, path):

@@ -45,7 +45,6 @@ from .backbone import (
     window_table,
 )
 from .numcore import ComputeTape, ContractError, NumericError, Tensor
-from .refinement import RefinedSampleSet
 
 
 class TrainingError(RuntimeError):
@@ -345,16 +344,16 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
               target_labels: dict, stats=None) -> LyraParams:
     """Adapt copies of the parameters to counties' refined samples, in one pass.
 
-    sample_sets is one county's RefinedSampleSet, giving its tuned copy as
-    plain parameters, or a list of them, giving stacked parameters (see
-    `LyraParams.stack`) whose copy k is tuned on set k.  Each copy takes a
-    few full-batch MSE steps on its refined retrieved samples; the input
-    parameters are never mutated.  Each refined entry with an earlier
-    season is one window: the `lookback_window` of its season, with its
-    `target_labels` entry fed to its own embedding and its normalized
-    refined label as supervision.  An entry without an earlier season is
-    skipped with a warning; a copy whose set is empty or unusable stays
-    an unchanged copy.  freeze_encoder pins the sequence encoder and
+    sample_sets is a list of counties' RefinedSampleSets; the result is
+    stacked parameters (see `LyraParams.stack`) whose copy k is tuned on
+    set k.  Each copy takes a few full-batch MSE steps on its refined
+    retrieved samples; the input parameters are never mutated.  Each
+    refined entry with an earlier season is one window: the
+    `lookback_window` of its season, with its `target_labels` entry fed
+    to its own embedding and its normalized refined label as
+    supervision.  An entry without an earlier season is skipped with a
+    warning; a copy whose set is empty or unusable stays an unchanged
+    copy.  freeze_encoder pins the sequence encoder and
     attention pooling by reusing their pooled outputs as constants.
 
     All copies with windows train together: one tape per epoch over
@@ -363,11 +362,9 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     would get alone, and Adam clips each copy's gradient by its own norm.
     """
     cfg.validate()
-    single = isinstance(sample_sets, RefinedSampleSet)
-    sets = [sample_sets] if single else list(sample_sets)
-    tuned = p.stack(len(sets))
+    tuned = p.stack(len(sample_sets))
     active, windows, targets = [], [], []
-    for k, sample_set in enumerate(sets):
+    for k, sample_set in enumerate(sample_sets):
         copy_windows, copy_targets = _tuning_windows(p, sample_set, train, target_labels,
                                                      stats)
         if copy_windows and cfg.fine_tune_epochs > 0:
@@ -377,7 +374,7 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     if active:
         inputs = stack_tables(p, [window_table(p, w) for w in windows])
         tuned.store.flat[active] = _tune_stack(p, inputs, targets, cfg).store.flat
-    return tuned.member(0) if single else tuned
+    return tuned
 
 
 def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:

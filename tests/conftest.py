@@ -65,7 +65,7 @@ class AblationSetup:
         self.elapsed = time.perf_counter() - t0
         self.rmse = {name: rep.rmse_mean for name, rep in self.reports.items()}
         # seed-0 models for the retrieval-relevance comparison
-        self.models = pl.train_models(self.cfg, self.dataset, 0)
+        self.models = self.reports["ratar"].first_seed[0]
         self.cluster = {
             county: self.truth.rows[(county, self.dataset.years[0])].cluster
             for county in self.dataset.counties

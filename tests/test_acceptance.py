@@ -299,8 +299,8 @@ def test_c09_residual_retrieval_finds_cluster_mates(ablation_setup):
                 res = rt.retrieve(county, residuals, models.train_n,
                                   threshold=-1.0, top_k=top_k)
             elif mode == "embedding":
-                res = rt.retrieve_embedding(county, mean_emb, models.train_n,
-                                            threshold=-1.0, top_k=top_k)
+                res = rt.retrieve(county, mean_emb, models.train_n,
+                                  threshold=-1.0, top_k=top_k)
             else:
                 res = rt.retrieve_neighboring(county, adjacency, models.train_n)
             for matched_county, _sim in res.matched:

@@ -160,6 +160,14 @@ class TestRun:
         assert rc != 0
         assert "split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "retrieve"])
+    def test_top_k_zero_exits_2(self, tmp_path, capsys, command):
+        cfgp = tiny_config(tmp_path)
+        rc = cli.main([command, "--config", cfgp, "--top-k", "0",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "top_k must be at least 1, got 0" in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = cli.main(["run", "--data", str(tmp_path / "nope.csv"),
                        "--test-year", "2004", "--out", str(tmp_path / "x")])

@@ -2,6 +2,7 @@
 integration, artifact export, determinism, and the ablation matrix."""
 
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -308,6 +309,103 @@ class TestRunExperiment:
             assert np.isfinite(report.rmse_mean)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        cfg = pl.ExperimentConfig(test_year=2005, top_k=top_k)
+        with pytest.raises(ContractError, match=rf"top_k must be at least 1, got {top_k}$"):
+            cfg.validate()
+
+
+def reference_sweep(cfg, axis, values, dataset=None):
+    """The sweep the shared driver replaced: one full `run_experiment` per value."""
+    out_dir = cfg.out_dir
+    reports = []
+    for value in values:
+        sub = pl._SWEEP_AXES[axis](cfg, value)
+        sub = replace(sub, out_dir=None, variant=f"{axis}={value}")
+        reports.append(pl.run_experiment(sub, dataset=dataset))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        lines = ["axis,value,rmse_mean,rmse_std,retrieved_total"]
+        for value, rep in zip(values, reports):
+            lines.append(f"{axis},{value},{rep.rmse_mean!r},{rep.rmse_std!r},"
+                         f"{rep.retrieved_total!r}")
+        pl._write(os.path.join(out_dir, "sweep.csv"), lines)
+    return reports
+
+
+def count_training(monkeypatch):
+    """Count the pipeline's `train_global` and `train_lyra` calls."""
+    counts = {"train_global": 0, "train_lyra": 0}
+
+    def counting(name):
+        original = getattr(pl, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(pl, name, counting(name))
+    return counts
+
+
+def report_bits(reports):
+    """Every number a sweep's reports hold, as exact strings."""
+    return [(rep.variant, rep.rmse_mean.hex(), rep.rmse_std.hex(), rep.retrieved_total.hex(),
+             rep.audit_violations,
+             [(sr.seed, sr.rmse.hex(), sr.retrieved_samples,
+               [(r.county, r.year, r.prediction.hex(), r.error.hex(), r.fallback)
+                for r in sr.rows])
+              for sr in rep.seed_results])
+            for rep in reports]
+
+
+class TestSweepSharesModels:
+    """A sweep trains each seed's models once and keeps every bit of the per-value runs."""
+
+    # per axis: values, config overrides, and the cross-year models trained per seed
+    CASES = {
+        "threshold": ([0.2, 0.6, 0.95], {}, 1),
+        "topk": ([1, 2, 4], {"threshold": -1.0}, 1),
+        "lookback": ([1, 3], {}, 2),
+    }
+
+    @pytest.mark.parametrize("axis", sorted(CASES))
+    def test_bit_equal_to_per_value_runs(self, tmp_path, monkeypatch, axis):
+        values, overrides, lyras = self.CASES[axis]
+        train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=4, seed=0,
+                               fine_tune_lr=1e-3, fine_tune_epochs=3)
+        ds, _ = generate_synthetic(synth_cfg())
+        seeds = (0, 1)
+        runs = {}
+        for name, fn in [("reference", reference_sweep), ("shared", pl.sweep)]:
+            cfg = base_config(tmp_path, out_dir=str(tmp_path / name), seeds=seeds,
+                              sigma=0.05, train=train, **overrides)
+            with monkeypatch.context() as m:
+                counts = count_training(m)
+                reports = fn(cfg, axis, values, dataset=ds)
+            runs[name] = (report_bits(reports), counts,
+                          (tmp_path / name / "sweep.csv").read_bytes())
+        ref_bits, ref_counts, ref_csv = runs["reference"]
+        bits, counts, csv = runs["shared"]
+        assert bits == ref_bits
+        assert csv == ref_csv
+        assert ref_counts == {"train_global": len(seeds) * len(values),
+                              "train_lyra": len(seeds) * len(values)}
+        assert counts == {"train_global": len(seeds), "train_lyra": len(seeds) * lyras}
+        if axis == "threshold":
+            assert len({rep[3] for rep in bits}) == len(values)  # retrieval moved
+
+    def test_bad_value_fails_before_training(self, tmp_path, monkeypatch):
+        counts = count_training(monkeypatch)
+        with pytest.raises(pl.PipelineError, match="top_k must be at least 1, got 0"):
+            pl.sweep(base_config(tmp_path), "topk", [2, 0])
+        assert counts == {"train_global": 0, "train_lyra": 0}
+
+
 class TestSweep:
     def test_threshold_counts_nonincreasing(self, tmp_path):
         cfg = base_config(tmp_path, out_dir=str(tmp_path / "sweep"))
@@ -340,6 +438,37 @@ class TestAblate:
         lines = (tmp_path / "ablate" / "ablate.csv").read_text().strip().splitlines()
         assert lines[0] == "variant,rmse_mean,rmse_std"
         assert len(lines) == 1 + len(reports)
+
+    def test_evaluation_error_names_variant_and_seed(self, tmp_path, monkeypatch):
+        original = pl.evaluate
+
+        def failing(predictions, test, seed, variant="eval", *args, **kwargs):
+            if (variant, seed) == ("wo_refine", 1):
+                raise ValueError("no score")
+            return original(predictions, test, seed, variant, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "evaluate", failing)
+        cfg = base_config(tmp_path, out_dir=None, seeds=(0, 1),
+                          train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=2, seed=0,
+                                               fine_tune_lr=1e-3, fine_tune_epochs=1))
+        with pytest.raises(pl.PipelineError, match=r"^\[evaluate wo_refine seed 1\] no score$"):
+            pl.ablate(cfg)
+
+    def test_first_seed_models_are_a_fresh_seed_run(self, tmp_path):
+        cfg = base_config(tmp_path, out_dir=None, seeds=(0, 1),
+                          train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                                               fine_tune_lr=1e-3, fine_tune_epochs=2))
+        ds, _ = generate_synthetic(cfg.synthetic)
+        reports = pl.ablate(cfg, dataset=ds)
+        models, biases, predicted = reports["ratar"].first_seed
+        fresh = pl.train_models(cfg, ds, 0)
+        assert models.seed == 0
+        np.testing.assert_array_equal(models.f.store.flat, fresh.f.store.flat)
+        np.testing.assert_array_equal(models.lyra.store.flat, fresh.lyra.store.flat)
+        assert set(biases) == set(models.train_n.counties)
+        rows = {r.county: r.prediction for r in reports["ratar"].seed_results[0].rows}
+        assert predicted.predictions == rows
+        assert all(rep.first_seed[0] is models for rep in reports.values())
 
     def test_lyra_variant_matches_none_integration(self, tmp_path):
         cfg = base_config(tmp_path, out_dir=str(tmp_path / "ab2"))

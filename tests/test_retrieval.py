@@ -194,6 +194,14 @@ class TestRetrieve:
         out = rt.retrieve("qq", self.residuals, self.train, threshold=0.5, top_k=1)
         assert len(out.matched) == 1 and out.matched[0][0] == "hi"
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        # a negative cut used to drop the worst match and a zero one every match
+        for panel in (self.residuals, rt.ResidualPanel(self.residuals),
+                      rt.embedding_panel({c: rv.r for c, rv in self.residuals.items()})):
+            with pytest.raises(ContractError, match=rf"top_k must be at least 1, got {top_k}$"):
+                rt.retrieve("qq", panel, self.train, threshold=-2.0, top_k=top_k)
+
     def test_missing_query_rejected(self):
         with pytest.raises(ContractError):
             rt.retrieve("nope", self.residuals, self.train)
@@ -244,25 +252,25 @@ class TestRetrieveNeighboring:
 class TestRetrieveEmbedding:
     def setup_method(self):
         self.train = toy_dataset(["a", "b", "c"], range(2000, 2008))
-        self.embeddings = {
+        self.embeddings = rt.embedding_panel({
             "a": np.array([1.0, 2.0, 3.0, 4.0]),
             "b": np.array([2.0, 4.0, 6.0, 8.0]),   # sim 1 with a after centering
             "c": np.array([4.0, 3.0, 2.0, 1.0]),   # sim -1
-        }
+        })
 
     def test_identical_direction_matches(self):
-        out = rt.retrieve_embedding("a", self.embeddings, self.train, threshold=0.9)
+        out = rt.retrieve("a", self.embeddings, self.train, threshold=0.9)
         assert [c for c, _ in out.matched] == ["b"]
         np.testing.assert_allclose(out.matched[0][1], 1.0, atol=1e-12)
 
     def test_monotone_threshold(self):
-        lo = rt.retrieve_embedding("a", self.embeddings, self.train, threshold=-2.0)
-        hi = rt.retrieve_embedding("a", self.embeddings, self.train, threshold=0.9)
+        lo = rt.retrieve("a", self.embeddings, self.train, threshold=-2.0)
+        hi = rt.retrieve("a", self.embeddings, self.train, threshold=0.9)
         assert {c for c, _ in hi.matched} <= {c for c, _ in lo.matched}
 
     def test_missing_query_rejected(self):
         with pytest.raises(ContractError):
-            rt.retrieve_embedding("zz", self.embeddings, self.train)
+            rt.retrieve("zz", self.embeddings, self.train)
 
 
 class TestCsvExport:
@@ -489,10 +497,11 @@ class TestScreenEquivalence:
         panel = rt.embedding_panel(embeddings)
         queries = sorted(embeddings)[::3] + ["big0", "near1", "const0", "dc000"]
         assert_same_as_oracle(panel, embeddings, oracle_retrieve_embedding,
-                              rt.retrieve_embedding, train, queries)
+                              rt.retrieve, train, queries)
         for query in ("c001", "const1"):
             want = oracle_retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
-            got = rt.retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
+            got = rt.retrieve(query, rt.embedding_panel(embeddings), train, threshold=0.2,
+                              top_k=2)
             assert outcome(got) == outcome(want)
 
 

@@ -271,7 +271,8 @@ class TestFlatAdamMatchesPerParameter:
         cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=8, clip_norm=0.05,
                              freeze_encoder=freeze)
         self.run_both(monkeypatch, lambda: tr.fine_tune(
-            params, refined, ds, cfg, target_labels=labels, stats=identity_stats(4)))
+            params, [refined], ds, cfg, target_labels=labels,
+            stats=identity_stats(4)).member(0))
 
 
 class TestTrainGlobal:
@@ -463,8 +464,8 @@ class TestFineTune:
 
     def test_zero_epochs_identity(self):
         cfg = tr.TrainConfig(fine_tune_epochs=0)
-        tuned = tr.fine_tune(self.params, self.refined_set(), self.ds, cfg,
-                             target_labels=self.labels, stats=self.stats)
+        tuned = tr.fine_tune(self.params, [self.refined_set()], self.ds, cfg,
+                             target_labels=self.labels, stats=self.stats).member(0)
         assert tuned is not self.params
         assert stores_equal(tuned.store, self.params.store)
 
@@ -472,14 +473,14 @@ class TestFineTune:
         empty = rf.RefinedSampleSet(query="qq", target_year=2010, sigma=0.0, entries=[])
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="empty"):
-            tuned = tr.fine_tune(self.params, empty, self.ds, cfg,
-                                 target_labels=self.labels, stats=self.stats)
+            tuned = tr.fine_tune(self.params, [empty], self.ds, cfg,
+                                 target_labels=self.labels, stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_global_params_never_mutated(self):
         before = store_arrays(self.params.store)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
-        tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
+        tr.fine_tune(self.params, [self.refined_set(shift=2.0)], self.ds, cfg,
                      target_labels=self.labels, stats=self.stats)
         after = store_arrays(self.params.store)
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -499,15 +500,17 @@ class TestFineTune:
         ]
         refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
                                       sigma=0.0, entries=entries)
-        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             target_labels=observed_labels(self.ds), stats=self.stats)
+        tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+                             target_labels=observed_labels(self.ds),
+                             stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_moves_toward_refined_labels(self):
         cfg = tr.TrainConfig(fine_tune_lr=5e-3, fine_tune_epochs=30)
         refined = self.refined_set(shift=3.0)
-        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             target_labels=observed_labels(self.ds), stats=self.stats)
+        tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+                             target_labels=observed_labels(self.ds),
+                             stats=self.stats).member(0)
         rec = refined.entries[-1].record
         window = lookback_window(self.ds, rec, self.labels[rec.county, rec.year],
                                  self.params.w)
@@ -519,8 +522,8 @@ class TestFineTune:
     def test_freeze_encoder_keeps_encoder_fixed(self):
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
                              freeze_encoder=True)
-        tuned = tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
-                             target_labels=self.labels, stats=self.stats)
+        tuned = tr.fine_tune(self.params, [self.refined_set(shift=2.0)], self.ds, cfg,
+                             target_labels=self.labels, stats=self.stats).member(0)
         changed = [n for n in self.params.store.names()
                    if not np.array_equal(tuned.store.value(n), self.params.store.value(n))]
         assert changed, "fine-tuning with a label shift must move some parameters"
@@ -541,7 +544,7 @@ class TestFineTune:
 
         monkeypatch.setattr(tr, "window_table", recording)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=1)
-        tr.fine_tune(self.params, refined, self.ds, cfg, target_labels=self.labels,
+        tr.fine_tune(self.params, [refined], self.ds, cfg, target_labels=self.labels,
                      stats=self.stats)
         (xs, (seq_rows, _, _), samples), = tables
         assert len(xs) == 1 + self.params.w and len(samples) == 2
@@ -556,8 +559,9 @@ class TestFineTune:
                                       entries=entries)
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="history"):
-            tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                                 target_labels=observed_labels(self.ds), stats=self.stats)
+            tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+                                 target_labels=observed_labels(self.ds),
+                                 stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
 
 
@@ -742,14 +746,6 @@ class TestStackedFineTune:
                                         for shift in (-2.0, 2.0, 2.0)]))
         cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=4)
         self.compare(monkeypatch, sets, cfg)
-
-    def test_single_set_gives_plain_parameters(self):
-        sample_set = self.random_sets(13, n=1)[0]
-        cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=3)
-        solo = tr.fine_tune(self.params, sample_set, self.ds, cfg, self.labels, self.stats)
-        stack = tr.fine_tune(self.params, [sample_set], self.ds, cfg, self.labels, self.stats)
-        assert solo.store.copies is None and stack.store.copies == 1
-        np.testing.assert_array_equal(solo.store.flat, stack.store.flat[0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reported_with_epoch(self):
