@@ -9,15 +9,16 @@ in one batched engine over stacked [B,T,d] sequences. This script walks
 a single county through the engine's stages with freshly initialized
 parameters, checking the structural invariants as it goes, and ends
 with `lyra_predict`, which makes the same computation in one call from
-a `LyraWindow` (the target season plus its (season, label) context, picked
-by `lookback_window`) that `window_table` turns into the engine's inputs.
+a `LyraWindow`.  A window is rows of the panel's one feature block: the
+target season's row plus the context rows (picked by `lookback_window`)
+with their labels, which `window_table` turns into the engine's inputs.
 """
 import numpy as np
 
-from ratar.backbone import (GruParams, LyraDims, LyraParams, LyraSample, bind_params,
-                            embed_batch, gru_encode, lookback_window, lyra_forward,
-                            lyra_predict, model_labels, window_table)
-from ratar.data import CountyYearRecord, Dataset, NormStats
+from ratar.backbone import (GruParams, LyraDims, LyraParams, bind_params, embed_batch,
+                            gru_encode, lookback_window, lyra_forward, lyra_predict,
+                            model_labels, window_table)
+from ratar.data import Dataset, NormStats, split_by_test_year
 
 rng = np.random.default_rng(7)
 
@@ -26,14 +27,17 @@ dims = LyraDims(d=d, H=8, Z=5, E=3, attn_hidden=4, mlp_hidden=0)
 p = LyraParams.init(dims, w=3, year_min=2000, year_max=2005, seed=1)
 
 # One county: three history years with labels, and the target year 2003.
-# Rows 0..2 of xs are the history, row 3 the target.  The target year has
-# no label yet: the global model's prediction stands in for it.
+# The panel's feature block holds its seasons in (county, year) order, so
+# rows 0..2 of xs are the history and row 3 the target.  The target year
+# has no label yet: the global model's prediction stands in for it.
 years = [2000, 2001, 2002, 2003]
 xs = rng.standard_normal((4, T, d))
+history_labels = [float(rng.normal()) for _ in range(3)]
+panel = Dataset([("c01", y) for y in years], xs, history_labels + [None])
+train, test = split_by_test_year(panel, 2003)  # row subsets of one block
 gp = GruParams.init(d=d, H=8, readout_hidden=0, seed=2)
-target = CountyYearRecord("c01", 2003, xs[3], None)
-target_label = model_labels(gp, [target])[("c01", 2003)]
-labels = np.array([float(rng.normal()) for _ in range(3)] + [target_label])
+target_label = model_labels(gp, test)[("c01", 2003)]
+labels = np.array(history_labels + [target_label])
 
 # ---------------------------------------------------------------------------
 # 1. Daily encoder: [B,T,d] drivers become sample-major [B*T x H] states.
@@ -57,10 +61,12 @@ print(f"pooled states {pooled.shape} -> yearly embeddings z {z.shape}")
 
 # ---------------------------------------------------------------------------
 # 4. Cross-year attention: the target year queries its look-back window,
-# and the head maps the combined embedding to a normalized scalar.
+# and the head maps the combined embedding to a normalized scalar.  The
+# engine's samples are index arrays into the triple table: the target's
+# triple, the history's triples, and the history's length.
 
-sample = LyraSample(target=3, history=(0, 1, 2))
-preds, betas = lyra_forward(None, p, xs, triples, [sample])
+sample = (np.array([3]), np.array([[0, 1, 2]]), np.array([3]))
+preds, betas = lyra_forward(None, p, xs, triples, sample)
 beta = betas[0]
 print(f"beta over {len(beta)} history years: {np.round(beta, 3)}, sum {beta.sum():.12f}")
 assert abs(beta.sum() - 1.0) < 1e-9
@@ -71,7 +77,8 @@ print(f"head value {preds.data[0]:+.4f} (normalized units)")
 # beta is 1 and the head sees z_target + z_history.  The head here is a
 # single linear map (mlp_hidden=0), so that is checkable by hand.
 
-one, betas1 = lyra_forward(None, p, xs, triples, [LyraSample(target=3, history=(0,))])
+one, betas1 = lyra_forward(None, p, xs, triples,
+                           (np.array([3]), np.array([[0]]), np.array([1])))
 print(f"single-entry beta: {betas1[0]} (softmax over one score is always 1)")
 z_tilde = z.data[3] + z.data[0]
 by_hand = z_tilde @ p.store.value("head.out.W") + p.store.value("head.out.b")
@@ -80,23 +87,24 @@ print("head(z_target + z_history) verified")
 
 # ---------------------------------------------------------------------------
 # 6. lyra_predict does steps 1-4 for a list of windows in one call and
-# maps the results back to physical units.  A window holds the target,
-# the label fed to the target's own embedding (a run reads it from the
-# per-seed `model_labels` table) and the (record, label) context pairs;
-# `lookback_window` picks that context as the county's last w training
-# seasons, and window_table turns the window into the same xs, triples
-# and sample as above.
+# maps the results back to physical units.  A window holds the target's
+# block row, the label fed to the target's own embedding (a run reads it
+# from the per-seed `model_labels` table), and the context rows with
+# their labels; `lookback_window` slices that context from the county's
+# run of training rows (its last w seasons), and window_table gathers
+# the window's rows from the block into the same xs, triples and sample
+# as above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
-history = [CountyYearRecord("c01", y, xs[i], float(labels[i])) for i, y in enumerate(years[:3])]
-window = lookback_window(Dataset(history), target, target_label, p.w)
-print(f"look-back window of {target.county} {target.year}: "
-      f"{[rec.year for rec, _ in window.context]}")
-xs_w, triples_w, samples_w = window_table(p, [window])
-assert np.array_equal(xs_w, xs) and samples_w == [sample]
+window = lookback_window(train, test.row("c01", 2003), target_label, p.w)
+print(f"look-back window of row {window.target} (c01 2003): rows {window.context.tolist()}, "
+      f"years {train.row_years[window.context].tolist()}")
+xs_w, triples_w, samples_w = window_table(p, train, [window])
+assert np.array_equal(xs_w, xs)
+assert all(np.array_equal(a, b) for a, b in zip(samples_w, sample))
 assert all(np.array_equal(a, b) for a, b in zip(triples_w, triples))
-(out,) = lyra_predict(p, stats, [window])
+(out,) = lyra_predict(p, stats, train, [window])
 print(f"lyra_predict: {out.prediction:.4f} (physical units), "
       f"history years {out.history_years}")
 assert np.allclose(out.beta, beta, atol=1e-12)

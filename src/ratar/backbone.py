@@ -5,7 +5,7 @@ residuals.
 
 A target season's label is unknown, so the global model's prediction
 stands in for it in that season's embedding; `model_labels` makes those
-predictions, one `global_forward` over a list of records.
+predictions, one `global_forward` over a Dataset's rows.
 
 There is one forward implementation, a batched engine over stacked
 sequences [B,T,d]: `gru_encode` is the encoder every model shares,
@@ -17,12 +17,13 @@ of any history lengths share one cross-year attention pass, padded to the
 longest history and masked so that padded slots get weight exactly 0.
 
 Training, fine-tuning and prediction all describe their work as
-`LyraWindow`s, a target season plus (season, label) context pairs.
-`lookback_window` is the one place a window's context is chosen (the
-county's last w training seasons before the target, then any extras),
-and `window_table` is the one place windows become the engine's inputs.
-`lyra_predict` predicts any number of windows as one untraced
-`lyra_forward` call.
+`LyraWindow`s: a target row of the panel's feature block (see
+`data.Dataset`) plus labeled context rows.  `lookback_window` is the one
+place a window's context is chosen (the county's last w training seasons
+before the target, then any extras), and `window_table` is the one place
+windows become the engine's inputs: one row gather for `xs`, index arrays
+for the samples.  `lyra_predict` predicts any number of windows as one
+untraced `lyra_forward` call.
 
 The engine also runs K stacked copies of a model at once (a `ParamStore`
 of K copies, every parameter with a leading model axis): each input is
@@ -32,7 +33,7 @@ padding them to equal sizes; per-county fine-tuning trains all of a
 seed's tuned copies this way, and `lyra_predict` predicts them.
 
 Features entering any function here are assumed z-score normalized, as are
-the labels stored on training records; predictions come back in physical
+the labels read from training seasons; predictions come back in physical
 units via NormStats.
 """
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numcore as nc
-from .data import CountyYearRecord, NormStats
+from .data import Dataset, NormStats
 from .numcore import ContractError, ParamStore, Tensor
 
 # nc.gru_sequence's parameter order
@@ -173,25 +174,19 @@ class LyraParams:
 # semantic containers
 
 
-@dataclass
-class LyraSample:
-    """Engine sample: indices into the embedding-triple table."""
-
-    target: int
-    history: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyraWindow:
     """A target season and the look-back context its prediction attends over.
 
-    label is the (normalized) label fed to the target year's own embedding;
-    context holds (record, normalized label) pairs in attention order.
+    target is the season's block row and label the (normalized) label fed
+    to its own embedding; context holds block rows in attention order, and
+    context_labels their (normalized) labels.
     """
 
-    target: CountyYearRecord
+    target: int
     label: float
-    context: tuple
+    context: np.ndarray
+    context_labels: np.ndarray
 
 
 @dataclass
@@ -246,16 +241,15 @@ def global_forward(tape, p: GruParams, xs: np.ndarray) -> Tensor:
     return nc.reshape(_mlp(bound, pooled, "readout"), (B,))
 
 
-def model_labels(p: GruParams, records) -> dict:
-    """The global model's normalized prediction per record, keyed (county, year).
+def model_labels(p: GruParams, ds: Dataset) -> dict:
+    """The global model's normalized prediction per season of ds, keyed (county, year).
 
-    One `global_forward` over the records in the given order; a record's
-    value can differ in its last bits with the batch it is computed in,
-    so each run computes every label it uses once, from one table.
+    One `global_forward` over ds's rows; a season's value can differ in
+    its last bits with the batch it is computed in, so each run computes
+    every label it uses once, from one table.
     """
-    xs = np.stack([rec.features for rec in records])
-    preds = global_forward(None, p, xs).data.tolist()
-    return {(rec.county, rec.year): pred for rec, pred in zip(records, preds)}
+    preds = global_forward(None, p, np.take(ds.features, ds.rows, axis=0)).data.tolist()
+    return dict(zip(ds.keys(), preds))
 
 
 def gruatt_forward(tape, p: GruAttParams, xs: np.ndarray) -> Tensor:
@@ -295,19 +289,18 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     """Batched LYRA forward over window samples.
 
     xs: [U,T,d] unique sequences; triples: arrays (seq_row, label, year_row)
-    defining the embedding table rows; samples: LyraSample index structures.
-    pooled_const short-circuits the encoder with precomputed pooled vectors
-    (frozen-encoder fine-tuning).  Returns (normalized predictions Tensor [S]
-    in sample order, list of per-sample attention weight arrays).  On K
-    stacked copies the inputs are `stack_tables` of K tables.
-
-    Every history is padded to the longest by repeating its first index,
-    and _PAD_SCORE on the padded scores gives them softmax weight exactly
-    0, so each sample's betas are its own row cut to its own length.
+    defining the embedding table rows; samples: index arrays (target [S],
+    history [S x W], length [S]) into that table, each history padded to W
+    by repeating its first index.  pooled_const short-circuits the encoder
+    with precomputed pooled vectors (frozen-encoder fine-tuning).  Returns
+    (normalized predictions Tensor [S] in sample order, attention weights
+    [S x W]).  On K stacked copies the inputs are `stack_tables` of K
+    tables.  _PAD_SCORE gives padded slots softmax weight exactly 0.
     """
-    if not samples:
+    target, history, length = samples
+    if not len(target):
         raise ContractError("no samples to run")
-    if any(len(s.history) < 1 for s in samples):
+    if (length < 1).any():
         raise ContractError("sample with empty history window")
     bound = bind_params(tape, p.store)
     if pooled_const is not None:
@@ -316,80 +309,71 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
         pooled, _ = _pooled_batch(bound, xs)
     z_all = _embed_from_pooled(bound, pooled, triples)
 
-    lengths = np.array([len(s.history) for s in samples])
-    width = int(lengths.max())
-    hist_idx = np.array([s.history + s.history[:1] * (width - len(s.history)) for s in samples],
-                        dtype=np.int64)
-    mask = np.where(np.arange(width) < lengths[:, None], 0.0, _PAD_SCORE)
-    stack = nc.gather_rows(z_all, hist_idx.ravel())
-    tgt = nc.gather_rows(z_all, np.array([s.target for s in samples], dtype=np.int64))
+    mask = np.where(np.arange(history.shape[1]) < length[:, None], 0.0, _PAD_SCORE)
+    stack = nc.gather_rows(z_all, history.ravel())
+    tgt = nc.gather_rows(z_all, target)
     beta = nc.softmax_rows(nc.add(nc.rowdot_groups(stack, tgt), Tensor(mask)))
     z_tilde = nc.add(tgt, nc.pool_rows(stack, beta))
-    preds = nc.reshape(_mlp(bound, z_tilde, "head"), (len(samples),))
-    betas = [beta.data[i, :n].copy() for i, n in enumerate(lengths)]
-    return preds, betas
+    preds = nc.reshape(_mlp(bound, z_tilde, "head"), (len(target),))
+    return preds, beta.data
 
 
-def window_table(p: LyraParams, windows):
-    """Engine inputs (xs, triples, samples) for windows, one sample each, in order.
+def window_table(p: LyraParams, ds: Dataset, windows):
+    """Engine inputs (xs, triples, samples) for windows over ds's block, one sample each.
 
-    Sequences are keyed by (county, year) and context triples by (county,
-    year, label), so a record shared by windows is encoded once and two
-    labels of one record stay two triples; every window's target gets a
-    triple of its own.  Sequences and context triples are sorted by key,
-    the target triples follow in sorted order, and each sample's history
-    lists its window's context in order.
+    Sequences are the distinct rows and context triples the distinct (row,
+    label) pairs, so a season shared by windows is encoded once and two
+    labels of one season stay two triples; every target gets a triple of
+    its own.  Rows follow key order, so sequences and context triples come
+    sorted by key, then the target triples sorted by (key, label); each
+    history lists its window's context in order.
     """
     if not windows:
         raise ContractError("no windows to tabulate")
-    ctx_keys = [[(rec.county, rec.year, float(label)) for rec, label in win.context]
-                for win in windows]
-    records = {(win.target.county, win.target.year): win.target for win in windows}
-    for win in windows:
-        for rec, _ in win.context:
-            records[(rec.county, rec.year)] = rec
-    seq_keys = sorted(records)
-    seq_row = {key: i for i, key in enumerate(seq_keys)}
-    ctx_table = sorted({key for keys in ctx_keys for key in keys})
-    ctx_row = {key: i for i, key in enumerate(ctx_table)}
-    tgt_keys = [(win.target.county, win.target.year, float(win.label)) for win in windows]
-    tgt_order = sorted(range(len(windows)), key=tgt_keys.__getitem__)
-    tgt_row = {i: k for k, i in enumerate(tgt_order, start=len(ctx_table))}
-
-    table = ctx_table + [tgt_keys[i] for i in tgt_order]
-    years = np.array([year for _, year, _ in table], dtype=np.int64)
+    target = np.array([win.target for win in windows], dtype=np.int64)
+    target_labels = np.array([win.label for win in windows], dtype=np.float64)
+    length = np.array([len(win.context) for win in windows])
+    if (length < 1).any():
+        raise ContractError("sample with empty history window")
+    rows = np.concatenate([win.context for win in windows])
+    labels = np.concatenate([win.context_labels for win in windows])
+    order = np.lexsort((labels, rows))
+    rows, labels = rows[order], labels[order]
+    first = np.ones(len(rows), dtype=bool)  # first of its (row, label) pair
+    first[1:] = (rows[1:] != rows[:-1]) | (labels[1:] != labels[:-1])
+    context = (np.cumsum(first) - 1)[np.argsort(order)]  # each context entry's triple
+    tgt_order = np.lexsort((target_labels, target))
+    table = np.concatenate([rows[first], target[tgt_order]])
+    years = ds.row_years[table]
     p.year_row(int(years.min()))  # the range check: raises on a year outside the table
     p.year_row(int(years.max()))
-    triples = (
-        np.array([seq_row[county, year] for county, year, _ in table], dtype=np.int64),
-        np.array([label for _, _, label in table], dtype=np.float64),
-        years - p.year_min,
-    )
-    samples = [LyraSample(target=tgt_row[i], history=tuple(ctx_row[key] for key in keys))
-               for i, keys in enumerate(ctx_keys)]
-    xs = np.stack([records[key].features for key in seq_keys])
-    return xs, triples, samples
+    seq, seq_rows = np.unique(table, return_inverse=True)
+    triples = (seq_rows, np.concatenate([labels[first], target_labels[tgt_order]]),
+               years - p.year_min)
+    col = np.arange(length.max())
+    history = context[(np.cumsum(length) - length)[:, None]
+                      + np.where(col < length[:, None], col, 0)]  # padded with the first
+    samples = (np.argsort(tgt_order) + first.sum(), history, length)
+    return np.take(ds.features, seq, axis=0), triples, samples
 
 
-def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
-    """The window predicting `target` from its county's look-back window.
-
-    The context is the county's last w training seasons before
-    target.year, ascending, with their observed labels, followed by the
-    `extra` (record, normalized label) pairs.  label is the normalized
-    label fed to the target season's own embedding.  This is the one
-    place a look-back window is chosen.
+def lookback_window(train: Dataset, target: int, label, w: int, extra_rows=(),
+                    extra_labels=()) -> LyraWindow:
+    """The window predicting the season in block row `target`: its county's
+    last w training seasons before it, ascending, with their observed labels,
+    then `extra_rows` with their normalized `extra_labels`.  label is the
+    normalized label fed to the target season's own embedding.  This is the
+    one place a look-back window is chosen.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
-    years = [y for y in train.county_years(target.county) if y < target.year][-w:]
-    if not years:
-        raise ContractError(
-            f"county {target.county} has no feature history before {target.year}"
-        )
-    records = [train.get(target.county, y) for y in years]
-    return LyraWindow(target, label,
-                      tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
+    county, year = train.key(target)
+    run = train.county_rows(county)
+    run = run[:np.searchsorted(train.row_years[run], year)][-w:]
+    if not len(run):
+        raise ContractError(f"county {county} has no feature history before {year}")
+    return LyraWindow(target, label, np.concatenate([run, np.asarray(extra_rows, np.int64)]),
+                      np.concatenate([train.labels(run), np.asarray(extra_labels, np.float64)]))
 
 
 def stack_tables(p: LyraParams, tables):
@@ -397,58 +381,63 @@ def stack_tables(p: LyraParams, tables):
 
     Returns (xs, triples, samples, counts).  Table k fills the k-th of K
     equal row groups of every input, padded to the largest table's counts
-    of sequences, triples and samples: a padded sequence is all zeros, and
-    padded triples (label 0) and samples point at their group's first
-    sequence, year row and triple.  Sequence, triple and year rows are
-    offset by their group's start (year rows into the row stack of K
-    stacked year tables), so group k reads only table k.  counts[k] is
-    table k's own sample count; its real samples lead its group.  A single
-    table comes back unpadded and unshifted.
+    of sequences, triples and samples and to the widest history: a padded
+    sequence is all zeros, and padded triples (label 0) and samples point
+    at their group's first sequence, year row and triple.  Sequence,
+    triple and year rows are offset by their group's start (year rows into
+    the row stack of K stacked year tables), so group k reads only table
+    k.  counts[k] is table k's own sample count; its real samples lead its
+    group.  A single table comes back unpadded and unshifted.
     """
     K = len(tables)
     U = max(len(xs) for xs, _, _ in tables)
     R = max(len(triples[0]) for _, triples, _ in tables)
-    S = max(len(samples) for _, _, samples in tables)
+    S = max(len(samples[0]) for _, _, samples in tables)
+    W = max(samples[1].shape[1] for _, _, samples in tables)
     n_years = p.year_max - p.year_min + 1
     group = np.arange(K, dtype=np.int64)[:, None]
     xs = np.zeros((K, U) + tables[0][0].shape[1:])
     seq_rows = np.tile(group * U, (1, R))
     labels = np.zeros((K, R))
     year_rows = np.tile(group * n_years, (1, R))
-    samples, counts = [], []
-    for k, (x, (seq, lab, year), table_samples) in enumerate(tables):
+    target = np.tile(group * R, (1, S))
+    history = np.tile((group * R)[:, :, None], (1, S, W))
+    length = np.ones((K, S), dtype=np.int64)
+    for k, (x, (seq, lab, year), (tgt, hist, n)) in enumerate(tables):
         xs[k, :len(x)] = x
         seq_rows[k, :len(seq)] += seq
         labels[k, :len(lab)] = lab
         year_rows[k, :len(year)] += year
-        base = k * R
-        samples += [LyraSample(base + s.target, tuple(base + i for i in s.history))
-                    for s in table_samples]
-        samples += [LyraSample(base, (base,))] * (S - len(table_samples))
-        counts.append(len(table_samples))
+        target[k, :len(tgt)] += tgt
+        history[k, :len(tgt), :hist.shape[1]] += hist
+        history[k, :len(tgt), hist.shape[1]:] += hist[:, :1]
+        length[k, :len(tgt)] = n
     return (xs.reshape((K * U,) + xs.shape[2:]),
-            (seq_rows.ravel(), labels.ravel(), year_rows.ravel()), samples, counts)
+            (seq_rows.ravel(), labels.ravel(), year_rows.ravel()),
+            (target.ravel(), history.reshape(K * S, W), length.ravel()),
+            [len(samples[0]) for _, _, samples in tables])
 
 
-def lyra_predict(p: LyraParams, stats: NormStats, windows) -> list:
-    """Predictions for windows, in order, in one untraced lyra_forward call.
+def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows) -> list:
+    """Predictions for windows over ds's block in one untraced lyra_forward call.
 
     On plain parameters every window is predicted by them; on K stacked
     copies the windows come in K equal groups, group k predicted by copy
-    k, over `stack_tables` of one `window_table` per group.  Each result
-    carries the prediction in physical units, the window's attention
-    weights and the years of its context, in attention order.
+    k, over `stack_tables` of one `window_table` per group.  Results come in
+    window order, each with the prediction in physical units, the window's
+    attention weights and the years of its context, in attention order.
     """
     groups = p.store.copies or 1
     size = len(windows) // groups
     if size * groups != len(windows):
         raise ContractError(f"{len(windows)} windows for {groups} parameter copies")
-    tables = [window_table(p, windows[k * size:(k + 1) * size]) for k in range(groups)]
+    tables = [window_table(p, ds, windows[k * size:(k + 1) * size]) for k in range(groups)]
     xs, triples, samples, _ = stack_tables(p, tables)
-    preds, betas = lyra_forward(None, p, xs, triples, samples)
-    return [PredictResult(prediction=stats.denormalize_label(pred), beta=beta,
-                          history_years=[rec.year for rec, _ in win.context])
-            for win, pred, beta in zip(windows, preds.data.tolist(), betas)]
+    preds, beta = lyra_forward(None, p, xs, triples, samples)
+    return [PredictResult(prediction=stats.denormalize_label(pred),
+                          beta=beta[i, :len(win.context)].copy(),
+                          history_years=ds.row_years[win.context].tolist())
+            for i, (win, pred) in enumerate(zip(windows, preds.data.tolist()))]
 
 
 # ---------------------------------------------------------------------------

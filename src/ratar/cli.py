@@ -286,11 +286,12 @@ def _cmd_predict(args) -> int:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(predictions)} predictions -> {path}")
-        if any(r.has_label for r in models.test_n.records):
-            report = pl.evaluate(predictions, models.test_n, models.seed,
+        if any(r.has_label for r in models.test.records):
+            report = pl.evaluate(predictions, models.test, models.seed,
                                  fallbacks=fallbacks)
             print(f"test rmse {report.rmse_mean:.4f} (physical units)")
-    return 0
+    print(f"audit violations {label_audit.violation_count()}")
+    return 0 if label_audit.violation_count() == 0 else 2
 
 
 def _cmd_run(args) -> int:

@@ -1,9 +1,13 @@
 """County-year data model, CSV ingestion, normalization, splits, synthesis.
 
-Labels are guarded by a module-level access audit: every read of a record's
-yield label is reported to `label_audit`, and reads of a guarded (test) year
-outside an explicit allow() scope count as violations.  Evaluation code opens
-an allow() scope; nothing else should.
+A `Dataset` is one [records x T x d] feature block in (county, year)
+order with a (county, year) -> row index: a county's seasons are a run of
+rows, splits are row subsets, and normalization is one array operation.
+
+Labels are guarded by a module-level access audit: every read of a season's
+yield label, single or in bulk, is reported to `label_audit`, and reads of a
+guarded (test) year outside an explicit allow() scope count as violations.
+Evaluation code opens an allow() scope; nothing else should.
 
 CSV ingestion (`load_dataset`) parses a chunk of rows at a time: each
 chunk is transposed into columns, and its numbers are converted with
@@ -11,8 +15,7 @@ Python's `int` and `float` straight into arrays.  Those two parsers, and
 not numpy's, decide which strings a file may hold (`float` reads `1_000`,
 padded or non-ASCII digits), so every accepted value has the bits `float`
 gives it.  The checks on each (county, year) then run as array operations
-once the last chunk is in, and the loaded records view the rows of one
-[records x T x d] feature block.
+once the last chunk is in, and the rows become the Dataset's feature block.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import bisect
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -62,6 +66,11 @@ class LabelAudit:
         if year in self._guarded and self._allow_depth == 0:
             self._violations.append((county, year))
 
+    def note_rows(self, years, key_of) -> None:
+        """A bulk read of rows of the given years; key_of(i) names row i."""
+        if self._guarded and self._allow_depth == 0:
+            self._violations += map(key_of, np.flatnonzero(np.isin(years, list(self._guarded))))
+
     def violation_count(self) -> int:
         return len(self._violations)
 
@@ -74,30 +83,18 @@ class LabelAudit:
 label_audit = LabelAudit()
 
 
+@dataclass(slots=True, eq=False)
 class CountyYearRecord:
-    """One county-year: daily driver matrix [T x d] plus the annual label.
+    """One county-year: a view of its row [T x d] of a Dataset's block, and its label.
 
     The label is exposed only through the audited `yield_label` property;
     `has_label` answers presence without counting as a read.
     """
 
-    __slots__ = ("county", "year", "features", "_yield_label", "neighbors")
-
-    def __init__(self, county, year, features, yield_label, neighbors=None):
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise IngestionError(f"features of ({county},{year}) must be 2-D")
-        if not np.isfinite(features).all():
-            raise NumericError(f"non-finite features in ({county},{year})")
-        if yield_label is not None:
-            yield_label = float(yield_label)
-            if not math.isfinite(yield_label):
-                raise NumericError(f"non-finite label in ({county},{year})")
-        self.county = str(county)
-        self.year = int(year)
-        self.features = features
-        self._yield_label = yield_label
-        self.neighbors = list(neighbors) if neighbors is not None else None
+    county: str
+    year: int
+    features: np.ndarray
+    _yield_label: float | None = field(repr=False)
 
     @property
     def yield_label(self):
@@ -108,58 +105,107 @@ class CountyYearRecord:
     def has_label(self) -> bool:
         return self._yield_label is not None
 
-    def with_changes(self, features=None, yield_label="keep"):
-        return CountyYearRecord(
-            self.county,
-            self.year,
-            self.features if features is None else features,
-            self._yield_label if yield_label == "keep" else yield_label,
-            neighbors=self.neighbors,
-        )
-
 
 class Dataset:
-    """Immutable collection of county-year records with unique (county, year)."""
+    """County-year seasons as one feature block in (county, year) order.
 
-    def __init__(self, records):
-        records = sorted(records, key=lambda r: (r.county, r.year))
-        index = {}
-        for rec in records:
-            key = (rec.county, rec.year)
-            if key in index:
-                raise IngestionError(f"duplicate record for {key}")
-            index[key] = rec
-        shapes = {rec.features.shape for rec in records}
-        if len(shapes) > 1:
-            raise IngestionError(f"inconsistent feature shapes {sorted(shapes)}")
-        self.records = records
-        self._index = index
-        self._years_of = {}  # county -> its years, ascending
-        self._records_in = {}  # year -> its records, by county
-        for rec in records:
-            self._years_of.setdefault(rec.county, []).append(rec.year)
-            self._records_in.setdefault(rec.year, []).append(rec)
-        self.years = sorted(self._records_in)
-        self.counties = sorted(self._years_of)
-        self.T, self.d = (records[0].features.shape if records else (0, 0))
+    Row i of `features` [rows x T x d] is the season `key(i)`; `records`
+    are per-season views.  A Dataset covers the block rows in `rows`: all
+    of them for a panel, a subset for a split.  Splits and normalized
+    copies keep the panel's row numbering, and `labels` normalizes as it
+    reads, so the panel's one label array is never copied.
+    """
+
+    def __init__(self, keys, features, labels, neighbors=None):
+        """keys: (county, year) per row; features: [rows x T x d]; labels: per row,
+        None where a season has none; neighbors: county -> its neighbors.  Rows
+        are put in key order, which copies the block unless they already are."""
+        keys = [(str(county), int(year)) for county, year in keys]
+        features = np.asarray(features, dtype=np.float64)
+        given = np.array([v is not None for v in labels], dtype=bool)
+        labels = np.array([np.nan if v is None else v for v in labels], dtype=np.float64)
+        if features.ndim != 3 or not len(features) == len(labels) == len(keys):
+            raise IngestionError(f"{len(keys)} keys, {len(labels)} labels, block {features.shape}")
+        finite = np.isfinite(features).all(axis=(1, 2)) & (np.isfinite(labels) | ~given)
+        for i in np.flatnonzero(~finite)[:1]:
+            raise NumericError(f"non-finite values in ({keys[i][0]},{keys[i][1]})")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if order != list(range(len(keys))):
+            keys, features, labels = [keys[i] for i in order], features[order], labels[order]
+        for key in (a for a, b in zip(keys, keys[1:]) if a == b):
+            raise IngestionError(f"duplicate record for {key}")
+        self._set(keys, features, labels, dict(neighbors or {}))
+
+    def _set(self, keys, features, labels, neighbors, rows=None, label_norms=()) -> "Dataset":
+        self.features, self._keys, self._labels = features, keys, labels  # per block row
+        self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
+        self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
+        self.row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))  # per block row
+        self.rows = np.arange(len(keys)) if rows is None else rows
+        self._row = {keys[r]: r for r in self.rows.tolist()}  # (county, year) -> block row
+        self._runs = {}  # county -> (start, stop) of its run in `rows`
+        for i, (county, _) in enumerate(self._row):
+            self._runs[county] = (self._runs.get(county, (i,))[0], i + 1)
+        self.counties = list(self._runs)
+        self.years = sorted(set(self.row_years[self.rows].tolist()))
+        self.T, self.d = features.shape[1:]
+        return self
+
+    def _view(self, rows, features=None, label_norms=()) -> "Dataset":
+        """The Dataset of some of these rows: of this block, or of `features` in its place."""
+        return Dataset.__new__(Dataset)._set(
+            self._keys, self.features if features is None else features, self._labels,
+            self.neighbors, rows, self._label_norms + label_norms)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.records)
 
-    def get(self, county, year) -> CountyYearRecord:
+    def key(self, row) -> tuple:
+        """The (county, year) of a block row."""
+        return self._keys[row]
+
+    def keys(self) -> list:
+        """The (county, year) of each of this dataset's rows, in row order."""
+        return list(self._row)
+
+    def row(self, county, year) -> int:
+        """The block row of one of this dataset's seasons."""
         try:
-            return self._index[(county, year)]
+            return self._row[(county, year)]
         except KeyError:
             raise ContractError(f"no record for ({county},{year})") from None
 
-    def county_years(self, county) -> list:
-        return list(self._years_of.get(county, ()))
+    def county_rows(self, county) -> np.ndarray:
+        """The county's rows, ascending by year (none for an unknown county)."""
+        start, stop = self._runs.get(county, (0, 0))
+        return self.rows[start:stop]
 
-    def records_of_year(self, year) -> list:
-        return list(self._records_in.get(year, ()))
+    def labels(self, rows=None) -> np.ndarray:
+        """Labels of block rows (default: its own), NaN for none; each row is an audited read."""
+        rows = self.rows if rows is None else np.asarray(rows, dtype=np.int64)
+        label_audit.note_rows(self.row_years[rows], lambda i: self._keys[rows[i]])
+        return self._normalized(self._labels[rows])
+
+    def _normalized(self, values):
+        for mean, std in self._label_norms:
+            values = (values - mean) / std
+        return values
+
+    @cached_property
+    def records(self) -> list:
+        """One `CountyYearRecord` view per row, in row order."""
+        return [CountyYearRecord(c, y, self.features[r], None if v != v else v)
+                for r, (c, y), v in zip(self.rows.tolist(), self._row,
+                                        self._normalized(self._labels[self.rows]).tolist())]
+
+    def get(self, county, year) -> CountyYearRecord:
+        return self.records[int(np.searchsorted(self.rows, self.row(county, year)))]
+
+    def county_years(self, county) -> list:
+        return self.row_years[self.county_rows(county)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +388,6 @@ class _Rows:
         labeled = np.flatnonzero(~np.isnan(label))
         labeled_gid = gid[labeled]
         groups, first = np.unique(labeled_gid, return_index=True)
-        has_label = np.zeros(len(keys), bool)
-        has_label[groups] = True
         first_label = np.full(len(keys), np.nan)
         first_label[groups] = label[labeled[first]]
         conflicting = np.zeros(len(keys), bool)
@@ -363,14 +407,14 @@ class _Rows:
                     f"({county},{year}): conflicting yield values {sorted(values)}")
             raise IngestionError(f"({county},{year}): negative yield {first_label[g].item()}")
 
-        if order is None and len(day) == len(keys) * T:
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        if order is None and len(day) == len(keys) * T and by_key == list(range(len(keys))):
             block = features.reshape(len(keys), T, self.d)
         else:
             rows = np.arange(len(day)) if order is None else order
-            block = features[rows[ds <= T]].reshape(len(keys), T, self.d)
-        labels = [v if h else None for v, h in zip(first_label.tolist(), has_label.tolist())]
-        return Dataset([CountyYearRecord(county, year, block[g], labels[g])
-                        for g, (county, year) in enumerate(keys)])
+            block = features[rows[ds <= T].reshape(len(keys), T)[by_key]]
+        return Dataset.__new__(Dataset)._set([keys[g] for g in by_key], block,
+                                             first_label[by_key], {})
 
 
 def load_dataset(path: str) -> Dataset:
@@ -392,9 +436,8 @@ def load_dataset(path: str) -> Dataset:
     found before that row's fault is raised.  Once every row is in, the
     (county, year) checks run in first-appearance order: contiguous days
     from 1, the 366th-day rule, one day count for all, one yield value, no
-    negative yield.  The records view the rows of one [records x T x d]
-    block; rows that already come in (county, year, day) order are not
-    copied again to build it.
+    negative yield.  The block holds the seasons in (county, year) order;
+    rows that already come in that order are not copied again to build it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -457,11 +500,7 @@ def load_adjacency(path: str) -> dict:
 
 
 def save_adjacency_csv(ds: Dataset, path: str) -> None:
-    pairs = set()
-    for rec in ds.records:
-        if rec.neighbors:
-            for nb in rec.neighbors:
-                pairs.add((rec.county, nb))
+    pairs = {(county, nb) for county, nbs in ds.neighbors.items() for nb in nbs}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["county", "neighbor"])
@@ -511,13 +550,13 @@ def zscore_fit(train: Dataset) -> NormStats:
     """Per-feature and label moments over the training records only."""
     if len(train) == 0:
         raise ContractError("cannot fit normalization on an empty dataset")
-    stacked = np.concatenate([rec.features for rec in train.records])
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
+    days = np.take(train.features, train.rows, axis=0).reshape(-1, train.d)
+    mean = days.mean(axis=0)
+    std = days.std(axis=0)
     clamped = tuple(int(j) for j in np.nonzero(std < 1e-12)[0])
-    std = std.copy()
     std[std < 1e-12] = 1.0
-    labels = np.array([rec.yield_label for rec in train.records if rec.has_label])
+    labels = train.labels()
+    labels = labels[~np.isnan(labels)]
     if labels.size == 0:
         raise ContractError("no labels in the fitting set")
     lmean = float(labels.mean())
@@ -527,42 +566,29 @@ def zscore_fit(train: Dataset) -> NormStats:
     return NormStats(mean, std, lmean, lstd, clamped)
 
 
-def zscore_apply(ds: Dataset, stats: NormStats, labels: bool = True) -> Dataset:
-    """Return a normalized copy; labels transform only when labels=True.
+def zscore_apply(ds: Dataset, stats: NormStats) -> Dataset:
+    """The normalized Dataset: same rows, block and labels z-scored.
 
-    All features are normalized in one subtraction and one division over
-    their stack, which gives each element the bits the per-record
-    expression gives; each new record views its row of the result.
+    The whole block is normalized in one subtraction and one division,
+    which gives each element the bits the per-record expression gives;
+    labels are normalized as they are read.
     """
-    if not ds.records:
-        return Dataset([])
-    stacked = np.stack([rec.features for rec in ds.records])
-    stacked -= stats.feature_mean
-    stacked /= stats.feature_std
-    out = []
-    for rec, feats in zip(ds.records, stacked):
-        if labels and rec.has_label:
-            label = (rec._yield_label - stats.label_mean) / stats.label_std
-        else:
-            label = rec._yield_label
-        out.append(rec.with_changes(features=feats, yield_label=label))
-    return Dataset(out)
+    block = ds.features - stats.feature_mean
+    block /= stats.feature_std
+    return ds._view(ds.rows, block, ((stats.label_mean, stats.label_std),))
 
 
 def split_by_test_year(ds: Dataset, test_year: int):
     """Train on all years strictly before test_year; test on test_year only."""
     if test_year not in ds.years:
         raise ContractError(f"test year {test_year} not present in dataset")
-    train_recs = [r for r in ds.records if r.year < test_year]
-    test_recs = [r for r in ds.records if r.year == test_year]
-    if not train_recs:
+    years = ds.row_years[ds.rows]
+    train, test = ds._view(ds.rows[years < test_year]), ds._view(ds.rows[years == test_year])
+    if not len(train):
         raise ContractError(f"no training years before {test_year}")
-    for rec in train_recs:
-        if not rec.has_label:
-            raise IngestionError(
-                f"training record ({rec.county},{rec.year}) is missing its label"
-            )
-    return Dataset(train_recs), Dataset(test_recs)
+    for county, year in map(ds.key, train.rows[np.isnan(ds._labels[train.rows])][:1]):
+        raise IngestionError(f"training record ({county},{year}) is missing its label")
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +737,8 @@ def generate_synthetic(cfg: SyntheticConfig):
         for year in years
     }
 
-    records = []
+    keys, labels = [], []
+    block = np.empty((n * cfg.n_years, T, d))
     rows = {}
     truth = SyntheticTruth(
         rows=rows,
@@ -726,8 +753,8 @@ def generate_synthetic(cfg: SyntheticConfig):
     for idx, county in enumerate(counties):
         for k, year in enumerate(years):
             idio = rng.normal(0.0, _IDIO_STD, size=(T, d))
-            features = (season + micro[idx][None, :]
-                        + (weather[k] + local[idx, k])[None, :] + idio)
+            block[len(keys)] = features = (season + micro[idx][None, :]
+                                           + (weather[k] + local[idx, k])[None, :] + idio)
             noiseless = synthetic_noiseless_yield(
                 truth, features, clusters[idx], soil[idx], year, shocks[year]
             )
@@ -745,16 +772,9 @@ def generate_synthetic(cfg: SyntheticConfig):
                 soil=float(soil[idx]),
                 shock=float(shocks[year]),
             )
-            records.append(
-                CountyYearRecord(
-                    county,
-                    year,
-                    features,
-                    float(observed),
-                    neighbors=neighbors[county],
-                )
-            )
-    return Dataset(records), truth
+            keys.append((county, year))
+            labels.append(float(observed))
+    return Dataset(keys, block, labels, neighbors), truth
 
 
 def save_truth_csv(truth: SyntheticTruth, path: str) -> None:

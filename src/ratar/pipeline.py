@@ -4,8 +4,9 @@ A run executes one chain per seed.  Each link is a public call, and the
 experiment driver and every CLI subcommand are built from the same links:
 
 - `load`: the dataset and the county adjacency;
-- `train_models`: split by test year, normalize on training statistics,
-  train the global and the cross-year model (or take them from
+- `train_models`: split by test year, normalize the panel on training
+  statistics and split it again (the normalized splits share one block),
+  and train the global and the cross-year model (or take them from
   checkpoints), giving a `SeedModels`.  Its `model_labels` table holds
   the global model's prediction for every training and test record,
   made once per seed by one `global_forward` over each split; every
@@ -39,9 +40,9 @@ runs one batched engine forward over a list of windows.  Fine-tuning
 gives each county with refined samples its own copy of the parameters;
 one `fine_tune` call trains all of a seed's copies, stacked on a leading
 model axis, and one `lyra_predict` on the stack predicts their counties.
-Context augmentation appends the refined samples, as (record,
-normalized refined label) pairs, to the look-back window that
-cross-year attention runs over.
+Context augmentation appends the refined samples' rows, with their
+normalized refined labels, to the look-back window that cross-year
+attention runs over.
 
 Every stage error is re-raised tagged with its stage name.  A label
 audit guards the test year for the entire run; only evaluation reads
@@ -200,17 +201,16 @@ def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
     happen inside an audit allow-scope: evaluation is the one stage
     entitled to test-year labels.
     """
-    rows = []
     with label_audit.allow():
-        for rec in test.records:
-            if not rec.has_label:
-                continue
-            if rec.county not in predictions:
-                raise ContractError(f"missing prediction for county {rec.county}")
-            pred = float(predictions[rec.county])
-            label = float(rec.yield_label)
-            rows.append(PredRow(rec.county, rec.year, pred, label, pred - label,
-                                rec.county in fallbacks))
+        labels = test.labels().tolist()
+    rows = []
+    for (county, year), label in zip(test.keys(), labels):
+        if label != label:  # NaN: unlabeled
+            continue
+        if county not in predictions:
+            raise ContractError(f"missing prediction for county {county}")
+        pred = float(predictions[county])
+        rows.append(PredRow(county, year, pred, label, pred - label, county in fallbacks))
     if not rows:
         raise ContractError("no labeled test records to evaluate")
     rmse = float(np.sqrt(np.mean([r.error ** 2 for r in rows])))
@@ -244,7 +244,7 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
     """The run's (dataset, adjacency); given values pass through.
 
     The dataset otherwise comes from `cfg.data_path` or `cfg.synthetic`,
-    the adjacency from `cfg.adjacency_path` or the records' own
+    the adjacency from `cfg.adjacency_path` or the dataset's own
     neighbor lists.
     """
     with _stage("load"):
@@ -259,11 +259,7 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
         if adjacency is None and cfg.adjacency_path is not None:
             adjacency = load_adjacency(cfg.adjacency_path)
         elif adjacency is None:
-            adjacency = {}
-            for county in dataset.counties:
-                rec = dataset.get(county, dataset.county_years(county)[0])
-                if rec.neighbors is not None:
-                    adjacency[county] = list(rec.neighbors)
+            adjacency = {county: list(nbs) for county, nbs in dataset.neighbors.items()}
     return dataset, adjacency
 
 
@@ -271,12 +267,15 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
 class SeedModels:
     """One seed's normalized split and models.
 
-    A report is None for a model that was passed in rather than trained.
+    `train_n` and `test_n` share one normalized block; `test` is the
+    unnormalized test split, whose labels `evaluate` reads.  A report is
+    None for a model that was passed in rather than trained.
     """
     seed: int
     stats: NormStats
     train_n: Dataset
     test_n: Dataset
+    test: Dataset
     f: GruParams
     lyra: LyraParams | None
     global_report: TrainReport | None = None
@@ -285,17 +284,16 @@ class SeedModels:
     @cached_property
     def test_counties(self) -> list:
         """Counties with a test-year record, sorted: the per-county order."""
-        return sorted({r.county for r in self.test_n.records})
+        return self.test_n.counties
 
     @cached_property
     def model_labels(self) -> dict:
         """The global model's normalized prediction per (county, year).
 
-        One `global_forward` over the training records (the batch every
-        training-side reader shares) and one over the test records.
+        One `global_forward` over the training rows (the batch every
+        training-side reader shares) and one over the test rows.
         """
-        return {**model_labels(self.f, self.train_n.records),
-                **model_labels(self.f, self.test_n.records)}
+        return {**model_labels(self.f, self.train_n), **model_labels(self.f, self.test_n)}
 
 
 def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=None,
@@ -315,12 +313,11 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
             f"cross-year model was trained for test year {lyra.year_max}, "
             f"config has test year {cfg.test_year}")
     with _stage("split"):
-        train_phys, test_phys = split_by_test_year(ds, cfg.test_year)
+        train_phys, test = split_by_test_year(ds, cfg.test_year)
     with _stage("normalize"):
         stats = zscore_fit(train_phys)
-        train_n = zscore_apply(train_phys, stats)
-        test_n = zscore_apply(test_phys, stats, labels=False)
-    models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n,
+        train_n, test_n = split_by_test_year(zscore_apply(ds, stats), cfg.test_year)
+    models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n, test=test,
                         f=f, lyra=lyra)
     tcfg = replace(cfg.train, seed=seed)
     if f is None:
@@ -350,17 +347,16 @@ def _training_embeddings(models: SeedModels):
     supposed to expose, collapsing the measured biases toward zero.
     """
     train_n = models.train_n
-    xs = np.stack([r.features for r in train_n.records])
-    labels = np.array([models.model_labels[r.county, r.year] for r in train_n.records])
+    keys = train_n.keys()
+    xs = np.take(train_n.features, train_n.rows, axis=0)
+    labels = np.array([models.model_labels[key] for key in keys])
     lyra = models.lyra.copy()
     table = lyra.store.value("year_table")
-    rows = sorted({lyra.year_row(r.year) for r in train_n.records})
-    neutral = table[rows].mean(axis=0)
+    year_rows = [lyra.year_row(year) for _, year in keys]
+    neutral = table[sorted(set(year_rows))].mean(axis=0)
     lyra.store.set_value("year_table", np.tile(neutral, (table.shape[0], 1)))
-    seq_rows = np.arange(len(train_n.records))
-    year_rows = np.array([lyra.year_row(r.year) for r in train_n.records])
-    z_all, _, _ = embed_batch(None, lyra, xs, (seq_rows, labels, year_rows))
-    return {(r.county, r.year): z_all.data[i] for i, r in enumerate(train_n.records)}
+    z_all, _, _ = embed_batch(None, lyra, xs, (np.arange(len(keys)), labels, year_rows))
+    return dict(zip(keys, z_all.data))
 
 
 def _refinement_setup(models: SeedModels, embeddings):
@@ -373,33 +369,24 @@ def _refinement_setup(models: SeedModels, embeddings):
     dimensions that vary little within a year but drift between years.
     """
     train_n, stats = models.train_n, models.stats
+    labels = dict(zip(train_n.keys(), map(stats.denormalize_label, train_n.labels().tolist())))
     z_mean, z_scale = rf.embedding_moments(np.stack(list(embeddings.values())))
     regressors = {}
     for year in train_n.years:
-        recs = train_n.records_of_year(year)
-        if len(recs) < 2:
-            warnings.warn(f"year {year} has {len(recs)} records; regressor skipped")
+        keys = [key for key in labels if key[1] == year]
+        if len(keys) < 2:
+            warnings.warn(f"year {year} has {len(keys)} records; regressor skipped")
             continue
-        Z = np.stack([embeddings[(r.county, r.year)] for r in recs])
-        y = np.array([stats.denormalize_label(r.yield_label) for r in recs])
+        Z = np.stack([embeddings[key] for key in keys])
+        y = np.array([labels[key] for key in keys])
         regressors[year] = rf.fit_year_regressor(year, Z, y, z_mean=z_mean, z_scale=z_scale)
     biases = {}
     for county in train_n.counties:
-        emb = {y: embeddings[(county, y)] for y in train_n.county_years(county)}
-        labels = {y: stats.denormalize_label(train_n.get(county, y).yield_label)
-                  for y in train_n.county_years(county)}
-        biases[county] = rf.build_bias_matrix(county, regressors, emb, labels)
+        years = train_n.county_years(county)
+        biases[county] = rf.build_bias_matrix(county, regressors,
+                                              {y: embeddings[county, y] for y in years},
+                                              {y: labels[county, y] for y in years})
     return regressors, biases
-
-
-def _mean_embeddings(embeddings, counties):
-    out = {}
-    by_county: dict[str, list] = {}
-    for (county, _year), z in embeddings.items():
-        by_county.setdefault(county, []).append(z)
-    for county in counties:
-        out[county] = np.mean(by_county[county], axis=0)
-    return out
 
 
 @dataclass
@@ -446,8 +433,10 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
         with _stage(f"refinement_setup seed {models.seed}"):
             ctx.embeddings = _training_embeddings(models)
             ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
-            ctx.mean_emb = rt.embedding_panel(
-                _mean_embeddings(ctx.embeddings, models.train_n.counties))
+            ctx.mean_emb = rt.embedding_panel({
+                county: np.mean([ctx.embeddings[county, y]
+                                 for y in models.train_n.county_years(county)], axis=0)
+                for county in models.train_n.counties})
     return ctx
 
 
@@ -519,7 +508,7 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
     results, shared = {}, []  # shared: windows predicted on models.lyra
     tuned_windows, tuned_sets = [], []  # one window and sample set per tuned county
     for county in models.test_counties:
-        target = test_n.get(county, cfg.test_year)
+        target = test_n.row(county, cfg.test_year)
         label = models.model_labels[county, cfg.test_year]
         with _stage(f"history county {county}"):
             window = lookback_window(train_n, target, label, w)
@@ -538,21 +527,21 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
             tuned_windows.append(window)
             tuned_sets.append(refined)
         else:
-            extra = [(e.record, stats.normalize_label(e.label_refined))
-                     for e in refined.entries]
+            rows = [train_n.row(e.record.county, e.record.year) for e in refined.entries]
+            labels = [stats.normalize_label(e.label_refined) for e in refined.entries]
             with _stage(f"integration county {county}"):
-                shared.append(lookback_window(train_n, target, label, w, extra))
+                shared.append(lookback_window(train_n, target, label, w, rows, labels))
 
     if tuned_sets:
-        counties = [win.target.county for win in tuned_windows]
+        counties = [test_n.key(win.target)[0] for win in tuned_windows]
         with _stage(f"fine_tune seed {models.seed} counties {' '.join(counties)}"):
             tuned = fine_tune(models.lyra, tuned_sets, train_n, tcfg,
                               models.model_labels, stats=stats)
-            results.update(zip(counties, lyra_predict(tuned, stats, tuned_windows)))
+            results.update(zip(counties, lyra_predict(tuned, stats, train_n, tuned_windows)))
     if shared:
         with _stage(f"predict seed {models.seed}"):
-            results.update(zip((win.target.county for win in shared),
-                               lyra_predict(models.lyra, stats, shared)))
+            results.update(zip((test_n.key(win.target)[0] for win in shared),
+                               lyra_predict(models.lyra, stats, train_n, shared)))
     for county in models.test_counties:
         pred = results[county]
         out.predictions[county] = pred.prediction
@@ -568,11 +557,9 @@ def _gruatt_predictions(cfg, models: SeedModels) -> CountyPredictions:
         params, _ = train_gru_att(models.train_n, tcfg, H=dims.H,
                                   attn_hidden=dims.attn_hidden,
                                   head_hidden=dims.mlp_hidden)
-    recs = sorted(models.test_n.records, key=lambda r: r.county)
-    xs = np.stack([r.features for r in recs])
-    preds = gruatt_forward(None, params, xs).data
-    return CountyPredictions({r.county: models.stats.denormalize_label(p)
-                              for r, p in zip(recs, preds)})
+    test_n = models.test_n  # one season per county, so its rows come in county order
+    preds = gruatt_forward(None, params, np.take(test_n.features, test_n.rows, axis=0)).data
+    return CountyPredictions(dict(zip(test_n.counties, map(models.stats.denormalize_label, preds))))
 
 
 def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> list:
@@ -607,7 +594,7 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
                     with _stage(f"evaluate {name} seed {seed}"):
                         out = (_gruatt_predictions(cfg, models) if sub is None
                                else predict_counties(sub, models, ctx))
-                        report = evaluate(out.predictions, models.test_n, seed, name,
+                        report = evaluate(out.predictions, models.test, seed, name,
                                           out.fallbacks,
                                           sum(len(r.samples) for r in out.retrievals))
                     if n == 0:
@@ -656,9 +643,10 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
     """Write the run's output directory.
 
     report.csv and predictions.csv cover all seeds; the diagnostic CSVs
-    (attention, errors, retrieval, flags, bias) describe the first seed's run,
-    matching their fixed single-run column layouts, and the checkpoints
-    hold its models (all from `report.first_seed`).  Nothing written
+    (attention, errors, retrieval, flags, bias, refined) describe the first
+    seed's run in `cfg.seeds` order, matching their fixed single-run column
+    layouts, and the checkpoints, named by that seed, hold its models (all
+    from `report.first_seed`).  Nothing written
     here includes wall-clock values, so reruns are byte-identical.
     """
     models, biases, predicted = report.first_seed
@@ -689,7 +677,7 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
         lines.append(f"{county},{ty},{hy},{beta!r}")
     _write(os.path.join(out, "attention.csv"), lines)
 
-    first = report.seed_results[0]
+    first = next(sr for sr in report.seed_results if sr.seed == models.seed)
     lines = ["county,year,error"]
     for row in sorted(first.rows, key=lambda r: r.county):
         lines.append(f"{row.county},{row.year},{row.error!r}")
@@ -701,10 +689,9 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
     if predicted.refined_sets:
         rf.save_refined_csv(predicted.refined_sets, os.path.join(out, "refined.csv"))
 
-    seed0 = report.seed_results[0].seed
-    save_checkpoint(os.path.join(out, "ckpt", f"global_seed{seed0}.npz"),
+    save_checkpoint(os.path.join(out, "ckpt", f"global_seed{models.seed}.npz"),
                     models.f, models.stats)
-    save_checkpoint(os.path.join(out, "ckpt", f"lyra_seed{seed0}.npz"),
+    save_checkpoint(os.path.join(out, "ckpt", f"lyra_seed{models.seed}.npz"),
                     models.lyra, models.stats)
 
 

@@ -92,27 +92,25 @@ def compute_residuals(train, predictions, stats=None):
     excluded with a warning.  The result maps county to
     `ResidualVector`, as a `ResidualPanel`.
     """
-    labeled = [rec for rec in train.records if rec.has_label]
-    skipped = sorted({rec.county for rec in train.records} - {rec.county for rec in labeled})
+    labels = train.labels()
+    keys = [key for key, y in zip(train.keys(), labels.tolist()) if y == y]  # labeled
+    skipped = sorted(set(train.counties) - {county for county, _ in keys})
     if skipped:
         warnings.warn(f"counties without labels excluded from retrieval: {skipped}")
-    if not labeled:
+    if not keys:
         raise ContractError("no labeled records to build residuals from")
+    labels = labels[~np.isnan(labels)]
+    preds = np.array([predictions[key] for key in keys], dtype=np.float64)
+    if stats is not None:
+        labels = labels * stats.label_std + stats.label_mean
+        preds = preds * stats.label_std + stats.label_mean
     out = {}
-    for rec in labeled:
-        label, pred = rec.yield_label, predictions[rec.county, rec.year]
-        if stats is not None:
-            label = stats.denormalize_label(label)
-            pred = stats.denormalize_label(pred)
-        rv = out.get(rec.county)
-        if rv is None:
-            rv = out[rec.county] = ResidualVector(rec.county, [], [])
-        rv.years.append(rec.year)
-        rv.r.append(label - pred)
+    for (county, year), r in zip(keys, (labels - preds).tolist()):  # years ascending
+        rv = out.setdefault(county, ResidualVector(county, [], []))
+        rv.years.append(year)
+        rv.r.append(r)
     for rv in out.values():
-        order = np.argsort(rv.years)
-        rv.years = [rv.years[i] for i in order]
-        rv.r = np.asarray(rv.r, dtype=np.float64)[order]
+        rv.r = np.asarray(rv.r, dtype=np.float64)
         if not np.all(np.isfinite(rv.r)):
             raise ContractError(f"non-finite residuals for county {rv.county}")
     return ResidualPanel(out)

@@ -3,11 +3,12 @@ fine-tuning.
 
 All loops share one epoch driver and one step: record a tape, run the
 batched forward, backprop MSE, and apply an adaptive-moment update with
-global-norm gradient clipping.  The cross-year model's work is a list of
-`LyraWindow`s built once by `backbone.lookback_window` (one per training
-season with an earlier season, or one per usable refined sample when
-fine-tuning); each step's engine inputs are `window_table` of that
-batch's windows.  The label a window feeds its target season comes from
+global-norm gradient clipping.  Inputs are row gathers from the training
+Dataset's block.  The cross-year model's work is a list of `LyraWindow`s
+built once (one per training season with an earlier season, or one per
+usable refined sample when fine-tuning); each step's engine inputs are
+`window_table` of that batch's windows.  The label a window feeds its
+target season comes from
 the caller's `target_labels` table, keyed (county, year); the pipeline
 fills it with the global model's predictions (`backbone.model_labels`),
 so the cross-year loops never run the global model.  Every source of
@@ -36,6 +37,7 @@ from .backbone import (
     GruParams,
     LyraDims,
     LyraParams,
+    LyraWindow,
     embed_batch,
     global_forward,
     gruatt_forward,
@@ -155,19 +157,15 @@ class Adam:
         store.set_flat(store.flat - self._lr * mhat / (np.sqrt(vhat) + self._eps))
 
 
-def _check_labeled(train):
-    unlabeled = [(r.county, r.year) for r in train.records if not r.has_label]
+def _training_labels(train):
+    """Every training season's label, in row order, in one read; none may be missing."""
+    labels = train.labels()
+    unlabeled = [key for key, y in zip(train.keys(), labels.tolist()) if y != y]
     if unlabeled:
         raise ContractError(f"training records without labels: {unlabeled[:5]}")
     if len(train) == 0:
         raise ContractError("empty training set")
-
-
-def _labeled_arrays(train):
-    _check_labeled(train)
-    xs = np.stack([r.features for r in train.records])
-    ys = np.array([r.yield_label for r in train.records], dtype=np.float64)
-    return xs, ys
+    return labels
 
 
 def _check_finite(loss, epoch):
@@ -214,7 +212,8 @@ def _mse_step(params_store, opt, forward_fn, targets, counts=None):
 def _fit_records(train, cfg: TrainConfig, make_params, forward):
     """Fit make_params() by MSE of forward(tape, params, xs) on every training record."""
     cfg.validate()
-    xs, ys = _labeled_arrays(train)
+    ys = _training_labels(train)
+    xs = np.take(train.features, train.rows, axis=0)
     params = make_params()
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
@@ -248,14 +247,21 @@ def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64)
 def training_windows(train, w: int, labels) -> list:
     """One LyraWindow per training season that has an earlier season.
 
-    Each is the season's `lookback_window`: the county's last w seasons
-    before it, so a two-year county still yields one window.  labels
+    Each is the season's `lookback_window`, sliced here from the county's
+    run of rows, so a two-year county still yields one window.  labels
     maps (county, year) to the label fed to that season's target
     embedding; windows come in (county, year) order.
     """
-    return [lookback_window(train, rec, labels[rec.county, rec.year], w)
-            for rec in train.records  # sorted by (county, year)
-            if train.county_years(rec.county)[0] < rec.year]
+    observed = _training_labels(train)
+    windows, start = [], 0
+    for county in train.counties:
+        run = train.county_rows(county)
+        for i, row in enumerate(run.tolist()[1:], start=1):
+            lo = max(0, i - w)
+            windows.append(LyraWindow(row, labels[train.key(row)], run[lo:i],
+                                      observed[start + lo:start + i]))
+        start += len(run)
+    return windows
 
 
 def sync_year_rows(p: LyraParams, trained_years) -> list:
@@ -301,15 +307,14 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     year_max = train.years[-1] if year_max is None else year_max
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
-    _check_labeled(train)
     windows = training_windows(train, w, target_labels)
     if not windows:
         raise ContractError("no trainable samples: every county has a single year")
-    targets = np.array([win.target.yield_label for win in windows], dtype=np.float64)
+    targets = train.labels([win.target for win in windows])
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
-        xs, triples, samples = window_table(params, [windows[i] for i in idx])
+        xs, triples, samples = window_table(params, train, [windows[i] for i in idx])
         loss = _mse_step(
             params.store, opt,
             lambda tape: lyra_forward(tape, params, xs, triples, samples)[0],
@@ -328,13 +333,12 @@ def _tuning_windows(p: LyraParams, sample_set, train, target_labels, stats):
         warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
     windows, targets = [], []
     for entry in sample_set.entries:
-        rec = train.get(entry.record.county, entry.record.year)
-        if train.county_years(rec.county)[0] == rec.year:
-            warnings.warn(
-                f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
-            )
+        county, year = entry.record.county, entry.record.year
+        row = train.row(county, year)
+        if train.county_years(county)[0] == year:
+            warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
             continue
-        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year], p.w))
+        windows.append(lookback_window(train, row, target_labels[county, year], p.w))
         refined = entry.label_refined
         targets.append(stats.normalize_label(refined) if stats is not None else refined)
     return windows, targets
@@ -372,7 +376,7 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
             windows.append(copy_windows)
             targets.append(copy_targets)
     if active:
-        inputs = stack_tables(p, [window_table(p, w) for w in windows])
+        inputs = stack_tables(p, [window_table(p, train, w) for w in windows])
         tuned.store.flat[active] = _tune_stack(p, inputs, targets, cfg).store.flat
     return tuned
 
@@ -384,7 +388,7 @@ def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
     """
     xs, triples, samples, counts = inputs
     stack = p.stack(len(targets))
-    size = len(samples) // len(targets)
+    size = len(samples[0]) // len(targets)
     padded = np.zeros((len(targets), size))
     for k, copy_targets in enumerate(targets):
         padded[k, :len(copy_targets)] = copy_targets
@@ -405,5 +409,5 @@ def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
             padded, counts)
         return loss, idx.size
 
-    _run_epochs(len(samples), cfg.fine_tune_epochs, epoch_fn)
+    _run_epochs(len(samples[0]), cfg.fine_tune_epochs, epoch_fn)
     return stack

@@ -1,0 +1,165 @@
+"""Shared test helpers: datasets from records, and the record-based window
+builders that `backbone` used before windows became block rows.
+
+`lookback_window`, `window_table` and `stack_tables` below are the earlier
+builders, kept verbatim (with their `LyraSample` and record-based
+`LyraWindow`) as the bitwise oracle for the row-indexed ones; `as_arrays`
+turns their samples into the engine's index arrays, and `row_windows`
+turns their windows into row windows.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ratar.backbone import LyraParams
+from ratar.backbone import LyraWindow as RowWindow
+from ratar.data import CountyYearRecord, Dataset
+from ratar.numcore import ContractError
+
+
+def dataset_of(records, neighbors=None):
+    """A Dataset of separately built records: their features stacked into one block."""
+    records = list(records)
+    return Dataset([(r.county, r.year) for r in records],
+                   np.stack([np.asarray(r.features, dtype=np.float64) for r in records]),
+                   [r._yield_label for r in records], neighbors)
+
+
+def as_arrays(samples):
+    """`LyraSample`s as the engine's (target, padded history, length) arrays."""
+    width = max(len(s.history) for s in samples)
+    return (np.array([s.target for s in samples], dtype=np.int64),
+            np.array([s.history + s.history[:1] * (width - len(s.history)) for s in samples],
+                     dtype=np.int64),
+            np.array([len(s.history) for s in samples], dtype=np.int64))
+
+
+def row_windows(ds, windows):
+    """Record-based windows as row windows over ds's block (ds holds every season)."""
+    return [RowWindow(ds.row(w.target.county, w.target.year), w.label,
+                      np.array([ds.row(rec.county, rec.year) for rec, _ in w.context],
+                               dtype=np.int64),
+                      np.array([label for _, label in w.context], dtype=np.float64))
+            for w in windows]
+
+
+@dataclass
+class LyraSample:
+    """Engine sample: indices into the embedding-triple table."""
+
+    target: int
+    history: tuple
+
+
+@dataclass(frozen=True)
+class LyraWindow:
+    """A target season and the look-back context its prediction attends over.
+
+    label is the (normalized) label fed to the target year's own embedding;
+    context holds (record, normalized label) pairs in attention order.
+    """
+
+    target: CountyYearRecord
+    label: float
+    context: tuple
+
+
+def window_table(p: LyraParams, windows):
+    """Engine inputs (xs, triples, samples) for windows, one sample each, in order.
+
+    Sequences are keyed by (county, year) and context triples by (county,
+    year, label), so a record shared by windows is encoded once and two
+    labels of one record stay two triples; every window's target gets a
+    triple of its own.  Sequences and context triples are sorted by key,
+    the target triples follow in sorted order, and each sample's history
+    lists its window's context in order.
+    """
+    if not windows:
+        raise ContractError("no windows to tabulate")
+    ctx_keys = [[(rec.county, rec.year, float(label)) for rec, label in win.context]
+                for win in windows]
+    records = {(win.target.county, win.target.year): win.target for win in windows}
+    for win in windows:
+        for rec, _ in win.context:
+            records[(rec.county, rec.year)] = rec
+    seq_keys = sorted(records)
+    seq_row = {key: i for i, key in enumerate(seq_keys)}
+    ctx_table = sorted({key for keys in ctx_keys for key in keys})
+    ctx_row = {key: i for i, key in enumerate(ctx_table)}
+    tgt_keys = [(win.target.county, win.target.year, float(win.label)) for win in windows]
+    tgt_order = sorted(range(len(windows)), key=tgt_keys.__getitem__)
+    tgt_row = {i: k for k, i in enumerate(tgt_order, start=len(ctx_table))}
+
+    table = ctx_table + [tgt_keys[i] for i in tgt_order]
+    years = np.array([year for _, year, _ in table], dtype=np.int64)
+    p.year_row(int(years.min()))  # the range check: raises on a year outside the table
+    p.year_row(int(years.max()))
+    triples = (
+        np.array([seq_row[county, year] for county, year, _ in table], dtype=np.int64),
+        np.array([label for _, _, label in table], dtype=np.float64),
+        years - p.year_min,
+    )
+    samples = [LyraSample(target=tgt_row[i], history=tuple(ctx_row[key] for key in keys))
+               for i, keys in enumerate(ctx_keys)]
+    xs = np.stack([records[key].features for key in seq_keys])
+    return xs, triples, samples
+
+
+def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
+    """The window predicting `target` from its county's look-back window.
+
+    The context is the county's last w training seasons before
+    target.year, ascending, with their observed labels, followed by the
+    `extra` (record, normalized label) pairs.  label is the normalized
+    label fed to the target season's own embedding.  This is the one
+    place a look-back window is chosen.
+    """
+    if w < 1:
+        raise ContractError("look-back window must be at least 1")
+    years = [y for y in train.county_years(target.county) if y < target.year][-w:]
+    if not years:
+        raise ContractError(
+            f"county {target.county} has no feature history before {target.year}"
+        )
+    records = [train.get(target.county, y) for y in years]
+    return LyraWindow(target, label,
+                      tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
+
+
+def stack_tables(p: LyraParams, tables):
+    """One engine input over K `window_table`s, for K stacked copies of p.
+
+    Returns (xs, triples, samples, counts).  Table k fills the k-th of K
+    equal row groups of every input, padded to the largest table's counts
+    of sequences, triples and samples: a padded sequence is all zeros, and
+    padded triples (label 0) and samples point at their group's first
+    sequence, year row and triple.  Sequence, triple and year rows are
+    offset by their group's start (year rows into the row stack of K
+    stacked year tables), so group k reads only table k.  counts[k] is
+    table k's own sample count; its real samples lead its group.  A single
+    table comes back unpadded and unshifted.
+    """
+    K = len(tables)
+    U = max(len(xs) for xs, _, _ in tables)
+    R = max(len(triples[0]) for _, triples, _ in tables)
+    S = max(len(samples) for _, _, samples in tables)
+    n_years = p.year_max - p.year_min + 1
+    group = np.arange(K, dtype=np.int64)[:, None]
+    xs = np.zeros((K, U) + tables[0][0].shape[1:])
+    seq_rows = np.tile(group * U, (1, R))
+    labels = np.zeros((K, R))
+    year_rows = np.tile(group * n_years, (1, R))
+    samples, counts = [], []
+    for k, (x, (seq, lab, year), table_samples) in enumerate(tables):
+        xs[k, :len(x)] = x
+        seq_rows[k, :len(seq)] += seq
+        labels[k, :len(lab)] = lab
+        year_rows[k, :len(year)] += year
+        base = k * R
+        samples += [LyraSample(base + s.target, tuple(base + i for i in s.history))
+                    for s in table_samples]
+        samples += [LyraSample(base, (base,))] * (S - len(table_samples))
+        counts.append(len(table_samples))
+    return (xs.reshape((K * U,) + xs.shape[2:]),
+            (seq_rows.ravel(), labels.ravel(), year_rows.ravel()), samples, counts)

@@ -2,8 +2,8 @@
 cross-year attention, composed prediction, gradients, checkpoints.
 
 Every forward check runs the batched engine (`gru_encode`, `embed_batch`,
-`lyra_forward`, `global_forward`, `lyra_predict`), and windows come
-from `lookback_window`.  Hand oracles recompute
+`lyra_forward`, `global_forward`, `lyra_predict`), and windows are rows
+of one Dataset's block.  Hand oracles recompute
 every expected value with plain numpy from the stored parameter arrays.
 """
 
@@ -14,9 +14,11 @@ import re
 import numpy as np
 import pytest
 
+import oracles
+from oracles import dataset_of, row_windows
 from ratar import backbone as bb
 from ratar import numcore as nc
-from ratar.data import CountyYearRecord, Dataset, NormStats
+from ratar.data import CountyYearRecord, NormStats, split_by_test_year
 
 
 def sig(x):
@@ -165,8 +167,9 @@ def cross(p, pooled, labels, years, target, history):
     """One lyra_forward sample over given pooled vectors: (prediction, beta)."""
     triples = (np.arange(len(labels)), np.asarray(labels, dtype=np.float64),
                np.array([p.year_row(y) for y in years]))
-    sample = bb.LyraSample(target=target, history=tuple(history))
-    preds, betas = bb.lyra_forward(None, p, None, triples, [sample],
+    sample = (np.array([target]), np.array([history], dtype=np.int64).reshape(1, -1),
+              np.array([len(history)]))
+    preds, betas = bb.lyra_forward(None, p, None, triples, sample,
                                    pooled_const=np.asarray(pooled, dtype=np.float64))
     return float(preds.data[0]), betas[0]
 
@@ -370,7 +373,7 @@ class TestEmbedBatch:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2050, rng.standard_normal((6, 2)), 2.0)
         with pytest.raises(nc.ContractError, match="2050"):
-            bb.lyra_predict(p, norm_stats(), [window(hist, target, 0.3)])
+            bb.lyra_predict(p, norm_stats(), *panel_windows((hist, target, 0.3)))
 
 
 class TestCrossYearAttention:
@@ -448,14 +451,26 @@ def history_records(rng, n=2, T=6, d=2, first_year=2001, county="c9"):
     ]
 
 
-def window(hist, target, label, extras=()):
-    """The window of target over all of hist (observed labels), then extras."""
-    return bb.LyraWindow(target, label,
-                         tuple((rec, rec.yield_label) for rec in hist) + tuple(extras))
+def panel_windows(*specs):
+    """(ds, windows) for (hist, target, label[, extras]) specs.
+
+    ds holds every record the specs name; each window is its target's,
+    over all of hist with observed labels, then the (record, label) extras.
+    """
+    specs = [spec + ((),) * (4 - len(spec)) for spec in specs]
+    recs = {}
+    for hist, target, _, extras in specs:
+        for rec in [*hist, target, *(rec for rec, _ in extras)]:
+            recs[rec.county, rec.year] = rec
+    ds = dataset_of(recs.values())
+    return ds, row_windows(ds, [
+        oracles.LyraWindow(target, label,
+                           tuple((rec, rec.yield_label) for rec in hist) + tuple(extras))
+        for hist, target, label, extras in specs])
 
 
-def predict_one(p, stats, win):
-    return bb.lyra_predict(p, stats, [win])[0]
+def predict_one(p, stats, *spec):
+    return bb.lyra_predict(p, stats, *panel_windows(spec))[0]
 
 
 class TestLyraPredict:
@@ -465,8 +480,8 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
         stats = norm_stats()
-        a = predict_one(p, stats, window(hist, target, 0.3))
-        b = predict_one(p, stats, window(hist, target, 0.3))
+        a = predict_one(p, stats, hist, target, 0.3)
+        b = predict_one(p, stats, hist, target, 0.3)
         assert a.prediction == b.prediction
 
     def test_compositional_oracle(self):
@@ -479,13 +494,13 @@ class TestLyraPredict:
         context = [(rec, rec.yield_label) for rec in hist]
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = predict_one(p, stats, window(hist, target, 0.3))
+        out = predict_one(p, stats, hist, target, 0.3)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
         assert out.history_years == [2001, 2002]
 
     def test_extra_context_follows_history(self):
-        """Extra (record, label) pairs join the look-back set after the window."""
+        """Extra (row, label) pairs join the look-back set after the window."""
         p = tiny_lyra()
         rng = np.random.default_rng(17)
         hist = history_records(rng)
@@ -496,13 +511,13 @@ class TestLyraPredict:
         context = [(rec, rec.yield_label) for rec in hist] + extras
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
-        out = predict_one(p, stats, window(hist, target, 0.3, extras))
+        out = predict_one(p, stats, hist, target, 0.3, extras)
         assert out.history_years == [2001, 2002, 2000, 2003]
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
     def test_repeated_extra_keeps_both_labels(self):
-        """One record given twice as an extra, with two labels, is two triples."""
+        """One season given twice as an extra, with two labels, is two triples."""
         p = tiny_lyra()
         rng = np.random.default_rng(18)
         hist = history_records(rng)
@@ -512,15 +527,15 @@ class TestLyraPredict:
         stats = norm_stats()
         context = [(rec, rec.yield_label) for rec in hist] + extras
 
-        xs, (seq_rows, labels, _), samples = bb.window_table(
-            p, [bb.LyraWindow(target, 0.0, tuple(context))])
+        ds, windows = panel_windows((hist, target, 0.0, extras))
+        xs, (seq_rows, labels, _), (_, history, _) = bb.window_table(p, ds, windows)
         assert len(xs) == 4 and len(labels) == 5
-        history = samples[0].history
+        history = history[0]
         assert seq_rows[history[2]] == seq_rows[history[3]]
         assert [labels[i] for i in history[2:]] == [0.8, -0.6]
 
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
-        out = predict_one(p, stats, window(hist, target, 0.3, extras))
+        out = predict_one(p, stats, hist, target, 0.3, extras)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
         np.testing.assert_allclose(out.beta, beta, atol=1e-12)
 
@@ -531,13 +546,13 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), None)
         stats = norm_stats()
-        labels = bb.model_labels(gp, hist + [target])
+        labels = bb.model_labels(gp, dataset_of(hist + [target]))
         assert list(labels) == [("c9", 2001), ("c9", 2002), ("c9", 2003)]
         for rec in hist + [target]:
             np.testing.assert_allclose(labels[rec.county, rec.year],
                                        np_global(gp, rec.features), atol=1e-12)
         label = labels["c9", 2003]
-        out = predict_one(p, stats, window(hist, target, label))
+        out = predict_one(p, stats, hist, target, label)
         expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
                                       label)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
@@ -546,10 +561,11 @@ class TestLyraPredict:
         p = tiny_lyra()
         rng = np.random.default_rng(9)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 1.0)
+        ds, windows = panel_windows(([], target, 0.3))
         with pytest.raises(nc.ContractError, match="history"):
-            bb.lyra_predict(p, norm_stats(), [window([], target, 0.3)])
+            bb.lyra_predict(p, norm_stats(), ds, windows)
         with pytest.raises(nc.ContractError, match="no windows"):
-            bb.lyra_predict(p, norm_stats(), [])
+            bb.lyra_predict(p, norm_stats(), ds, [])
 
     def test_batch_matches_single_windows(self):
         """One call over windows of mixed lengths and counties equals a call per window."""
@@ -557,81 +573,88 @@ class TestLyraPredict:
         rng = np.random.default_rng(20)
         stats = norm_stats()
         extras = [(CountyYearRecord("c3", 2002, rng.standard_normal((6, 2)), 0.4), 0.9)]
-        windows = []
+        specs = []
         for k, county in enumerate(["c1", "c2", "c4", "c5"]):
             hist = history_records(rng, n=1 + k % 3, first_year=2001, county=county)
             target = CountyYearRecord(county, 2005, rng.standard_normal((6, 2)), None)
-            windows.append(window(hist, target, 0.1 * k - 0.2, extras if k == 2 else ()))
+            specs.append((hist, target, 0.1 * k - 0.2, extras if k == 2 else ()))
 
-        batch = bb.lyra_predict(p, stats, windows)
+        ds, windows = panel_windows(*specs)
+        batch = bb.lyra_predict(p, stats, ds, windows)
         assert len(batch) == len(windows)
-        for win, out in zip(windows, batch):
-            solo = predict_one(p, stats, win)
+        for spec, win, out in zip(specs, windows, batch):
+            solo = predict_one(p, stats, *spec)
             np.testing.assert_allclose(out.prediction, solo.prediction, rtol=1e-15, atol=0)
             np.testing.assert_allclose(out.beta, solo.beta, rtol=1e-15, atol=1e-300)
             assert out.beta.shape == (len(win.context),)
             assert abs(out.beta.sum() - 1.0) < 1e-12
-            assert out.history_years == [rec.year for rec, _ in win.context]
+            assert out.history_years == ds.row_years[win.context].tolist()
 
 
 class TestLookbackWindow:
     @staticmethod
-    def train_panel(rng):
-        """c9 with seasons 2000..2003 and c3 with 2001 only."""
-        return Dataset(history_records(rng, n=4, first_year=2000)
-                       + history_records(rng, n=1, county="c3"))
+    def panel(rng):
+        """(train, test): c9 with seasons 2000..2003 and c3 with 2001 only in
+        train; the test seasons c9 2004 and c7 2004 in the same block."""
+        recs = (history_records(rng, n=4, first_year=2000)
+                + history_records(rng, n=1, county="c3")
+                + [CountyYearRecord(c, 2004, rng.standard_normal((6, 2)), None)
+                   for c in ("c9", "c7")])
+        return split_by_test_year(dataset_of(recs), 2004)
 
     def test_window_truncation(self):
         """The last w seasons before the target, with their observed labels."""
         rng = np.random.default_rng(10)
-        train = self.train_panel(rng)
-        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
+        train, test = self.panel(rng)
+        target = test.row("c9", 2004)
         win = bb.lookback_window(train, target, 0.3, w=2)
-        assert win.target is target and win.label == 0.3
-        assert [(rec.county, rec.year) for rec, _ in win.context] == [("c9", 2002),
-                                                                       ("c9", 2003)]
-        assert [label for _, label in win.context] == [
+        assert win.target == target and win.label == 0.3
+        assert [train.key(r) for r in win.context] == [("c9", 2002), ("c9", 2003)]
+        assert win.context_labels.tolist() == [
             train.get("c9", y).yield_label for y in (2002, 2003)]
         # a shorter history is taken whole; seasons from the target year on are not
-        mid = bb.lookback_window(train, train.get("c9", 2002), 0.0, w=5)
-        assert [rec.year for rec, _ in mid.context] == [2000, 2001]
+        mid = bb.lookback_window(train, train.row("c9", 2002), 0.0, w=5)
+        assert train.row_years[mid.context].tolist() == [2000, 2001]
 
     def test_extra_follows_history(self):
         rng = np.random.default_rng(11)
-        train = self.train_panel(rng)
-        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
-        extra = [(train.get("c3", 2001), 1.5), (train.get("c9", 2000), -0.5)]
-        win = bb.lookback_window(train, target, 0.3, w=2, extra=extra)
-        assert win.context[:2] == bb.lookback_window(train, target, 0.3, w=2).context
-        assert win.context[2:] == tuple(extra)
+        train, test = self.panel(rng)
+        target = test.row("c9", 2004)
+        extra_rows = [train.row("c3", 2001), train.row("c9", 2000)]
+        win = bb.lookback_window(train, target, 0.3, w=2, extra_rows=extra_rows,
+                                 extra_labels=[1.5, -0.5])
+        plain = bb.lookback_window(train, target, 0.3, w=2)
+        np.testing.assert_array_equal(win.context[:2], plain.context)
+        np.testing.assert_array_equal(win.context_labels[:2], plain.context_labels)
+        assert win.context[2:].tolist() == extra_rows
+        assert win.context_labels[2:].tolist() == [1.5, -0.5]
 
     def test_no_earlier_season_names_county(self):
         rng = np.random.default_rng(12)
-        train = self.train_panel(rng)
+        train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="c3"):
-            bb.lookback_window(train, train.get("c3", 2001), 0.0, w=3)
-        unknown = CountyYearRecord("c7", 2004, rng.standard_normal((6, 2)), None)
+            bb.lookback_window(train, train.row("c3", 2001), 0.0, w=3)
         with pytest.raises(nc.ContractError, match="c7"):
-            bb.lookback_window(train, unknown, 0.0, w=3)
+            bb.lookback_window(train, test.row("c7", 2004), 0.0, w=3)
 
     def test_window_of_zero_rejected(self):
         rng = np.random.default_rng(13)
-        train = self.train_panel(rng)
-        target = CountyYearRecord("c9", 2004, rng.standard_normal((6, 2)), None)
+        train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="at least 1"):
-            bb.lookback_window(train, target, 0.0, w=0)
+            bb.lookback_window(train, test.row("c9", 2004), 0.0, w=0)
 
 
 class TestWindowTable:
     def test_shared_record_tabulated_once(self):
-        """A record in two windows is one sequence row and one context triple."""
+        """A season in two windows is one sequence row and one context triple."""
         p = tiny_lyra()
         rng = np.random.default_rng(19)
         recs = history_records(rng, n=4, first_year=2001)  # 2001..2004
         pairs = [(rec, rec.yield_label) for rec in recs]
-        windows = [bb.LyraWindow(recs[3], 0.5, tuple(pairs[1:3])),
-                   bb.LyraWindow(recs[2], -0.5, tuple(pairs[0:2]))]
-        xs, (seq_rows, labels, year_rows), samples = bb.window_table(p, windows)
+        ds = dataset_of(recs)
+        windows = row_windows(ds, [oracles.LyraWindow(recs[3], 0.5, tuple(pairs[1:3])),
+                                   oracles.LyraWindow(recs[2], -0.5, tuple(pairs[0:2]))])
+        xs, (seq_rows, labels, year_rows), samples = bb.window_table(p, ds, windows)
 
         # sequences in (county, year) order, 2002 once though both windows use it
         np.testing.assert_array_equal(xs, np.stack([r.features for r in recs]))
@@ -640,7 +663,10 @@ class TestWindowTable:
         np.testing.assert_array_equal(labels, [label for _, label in pairs[:3]] + [-0.5, 0.5])
         np.testing.assert_array_equal(year_rows, [1, 2, 3, 3, 4])
         # samples in window order, histories in context order
-        assert [(s.target, s.history) for s in samples] == [(4, (1, 2)), (3, (0, 1))]
+        target, history, length = samples
+        np.testing.assert_array_equal(target, [4, 3])
+        np.testing.assert_array_equal(history, [[1, 2], [0, 1]])
+        np.testing.assert_array_equal(length, [2, 2])
 
     def test_year_outside_table_rejected(self):
         p = tiny_lyra()  # year table 2000..2006
@@ -648,7 +674,7 @@ class TestWindowTable:
         old = CountyYearRecord("c9", 1999, rng.standard_normal((6, 2)), 0.0)
         target = CountyYearRecord("c9", 2001, rng.standard_normal((6, 2)), 0.0)
         with pytest.raises(nc.ContractError, match="1999"):
-            bb.window_table(p, [bb.LyraWindow(target, 0.0, ((old, 0.0),))])
+            bb.window_table(p, *panel_windows(([old], target, 0.0)))
 
 
 class TestMixedLengthBatch:
@@ -659,24 +685,28 @@ class TestMixedLengthBatch:
         p = tiny_lyra(seed=seed)
         recs = history_records(np.random.default_rng(seed), n=7, first_year=2000)
         pairs = [(rec, rec.yield_label) for rec in recs]
-        return p, [bb.LyraWindow(recs[n], 0.1 * n, tuple(pairs[:n])) for n in lengths]
+        ds = dataset_of(recs)
+        return p, ds, row_windows(ds, [oracles.LyraWindow(recs[n], 0.1 * n, tuple(pairs[:n]))
+                                       for n in lengths])
 
     def test_each_sample_matches_its_solo_run(self):
-        p, windows = self.windows(range(1, 6))  # lengths 1..w at the workloads' w=5
-        xs, triples, samples = bb.window_table(p, windows)
-        preds, betas = bb.lyra_forward(None, p, xs, triples, samples)
-        for i, sample in enumerate(samples):
-            solo_pred, solo_betas = bb.lyra_forward(None, p, xs, triples, [sample])
-            assert len(betas[i]) == len(sample.history) == i + 1
-            np.testing.assert_array_equal(betas[i], solo_betas[0])
+        p, ds, windows = self.windows(range(1, 6))  # lengths 1..w at the workloads' w=5
+        xs, triples, (target, history, length) = bb.window_table(p, ds, windows)
+        preds, betas = bb.lyra_forward(None, p, xs, triples, (target, history, length))
+        for i, n in enumerate(length.tolist()):
+            solo = (target[i:i + 1], history[i:i + 1, :n], length[i:i + 1])
+            solo_pred, solo_betas = bb.lyra_forward(None, p, xs, triples, solo)
+            assert n == i + 1 and betas.shape == (5, 5)
+            np.testing.assert_array_equal(betas[i, :n], solo_betas[0])
+            assert not betas[i, n:].any()  # padded slots get weight exactly 0
             np.testing.assert_allclose(preds.data[i], solo_pred.data[0], rtol=1e-12, atol=0.0)
 
     def test_tape_entries_do_not_grow_with_distinct_lengths(self):
         counts = []
         for lengths in ([3, 3, 3], [1, 2, 3]):
-            p, windows = self.windows(lengths)
+            p, ds, windows = self.windows(lengths)
             tape = nc.ComputeTape()
-            bb.lyra_forward(tape, p, *bb.window_table(p, windows))
+            bb.lyra_forward(tape, p, *bb.window_table(p, ds, windows))
             counts.append(len(tape._records))
         assert counts[0] == counts[1]
 
@@ -786,10 +816,7 @@ class TestGradCheck:
             np.array([0.2, -0.1, 0.4, 0.15]),
             np.array([0, 1, 2, 2]),
         )
-        samples = [
-            bb.LyraSample(target=3, history=(0, 1)),
-            bb.LyraSample(target=2, history=(1,)),
-        ]
+        samples = (np.array([3, 2]), np.array([[0, 1], [1, 1]]), np.array([2, 1]))
         targets = nc.Tensor(np.array([0.25, -0.3]))
 
         def f(tape, store):

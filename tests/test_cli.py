@@ -352,6 +352,23 @@ class TestPiecewise:
         got = (pdir / "predictions.csv").read_text().strip().splitlines()[1:]
         assert got == [want[c] for c in sorted(want)]
 
+    def test_predict_fails_on_a_test_label_read(self, tmp_path, monkeypatch, capsys):
+        """One test-year label read during predict is an audit violation: exit 2."""
+        cfgp = tiny_config(tmp_path, integration="none", refine=False)
+        original = pl.predict_counties
+
+        def leaking(cfg, models, ctx):
+            models.test.records[0].yield_label  # the leak
+            return original(cfg, models, ctx)
+
+        monkeypatch.setattr(pl, "predict_counties", leaking)
+        pdir = tmp_path / "p4"
+        assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 2
+        assert "audit violations 1" in capsys.readouterr().out
+        monkeypatch.setattr(pl, "predict_counties", original)
+        assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 0
+        assert "audit violations 0" in capsys.readouterr().out
+
 
 def csv_rows(path, prefix=""):
     return [line for line in path.read_text().splitlines()[1:]

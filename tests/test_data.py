@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import dataset_of
 from ratar import data
 from ratar.data import CountyYearRecord, Dataset, IngestionError
 from ratar.numcore import ContractError, NumericError
@@ -131,19 +132,23 @@ class TestZscore:
         labels = np.array([r.yield_label for r in normed])
         np.testing.assert_allclose(labels.mean(), 0.0, atol=1e-12)
 
-    def test_apply_without_labels_keeps_raw(self, tmp_path):
+    def test_labels_normalized_on_read(self, tmp_path):
         ds = data.load_dataset(write_csv(tmp_path / "d.csv", FIXTURE_CSV))
         train, _ = data.split_by_test_year(ds, 2002)
         stats = data.zscore_fit(train)
-        kept = data.zscore_apply(train, stats, labels=False)
-        assert kept.get("c1", 2000).yield_label == 5.0
+        normed = data.zscore_apply(train, stats)
+        assert normed._labels is ds._labels  # one label array: no copy holds a label
+        assert normed.get("c1", 2000).yield_label == (5.0 - stats.label_mean) / stats.label_std
+        assert train.get("c1", 2000).yield_label == 5.0
+        np.testing.assert_array_equal(
+            normed.labels(), (train.labels() - stats.label_mean) / stats.label_std)
 
     def test_constant_column_clamped(self):
         recs = [
             data.CountyYearRecord("a", 2000, np.column_stack([np.ones(3), np.arange(3.0)]), 1.0),
             data.CountyYearRecord("a", 2001, np.column_stack([np.ones(3), np.arange(3.0) + 1]), 2.0),
         ]
-        ds = data.Dataset(recs)
+        ds = dataset_of(recs)
         stats = data.zscore_fit(ds)
         assert 0 in stats.clamped_features
         assert stats.feature_std[0] == 1.0
@@ -176,7 +181,7 @@ class TestZscore:
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ContractError):
-            data.zscore_fit(data.Dataset([]))
+            data.zscore_fit(data.Dataset([], np.empty((0, 3, 2)), []))
 
 
 class TestSplit:
@@ -213,7 +218,7 @@ class TestSplit:
 
 
 class TestDatasetIndexes:
-    """county_years and records_of_year against their scan definitions."""
+    """county_years and the (county, year) -> row index against their scan definitions."""
 
     def gappy(self):
         # 4 counties x 2000..2005, given in shuffled order, with some
@@ -224,7 +229,7 @@ class TestDatasetIndexes:
         recs = [data.CountyYearRecord(county, year, rng.standard_normal((3, 2)), 1.0)
                 for county, year in keys]
         order = rng.permutation(len(recs))
-        return data.Dataset([recs[i] for i in order]), set(keys)
+        return dataset_of([recs[i] for i in order]), set(keys)
 
     def test_county_years_matches_scan(self):
         ds, keys = self.gappy()
@@ -232,19 +237,59 @@ class TestDatasetIndexes:
             want = [y for y in ds.years if (county, y) in keys]
             assert ds.county_years(county) == want
 
-    def test_records_of_year_matches_scan(self):
-        ds, _ = self.gappy()
-        for year in ds.years + [1999]:
-            want = [r for r in ds.records if r.year == year]
-            got = ds.records_of_year(year)
-            assert [(r.county, r.year) for r in got] == [(r.county, r.year) for r in want]
-            assert all(a is b for a, b in zip(got, want))
+    def test_row_index_matches_scan(self):
+        ds, keys = self.gappy()
+        assert ds.keys() == sorted(keys) == [(r.county, r.year) for r in ds.records]
+        for key in keys:
+            row = ds.row(*key)
+            assert ds.key(row) == key and ds.get(*key) is ds.records[row]
+            np.testing.assert_array_equal(ds.features[row], ds.get(*key).features)
+        for county in ds.counties + ["absent"]:
+            want = [ds.row(c, y) for c, y in sorted(keys) if c == county]
+            assert ds.county_rows(county).tolist() == want
+        with pytest.raises(ContractError, match="c2,2000"):
+            ds.row("c2", 2000)
 
     def test_lookups_return_new_lists(self):
         ds, _ = self.gappy()
         ds.county_years("c0").clear()
-        ds.records_of_year(2001).clear()
-        assert ds.county_years("c0") and ds.records_of_year(2001)
+        ds.keys().clear()
+        assert ds.county_years("c0") and ds.keys()
+
+
+class TestDatasetConstructor:
+    """The in-memory constructor: one block, keys put in order, inputs checked."""
+
+    def test_rows_put_in_key_order(self):
+        feats = np.arange(12.0).reshape(3, 2, 2)
+        ds = Dataset([("b", 2000), ("a", 2001), ("a", 2000)], feats, [1.0, None, 3.0],
+                     {"a": ["b"], "b": ["a"]})
+        assert ds.keys() == [("a", 2000), ("a", 2001), ("b", 2000)]
+        np.testing.assert_array_equal(ds.features, feats[[2, 1, 0]])
+        assert [r._yield_label for r in ds.records] == [3.0, None, 1.0]
+        assert ds.neighbors == {"a": ["b"], "b": ["a"]} and (ds.T, ds.d) == (2, 2)
+
+    def test_block_in_key_order_is_not_copied(self):
+        feats = np.zeros((2, 3, 1))
+        assert Dataset([("a", 2000), ("a", 2001)], feats, [1.0, 2.0]).features is feats
+
+    @pytest.mark.parametrize("labels, feature, error, match", [
+        ([1.0, float("nan")], 0.0, NumericError, "non-finite values in \\(a,2001\\)"),
+        ([1.0, float("inf")], 0.0, NumericError, "non-finite values in \\(a,2001\\)"),
+        ([1.0, None], float("-inf"), NumericError, "non-finite values in \\(a,2001\\)"),
+        ([1.0], 0.0, IngestionError, "1 labels"),
+    ])
+    def test_bad_input_rejected(self, labels, feature, error, match):
+        feats = np.zeros((2, 3, 1))
+        feats[1, 2, 0] = feature
+        with pytest.raises(error, match=match):
+            Dataset([("a", 2000), ("a", 2001)], feats, labels)
+
+    def test_duplicate_and_shape_rejected(self):
+        with pytest.raises(IngestionError, match="duplicate record for \\('a', 2000\\)"):
+            Dataset([("a", 2000), ("a", 2000)], np.zeros((2, 3, 1)), [1.0, 2.0])
+        with pytest.raises(IngestionError, match="block"):
+            Dataset([("a", 2000), ("a", 2001)], np.zeros((2, 3)), [1.0, 2.0])
 
 
 class TestSyntheticGenerator:
@@ -276,7 +321,7 @@ class TestSyntheticGenerator:
         assert len(truth.rows) == len(ds)
         for rec in ds:
             assert rec.yield_label is not None and rec.yield_label >= 0.0
-            assert rec.neighbors is not None
+        assert list(ds.neighbors) == ds.counties
 
     @staticmethod
     def fitted_year_trend(slope, seed=5):
@@ -354,16 +399,16 @@ class TestSyntheticGenerator:
         assert counts.min() >= 12  # near-balanced assignment
         # neighbors should match the query's cluster at roughly chance rate
         same = total = 0
-        for rec in ds.records_of_year(ds.years[0]):
-            for nb in rec.neighbors:
-                same += clusters[nb] == clusters[rec.county]
+        for county in ds.counties:
+            for nb in ds.neighbors[county]:
+                same += clusters[nb] == clusters[county]
                 total += 1
         rate = same / total
         assert 0.05 < rate < 0.55  # chance is 0.25; far from purity 1.0
 
     def test_adjacency_is_symmetric(self):
         ds, _ = data.generate_synthetic(self.CFG)
-        neigh = {rec.county: set(rec.neighbors) for rec in ds.records_of_year(ds.years[0])}
+        neigh = {county: set(nbs) for county, nbs in ds.neighbors.items()}
         for county, nbs in neigh.items():
             for nb in nbs:
                 assert county in neigh[nb]
@@ -402,8 +447,8 @@ class TestCsvRoundtrip:
         path = tmp_path / "synth.adj.csv"
         data.save_adjacency_csv(ds, str(path))
         adj = data.load_adjacency(str(path))
-        rec = ds.records_of_year(ds.years[0])[0]
-        assert sorted(adj[rec.county]) == sorted(rec.neighbors)
+        county = ds.counties[0]
+        assert sorted(adj[county]) == sorted(ds.neighbors[county])
 
     def test_write_is_deterministic(self, tmp_path):
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
@@ -507,7 +552,7 @@ def reference_load_dataset(path: str) -> Dataset:
     if not order:
         raise IngestionError("no data rows")
 
-    records = []
+    keys, labels, block = [], [], None
     expected_T = None
     for key in order:
         county, year = key
@@ -532,8 +577,12 @@ def reference_load_dataset(path: str) -> Dataset:
         label = g["labels"][0][1] if g["labels"] else None
         if label is not None and label < 0:
             raise IngestionError(f"({county},{year}): negative yield {label}")
-        records.append(CountyYearRecord(county, year, features, label))
-    return Dataset(records)
+        if block is None:
+            block = np.empty((len(order),) + features.shape)
+        block[len(keys)] = features
+        keys.append(key)
+        labels.append(label)
+    return Dataset(keys, block, labels)
 
 
 def record_bits(ds):
@@ -845,28 +894,30 @@ def test_load_peak_memory_within_reference(tmp_path, shape):
     assert traced_peak(data.load_dataset, path) <= reference
 
 
-def reference_zscore_apply(ds, stats, labels=True):
+def reference_zscore_apply(ds, stats):
     """The per-record loop the one-op normalization replaced."""
     out = []
     for rec in ds.records:
         feats = (rec.features - stats.feature_mean) / stats.feature_std
-        if labels and rec.has_label:
+        label = None
+        if rec.has_label:
             label = (rec._yield_label - stats.label_mean) / stats.label_std
-        else:
-            label = rec._yield_label
-        out.append(rec.with_changes(features=feats, yield_label=label))
-    return Dataset(out)
+        out.append(CountyYearRecord(rec.county, rec.year, feats, label))
+    return dataset_of(out)
 
 
 class TestZscoreApplyBits:
-    @pytest.mark.parametrize("labels", [True, False])
-    def test_bit_equal_to_per_record_loop(self, labels):
+    @pytest.mark.parametrize("split", [True, False])
+    def test_bit_equal_to_per_record_loop(self, split):
+        """On the training split (True) or the whole panel (False)."""
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
         train, _ = data.split_by_test_year(ds, max(ds.years))
         stats = data.zscore_fit(train)
-        got = data.zscore_apply(ds, stats, labels=labels)
-        assert record_bits(got) == record_bits(reference_zscore_apply(ds, stats, labels))
-        assert [r.neighbors for r in got] == [r.neighbors for r in ds]
+        source = train if split else ds
+        got = data.zscore_apply(source, stats)
+        assert record_bits(got) == record_bits(reference_zscore_apply(source, stats))
+        assert got.neighbors == source.neighbors
+        np.testing.assert_array_equal(got.rows, source.rows)  # row numbering kept
 
     def test_records_view_one_block(self):
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
@@ -876,4 +927,5 @@ class TestZscoreApplyBits:
 
     def test_empty_dataset(self):
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
-        assert len(data.zscore_apply(data.Dataset([]), data.zscore_fit(ds))) == 0
+        empty = data.Dataset([], np.empty((0, ds.T, ds.d)), [])
+        assert len(data.zscore_apply(empty, data.zscore_fit(ds))) == 0

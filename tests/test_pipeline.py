@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import dataset_of
 from ratar import backbone as bb
 from ratar import pipeline as pl
 from ratar import training as tr
@@ -64,7 +65,7 @@ class TestEvaluate:
     def make_test_split(self):
         recs = [CountyYearRecord(c, 2005, np.zeros((3, 2)), y)
                 for c, y in [("a", 10.0), ("b", 12.0), ("c", 8.0)]]
-        return Dataset(recs)
+        return dataset_of(recs)
 
     def test_perfect_predictions(self):
         test = self.make_test_split()
@@ -90,7 +91,7 @@ class TestEvaluate:
     def test_unlabeled_records_skipped(self):
         recs = [CountyYearRecord("a", 2005, np.zeros((3, 2)), 10.0),
                 CountyYearRecord("b", 2005, np.zeros((3, 2)), None)]
-        report = pl.evaluate({"a": 10.0}, Dataset(recs), seed=0)
+        report = pl.evaluate({"a": 10.0}, dataset_of(recs), seed=0)
         assert report.rmse_mean == 0.0
         assert len(report.seed_results[0].rows) == 1
 
@@ -98,23 +99,28 @@ class TestEvaluate:
 class TestIntegrateContext:
     def setup_method(self):
         ds, _ = generate_synthetic(synth_cfg())
-        train, test = split_by_test_year(ds, 2005)
+        train, self.test_phys = split_by_test_year(ds, 2005)
         self.stats = zscore_fit(train)
-        self.train = zscore_apply(train, self.stats)
-        self.test = zscore_apply(test, self.stats, labels=False)
+        self.train, self.test = split_by_test_year(zscore_apply(ds, self.stats), 2005)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=5, seed=0)
         self.f, _ = tr.train_global(self.train, cfg, H=6, readout_hidden=0)
-        self.labels = {**model_labels(self.f, self.train.records),
-                       **model_labels(self.f, self.test.records)}
+        self.labels = {**model_labels(self.f, self.train), **model_labels(self.f, self.test)}
         self.lyra, _ = tr.train_lyra(self.train, 3, cfg, self.labels, dims=tiny_dims(),
                                      year_max=2005)
 
     def window(self, county, extra=()):
-        return lookback_window(self.train, self.test.get(county, 2005),
-                               self.labels[county, 2005], self.lyra.w, extra)
+        """county's test-year window, then the (record, label) extras."""
+        return lookback_window(self.train, self.test.row(county, 2005),
+                               self.labels[county, 2005], self.lyra.w,
+                               [self.train.row(rec.county, rec.year) for rec, _ in extra],
+                               [label for _, label in extra])
 
     def predict(self, county, extra=()):
-        return lyra_predict(self.lyra, self.stats, [self.window(county, extra)])[0]
+        return lyra_predict(self.lyra, self.stats, self.train,
+                            [self.window(county, extra)])[0]
+
+    def county(self, win):
+        return self.train.key(win.target)[0]
 
     def refined_entries(self, county, n=2):
         entries = []
@@ -132,20 +138,21 @@ class TestIntegrateContext:
                                   integration="context", sigma=0.0, seeds=(0,),
                                   dims=tiny_dims())
         models = pl.SeedModels(seed=0, stats=self.stats, train_n=self.train,
-                               test_n=self.test, f=self.f, lyra=self.lyra)
+                               test_n=self.test, test=self.test_phys, f=self.f, lyra=self.lyra)
         calls = []
 
-        def recording(p, stats, windows):
+        def recording(p, stats, ds, windows):
+            assert ds.features is self.train.features
             calls.append(list(windows))
-            return lyra_predict(p, stats, windows)
+            return lyra_predict(p, stats, ds, windows)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
         out = pl.predict_counties(cfg, models, pl.retrieval_context(cfg, models, {}))
         return out, calls
 
-    @staticmethod
-    def keys(win):
-        return [(rec.county, rec.year, label) for rec, label in win.context]
+    def keys(self, win):
+        return [(*self.train.key(row), label)
+                for row, label in zip(win.context.tolist(), win.context_labels.tolist())]
 
     def test_empty_set_is_identity(self, monkeypatch):
         county = self.train.counties[0]
@@ -159,11 +166,11 @@ class TestIntegrateContext:
         out, calls = self.context_run(monkeypatch, 1.0)
         assert out.fallbacks == set(out.predictions)
         (windows,) = calls
-        assert [win.target.county for win in windows] == sorted(out.predictions)
+        assert [self.county(win) for win in windows] == sorted(out.predictions)
         for win in windows:
-            assert self.keys(win) == self.keys(self.window(win.target.county))
-        for win, want in zip(windows, lyra_predict(self.lyra, self.stats, windows)):
-            assert out.predictions[win.target.county] == want.prediction
+            assert self.keys(win) == self.keys(self.window(self.county(win)))
+        for win, want in zip(windows, lyra_predict(self.lyra, self.stats, self.train, windows)):
+            assert out.predictions[self.county(win)] == want.prediction
 
     def test_extended_window_beta(self):
         county = self.train.counties[0]
@@ -182,7 +189,7 @@ class TestIntegrateContext:
         # normalized, after the county's own window
         out, calls = self.context_run(monkeypatch, 0.0)
         (windows,) = calls
-        by_county = {win.target.county: win for win in windows}
+        by_county = {self.county(win): win for win in windows}
         assert out.refined_sets and any(s.entries for s in out.refined_sets)
         for refined in out.refined_sets:
             want = [(e.record.county, e.record.year, self.stats.normalize_label(e.label_refined))
@@ -191,20 +198,20 @@ class TestIntegrateContext:
                 self.keys(self.window(refined.query)) + want)
             if want:
                 assert refined.query not in out.fallbacks
-        batch = lyra_predict(self.lyra, self.stats, windows)
+        batch = lyra_predict(self.lyra, self.stats, self.train, windows)
         for win, want in zip(windows, batch):
-            assert out.predictions[win.target.county] == want.prediction
+            assert out.predictions[self.county(win)] == want.prediction
         # the refined label reaches the appended embedding: a different
         # label value moves the prediction
         i, win = next((i, win) for i, win in enumerate(windows)
-                      if len(win.context) > len(self.window(win.target.county).context))
-        county = win.target.county
-        rec, label_n = win.context[-1]
-        shifted = replace(win, context=win.context[:-1] + ((rec, label_n + 1.0),))
-        moved = lyra_predict(self.lyra, self.stats, windows[:i] + [shifted] + windows[i + 1:])
+                      if len(win.context) > len(self.window(self.county(win)).context))
+        county = self.county(win)
+        shifted = replace(win, context_labels=win.context_labels + np.eye(len(win.context))[-1])
+        moved = lyra_predict(self.lyra, self.stats, self.train,
+                             windows[:i] + [shifted] + windows[i + 1:])
         assert moved[i].prediction != out.predictions[county]
         rows = [a for a in out.attention if a[0] == county]
-        assert [a[2] for a in rows] == [r.year for r, _ in win.context]
+        assert [a[2] for a in rows] == self.train.row_years[win.context].tolist()
         np.testing.assert_array_equal([a[3] for a in rows], batch[i].beta)
 
 
@@ -214,22 +221,21 @@ class TestRunExperiment:
         ds, _ = generate_synthetic(cfg.synthetic)
         report = pl.run_experiment(cfg, dataset=ds)
 
-        train, test = split_by_test_year(ds, cfg.test_year)
+        train, _ = split_by_test_year(ds, cfg.test_year)
         stats = zscore_fit(train)
-        train_n = zscore_apply(train, stats)
-        test_n = zscore_apply(test, stats, labels=False)
+        train_n, test_n = split_by_test_year(zscore_apply(ds, stats), cfg.test_year)
         tcfg = replace(cfg.train, seed=cfg.seeds[0])
         f, _ = tr.train_global(train_n, tcfg, H=cfg.global_H,
                                readout_hidden=cfg.global_readout_hidden)
-        lyra, _ = tr.train_lyra(train_n, cfg.w, tcfg, model_labels(f, train_n.records),
+        lyra, _ = tr.train_lyra(train_n, cfg.w, tcfg, model_labels(f, train_n),
                                 dims=cfg.dims, year_max=cfg.test_year)
-        test_labels = model_labels(f, test_n.records)
+        test_labels = model_labels(f, test_n)
         rows = {r.county: r.prediction for r in report.seed_results[0].rows}
-        windows = [lookback_window(train_n, test_n.get(county, cfg.test_year),
+        windows = [lookback_window(train_n, test_n.row(county, cfg.test_year),
                                    test_labels[county, cfg.test_year], cfg.w)
                    for county in test_n.counties]
-        for win, want in zip(windows, lyra_predict(lyra, stats, windows)):
-            assert rows[win.target.county] == want.prediction
+        for county, want in zip(test_n.counties, lyra_predict(lyra, stats, train_n, windows)):
+            assert rows[county] == want.prediction
 
     def test_artifacts_written(self, tmp_path):
         cfg = base_config(tmp_path, seeds=(0, 1), sigma=0.1)
@@ -245,6 +251,27 @@ class TestRunExperiment:
         header = (out / "predictions.csv").read_text().splitlines()[0]
         assert header == "seed,county,year,prediction,label,error,fallback"
         assert report.rmse_std >= 0.0
+
+    def test_export_follows_the_first_seed_in_config_order(self, tmp_path):
+        """With seeds (1, 0), the checkpoints' names and parameters and the
+        errors.csv rows all describe seed 1, the run's first seed."""
+        report = pl.run_experiment(base_config(tmp_path, seeds=(1, 0)))
+        out = tmp_path / "run"
+        models = report.first_seed[0]
+        assert models.seed == 1
+        assert sorted(p.name for p in (out / "ckpt").iterdir()) == [
+            "global_seed1.npz", "lyra_seed1.npz"]
+        for name, params in (("global", models.f), ("lyra", models.lyra)):
+            saved, _ = bb.load_checkpoint(str(out / "ckpt" / f"{name}_seed1.npz"))
+            for key in params.store.names():
+                np.testing.assert_array_equal(saved.store.value(key), params.store.value(key))
+        errors = (out / "errors.csv").read_text().splitlines()[1:]
+        by_seed = {sr.seed: [f"{r.county},{r.year},{r.error!r}"
+                             for r in sorted(sr.rows, key=lambda r: r.county)]
+                   for sr in report.seed_results}
+        assert errors == by_seed[1] != by_seed[0]
+        rows = [line.split(",") for line in (out / "predictions.csv").read_text().splitlines()[1:]]
+        assert [f"{c},{y},{e}" for seed, c, y, _p, _l, e, _f in rows if seed == "1"] == errors
 
     def test_attention_rows_sum_to_one(self, tmp_path):
         cfg = base_config(tmp_path, integration="context")
@@ -539,9 +566,9 @@ class TestModelLabels:
         recorded = {"fine_tune": [], "predict": []}
 
         def recording(kind, original):
-            def wrapper(p, windows):
+            def wrapper(p, ds, windows):
                 recorded[kind].extend(windows)
-                return original(p, windows)
+                return original(p, ds, windows)
             return wrapper
 
         monkeypatch.setattr(tr, "window_table", recording("fine_tune", tr.window_table))
@@ -549,7 +576,11 @@ class TestModelLabels:
         pl.predict_counties(cfg, models, ctx)
         assert recorded["fine_tune"] and len(recorded["predict"]) == len(models.test_counties)
         for win in recorded["fine_tune"] + recorded["predict"]:
-            assert win.label == models.model_labels[win.target.county, win.target.year]
+            assert win.label == models.model_labels[models.train_n.key(win.target)]
+
+
+def county_of(models, win):
+    return models.train_n.key(win.target)[0]
 
 
 class TestPredictCalls:
@@ -569,9 +600,10 @@ class TestPredictCalls:
         ctx = pl.retrieval_context(cfg, models, adjacency)
         calls = []
 
-        def recording(p, stats, windows):
+        def recording(p, stats, ds, windows):
+            assert ds is models.train_n
             calls.append((p, list(windows)))
-            return lyra_predict(p, stats, windows)
+            return lyra_predict(p, stats, ds, windows)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
         return models, pl.predict_counties(cfg, models, ctx), calls
@@ -582,11 +614,11 @@ class TestPredictCalls:
         models, out, calls = self.recorded_run(cfg, monkeypatch)
         (p, windows), = calls
         assert p is models.lyra
-        assert [win.target.county for win in windows] == models.test_counties
+        assert [county_of(models, win) for win in windows] == models.test_counties
         for win in windows:
-            solo = lyra_predict(models.lyra, models.stats, [win])[0]
-            np.testing.assert_allclose(out.predictions[win.target.county], solo.prediction,
-                                       rtol=1e-15, atol=0)
+            solo = lyra_predict(models.lyra, models.stats, models.train_n, [win])[0]
+            np.testing.assert_allclose(out.predictions[county_of(models, win)],
+                                       solo.prediction, rtol=1e-15, atol=0)
         assert list(out.predictions) == models.test_counties
         # attention rows: county after county in test order, each summing to 1
         counties = [row[0] for row in out.attention]
@@ -617,15 +649,15 @@ class TestPredictCalls:
             assert [s.query for s in sets] == tuned
             p, windows = calls[0]
             assert p is stack and p.store.copies == len(tuned)
-            assert [win.target.county for win in windows] == tuned
+            assert [county_of(models, win) for win in windows] == tuned
             for k, win in enumerate(windows):
-                solo = lyra_predict(stack.member(k), models.stats, [win])[0]
-                np.testing.assert_allclose(out.predictions[win.target.county],
+                solo = lyra_predict(stack.member(k), models.stats, models.train_n, [win])[0]
+                np.testing.assert_allclose(out.predictions[county_of(models, win)],
                                            solo.prediction, rtol=1e-12, atol=0)
         if out.fallbacks:
             p, windows = calls[-1]
             assert p is models.lyra
-            assert [win.target.county for win in windows] == sorted(out.fallbacks)
+            assert [county_of(models, win) for win in windows] == sorted(out.fallbacks)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finetune_divergence_names_seed_and_counties(self, tmp_path):
@@ -762,3 +794,50 @@ class TestExtrapolationFits:
         assert 0 < len(fits) <= len(set(fitted))
         monkeypatch.setattr(rf, "extrapolate_bias", reference_extrapolate_bias)
         assert run("per_sample") == cached
+
+
+class TestLabelAuditOnBlocks:
+    """Bulk label reads of the block design stay visible to the label audit."""
+
+    @staticmethod
+    def config(tmp_path):
+        return base_config(tmp_path, out_dir=None, seeds=(0, 1),
+                           train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=2, seed=0,
+                                                fine_tune_lr=1e-3, fine_tune_epochs=1))
+
+    @pytest.mark.parametrize("read", ["test_split", "test_rows_of_train_split"])
+    def test_bulk_test_label_read_is_a_violation(self, tmp_path, monkeypatch, read):
+        original = pl.predict_counties
+
+        def leaking(cfg, models, ctx):
+            if read == "test_split":
+                models.test_n.labels()
+            else:  # the same rows, through the train split's view of the block
+                models.train_n.labels(models.test_n.rows)
+            return original(cfg, models, ctx)
+
+        monkeypatch.setattr(pl, "predict_counties", leaking)
+        report = pl.run_experiment(self.config(tmp_path))
+        assert report.audit_violations == 2 * 10  # every test county, on each seed
+
+    def test_no_bulk_array_in_train_models_holds_a_test_label(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path)
+        ds, _ = pl.load(cfg)
+        read_years = []
+        labels = Dataset.labels
+
+        def recording(self, rows=None):
+            rows = self.rows if rows is None else rows
+            read_years.extend(self.row_years[rows].tolist())
+            return labels(self, rows)
+
+        monkeypatch.setattr(Dataset, "labels", recording)
+        label_audit.reset()
+        with label_audit.guard(cfg.test_year):
+            models = pl.train_models(cfg, ds, 0)
+            models.model_labels
+        assert label_audit.violation_count() == 0
+        assert read_years and max(read_years) < cfg.test_year
+        # normalization copies no label array: the splits read the loaded one
+        for split in (models.train_n, models.test_n, models.test):
+            assert split._labels is ds._labels

@@ -4,11 +4,11 @@ retrieval, and the neighboring/embedding baselines."""
 import numpy as np
 import pytest
 
+from oracles import dataset_of
 from ratar import retrieval as rt
 from ratar.backbone import GruParams, global_forward, model_labels
 from ratar.data import (
     CountyYearRecord,
-    Dataset,
     SyntheticConfig,
     generate_synthetic,
     split_by_test_year,
@@ -28,7 +28,7 @@ def toy_dataset(counties, years, T=3, d=2, seed=0):
     for c in counties:
         for y in years:
             recs.append(CountyYearRecord(c, y, rng.standard_normal((T, d)), float(rng.uniform(1, 9))))
-    return Dataset(records=recs)
+    return dataset_of(recs)
 
 
 class TestComputeResiduals:
@@ -40,7 +40,7 @@ class TestComputeResiduals:
         self.params = GruParams.init(d=4, H=5, readout_hidden=0, seed=0)
 
     def test_matches_per_record_definition(self):
-        res = rt.compute_residuals(self.ds, model_labels(self.params, self.ds.records))
+        res = rt.compute_residuals(self.ds, model_labels(self.params, self.ds))
         for rv in res.values():
             assert len(rv.years) == 5
         for rec in self.ds.records:
@@ -51,10 +51,11 @@ class TestComputeResiduals:
 
     def test_constant_offset_algebra(self):
         # r + f(x) must reproduce y exactly, so shifting labels by c shifts r by c
-        preds = model_labels(self.params, self.ds.records)
+        preds = model_labels(self.params, self.ds)
         res = rt.compute_residuals(self.ds, preds)
-        shifted = Dataset(records=[r.with_changes(yield_label=r.yield_label + 2.5)
-                                   for r in self.ds.records])
+        shifted = dataset_of(CountyYearRecord(r.county, r.year, r.features,
+                                              r.yield_label + 2.5)
+                             for r in self.ds.records)
         res2 = rt.compute_residuals(shifted, preds)
         for c in res:
             np.testing.assert_allclose(res2[c].r - res[c].r, 2.5, atol=1e-9)
@@ -62,7 +63,7 @@ class TestComputeResiduals:
     def test_normalized_dataset_physical_units(self):
         stats = zscore_fit(self.ds)
         norm = zscore_apply(self.ds, stats)
-        res_norm = rt.compute_residuals(norm, model_labels(self.params, norm.records),
+        res_norm = rt.compute_residuals(norm, model_labels(self.params, norm),
                                         stats=stats)
         for rec in self.ds.records:
             rv = res_norm[rec.county]
@@ -75,9 +76,9 @@ class TestComputeResiduals:
     def test_unlabeled_county_excluded_with_warning(self):
         recs = [r for r in self.ds.records]
         lone = [CountyYearRecord("zz", y, np.zeros((6, 4)), None) for y in range(2000, 2005)]
-        ds = Dataset(records=recs + lone)
+        ds = dataset_of(recs + lone)
         with pytest.warns(UserWarning, match="zz"):
-            res = rt.compute_residuals(ds, model_labels(self.params, ds.records))
+            res = rt.compute_residuals(ds, model_labels(self.params, ds))
         assert "zz" not in res
 
     def test_same_cluster_pairs_more_similar(self):
@@ -86,7 +87,7 @@ class TestComputeResiduals:
                               seed=11)
         ds, truth = generate_synthetic(cfg)
         params = GruParams.init(d=6, H=6, readout_hidden=0, seed=1)
-        res = rt.compute_residuals(ds, model_labels(params, ds.records))
+        res = rt.compute_residuals(ds, model_labels(params, ds))
         cluster = {c: truth.rows[(c, ds.years[0])].cluster for c in ds.counties}
         within, across = [], []
         counties = sorted(res)

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
+from oracles import dataset_of
 from ratar import numcore as nc
 from ratar import refinement as rf
 from ratar import training as tr
@@ -27,7 +29,6 @@ from ratar.backbone import (
 )
 from ratar.data import (
     CountyYearRecord,
-    Dataset,
     NormStats,
     SyntheticConfig,
     generate_synthetic,
@@ -260,7 +261,7 @@ class TestFlatAdamMatchesPerParameter:
         ds = small_synth()
         base = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=10, seed=0)
         f, _ = tr.train_global(ds, base, H=6, readout_hidden=0)
-        labels = model_labels(f, ds.records)
+        labels = model_labels(f, ds)
         params, _ = tr.train_lyra(ds, 2, base, dims=tiny_dims(), target_labels=labels)
         county = ds.counties[0]
         entries = [rf.RefinedSample(ds.get(county, y), ds.get(county, y).yield_label, 2.0,
@@ -341,7 +342,7 @@ class TestTrainGlobal:
         recs = list(self.ds.records)
         recs.append(CountyYearRecord("zz", 2000, np.zeros((8, 4)), None))
         with pytest.raises(ContractError):
-            tr.train_global(Dataset(recs), self.cfg, H=6, readout_hidden=0)
+            tr.train_global(dataset_of(recs), self.cfg, H=6, readout_hidden=0)
 
 
 class TestTrainGruAtt:
@@ -362,9 +363,10 @@ class TestLyraSampleSpecs:
         recs = []
         for y in range(2000, 2006):
             recs.append(CountyYearRecord("aa", y, np.zeros((3, 2)), 1.0))
-        ds = Dataset(recs)
+        ds = dataset_of(recs)
         windows = self.windows(ds, w=3)
-        by_target = {win.target.year: [rec.year for rec, _ in win.context] for win in windows}
+        by_target = {ds.key(win.target)[1]: ds.row_years[win.context].tolist()
+                     for win in windows}
         assert by_target[2001] == [2000]
         assert by_target[2002] == [2000, 2001]
         assert by_target[2004] == [2001, 2002, 2003]
@@ -373,19 +375,22 @@ class TestLyraSampleSpecs:
     def test_two_year_county_single_sample(self):
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("aa", 2001, np.zeros((3, 2)), 2.0)]
-        windows = tr.training_windows(Dataset(recs), 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
+        ds = dataset_of(recs)
+        windows = tr.training_windows(ds, 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
         assert len(windows) == 1
         win = windows[0]
-        assert win.target.year == 2001 and win.label == 0.25
-        assert [(rec.year, label) for rec, label in win.context] == [(2000, 1.0)]
+        assert ds.key(win.target) == ("aa", 2001) and win.label == 0.25
+        assert ds.row_years[win.context].tolist() == [2000]
+        assert win.context_labels.tolist() == [1.0]
 
     def test_single_year_county_contributes_nothing(self):
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("bb", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("bb", 2001, np.zeros((3, 2)), 2.0)]
-        windows = self.windows(Dataset(recs), w=2)
-        assert [(win.target.county, win.target.year) for win in windows] == [("bb", 2001)]
-        assert [(rec.county, rec.year) for rec, _ in windows[0].context] == [("bb", 2000)]
+        ds = dataset_of(recs)
+        windows = self.windows(ds, w=2)
+        assert [ds.key(win.target) for win in windows] == [("bb", 2001)]
+        assert [ds.key(row) for row in windows[0].context] == [("bb", 2000)]
 
 
 def tiny_dims():
@@ -398,7 +403,7 @@ class TestTrainLyra:
         self.cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=25, seed=0)
         gcfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=30, seed=0)
         f, _ = tr.train_global(self.ds, gcfg, H=6, readout_hidden=0)
-        self.labels = model_labels(f, self.ds.records)
+        self.labels = model_labels(f, self.ds)
 
     def test_w1_loss_decreases(self):
         params, report = tr.train_lyra(self.ds, 1, self.cfg, dims=tiny_dims(),
@@ -446,7 +451,7 @@ class TestFineTune:
         self.stats = identity_stats(4)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=20, seed=0)
         f, _ = tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
-        self.labels = model_labels(f, self.ds.records)
+        self.labels = model_labels(f, self.ds)
         self.params, _ = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(),
                                        target_labels=self.labels)
         self.county = self.ds.counties[0]
@@ -490,9 +495,11 @@ class TestFineTune:
         # gradients -> fine-tuning must leave the copy bitwise unchanged
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
-        windows = [lookback_window(self.ds, e.record, e.record.yield_label, self.params.w)
+        windows = [lookback_window(self.ds, self.ds.row(e.record.county, e.record.year),
+                                   e.record.yield_label, self.params.w)
                    for e in probe.entries]
-        preds = lyra_forward(None, self.params, *window_table(self.params, windows))[0].data
+        preds = lyra_forward(None, self.params,
+                             *window_table(self.params, self.ds, windows))[0].data
         entries = [
             rf.RefinedSample(e.record, e.label, 0.0,
                              self.stats.denormalize_label(preds[i]), True, "ols")
@@ -512,10 +519,10 @@ class TestFineTune:
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
         rec = refined.entries[-1].record
-        window = lookback_window(self.ds, rec, self.labels[rec.county, rec.year],
-                                 self.params.w)
-        before = lyra_predict(self.params, self.stats, [window])[0].prediction
-        after = lyra_predict(tuned, self.stats, [window])[0].prediction
+        window = lookback_window(self.ds, self.ds.row(rec.county, rec.year),
+                                 self.labels[rec.county, rec.year], self.params.w)
+        before = lyra_predict(self.params, self.stats, self.ds, [window])[0].prediction
+        after = lyra_predict(tuned, self.stats, self.ds, [window])[0].prediction
         target = refined.entries[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
@@ -538,19 +545,19 @@ class TestFineTune:
                                       sigma=0.0, entries=entries)
         tables = []
 
-        def recording(p, windows):
-            tables.append(window_table(p, windows))
+        def recording(p, ds, windows):
+            tables.append(window_table(p, ds, windows))
             return tables[-1]
 
         monkeypatch.setattr(tr, "window_table", recording)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=1)
         tr.fine_tune(self.params, [refined], self.ds, cfg, target_labels=self.labels,
                      stats=self.stats)
-        (xs, (seq_rows, _, _), samples), = tables
-        assert len(xs) == 1 + self.params.w and len(samples) == 2
-        assert samples[0].target != samples[1].target
-        assert seq_rows[samples[0].target] == seq_rows[samples[1].target]
-        assert samples[0].history == samples[1].history
+        (xs, (seq_rows, _, _), (target, history, _)), = tables
+        assert len(xs) == 1 + self.params.w and len(target) == 2
+        assert target[0] != target[1]
+        assert seq_rows[target[0]] == seq_rows[target[1]]
+        np.testing.assert_array_equal(history[0], history[1])
 
     def test_sample_without_history_skipped(self):
         rec = self.ds.get(self.county, self.ds.years[0])
@@ -569,7 +576,7 @@ def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
     """The per-county fine-tune loop that the stacked `tr.fine_tune` replaced.
 
     Kept verbatim as the stacked path's oracle: one county's copy, one
-    tape per epoch.
+    tape per epoch, over the record-based window builders of `oracles`.
     """
     cfg.validate()
     tuned = p.copy()
@@ -584,14 +591,15 @@ def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
             continue
-        windows.append(lookback_window(train, rec, target_labels[rec.county, rec.year],
-                                       tuned.w))
+        windows.append(oracles.lookback_window(train, rec,
+                                               target_labels[rec.county, rec.year], tuned.w))
         refined = entry.label_refined
         targets.append(stats.normalize_label(refined) if stats is not None else refined)
     if not windows or cfg.fine_tune_epochs == 0:
         return tuned
 
-    xs, triples, samples = window_table(tuned, windows)
+    xs, triples, samples = oracles.window_table(tuned, windows)
+    samples = oracles.as_arrays(samples)
     targets = np.array(targets, dtype=np.float64)
 
     pooled_const = None
@@ -633,7 +641,7 @@ class TestStackedFineTune:
         self.ds = zscore_apply(raw, self.stats)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=20, seed=0)
         f, _ = tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
-        self.labels = model_labels(f, self.ds.records)
+        self.labels = model_labels(f, self.ds)
         self.params, _ = tr.train_lyra(self.ds, 2, cfg, dims=tiny_dims(),
                                        target_labels=self.labels)
 
@@ -684,10 +692,11 @@ class TestStackedFineTune:
 
         counties = self.ds.counties[:len(sets)]
         year = self.ds.years[-1]
-        windows = [lookback_window(self.ds, self.ds.get(c, year), self.labels[c, year],
+        windows = [lookback_window(self.ds, self.ds.row(c, year), self.labels[c, year],
                                    self.params.w) for c in counties]
-        got = np.array([r.prediction for r in lyra_predict(stack, self.stats, windows)])
-        want = np.array([lyra_predict(ref, self.stats, [win])[0].prediction
+        got = np.array([r.prediction
+                        for r in lyra_predict(stack, self.stats, self.ds, windows)])
+        want = np.array([lyra_predict(ref, self.stats, self.ds, [win])[0].prediction
                          for ref, win in zip(refs, windows)])
         for name in self.params.store.names():
             tuned = stack.store.value(name)
@@ -767,8 +776,8 @@ class TestStepMemory:
         p = LyraParams.init(LyraDims(d=train.d, H=8, Z=8, E=4, attn_hidden=0, mlp_hidden=0),
                             w=5, year_min=train.years[0], year_max=train.years[-1], seed=1)
         windows = tr.training_windows(train, 5, observed_labels(train))
-        xs, triples, samples = window_table(p, windows)  # histories of lengths 1..5
-        ys = np.array([win.target.yield_label for win in windows])
+        xs, triples, samples = window_table(p, train, windows)  # histories of lengths 1..5
+        ys = train.labels([win.target for win in windows])
         return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys
 
     @pytest.mark.parametrize("model", ["global", "lyra"])

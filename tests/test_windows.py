@@ -1,0 +1,111 @@
+"""Row-indexed window tables against the record-based builders they replaced.
+
+`oracles` keeps the earlier `lookback_window`, `window_table` and
+`stack_tables` verbatim.  On the pipeline tests' panel, the tables built
+from row windows must equal theirs bit for bit: sequences, triples and
+sample indices, for training batches, for a padded stack of fine-tune
+tables, and for prediction windows with context extras.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import oracles
+from ratar import backbone as bb
+from ratar import pipeline as pl
+from ratar import training as tr
+from test_pipeline import base_config
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype.kind, a.shape, a.tobytes()
+
+
+def assert_same_table(new, old):
+    """A row-indexed table (xs, triples, samples[, counts]) equals an oracle one."""
+    assert bits(new[0]) == bits(old[0])
+    for got, want in zip(new[1], old[1]):
+        assert bits(got) == bits(np.asarray(want, dtype=got.dtype))
+    for got, want in zip(new[2], oracles.as_arrays(old[2])):
+        assert bits(got) == bits(want)
+    assert new[3:] == old[3:]  # stack_tables' counts
+
+
+@pytest.fixture(scope="module")
+def seed_run(tmp_path_factory):
+    cfg = base_config(tmp_path_factory.mktemp("windows"), out_dir=None, threshold=0.9,
+                      train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
+                                           fine_tune_lr=1e-3, fine_tune_epochs=2))
+    ds, adjacency = pl.load(cfg)
+    models = pl.train_models(cfg, ds, 0)
+    return cfg, models, pl.retrieval_context(cfg, models, adjacency)
+
+
+def test_training_batches(seed_run):
+    _, models, _ = seed_run
+    train, labels, p = models.train_n, models.model_labels, models.lyra
+    new = tr.training_windows(train, p.w, labels)
+    old = [oracles.lookback_window(train, rec, labels[rec.county, rec.year], p.w)
+           for rec in train.records if train.county_years(rec.county)[0] < rec.year]
+    assert len(new) == len(old) == 10 * 4
+    perm = np.random.default_rng(0).permutation(len(new))
+    for lo in range(0, len(new), 16):
+        batch = perm[lo:lo + 16]
+        assert_same_table(bb.window_table(p, train, [new[i] for i in batch]),
+                          oracles.window_table(p, [old[i] for i in batch]))
+
+
+def test_padded_fine_tune_stack(seed_run):
+    cfg, models, ctx = seed_run
+    train, labels, p = models.train_n, models.model_labels, models.lyra
+    sets = [s for s in (pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties)
+            if s.entries]
+    new, old = [], []
+    for sample_set in sets:
+        new.append(tr._tuning_windows(p, sample_set, train, labels, models.stats)[0])
+        old.append([oracles.lookback_window(train, train.get(e.record.county, e.record.year),
+                                            labels[e.record.county, e.record.year], p.w)
+                    for e in sample_set.entries
+                    if train.county_years(e.record.county)[0] < e.record.year])
+    tables = [oracles.window_table(p, w) for w in old]
+    got = bb.stack_tables(p, [bb.window_table(p, train, w) for w in new])
+    want = oracles.stack_tables(p, tables)
+    assert len(set(want[3])) > 1, "tables of different sample counts: some are padded"
+    assert_same_table(got, want)
+
+
+def test_stack_pads_history_width_and_orders_repeated_targets(seed_run):
+    """Tables whose histories are 2, 3, and 3 seasons wide, the narrow one
+    holding a history that does not start at its first triple; the last
+    table repeats one target season with a larger label before a smaller."""
+    _, models, _ = seed_run
+    train, labels, p = models.train_n, models.model_labels, models.lyra
+    groups = [[("c001", 2002, 0.0), ("c000", 2002, 0.0)], [("c001", 2004, 0.0)],
+              [("c004", 2004, 1.0), ("c004", 2004, -1.0)]]
+    new = [[bb.lookback_window(train, train.row(c, y), labels[c, y] + shift, p.w)
+            for c, y, shift in keys] for keys in groups]
+    old = [[oracles.lookback_window(train, train.get(c, y), labels[c, y] + shift, p.w)
+            for c, y, shift in keys] for keys in groups]
+    assert_same_table(bb.stack_tables(p, [bb.window_table(p, train, w) for w in new]),
+                      oracles.stack_tables(p, [oracles.window_table(p, w) for w in old]))
+
+
+def test_prediction_windows_with_context_extras(seed_run):
+    cfg, models, ctx = seed_run
+    train, test, stats, p = models.train_n, models.test_n, models.stats, models.lyra
+    context_cfg = replace(cfg, threshold=0.5, integration="context")
+    new, old = [], []
+    for county in models.test_counties:
+        label = models.model_labels[county, cfg.test_year]
+        entries = pl.retrieve_refine(context_cfg, models, ctx, county)[1].entries
+        extra = [(e.record, stats.normalize_label(e.label_refined)) for e in entries]
+        new.append(bb.lookback_window(train, test.row(county, cfg.test_year), label, p.w,
+                                      [train.row(r.county, r.year) for r, _ in extra],
+                                      [value for _, value in extra]))
+        old.append(oracles.lookback_window(train, test.get(county, cfg.test_year), label,
+                                           p.w, extra))
+    assert max(len(win.context) for win in new) > p.w, "some windows must carry extras"
+    assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
