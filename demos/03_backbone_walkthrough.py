@@ -10,13 +10,13 @@ a single county through the engine's stages with freshly initialized
 parameters, checking the structural invariants as it goes, and ends
 with `lyra_predict`, which makes the same computation in one call from
 a `LyraWindow`.  A window is rows of the panel's one feature block: the
-target season's row plus the context rows (picked by `lookback_window`)
+target season's row plus the context rows (picked by `lookback_windows`)
 with their labels, which `window_table` turns into the engine's inputs.
 """
 import numpy as np
 
 from ratar.backbone import (GruParams, LyraDims, LyraParams, bind_params, embed_batch,
-                            gru_encode, lookback_window, lyra_forward, lyra_predict,
+                            gru_encode, lookback_windows, lyra_forward, lyra_predict,
                             model_labels, window_table)
 from ratar.data import Dataset, NormStats, split_by_test_year
 
@@ -90,14 +90,14 @@ print("head(z_target + z_history) verified")
 # maps the results back to physical units.  A window holds the target's
 # block row, the label fed to the target's own embedding (a run reads it
 # from the per-seed `model_labels` table), and the context rows with
-# their labels; `lookback_window` slices that context from the county's
+# their labels; `lookback_windows` slices that context from the county's
 # run of training rows (its last w seasons), and window_table gathers
 # the window's rows from the block into the same xs, triples and sample
 # as above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
-window = lookback_window(train, test.row("c01", 2003), target_label, p.w)
+(window,) = lookback_windows(train, [test.row("c01", 2003)], [target_label], p.w)
 print(f"look-back window of row {window.target} (c01 2003): rows {window.context.tolist()}, "
       f"years {train.row_years[window.context].tolist()}")
 xs_w, triples_w, samples_w = window_table(p, train, [window])

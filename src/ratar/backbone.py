@@ -18,11 +18,12 @@ longest history and masked so that padded slots get weight exactly 0.
 
 Training, fine-tuning and prediction all describe their work as
 `LyraWindow`s: a target row of the panel's feature block (see
-`data.Dataset`) plus labeled context rows.  `lookback_window` is the one
+`data.Dataset`) plus labeled context rows.  `lookback_windows` is the one
 place a window's context is chosen (the county's last w training seasons
-before the target, then any extras), and `window_table` is the one place
-windows become the engine's inputs: one row gather for `xs`, index arrays
-for the samples.  `lyra_predict` predicts any number of windows as one
+before the target, then any extras), for a whole batch of targets with
+one audited label read; `window_table` is the one place windows become
+the engine's inputs: one row gather for `xs`, index arrays for the
+samples.  `lyra_predict` predicts any number of windows as one
 untraced `lyra_forward` call.
 
 The engine also runs K stacked copies of a model at once (a `ParamStore`
@@ -357,23 +358,37 @@ def window_table(p: LyraParams, ds: Dataset, windows):
     return np.take(ds.features, seq, axis=0), triples, samples
 
 
-def lookback_window(train: Dataset, target: int, label, w: int, extra_rows=(),
-                    extra_labels=()) -> LyraWindow:
-    """The window predicting the season in block row `target`: its county's
-    last w training seasons before it, ascending, with their observed labels,
-    then `extra_rows` with their normalized `extra_labels`.  label is the
-    normalized label fed to the target season's own embedding.  This is the
-    one place a look-back window is chosen.
+def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> list:
+    """One window per block row in `targets`: the one place look-back
+    windows are chosen.
+
+    A target's context is its county's last w training seasons before it,
+    ascending, with their observed labels, then its extras: `extras`, if
+    given, holds per target None or (rows, normalized labels) to append.
+    labels[i] is the normalized label fed to target i's own embedding.
+    The observed labels of every window are one audited read.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
-    county, year = train.key(target)
-    run = train.county_rows(county)
-    run = run[:np.searchsorted(train.row_years[run], year)][-w:]
-    if not len(run):
-        raise ContractError(f"county {county} has no feature history before {year}")
-    return LyraWindow(target, label, np.concatenate([run, np.asarray(extra_rows, np.int64)]),
-                      np.concatenate([train.labels(run), np.asarray(extra_labels, np.float64)]))
+    runs = []
+    for target in targets:
+        county, year = train.key(target)
+        run = train.county_rows(county)
+        run = run[:np.searchsorted(train.row_years[run], year)][-w:]
+        if not len(run):
+            raise ContractError(f"county {county} has no feature history before {year}")
+        runs.append(run)
+    if not runs:
+        return []
+    observed = np.split(train.labels(np.concatenate(runs)), np.cumsum([len(r) for r in runs]))
+    windows = []
+    for target, label, run, values, extra in zip(targets, labels, runs, observed,
+                                                 extras or [None] * len(runs)):
+        extra_rows, extra_labels = extra or ((), ())
+        windows.append(LyraWindow(
+            target, label, np.concatenate([run, np.asarray(extra_rows, np.int64)]),
+            np.concatenate([values, np.asarray(extra_labels, np.float64)])))
+    return windows
 
 
 def stack_tables(p: LyraParams, tables):

@@ -278,6 +278,9 @@ def _cmd_predict(args) -> int:
                if cfg.integration != "none" else None)
         predicted = pl.predict_counties(cfg, models, ctx)
         predictions, fallbacks = predicted.predictions, predicted.fallbacks
+        if label_audit.violation_count():  # a leaking run writes nothing
+            print(f"audit violations {label_audit.violation_count()}; nothing written")
+            return 2
         lines = ["county,year,prediction,fallback"]
         for county in sorted(predictions):
             lines.append(f"{county},{cfg.test_year},{predictions[county]!r},"
@@ -304,7 +307,7 @@ def _cmd_run(args) -> int:
     print(f"rmse {report.rmse_mean:.4f} +/- {report.rmse_std:.4f} "
           f"over {len(report.seed_results)} seeds; "
           f"audit violations {report.audit_violations}")
-    if cfg.out_dir:
+    if cfg.out_dir and report.audit_violations == 0:  # a leaking run writes nothing
         print(f"artifacts -> {cfg.out_dir}")
     return 0 if report.audit_violations == 0 else 2
 

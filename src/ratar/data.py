@@ -69,7 +69,10 @@ class LabelAudit:
     def note_rows(self, years, key_of) -> None:
         """A bulk read of rows of the given years; key_of(i) names row i."""
         if self._guarded and self._allow_depth == 0:
-            self._violations += map(key_of, np.flatnonzero(np.isin(years, list(self._guarded))))
+            hit = np.zeros(len(years), dtype=bool)
+            for year in self._guarded:
+                hit |= years == year
+            self._violations += map(key_of, np.flatnonzero(hit))
 
     def violation_count(self) -> int:
         return len(self._violations)

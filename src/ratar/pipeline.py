@@ -15,15 +15,18 @@ experiment driver and every CLI subcommand are built from the same links:
   the training embeddings) is read from it;
 - `retrieval_context`: residuals, training embeddings, bias matrices
   and the resolved refinement sigma, giving a `RetrievalContext`.  The
-  residuals (and, in embedding mode, the mean embeddings) are held as a
-  `retrieval.ResidualPanel`, whose all-pairs similarity screen is built
-  once per seed on the first query;
+  residuals (and, in embedding mode, the mean embeddings, built on
+  first read) are held as a `retrieval.ResidualPanel`, whose all-pairs
+  similarity table is built once per seed and whose screen is built
+  once per retrieval setting, for every query, on the first query.
+  Every county's bias matrix comes from one `build_bias_matrix` call;
 - `retrieve_refine`: one test county's retrieved samples, with their
   labels refined toward the test year.  Retrieval reads the query's row
   of the screen and computes exact similarities for its short list
   only.  The context keeps each county's results, so runs sharing it
   retrieve and refine a county once;
-- `predict_counties`: retrieve and refine every county, integrate
+- `predict_counties`: retrieve and refine every county, build every
+  county's look-back window in one `lookback_windows` call, integrate
   (per-county fine-tuning or context augmentation), then predict,
   giving `CountyPredictions`;
 - `evaluate`: physical-unit RMSE.
@@ -73,7 +76,7 @@ from .backbone import (
     LyraParams,
     embed_batch,
     gruatt_forward,
-    lookback_window,
+    lookback_windows,
     lyra_predict,
     model_labels,
     save_checkpoint,
@@ -360,7 +363,7 @@ def _training_embeddings(models: SeedModels):
 
 
 def _refinement_setup(models: SeedModels, embeddings):
-    """Per-year regressors and per-county bias matrices (physical units).
+    """Per-year regressors and every county's bias matrix (physical units).
 
     All per-year fits share one standardization, computed over every
     training year's embeddings. Each regressor is evaluated on other
@@ -369,24 +372,22 @@ def _refinement_setup(models: SeedModels, embeddings):
     dimensions that vary little within a year but drift between years.
     """
     train_n, stats = models.train_n, models.stats
-    labels = dict(zip(train_n.keys(), map(stats.denormalize_label, train_n.labels().tolist())))
+    keys = train_n.keys()
+    labels = dict(zip(keys, map(stats.denormalize_label, train_n.labels().tolist())))
     z_mean, z_scale = rf.embedding_moments(np.stack(list(embeddings.values())))
+    by_year = {}  # year -> its keys, in county order
+    for key in keys:
+        by_year.setdefault(key[1], []).append(key)
     regressors = {}
     for year in train_n.years:
-        keys = [key for key in labels if key[1] == year]
-        if len(keys) < 2:
-            warnings.warn(f"year {year} has {len(keys)} records; regressor skipped")
+        year_keys = by_year[year]
+        if len(year_keys) < 2:
+            warnings.warn(f"year {year} has {len(year_keys)} records; regressor skipped")
             continue
-        Z = np.stack([embeddings[key] for key in keys])
-        y = np.array([labels[key] for key in keys])
+        Z = np.stack([embeddings[key] for key in year_keys])
+        y = np.array([labels[key] for key in year_keys])
         regressors[year] = rf.fit_year_regressor(year, Z, y, z_mean=z_mean, z_scale=z_scale)
-    biases = {}
-    for county in train_n.counties:
-        years = train_n.county_years(county)
-        biases[county] = rf.build_bias_matrix(county, regressors,
-                                              {y: embeddings[county, y] for y in years},
-                                              {y: labels[county, y] for y in years})
-    return regressors, biases
+    return regressors, rf.build_bias_matrix(regressors, embeddings, labels)
 
 
 @dataclass
@@ -395,13 +396,13 @@ class RetrievalContext:
 
     `residuals` (a `retrieval.ResidualPanel`) are filled in residual
     mode only.  The training `embeddings` (keyed (county, year)), the
-    per-year `regressors`, the per-county `biases` and the mean
-    embeddings `mean_emb` (a `retrieval.embedding_panel`) need the
-    cross-year model and are empty without one.  `sigma` is the
-    refinement noise scale in physical units.  `retrieved` and `refined`
-    keep what `retrieve_refine` computed from it, so that runs sharing
-    the context (the variants of one driver run) retrieve and refine
-    each county once per setting.
+    per-year `regressors` and the per-county `biases` need the
+    cross-year model and are empty without one; so is `mean_emb`, the
+    mean embeddings as a `retrieval.embedding_panel`, built on first
+    read.  `sigma` is the refinement noise scale in physical units.
+    `retrieved` and `refined` keep what `retrieve_refine` computed from
+    it, so that runs sharing the context (the variants of one driver
+    run) retrieve and refine each county once per setting.
     """
     adjacency: dict
     sigma: float
@@ -409,9 +410,19 @@ class RetrievalContext:
     embeddings: dict = field(default_factory=dict)
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
-    mean_emb: Mapping = field(default_factory=dict)
     retrieved: dict = field(default_factory=dict)
     refined: dict = field(default_factory=dict)
+
+    @cached_property
+    def mean_emb(self) -> Mapping:
+        """Each county's mean training embedding, as a `retrieval.embedding_panel`."""
+        if not self.embeddings:
+            return {}
+        by_county = {}  # embeddings come in (county, year) order
+        for (county, _year), z in self.embeddings.items():
+            by_county.setdefault(county, []).append(z)
+        return rt.embedding_panel({county: np.mean(zs, axis=0)
+                                   for county, zs in by_county.items()})
 
 
 def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
@@ -433,10 +444,6 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
         with _stage(f"refinement_setup seed {models.seed}"):
             ctx.embeddings = _training_embeddings(models)
             ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
-            ctx.mean_emb = rt.embedding_panel({
-                county: np.mean([ctx.embeddings[county, y]
-                                 for y in models.train_n.county_years(county)], axis=0)
-                for county in models.train_n.counties})
     return ctx
 
 
@@ -494,55 +501,55 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                      ctx: RetrievalContext | None) -> CountyPredictions:
     """Retrieve/refine/integrate/predict for every test county.
 
-    Fine-tuning tunes every county with refined samples in one
-    `fine_tune` call, which returns their copies stacked, and predicts
-    them in one `lyra_predict` call on the stack; every county on the
-    seed's shared parameters (no integration, context, fallbacks) is
-    predicted in one call at the end.  Outputs come in `test_counties`
+    Counties are retrieved and refined one by one, then every county's
+    look-back window, with any context extras, comes from one
+    `lookback_windows` call.  Fine-tuning tunes every county with
+    refined samples in one `fine_tune` call, which returns their copies
+    stacked, and predicts them in one `lyra_predict` call on the stack;
+    every county on the seed's shared parameters (no integration,
+    context, fallbacks) is predicted in one call at the end.  Outputs come in `test_counties`
     order.  `ctx` is not read when `cfg.integration` is "none".
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
     tcfg = replace(cfg.train, seed=models.seed)
-    w = models.lyra.w
+    counties = models.test_counties
     out = CountyPredictions()
-    results, shared = {}, []  # shared: windows predicted on models.lyra
-    tuned_windows, tuned_sets = [], []  # one window and sample set per tuned county
-    for county in models.test_counties:
-        target = test_n.row(county, cfg.test_year)
-        label = models.model_labels[county, cfg.test_year]
-        with _stage(f"history county {county}"):
-            window = lookback_window(train_n, target, label, w)
-
-        refined = None
+    tuned = {}  # county -> its refined sample set, for fine-tuning
+    extras = []  # per county: None, or its context extras (rows, normalized labels)
+    for county in counties:
+        extra = None
         if cfg.integration != "none":
             result, refined = retrieve_refine(cfg, models, ctx, county)
             out.retrievals.append(result)
             out.refined_sets.append(refined)
-
-        if refined is None or not refined.entries:
-            if cfg.integration != "none":
+            if not refined.entries:
                 out.fallbacks.add(county)
-            shared.append(window)
-        elif cfg.integration == "finetune":
-            tuned_windows.append(window)
-            tuned_sets.append(refined)
-        else:
-            rows = [train_n.row(e.record.county, e.record.year) for e in refined.entries]
-            labels = [stats.normalize_label(e.label_refined) for e in refined.entries]
-            with _stage(f"integration county {county}"):
-                shared.append(lookback_window(train_n, target, label, w, rows, labels))
+            elif cfg.integration == "finetune":
+                tuned[county] = refined
+            else:
+                extra = ([train_n.row(e.record.county, e.record.year) for e in refined.entries],
+                         [stats.normalize_label(e.label_refined) for e in refined.entries])
+        extras.append(extra)
+    with _stage(f"history seed {models.seed}"):
+        windows = lookback_windows(
+            train_n, [test_n.row(county, cfg.test_year) for county in counties],
+            [models.model_labels[county, cfg.test_year] for county in counties],
+            models.lyra.w, extras)
 
-    if tuned_sets:
-        counties = [test_n.key(win.target)[0] for win in tuned_windows]
-        with _stage(f"fine_tune seed {models.seed} counties {' '.join(counties)}"):
-            tuned = fine_tune(models.lyra, tuned_sets, train_n, tcfg,
+    results = {}
+    if tuned:
+        tuned_windows = [win for county, win in zip(counties, windows) if county in tuned]
+        with _stage(f"fine_tune seed {models.seed} counties {' '.join(tuned)}"):
+            stack = fine_tune(models.lyra, list(tuned.values()), train_n, tcfg,
                               models.model_labels, stats=stats)
-            results.update(zip(counties, lyra_predict(tuned, stats, train_n, tuned_windows)))
+            results.update(zip(tuned, lyra_predict(stack, stats, train_n, tuned_windows)))
+    shared = [(county, win) for county, win in zip(counties, windows) if county not in tuned]
     if shared:
         with _stage(f"predict seed {models.seed}"):
-            results.update(zip((test_n.key(win.target)[0] for win in shared),
-                               lyra_predict(models.lyra, stats, train_n, shared)))
-    for county in models.test_counties:
+            results.update(zip([county for county, _ in shared],
+                               lyra_predict(models.lyra, stats, train_n,
+                                            [win for _, win in shared])))
+    for county in counties:
         pred = results[county]
         out.predictions[county] = pred.prediction
         for year, beta in zip(pred.history_years, pred.beta):
@@ -612,10 +619,11 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     """Execute the full pipeline for every seed and write artifacts.
 
     The test year's labels are guarded for the whole run; the report
-    carries the audit's violation count (which must be zero).
+    carries the audit's violation count (which must be zero).  A run
+    with violations writes no artifacts.
     """
     (report,) = _run_variants(cfg, [(cfg.variant, cfg)], dataset, adjacency)
-    if cfg.out_dir is not None:
+    if cfg.out_dir is not None and report.audit_violations == 0:
         with _stage("export"):
             export_diagnostics(cfg, report)
     return report

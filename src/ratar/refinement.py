@@ -7,22 +7,30 @@ county's label drifts across years and shifts retrieved labels forward:
 1.  For every training year s, fit a small regressor g_s from yearly
     embeddings to labels using all counties observed in year s.
 2.  For a county i, the bias matrix holds B[s, k] = y_i^k - g_s(z_i^k),
-    the gap between year k's label and what year s's map expects.  Row s
-    is one `g_s.predict` over the county's stacked embeddings, computed
-    as one [1 x E] . [E] product per cell rather than one GEMV, so each
-    cell has the same bits as predicting its embedding alone.
+    the gap between year k's label and what year s's map expects.  One
+    `build_bias_matrix` call per seed builds every county's matrix: each
+    g_s makes one `predict` over all counties' stacked embeddings,
+    computed as one [1 x E] . [E] product per row rather than one GEMV,
+    so each cell has the same bits as predicting its embedding alone.
 3.  Each row s is extrapolated with a least-squares line over k to the
     target year, giving a per-sample correction b_hat.  A row's line is
-    fitted once, on first use, and evaluated for every target year.
+    fitted once, on first use, and evaluated for every target year.  It
+    is `np.polyfit`'s degree-1 arithmetic, with the scaled design built
+    once per pattern of valid years and shared by every row and county
+    with that pattern, and one `lstsq` per row.
 4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
-    Gaussian noise, leaving features untouched.
+    Gaussian noise, leaving features untouched; with sigma 0 no
+    generator is made.
 
 Labels here are in physical units throughout.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -149,47 +157,90 @@ class BiasMatrix:
 
     def _fit_row(self, si):
         mask = self.valid[si]
-        xs = np.asarray(self.years, dtype=np.float64)[mask]
         ys = self.B[si][mask]
-        if xs.size == 0:
+        if ys.size == 0:
             return "zero", 0.0, 0.0, 0.0
-        if xs.size == 1:
+        if ys.size == 1:
             return "row_mean", 0.0, 0.0, float(ys[0])
-        # center the year axis before the polynomial fit for conditioning
-        x0 = xs.mean()
-        slope, intercept = np.polyfit(xs - x0, ys, 1)
+        x0, lhs, scale, rcond = _line_design(tuple(np.asarray(self.years)[mask].tolist()))
+        slope, intercept = np.linalg.lstsq(lhs, ys, rcond)[0] / scale
         return "ols", x0, slope, intercept
 
 
-def build_bias_matrix(county, regressors, embeddings, labels):
-    """Assemble the bias matrix for one county.
+@functools.lru_cache(maxsize=256)
+def _line_design(years):
+    """`np.polyfit(xs - x0, ys, 1)`'s scaled design for the years `years`.
 
-    `regressors` maps year -> fitted g_s, `embeddings` maps year -> z
-    vector for this county, `labels` maps year -> physical label.  Row s
-    is one `g_s.predict` over the county's stacked embeddings, B[s] =
-    y - g_s(Z), and each cell has the bits of predicting its embedding
-    alone (see `YearRegressor.predict`).  Rows of years without a
-    regressor stay zero and invalid.
+    Returns (x0, lhs, scale, rcond): the year axis is centred at its mean
+    x0 for conditioning, and a row's fit is `lstsq(lhs, ys, rcond)[0] /
+    scale`, polyfit's own arithmetic, so its line has polyfit's bits.
+    One design serves every row of that valid-year pattern, in every
+    county.  One `lstsq` over many rows at once is not bit-equal to these
+    per-row solves.
     """
-    years = sorted(set(embeddings) & set(labels))
-    if not years:
-        raise ContractError(f"county {county}: no years with both embedding and label")
-    rows = [np.asarray(embeddings[k], dtype=np.float64) for k in years]
-    shapes = sorted({z.shape for z in rows})
-    if len(shapes) > 1 or len(shapes[0]) != 1:
-        raise ContractError(f"county {county}: expected embeddings of one shape [E], got {shapes}")
+    xs = np.asarray(years, dtype=np.float64)
+    x0 = xs.mean()
+    lhs = np.vander(xs - x0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = scale.flags.writeable = False
+    return x0, lhs, scale, len(xs) * np.finfo(np.float64).eps
+
+
+def build_bias_matrix(regressors, embeddings, labels):
+    """Every county's bias matrix, as {county: BiasMatrix}.
+
+    `regressors` maps year -> fitted g_s; `embeddings` maps (county,
+    year) -> z vector and `labels` (county, year) -> physical label.  A
+    county's years are those with both.  Each regressor makes one
+    `g_s.predict` over all counties' stacked embeddings, and row s of a
+    county's matrix is B[s] = y - g_s(Z) over its years; each cell has
+    the bits of predicting its embedding alone (see
+    `YearRegressor.predict`).  Rows of years without a regressor stay
+    zero and invalid.
+    """
+    keys = sorted(set(embeddings) & set(labels))
+    missing = sorted({county for county, _ in chain(embeddings, labels)}
+                     - {county for county, _ in keys})
+    if missing:
+        raise ContractError(f"county {missing[0]}: no years with both embedding and label")
+    if not keys:
+        raise ContractError("no (county, year) with both an embedding and a label")
+    rows = [np.asarray(embeddings[key], dtype=np.float64) for key in keys]
+    if len({z.shape for z in rows}) > 1 or rows[0].ndim != 1:
+        _reject_shapes(keys, rows)
     Z = np.stack(rows)
-    y = np.array([labels[k] for k in years], dtype=np.float64)
-    K = len(years)
-    B = np.zeros((K, K))
-    valid = np.zeros((K, K), dtype=bool)
-    for si, s in enumerate(years):
-        g = regressors.get(s)
-        if g is None:
-            continue
-        B[si] = y - g.predict(Z)
-        valid[si] = True
-    return BiasMatrix(county=county, years=years, B=B, valid=valid)
+    y = np.array([labels[key] for key in keys], dtype=np.float64)
+    years = sorted({year for _, year in keys})
+    fitted = np.array([s in regressors for s in years])
+    B = np.zeros((len(years), len(keys)))
+    for si in np.flatnonzero(fitted):
+        B[si] = y - regressors[years[si]].predict(Z)
+    year_index = {s: si for si, s in enumerate(years)}
+    out = {}
+    start = 0
+    for county, group in groupby(keys, key=itemgetter(0)):
+        county_years = [year for _, year in group]
+        stop = start + len(county_years)
+        idx = [year_index[s] for s in county_years]
+        out[county] = BiasMatrix(county=county, years=county_years,
+                                 B=B[idx, start:stop],
+                                 valid=np.repeat(fitted[idx, None], stop - start, axis=1))
+        start = stop
+    return out
+
+
+def _reject_shapes(keys, rows):
+    """Raise on embeddings not all of one shape [E], naming the first county at fault."""
+    shapes = {}
+    for (county, _), z in zip(keys, rows):
+        shapes.setdefault(county, set()).add(z.shape)
+    for county, found in shapes.items():
+        if len(found) > 1 or len(next(iter(found))) != 1:
+            raise ContractError(
+                f"county {county}: expected embeddings of one shape [E], got {sorted(found)}")
+    widths = sorted(set().union(*shapes.values()))
+    raise ContractError(f"counties' embeddings differ in width: {widths}")
 
 
 @dataclass
@@ -249,7 +300,7 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
         raise ContractError(f"sigma must be nonnegative, got {sigma}")
     if copies < 1:
         raise ContractError(f"copies must be at least 1, got {copies}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if sigma > 0 else None  # no draws without noise
     out = RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
     ordered = sorted(retrieved.samples, key=lambda r: (r.county, r.year))
     for rec in ordered:

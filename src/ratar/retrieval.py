@@ -11,24 +11,28 @@ candidates above a threshold, and collect their records from the most
 recent five training years.
 
 Every county is compared with every other, so the comparison is made
-once per seed for all pairs, then screened per query and confirmed
-exactly:
+once per seed for all pairs, screened once per setting for all queries,
+and confirmed exactly per query:
 
 - `compute_residuals` returns a `ResidualPanel`: the residual vectors,
   plus a county-by-county similarity table built on first use from four
   matrix products over the [counties x years] residual matrix.  That is
   O(N^2 * years) multiply-adds in BLAS, once per seed.
-- A query reads its row of the table.  A candidate that could still
-  clear the threshold and the top-k cut, allowing for the table's
-  rounding, is short-listed; so is every pair whose common-year
-  variance is too small next to its magnitude for the table to be
-  trusted.
-- Only short-listed pairs are computed with the scalar
-  `centered_cosine`, the one exact formula; matching sorts and cuts on
-  those values.  So matches, their order and their similarity bits are
-  the same as comparing every pair with `centered_cosine`, at one scalar
-  call per short-listed pair: about `top_k` per query when it is set,
-  every candidate above the threshold when it is not.
+- The panel's screen for a (threshold, top_k) setting is built on first
+  use, for every query row at once, and kept: the flagged candidates,
+  and a short list of the candidates that could still clear the
+  threshold and the top-k cut, allowing for the table's rounding, plus
+  every pair whose common-year variance is too small next to its
+  magnitude for the table to be trusted.  Its masks are array
+  operations over the whole table, and the per-row top-k cut
+  partitions the rows that need one, a block of rows at a time.
+- A query reads its row of the screen, and only its short-listed pairs
+  are computed with the scalar `centered_cosine`, the one exact
+  formula; matching sorts and cuts on those values.  So matches, their
+  order and their similarity bits are the same as comparing every pair
+  with `centered_cosine`, at one scalar call per short-listed pair:
+  about `top_k` per query when it is set, every candidate above the
+  threshold when it is not.
 
 Two baselines share the result type: geographic adjacency and mean
 yearly-embedding similarity.  The latter is a `retrieve` over an
@@ -56,6 +60,8 @@ _RECENT_YEARS = 5
 # than this below the threshold, or below the top_k-th best screened
 # value, cannot be a match.
 _SCREEN_MARGIN = 1e-9
+# The top_k cut partitions the screened rows this many values at a time.
+_SCREEN_BLOCK = 1 << 16
 # The screen trusts a pair only if, for both of its vectors, the centered
 # sum of squares over the common years exceeds _CANCEL_TOL times their
 # sum of squares about the full-vector mean (bounding the cancellation
@@ -153,7 +159,8 @@ class ResidualPanel(Mapping):
     the matching 0/1 year mask.  `min_common` is the fewest common
     years a pair needs to be compared (0: no such rule).  The
     similarity and common-year-count tables are built on the first
-    `tables()` call and kept; nothing else N x N outlives the build.
+    `tables()` call and kept, and so is each setting's `screen` (two
+    N x N bool masks); nothing else N x N outlives its build.
     """
 
     def __init__(self, vectors, min_common=_MIN_COMMON_YEARS):
@@ -176,6 +183,7 @@ class ResidualPanel(Mapping):
             self.peak2[i] = np.max(rv.r * rv.r)
             self.zero_norm[i] = float(np.linalg.norm(centered)) < _ZERO_NORM
         self._tables = None
+        self._screens = {}
 
     def __getitem__(self, county):
         return self._vectors[county]
@@ -191,6 +199,46 @@ class ResidualPanel(Mapping):
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
+
+    def screen(self, threshold, top_k):
+        """Every query row's (flagged, short-listed) candidates, both N x N bool.
+
+        Built once per (threshold, top_k) setting and kept.  Row q flags the
+        candidates sharing fewer than `min_common` years with county q, or
+        whose vectors are constant; it short-lists every other candidate
+        whose table value is untrusted (NaN), and every trusted one screened
+        within `_SCREEN_MARGIN` of both the threshold and the row's top_k-th
+        best screened value.  A county is neither flagged nor short-listed
+        against itself.
+        """
+        key = (threshold, top_k)
+        if key not in self._screens:
+            self._screens[key] = self._build_screen(threshold, top_k)
+        return self._screens[key]
+
+    def _build_screen(self, threshold, top_k):
+        sim, overlap = self.tables()
+        flagged = overlap < self.min_common
+        flagged |= self.zero_norm
+        np.fill_diagonal(flagged, False)
+        live = ~flagged
+        np.fill_diagonal(live, False)
+        keep = sim > threshold - _SCREEN_MARGIN
+        keep &= live
+        if top_k is not None:
+            # each row's top_k-th best screened value, for the rows holding
+            # more than top_k, in blocks of at most _SCREEN_BLOCK values
+            n = len(keep)
+            cut = np.flatnonzero(np.count_nonzero(keep, axis=1) > top_k)
+            step = max(1, _SCREEN_BLOCK // n)
+            for lo in range(0, len(cut), step):
+                rows = cut[lo:lo + step]
+                block = sim[rows]
+                block[~keep[rows]] = -np.inf
+                block.partition(n - top_k, axis=1)
+                keep[rows] &= sim[rows] >= (block[:, n - top_k] - _SCREEN_MARGIN)[:, None]
+        keep |= live & np.isnan(sim)
+        return flagged, keep
 
     def _build_tables(self):
         """Every pair's centered cosine over its common years, screened.
@@ -276,12 +324,13 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     `compute_residuals`, or an `embedding_panel` for the mean-embedding
     baseline; a plain dict of `ResidualVector`s is wrapped in one first.
 
-    A panel builds its all-pairs screen once (O(N^2) in BLAS); each
-    query then reads its row, with flags from the masks in sorted-county
-    order.  The exact value is computed for every untrusted pair (NaN in
-    the table) and for every trusted candidate screened within the
-    margin of both the threshold and the top_k-th best screened value;
-    `_match` then sorts and cuts on the exact values only.
+    A panel builds its screen once per (threshold, top_k) setting, for
+    every query at once (`ResidualPanel.screen`); each query then reads
+    its row, flags in sorted-county order.  The exact value is computed
+    for the row's short list only (every untrusted pair, and every
+    trusted candidate screened within the margin of both the threshold
+    and the top_k-th best screened value); `_match` then sorts and cuts
+    on the exact values only.
     """
     if top_k is not None and top_k < 1:
         raise ContractError(f"top_k must be at least 1, got {top_k}")
@@ -293,25 +342,14 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     if panel.zero_norm[q]:
         result.flags.append(f"degenerate_query:{query}")
         return result
-    sim, overlap = panel.tables()
-    short = overlap[q] < panel.min_common
-    flagged = short | panel.zero_norm
-    flagged[q] = False
-    for j in np.flatnonzero(flagged):
-        kind = "insufficient_overlap" if short[j] else "zero_norm"
+    flagged, keep = panel.screen(threshold, top_k)
+    _sim, overlap = panel.tables()
+    for j in np.flatnonzero(flagged[q]):
+        kind = "insufficient_overlap" if overlap[q, j] < panel.min_common else "zero_norm"
         result.flags.append(f"{kind}:{panel.counties[j]}")
-    live = ~flagged
-    live[q] = False
-    row = sim[q]
-    keep = live & (row > threshold - _SCREEN_MARGIN)
-    if top_k is not None and top_k < np.count_nonzero(keep):
-        screened = row[keep]
-        kth = np.partition(screened, screened.size - top_k)[screened.size - top_k]
-        keep &= row >= kth - _SCREEN_MARGIN
-    keep |= live & np.isnan(row)
     rq = panel[query]
     sims = []
-    for j in np.flatnonzero(keep):
+    for j in np.flatnonzero(keep[q]):
         county = panel.counties[j]
         sims.append((county, centered_cosine(rq, panel[county])))
     return _match(result, sims, train, threshold, top_k)

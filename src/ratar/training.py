@@ -41,7 +41,7 @@ from .backbone import (
     embed_batch,
     global_forward,
     gruatt_forward,
-    lookback_window,
+    lookback_windows,
     lyra_forward,
     stack_tables,
     window_table,
@@ -247,8 +247,9 @@ def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64)
 def training_windows(train, w: int, labels) -> list:
     """One LyraWindow per training season that has an earlier season.
 
-    Each is the season's `lookback_window`, sliced here from the county's
-    run of rows, so a two-year county still yields one window.  labels
+    Each is the season's look-back window (see `lookback_windows`),
+    sliced here from the county's run of rows, so a two-year county
+    still yields one window.  labels
     maps (county, year) to the label fed to that season's target
     embedding; windows come in (county, year) order.
     """
@@ -327,21 +328,33 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
 
-def _tuning_windows(p: LyraParams, sample_set, train, target_labels, stats):
-    """One county's fine-tune windows and normalized targets; warns on what it skips."""
-    if not sample_set.entries:
-        warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
-    windows, targets = [], []
-    for entry in sample_set.entries:
-        county, year = entry.record.county, entry.record.year
-        row = train.row(county, year)
-        if train.county_years(county)[0] == year:
-            warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
-            continue
-        windows.append(lookback_window(train, row, target_labels[county, year], p.w))
-        refined = entry.label_refined
-        targets.append(stats.normalize_label(refined) if stats is not None else refined)
-    return windows, targets
+def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
+    """Each county's (fine-tune windows, normalized targets), from one
+    `lookback_windows` call over every set; warns on what it skips."""
+    entries, sizes = [], []
+    for sample_set in sample_sets:
+        if not sample_set.entries:
+            warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
+        kept = []
+        for entry in sample_set.entries:
+            county, year = entry.record.county, entry.record.year
+            row = train.row(county, year)
+            if train.county_years(county)[0] == year:
+                warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
+                continue
+            kept.append((row, entry))
+        entries += kept
+        sizes.append(len(kept))
+    windows = lookback_windows(
+        train, [row for row, _ in entries],
+        [target_labels[e.record.county, e.record.year] for _, e in entries], p.w)
+    targets = [e.label_refined if stats is None else stats.normalize_label(e.label_refined)
+               for _, e in entries]
+    out, start = [], 0
+    for size in sizes:
+        out.append((windows[start:start + size], targets[start:start + size]))
+        start += size
+    return out
 
 
 def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
@@ -352,10 +365,10 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     stacked parameters (see `LyraParams.stack`) whose copy k is tuned on
     set k.  Each copy takes a few full-batch MSE steps on its refined
     retrieved samples; the input parameters are never mutated.  Each
-    refined entry with an earlier season is one window: the
-    `lookback_window` of its season, with its `target_labels` entry fed
-    to its own embedding and its normalized refined label as
-    supervision.  An entry without an earlier season is skipped with a
+    refined entry with an earlier season is one window: the look-back
+    window of its season (one `lookback_windows` call for all sets),
+    with its `target_labels` entry fed to its own embedding and its
+    normalized refined label as supervision.  An entry without an earlier season is skipped with a
     warning; a copy whose set is empty or unusable stays an unchanged
     copy.  freeze_encoder pins the sequence encoder and
     attention pooling by reusing their pooled outputs as constants.
@@ -368,9 +381,8 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     cfg.validate()
     tuned = p.stack(len(sample_sets))
     active, windows, targets = [], [], []
-    for k, sample_set in enumerate(sample_sets):
-        copy_windows, copy_targets = _tuning_windows(p, sample_set, train, target_labels,
-                                                     stats)
+    per_set = _tuning_windows(p, sample_sets, train, target_labels, stats)
+    for k, (copy_windows, copy_targets) in enumerate(per_set):
         if copy_windows and cfg.fine_tune_epochs > 0:
             active.append(k)
             windows.append(copy_windows)

@@ -1,17 +1,26 @@
-"""Shared test helpers: datasets from records, and the record-based window
-builders that `backbone` used before windows became block rows.
+"""Shared test helpers: datasets from records, and the window builders
+that `backbone` used before.
 
 `lookback_window`, `window_table` and `stack_tables` below are the earlier
-builders, kept verbatim (with their `LyraSample` and record-based
-`LyraWindow`) as the bitwise oracle for the row-indexed ones; `as_arrays`
-turns their samples into the engine's index arrays, and `row_windows`
-turns their windows into row windows.
+record-based builders, kept verbatim (with their `LyraSample` and
+record-based `LyraWindow`) as the bitwise oracle for the row-indexed ones;
+`as_arrays` turns their samples into the engine's index arrays, and
+`row_windows` turns their windows into row windows.
+
+The per-county and per-query forms that the batched paths replaced are
+kept verbatim as their oracles too: `row_lookback_window` for
+`backbone.lookback_windows`, `query_screen`/`query_retrieve` for the
+per-setting retrieval screen, `county_bias_matrix` for the one-call
+`refinement.build_bias_matrix`, and `reference_extrapolate_bias` (one
+`np.polyfit` per call) for the shared-design row lines.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ratar import refinement as rf
+from ratar import retrieval as rt
 from ratar.backbone import LyraParams
 from ratar.backbone import LyraWindow as RowWindow
 from ratar.data import CountyYearRecord, Dataset
@@ -127,6 +136,25 @@ def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
                       tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
 
 
+def row_lookback_window(train, target: int, label, w: int, extra_rows=(),
+                        extra_labels=()) -> RowWindow:
+    """The window predicting the season in block row `target`: its county's
+    last w training seasons before it, ascending, with their observed labels,
+    then `extra_rows` with their normalized `extra_labels`.  label is the
+    normalized label fed to the target season's own embedding.  This is the
+    one place a look-back window is chosen.
+    """
+    if w < 1:
+        raise ContractError("look-back window must be at least 1")
+    county, year = train.key(target)
+    run = train.county_rows(county)
+    run = run[:np.searchsorted(train.row_years[run], year)][-w:]
+    if not len(run):
+        raise ContractError(f"county {county} has no feature history before {year}")
+    return RowWindow(target, label, np.concatenate([run, np.asarray(extra_rows, np.int64)]),
+                     np.concatenate([train.labels(run), np.asarray(extra_labels, np.float64)]))
+
+
 def stack_tables(p: LyraParams, tables):
     """One engine input over K `window_table`s, for K stacked copies of p.
 
@@ -163,3 +191,91 @@ def stack_tables(p: LyraParams, tables):
         counts.append(len(table_samples))
     return (xs.reshape((K * U,) + xs.shape[2:]),
             (seq_rows.ravel(), labels.ravel(), year_rows.ravel()), samples, counts)
+
+
+def query_screen(panel, query, threshold, top_k):
+    """(flags, short list mask) of one query's row, screened on its own:
+    the per-query screen that `ResidualPanel.screen` replaced, verbatim."""
+    q = panel.index[query]
+    sim, overlap = panel.tables()
+    short = overlap[q] < panel.min_common
+    flagged = short | panel.zero_norm
+    flagged[q] = False
+    flags = []
+    for j in np.flatnonzero(flagged):
+        kind = "insufficient_overlap" if short[j] else "zero_norm"
+        flags.append(f"{kind}:{panel.counties[j]}")
+    live = ~flagged
+    live[q] = False
+    row = sim[q]
+    keep = live & (row > threshold - rt._SCREEN_MARGIN)
+    if top_k is not None and top_k < np.count_nonzero(keep):
+        screened = row[keep]
+        kth = np.partition(screened, screened.size - top_k)[screened.size - top_k]
+        keep &= row >= kth - rt._SCREEN_MARGIN
+    keep |= live & np.isnan(row)
+    return flags, keep
+
+
+def query_retrieve(query, residuals, train, threshold=0.9, top_k=None):
+    """`retrieval.retrieve` as it was before screens were built per setting:
+    each query screens its own row of the table (`query_screen`)."""
+    if top_k is not None and top_k < 1:
+        raise ContractError(f"top_k must be at least 1, got {top_k}")
+    if query not in residuals:
+        raise ContractError(f"no residual vector for query county {query}")
+    panel = (residuals if isinstance(residuals, rt.ResidualPanel)
+             else rt.ResidualPanel(residuals))
+    result = rt.RetrievalResult(query=query)
+    if panel.zero_norm[panel.index[query]]:
+        result.flags.append(f"degenerate_query:{query}")
+        return result
+    result.flags, keep = query_screen(panel, query, threshold, top_k)
+    rq = panel[query]
+    sims = [(panel.counties[j], rt.centered_cosine(rq, panel[panel.counties[j]]))
+            for j in np.flatnonzero(keep)]
+    return rt._match(result, sims, train, threshold, top_k)
+
+
+def county_bias_matrix(county, regressors, embeddings, labels):
+    """One county's bias matrix from year-keyed dicts, one `predict` per
+    regressor year over its own embeddings: `refinement.build_bias_matrix`
+    before it built every county's in one call."""
+    years = sorted(set(embeddings) & set(labels))
+    if not years:
+        raise ContractError(f"county {county}: no years with both embedding and label")
+    rows = [np.asarray(embeddings[k], dtype=np.float64) for k in years]
+    shapes = sorted({z.shape for z in rows})
+    if len(shapes) > 1 or len(shapes[0]) != 1:
+        raise ContractError(f"county {county}: expected embeddings of one shape [E], got {shapes}")
+    Z = np.stack(rows)
+    y = np.array([labels[k] for k in years], dtype=np.float64)
+    K = len(years)
+    B = np.zeros((K, K))
+    valid = np.zeros((K, K), dtype=bool)
+    for si, s in enumerate(years):
+        g = regressors.get(s)
+        if g is None:
+            continue
+        B[si] = y - g.predict(Z)
+        valid[si] = True
+    return rf.BiasMatrix(county=county, years=years, B=B, valid=valid)
+
+
+def reference_extrapolate_bias(bm, source_year, target_year):
+    """extrapolate_bias as it was before row lines were cached: one
+    `np.polyfit` per call."""
+    if source_year not in bm.years:
+        raise ContractError(f"county {bm.county}: year {source_year} not in bias matrix")
+    si = bm.years.index(source_year)
+    mask = bm.valid[si]
+    xs = np.asarray(bm.years, dtype=np.float64)[mask]
+    ys = bm.B[si][mask]
+    if xs.size == 0:
+        return rf.BiasEstimate(0.0, "zero")
+    if xs.size == 1:
+        return rf.BiasEstimate(float(ys[0]), "row_mean")
+    # center the year axis before the polynomial fit for conditioning
+    x0 = xs.mean()
+    slope, intercept = np.polyfit(xs - x0, ys, 1)
+    return rf.BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")

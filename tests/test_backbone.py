@@ -18,7 +18,7 @@ import oracles
 from oracles import dataset_of, row_windows
 from ratar import backbone as bb
 from ratar import numcore as nc
-from ratar.data import CountyYearRecord, NormStats, split_by_test_year
+from ratar.data import CountyYearRecord, Dataset, NormStats, label_audit, split_by_test_year
 
 
 def sig(x):
@@ -591,6 +591,11 @@ class TestLyraPredict:
             assert out.history_years == ds.row_years[win.context].tolist()
 
 
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 class TestLookbackWindow:
     @staticmethod
     def panel(rng):
@@ -607,23 +612,22 @@ class TestLookbackWindow:
         rng = np.random.default_rng(10)
         train, test = self.panel(rng)
         target = test.row("c9", 2004)
-        win = bb.lookback_window(train, target, 0.3, w=2)
+        # a shorter history is taken whole; seasons from the target year on are not
+        win, mid = bb.lookback_windows(train, [target, train.row("c9", 2002)], [0.3, 0.0], w=2)
         assert win.target == target and win.label == 0.3
         assert [train.key(r) for r in win.context] == [("c9", 2002), ("c9", 2003)]
         assert win.context_labels.tolist() == [
             train.get("c9", y).yield_label for y in (2002, 2003)]
-        # a shorter history is taken whole; seasons from the target year on are not
-        mid = bb.lookback_window(train, train.row("c9", 2002), 0.0, w=5)
         assert train.row_years[mid.context].tolist() == [2000, 2001]
+        assert bb.lookback_windows(train, [], [], w=2) == []
 
     def test_extra_follows_history(self):
         rng = np.random.default_rng(11)
         train, test = self.panel(rng)
         target = test.row("c9", 2004)
         extra_rows = [train.row("c3", 2001), train.row("c9", 2000)]
-        win = bb.lookback_window(train, target, 0.3, w=2, extra_rows=extra_rows,
-                                 extra_labels=[1.5, -0.5])
-        plain = bb.lookback_window(train, target, 0.3, w=2)
+        win, plain = bb.lookback_windows(train, [target, target], [0.3, 0.3], w=2,
+                                         extras=[(extra_rows, [1.5, -0.5]), None])
         np.testing.assert_array_equal(win.context[:2], plain.context)
         np.testing.assert_array_equal(win.context_labels[:2], plain.context_labels)
         assert win.context[2:].tolist() == extra_rows
@@ -633,15 +637,63 @@ class TestLookbackWindow:
         rng = np.random.default_rng(12)
         train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="c3"):
-            bb.lookback_window(train, train.row("c3", 2001), 0.0, w=3)
+            bb.lookback_windows(train, [test.row("c9", 2004), train.row("c3", 2001)],
+                                [0.0, 0.0], w=3)
         with pytest.raises(nc.ContractError, match="c7"):
-            bb.lookback_window(train, test.row("c7", 2004), 0.0, w=3)
+            bb.lookback_windows(train, [test.row("c7", 2004)], [0.0], w=3)
 
     def test_window_of_zero_rejected(self):
         rng = np.random.default_rng(13)
         train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="at least 1"):
-            bb.lookback_window(train, test.row("c9", 2004), 0.0, w=0)
+            bb.lookback_windows(train, [test.row("c9", 2004)], [0.0], w=0)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 5])
+    def test_batch_matches_per_target_windows(self, w):
+        """Every window of one batch has the bits of the per-target oracle's,
+        with and without extras, targets repeated and in any order."""
+        rng = np.random.default_rng(14)
+        train, test = self.panel(rng)
+        targets = [test.row("c9", 2004), train.row("c9", 2003), train.row("c9", 2001),
+                   test.row("c9", 2004), train.row("c9", 2002)]
+        labels = rng.standard_normal(len(targets)).tolist()
+        extras = [([train.row("c3", 2001)], [rng.standard_normal()]), None,
+                  ([train.row("c9", 2000), train.row("c3", 2001)], rng.standard_normal(2)),
+                  None, ((), ())]
+        for given in (None, extras):
+            got = bb.lookback_windows(train, targets, labels, w, given)
+            for i, (target, label, win) in enumerate(zip(targets, labels, got)):
+                extra = ((), ()) if given is None or given[i] is None else given[i]
+                want = oracles.row_lookback_window(train, target, label, w, *extra)
+                assert (win.target, win.label) == (want.target, want.label)
+                assert bits(win.context) == bits(want.context)
+                assert bits(win.context_labels) == bits(want.context_labels)
+
+    def test_one_read_counts_one_violation_per_test_row(self):
+        """A batch whose context holds guarded rows is one read that counts
+        each of them once, as the per-target reads did."""
+        rng = np.random.default_rng(15)
+        train, _ = self.panel(rng)
+        targets = [train.row("c9", 2003), train.row("c9", 2002), train.row("c9", 2003)]
+        reads = []
+        original = Dataset.labels
+
+        def recording(self, rows=None):
+            reads.append(rows)
+            return original(self, rows)
+
+        label_audit.reset()
+        with label_audit.guard(2001):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Dataset, "labels", recording)
+                bb.lookback_windows(train, targets, [0.0] * 3, w=2)
+            batched = label_audit.violation_count()
+            for target in targets:
+                oracles.row_lookback_window(train, target, 0.0, w=2)
+            per_target = label_audit.violation_count() - batched
+        label_audit.reset()
+        assert len(reads) == 1
+        assert batched == per_target == 3  # c9 2001 is in all three windows
 
 
 class TestWindowTable:

@@ -365,9 +365,28 @@ class TestPiecewise:
         pdir = tmp_path / "p4"
         assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 2
         assert "audit violations 1" in capsys.readouterr().out
+        assert not (pdir / "predictions.csv").exists()  # a leaking run writes nothing
         monkeypatch.setattr(pl, "predict_counties", original)
         assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 0
         assert "audit violations 0" in capsys.readouterr().out
+        assert (pdir / "predictions.csv").exists()
+
+    def test_run_writes_nothing_on_a_test_label_read(self, tmp_path, monkeypatch, capsys):
+        cfgp = tiny_config(tmp_path, integration="none", refine=False)
+        original = pl.predict_counties
+
+        def leaking(cfg, models, ctx):
+            models.test.records[0].yield_label  # the leak
+            return original(cfg, models, ctx)
+
+        monkeypatch.setattr(pl, "predict_counties", leaking)
+        rdir = tmp_path / "r4"
+        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 2
+        assert "audit violations 1" in capsys.readouterr().out
+        assert not rdir.exists() or not any(rdir.iterdir())
+        monkeypatch.setattr(pl, "predict_counties", original)
+        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 0
+        assert (rdir / "predictions.csv").exists() and (rdir / "report.csv").exists()
 
 
 def csv_rows(path, prefix=""):

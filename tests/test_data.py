@@ -494,6 +494,18 @@ class TestLabelAudit:
         _ = rec.yield_label
         assert data.label_audit.violation_count() == 0
 
+    @pytest.mark.parametrize("guarded", [(), (2003,), (2001, 2004), (1990,), (1990, 2050)])
+    def test_bulk_reads_match_the_isin_form(self, guarded):
+        """note_rows records what `np.isin(years, guarded)` selects, in row order."""
+        years = np.random.default_rng(len(guarded)).integers(2000, 2006, 40)
+        keys = [("c", i) for i in range(len(years))]
+        with data.label_audit.guard(*guarded):
+            data.label_audit.note_rows(years, keys.__getitem__)
+            got = list(data.label_audit._violations)
+        want = [keys[i] for i in np.flatnonzero(np.isin(years, list(guarded)))]
+        assert got == want
+        assert bool(want) == any(2000 <= y < 2006 for y in guarded)
+
 
 # ---------------------------------------------------------------------------
 # ingestion oracle: the row-by-row loader that the chunked one replaced

@@ -9,11 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dataset_of
+from oracles import dataset_of, reference_extrapolate_bias
 from ratar import backbone as bb
 from ratar import pipeline as pl
 from ratar import training as tr
-from ratar.backbone import LyraDims, lookback_window, lyra_predict, model_labels
+from ratar.backbone import LyraDims, lookback_windows, lyra_predict, model_labels
 from ratar.data import (
     CountyYearRecord,
     Dataset,
@@ -110,10 +110,11 @@ class TestIntegrateContext:
 
     def window(self, county, extra=()):
         """county's test-year window, then the (record, label) extras."""
-        return lookback_window(self.train, self.test.row(county, 2005),
-                               self.labels[county, 2005], self.lyra.w,
-                               [self.train.row(rec.county, rec.year) for rec, _ in extra],
-                               [label for _, label in extra])
+        extra_rows = [self.train.row(rec.county, rec.year) for rec, _ in extra]
+        (win,) = lookback_windows(self.train, [self.test.row(county, 2005)],
+                                  [self.labels[county, 2005]], self.lyra.w,
+                                  [(extra_rows, [label for _, label in extra])])
+        return win
 
     def predict(self, county, extra=()):
         return lyra_predict(self.lyra, self.stats, self.train,
@@ -231,9 +232,9 @@ class TestRunExperiment:
                                 dims=cfg.dims, year_max=cfg.test_year)
         test_labels = model_labels(f, test_n)
         rows = {r.county: r.prediction for r in report.seed_results[0].rows}
-        windows = [lookback_window(train_n, test_n.row(county, cfg.test_year),
-                                   test_labels[county, cfg.test_year], cfg.w)
-                   for county in test_n.counties]
+        windows = lookback_windows(
+            train_n, [test_n.row(county, cfg.test_year) for county in test_n.counties],
+            [test_labels[county, cfg.test_year] for county in test_n.counties], cfg.w)
         for county, want in zip(test_n.counties, lyra_predict(lyra, stats, train_n, windows)):
             assert rows[county] == want.prediction
 
@@ -710,7 +711,7 @@ class TestSharedRetrieval:
 
 
 class TestRefinementSetupCalls:
-    """Bias matrices cost one regressor call per row, not one per cell."""
+    """Bias matrices cost one regressor call per regressor year, for all counties."""
 
     def test_one_predict_per_county_and_regressor_year(self, tmp_path, monkeypatch):
         synth = replace(synth_cfg(), n_counties=24, n_years=12)
@@ -732,25 +733,7 @@ class TestRefinementSetupCalls:
         rows = sum(len(set(ctx.regressors) & set(train_n.county_years(c)))
                    for c in train_n.counties)
         assert len(train_n.counties) == 24 and rows == 264
-        assert 0 < len(calls) <= rows
-
-
-def reference_extrapolate_bias(bm, source_year, target_year):
-    """extrapolate_bias as it was before row lines were cached: one fit per call."""
-    if source_year not in bm.years:
-        raise ContractError(f"county {bm.county}: year {source_year} not in bias matrix")
-    si = bm.years.index(source_year)
-    mask = bm.valid[si]
-    xs = np.asarray(bm.years, dtype=np.float64)[mask]
-    ys = bm.B[si][mask]
-    if xs.size == 0:
-        return rf.BiasEstimate(0.0, "zero")
-    if xs.size == 1:
-        return rf.BiasEstimate(float(ys[0]), "row_mean")
-    # center the year axis before the polynomial fit for conditioning
-    x0 = xs.mean()
-    slope, intercept = np.polyfit(xs - x0, ys, 1)
-    return rf.BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
+        assert sorted(calls) == sorted(ctx.regressors) and len(calls) == 11
 
 
 class TestExtrapolationFits:
@@ -774,11 +757,11 @@ class TestExtrapolationFits:
         train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=1, seed=0,
                                fine_tune_lr=1e-3, fine_tune_epochs=1)
         fits = []
-        polyfit = np.polyfit
+        lstsq = np.linalg.lstsq
 
-        def counting(x, y, deg):
-            fits.append(deg)
-            return polyfit(x, y, deg)
+        def counting(a, b, rcond):  # one least-squares solve per fitted row line
+            fits.append(len(b))
+            return lstsq(a, b, rcond)
 
         def run(name):
             out = tmp_path / name
@@ -786,7 +769,7 @@ class TestExtrapolationFits:
                                           train=train, out_dir=str(out)))
             return (out / "refined.csv").read_bytes()
 
-        monkeypatch.setattr(np, "polyfit", counting)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
         cached = run("cached")
         lines = [line.split(",") for line in cached.decode().splitlines()[1:]]
         fitted = [(f[1], f[2]) for f in lines if f[-1] == "ols"]

@@ -5,6 +5,7 @@ refinement determinism."""
 import numpy as np
 import pytest
 
+import oracles
 from ratar import refinement as rf
 from ratar.data import CountyYearRecord
 from ratar.numcore import ContractError
@@ -104,6 +105,17 @@ def toy_regressors(years, coef, intercepts):
     return out
 
 
+def keyed(county, by_year):
+    return {(county, year): value for year, value in by_year.items()}
+
+
+def one_county(county, regressors, embeddings, labels):
+    """build_bias_matrix on one county's year-keyed embeddings and labels."""
+    out = rf.build_bias_matrix(regressors, keyed(county, embeddings), keyed(county, labels))
+    assert list(out) == [county]
+    return out[county]
+
+
 class TestBiasMatrix:
     def test_perfect_regressors_zero_matrix(self):
         years = [2000, 2001, 2002]
@@ -111,7 +123,7 @@ class TestBiasMatrix:
         embeddings = {y: np.array([0.1 * y % 3.0, 0.5]) for y in years}
         labels = {y: float(embeddings[y] @ w) for y in years}
         regs = toy_regressors(years, w, [0.0, 0.0, 0.0])
-        bm = rf.build_bias_matrix("c0", regs, embeddings, labels)
+        bm = one_county("c0", regs, embeddings, labels)
         assert bm.valid.all()
         np.testing.assert_allclose(bm.B, 0.0, atol=1e-12)
 
@@ -125,7 +137,7 @@ class TestBiasMatrix:
             Z = rng.standard_normal((8, 3))
             yv = rng.standard_normal(8)
             regs[s] = rf.fit_year_regressor(s, Z, yv, *rf.embedding_moments(Z))
-        bm = rf.build_bias_matrix("c0", regs, embeddings, labels)
+        bm = one_county("c0", regs, embeddings, labels)
         for si, s in enumerate(years):
             for ki, k in enumerate(years):
                 lhs = bm.B[si, ki] + float(regs[s].predict(embeddings[k][None, :])[0])
@@ -137,10 +149,8 @@ class TestBiasMatrix:
         embeddings = {y: np.array([float(y - 2000)]) for y in years}
         labels = {2000: 3.0, 2001: 4.0}
         regs = toy_regressors(years, w, [0.0, 0.0])
-        base = rf.build_bias_matrix("c0", regs, embeddings, labels)
-        shifted = rf.build_bias_matrix(
-            "c0", regs, embeddings, {2000: 3.0, 2001: 4.0 + 0.7}
-        )
+        base = one_county("c0", regs, embeddings, labels)
+        shifted = one_county("c0", regs, embeddings, {2000: 3.0, 2001: 4.0 + 0.7})
         np.testing.assert_allclose(shifted.B[:, 1] - base.B[:, 1], 0.7, atol=1e-12)
         np.testing.assert_allclose(shifted.B[:, 0], base.B[:, 0], atol=1e-12)
 
@@ -150,13 +160,16 @@ class TestBiasMatrix:
         embeddings = {2000: np.array([0.5]), 2002: np.array([1.5])}
         labels = {2000: 1.0, 2002: 2.0}
         regs = toy_regressors(years, w, [0.0, 0.0, 0.0])
-        bm = rf.build_bias_matrix("c0", regs, embeddings, labels)
+        bm = one_county("c0", regs, embeddings, labels)
         assert bm.years == [2000, 2002]
         assert bm.valid.all()
 
     def test_empty_embeddings_rejected(self):
         with pytest.raises(ContractError):
-            rf.build_bias_matrix("c0", {}, {}, {})
+            rf.build_bias_matrix({}, {}, {})
+        with pytest.raises(ContractError, match="county c1"):
+            rf.build_bias_matrix({}, {("c0", 2000): np.zeros(2), ("c1", 2000): np.zeros(2)},
+                                 {("c0", 2000): 1.0, ("c1", 2001): 1.0})
 
 
 def reference_bias_matrix(county, regressors, embeddings, labels):
@@ -211,7 +224,7 @@ class TestBiasMatrixOracle:
         rng = np.random.default_rng(100 + E)
         for n_years in range(1, 26):
             regs, embeddings, labels = self.random_county(rng, E, n_years)
-            got = rf.build_bias_matrix("c0", regs, embeddings, labels)
+            got = one_county("c0", regs, embeddings, labels)
             self.assert_bit_equal(got, reference_bias_matrix("c0", regs, embeddings, labels))
             for si, s in enumerate(got.years):
                 if s not in regs:
@@ -222,7 +235,7 @@ class TestBiasMatrixOracle:
         regs, embeddings, labels = self.random_county(rng, 5, 3)
         year = sorted(regs)[0]
         one = ({year: embeddings[year]}, {year: labels[year]})
-        got = rf.build_bias_matrix("c0", regs, *one)
+        got = one_county("c0", regs, *one)
         assert got.years == [year] and got.valid.all()
         self.assert_bit_equal(got, reference_bias_matrix("c0", regs, *one))
 
@@ -231,7 +244,7 @@ class TestBiasMatrixOracle:
         regs = toy_regressors([2000, 2001], [1.0, 2.0], [0.0, 0.0])
         embeddings = {2000: np.zeros(shapes[0]), 2001: np.zeros(shapes[1])}
         with pytest.raises(ContractError, match="county c7"):
-            rf.build_bias_matrix("c7", regs, embeddings, {2000: 1.0, 2001: 2.0})
+            one_county("c7", regs, embeddings, {2000: 1.0, 2001: 2.0})
 
 
 class TestExtrapolateBias:
@@ -285,6 +298,113 @@ class TestExtrapolateBias:
         bm = self.matrix_with_row([2001, 2002, 2003], [1.0, 2.0, 3.0])
         with pytest.raises(ContractError):
             rf.extrapolate_bias(bm, 1990, 2004)
+
+
+class TestBatchedBiasMatrices:
+    """One call builds every county's matrix with the per-county bits."""
+
+    @staticmethod
+    def panel(rng, E, n_counties=12):
+        """Shared regressors (some years without one) and counties of 1 to 14 years."""
+        pool = list(range(1995, 2012))
+        shift = rng.standard_normal(E) * 5.0
+        spread = rng.uniform(0.05, 20.0, E)
+        z_mean, z_scale = rf.embedding_moments(shift + spread * rng.standard_normal((50, E)))
+        regs = {}
+        for s in pool:
+            if s % 4 == 1:
+                continue  # a year without a regressor
+            Z = shift + spread * rng.standard_normal((int(rng.integers(2, 12)), E))
+            regs[s] = rf.fit_year_regressor(s, Z, rng.standard_normal(len(Z)) * 30.0 + 150.0,
+                                            z_mean, z_scale)
+        embeddings, labels = {}, {}
+        for i in range(n_counties):
+            n_years = 1 if i == 3 else int(rng.integers(1, 15))
+            for year in rng.choice(pool, size=n_years, replace=False).tolist():
+                embeddings[f"c{i:02d}", year] = shift + spread * rng.standard_normal(E)
+                labels[f"c{i:02d}", year] = float(rng.standard_normal() * 30.0 + 150.0)
+        return regs, embeddings, labels
+
+    @pytest.mark.parametrize("E", [1, 3, 8])
+    def test_matches_per_county_matrices(self, E):
+        rng = np.random.default_rng(300 + E)
+        regs, embeddings, labels = self.panel(rng, E)
+        got = rf.build_bias_matrix(regs, embeddings, labels)
+        counties = sorted({county for county, _ in embeddings})
+        assert list(got) == counties
+        for county in counties:
+            by_year = ({y: z for (c, y), z in embeddings.items() if c == county},
+                       {y: v for (c, y), v in labels.items() if c == county})
+            want = oracles.county_bias_matrix(county, regs, *by_year)
+            TestBiasMatrixOracle.assert_bit_equal(got[county], want)
+            TestBiasMatrixOracle.assert_bit_equal(
+                got[county], reference_bias_matrix(county, regs, *by_year))
+        assert len(got["c03"].years) == 1
+        unfitted = [(c, si) for c, bm in got.items() for si, s in enumerate(bm.years)
+                    if s not in regs]
+        assert unfitted and all(not got[c].valid[si].any() and not got[c].B[si].any()
+                                for c, si in unfitted)
+
+    def test_one_predict_per_regressor_year(self, monkeypatch):
+        rng = np.random.default_rng(310)
+        regs, embeddings, labels = self.panel(rng, 4)
+        calls = []
+        original = rf.YearRegressor.predict
+
+        def counting(self, Z):
+            calls.append((self.year, len(Z)))
+            return original(self, Z)
+
+        monkeypatch.setattr(rf.YearRegressor, "predict", counting)
+        rf.build_bias_matrix(regs, embeddings, labels)
+        years = {year for _, year in embeddings}
+        assert sorted(calls) == [(s, len(embeddings)) for s in sorted(regs) if s in years]
+
+
+class TestSharedDesignLines:
+    """Row lines solved on a shared design keep `np.polyfit`'s bits."""
+
+    def test_random_eleven_year_rows_match_polyfit(self):
+        rng = np.random.default_rng(20)
+        years = list(range(2000, 2011))
+        rows = rng.standard_normal((2000, 11)) * rng.uniform(0.01, 100.0, (2000, 1))
+        rows += rng.standard_normal((2000, 1)) * np.arange(11)
+        bm = rf.BiasMatrix("c", years, rows, np.ones(rows.shape, bool))  # 2000 rows, 11 years
+        for si in range(2000):
+            _, x0, slope, intercept = bm._fit_row(si)
+            xs = np.asarray(years, dtype=np.float64)
+            want = np.polyfit(xs - xs.mean(), rows[si], 1)
+            assert (float(slope).hex(), float(intercept).hex()) == \
+                (float(want[0]).hex(), float(want[1]).hex())
+
+    def test_masks_that_drop_years_match_reference(self):
+        rng = np.random.default_rng(21)
+        rf._line_design.cache_clear()
+        fitted = 0
+        for _ in range(40):
+            years = sorted(rng.choice(np.arange(1990, 2015), size=int(rng.integers(1, 12)),
+                                      replace=False).tolist())
+            K = len(years)
+            valid = rng.random((K, K)) < 0.6
+            valid[rng.random(K) < 0.2] = True  # some rows keep every year
+            bm = rf.BiasMatrix("c", years, rng.standard_normal((K, K)) * 4.0, valid)
+            for s in years:
+                for target in (2015, 2020):
+                    got = rf.extrapolate_bias(bm, s, target)
+                    want = oracles.reference_extrapolate_bias(bm, s, target)
+                    assert (got.value.hex(), got.method) == (want.value.hex(), want.method)
+                    fitted += got.method == "ols"
+        assert fitted > 100 and rf._line_design.cache_info().hits > 0
+
+    def test_design_shared_across_counties(self):
+        rf._line_design.cache_clear()
+        years = [2000, 2001, 2003, 2004]
+        for county in ("a", "b", "c"):
+            bm = rf.BiasMatrix(county, years, np.arange(16.0).reshape(4, 4) ** 1.5,
+                               np.ones((4, 4), bool))
+            for s in years:
+                bm.row_line(s)
+        assert rf._line_design.cache_info().misses == 1
 
 
 def tiny_retrieval(records):
@@ -361,6 +481,23 @@ class TestRefineLabels:
         )
         assert len(out.entries) == 3
         assert len({e.label_refined for e in out.entries}) == 3
+
+    def test_no_generator_without_noise(self, monkeypatch):
+        years = [2000, 2001, 2002]
+        recs = make_records([("a", 2001, 5.0), ("b", 2002, 6.0)])
+        biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
+        want = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.0, seed=0, target_year=2003)
+
+        def refuse(seed):
+            raise AssertionError("a generator was created for sigma 0")
+
+        monkeypatch.setattr(rf.np.random, "default_rng", refuse)
+        got = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.0, seed=0, target_year=2003,
+                               copies=2)
+        assert [e.label_refined for e in got.entries] == \
+            [e.label_refined for e in want.entries for _ in range(2)]
+        with pytest.raises(AssertionError, match="sigma 0"):
+            rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.1, seed=0, target_year=2003)
 
     def test_features_never_altered(self):
         recs = make_records([("a", 2001, 5.0)])

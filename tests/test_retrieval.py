@@ -4,6 +4,7 @@ retrieval, and the neighboring/embedding baselines."""
 import numpy as np
 import pytest
 
+import oracles
 from oracles import dataset_of
 from ratar import retrieval as rt
 from ratar.backbone import GruParams, global_forward, model_labels
@@ -504,6 +505,99 @@ class TestScreenEquivalence:
             got = rt.retrieve(query, rt.embedding_panel(embeddings), train, threshold=0.2,
                               top_k=2)
             assert outcome(got) == outcome(want)
+
+
+class TestPerSettingScreen:
+    """Each setting's screen, built for every query at once, holds the rows
+    that each query screened on its own, and retrieval keeps its bits."""
+
+    @staticmethod
+    def settings(panel, query):
+        """Thresholds at, and within the screen margin of, the query's
+        similarities, and top_k values cutting inside its ranks."""
+        row = panel.tables()[0][panel.index[query]]
+        finite = np.sort(row[np.isfinite(row)])[::-1]
+        picks = finite[[0, 1, 2, len(finite) // 2, -1]] if len(finite) > 2 else finite
+        thresholds = [-2.0, 0.0, 0.5]
+        for value in picks.tolist():
+            thresholds += [value, value - 4e-10, value + 4e-10, value - 2e-9]
+        return [(t, k) for t in thresholds for k in (None, 1, 2, 3, 7)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residual_rows_match_per_query_screens(self, seed):
+        residuals = random_residuals(seed)
+        train = toy_dataset(sorted(residuals), range(2000, 2012))
+        panel = rt.ResidualPanel(residuals)
+        sim = panel.tables()[0]
+        assert np.isnan(sim).any(), "untrusted pairs are screened"
+        flagged_seen = 0
+        for query in sorted(residuals):
+            q = panel.index[query]
+            for i, (threshold, top_k) in enumerate(self.settings(panel, query)):
+                flagged, keep = panel.screen(threshold, top_k)
+                flags, want_keep = oracles.query_screen(panel, query, threshold, top_k)
+                assert np.array_equal(keep[q], want_keep), (query, threshold, top_k)
+                if not panel.zero_norm[q]:
+                    assert [c for f in flags for c in [f.split(":", 1)[1]]] == \
+                        [panel.counties[j] for j in np.flatnonzero(flagged[q])]
+                    flagged_seen += len(flags)
+                if i % 6:
+                    continue  # same rows, same code after them: spot-check the results
+                got = rt.retrieve(query, panel, train, threshold=threshold, top_k=top_k)
+                want = oracles.query_retrieve(query, residuals, train, threshold, top_k)
+                assert outcome(got) == outcome(want), (query, threshold, top_k)
+        assert flagged_seen > 0
+
+    def test_ties_at_the_top_k_cut(self):
+        """Screened values tied at, and within the margin of, the top_k-th best."""
+        panel = rt.ResidualPanel(random_residuals(4))
+        sim, overlap = panel.tables()
+        sim, ties = sim.copy(), {}
+        for query in ("c003", "c010", "big1"):
+            q = panel.index[query]
+            _, live = oracles.query_screen(panel, query, -2.0, None)
+            ranked = [j for j in np.argsort(-np.nan_to_num(sim[q], nan=-9.0)) if live[j]]
+            tie = ties[query] = float(sim[q, ranked[2]])
+            sim[q, ranked[1:5]] = tie  # four ranks tied
+            sim[q, ranked[5]] = tie - 5e-10  # within the margin of the tie
+            sim[q, ranked[6]] = tie - 2e-9  # outside it
+            sim[q, ranked[7]] = np.nan  # untrusted
+        panel._tables = (sim, overlap)
+        for query in ("c003", "c010", "big1"):
+            q = panel.index[query]
+            for threshold in (-2.0, ties[query], ties[query] - 5e-10, 0.5):
+                for top_k in (1, 2, 3, 4, 5, 6, 7, None):
+                    _, keep = panel.screen(threshold, top_k)
+                    want = oracles.query_screen(panel, query, threshold, top_k)[1]
+                    assert np.array_equal(keep[q], want), (query, threshold, top_k)
+
+    @pytest.mark.parametrize("width", [5])
+    def test_embedding_rows_match_per_query_screens(self, width):
+        embeddings = random_rows(width, width)
+        train = toy_dataset(sorted(embeddings), range(2000, 2008))
+        panel = rt.embedding_panel(embeddings)
+        for query in sorted(embeddings):
+            for threshold, top_k in self.settings(panel, query)[::6]:
+                got = rt.retrieve(query, panel, train, threshold=threshold, top_k=top_k)
+                want = oracles.query_retrieve(query, panel, train, threshold, top_k)
+                assert outcome(got) == outcome(want), (query, threshold, top_k)
+
+    def test_built_once_per_setting(self, monkeypatch):
+        residuals = random_residuals(5)
+        train = toy_dataset(sorted(residuals), range(2000, 2012))
+        panel = rt.ResidualPanel(residuals)
+        builds = []
+        original = rt.ResidualPanel._build_screen
+
+        def counting(self, threshold, top_k):
+            builds.append((threshold, top_k))
+            return original(self, threshold, top_k)
+
+        monkeypatch.setattr(rt.ResidualPanel, "_build_screen", counting)
+        for setting in [(0.5, 1), (0.5, None), (0.5, 1), (0.2, 1)]:
+            for query in sorted(residuals):
+                rt.retrieve(query, panel, train, *setting)
+        assert builds == [(0.5, 1), (0.5, None), (0.2, 1)]
 
 
 class TestScreenCost:

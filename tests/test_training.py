@@ -21,7 +21,7 @@ from ratar.backbone import (
     LyraParams,
     embed_batch,
     global_forward,
-    lookback_window,
+    lookback_windows,
     lyra_forward,
     lyra_predict,
     model_labels,
@@ -495,9 +495,9 @@ class TestFineTune:
         # gradients -> fine-tuning must leave the copy bitwise unchanged
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
-        windows = [lookback_window(self.ds, self.ds.row(e.record.county, e.record.year),
-                                   e.record.yield_label, self.params.w)
-                   for e in probe.entries]
+        windows = lookback_windows(
+            self.ds, [self.ds.row(e.record.county, e.record.year) for e in probe.entries],
+            [e.record.yield_label for e in probe.entries], self.params.w)
         preds = lyra_forward(None, self.params,
                              *window_table(self.params, self.ds, windows))[0].data
         entries = [
@@ -519,8 +519,8 @@ class TestFineTune:
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
         rec = refined.entries[-1].record
-        window = lookback_window(self.ds, self.ds.row(rec.county, rec.year),
-                                 self.labels[rec.county, rec.year], self.params.w)
+        (window,) = lookback_windows(self.ds, [self.ds.row(rec.county, rec.year)],
+                                     [self.labels[rec.county, rec.year]], self.params.w)
         before = lyra_predict(self.params, self.stats, self.ds, [window])[0].prediction
         after = lyra_predict(tuned, self.stats, self.ds, [window])[0].prediction
         target = refined.entries[-1].label_refined
@@ -692,8 +692,8 @@ class TestStackedFineTune:
 
         counties = self.ds.counties[:len(sets)]
         year = self.ds.years[-1]
-        windows = [lookback_window(self.ds, self.ds.row(c, year), self.labels[c, year],
-                                   self.params.w) for c in counties]
+        windows = lookback_windows(self.ds, [self.ds.row(c, year) for c in counties],
+                                   [self.labels[c, year] for c in counties], self.params.w)
         got = np.array([r.prediction
                         for r in lyra_predict(stack, self.stats, self.ds, windows)])
         want = np.array([lyra_predict(ref, self.stats, self.ds, [win])[0].prediction

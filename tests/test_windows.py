@@ -63,9 +63,9 @@ def test_padded_fine_tune_stack(seed_run):
     train, labels, p = models.train_n, models.model_labels, models.lyra
     sets = [s for s in (pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties)
             if s.entries]
-    new, old = [], []
+    new = [windows for windows, _ in tr._tuning_windows(p, sets, train, labels, models.stats)]
+    old = []
     for sample_set in sets:
-        new.append(tr._tuning_windows(p, sample_set, train, labels, models.stats)[0])
         old.append([oracles.lookback_window(train, train.get(e.record.county, e.record.year),
                                             labels[e.record.county, e.record.year], p.w)
                     for e in sample_set.entries
@@ -85,8 +85,9 @@ def test_stack_pads_history_width_and_orders_repeated_targets(seed_run):
     train, labels, p = models.train_n, models.model_labels, models.lyra
     groups = [[("c001", 2002, 0.0), ("c000", 2002, 0.0)], [("c001", 2004, 0.0)],
               [("c004", 2004, 1.0), ("c004", 2004, -1.0)]]
-    new = [[bb.lookback_window(train, train.row(c, y), labels[c, y] + shift, p.w)
-            for c, y, shift in keys] for keys in groups]
+    new = [bb.lookback_windows(train, [train.row(c, y) for c, y, _ in keys],
+                               [labels[c, y] + shift for c, y, shift in keys], p.w)
+           for keys in groups]
     old = [[oracles.lookback_window(train, train.get(c, y), labels[c, y] + shift, p.w)
             for c, y, shift in keys] for keys in groups]
     assert_same_table(bb.stack_tables(p, [bb.window_table(p, train, w) for w in new]),
@@ -97,15 +98,17 @@ def test_prediction_windows_with_context_extras(seed_run):
     cfg, models, ctx = seed_run
     train, test, stats, p = models.train_n, models.test_n, models.stats, models.lyra
     context_cfg = replace(cfg, threshold=0.5, integration="context")
-    new, old = [], []
-    for county in models.test_counties:
-        label = models.model_labels[county, cfg.test_year]
+    counties = models.test_counties
+    labels = [models.model_labels[county, cfg.test_year] for county in counties]
+    extras, old = [], []
+    for county, label in zip(counties, labels):
         entries = pl.retrieve_refine(context_cfg, models, ctx, county)[1].entries
         extra = [(e.record, stats.normalize_label(e.label_refined)) for e in entries]
-        new.append(bb.lookback_window(train, test.row(county, cfg.test_year), label, p.w,
-                                      [train.row(r.county, r.year) for r, _ in extra],
-                                      [value for _, value in extra]))
+        extras.append(([train.row(r.county, r.year) for r, _ in extra],
+                       [value for _, value in extra]))
         old.append(oracles.lookback_window(train, test.get(county, cfg.test_year), label,
                                            p.w, extra))
+    new = bb.lookback_windows(train, [test.row(county, cfg.test_year) for county in counties],
+                              labels, p.w, extras)
     assert max(len(win.context) for win in new) > p.w, "some windows must carry extras"
     assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
