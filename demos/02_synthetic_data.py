@@ -27,11 +27,13 @@ ds, truth = generate_synthetic(cfg)
 
 print(f"panel: {cfg.n_counties} counties x {cfg.n_years} years, "
       f"T={cfg.T} days, d={cfg.d} weather channels")
-print(f"records: {len(ds.records)}")
+print(f"records: {len(ds)}")
 
-rec = ds.records[0]
-print(f"\nfirst record: county={rec.county} year={rec.year} "
-      f"features {rec.features.shape} yield {rec.yield_label:.3f}")
+# Labels are read in bulk, in row order, through the audited `labels()`.
+labels = ds.labels()
+county, year = ds.key(0)
+print(f"\nfirst record: county={county} year={year} "
+      f"features {ds.features[0].shape} yield {labels[0]:.3f}")
 
 # ---------------------------------------------------------------------------
 # Hidden structure: clusters share a yield response function.
@@ -47,10 +49,10 @@ for cl in sorted(clusters):
 # Counties in the same cluster respond to weather the same way, so their
 # *residuals* (yield minus what a pooled model explains) co-move. Check
 # the raw version of that claim: correlate de-meaned yields across years.
-years = sorted({r.year for r in ds.records})
+years = ds.years
 by_county = {}
-for r in ds.records:
-    by_county.setdefault(r.county, {})[r.year] = r.yield_label
+for (county, year), y in zip(ds.keys(), labels.tolist()):
+    by_county.setdefault(county, {})[year] = y
 mat = np.array([[by_county[c][y] for y in years] for c in sorted(by_county)])
 mat = mat - mat.mean(axis=1, keepdims=True)
 mat = mat - mat.mean(axis=0, keepdims=True)
@@ -82,6 +84,6 @@ for y, t in zip(years, trend):
 # a run reads them only when it evaluates, under the label audit.
 
 train, test = split_by_test_year(ds, test_year=years[-1])
-print(f"\ntrain records: {len(train.records)} (years {years[0]}..{years[-2]})")
-print(f"test records:  {len(test.records)} (year {years[-1]})")
-assert all(r.year != years[-1] for r in train.records)
+print(f"\ntrain records: {len(train)} (years {years[0]}..{years[-2]})")
+print(f"test records:  {len(test)} (year {years[-1]})")
+assert years[-1] not in train.years

@@ -366,28 +366,32 @@ def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> li
     ascending, with their observed labels, then its extras: `extras`, if
     given, holds per target None or (rows, normalized labels) to append.
     labels[i] is the normalized label fed to target i's own embedding.
-    The observed labels of every window are one audited read.
+    Targets may be rows of `train` or of another split of its block.  The
+    observed labels of every window are one audited read, and a window
+    without extras holds slices of `train.rows` and of that read.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
-    runs = []
-    for target in targets:
-        county, year = train.key(target)
-        run = train.county_rows(county)
-        run = run[:np.searchsorted(train.row_years[run], year)][-w:]
-        if not len(run):
-            raise ContractError(f"county {county} has no feature history before {year}")
-        runs.append(run)
-    if not runs:
-        return []
-    observed = np.split(train.labels(np.concatenate(runs)), np.cumsum([len(r) for r in runs]))
+    targets = np.asarray(targets, dtype=np.int64)
+    # A target's earlier seasons end where it sorts into train.rows, and
+    # start no earlier than its county's run or w seasons back.
+    stop = np.searchsorted(train.rows, targets)
+    start = np.maximum(stop - w, train.run_starts([train.key(t)[0] for t in targets.tolist()]))
+    for i in np.flatnonzero(start >= stop)[:1]:
+        county, year = train.key(targets[i])
+        raise ContractError(f"county {county} has no feature history before {year}")
+    length = stop - start
+    at = np.cumsum(length) - length  # each window's slice of the one label read
+    observed = train.labels(train.rows[np.repeat(start - at, length) + np.arange(length.sum())])
     windows = []
-    for target, label, run, values, extra in zip(targets, labels, runs, observed,
-                                                 extras or [None] * len(runs)):
-        extra_rows, extra_labels = extra or ((), ())
-        windows.append(LyraWindow(
-            target, label, np.concatenate([run, np.asarray(extra_rows, np.int64)]),
-            np.concatenate([values, np.asarray(extra_labels, np.float64)])))
+    for target, label, lo, hi, i, extra in zip(targets.tolist(), labels, start.tolist(),
+                                               stop.tolist(), at.tolist(),
+                                               extras or [None] * len(targets)):
+        context, values = train.rows[lo:hi], observed[i:i + hi - lo]
+        if extra:
+            context = np.concatenate([context, np.asarray(extra[0], np.int64)])
+            values = np.concatenate([values, np.asarray(extra[1], np.float64)])
+        windows.append(LyraWindow(target, label, context, values))
     return windows
 
 

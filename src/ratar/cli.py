@@ -203,7 +203,7 @@ def _cmd_synth(args) -> int:
     save_dataset_csv(ds, os.path.join(args.out, "data.csv"))
     save_adjacency_csv(ds, os.path.join(args.out, "adjacency.csv"))
     save_truth_csv(truth, os.path.join(args.out, "truth.csv"))
-    print(f"wrote {len(ds.records)} county-year records "
+    print(f"wrote {len(ds)} county-year records "
           f"({cfg.n_counties} counties x {cfg.n_years} years) to {args.out}")
     return 0
 
@@ -248,7 +248,7 @@ def _cmd_retrieve(args) -> int:
     results = [pl.retrieve_refine(cfg, models, ctx, county)[0]
                for county in _query_counties(args, models)]
     path = os.path.join(out, "retrieval.csv")
-    rt.save_retrieval_csv(results, path)
+    rt.save_retrieval_csv(results, models.train_n, path)
     total = sum(len(r.samples) for r in results)
     print(f"retrieved {total} samples across {len(results)} queries -> {path}")
     return 0
@@ -262,7 +262,7 @@ def _cmd_refine(args) -> int:
     refined_sets = [pl.retrieve_refine(cfg, models, ctx, county)[1]
                     for county in _query_counties(args, models)]
     rf.save_bias_csv(ctx.biases, os.path.join(out, "bias.csv"))
-    rf.save_refined_csv(refined_sets, os.path.join(out, "refined.csv"))
+    rf.save_refined_csv(refined_sets, models.train_n, os.path.join(out, "refined.csv"))
     total = sum(len(s.entries) for s in refined_sets)
     print(f"refined {total} samples across {len(refined_sets)} queries -> {out}")
     return 0

@@ -4,10 +4,11 @@ A `Dataset` is one [records x T x d] feature block in (county, year)
 order with a (county, year) -> row index: a county's seasons are a run of
 rows, splits are row subsets, and normalization is one array operation.
 
-Labels are guarded by a module-level access audit: every read of a season's
-yield label, single or in bulk, is reported to `label_audit`, and reads of a
-guarded (test) year outside an explicit allow() scope count as violations.
-Evaluation code opens an allow() scope; nothing else should.
+Labels are guarded by a module-level access audit: every label read goes
+through `Dataset.labels`, which reports the years of the rows it reads to
+`label_audit`, and reads of a guarded (test) year outside an explicit
+allow() scope count as violations.  Evaluation code opens an allow()
+scope; nothing else should.
 
 CSV ingestion (`load_dataset`) parses a chunk of rows at a time: each
 chunk is transposed into columns, and its numbers are converted with
@@ -62,10 +63,6 @@ class LabelAudit:
         finally:
             self._allow_depth -= 1
 
-    def note(self, county: str, year: int) -> None:
-        if year in self._guarded and self._allow_depth == 0:
-            self._violations.append((county, year))
-
     def note_rows(self, years, key_of) -> None:
         """A bulk read of rows of the given years; key_of(i) names row i."""
         if self._guarded and self._allow_depth == 0:
@@ -90,19 +87,14 @@ label_audit = LabelAudit()
 class CountyYearRecord:
     """One county-year: a view of its row [T x d] of a Dataset's block, and its label.
 
-    The label is exposed only through the audited `yield_label` property;
-    `has_label` answers presence without counting as a read.
+    The label is read through `Dataset.labels`, the audited path; `has_label`
+    answers presence without counting as a read.
     """
 
     county: str
     year: int
     features: np.ndarray
     _yield_label: float | None = field(repr=False)
-
-    @property
-    def yield_label(self):
-        label_audit.note(self.county, self.year)
-        return self._yield_label
 
     @property
     def has_label(self) -> bool:
@@ -186,6 +178,12 @@ class Dataset:
         start, stop = self._runs.get(county, (0, 0))
         return self.rows[start:stop]
 
+    def run_starts(self, counties) -> np.ndarray:
+        """Per county, the position in `rows` of its first season (len(self)
+        for a county with none here)."""
+        none = (len(self.rows),)
+        return np.array([self._runs.get(county, none)[0] for county in counties], np.int64)
+
     def labels(self, rows=None) -> np.ndarray:
         """Labels of block rows (default: its own), NaN for none; each row is an audited read."""
         rows = self.rows if rows is None else np.asarray(rows, dtype=np.int64)
@@ -203,12 +201,6 @@ class Dataset:
         return [CountyYearRecord(c, y, self.features[r], None if v != v else v)
                 for r, (c, y), v in zip(self.rows.tolist(), self._row,
                                         self._normalized(self._labels[self.rows]).tolist())]
-
-    def get(self, county, year) -> CountyYearRecord:
-        return self.records[int(np.searchsorted(self.rows, self.row(county, year)))]
-
-    def county_years(self, county) -> list:
-        return self.row_years[self.county_rows(county)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,7 @@ def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalCon
         with _stage(f"refinement county {county}"):
             ctx.refined[refine_key] = rf.refine_labels(
                 result,
+                train_n,
                 ctx.biases if cfg.refine else {},
                 sigma=ctx.sigma if cfg.refine else 0.0,
                 seed=models.seed * 1000003 + idx,
@@ -527,7 +528,7 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
             elif cfg.integration == "finetune":
                 tuned[county] = refined
             else:
-                extra = ([train_n.row(e.record.county, e.record.year) for e in refined.entries],
+                extra = ([e.record for e in refined.entries],
                          [stats.normalize_label(e.label_refined) for e in refined.entries])
         extras.append(extra)
     with _stage(f"history seed {models.seed}"):
@@ -691,11 +692,13 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
         lines.append(f"{row.county},{row.year},{row.error!r}")
     _write(os.path.join(out, "errors.csv"), lines)
 
-    rt.save_retrieval_csv(predicted.retrievals, os.path.join(out, "retrieval.csv"))
+    rt.save_retrieval_csv(predicted.retrievals, models.train_n,
+                          os.path.join(out, "retrieval.csv"))
     rt.save_flags_csv(predicted.retrievals, os.path.join(out, "flags.csv"))
     rf.save_bias_csv(biases, os.path.join(out, "bias.csv"))
     if predicted.refined_sets:
-        rf.save_refined_csv(predicted.refined_sets, os.path.join(out, "refined.csv"))
+        rf.save_refined_csv(predicted.refined_sets, models.train_n,
+                            os.path.join(out, "refined.csv"))
 
     save_checkpoint(os.path.join(out, "ckpt", f"global_seed{models.seed}.npz"),
                     models.f, models.stats)

@@ -20,7 +20,8 @@ county's label drifts across years and shifts retrieved labels forward:
     with that pattern, and one `lstsq` per row.
 4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
     Gaussian noise, leaving features untouched; with sigma 0 no
-    generator is made.
+    generator is made.  Retrieved samples are block rows of the training
+    Dataset, and their labels are one audited `Dataset.labels` read.
 
 Labels here are in physical units throughout.
 """
@@ -34,7 +35,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import CountyYearRecord
 from .numcore import ContractError
 
 _RIDGE_LAM = 1e-3
@@ -265,7 +265,10 @@ def extrapolate_bias(bm, source_year, target_year):
 
 @dataclass
 class RefinedSample:
-    record: CountyYearRecord
+    """One refined copy of a retrieved sample; `record` is its block row in
+    the training Dataset, and the labels are in physical units."""
+
+    record: int
     label: float
     bias_hat: float
     label_refined: float
@@ -285,16 +288,16 @@ class RefinedSampleSet:
         return sum(1 for e in self.entries if e.refined)
 
 
-def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=None):
+def refine_labels(retrieved, train, biases, sigma, seed, target_year, stats, copies=1):
     """Shift retrieved labels to the target year.
 
-    Each sample (county j, year s) gets y + b_hat + sigma * eps, where
-    b_hat extrapolates county j's own bias row for year s.  Samples are
-    processed in (county, year) order with a seeded generator, so the
-    output is invariant to retrieval ordering.  Samples without a bias
-    matrix pass through unrefined and are flagged.  Pass `stats` when
-    the retrieved records carry normalized labels; refinement always
-    works in physical units.
+    `retrieved.samples` are block rows of `train`, whose labels are
+    normalized by `stats`; refinement works in physical units.  Each
+    sample (county j, year s) gets y + b_hat + sigma * eps, where b_hat
+    extrapolates county j's own bias row for year s.  Samples are
+    processed in (county, year) order, which is block-row order, with a
+    seeded generator, so the output is invariant to retrieval ordering.
+    Samples without a bias matrix pass through unrefined and are flagged.
     """
     if sigma < 0:
         raise ContractError(f"sigma must be nonnegative, got {sigma}")
@@ -302,24 +305,23 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
         raise ContractError(f"copies must be at least 1, got {copies}")
     rng = np.random.default_rng(seed) if sigma > 0 else None  # no draws without noise
     out = RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
-    ordered = sorted(retrieved.samples, key=lambda r: (r.county, r.year))
-    for rec in ordered:
-        label = float(rec.yield_label)
-        if stats is not None:
-            label = stats.denormalize_label(label)
-        bm = biases.get(rec.county)
-        if bm is None or rec.year not in bm.years:
+    rows = np.sort(retrieved.samples)
+    labels = train.labels(rows) * stats.label_std + stats.label_mean
+    for row, label in zip(rows.tolist(), labels.tolist()):
+        county, year = train.key(row)
+        bm = biases.get(county)
+        if bm is None or year not in bm.years:
             est = None
         else:
-            est = extrapolate_bias(bm, rec.year, target_year)
+            est = extrapolate_bias(bm, year, target_year)
         for _ in range(copies):
             eps = float(rng.standard_normal()) if sigma > 0 else 0.0
             if est is None:
-                out.entries.append(RefinedSample(rec, label, 0.0, label, False, "missing"))
+                out.entries.append(RefinedSample(row, label, 0.0, label, False, "missing"))
             else:
                 refined = label + est.value + sigma * eps
                 out.entries.append(
-                    RefinedSample(rec, label, est.value, refined, True, est.method)
+                    RefinedSample(row, label, est.value, refined, True, est.method)
                 )
     return out
 
@@ -338,18 +340,20 @@ def save_bias_csv(biases, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def save_refined_csv(sample_sets, path):
+def save_refined_csv(sample_sets, train, path):
     """Write refined samples as
     query,source_county,source_year,label,bias_hat,label_refined,method.
 
+    Samples are rows of `train`, the Dataset they were retrieved from.
     method is how the bias was estimated: "ols", "row_mean", "zero", or
     "missing" for a sample that passed through unrefined.
     """
     lines = ["query,source_county,source_year,label,bias_hat,label_refined,method"]
     for ss in sample_sets:
         for e in ss.entries:
+            county, year = train.key(e.record)
             lines.append(
-                f"{ss.query},{e.record.county},{e.record.year},"
+                f"{ss.query},{county},{year},"
                 f"{e.label!r},{e.bias_hat!r},{e.label_refined!r},{e.method}"
             )
     with open(path, "w") as fh:

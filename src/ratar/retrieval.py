@@ -7,8 +7,8 @@ material for the other.  Retrieval here means: build each county's
 residual vector against the global model's predictions (the per-seed
 label table of `backbone.model_labels`), compare query and candidates
 with centered cosine similarity over their common years, keep
-candidates above a threshold, and collect their records from the most
-recent five training years.
+candidates above a threshold, and collect their seasons from the most
+recent five training years, as rows of the training Dataset's block.
 
 Every county is compared with every other, so the comparison is made
 once per seed for all pairs, screened once per setting for all queries,
@@ -84,17 +84,18 @@ class ResidualVector:
 class RetrievalResult:
     query: str
     matched: list = field(default_factory=list)  # (county, similarity), best first
-    samples: list = field(default_factory=list)  # CountyYearRecord entries
+    # block rows of the training Dataset: matched-county order, then years ascending
+    samples: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     flags: list = field(default_factory=list)
 
 
-def compute_residuals(train, predictions, stats=None):
+def compute_residuals(train, predictions, stats):
     """Residual vectors r^k = y^k - f(x^k) for every training county.
 
     `predictions` maps (county, year) to the global model's prediction
-    f(x^k) for every labeled record.  When `stats` is given the dataset
-    is assumed normalized and both labels and predictions are mapped
-    back to physical units first.  Counties with no labeled years are
+    f(x^k) for every labeled record.  The dataset's labels and the
+    predictions are normalized by `stats`, and both are mapped back to
+    physical units first.  Counties with no labeled years are
     excluded with a warning.  The result maps county to
     `ResidualVector`, as a `ResidualPanel`.
     """
@@ -107,9 +108,8 @@ def compute_residuals(train, predictions, stats=None):
         raise ContractError("no labeled records to build residuals from")
     labels = labels[~np.isnan(labels)]
     preds = np.array([predictions[key] for key in keys], dtype=np.float64)
-    if stats is not None:
-        labels = labels * stats.label_std + stats.label_mean
-        preds = preds * stats.label_std + stats.label_mean
+    labels = labels * stats.label_std + stats.label_mean
+    preds = preds * stats.label_std + stats.label_mean
     out = {}
     for (county, year), r in zip(keys, (labels - preds).tolist()):  # years ascending
         rv = out.setdefault(county, ResidualVector(county, [], []))
@@ -284,13 +284,10 @@ def recent_training_years(train, n=_RECENT_YEARS):
 
 
 def _collect_samples(matched, train):
-    recent = set(recent_training_years(train))
-    samples = []
-    for county, _sim in matched:
-        for year in train.county_years(county):
-            if year in recent:
-                samples.append(train.get(county, year))
-    return samples
+    """The matched counties' rows from the recent training years, in match order."""
+    rows = np.concatenate([train.rows[:0]] + [train.county_rows(c) for c, _sim in matched])
+    recent = recent_training_years(train)
+    return rows[train.row_years[rows] >= recent[0]] if recent else rows
 
 
 def _match(result, sims, train, threshold, top_k):
@@ -314,9 +311,9 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
 
     Matches are every other county with similarity strictly above the
     threshold, ordered by (descending similarity, county id).  Samples
-    are all records of matched counties from the last five training
-    years.  An optional top_k (at least 1) caps the match list after
-    sorting.
+    are the block rows of every season of the matched counties from the
+    last five training years.  An optional top_k (at least 1) caps the
+    match list after sorting.
 
     Candidates sharing fewer than the panel's `min_common` years with
     the query (three for residuals), or whose vectors are constant, are
@@ -388,13 +385,16 @@ def embedding_panel(embeddings) -> ResidualPanel:
         min_common=0)
 
 
-def save_retrieval_csv(results, path):
-    """One row per retrieved sample: query,matched,similarity,sample_year."""
+def save_retrieval_csv(results, train, path):
+    """One row per retrieved sample: query,matched,similarity,sample_year.
+
+    Samples are rows of `train`, the Dataset they were retrieved from.
+    """
     lines = ["query,matched,similarity,sample_year"]
     for res in results:
         sim_of = dict(res.matched)
-        for rec in res.samples:
-            lines.append(f"{res.query},{rec.county},{sim_of[rec.county]!r},{rec.year}")
+        for county, year in map(train.key, res.samples.tolist()):
+            lines.append(f"{res.query},{county},{sim_of[county]!r},{year}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

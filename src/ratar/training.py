@@ -5,15 +5,16 @@ All loops share one epoch driver and one step: record a tape, run the
 batched forward, backprop MSE, and apply an adaptive-moment update with
 global-norm gradient clipping.  Inputs are row gathers from the training
 Dataset's block.  The cross-year model's work is a list of `LyraWindow`s
-built once (one per training season with an earlier season, or one per
-usable refined sample when fine-tuning); each step's engine inputs are
-`window_table` of that batch's windows.  The label a window feeds its
-target season comes from
-the caller's `target_labels` table, keyed (county, year); the pipeline
-fills it with the global model's predictions (`backbone.model_labels`),
-so the cross-year loops never run the global model.  Every source of
-randomness (init, shuffling) is seeded through TrainConfig, so a (seed,
-config, data) triple reproduces its loss trace bitwise.
+built once, by one `backbone.lookback_windows` call: one window per
+training season with an earlier season, or, when fine-tuning, one per
+usable refined sample (a block row of the training Dataset).  Each step's
+engine inputs are `window_table` of that batch's windows.  The label a
+window feeds its target season comes from the caller's `target_labels`
+table, keyed (county, year); the pipeline fills it with the global
+model's predictions (`backbone.model_labels`), so the cross-year loops
+never run the global model.  Every source of randomness (init,
+shuffling) is seeded through TrainConfig, so a (seed, config, data)
+triple reproduces its loss trace bitwise.
 
 Fine-tuning never touches the input parameters.  It trains one copy of
 them per county, on that county's refined retrieved samples, and all of a
@@ -37,7 +38,6 @@ from .backbone import (
     GruParams,
     LyraDims,
     LyraParams,
-    LyraWindow,
     embed_batch,
     global_forward,
     gruatt_forward,
@@ -244,27 +244,6 @@ def train_gru_att(train, cfg: TrainConfig, H=64, attn_hidden=32, head_hidden=64)
         gruatt_forward)
 
 
-def training_windows(train, w: int, labels) -> list:
-    """One LyraWindow per training season that has an earlier season.
-
-    Each is the season's look-back window (see `lookback_windows`),
-    sliced here from the county's run of rows, so a two-year county
-    still yields one window.  labels
-    maps (county, year) to the label fed to that season's target
-    embedding; windows come in (county, year) order.
-    """
-    observed = _training_labels(train)
-    windows, start = [], 0
-    for county in train.counties:
-        run = train.county_rows(county)
-        for i, row in enumerate(run.tolist()[1:], start=1):
-            lo = max(0, i - w)
-            windows.append(LyraWindow(row, labels[train.key(row)], run[lo:i],
-                                      observed[start + lo:start + i]))
-        start += len(run)
-    return windows
-
-
 def sync_year_rows(p: LyraParams, trained_years) -> list:
     """Copy each untrained year-table row from its nearest trained year.
 
@@ -291,9 +270,12 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
                dims: LyraDims | None = None, year_max: int | None = None):
     """Fit the full cross-year model on all window samples by MSE.
 
-    The supervision target is always the observed label; the label fed
-    into the target year's own embedding is `target_labels[(county,
-    year)]`, the same substitute the target year gets at test time.
+    There is one window per training season that has an earlier season
+    (so a two-year county still yields one), in (county, year) order:
+    its look-back window from `lookback_windows`.  The supervision
+    target is always the observed label; the label fed into the target
+    year's own embedding is `target_labels[(county, year)]`, the same
+    substitute the target year gets at test time.
     Untrained year-table rows are synced to the nearest trained year
     afterwards so a held-out year can be embedded.
     """
@@ -308,10 +290,13 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     year_max = train.years[-1] if year_max is None else year_max
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
-    windows = training_windows(train, w, target_labels)
-    if not windows:
+    later = np.ones(len(train), dtype=bool)  # seasons with an earlier one
+    later[train.run_starts(train.counties)] = False
+    targets = _training_labels(train)[later]
+    rows = train.rows[later].tolist()
+    if not rows:
         raise ContractError("no trainable samples: every county has a single year")
-    targets = train.labels([win.target for win in windows])
+    windows = lookback_windows(train, rows, [target_labels[train.key(r)] for r in rows], w)
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
@@ -331,25 +316,21 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
 def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
     """Each county's (fine-tune windows, normalized targets), from one
     `lookback_windows` call over every set; warns on what it skips."""
-    entries, sizes = [], []
+    rows, entries, sizes = [], [], []
     for sample_set in sample_sets:
         if not sample_set.entries:
             warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
-        kept = []
+        size = len(entries)
         for entry in sample_set.entries:
-            county, year = entry.record.county, entry.record.year
-            row = train.row(county, year)
-            if train.county_years(county)[0] == year:
+            county, year = train.key(entry.record)
+            if entry.record == train.county_rows(county)[0]:
                 warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
                 continue
-            kept.append((row, entry))
-        entries += kept
-        sizes.append(len(kept))
-    windows = lookback_windows(
-        train, [row for row, _ in entries],
-        [target_labels[e.record.county, e.record.year] for _, e in entries], p.w)
-    targets = [e.label_refined if stats is None else stats.normalize_label(e.label_refined)
-               for _, e in entries]
+            rows.append(entry.record)
+            entries.append(entry)
+        sizes.append(len(entries) - size)
+    windows = lookback_windows(train, rows, [target_labels[train.key(r)] for r in rows], p.w)
+    targets = [stats.normalize_label(e.label_refined) for e in entries]
     out, start = [], 0
     for size in sizes:
         out.append((windows[start:start + size], targets[start:start + size]))
@@ -358,7 +339,7 @@ def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
 
 
 def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
-              target_labels: dict, stats=None) -> LyraParams:
+              target_labels: dict, stats) -> LyraParams:
     """Adapt copies of the parameters to counties' refined samples, in one pass.
 
     sample_sets is a list of counties' RefinedSampleSets; the result is
@@ -366,12 +347,13 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     set k.  Each copy takes a few full-batch MSE steps on its refined
     retrieved samples; the input parameters are never mutated.  Each
     refined entry with an earlier season is one window: the look-back
-    window of its season (one `lookback_windows` call for all sets),
+    window of its block row (one `lookback_windows` call for all sets),
     with its `target_labels` entry fed to its own embedding and its
-    normalized refined label as supervision.  An entry without an earlier season is skipped with a
-    warning; a copy whose set is empty or unusable stays an unchanged
-    copy.  freeze_encoder pins the sequence encoder and
-    attention pooling by reusing their pooled outputs as constants.
+    refined label, normalized by `stats`, as supervision.  An entry
+    without an earlier season is skipped with a warning; a copy whose set
+    is empty or unusable stays an unchanged copy.  freeze_encoder pins the
+    sequence encoder and attention pooling by reusing their pooled outputs
+    as constants.
 
     All copies with windows train together: one tape per epoch over
     `stack_tables` of their window tables, with a loss that sums each

@@ -1,5 +1,5 @@
-"""Shared test helpers: datasets from records, and the window builders
-that `backbone` used before.
+"""Shared test helpers: datasets from records, the windows `train_lyra`
+trains on, and the record-based window code that `backbone` used before.
 
 `lookback_window`, `window_table` and `stack_tables` below are the earlier
 record-based builders, kept verbatim (with their `LyraSample` and
@@ -13,18 +13,61 @@ kept verbatim as their oracles too: `row_lookback_window` for
 per-setting retrieval screen, `county_bias_matrix` for the one-call
 `refinement.build_bias_matrix`, and `reference_extrapolate_bias` (one
 `np.polyfit` per call) for the shared-design row lines.
+
+`collect_samples` and `refine_labels` are the record-based retrieval
+samples and label refinement that block rows replaced, kept verbatim as
+the oracle for `retrieval._collect_samples` and `refinement.refine_labels`.
+
+The Dataset accessors these oracles were written against are gone from
+the library, so `county_years` and `get` below stand in for
+`Dataset.county_years` and `Dataset.get`, and `label_of(rec)` for the
+audited `rec.yield_label` (it reads the record's label unaudited).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
+from ratar import backbone as bb
 from ratar import refinement as rf
 from ratar import retrieval as rt
+from ratar import training as tr
 from ratar.backbone import LyraParams
 from ratar.backbone import LyraWindow as RowWindow
 from ratar.data import CountyYearRecord, Dataset
 from ratar.numcore import ContractError
+
+
+def county_years(ds, county):
+    """The years of a county's seasons in ds, ascending."""
+    return ds.row_years[ds.county_rows(county)].tolist()
+
+
+def get(ds, county, year):
+    """The `CountyYearRecord` view of one season of ds."""
+    return ds.records[int(np.searchsorted(ds.rows, ds.row(county, year)))]
+
+
+def label_of(rec):
+    """A record's label, as its `yield_label` property read it."""
+    return rec._yield_label
+
+
+def train_lyra_windows(train, w, cfg, target_labels, **kwargs):
+    """The windows `training.train_lyra` trains on: what its one
+    `lookback_windows` call returns."""
+    calls = []
+
+    def recording(*args, **kw):
+        calls.append(bb.lookback_windows(*args, **kw))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tr, "lookback_windows", recording)
+        tr.train_lyra(train, w, cfg, target_labels, **kwargs)
+    (windows,) = calls
+    return windows
 
 
 def dataset_of(records, neighbors=None):
@@ -126,14 +169,14 @@ def lookback_window(train, target, label, w: int, extra=()) -> LyraWindow:
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
-    years = [y for y in train.county_years(target.county) if y < target.year][-w:]
+    years = [y for y in county_years(train, target.county) if y < target.year][-w:]
     if not years:
         raise ContractError(
             f"county {target.county} has no feature history before {target.year}"
         )
-    records = [train.get(target.county, y) for y in years]
+    records = [get(train, target.county, y) for y in years]
     return LyraWindow(target, label,
-                      tuple((rec, rec.yield_label) for rec in records) + tuple(extra))
+                      tuple((rec, label_of(rec)) for rec in records) + tuple(extra))
 
 
 def row_lookback_window(train, target: int, label, w: int, extra_rows=(),
@@ -279,3 +322,52 @@ def reference_extrapolate_bias(bm, source_year, target_year):
     x0 = xs.mean()
     slope, intercept = np.polyfit(xs - x0, ys, 1)
     return rf.BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
+
+
+def collect_samples(matched, train):
+    recent = set(rt.recent_training_years(train))
+    samples = []
+    for county, _sim in matched:
+        for year in county_years(train, county):
+            if year in recent:
+                samples.append(get(train, county, year))
+    return samples
+
+
+def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=None):
+    """Shift retrieved labels to the target year.
+
+    Each sample (county j, year s) gets y + b_hat + sigma * eps, where
+    b_hat extrapolates county j's own bias row for year s.  Samples are
+    processed in (county, year) order with a seeded generator, so the
+    output is invariant to retrieval ordering.  Samples without a bias
+    matrix pass through unrefined and are flagged.  Pass `stats` when
+    the retrieved records carry normalized labels; refinement always
+    works in physical units.
+    """
+    if sigma < 0:
+        raise ContractError(f"sigma must be nonnegative, got {sigma}")
+    if copies < 1:
+        raise ContractError(f"copies must be at least 1, got {copies}")
+    rng = np.random.default_rng(seed) if sigma > 0 else None  # no draws without noise
+    out = rf.RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
+    ordered = sorted(retrieved.samples, key=lambda r: (r.county, r.year))
+    for rec in ordered:
+        label = float(label_of(rec))
+        if stats is not None:
+            label = stats.denormalize_label(label)
+        bm = biases.get(rec.county)
+        if bm is None or rec.year not in bm.years:
+            est = None
+        else:
+            est = rf.extrapolate_bias(bm, rec.year, target_year)
+        for _ in range(copies):
+            eps = float(rng.standard_normal()) if sigma > 0 else 0.0
+            if est is None:
+                out.entries.append(rf.RefinedSample(rec, label, 0.0, label, False, "missing"))
+            else:
+                refined = label + est.value + sigma * eps
+                out.entries.append(
+                    rf.RefinedSample(rec, label, est.value, refined, True, est.method)
+                )
+    return out

@@ -167,10 +167,9 @@ def test_c04_bias_reconstruction_identity(refine_setup):
     worst = 0.0
     bit_equal = 0
     for county, bm in s.biases.items():
-        labels = {
-            y: stats.denormalize_label(train_n.get(county, y).yield_label)
-            for y in train_n.county_years(county)
-        }
+        rows = train_n.county_rows(county)
+        labels = dict(zip(train_n.row_years[rows].tolist(),
+                          map(stats.denormalize_label, train_n.labels(rows).tolist())))
         for si, ys in enumerate(bm.years):
             if ys not in s.regressors:
                 continue
@@ -244,11 +243,12 @@ def test_c06_refinement_halves_stale_label_error(refine_setup):
     for idx, county in enumerate(sorted(models.train_n.counties)):
         result = rt.retrieve(county, residuals, models.train_n,
                              threshold=s.cfg.threshold)
-        refined_set = rf.refine_labels(result, s.biases, sigma=0.0, seed=idx,
+        refined_set = rf.refine_labels(result, models.train_n, s.biases, sigma=0.0, seed=idx,
                                        target_year=s.test_year,
                                        stats=models.stats)
         for entry in refined_set.entries:
-            gt = s.truth.rows[(entry.record.county, s.test_year)].noiseless_yield
+            county = models.train_n.key(entry.record)[0]
+            gt = s.truth.rows[(county, s.test_year)].noiseless_yield
             unrefined.append(entry.label - gt)
             refined.append(entry.label_refined - gt)
     rmse_u = float(np.sqrt(np.mean(np.square(unrefined))))

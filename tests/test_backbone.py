@@ -465,7 +465,7 @@ def panel_windows(*specs):
     ds = dataset_of(recs.values())
     return ds, row_windows(ds, [
         oracles.LyraWindow(target, label,
-                           tuple((rec, rec.yield_label) for rec in hist) + tuple(extras))
+                           tuple((rec, oracles.label_of(rec)) for rec in hist) + tuple(extras))
         for hist, target, label, extras in specs])
 
 
@@ -491,7 +491,7 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), 2.4)
         stats = norm_stats()
-        context = [(rec, rec.yield_label) for rec in hist]
+        context = [(rec, oracles.label_of(rec)) for rec in hist]
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
         out = predict_one(p, stats, hist, target, 0.3)
@@ -508,7 +508,7 @@ class TestLyraPredict:
         extras = [(CountyYearRecord("c3", 2000, rng.standard_normal((6, 2)), 0.7), -0.35),
                   (CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1), 0.8)]
         stats = norm_stats()
-        context = [(rec, rec.yield_label) for rec in hist] + extras
+        context = [(rec, oracles.label_of(rec)) for rec in hist] + extras
         expected, beta = np_lyra_predict(p, stats, context, target, 0.3)
 
         out = predict_one(p, stats, hist, target, 0.3, extras)
@@ -525,7 +525,7 @@ class TestLyraPredict:
         extra = CountyYearRecord("c3", 2003, rng.standard_normal((6, 2)), 0.1)
         extras = [(extra, 0.8), (extra, -0.6)]
         stats = norm_stats()
-        context = [(rec, rec.yield_label) for rec in hist] + extras
+        context = [(rec, oracles.label_of(rec)) for rec in hist] + extras
 
         ds, windows = panel_windows((hist, target, 0.0, extras))
         xs, (seq_rows, labels, _), (_, history, _) = bb.window_table(p, ds, windows)
@@ -553,7 +553,7 @@ class TestLyraPredict:
                                        np_global(gp, rec.features), atol=1e-12)
         label = labels["c9", 2003]
         out = predict_one(p, stats, hist, target, label)
-        expected, _ = np_lyra_predict(p, stats, [(r, r.yield_label) for r in hist], target,
+        expected, _ = np_lyra_predict(p, stats, [(r, oracles.label_of(r)) for r in hist], target,
                                       label)
         np.testing.assert_allclose(out.prediction, expected, atol=1e-12)
 
@@ -616,8 +616,8 @@ class TestLookbackWindow:
         win, mid = bb.lookback_windows(train, [target, train.row("c9", 2002)], [0.3, 0.0], w=2)
         assert win.target == target and win.label == 0.3
         assert [train.key(r) for r in win.context] == [("c9", 2002), ("c9", 2003)]
-        assert win.context_labels.tolist() == [
-            train.get("c9", y).yield_label for y in (2002, 2003)]
+        assert win.context_labels.tolist() == train.labels(
+            [train.row("c9", y) for y in (2002, 2003)]).tolist()
         assert train.row_years[mid.context].tolist() == [2000, 2001]
         assert bb.lookback_windows(train, [], [], w=2) == []
 
@@ -702,7 +702,7 @@ class TestWindowTable:
         p = tiny_lyra()
         rng = np.random.default_rng(19)
         recs = history_records(rng, n=4, first_year=2001)  # 2001..2004
-        pairs = [(rec, rec.yield_label) for rec in recs]
+        pairs = [(rec, oracles.label_of(rec)) for rec in recs]
         ds = dataset_of(recs)
         windows = row_windows(ds, [oracles.LyraWindow(recs[3], 0.5, tuple(pairs[1:3])),
                                    oracles.LyraWindow(recs[2], -0.5, tuple(pairs[0:2]))])
@@ -736,7 +736,7 @@ class TestMixedLengthBatch:
         # one county over 2000..2006; a window of length n targets year 2000+n
         p = tiny_lyra(seed=seed)
         recs = history_records(np.random.default_rng(seed), n=7, first_year=2000)
-        pairs = [(rec, rec.yield_label) for rec in recs]
+        pairs = [(rec, oracles.label_of(rec)) for rec in recs]
         ds = dataset_of(recs)
         return p, ds, row_windows(ds, [oracles.LyraWindow(recs[n], 0.1 * n, tuple(pairs[:n]))
                                        for n in lengths])

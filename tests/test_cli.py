@@ -358,7 +358,7 @@ class TestPiecewise:
         original = pl.predict_counties
 
         def leaking(cfg, models, ctx):
-            models.test.records[0].yield_label  # the leak
+            models.test.labels(models.test.rows[:1])  # the leak
             return original(cfg, models, ctx)
 
         monkeypatch.setattr(pl, "predict_counties", leaking)
@@ -376,7 +376,7 @@ class TestPiecewise:
         original = pl.predict_counties
 
         def leaking(cfg, models, ctx):
-            models.test.records[0].yield_label  # the leak
+            models.test.labels(models.test.rows[:1])  # the leak
             return original(cfg, models, ctx)
 
         monkeypatch.setattr(pl, "predict_counties", leaking)

@@ -7,10 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dataset_of
+from oracles import dataset_of, get
 from ratar import data
 from ratar.data import CountyYearRecord, Dataset, IngestionError
 from ratar.numcore import ContractError, NumericError
+
+
+def label(ds, county, year):
+    """One season's label, read through the audited `Dataset.labels`."""
+    return ds.labels([ds.row(county, year)]).item()
 
 
 def write_csv(path, text):
@@ -54,20 +59,19 @@ class TestLoadDataset:
         assert ds.years == [2000, 2001, 2002]
         assert ds.counties == ["c1", "c2"]
         assert ds.T == 4 and ds.d == 2
-        rec = ds.get("c1", 2001)
-        np.testing.assert_allclose(rec.features[:, 0], [0.5, 0.6, 0.7, 0.8])
-        assert rec.yield_label == 6.0
+        np.testing.assert_allclose(ds.features[ds.row("c1", 2001), :, 0], [0.5, 0.6, 0.7, 0.8])
+        assert label(ds, "c1", 2001) == 6.0
 
     def test_missing_label_allowed(self, tmp_path):
         ds = data.load_dataset(write_csv(tmp_path / "d.csv", FIXTURE_CSV))
-        assert not ds.get("c2", 2002).has_label
+        assert not get(ds, "c2", 2002).has_label and np.isnan(label(ds, "c2", 2002))
 
     def test_label_on_first_day_only(self, tmp_path):
         text = FIXTURE_CSV.replace("c1,2000,2,0.2,1.1,5.0", "c1,2000,2,0.2,1.1,")
         text = text.replace("c1,2000,3,0.3,1.2,5.0", "c1,2000,3,0.3,1.2,")
         text = text.replace("c1,2000,4,0.4,1.3,5.0", "c1,2000,4,0.4,1.3,")
         ds = data.load_dataset(write_csv(tmp_path / "d.csv", text))
-        assert ds.get("c1", 2000).yield_label == 5.0
+        assert label(ds, "c1", 2000) == 5.0
 
     def test_conflicting_labels_rejected(self, tmp_path):
         text = FIXTURE_CSV.replace("c1,2000,2,0.2,1.1,5.0", "c1,2000,2,0.2,1.1,9.0")
@@ -111,7 +115,7 @@ class TestLoadDataset:
             rows.append(f"a,2001,{day},{day * 0.02},4.0")
         ds = data.load_dataset(write_csv(tmp_path / "leap.csv", "\n".join(rows)))
         assert ds.T == 365
-        assert ds.get("a", 2000).features.shape == (365, 1)
+        assert get(ds, "a", 2000).features.shape == (365, 1)
 
 
 class TestZscore:
@@ -129,7 +133,7 @@ class TestZscore:
         train, _ = data.split_by_test_year(ds, 2002)
         stats = data.zscore_fit(train)
         normed = data.zscore_apply(train, stats)
-        labels = np.array([r.yield_label for r in normed])
+        labels = normed.labels()
         np.testing.assert_allclose(labels.mean(), 0.0, atol=1e-12)
 
     def test_labels_normalized_on_read(self, tmp_path):
@@ -138,8 +142,8 @@ class TestZscore:
         stats = data.zscore_fit(train)
         normed = data.zscore_apply(train, stats)
         assert normed._labels is ds._labels  # one label array: no copy holds a label
-        assert normed.get("c1", 2000).yield_label == (5.0 - stats.label_mean) / stats.label_std
-        assert train.get("c1", 2000).yield_label == 5.0
+        assert label(normed, "c1", 2000) == (5.0 - stats.label_mean) / stats.label_std
+        assert label(train, "c1", 2000) == 5.0
         np.testing.assert_array_equal(
             normed.labels(), (train.labels() - stats.label_mean) / stats.label_std)
 
@@ -153,21 +157,21 @@ class TestZscore:
         assert 0 in stats.clamped_features
         assert stats.feature_std[0] == 1.0
         normed = data.zscore_apply(ds, stats)
-        np.testing.assert_allclose(normed.get("a", 2000).features[:, 0], 0.0)
+        np.testing.assert_allclose(get(normed, "a", 2000).features[:, 0], 0.0)
 
     def test_invertibility(self, tmp_path):
         ds = data.load_dataset(write_csv(tmp_path / "d.csv", FIXTURE_CSV))
         train, _ = data.split_by_test_year(ds, 2002)
         stats = data.zscore_fit(train)
         normed = data.zscore_apply(train, stats)
-        for rec in train:
-            back = normed.get(rec.county, rec.year)
+        for rec, y in zip(train, train.labels()):
+            back = get(normed, rec.county, rec.year)
             np.testing.assert_allclose(
                 back.features * stats.feature_std + stats.feature_mean, rec.features,
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                back.yield_label * stats.label_std + stats.label_mean, rec.yield_label,
+                label(normed, rec.county, rec.year) * stats.label_std + stats.label_mean, y,
                 atol=1e-10,
             )
 
@@ -218,7 +222,8 @@ class TestSplit:
 
 
 class TestDatasetIndexes:
-    """county_years and the (county, year) -> row index against their scan definitions."""
+    """A county's run of rows and the (county, year) -> row index against their
+    scan definitions."""
 
     def gappy(self):
         # 4 counties x 2000..2005, given in shuffled order, with some
@@ -235,15 +240,16 @@ class TestDatasetIndexes:
         ds, keys = self.gappy()
         for county in ds.counties + ["absent"]:
             want = [y for y in ds.years if (county, y) in keys]
-            assert ds.county_years(county) == want
+            assert ds.row_years[ds.county_rows(county)].tolist() == want
 
     def test_row_index_matches_scan(self):
         ds, keys = self.gappy()
         assert ds.keys() == sorted(keys) == [(r.county, r.year) for r in ds.records]
         for key in keys:
             row = ds.row(*key)
-            assert ds.key(row) == key and ds.get(*key) is ds.records[row]
-            np.testing.assert_array_equal(ds.features[row], ds.get(*key).features)
+            rec = ds.records[row]  # the panel's rows are 0..n-1
+            assert ds.key(row) == key == (rec.county, rec.year)
+            np.testing.assert_array_equal(ds.features[row], rec.features)
         for county in ds.counties + ["absent"]:
             want = [ds.row(c, y) for c, y in sorted(keys) if c == county]
             assert ds.county_rows(county).tolist() == want
@@ -252,9 +258,8 @@ class TestDatasetIndexes:
 
     def test_lookups_return_new_lists(self):
         ds, _ = self.gappy()
-        ds.county_years("c0").clear()
         ds.keys().clear()
-        assert ds.county_years("c0") and ds.keys()
+        assert ds.keys()
 
 
 class TestDatasetConstructor:
@@ -310,7 +315,7 @@ class TestSyntheticGenerator:
         ds2, truth2 = data.generate_synthetic(self.CFG)
         for r1, r2 in zip(ds1, ds2):
             assert np.array_equal(r1.features, r2.features)
-            assert r1.yield_label == r2.yield_label
+        assert ds1.labels().tobytes() == ds2.labels().tobytes()
         for key in truth1.rows:
             assert truth1.rows[key].noiseless_yield == truth2.rows[key].noiseless_yield
 
@@ -319,8 +324,8 @@ class TestSyntheticGenerator:
         assert len(ds) == 12 * 6
         assert ds.T == 20 and ds.d == 8
         assert len(truth.rows) == len(ds)
-        for rec in ds:
-            assert rec.yield_label is not None and rec.yield_label >= 0.0
+        labels = ds.labels()
+        assert all(rec.has_label for rec in ds) and (labels >= 0.0).all()
         assert list(ds.neighbors) == ds.counties
 
     @staticmethod
@@ -381,10 +386,8 @@ class TestSyntheticGenerator:
             year_bias_slope=0.2, year_shock_std=0.0, obs_noise_std=0.0, seed=3,
         )
         ds, truth = data.generate_synthetic(cfg)
-        for rec in ds:
-            np.testing.assert_allclose(
-                rec.yield_label, truth.rows[(rec.county, rec.year)].noiseless_yield
-            )
+        for key, y in zip(ds.keys(), ds.labels()):
+            np.testing.assert_allclose(y, truth.rows[key].noiseless_yield)
 
     def test_cluster_balance_and_geography_independence(self):
         cfg = data.SyntheticConfig(
@@ -430,9 +433,10 @@ class TestCsvRoundtrip:
         back = data.load_dataset(str(path))
         assert len(back) == len(ds)
         for rec in ds:
-            other = back.get(rec.county, rec.year)
+            other = get(back, rec.county, rec.year)
             assert np.array_equal(other.features, rec.features)
-            assert other.yield_label == rec.yield_label
+        assert back.keys() == ds.keys()
+        assert back.labels().tobytes() == ds.labels().tobytes()
 
     def test_truth_sidecar_format(self, tmp_path):
         ds, truth = data.generate_synthetic(TestSyntheticGenerator.CFG)
@@ -459,39 +463,45 @@ class TestCsvRoundtrip:
 
 
 class TestLabelAudit:
+    """Reads through `Dataset.labels`, the one audited label path."""
+
     def setup_method(self):
         data.label_audit.reset()
 
+    @staticmethod
+    def season(year):
+        return Dataset([("a", year)], np.zeros((1, 2, 1)), [3.0])
+
     def test_guarded_read_recorded(self):
-        rec = data.CountyYearRecord("a", 2020, np.zeros((2, 1)), 3.0)
+        ds = self.season(2020)
         with data.label_audit.guard(2020):
-            _ = rec.yield_label
+            ds.labels()
         assert data.label_audit.violation_count() == 1
 
     def test_unguarded_year_not_recorded(self):
-        rec = data.CountyYearRecord("a", 2019, np.zeros((2, 1)), 3.0)
+        ds = self.season(2019)
         with data.label_audit.guard(2020):
-            _ = rec.yield_label
+            ds.labels()
         assert data.label_audit.violation_count() == 0
 
     def test_allow_scope_suppresses(self):
-        rec = data.CountyYearRecord("a", 2020, np.zeros((2, 1)), 3.0)
+        ds = self.season(2020)
         with data.label_audit.guard(2020):
             with data.label_audit.allow():
-                _ = rec.yield_label
+                ds.labels()
         assert data.label_audit.violation_count() == 0
 
     def test_has_label_is_not_a_read(self):
-        rec = data.CountyYearRecord("a", 2020, np.zeros((2, 1)), 3.0)
+        ds = self.season(2020)
         with data.label_audit.guard(2020):
-            _ = rec.has_label
+            assert ds.records[0].has_label
         assert data.label_audit.violation_count() == 0
 
     def test_guard_exits_cleanly(self):
-        rec = data.CountyYearRecord("a", 2020, np.zeros((2, 1)), 3.0)
+        ds = self.season(2020)
         with data.label_audit.guard(2020):
             pass
-        _ = rec.yield_label
+        ds.labels()
         assert data.label_audit.violation_count() == 0
 
     @pytest.mark.parametrize("guarded", [(), (2003,), (2001, 2004), (1990,), (1990, 2050)])

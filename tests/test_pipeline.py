@@ -109,8 +109,8 @@ class TestIntegrateContext:
                                      year_max=2005)
 
     def window(self, county, extra=()):
-        """county's test-year window, then the (record, label) extras."""
-        extra_rows = [self.train.row(rec.county, rec.year) for rec, _ in extra]
+        """county's test-year window, then the (block row, label) extras."""
+        extra_rows = [row for row, _ in extra]
         (win,) = lookback_windows(self.train, [self.test.row(county, 2005)],
                                   [self.labels[county, 2005]], self.lyra.w,
                                   [(extra_rows, [label for _, label in extra])])
@@ -127,9 +127,9 @@ class TestIntegrateContext:
         entries = []
         source = [c for c in self.train.counties if c != county][0]
         for y in self.train.years[-n:]:
-            rec = self.train.get(source, y)
-            phys = self.stats.denormalize_label(rec.yield_label)
-            entries.append(rf.RefinedSample(rec, phys, 0.3, phys + 0.3, True, "ols"))
+            row = self.train.row(source, y)
+            phys = self.stats.denormalize_label(self.train.labels([row]).item())
+            entries.append(rf.RefinedSample(row, phys, 0.3, phys + 0.3, True, "ols"))
         return rf.RefinedSampleSet(query=county, target_year=2005, sigma=0.0,
                                    entries=entries)
 
@@ -181,7 +181,7 @@ class TestIntegrateContext:
                  for e in refined.entries]
         out = self.predict(county, extra=extra)
         assert out.beta.shape == (w + 2,)
-        assert out.history_years[w:] == [e.record.year for e in refined.entries]
+        assert out.history_years[w:] == [self.train.key(e.record)[1] for e in refined.entries]
         np.testing.assert_allclose(out.beta.sum(), 1.0, atol=1e-9)
         assert np.all(out.beta >= 0.0) and np.all(out.beta <= 1.0)
 
@@ -193,7 +193,7 @@ class TestIntegrateContext:
         by_county = {self.county(win): win for win in windows}
         assert out.refined_sets and any(s.entries for s in out.refined_sets)
         for refined in out.refined_sets:
-            want = [(e.record.county, e.record.year, self.stats.normalize_label(e.label_refined))
+            want = [(*self.train.key(e.record), self.stats.normalize_label(e.label_refined))
                     for e in refined.entries]
             assert self.keys(by_county[refined.query]) == (
                 self.keys(self.window(refined.query)) + want)
@@ -704,10 +704,43 @@ class TestSharedRetrieval:
             got = pl.retrieve_refine(sub, models, shared, county)
             fresh = pl.retrieve_refine(sub, models,
                                        pl.retrieval_context(sub, models, adjacency), county)
-            assert got[0].samples == fresh[0].samples
+            assert np.array_equal(got[0].samples, fresh[0].samples)
             assert [e.label_refined for e in got[1].entries] == \
                 [e.label_refined for e in fresh[1].entries]
         assert len(shared.retrieved) == 1 and len(shared.refined) == 2
+
+
+class TestRowsOnly:
+    """Runs name seasons by block rows: no per-record view, one window build."""
+
+    def test_runs_build_no_record_view(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a per-record view of a Dataset was built")
+
+        builds, inside = [], []  # per train_lyra call: its lookback_windows calls
+
+        def counting_windows(*args, **kwargs):
+            builds[-1] += bool(inside)  # fine-tuning builds its own windows
+            return lookback_windows(*args, **kwargs)
+
+        def counting_train_lyra(*args, **kwargs):
+            builds.append(0)
+            inside.append(True)
+            try:
+                return tr.train_lyra(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Dataset, "records", property(refuse))
+        monkeypatch.setattr(tr, "lookback_windows", counting_windows)
+        monkeypatch.setattr(pl, "train_lyra", counting_train_lyra)
+        train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=2, seed=0,
+                               fine_tune_lr=1e-3, fine_tune_epochs=2)
+        report = pl.run_experiment(base_config(tmp_path, train=train))
+        assert report.audit_violations == 0 and os.path.exists(tmp_path / "run" / "refined.csv")
+        assert builds == [1]
+        pl.ablate(base_config(tmp_path, out_dir=None, train=train, seeds=(0, 1)))
+        assert builds == [1, 1, 1]
 
 
 class TestRefinementSetupCalls:
@@ -730,7 +763,7 @@ class TestRefinementSetupCalls:
         monkeypatch.setattr(rf.YearRegressor, "predict", counting)
         ctx = pl.retrieval_context(cfg, models, adjacency)
         train_n = models.train_n
-        rows = sum(len(set(ctx.regressors) & set(train_n.county_years(c)))
+        rows = sum(len(set(ctx.regressors) & set(train_n.row_years[train_n.county_rows(c)]))
                    for c in train_n.counties)
         assert len(train_n.counties) == 24 and rows == 264
         assert sorted(calls) == sorted(ctx.regressors) and len(calls) == 11

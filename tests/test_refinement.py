@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from ratar import refinement as rf
-from ratar.data import CountyYearRecord
+from ratar.data import Dataset, NormStats
 from ratar.numcore import ContractError
 
 
@@ -407,21 +407,26 @@ class TestSharedDesignLines:
         assert rf._line_design.cache_info().misses == 1
 
 
-def tiny_retrieval(records):
+def tiny_retrieval(rows):
     # minimal stand-in for a retrieval result: only .query and .samples used
     class R:
         query = "q"
-        samples = records
-        matched = [(r.county, 1.0) for r in records]
+        samples = rows
 
     return R()
 
 
-def make_records(labels):
-    out = []
-    for i, (county, year, label) in enumerate(labels):
-        out.append(CountyYearRecord(county, year, np.zeros((3, 2)), label))
-    return out
+def make_samples(labels):
+    """A Dataset of (county, year, label) seasons, and their block rows in the given order."""
+    ds = Dataset([(county, year) for county, year, _ in labels], np.zeros((len(labels), 3, 2)),
+                 [label for *_, label in labels])
+    return ds, np.array([ds.row(county, year) for county, year, _ in labels], dtype=np.int64)
+
+
+def refine(ds, rows, biases, **kwargs):
+    """refine_labels of rows of ds, whose labels are in physical units."""
+    unit = NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
+    return rf.refine_labels(tiny_retrieval(rows), ds, biases, stats=unit, **kwargs)
 
 
 class TestRefineLabels:
@@ -435,77 +440,75 @@ class TestRefineLabels:
 
     def test_sigma_zero_is_affine(self):
         years = [2000, 2001, 2002]
-        recs = make_records([("a", 2001, 5.0), ("b", 2002, 6.0)])
+        ds, rows = make_samples([("a", 2001, 5.0), ("b", 2002, 6.0)])
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
-        out = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.0, seed=0, target_year=2003)
-        by_key = {(e.record.county, e.record.year): e for e in out.entries}
+        out = refine(ds, rows, biases, sigma=0.0, seed=0, target_year=2003)
+        by_key = {ds.key(e.record): e for e in out.entries}
         np.testing.assert_allclose(by_key[("a", 2001)].label_refined, 5.0 + 0.5 * 2, atol=1e-9)
         np.testing.assert_allclose(by_key[("b", 2002)].label_refined, 6.0 + 0.5 * 1, atol=1e-9)
 
     def test_same_seed_same_output(self):
         years = [2000, 2001, 2002]
-        recs = make_records([("a", 2001, 5.0), ("b", 2002, 6.0)])
+        ds, rows = make_samples([("a", 2001, 5.0), ("b", 2002, 6.0)])
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
-        one = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.3, seed=7, target_year=2003)
-        two = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.3, seed=7, target_year=2003)
+        one = refine(ds, rows, biases, sigma=0.3, seed=7, target_year=2003)
+        two = refine(ds, rows, biases, sigma=0.3, seed=7, target_year=2003)
         for e1, e2 in zip(one.entries, two.entries):
             assert e1.label_refined == e2.label_refined
 
     def test_order_invariant(self):
         years = [2000, 2001, 2002]
-        recs = make_records([("a", 2001, 5.0), ("b", 2002, 6.0), ("c", 2000, 4.0)])
+        ds, rows = make_samples([("a", 2001, 5.0), ("b", 2002, 6.0), ("c", 2000, 4.0)])
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b", "c")}
-        fwd = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.2, seed=3, target_year=2003)
-        rev = rf.refine_labels(tiny_retrieval(recs[::-1]), biases, sigma=0.2, seed=3, target_year=2003)
-        fwd_map = {(e.record.county, e.record.year): e.label_refined for e in fwd.entries}
-        rev_map = {(e.record.county, e.record.year): e.label_refined for e in rev.entries}
+        fwd = refine(ds, rows, biases, sigma=0.2, seed=3, target_year=2003)
+        rev = refine(ds, rows[::-1], biases, sigma=0.2, seed=3, target_year=2003)
+        fwd_map = {ds.key(e.record): e.label_refined for e in fwd.entries}
+        rev_map = {ds.key(e.record): e.label_refined for e in rev.entries}
         assert fwd_map == rev_map
 
     def test_missing_bias_matrix_passes_through(self):
-        recs = make_records([("a", 2001, 5.0)])
-        out = rf.refine_labels(tiny_retrieval(recs), {}, sigma=0.0, seed=0, target_year=2003)
+        ds, rows = make_samples([("a", 2001, 5.0)])
+        out = refine(ds, rows, {}, sigma=0.0, seed=0, target_year=2003)
         entry = out.entries[0]
         assert entry.label_refined == 5.0 and not entry.refined
 
     def test_negative_sigma_rejected(self):
-        recs = make_records([("a", 2001, 5.0)])
+        ds, rows = make_samples([("a", 2001, 5.0)])
         with pytest.raises(ContractError):
-            rf.refine_labels(tiny_retrieval(recs), {}, sigma=-0.1, seed=0, target_year=2002)
+            refine(ds, rows, {}, sigma=-0.1, seed=0, target_year=2002)
 
     def test_copies_knob(self):
         years = [2000, 2001]
-        recs = make_records([("a", 2001, 5.0)])
+        ds, rows = make_samples([("a", 2001, 5.0)])
         biases = {"a": self.linear_biases("a", years, 0.5)}
-        out = rf.refine_labels(
-            tiny_retrieval(recs), biases, sigma=0.1, seed=1, target_year=2002, copies=3
-        )
+        out = refine(ds, rows, biases, sigma=0.1, seed=1, target_year=2002, copies=3)
         assert len(out.entries) == 3
         assert len({e.label_refined for e in out.entries}) == 3
 
     def test_no_generator_without_noise(self, monkeypatch):
         years = [2000, 2001, 2002]
-        recs = make_records([("a", 2001, 5.0), ("b", 2002, 6.0)])
+        ds, rows = make_samples([("a", 2001, 5.0), ("b", 2002, 6.0)])
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
-        want = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.0, seed=0, target_year=2003)
+        want = refine(ds, rows, biases, sigma=0.0, seed=0, target_year=2003)
 
         def refuse(seed):
             raise AssertionError("a generator was created for sigma 0")
 
         monkeypatch.setattr(rf.np.random, "default_rng", refuse)
-        got = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.0, seed=0, target_year=2003,
+        got = refine(ds, rows, biases, sigma=0.0, seed=0, target_year=2003,
                                copies=2)
         assert [e.label_refined for e in got.entries] == \
             [e.label_refined for e in want.entries for _ in range(2)]
         with pytest.raises(AssertionError, match="sigma 0"):
-            rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.1, seed=0, target_year=2003)
+            refine(ds, rows, biases, sigma=0.1, seed=0, target_year=2003)
 
     def test_features_never_altered(self):
-        recs = make_records([("a", 2001, 5.0)])
-        before = recs[0].features.copy()
+        ds, rows = make_samples([("a", 2001, 5.0)])
+        before = ds.features.copy()
         years = [2000, 2001]
         biases = {"a": self.linear_biases("a", years, 0.5)}
-        out = rf.refine_labels(tiny_retrieval(recs), biases, sigma=0.5, seed=2, target_year=2002)
-        assert np.array_equal(out.entries[0].record.features, before)
+        out = refine(ds, rows, biases, sigma=0.5, seed=2, target_year=2002)
+        assert out.entries[0].refined and np.array_equal(ds.features, before)
 
 
 class TestCsvExports:
@@ -520,13 +523,13 @@ class TestCsvExports:
         assert len(lines) == 5
 
     def test_refined_csv(self, tmp_path):
-        recs = make_records([("a", 2001, 5.0)])
+        ds, rows = make_samples([("a", 2001, 5.0)])
         years = [2000, 2001]
         bm = rf.BiasMatrix("a", years, np.zeros((2, 2)), np.ones((2, 2), bool))
-        out = rf.refine_labels(tiny_retrieval(recs), {"a": bm}, sigma=0.0, seed=0, target_year=2002)
+        out = refine(ds, rows, {"a": bm}, sigma=0.0, seed=0, target_year=2002)
         path = tmp_path / "refined.csv"
-        rf.save_refined_csv([out], str(path))
+        rf.save_refined_csv([out], ds, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "query,source_county,source_year,label,bias_hat,label_refined,method"
         assert len(lines) == 2
-        assert lines[1].split(",")[-1] == "ols"
+        assert lines[1].split(",")[-1] == "ols" and lines[1].startswith("q,a,2001,")

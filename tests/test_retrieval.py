@@ -10,6 +10,7 @@ from ratar import retrieval as rt
 from ratar.backbone import GruParams, global_forward, model_labels
 from ratar.data import (
     CountyYearRecord,
+    NormStats,
     SyntheticConfig,
     generate_synthetic,
     split_by_test_year,
@@ -21,6 +22,18 @@ from ratar.numcore import ContractError, Tensor
 
 def vec(county, years, values):
     return rt.ResidualVector(county=county, years=list(years), r=np.asarray(values, float))
+
+
+def identity_stats(d):
+    """Statistics that leave labels as they are: residuals in the data's units."""
+    return NormStats(np.zeros(d), np.ones(d), 0.0, 1.0)
+
+
+def sample_keys(samples, train):
+    """Retrieved samples as (county, year) keys: block rows of train, or records."""
+    if isinstance(samples, np.ndarray):
+        return [train.key(r) for r in samples.tolist()]
+    return [(r.county, r.year) for r in samples]
 
 
 def toy_dataset(counties, years, T=3, d=2, seed=0):
@@ -41,23 +54,23 @@ class TestComputeResiduals:
         self.params = GruParams.init(d=4, H=5, readout_hidden=0, seed=0)
 
     def test_matches_per_record_definition(self):
-        res = rt.compute_residuals(self.ds, model_labels(self.params, self.ds))
+        res = rt.compute_residuals(self.ds, model_labels(self.params, self.ds),
+                                   identity_stats(4))
         for rv in res.values():
             assert len(rv.years) == 5
-        for rec in self.ds.records:
+        for rec, label in zip(self.ds.records, self.ds.labels()):
             rv = res[rec.county]
             k = rv.years.index(rec.year)
             pred = global_forward(None, self.params, rec.features[None]).data[0]
-            np.testing.assert_allclose(rv.r[k], rec.yield_label - pred, atol=1e-10)
+            np.testing.assert_allclose(rv.r[k], label - pred, atol=1e-10)
 
     def test_constant_offset_algebra(self):
         # r + f(x) must reproduce y exactly, so shifting labels by c shifts r by c
         preds = model_labels(self.params, self.ds)
-        res = rt.compute_residuals(self.ds, preds)
-        shifted = dataset_of(CountyYearRecord(r.county, r.year, r.features,
-                                              r.yield_label + 2.5)
-                             for r in self.ds.records)
-        res2 = rt.compute_residuals(shifted, preds)
+        res = rt.compute_residuals(self.ds, preds, identity_stats(4))
+        shifted = dataset_of(CountyYearRecord(r.county, r.year, r.features, label + 2.5)
+                             for r, label in zip(self.ds.records, self.ds.labels()))
+        res2 = rt.compute_residuals(shifted, preds, identity_stats(4))
         for c in res:
             np.testing.assert_allclose(res2[c].r - res[c].r, 2.5, atol=1e-9)
 
@@ -66,20 +79,20 @@ class TestComputeResiduals:
         norm = zscore_apply(self.ds, stats)
         res_norm = rt.compute_residuals(norm, model_labels(self.params, norm),
                                         stats=stats)
-        for rec in self.ds.records:
+        for rec, label in zip(self.ds.records, self.ds.labels()):
             rv = res_norm[rec.county]
             k = rv.years.index(rec.year)
             norm_rec = [r for r in norm.records if r.county == rec.county and r.year == rec.year][0]
             pred_norm = global_forward(None, self.params, norm_rec.features[None]).data[0]
             pred_phys = stats.denormalize_label(pred_norm)
-            np.testing.assert_allclose(rv.r[k], rec.yield_label - pred_phys, atol=1e-9)
+            np.testing.assert_allclose(rv.r[k], label - pred_phys, atol=1e-9)
 
     def test_unlabeled_county_excluded_with_warning(self):
         recs = [r for r in self.ds.records]
         lone = [CountyYearRecord("zz", y, np.zeros((6, 4)), None) for y in range(2000, 2005)]
         ds = dataset_of(recs + lone)
         with pytest.warns(UserWarning, match="zz"):
-            res = rt.compute_residuals(ds, model_labels(self.params, ds))
+            res = rt.compute_residuals(ds, model_labels(self.params, ds), identity_stats(4))
         assert "zz" not in res
 
     def test_same_cluster_pairs_more_similar(self):
@@ -88,7 +101,7 @@ class TestComputeResiduals:
                               seed=11)
         ds, truth = generate_synthetic(cfg)
         params = GruParams.init(d=6, H=6, readout_hidden=0, seed=1)
-        res = rt.compute_residuals(ds, model_labels(params, ds))
+        res = rt.compute_residuals(ds, model_labels(params, ds), identity_stats(6))
         cluster = {c: truth.rows[(c, ds.years[0])].cluster for c in ds.counties}
         within, across = [], []
         counties = sorted(res)
@@ -176,14 +189,13 @@ class TestRetrieve:
 
     def test_samples_from_last_five_years(self):
         out = rt.retrieve("qq", self.residuals, self.train, threshold=0.9)
-        years = {r.year for r in out.samples}
-        assert years <= {2005, 2006, 2007, 2008, 2009}
-        counties = {r.county for r in out.samples}
-        assert counties == {c for c, _ in out.matched}
+        keys = sample_keys(out.samples, self.train)
+        assert {year for _, year in keys} == {2005, 2006, 2007, 2008, 2009}
+        assert {county for county, _ in keys} == {c for c, _ in out.matched}
 
     def test_vacuous_threshold(self):
         out = rt.retrieve("qq", self.residuals, self.train, threshold=1.0 + 1e-9)
-        assert out.matched == [] and out.samples == []
+        assert out.matched == [] and out.samples.size == 0
 
     def test_threshold_monotonicity(self):
         lo = rt.retrieve("qq", self.residuals, self.train, threshold=0.5)
@@ -216,7 +228,7 @@ class TestRetrieve:
         a = rt.retrieve("qq", self.residuals, self.train, threshold=0.5)
         b = rt.retrieve("qq", self.residuals, self.train, threshold=0.5)
         assert a.matched == b.matched
-        assert [(r.county, r.year) for r in a.samples] == [(r.county, r.year) for r in b.samples]
+        assert np.array_equal(a.samples, b.samples)
 
     def test_short_overlap_skipped(self):
         residuals = dict(self.residuals)
@@ -234,11 +246,12 @@ class TestRetrieveNeighboring:
         out = rt.retrieve_neighboring("a", self.adj, self.train)
         assert [c for c, _ in out.matched] == ["b", "c"]
         assert all(s == 1.0 for _, s in out.matched)
-        assert {r.year for r in out.samples} <= {2003, 2004, 2005, 2006, 2007}
+        keys = sample_keys(out.samples, self.train)
+        assert keys == [(c, y) for c in ("b", "c") for y in range(2003, 2008)]
 
     def test_isolated_county(self):
         out = rt.retrieve_neighboring("d", self.adj, self.train)
-        assert out.matched == [] and out.samples == []
+        assert out.matched == [] and out.samples.size == 0
 
     def test_missing_query_warns_empty(self):
         with pytest.warns(UserWarning, match="zz"):
@@ -283,25 +296,15 @@ class TestCsvExport:
         train = toy_dataset(["q", "m"], years)
         out = rt.retrieve("q", residuals, train, threshold=0.9)
         path = tmp_path / "retrieval.csv"
-        rt.save_retrieval_csv([out], str(path))
+        rt.save_retrieval_csv([out], train, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "query,matched,similarity,sample_year"
         assert len(lines) == 1 + len(out.samples)
-        assert lines[1].startswith("q,m,")
+        assert lines[1].startswith("q,m,") and lines[1].endswith(",2005")
 
 
 # ---------------------------------------------------------------------------
 # The all-pairs screen against the per-pair loop it replaced
-
-
-def _oracle_collect_samples(matched, train):
-    recent = set(rt.recent_training_years(train))
-    samples = []
-    for county, _sim in matched:
-        for year in train.county_years(county):
-            if year in recent:
-                samples.append(train.get(county, year))
-    return samples
 
 
 def _oracle_match(result, sims, train, threshold, top_k):
@@ -310,7 +313,7 @@ def _oracle_match(result, sims, train, threshold, top_k):
     if top_k is not None:
         matched = matched[:top_k]
     result.matched = matched
-    result.samples = _oracle_collect_samples(matched, train)
+    result.samples = oracles.collect_samples(matched, train)
     return result
 
 
@@ -361,10 +364,10 @@ def oracle_retrieve_embedding(query, embeddings, train, threshold=0.9, top_k=Non
     return _oracle_match(result, sims, train, threshold, top_k)
 
 
-def outcome(result):
+def outcome(result, train):
     """A result as exact bits: matched (float hex), sample keys, flags."""
     return ([(c, float(s).hex()) for c, s in result.matched],
-            [(r.county, r.year) for r in result.samples],
+            sample_keys(result.samples, train),
             list(result.flags))
 
 
@@ -443,7 +446,7 @@ def assert_same_as_oracle(panel, plain, oracle, retrieve_fn, train, queries):
             if not any(f.startswith("degenerate_query:") for f in full.flags):
                 _oracle_match(want, full.matched, train, threshold, top_k)
             got = retrieve_fn(query, panel, train, threshold=threshold, top_k=top_k)
-            assert outcome(got) == outcome(want), (query, threshold, top_k)
+            assert outcome(got, train) == outcome(want, train), (query, threshold, top_k)
 
 
 class TestScreenEquivalence:
@@ -464,7 +467,7 @@ class TestScreenEquivalence:
             for top_k in (None, 1):
                 want = oracle_retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
                 got = rt.retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
-                assert outcome(got) == outcome(want)
+                assert outcome(got, train) == outcome(want, train)
 
     def test_cancellation_pairs_are_exact(self):
         # offset rows carry 1e6 next to 1e-3 of signal: the screen cannot
@@ -489,8 +492,9 @@ class TestScreenEquivalence:
         got = rt.retrieve("c003", rt.ResidualPanel(residuals), train, threshold=-2.0,
                           top_k=rank + 1)
         assert [c for c, _s in got.matched][-1] == "c000"
-        assert outcome(got) == outcome(oracle_retrieve("c003", residuals, train,
-                                                       threshold=-2.0, top_k=rank + 1))
+        assert outcome(got, train) == outcome(oracle_retrieve("c003", residuals, train,
+                                                              threshold=-2.0, top_k=rank + 1),
+                                              train)
 
     @pytest.mark.parametrize("width", [1, 2, 5, 8])
     def test_embedding_mode(self, width):
@@ -504,7 +508,7 @@ class TestScreenEquivalence:
             want = oracle_retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
             got = rt.retrieve(query, rt.embedding_panel(embeddings), train, threshold=0.2,
                               top_k=2)
-            assert outcome(got) == outcome(want)
+            assert outcome(got, train) == outcome(want, train)
 
 
 class TestPerSettingScreen:
@@ -545,7 +549,7 @@ class TestPerSettingScreen:
                     continue  # same rows, same code after them: spot-check the results
                 got = rt.retrieve(query, panel, train, threshold=threshold, top_k=top_k)
                 want = oracles.query_retrieve(query, residuals, train, threshold, top_k)
-                assert outcome(got) == outcome(want), (query, threshold, top_k)
+                assert outcome(got, train) == outcome(want, train), (query, threshold, top_k)
         assert flagged_seen > 0
 
     def test_ties_at_the_top_k_cut(self):
@@ -580,7 +584,7 @@ class TestPerSettingScreen:
             for threshold, top_k in self.settings(panel, query)[::6]:
                 got = rt.retrieve(query, panel, train, threshold=threshold, top_k=top_k)
                 want = oracles.query_retrieve(query, panel, train, threshold, top_k)
-                assert outcome(got) == outcome(want), (query, threshold, top_k)
+                assert outcome(got, train) == outcome(want, train), (query, threshold, top_k)
 
     def test_built_once_per_setting(self, monkeypatch):
         residuals = random_residuals(5)

@@ -53,7 +53,14 @@ def small_synth(seed=0, n_counties=8, n_years=6, T=8, d=4):
 
 def observed_labels(ds):
     """Each record's own label, keyed (county, year), as a target-label table."""
-    return {(r.county, r.year): r.yield_label for r in ds.records}
+    return dict(zip(ds.keys(), ds.labels().tolist()))
+
+
+def refined_sample(ds, county, year, shift):
+    """A refined sample of one season of ds: its label, shifted by `shift`."""
+    row = ds.row(county, year)
+    label = ds.labels([row]).item()
+    return rf.RefinedSample(row, label, shift, label + shift, True, "ols")
 
 
 def store_arrays(store):
@@ -264,9 +271,7 @@ class TestFlatAdamMatchesPerParameter:
         labels = model_labels(f, ds)
         params, _ = tr.train_lyra(ds, 2, base, dims=tiny_dims(), target_labels=labels)
         county = ds.counties[0]
-        entries = [rf.RefinedSample(ds.get(county, y), ds.get(county, y).yield_label, 2.0,
-                                    ds.get(county, y).yield_label + 2.0, True, "ols")
-                   for y in ds.years[-3:]]
+        entries = [refined_sample(ds, county, y, 2.0) for y in ds.years[-3:]]
         refined = rf.RefinedSampleSet(query="qq", target_year=ds.years[-1] + 1, sigma=0.0,
                                       entries=entries)
         cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=8, clip_norm=0.05,
@@ -326,7 +331,7 @@ class TestTrainGlobal:
         cfg = tr.TrainConfig(lr=5e-3, batch_size=None, epochs=150, seed=0)
         params, _ = tr.train_global(norm, cfg, H=8, readout_hidden=0)
         xs = np.stack([r.features for r in norm.records])
-        ys = np.array([r.yield_label for r in norm.records])
+        ys = norm.labels()
         preds = global_forward(None, params, xs).data
         rmse_model = float(np.sqrt(np.mean((preds - ys) ** 2)))
         rmse_mean = float(np.sqrt(np.mean((ys - ys.mean()) ** 2)))
@@ -355,9 +360,14 @@ class TestTrainGruAtt:
 
 
 class TestLyraSampleSpecs:
+    """The windows `train_lyra` trains on: one per season with an earlier one."""
+
     @staticmethod
-    def windows(ds, w):
-        return tr.training_windows(ds, w, {(r.county, r.year): 0.0 for r in ds.records})
+    def windows(ds, w, labels=None):
+        labels = labels or {key: 0.0 for key in ds.keys()}
+        return oracles.train_lyra_windows(
+            ds, w, tr.TrainConfig(batch_size=None, epochs=1), labels,
+            dims=LyraDims(d=ds.d, H=2, Z=2, E=1, attn_hidden=0, mlp_hidden=0))
 
     def test_window_truncation(self):
         recs = []
@@ -376,7 +386,7 @@ class TestLyraSampleSpecs:
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("aa", 2001, np.zeros((3, 2)), 2.0)]
         ds = dataset_of(recs)
-        windows = tr.training_windows(ds, 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
+        windows = self.windows(ds, 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
         assert len(windows) == 1
         win = windows[0]
         assert ds.key(win.target) == ("aa", 2001) and win.label == 0.25
@@ -461,9 +471,7 @@ class TestFineTune:
         years = years or self.ds.years[-2:]
         entries = []
         for y in years:
-            rec = self.ds.get(county, y)
-            entries.append(rf.RefinedSample(rec, rec.yield_label, shift,
-                                            rec.yield_label + shift, True, "ols"))
+            entries.append(refined_sample(self.ds, county, y, shift))
         return rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
                                    sigma=0.0, entries=entries)
 
@@ -495,9 +503,8 @@ class TestFineTune:
         # gradients -> fine-tuning must leave the copy bitwise unchanged
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
-        windows = lookback_windows(
-            self.ds, [self.ds.row(e.record.county, e.record.year) for e in probe.entries],
-            [e.record.yield_label for e in probe.entries], self.params.w)
+        rows = [e.record for e in probe.entries]
+        windows = lookback_windows(self.ds, rows, self.ds.labels(rows).tolist(), self.params.w)
         preds = lyra_forward(None, self.params,
                              *window_table(self.params, self.ds, windows))[0].data
         entries = [
@@ -518,9 +525,9 @@ class TestFineTune:
         tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
-        rec = refined.entries[-1].record
-        (window,) = lookback_windows(self.ds, [self.ds.row(rec.county, rec.year)],
-                                     [self.labels[rec.county, rec.year]], self.params.w)
+        row = refined.entries[-1].record
+        (window,) = lookback_windows(self.ds, [row], [self.labels[self.ds.key(row)]],
+                                     self.params.w)
         before = lyra_predict(self.params, self.stats, self.ds, [window])[0].prediction
         after = lyra_predict(tuned, self.stats, self.ds, [window])[0].prediction
         target = refined.entries[-1].label_refined
@@ -538,9 +545,8 @@ class TestFineTune:
 
     def test_duplicate_entries_keep_own_targets(self, monkeypatch):
         """Two copies of one entry, refined to two labels, stay two samples."""
-        rec = self.ds.get(self.county, self.ds.years[-1])
-        entries = [rf.RefinedSample(rec, rec.yield_label, shift, rec.yield_label + shift,
-                                    True, "ols") for shift in (-1.0, 1.0)]
+        entries = [refined_sample(self.ds, self.county, self.ds.years[-1], shift)
+                   for shift in (-1.0, 1.0)]
         refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
                                       sigma=0.0, entries=entries)
         tables = []
@@ -560,8 +566,7 @@ class TestFineTune:
         np.testing.assert_array_equal(history[0], history[1])
 
     def test_sample_without_history_skipped(self):
-        rec = self.ds.get(self.county, self.ds.years[0])
-        entries = [rf.RefinedSample(rec, rec.yield_label, 0.0, rec.yield_label, True, "ols")]
+        entries = [refined_sample(self.ds, self.county, self.ds.years[0], 0.0)]
         refined = rf.RefinedSampleSet(query="qq", target_year=2010, sigma=0.0,
                                       entries=entries)
         cfg = tr.TrainConfig()
@@ -585,8 +590,8 @@ def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
         return tuned
     windows, targets = [], []  # targets: normalized refined labels
     for entry in sample_set.entries:
-        rec = train.get(entry.record.county, entry.record.year)
-        if train.county_years(rec.county)[0] == rec.year:
+        rec = oracles.get(train, *train.key(entry.record))
+        if oracles.county_years(train, rec.county)[0] == rec.year:
             warnings.warn(
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
@@ -646,9 +651,9 @@ class TestStackedFineTune:
                                        target_labels=self.labels)
 
     def entry(self, county, year, shift):
-        rec = self.ds.get(county, year)
-        label = self.stats.denormalize_label(rec.yield_label)
-        return rf.RefinedSample(rec, label, shift, label + shift, True, "ols")
+        row = self.ds.row(county, year)
+        label = self.stats.denormalize_label(self.ds.labels([row]).item())
+        return rf.RefinedSample(row, label, shift, label + shift, True, "ols")
 
     def sample_set(self, k, entries):
         return rf.RefinedSampleSet(query=f"q{k}", target_year=self.ds.years[-1] + 1,
@@ -771,11 +776,12 @@ class TestStepMemory:
         if model == "global":
             p = GruParams.init(d=train.d, H=8, readout_hidden=0, seed=1)
             xs = np.stack([r.features for r in train.records])
-            ys = np.array([r.yield_label for r in train.records])
+            ys = train.labels()
             return p.store, (lambda tape: global_forward(tape, p, xs)), ys
         p = LyraParams.init(LyraDims(d=train.d, H=8, Z=8, E=4, attn_hidden=0, mlp_hidden=0),
                             w=5, year_min=train.years[0], year_max=train.years[-1], seed=1)
-        windows = tr.training_windows(train, 5, observed_labels(train))
+        rows = [r for c in train.counties for r in train.county_rows(c)[1:].tolist()]
+        windows = lookback_windows(train, rows, train.labels(rows).tolist(), 5)
         xs, triples, samples = window_table(p, train, windows)  # histories of lengths 1..5
         ys = train.labels([win.target for win in windows])
         return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys

@@ -1,10 +1,14 @@
-"""Row-indexed window tables against the record-based builders they replaced.
+"""Row-indexed windows and samples against the record-based code they replaced.
 
 `oracles` keeps the earlier `lookback_window`, `window_table` and
 `stack_tables` verbatim.  On the pipeline tests' panel, the tables built
 from row windows must equal theirs bit for bit: sequences, triples and
 sample indices, for training batches, for a padded stack of fine-tune
 tables, and for prediction windows with context extras.
+
+It also keeps the record-based `collect_samples` and `refine_labels`:
+retrieved block rows must name the same seasons in the same order, and
+their refined samples must carry the same label bits.
 """
 
 from dataclasses import replace
@@ -15,6 +19,8 @@ import pytest
 import oracles
 from ratar import backbone as bb
 from ratar import pipeline as pl
+from ratar import refinement as rf
+from ratar import retrieval as rt
 from ratar import training as tr
 from test_pipeline import base_config
 
@@ -45,11 +51,12 @@ def seed_run(tmp_path_factory):
 
 
 def test_training_batches(seed_run):
-    _, models, _ = seed_run
+    cfg, models, _ = seed_run
     train, labels, p = models.train_n, models.model_labels, models.lyra
-    new = tr.training_windows(train, p.w, labels)
+    new = oracles.train_lyra_windows(train, p.w, replace(cfg.train, epochs=1), labels,
+                                     dims=p.dims, year_max=cfg.test_year)
     old = [oracles.lookback_window(train, rec, labels[rec.county, rec.year], p.w)
-           for rec in train.records if train.county_years(rec.county)[0] < rec.year]
+           for rec in train.records if oracles.county_years(train, rec.county)[0] < rec.year]
     assert len(new) == len(old) == 10 * 4
     perm = np.random.default_rng(0).permutation(len(new))
     for lo in range(0, len(new), 16):
@@ -66,10 +73,9 @@ def test_padded_fine_tune_stack(seed_run):
     new = [windows for windows, _ in tr._tuning_windows(p, sets, train, labels, models.stats)]
     old = []
     for sample_set in sets:
-        old.append([oracles.lookback_window(train, train.get(e.record.county, e.record.year),
-                                            labels[e.record.county, e.record.year], p.w)
-                    for e in sample_set.entries
-                    if train.county_years(e.record.county)[0] < e.record.year])
+        recs = [oracles.get(train, *train.key(e.record)) for e in sample_set.entries]
+        old.append([oracles.lookback_window(train, rec, labels[rec.county, rec.year], p.w)
+                    for rec in recs if oracles.county_years(train, rec.county)[0] < rec.year])
     tables = [oracles.window_table(p, w) for w in old]
     got = bb.stack_tables(p, [bb.window_table(p, train, w) for w in new])
     want = oracles.stack_tables(p, tables)
@@ -88,7 +94,7 @@ def test_stack_pads_history_width_and_orders_repeated_targets(seed_run):
     new = [bb.lookback_windows(train, [train.row(c, y) for c, y, _ in keys],
                                [labels[c, y] + shift for c, y, shift in keys], p.w)
            for keys in groups]
-    old = [[oracles.lookback_window(train, train.get(c, y), labels[c, y] + shift, p.w)
+    old = [[oracles.lookback_window(train, oracles.get(train, c, y), labels[c, y] + shift, p.w)
             for c, y, shift in keys] for keys in groups]
     assert_same_table(bb.stack_tables(p, [bb.window_table(p, train, w) for w in new]),
                       oracles.stack_tables(p, [oracles.window_table(p, w) for w in old]))
@@ -103,12 +109,50 @@ def test_prediction_windows_with_context_extras(seed_run):
     extras, old = [], []
     for county, label in zip(counties, labels):
         entries = pl.retrieve_refine(context_cfg, models, ctx, county)[1].entries
-        extra = [(e.record, stats.normalize_label(e.label_refined)) for e in entries]
-        extras.append(([train.row(r.county, r.year) for r, _ in extra],
-                       [value for _, value in extra]))
-        old.append(oracles.lookback_window(train, test.get(county, cfg.test_year), label,
-                                           p.w, extra))
+        values = [stats.normalize_label(e.label_refined) for e in entries]
+        extras.append(([e.record for e in entries], values))
+        extra = [(oracles.get(train, *train.key(e.record)), value)
+                 for e, value in zip(entries, values)]
+        old.append(oracles.lookback_window(train, oracles.get(test, county, cfg.test_year),
+                                           label, p.w, extra))
     new = bb.lookback_windows(train, [test.row(county, cfg.test_year) for county in counties],
                               labels, p.w, extras)
     assert max(len(win.context) for win in new) > p.w, "some windows must carry extras"
     assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
+
+
+def same_refined(new, old, train):
+    """Refined sets name the same seasons, in order, with bit-equal values."""
+    assert (new.query, new.target_year, new.sigma) == (old.query, old.target_year, old.sigma)
+    assert len(new.entries) == len(old.entries)
+    for got, want in zip(new.entries, old.entries):
+        assert train.key(got.record) == (want.record.county, want.record.year)
+        for name in ("label", "bias_hat", "label_refined"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex()
+        assert (got.refined, got.method) == (want.refined, want.method)
+
+
+@pytest.mark.parametrize("mode, top_k", [("residual", None), ("residual", 1),
+                                         ("embedding", None), ("neighboring", None)])
+@pytest.mark.parametrize("sigma, copies", [(0.0, 1), (0.3, 2)])
+def test_samples_and_refinement_match_records(seed_run, mode, top_k, sigma, copies):
+    cfg, models, ctx = seed_run
+    train, stats = models.train_n, models.stats
+    sizes = []
+    for idx, county in enumerate(models.test_counties):
+        if mode == "neighboring":
+            result = rt.retrieve_neighboring(county, ctx.adjacency, train)
+        else:
+            panel = ctx.residuals if mode == "residual" else ctx.mean_emb
+            result = rt.retrieve(county, panel, train, threshold=0.5, top_k=top_k)
+        old = rt.RetrievalResult(query=county, matched=result.matched,
+                                 samples=oracles.collect_samples(result.matched, train))
+        assert result.samples.dtype == np.int64
+        assert [train.key(r) for r in result.samples.tolist()] == \
+            [(rec.county, rec.year) for rec in old.samples]
+        args = dict(sigma=sigma, seed=idx, target_year=cfg.test_year, copies=copies,
+                    stats=stats)
+        same_refined(rf.refine_labels(result, train, ctx.biases, **args),
+                     oracles.refine_labels(old, ctx.biases, **args), train)
+        sizes.append(len(result.samples))
+    assert max(sizes) > 0, "some county must retrieve samples"
