@@ -30,13 +30,16 @@ p = LyraParams.init(dims, w=3, year_min=2000, year_max=2005, seed=1)
 # The panel's feature block holds its seasons in (county, year) order, so
 # rows 0..2 of xs are the history and row 3 the target.  The target year
 # has no label yet: the global model's prediction stands in for it.
+# `model_labels` gives one prediction per block row (NaN off the split's
+# rows), so the target's label is read by its row.
 years = [2000, 2001, 2002, 2003]
 xs = rng.standard_normal((4, T, d))
 history_labels = [float(rng.normal()) for _ in range(3)]
 panel = Dataset([("c01", y) for y in years], xs, history_labels + [None])
 train, test = split_by_test_year(panel, 2003)  # row subsets of one block
 gp = GruParams.init(d=d, H=8, readout_hidden=0, seed=2)
-target_label = model_labels(gp, test)[("c01", 2003)]
+label_table = model_labels(gp, test)
+target_label = label_table[test.row("c01", 2003)]
 labels = np.array(history_labels + [target_label])
 
 # ---------------------------------------------------------------------------
@@ -88,8 +91,8 @@ print("head(z_target + z_history) verified")
 # ---------------------------------------------------------------------------
 # 6. lyra_predict does steps 1-4 for a list of windows in one call and
 # maps the results back to physical units.  A window holds the target's
-# block row, the label fed to the target's own embedding (a run reads it
-# from the per-seed `model_labels` table), and the context rows with
+# block row, the label fed to the target's own embedding (read by row
+# from the `model_labels` table), and the context rows with
 # their labels; `lookback_windows` slices that context from the county's
 # run of training rows (its last w seasons), and window_table gathers
 # the window's rows from the block into the same xs, triples and sample
@@ -97,7 +100,7 @@ print("head(z_target + z_history) verified")
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
-(window,) = lookback_windows(train, [test.row("c01", 2003)], [target_label], p.w)
+(window,) = lookback_windows(train, [test.row("c01", 2003)], label_table, p.w)
 print(f"look-back window of row {window.target} (c01 2003): rows {window.context.tolist()}, "
       f"years {train.row_years[window.context].tolist()}")
 xs_w, triples_w, samples_w = window_table(p, train, [window])

@@ -5,7 +5,8 @@ residuals.
 
 A target season's label is unknown, so the global model's prediction
 stands in for it in that season's embedding; `model_labels` makes those
-predictions, one `global_forward` over a Dataset's rows.
+predictions, one `global_forward` over a Dataset's rows, as a table
+indexed by block row.
 
 There is one forward implementation, a batched engine over stacked
 sequences [B,T,d]: `gru_encode` is the encoder every model shares,
@@ -242,15 +243,16 @@ def global_forward(tape, p: GruParams, xs: np.ndarray) -> Tensor:
     return nc.reshape(_mlp(bound, pooled, "readout"), (B,))
 
 
-def model_labels(p: GruParams, ds: Dataset) -> dict:
-    """The global model's normalized prediction per season of ds, keyed (county, year).
+def model_labels(p: GruParams, ds: Dataset) -> np.ndarray:
+    """The global model's normalized prediction per block row, NaN off ds's rows.
 
     One `global_forward` over ds's rows; a season's value can differ in
     its last bits with the batch it is computed in, so each run computes
     every label it uses once, from one table.
     """
-    preds = global_forward(None, p, np.take(ds.features, ds.rows, axis=0)).data.tolist()
-    return dict(zip(ds.keys(), preds))
+    table = np.full(len(ds.row_years), np.nan)
+    table[ds.rows] = global_forward(None, p, np.take(ds.features, ds.rows, axis=0)).data
+    return table
 
 
 def gruatt_forward(tape, p: GruAttParams, xs: np.ndarray) -> Tensor:
@@ -365,7 +367,8 @@ def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> li
     A target's context is its county's last w training seasons before it,
     ascending, with their observed labels, then its extras: `extras`, if
     given, holds per target None or (rows, normalized labels) to append.
-    labels[i] is the normalized label fed to target i's own embedding.
+    `labels` is a table per block row (`model_labels`): labels[t] is the
+    normalized label fed to target t's own embedding.
     Targets may be rows of `train` or of another split of its block.  The
     observed labels of every window are one audited read, and a window
     without extras holds slices of `train.rows` and of that read.
@@ -384,8 +387,8 @@ def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> li
     at = np.cumsum(length) - length  # each window's slice of the one label read
     observed = train.labels(train.rows[np.repeat(start - at, length) + np.arange(length.sum())])
     windows = []
-    for target, label, lo, hi, i, extra in zip(targets.tolist(), labels, start.tolist(),
-                                               stop.tolist(), at.tolist(),
+    for target, label, lo, hi, i, extra in zip(targets.tolist(), labels[targets].tolist(),
+                                               start.tolist(), stop.tolist(), at.tolist(),
                                                extras or [None] * len(targets)):
         context, values = train.rows[lo:hi], observed[i:i + hi - lo]
         if extra:

@@ -178,6 +178,10 @@ class Dataset:
         start, stop = self._runs.get(county, (0, 0))
         return self.rows[start:stop]
 
+    def runs(self) -> list:
+        """(county, start, stop) per county, in order: its run of positions in `rows`."""
+        return [(county, start, stop) for county, (start, stop) in self._runs.items()]
+
     def run_starts(self, counties) -> np.ndarray:
         """Per county, the position in `rows` of its first season (len(self)
         for a county with none here)."""

@@ -8,13 +8,16 @@ experiment driver and every CLI subcommand are built from the same links:
   statistics and split it again (the normalized splits share one block),
   and train the global and the cross-year model (or take them from
   checkpoints), giving a `SeedModels`.  Its `model_labels` table holds
-  the global model's prediction for every training and test record,
-  made once per seed by one `global_forward` over each split; every
-  label the global model stands in for (the cross-year model's target
-  seasons in training, fine-tuning and prediction, the residuals and
-  the training embeddings) is read from it;
+  the global model's prediction for every training and test season, one
+  value per block row, made once per seed by one `global_forward` over
+  each split; every label the global model stands in for (the
+  cross-year model's target seasons in training, fine-tuning and
+  prediction, the residuals and the training embeddings) is read from
+  it by row;
 - `retrieval_context`: residuals, training embeddings, bias matrices
   and the resolved refinement sigma, giving a `RetrievalContext`.  The
+  embeddings and the labels the bias matrices read are arrays with a
+  row per training season, in the training split's row order.  The
   residuals (and, in embedding mode, the mean embeddings, built on
   first read) are held as a `retrieval.ResidualPanel`, whose all-pairs
   similarity table is built once per seed and whose screen is built
@@ -290,13 +293,17 @@ class SeedModels:
         return self.test_n.counties
 
     @cached_property
-    def model_labels(self) -> dict:
-        """The global model's normalized prediction per (county, year).
+    def model_labels(self) -> np.ndarray:
+        """The global model's normalized prediction per block row, indexed
+        like `Dataset.row_years`; NaN on rows in neither split.
 
         One `global_forward` over the training rows (the batch every
         training-side reader shares) and one over the test rows.
         """
-        return {**model_labels(self.f, self.train_n), **model_labels(self.f, self.test_n)}
+        labels = model_labels(self.f, self.train_n)
+        test = self.test_n.rows
+        labels[test] = model_labels(self.f, self.test_n)[test]
+        return labels
 
 
 def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=None,
@@ -336,8 +343,8 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
     return models
 
 
-def _training_embeddings(models: SeedModels):
-    """One yearly embedding per training record, keyed (county, year).
+def _training_embeddings(models: SeedModels) -> np.ndarray:
+    """One yearly embedding per training season, in `train_n.rows` order.
 
     These embeddings feed the per-year regressors and county matching,
     both of which compare years against each other, so they are
@@ -350,44 +357,40 @@ def _training_embeddings(models: SeedModels):
     supposed to expose, collapsing the measured biases toward zero.
     """
     train_n = models.train_n
-    keys = train_n.keys()
     xs = np.take(train_n.features, train_n.rows, axis=0)
-    labels = np.array([models.model_labels[key] for key in keys])
     lyra = models.lyra.copy()
     table = lyra.store.value("year_table")
-    year_rows = [lyra.year_row(year) for _, year in keys]
-    neutral = table[sorted(set(year_rows))].mean(axis=0)
+    neutral = table[[lyra.year_row(year) for year in train_n.years]].mean(axis=0)
     lyra.store.set_value("year_table", np.tile(neutral, (table.shape[0], 1)))
-    z_all, _, _ = embed_batch(None, lyra, xs, (np.arange(len(keys)), labels, year_rows))
-    return dict(zip(keys, z_all.data))
+    triples = (np.arange(len(train_n)), models.model_labels[train_n.rows],
+               train_n.row_years[train_n.rows] - lyra.year_min)
+    z_all, _, _ = embed_batch(None, lyra, xs, triples)
+    return z_all.data
 
 
-def _refinement_setup(models: SeedModels, embeddings):
+def _refinement_setup(models: SeedModels, Z):
     """Per-year regressors and every county's bias matrix (physical units).
 
-    All per-year fits share one standardization, computed over every
-    training year's embeddings. Each regressor is evaluated on other
+    `Z` holds the training embeddings, a row per season in `train_n.rows`
+    order.  All per-year fits share one standardization, computed over
+    every training year's embeddings. Each regressor is evaluated on other
     years' embeddings when the bias matrices are built, so the scale
     must be common across years; a per-year scale would blow up along
     dimensions that vary little within a year but drift between years.
     """
     train_n, stats = models.train_n, models.stats
-    keys = train_n.keys()
-    labels = dict(zip(keys, map(stats.denormalize_label, train_n.labels().tolist())))
-    z_mean, z_scale = rf.embedding_moments(np.stack(list(embeddings.values())))
-    by_year = {}  # year -> its keys, in county order
-    for key in keys:
-        by_year.setdefault(key[1], []).append(key)
+    y = train_n.labels() * stats.label_std + stats.label_mean
+    years = train_n.row_years[train_n.rows]
+    z_mean, z_scale = rf.embedding_moments(Z)
     regressors = {}
     for year in train_n.years:
-        year_keys = by_year[year]
-        if len(year_keys) < 2:
-            warnings.warn(f"year {year} has {len(year_keys)} records; regressor skipped")
+        in_year = years == year  # its rows, in county order
+        if in_year.sum() < 2:
+            warnings.warn(f"year {year} has {in_year.sum()} records; regressor skipped")
             continue
-        Z = np.stack([embeddings[key] for key in year_keys])
-        y = np.array([labels[key] for key in year_keys])
-        regressors[year] = rf.fit_year_regressor(year, Z, y, z_mean=z_mean, z_scale=z_scale)
-    return regressors, rf.build_bias_matrix(regressors, embeddings, labels)
+        regressors[year] = rf.fit_year_regressor(year, Z[in_year], y[in_year],
+                                                 z_mean=z_mean, z_scale=z_scale)
+    return regressors, rf.build_bias_matrix(regressors, train_n, Z, y)
 
 
 @dataclass
@@ -395,19 +398,21 @@ class RetrievalContext:
     """What per-county retrieval and refinement read, for one seed.
 
     `residuals` (a `retrieval.ResidualPanel`) are filled in residual
-    mode only.  The training `embeddings` (keyed (county, year)), the
-    per-year `regressors` and the per-county `biases` need the
-    cross-year model and are empty without one; so is `mean_emb`, the
-    mean embeddings as a `retrieval.embedding_panel`, built on first
-    read.  `sigma` is the refinement noise scale in physical units.
-    `retrieved` and `refined` keep what `retrieve_refine` computed from
-    it, so that runs sharing the context (the variants of one driver
-    run) retrieve and refine each county once per setting.
+    mode only.  The training `embeddings` (a row per season of `train`,
+    in its row order), the per-year `regressors` and the per-county
+    `biases` need the cross-year model and are None or empty without
+    one; so is `mean_emb`, the mean embeddings as a
+    `retrieval.embedding_panel`, built on first read.  `sigma` is the refinement noise scale in
+    physical units.  `retrieved` and `refined` keep what
+    `retrieve_refine` computed from it, so that runs sharing the context
+    (the variants of one driver run) retrieve and refine each county
+    once per setting.
     """
     adjacency: dict
     sigma: float
+    train: Dataset
     residuals: Mapping = field(default_factory=dict)
-    embeddings: dict = field(default_factory=dict)
+    embeddings: np.ndarray | None = None
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
     retrieved: dict = field(default_factory=dict)
@@ -416,13 +421,10 @@ class RetrievalContext:
     @cached_property
     def mean_emb(self) -> Mapping:
         """Each county's mean training embedding, as a `retrieval.embedding_panel`."""
-        if not self.embeddings:
+        if self.embeddings is None:
             return {}
-        by_county = {}  # embeddings come in (county, year) order
-        for (county, _year), z in self.embeddings.items():
-            by_county.setdefault(county, []).append(z)
-        return rt.embedding_panel({county: np.mean(zs, axis=0)
-                                   for county, zs in by_county.items()})
+        return rt.embedding_panel({county: self.embeddings[start:stop].mean(axis=0)
+                                   for county, start, stop in self.train.runs()})
 
 
 def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
@@ -435,7 +437,7 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
     """
     sigma = (cfg.sigma if cfg.sigma is not None
              else _SIGMA_FRACTION * models.stats.label_std)
-    ctx = RetrievalContext(adjacency=adjacency, sigma=sigma)
+    ctx = RetrievalContext(adjacency=adjacency, sigma=sigma, train=models.train_n)
     if cfg.retrieval_mode == "residual":
         with _stage(f"residuals seed {models.seed}"):
             ctx.residuals = rt.compute_residuals(models.train_n, models.model_labels,
@@ -532,10 +534,9 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                          [stats.normalize_label(e.label_refined) for e in refined.entries])
         extras.append(extra)
     with _stage(f"history seed {models.seed}"):
-        windows = lookback_windows(
-            train_n, [test_n.row(county, cfg.test_year) for county in counties],
-            [models.model_labels[county, cfg.test_year] for county in counties],
-            models.lyra.w, extras)
+        # one season per county, so the test rows come in county order
+        windows = lookback_windows(train_n, test_n.rows, models.model_labels,
+                                   models.lyra.w, extras)
 
     results = {}
     if tuned:

@@ -8,10 +8,13 @@ county's label drifts across years and shifts retrieved labels forward:
     embeddings to labels using all counties observed in year s.
 2.  For a county i, the bias matrix holds B[s, k] = y_i^k - g_s(z_i^k),
     the gap between year k's label and what year s's map expects.  One
-    `build_bias_matrix` call per seed builds every county's matrix: each
-    g_s makes one `predict` over all counties' stacked embeddings,
-    computed as one [1 x E] . [E] product per row rather than one GEMV,
-    so each cell has the same bits as predicting its embedding alone.
+    `build_bias_matrix` call per seed builds every county's matrix from
+    one embedding table and one label array, each with a row per training
+    season (county by county, years ascending): each g_s makes one
+    `predict` over the whole table, computed as one [1 x E] . [E] product
+    per row rather than one GEMV, so each cell has the same bits as
+    predicting its embedding alone, and a county's matrix is cut from its
+    run of rows.
 3.  Each row s is extrapolated with a least-squares line over k to the
     target year, giving a per-sample correction b_hat.  A row's line is
     fitted once, on first use, and evaluated for every target year.  It
@@ -30,8 +33,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -187,60 +188,32 @@ def _line_design(years):
     return x0, lhs, scale, len(xs) * np.finfo(np.float64).eps
 
 
-def build_bias_matrix(regressors, embeddings, labels):
+def build_bias_matrix(regressors, train, Z, y):
     """Every county's bias matrix, as {county: BiasMatrix}.
 
-    `regressors` maps year -> fitted g_s; `embeddings` maps (county,
-    year) -> z vector and `labels` (county, year) -> physical label.  A
-    county's years are those with both.  Each regressor makes one
-    `g_s.predict` over all counties' stacked embeddings, and row s of a
-    county's matrix is B[s] = y - g_s(Z) over its years; each cell has
-    the bits of predicting its embedding alone (see
-    `YearRegressor.predict`).  Rows of years without a regressor stay
-    zero and invalid.
+    `regressors` maps year -> fitted g_s.  Row i of the embedding table
+    `Z` [n, E] and of the physical labels `y` [n] is the season at
+    position i of `train.rows`, so a county's matrix covers its run of
+    rows, years ascending.  Each regressor makes one `g_s.predict` over
+    all of `Z`, and row s of a county's matrix is B[s] = y - g_s(Z) over
+    its run; each cell has the bits of predicting its embedding alone
+    (see `YearRegressor.predict`).  Rows of years without a regressor
+    stay zero and invalid.
     """
-    keys = sorted(set(embeddings) & set(labels))
-    missing = sorted({county for county, _ in chain(embeddings, labels)}
-                     - {county for county, _ in keys})
-    if missing:
-        raise ContractError(f"county {missing[0]}: no years with both embedding and label")
-    if not keys:
-        raise ContractError("no (county, year) with both an embedding and a label")
-    rows = [np.asarray(embeddings[key], dtype=np.float64) for key in keys]
-    if len({z.shape for z in rows}) > 1 or rows[0].ndim != 1:
-        _reject_shapes(keys, rows)
-    Z = np.stack(rows)
-    y = np.array([labels[key] for key in keys], dtype=np.float64)
-    years = sorted({year for _, year in keys})
+    years = train.years
     fitted = np.array([s in regressors for s in years])
-    B = np.zeros((len(years), len(keys)))
+    B = np.zeros((len(years), len(y)))
     for si in np.flatnonzero(fitted):
         B[si] = y - regressors[years[si]].predict(Z)
-    year_index = {s: si for si, s in enumerate(years)}
+    row_years = train.row_years[train.rows]
+    year_index = np.searchsorted(years, row_years)  # each row's row of B
     out = {}
-    start = 0
-    for county, group in groupby(keys, key=itemgetter(0)):
-        county_years = [year for _, year in group]
-        stop = start + len(county_years)
-        idx = [year_index[s] for s in county_years]
-        out[county] = BiasMatrix(county=county, years=county_years,
+    for county, start, stop in train.runs():
+        idx = year_index[start:stop]
+        out[county] = BiasMatrix(county=county, years=row_years[start:stop].tolist(),
                                  B=B[idx, start:stop],
                                  valid=np.repeat(fitted[idx, None], stop - start, axis=1))
-        start = stop
     return out
-
-
-def _reject_shapes(keys, rows):
-    """Raise on embeddings not all of one shape [E], naming the first county at fault."""
-    shapes = {}
-    for (county, _), z in zip(keys, rows):
-        shapes.setdefault(county, set()).add(z.shape)
-    for county, found in shapes.items():
-        if len(found) > 1 or len(next(iter(found))) != 1:
-            raise ContractError(
-                f"county {county}: expected embeddings of one shape [E], got {sorted(found)}")
-    widths = sorted(set().union(*shapes.values()))
-    raise ContractError(f"counties' embeddings differ in width: {widths}")
 
 
 @dataclass

@@ -4,11 +4,12 @@ The global model leaves structured, county-specific error behind.  Two
 counties whose residual histories move together share unmodeled local
 conditions, so one county's recent seasons are useful extra training
 material for the other.  Retrieval here means: build each county's
-residual vector against the global model's predictions (the per-seed
-label table of `backbone.model_labels`), compare query and candidates
-with centered cosine similarity over their common years, keep
-candidates above a threshold, and collect their seasons from the most
-recent five training years, as rows of the training Dataset's block.
+residual vector from its run of training rows, against the global
+model's predictions (the per-seed table of `backbone.model_labels`, one
+value per block row), compare query and candidates with centered cosine
+similarity over their common years, keep candidates above a threshold,
+and collect their seasons from the most recent five training years, as
+rows of the training Dataset's block.
 
 Every county is compared with every other, so the comparison is made
 once per seed for all pairs, screened once per setting for all queries,
@@ -92,33 +93,24 @@ class RetrievalResult:
 def compute_residuals(train, predictions, stats):
     """Residual vectors r^k = y^k - f(x^k) for every training county.
 
-    `predictions` maps (county, year) to the global model's prediction
-    f(x^k) for every labeled record.  The dataset's labels and the
-    predictions are normalized by `stats`, and both are mapped back to
-    physical units first.  Counties with no labeled years are
-    excluded with a warning.  The result maps county to
-    `ResidualVector`, as a `ResidualPanel`.
+    `predictions` is the global model's prediction f(x^k) per block row
+    (`backbone.model_labels`).  The dataset's labels and the predictions
+    are normalized by `stats`, and both are mapped back to physical units
+    first.  A county's vector is its run of rows, years ascending; a
+    county with an unlabeled season has non-finite residuals, a contract
+    error.  The result maps county to `ResidualVector`, as a
+    `ResidualPanel`.
     """
-    labels = train.labels()
-    keys = [key for key, y in zip(train.keys(), labels.tolist()) if y == y]  # labeled
-    skipped = sorted(set(train.counties) - {county for county, _ in keys})
-    if skipped:
-        warnings.warn(f"counties without labels excluded from retrieval: {skipped}")
-    if not keys:
-        raise ContractError("no labeled records to build residuals from")
-    labels = labels[~np.isnan(labels)]
-    preds = np.array([predictions[key] for key in keys], dtype=np.float64)
-    labels = labels * stats.label_std + stats.label_mean
-    preds = preds * stats.label_std + stats.label_mean
+    labels = train.labels() * stats.label_std + stats.label_mean
+    preds = predictions[train.rows] * stats.label_std + stats.label_mean
+    residuals = labels - preds
+    years = train.row_years[train.rows].tolist()
     out = {}
-    for (county, year), r in zip(keys, (labels - preds).tolist()):  # years ascending
-        rv = out.setdefault(county, ResidualVector(county, [], []))
-        rv.years.append(year)
-        rv.r.append(r)
-    for rv in out.values():
-        rv.r = np.asarray(rv.r, dtype=np.float64)
-        if not np.all(np.isfinite(rv.r)):
-            raise ContractError(f"non-finite residuals for county {rv.county}")
+    for county, start, stop in train.runs():
+        r = residuals[start:stop]
+        if not np.all(np.isfinite(r)):
+            raise ContractError(f"non-finite residuals for county {county}")
+        out[county] = ResidualVector(county, years[start:stop], r)
     return ResidualPanel(out)
 
 

@@ -10,7 +10,7 @@ training season with an earlier season, or, when fine-tuning, one per
 usable refined sample (a block row of the training Dataset).  Each step's
 engine inputs are `window_table` of that batch's windows.  The label a
 window feeds its target season comes from the caller's `target_labels`
-table, keyed (county, year); the pipeline fills it with the global
+table, one value per block row; the pipeline fills it with the global
 model's predictions (`backbone.model_labels`), so the cross-year loops
 never run the global model.  Every source of randomness (init,
 shuffling) is seeded through TrainConfig, so a (seed, config, data)
@@ -160,9 +160,9 @@ class Adam:
 def _training_labels(train):
     """Every training season's label, in row order, in one read; none may be missing."""
     labels = train.labels()
-    unlabeled = [key for key, y in zip(train.keys(), labels.tolist()) if y != y]
+    unlabeled = [train.key(row) for row in train.rows[np.isnan(labels)][:5].tolist()]
     if unlabeled:
-        raise ContractError(f"training records without labels: {unlabeled[:5]}")
+        raise ContractError(f"training records without labels: {unlabeled}")
     if len(train) == 0:
         raise ContractError("empty training set")
     return labels
@@ -266,7 +266,7 @@ def sync_year_rows(p: LyraParams, trained_years) -> list:
     return synced
 
 
-def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
+def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
                dims: LyraDims | None = None, year_max: int | None = None):
     """Fit the full cross-year model on all window samples by MSE.
 
@@ -274,8 +274,9 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     (so a two-year county still yields one), in (county, year) order:
     its look-back window from `lookback_windows`.  The supervision
     target is always the observed label; the label fed into the target
-    year's own embedding is `target_labels[(county, year)]`, the same
-    substitute the target year gets at test time.
+    year's own embedding is `target_labels[row]`, the season's entry in a
+    table per block row, the same substitute the target year gets at test
+    time.
     Untrained year-table rows are synced to the nearest trained year
     afterwards so a held-out year can be embedded.
     """
@@ -293,10 +294,10 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: dict,
     later = np.ones(len(train), dtype=bool)  # seasons with an earlier one
     later[train.run_starts(train.counties)] = False
     targets = _training_labels(train)[later]
-    rows = train.rows[later].tolist()
-    if not rows:
+    rows = train.rows[later]
+    if not rows.size:
         raise ContractError("no trainable samples: every county has a single year")
-    windows = lookback_windows(train, rows, [target_labels[train.key(r)] for r in rows], w)
+    windows = lookback_windows(train, rows, target_labels, w)
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
@@ -329,7 +330,7 @@ def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
             rows.append(entry.record)
             entries.append(entry)
         sizes.append(len(entries) - size)
-    windows = lookback_windows(train, rows, [target_labels[train.key(r)] for r in rows], p.w)
+    windows = lookback_windows(train, rows, target_labels, p.w)
     targets = [stats.normalize_label(e.label_refined) for e in entries]
     out, start = [], 0
     for size in sizes:
@@ -339,7 +340,7 @@ def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
 
 
 def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
-              target_labels: dict, stats) -> LyraParams:
+              target_labels: np.ndarray, stats) -> LyraParams:
     """Adapt copies of the parameters to counties' refined samples, in one pass.
 
     sample_sets is a list of counties' RefinedSampleSets; the result is
@@ -348,7 +349,7 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     retrieved samples; the input parameters are never mutated.  Each
     refined entry with an earlier season is one window: the look-back
     window of its block row (one `lookback_windows` call for all sets),
-    with its `target_labels` entry fed to its own embedding and its
+    with its row's `target_labels` entry fed to its own embedding and its
     refined label, normalized by `stats`, as supervision.  An entry
     without an earlier season is skipped with a warning; a copy whose set
     is empty or unusable stays an unchanged copy.  freeze_encoder pins the

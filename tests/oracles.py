@@ -13,6 +13,9 @@ kept verbatim as their oracles too: `row_lookback_window` for
 per-setting retrieval screen, `county_bias_matrix` for the one-call
 `refinement.build_bias_matrix`, and `reference_extrapolate_bias` (one
 `np.polyfit` per call) for the shared-design row lines.
+`build_bias_matrix` is the one-call form as it read (county, year)-keyed
+dicts of embeddings and labels, before it took a Dataset's runs of rows;
+`bias_inputs` turns such dicts into the array form's arguments.
 
 `collect_samples` and `refine_labels` are the record-based retrieval
 samples and label refinement that block rows replaced, kept verbatim as
@@ -25,6 +28,8 @@ audited `rec.yield_label` (it reads the record's label unaudited).
 """
 
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -303,6 +308,72 @@ def county_bias_matrix(county, regressors, embeddings, labels):
         B[si] = y - g.predict(Z)
         valid[si] = True
     return rf.BiasMatrix(county=county, years=years, B=B, valid=valid)
+
+
+def bias_inputs(embeddings, labels):
+    """`refinement.build_bias_matrix`'s (train, Z, y) for (county, year)-keyed
+    embeddings and labels: a Dataset with one row per season that has both,
+    and the embeddings and labels in its row order."""
+    keys = sorted(set(embeddings) & set(labels))
+    y = [labels[key] for key in keys]
+    train = Dataset(keys, np.zeros((len(keys), 1, 1)), y)
+    return train, np.stack([embeddings[key] for key in keys]), np.array(y, dtype=np.float64)
+
+
+def build_bias_matrix(regressors, embeddings, labels):
+    """Every county's bias matrix, as {county: BiasMatrix}.
+
+    `regressors` maps year -> fitted g_s; `embeddings` maps (county,
+    year) -> z vector and `labels` (county, year) -> physical label.  A
+    county's years are those with both.  Each regressor makes one
+    `g_s.predict` over all counties' stacked embeddings, and row s of a
+    county's matrix is B[s] = y - g_s(Z) over its years; each cell has
+    the bits of predicting its embedding alone (see
+    `YearRegressor.predict`).  Rows of years without a regressor stay
+    zero and invalid.
+    """
+    keys = sorted(set(embeddings) & set(labels))
+    missing = sorted({county for county, _ in chain(embeddings, labels)}
+                     - {county for county, _ in keys})
+    if missing:
+        raise ContractError(f"county {missing[0]}: no years with both embedding and label")
+    if not keys:
+        raise ContractError("no (county, year) with both an embedding and a label")
+    rows = [np.asarray(embeddings[key], dtype=np.float64) for key in keys]
+    if len({z.shape for z in rows}) > 1 or rows[0].ndim != 1:
+        _reject_shapes(keys, rows)
+    Z = np.stack(rows)
+    y = np.array([labels[key] for key in keys], dtype=np.float64)
+    years = sorted({year for _, year in keys})
+    fitted = np.array([s in regressors for s in years])
+    B = np.zeros((len(years), len(keys)))
+    for si in np.flatnonzero(fitted):
+        B[si] = y - regressors[years[si]].predict(Z)
+    year_index = {s: si for si, s in enumerate(years)}
+    out = {}
+    start = 0
+    for county, group in groupby(keys, key=itemgetter(0)):
+        county_years = [year for _, year in group]
+        stop = start + len(county_years)
+        idx = [year_index[s] for s in county_years]
+        out[county] = rf.BiasMatrix(county=county, years=county_years,
+                                    B=B[idx, start:stop],
+                                    valid=np.repeat(fitted[idx, None], stop - start, axis=1))
+        start = stop
+    return out
+
+
+def _reject_shapes(keys, rows):
+    """Raise on embeddings not all of one shape [E], naming the first county at fault."""
+    shapes = {}
+    for (county, _), z in zip(keys, rows):
+        shapes.setdefault(county, set()).add(z.shape)
+    for county, found in shapes.items():
+        if len(found) > 1 or len(next(iter(found))) != 1:
+            raise ContractError(
+                f"county {county}: expected embeddings of one shape [E], got {sorted(found)}")
+    widths = sorted(set().union(*shapes.values()))
+    raise ContractError(f"counties' embeddings differ in width: {widths}")
 
 
 def reference_extrapolate_bias(bm, source_year, target_year):

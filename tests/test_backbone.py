@@ -546,12 +546,16 @@ class TestLyraPredict:
         hist = history_records(rng)
         target = CountyYearRecord("c9", 2003, rng.standard_normal((6, 2)), None)
         stats = norm_stats()
-        labels = bb.model_labels(gp, dataset_of(hist + [target]))
-        assert list(labels) == [("c9", 2001), ("c9", 2002), ("c9", 2003)]
+        ds = dataset_of(hist + [target])
+        labels = bb.model_labels(gp, ds)
+        assert [ds.key(row) for row in range(len(labels))] == \
+            [("c9", 2001), ("c9", 2002), ("c9", 2003)]
         for rec in hist + [target]:
-            np.testing.assert_allclose(labels[rec.county, rec.year],
+            np.testing.assert_allclose(labels[ds.row(rec.county, rec.year)],
                                        np_global(gp, rec.features), atol=1e-12)
-        label = labels["c9", 2003]
+        train, _ = split_by_test_year(ds, 2003)
+        assert np.isnan(bb.model_labels(gp, train)[ds.row("c9", 2003)])
+        label = labels[ds.row("c9", 2003)]
         out = predict_one(p, stats, hist, target, label)
         expected, _ = np_lyra_predict(p, stats, [(r, oracles.label_of(r)) for r in hist], target,
                                       label)
@@ -596,6 +600,13 @@ def bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def label_table(ds, targets=(), labels=()):
+    """A label table over ds's block: labels[i] at targets[i], 0 elsewhere."""
+    table = np.zeros(len(ds.row_years))
+    table[list(targets)] = labels
+    return table
+
+
 class TestLookbackWindow:
     @staticmethod
     def panel(rng):
@@ -613,20 +624,23 @@ class TestLookbackWindow:
         train, test = self.panel(rng)
         target = test.row("c9", 2004)
         # a shorter history is taken whole; seasons from the target year on are not
-        win, mid = bb.lookback_windows(train, [target, train.row("c9", 2002)], [0.3, 0.0], w=2)
+        targets = [target, train.row("c9", 2002)]
+        win, mid = bb.lookback_windows(train, targets, label_table(train, targets, [0.3, 0.0]),
+                                       w=2)
         assert win.target == target and win.label == 0.3
         assert [train.key(r) for r in win.context] == [("c9", 2002), ("c9", 2003)]
         assert win.context_labels.tolist() == train.labels(
             [train.row("c9", y) for y in (2002, 2003)]).tolist()
         assert train.row_years[mid.context].tolist() == [2000, 2001]
-        assert bb.lookback_windows(train, [], [], w=2) == []
+        assert bb.lookback_windows(train, [], label_table(train), w=2) == []
 
     def test_extra_follows_history(self):
         rng = np.random.default_rng(11)
         train, test = self.panel(rng)
         target = test.row("c9", 2004)
         extra_rows = [train.row("c3", 2001), train.row("c9", 2000)]
-        win, plain = bb.lookback_windows(train, [target, target], [0.3, 0.3], w=2,
+        win, plain = bb.lookback_windows(train, [target, target],
+                                         label_table(train, [target], [0.3]), w=2,
                                          extras=[(extra_rows, [1.5, -0.5]), None])
         np.testing.assert_array_equal(win.context[:2], plain.context)
         np.testing.assert_array_equal(win.context_labels[:2], plain.context_labels)
@@ -638,30 +652,32 @@ class TestLookbackWindow:
         train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="c3"):
             bb.lookback_windows(train, [test.row("c9", 2004), train.row("c3", 2001)],
-                                [0.0, 0.0], w=3)
+                                label_table(train), w=3)
         with pytest.raises(nc.ContractError, match="c7"):
-            bb.lookback_windows(train, [test.row("c7", 2004)], [0.0], w=3)
+            bb.lookback_windows(train, [test.row("c7", 2004)], label_table(train), w=3)
 
     def test_window_of_zero_rejected(self):
         rng = np.random.default_rng(13)
         train, test = self.panel(rng)
         with pytest.raises(nc.ContractError, match="at least 1"):
-            bb.lookback_windows(train, [test.row("c9", 2004)], [0.0], w=0)
+            bb.lookback_windows(train, [test.row("c9", 2004)], label_table(train), w=0)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 5])
     def test_batch_matches_per_target_windows(self, w):
         """Every window of one batch has the bits of the per-target oracle's,
-        with and without extras, targets repeated and in any order."""
+        with and without extras, targets repeated and in any order; each
+        target's label is its row's entry in the table."""
         rng = np.random.default_rng(14)
         train, test = self.panel(rng)
         targets = [test.row("c9", 2004), train.row("c9", 2003), train.row("c9", 2001),
                    test.row("c9", 2004), train.row("c9", 2002)]
-        labels = rng.standard_normal(len(targets)).tolist()
+        table = rng.standard_normal(len(train.row_years))
+        labels = table[targets].tolist()
         extras = [([train.row("c3", 2001)], [rng.standard_normal()]), None,
                   ([train.row("c9", 2000), train.row("c3", 2001)], rng.standard_normal(2)),
                   None, ((), ())]
         for given in (None, extras):
-            got = bb.lookback_windows(train, targets, labels, w, given)
+            got = bb.lookback_windows(train, targets, table, w, given)
             for i, (target, label, win) in enumerate(zip(targets, labels, got)):
                 extra = ((), ()) if given is None or given[i] is None else given[i]
                 want = oracles.row_lookback_window(train, target, label, w, *extra)
@@ -686,7 +702,7 @@ class TestLookbackWindow:
         with label_audit.guard(2001):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(Dataset, "labels", recording)
-                bb.lookback_windows(train, targets, [0.0] * 3, w=2)
+                bb.lookback_windows(train, targets, label_table(train), w=2)
             batched = label_audit.violation_count()
             for target in targets:
                 oracles.row_lookback_window(train, target, 0.0, w=2)

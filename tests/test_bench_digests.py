@@ -1,0 +1,49 @@
+"""The benchmark's seed-1 prediction digests, pinned.
+
+Each workload's seed-1 panel is generated, written to CSV and loaded back,
+as `perfbench/run.py` does, and its entry point runs once through the
+benchmark worker's own `Runner`, whose `check` hashes every variant, seed
+and county prediction.  A change that moves any prediction's bits moves
+its digest.  `perfbench/` is outside the package, so its modules load by
+path.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from ratar.data import load_dataset, save_dataset_csv
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+DIGESTS = {
+    "ablate_c07": "2d8594ca7e1985261368682252768f8038665f80643f11c8d6ba712d765ca04e",
+    "retrieve_wide": "e4fa74d073b9d7c0ec7f55fcc515baa9d84f76796762eb240117163f46370bce",
+    "finetune_county": "59892af08168414e687121442044f570501111a6e120a4da72d27650186b4c61",
+}
+
+
+def load(name, monkeypatch):
+    """perfbench/<name>.py as the module `name`, which its siblings import."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_seed1_digest(name, tmp_path, monkeypatch):
+    workloads = load("workloads", monkeypatch)
+    load("tracer", monkeypatch)
+    worker = load("worker", monkeypatch)
+    wl = workloads.get(name)
+    path = str(tmp_path / f"{name}-seed1.csv")
+    save_dataset_csv(wl.panel(1), path)
+    ds = load_dataset(path)
+    runner = worker.Runner(wl, wl.config(max(ds.years)), ds, host=None)
+    sample = runner.call(sample_host=False)
+    assert sample is not None, f"{name} raised; see the traceback on stderr"
+    assert runner.totals["failed"] == 0
+    assert sample.digest == DIGESTS[name]

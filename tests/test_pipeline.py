@@ -104,7 +104,8 @@ class TestIntegrateContext:
         self.train, self.test = split_by_test_year(zscore_apply(ds, self.stats), 2005)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=5, seed=0)
         self.f, _ = tr.train_global(self.train, cfg, H=6, readout_hidden=0)
-        self.labels = {**model_labels(self.f, self.train), **model_labels(self.f, self.test)}
+        self.labels = model_labels(self.f, self.train)
+        self.labels[self.test.rows] = model_labels(self.f, self.test)[self.test.rows]
         self.lyra, _ = tr.train_lyra(self.train, 3, cfg, self.labels, dims=tiny_dims(),
                                      year_max=2005)
 
@@ -112,7 +113,7 @@ class TestIntegrateContext:
         """county's test-year window, then the (block row, label) extras."""
         extra_rows = [row for row, _ in extra]
         (win,) = lookback_windows(self.train, [self.test.row(county, 2005)],
-                                  [self.labels[county, 2005]], self.lyra.w,
+                                  self.labels, self.lyra.w,
                                   [(extra_rows, [label for _, label in extra])])
         return win
 
@@ -234,7 +235,7 @@ class TestRunExperiment:
         rows = {r.county: r.prediction for r in report.seed_results[0].rows}
         windows = lookback_windows(
             train_n, [test_n.row(county, cfg.test_year) for county in test_n.counties],
-            [test_labels[county, cfg.test_year] for county in test_n.counties], cfg.w)
+            test_labels, cfg.w)
         for county, want in zip(test_n.counties, lyra_predict(lyra, stats, train_n, windows)):
             assert rows[county] == want.prediction
 
@@ -577,7 +578,7 @@ class TestModelLabels:
         pl.predict_counties(cfg, models, ctx)
         assert recorded["fine_tune"] and len(recorded["predict"]) == len(models.test_counties)
         for win in recorded["fine_tune"] + recorded["predict"]:
-            assert win.label == models.model_labels[models.train_n.key(win.target)]
+            assert win.label == models.model_labels[win.target]
 
 
 def county_of(models, win):
@@ -741,6 +742,25 @@ class TestRowsOnly:
         assert builds == [1]
         pl.ablate(base_config(tmp_path, out_dir=None, train=train, seeds=(0, 1)))
         assert builds == [1, 1, 1]
+
+    def test_only_evaluate_lists_keys(self, tmp_path, monkeypatch):
+        """Per-season tables are indexed by block row: the one list of a
+        split's (county, year) keys is `evaluate`'s, once per variant and seed."""
+        callers = []
+        keys = Dataset.keys
+
+        def counting(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return keys(self)
+
+        monkeypatch.setattr(Dataset, "keys", counting)
+        train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=2, seed=0,
+                               fine_tune_lr=1e-3, fine_tune_epochs=2)
+        pl.run_experiment(base_config(tmp_path, train=train, seeds=(0, 1)))
+        assert callers == ["evaluate"] * 2
+        callers.clear()
+        reports = pl.ablate(base_config(tmp_path, out_dir=None, train=train, seeds=(0, 1)))
+        assert callers == ["evaluate"] * (len(reports) * 2)
 
 
 class TestRefinementSetupCalls:

@@ -111,7 +111,8 @@ def keyed(county, by_year):
 
 def one_county(county, regressors, embeddings, labels):
     """build_bias_matrix on one county's year-keyed embeddings and labels."""
-    out = rf.build_bias_matrix(regressors, keyed(county, embeddings), keyed(county, labels))
+    inputs = oracles.bias_inputs(keyed(county, embeddings), keyed(county, labels))
+    out = rf.build_bias_matrix(regressors, *inputs)
     assert list(out) == [county]
     return out[county]
 
@@ -163,13 +164,6 @@ class TestBiasMatrix:
         bm = one_county("c0", regs, embeddings, labels)
         assert bm.years == [2000, 2002]
         assert bm.valid.all()
-
-    def test_empty_embeddings_rejected(self):
-        with pytest.raises(ContractError):
-            rf.build_bias_matrix({}, {}, {})
-        with pytest.raises(ContractError, match="county c1"):
-            rf.build_bias_matrix({}, {("c0", 2000): np.zeros(2), ("c1", 2000): np.zeros(2)},
-                                 {("c0", 2000): 1.0, ("c1", 2001): 1.0})
 
 
 def reference_bias_matrix(county, regressors, embeddings, labels):
@@ -238,13 +232,6 @@ class TestBiasMatrixOracle:
         got = one_county("c0", regs, *one)
         assert got.years == [year] and got.valid.all()
         self.assert_bit_equal(got, reference_bias_matrix("c0", regs, *one))
-
-    @pytest.mark.parametrize("shapes", [[(2,), (3,)], [(), ()], [(1, 2), (1, 2)]])
-    def test_malformed_embeddings_name_county(self, shapes):
-        regs = toy_regressors([2000, 2001], [1.0, 2.0], [0.0, 0.0])
-        embeddings = {2000: np.zeros(shapes[0]), 2001: np.zeros(shapes[1])}
-        with pytest.raises(ContractError, match="county c7"):
-            one_county("c7", regs, embeddings, {2000: 1.0, 2001: 2.0})
 
 
 class TestExtrapolateBias:
@@ -329,7 +316,7 @@ class TestBatchedBiasMatrices:
     def test_matches_per_county_matrices(self, E):
         rng = np.random.default_rng(300 + E)
         regs, embeddings, labels = self.panel(rng, E)
-        got = rf.build_bias_matrix(regs, embeddings, labels)
+        got = rf.build_bias_matrix(regs, *oracles.bias_inputs(embeddings, labels))
         counties = sorted({county for county, _ in embeddings})
         assert list(got) == counties
         for county in counties:
@@ -345,6 +332,23 @@ class TestBatchedBiasMatrices:
         assert unfitted and all(not got[c].valid[si].any() and not got[c].B[si].any()
                                 for c, si in unfitted)
 
+    @pytest.mark.parametrize("E", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_keyed_oracle(self, E, seed):
+        """The Dataset-run form has the bits of the (county, year)-keyed one."""
+        rng = np.random.default_rng([320 + E, seed])
+        regs, embeddings, labels = self.panel(rng, E, n_counties=20)
+        got = rf.build_bias_matrix(regs, *oracles.bias_inputs(embeddings, labels))
+        want = oracles.build_bias_matrix(regs, embeddings, labels)
+        assert list(got) == list(want)
+        sizes = {len(bm.years) for bm in got.values()}
+        assert 1 in sizes and max(sizes) > 10
+        assert any(bm.years != list(range(bm.years[0], bm.years[-1] + 1))
+                   for bm in got.values()), "some county has a gap in its years"
+        assert any(s not in regs for bm in got.values() for s in bm.years)
+        for county in want:
+            TestBiasMatrixOracle.assert_bit_equal(got[county], want[county])
+
     def test_one_predict_per_regressor_year(self, monkeypatch):
         rng = np.random.default_rng(310)
         regs, embeddings, labels = self.panel(rng, 4)
@@ -356,7 +360,7 @@ class TestBatchedBiasMatrices:
             return original(self, Z)
 
         monkeypatch.setattr(rf.YearRegressor, "predict", counting)
-        rf.build_bias_matrix(regs, embeddings, labels)
+        rf.build_bias_matrix(regs, *oracles.bias_inputs(embeddings, labels))
         years = {year for _, year in embeddings}
         assert sorted(calls) == [(s, len(embeddings)) for s in sorted(regs) if s in years]
 

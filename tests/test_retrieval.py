@@ -87,13 +87,12 @@ class TestComputeResiduals:
             pred_phys = stats.denormalize_label(pred_norm)
             np.testing.assert_allclose(rv.r[k], label - pred_phys, atol=1e-9)
 
-    def test_unlabeled_county_excluded_with_warning(self):
+    def test_unlabeled_county_rejected(self):
         recs = [r for r in self.ds.records]
         lone = [CountyYearRecord("zz", y, np.zeros((6, 4)), None) for y in range(2000, 2005)]
         ds = dataset_of(recs + lone)
-        with pytest.warns(UserWarning, match="zz"):
-            res = rt.compute_residuals(ds, model_labels(self.params, ds), identity_stats(4))
-        assert "zz" not in res
+        with pytest.raises(ContractError, match="non-finite residuals for county zz"):
+            rt.compute_residuals(ds, model_labels(self.params, ds), identity_stats(4))
 
     def test_same_cluster_pairs_more_similar(self):
         cfg = SyntheticConfig(n_counties=24, n_years=8, T=8, d=6, n_hidden_clusters=3,

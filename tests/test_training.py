@@ -52,8 +52,10 @@ def small_synth(seed=0, n_counties=8, n_years=6, T=8, d=4):
 
 
 def observed_labels(ds):
-    """Each record's own label, keyed (county, year), as a target-label table."""
-    return dict(zip(ds.keys(), ds.labels().tolist()))
+    """Each season's own label, per block row, as a target-label table."""
+    table = np.full(len(ds.row_years), np.nan)
+    table[ds.rows] = ds.labels()
+    return table
 
 
 def refined_sample(ds, county, year, shift):
@@ -364,7 +366,7 @@ class TestLyraSampleSpecs:
 
     @staticmethod
     def windows(ds, w, labels=None):
-        labels = labels or {key: 0.0 for key in ds.keys()}
+        labels = np.zeros(len(ds.row_years)) if labels is None else labels
         return oracles.train_lyra_windows(
             ds, w, tr.TrainConfig(batch_size=None, epochs=1), labels,
             dims=LyraDims(d=ds.d, H=2, Z=2, E=1, attn_hidden=0, mlp_hidden=0))
@@ -386,7 +388,7 @@ class TestLyraSampleSpecs:
         recs = [CountyYearRecord("aa", 2000, np.zeros((3, 2)), 1.0),
                 CountyYearRecord("aa", 2001, np.zeros((3, 2)), 2.0)]
         ds = dataset_of(recs)
-        windows = self.windows(ds, 5, {("aa", 2000): 0.5, ("aa", 2001): 0.25})
+        windows = self.windows(ds, 5, np.array([0.5, 0.25]))
         assert len(windows) == 1
         win = windows[0]
         assert ds.key(win.target) == ("aa", 2001) and win.label == 0.25
@@ -504,7 +506,7 @@ class TestFineTune:
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
         probe = self.refined_set(shift=0.0)
         rows = [e.record for e in probe.entries]
-        windows = lookback_windows(self.ds, rows, self.ds.labels(rows).tolist(), self.params.w)
+        windows = lookback_windows(self.ds, rows, observed_labels(self.ds), self.params.w)
         preds = lyra_forward(None, self.params,
                              *window_table(self.params, self.ds, windows))[0].data
         entries = [
@@ -526,8 +528,7 @@ class TestFineTune:
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
         row = refined.entries[-1].record
-        (window,) = lookback_windows(self.ds, [row], [self.labels[self.ds.key(row)]],
-                                     self.params.w)
+        (window,) = lookback_windows(self.ds, [row], self.labels, self.params.w)
         before = lyra_predict(self.params, self.stats, self.ds, [window])[0].prediction
         after = lyra_predict(tuned, self.stats, self.ds, [window])[0].prediction
         target = refined.entries[-1].label_refined
@@ -596,8 +597,8 @@ def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
                 f"retrieved sample ({rec.county},{rec.year}) has no history; skipped"
             )
             continue
-        windows.append(oracles.lookback_window(train, rec,
-                                               target_labels[rec.county, rec.year], tuned.w))
+        windows.append(oracles.lookback_window(train, rec, target_labels[entry.record],
+                                               tuned.w))
         refined = entry.label_refined
         targets.append(stats.normalize_label(refined) if stats is not None else refined)
     if not windows or cfg.fine_tune_epochs == 0:
@@ -698,7 +699,7 @@ class TestStackedFineTune:
         counties = self.ds.counties[:len(sets)]
         year = self.ds.years[-1]
         windows = lookback_windows(self.ds, [self.ds.row(c, year) for c in counties],
-                                   [self.labels[c, year] for c in counties], self.params.w)
+                                   self.labels, self.params.w)
         got = np.array([r.prediction
                         for r in lyra_predict(stack, self.stats, self.ds, windows)])
         want = np.array([lyra_predict(ref, self.stats, self.ds, [win])[0].prediction
@@ -781,7 +782,7 @@ class TestStepMemory:
         p = LyraParams.init(LyraDims(d=train.d, H=8, Z=8, E=4, attn_hidden=0, mlp_hidden=0),
                             w=5, year_min=train.years[0], year_max=train.years[-1], seed=1)
         rows = [r for c in train.counties for r in train.county_rows(c)[1:].tolist()]
-        windows = lookback_windows(train, rows, train.labels(rows).tolist(), 5)
+        windows = lookback_windows(train, rows, observed_labels(train), 5)
         xs, triples, samples = window_table(p, train, windows)  # histories of lengths 1..5
         ys = train.labels([win.target for win in windows])
         return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys

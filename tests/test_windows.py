@@ -55,7 +55,7 @@ def test_training_batches(seed_run):
     train, labels, p = models.train_n, models.model_labels, models.lyra
     new = oracles.train_lyra_windows(train, p.w, replace(cfg.train, epochs=1), labels,
                                      dims=p.dims, year_max=cfg.test_year)
-    old = [oracles.lookback_window(train, rec, labels[rec.county, rec.year], p.w)
+    old = [oracles.lookback_window(train, rec, labels[train.row(rec.county, rec.year)], p.w)
            for rec in train.records if oracles.county_years(train, rec.county)[0] < rec.year]
     assert len(new) == len(old) == 10 * 4
     perm = np.random.default_rng(0).permutation(len(new))
@@ -74,7 +74,8 @@ def test_padded_fine_tune_stack(seed_run):
     old = []
     for sample_set in sets:
         recs = [oracles.get(train, *train.key(e.record)) for e in sample_set.entries]
-        old.append([oracles.lookback_window(train, rec, labels[rec.county, rec.year], p.w)
+        old.append([oracles.lookback_window(train, rec, labels[train.row(rec.county, rec.year)],
+                                            p.w)
                     for rec in recs if oracles.county_years(train, rec.county)[0] < rec.year])
     tables = [oracles.window_table(p, w) for w in old]
     got = bb.stack_tables(p, [bb.window_table(p, train, w) for w in new])
@@ -91,10 +92,11 @@ def test_stack_pads_history_width_and_orders_repeated_targets(seed_run):
     train, labels, p = models.train_n, models.model_labels, models.lyra
     groups = [[("c001", 2002, 0.0), ("c000", 2002, 0.0)], [("c001", 2004, 0.0)],
               [("c004", 2004, 1.0), ("c004", 2004, -1.0)]]
-    new = [bb.lookback_windows(train, [train.row(c, y) for c, y, _ in keys],
-                               [labels[c, y] + shift for c, y, shift in keys], p.w)
-           for keys in groups]
-    old = [[oracles.lookback_window(train, oracles.get(train, c, y), labels[c, y] + shift, p.w)
+    # one call per window: a repeated target takes a label of its own
+    new = [[bb.lookback_windows(train, [train.row(c, y)], labels + shift, p.w)[0]
+            for c, y, shift in keys] for keys in groups]
+    old = [[oracles.lookback_window(train, oracles.get(train, c, y),
+                                    labels[train.row(c, y)] + shift, p.w)
             for c, y, shift in keys] for keys in groups]
     assert_same_table(bb.stack_tables(p, [bb.window_table(p, train, w) for w in new]),
                       oracles.stack_tables(p, [oracles.window_table(p, w) for w in old]))
@@ -105,7 +107,7 @@ def test_prediction_windows_with_context_extras(seed_run):
     train, test, stats, p = models.train_n, models.test_n, models.stats, models.lyra
     context_cfg = replace(cfg, threshold=0.5, integration="context")
     counties = models.test_counties
-    labels = [models.model_labels[county, cfg.test_year] for county in counties]
+    labels = models.model_labels[[test.row(county, cfg.test_year) for county in counties]]
     extras, old = [], []
     for county, label in zip(counties, labels):
         entries = pl.retrieve_refine(context_cfg, models, ctx, county)[1].entries
@@ -116,7 +118,7 @@ def test_prediction_windows_with_context_extras(seed_run):
         old.append(oracles.lookback_window(train, oracles.get(test, county, cfg.test_year),
                                            label, p.w, extra))
     new = bb.lookback_windows(train, [test.row(county, cfg.test_year) for county in counties],
-                              labels, p.w, extras)
+                              models.model_labels, p.w, extras)
     assert max(len(win.context) for win in new) > p.w, "some windows must carry extras"
     assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
 
