@@ -324,13 +324,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data + b.data, (a, b), lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b),
-                 lambda g: (_reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)))
-
-
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     """Row-vector bias added to every row of a matrix.
 
@@ -344,26 +337,9 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     return _emit(m.data + b, (m, bias), lambda g: (g, _group_sum(g, copies)))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # exp overflow on large negative inputs is plain saturation to 0
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-x.data))
-    return _emit(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
     return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
-
-
-def softmax(v: Tensor) -> Tensor:
-    """Max-stabilized softmax of a 1-D vector."""
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise DimensionError(f"softmax needs a nonempty vector, got {v.shape}")
-    shifted = v.data - v.data.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
-    return _emit(out, (v,), lambda g: (out * (g - float(g @ out)),))
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -422,7 +398,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows by integer index; gradient scatter-adds into the table.
 
     A table [K, R, n] of K stacked copies is indexed as its [K*R x n] row
-    stack: row r of copy k is row k*R + r.
+    stack: row r of copy k is row k*R + r.  The scatter-add is one
+    `np.bincount` over flat cells, which sums each cell's cotangents from
+    0.0 in index order, as `np.add.at` would.
     """
     idx = np.asarray(indices)
     if table.ndim not in (2, 3) or idx.ndim != 1:
@@ -433,9 +411,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise ContractError("gather_rows index out of range")
 
     def vjp(g):
-        full = np.zeros(rows.shape)
-        np.add.at(full, idx, g)
-        return (full.reshape(shape),)
+        n = rows.shape[1]
+        cells = (idx[:, None] * n + np.arange(n)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=rows.size).reshape(shape),)
 
     return _emit(rows[idx], (table,), vjp)
 

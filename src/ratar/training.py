@@ -16,6 +16,17 @@ never run the global model.  Every source of randomness (init,
 shuffling) is seeded through TrainConfig, so a (seed, config, data)
 triple reproduces its loss trace bitwise.
 
+Minibatch loops shuffle chunks of their work, not single items.  The
+record models (`train_global`, `train_gru_att`) shuffle one record per
+chunk.  The cross-year model shuffles runs of up to `_WINDOW_CHUNK`
+consecutive windows of one county.  A window reads its target and up to
+w earlier seasons of its county, and a batch encodes (GRU forward and
+backward) each season it reads once; windows shuffled one by one spread
+a season's windows over as many batches, so it is encoded up to w+1
+times per epoch.  c neighbouring windows read only c-1 seasons more than
+one does, which at c=4 cuts those encodings by a fifth to a half, while
+each batch still mixes many counties.
+
 Fine-tuning never touches the input parameters.  It trains one copy of
 them per county, on that county's refined retrieved samples, and all of a
 seed's copies train at once: stacked on a leading model axis, one tape
@@ -47,6 +58,10 @@ from .backbone import (
     window_table,
 )
 from .numcore import ComputeTape, ContractError, NumericError, Tensor
+
+
+# Consecutive windows of one county shuffled as one unit in `train_lyra`.
+_WINDOW_CHUNK = 4
 
 
 class TrainingError(RuntimeError):
@@ -173,23 +188,38 @@ def _check_finite(loss, epoch):
         raise TrainingError(f"training diverged at epoch {epoch}: loss {loss}")
 
 
-def _run_epochs(n, epochs, epoch_fn, batch_size=None, seed=0):
-    """Shared epoch driver, batch_size None for full batch; epoch_fn(idx) -> (loss, size)."""
+def _run_epochs(chunks, epochs, epoch_fn, batch_size=None, seed=0):
+    """Shared epoch driver; epoch_fn(idx) -> (loss, size).
+
+    `chunks` are index arrays that together hold each of the work's n
+    indices once, in order.  With batch_size None (or at least n) every
+    epoch is one batch of all n indices in order.  Otherwise each epoch
+    shuffles the chunks, keeping each chunk's own order, and cuts
+    batch_size batches from their concatenation; single-index chunks
+    make that a plain permutation of the indices.
+    """
     rng = np.random.default_rng([seed, 211])
+    order = np.concatenate(chunks)
+    n = order.size
+    sizes = np.array([len(chunk) for chunk in chunks])
+    starts = np.cumsum(sizes) - sizes  # each chunk's offset in order
     losses = []
     start = time.perf_counter()
     with nc._reused_scratch():  # one set of BPTT buffers for every step
         for epoch in range(1, epochs + 1):
             try:
                 if batch_size is None or batch_size >= n:
-                    loss, _ = epoch_fn(np.arange(n))
+                    loss, _ = epoch_fn(order)
                 else:
-                    perm = rng.permutation(n)
+                    pick = rng.permutation(len(chunks))
+                    # the picked chunks' runs of order, one after another
+                    lengths = sizes[pick]
+                    shift = starts[pick] - (np.cumsum(lengths) - lengths)
+                    perm = order[np.repeat(shift, lengths) + np.arange(n)]
                     total, seen = 0.0, 0
                     for lo in range(0, n, batch_size):
-                        chunk = perm[lo:lo + batch_size]
-                        chunk_loss, size = epoch_fn(chunk)
-                        total += chunk_loss * size
+                        batch_loss, size = epoch_fn(perm[lo:lo + batch_size])
+                        total += batch_loss * size
                         seen += size
                     loss = total / seen
             except NumericError as exc:
@@ -223,7 +253,8 @@ def _fit_records(train, cfg: TrainConfig, make_params, forward):
                          ys[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(len(ys), cfg.epochs, epoch_fn, cfg.batch_size, cfg.seed)
+    losses, seconds = _run_epochs(np.arange(len(ys))[:, None], cfg.epochs, epoch_fn,
+                                  cfg.batch_size, cfg.seed)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(ys))
 
 
@@ -266,6 +297,21 @@ def sync_year_rows(p: LyraParams, trained_years) -> list:
     return synced
 
 
+def _window_chunks(train) -> list:
+    """`train_lyra`'s shuffle units, as index arrays into its windows: runs
+    of at most `_WINDOW_CHUNK` consecutive windows of one county, cut from
+    the county's first.  Every season but its county's first has a window,
+    in row order, so a county's windows are consecutive.
+    """
+    chunks, lo = [], 0
+    for _, start, stop in train.runs():
+        hi = lo + stop - start - 1
+        chunks += [np.arange(at, min(at + _WINDOW_CHUNK, hi))
+                   for at in range(lo, hi, _WINDOW_CHUNK)]
+        lo = hi
+    return chunks
+
+
 def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
                dims: LyraDims | None = None, year_max: int | None = None):
     """Fit the full cross-year model on all window samples by MSE.
@@ -276,7 +322,8 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
     target is always the observed label; the label fed into the target
     year's own embedding is `target_labels[row]`, the season's entry in a
     table per block row, the same substitute the target year gets at test
-    time.
+    time.  Minibatches are cut from shuffled runs of consecutive windows
+    of one county (`_window_chunks`).
     Untrained year-table rows are synced to the nearest trained year
     afterwards so a held-out year can be embedded.
     """
@@ -308,8 +355,8 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
             targets[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(len(windows), cfg.epochs, epoch_fn, cfg.batch_size,
-                                  cfg.seed)
+    losses, seconds = _run_epochs(_window_chunks(train), cfg.epochs, epoch_fn,
+                                  cfg.batch_size, cfg.seed)
     sync_year_rows(params, train.years)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
@@ -404,5 +451,5 @@ def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
             padded, counts)
         return loss, idx.size
 
-    _run_epochs(len(samples[0]), cfg.fine_tune_epochs, epoch_fn)
+    _run_epochs([np.arange(len(samples[0]))], cfg.fine_tune_epochs, epoch_fn)
     return stack

@@ -21,12 +21,19 @@ dicts of embeddings and labels, before it took a Dataset's runs of rows;
 samples and label refinement that block rows replaced, kept verbatim as
 the oracle for `retrieval._collect_samples` and `refinement.refine_labels`.
 
+`run_epochs` is the epoch driver as it was before training shuffled
+chunks of work, kept verbatim as the oracle for the record models' loss
+traces.  `mul`, `sigmoid` and `softmax` are tensor ops the package no
+longer uses, built on `numcore._emit` as they were in it: the unfused GRU
+reference and the `softmax_rows` tests compare against them.
+
 The Dataset accessors these oracles were written against are gone from
 the library, so `county_years` and `get` below stand in for
 `Dataset.county_years` and `Dataset.get`, and `label_of(rec)` for the
 audited `rec.yield_label` (it reads the record's label unaudited).
 """
 
+import time
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
@@ -35,13 +42,14 @@ import numpy as np
 import pytest
 
 from ratar import backbone as bb
+from ratar import numcore as nc
 from ratar import refinement as rf
 from ratar import retrieval as rt
 from ratar import training as tr
 from ratar.backbone import LyraParams
 from ratar.backbone import LyraWindow as RowWindow
 from ratar.data import CountyYearRecord, Dataset
-from ratar.numcore import ContractError
+from ratar.numcore import ContractError, DimensionError, NumericError, Tensor
 
 
 def county_years(ds, county):
@@ -442,3 +450,53 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
                     rf.RefinedSample(rec, label, est.value, refined, True, est.method)
                 )
     return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    nc._binary_shapes(a, b)
+    ad, bd = a.data, b.data
+    return nc._emit(ad * bd, (a, b),
+                    lambda g: (nc._reduce_to(g * bd, ad.shape), nc._reduce_to(g * ad, bd.shape)))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    # exp overflow on large negative inputs is plain saturation to 0
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-x.data))
+    return nc._emit(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def softmax(v: Tensor) -> Tensor:
+    """Max-stabilized softmax of a 1-D vector."""
+    if v.ndim != 1 or v.shape[0] == 0:
+        raise DimensionError(f"softmax needs a nonempty vector, got {v.shape}")
+    shifted = v.data - v.data.max()
+    e = np.exp(shifted)
+    out = e / e.sum()
+    return nc._emit(out, (v,), lambda g: (out * (g - float(g @ out)),))
+
+
+def run_epochs(n, epochs, epoch_fn, batch_size=None, seed=0):
+    """Shared epoch driver, batch_size None for full batch; epoch_fn(idx) -> (loss, size)."""
+    rng = np.random.default_rng([seed, 211])
+    losses = []
+    start = time.perf_counter()
+    with nc._reused_scratch():  # one set of BPTT buffers for every step
+        for epoch in range(1, epochs + 1):
+            try:
+                if batch_size is None or batch_size >= n:
+                    loss, _ = epoch_fn(np.arange(n))
+                else:
+                    perm = rng.permutation(n)
+                    total, seen = 0.0, 0
+                    for lo in range(0, n, batch_size):
+                        chunk = perm[lo:lo + batch_size]
+                        chunk_loss, size = epoch_fn(chunk)
+                        total += chunk_loss * size
+                        seen += size
+                    loss = total / seen
+            except NumericError as exc:
+                raise tr.TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
+            tr._check_finite(loss, epoch)
+            losses.append(float(loss))
+    return losses, time.perf_counter() - start

@@ -96,11 +96,11 @@ def unfused_global_forward(tape, p, xs):
             W, U, b = g[gate]
             return nc.add_bias(nc.add(nc.matmul(x, W), nc.matmul(state, U)), b)
 
-        r = nc.sigmoid(pre("r", h))
-        u = nc.sigmoid(pre("u", h))
-        c = nc.tanh(pre("c", nc.mul(r, h)))
-        h = nc.add(h, nc.mul(u, nc.add(c, nc.mul(minus_one, h))))  # (1-u)*h + u*c
-        step = nc.mul(nc.Tensor(np.float64(1.0 / T)), h)
+        r = oracles.sigmoid(pre("r", h))
+        u = oracles.sigmoid(pre("u", h))
+        c = nc.tanh(pre("c", oracles.mul(r, h)))
+        h = nc.add(h, oracles.mul(u, nc.add(c, oracles.mul(minus_one, h))))  # (1-u)*h + u*c
+        step = oracles.mul(nc.Tensor(np.float64(1.0 / T)), h)
         pooled = step if pooled is None else nc.add(pooled, step)
     readout = nc.add_bias(nc.matmul(pooled, bound["readout.out.W"]), bound["readout.out.b"])
     return nc.reshape(readout, (B,))

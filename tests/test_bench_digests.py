@@ -18,9 +18,9 @@ from ratar.data import load_dataset, save_dataset_csv
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "ablate_c07": "2d8594ca7e1985261368682252768f8038665f80643f11c8d6ba712d765ca04e",
-    "retrieve_wide": "e4fa74d073b9d7c0ec7f55fcc515baa9d84f76796762eb240117163f46370bce",
-    "finetune_county": "59892af08168414e687121442044f570501111a6e120a4da72d27650186b4c61",
+    "ablate_c07": "a66989687b3cebdc5e0f9e7fb7618ee291eaabe16bcbf4a714a53dc3b31ca110",
+    "retrieve_wide": "c7b1793eeb1e3304ccd328db32a805f34bd0aaa32c81dc540a694cb11dfdec44",
+    "finetune_county": "76a3a83edab7f777e65164e84ce6d24a796f0fcdffbb7d99e771a63432c4c389",
 }
 
 

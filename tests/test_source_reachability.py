@@ -13,12 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ratar"
 
 # Definitions the package itself does not call, kept on purpose.
 ALLOWED = {
-    # unfused references: `unfused_global_forward` (in the backbone tests)
-    # rebuilds the GRU from them, and the `softmax_rows` tests compare
-    # against the 1-D softmax
-    "numcore.sigmoid",
-    "numcore.mul",
-    "numcore.softmax",
     # the gradient verification harness
     "numcore.grad_check",
     # read by the benchmark's tracer (perfbench/tracer.py)

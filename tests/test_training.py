@@ -457,6 +457,113 @@ class TestTrainLyra:
         assert label_audit.violation_count() == 0
 
 
+def recorded_epochs(monkeypatch, train):
+    """The (chunks, batches) of each `_run_epochs` call that train() makes:
+    the chunks it was given and every batch it passed to epoch_fn."""
+    calls = []
+    driver = tr._run_epochs
+
+    def recording(chunks, epochs, epoch_fn, batch_size=None, seed=0):
+        batches = []
+        calls.append((chunks, batches))
+
+        def fn(idx):
+            batches.append(np.array(idx))
+            return epoch_fn(idx)
+
+        return driver(chunks, epochs, fn, batch_size, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "_run_epochs", recording)
+        train()
+    return calls
+
+
+def old_driver(monkeypatch):
+    """Run training under the epoch driver as it was before chunks (oracles.run_epochs)."""
+    monkeypatch.setattr(tr, "_run_epochs",
+                        lambda chunks, *args: oracles.run_epochs(len(chunks), *args))
+
+
+def ragged_synth():
+    """small_synth's panel with county i keeping its last i % 7 + 1 seasons."""
+    ds = small_synth(n_counties=9, n_years=10)
+    return dataset_of([rec for rec in ds.records
+                       if rec.year >= ds.years[-1] - ds.counties.index(rec.county) % 7])
+
+
+class TestWindowChunks:
+    """`train_lyra` shuffles runs of consecutive windows of one county; the
+    record models shuffle single records, exactly as before chunks."""
+
+    def setup_method(self):
+        self.ds = ragged_synth()
+        self.labels = observed_labels(self.ds)
+
+    def lyra(self, cfg, w=2):
+        return tr.train_lyra(self.ds, w, cfg, dims=tiny_dims(), target_labels=self.labels)
+
+    def test_chunks_are_short_runs_of_one_county(self, monkeypatch):
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=5, epochs=1, seed=0)
+        windows = oracles.train_lyra_windows(self.ds, 2, cfg, self.labels, dims=tiny_dims())
+        [(chunks, _)] = recorded_epochs(monkeypatch, lambda: self.lyra(cfg))
+        assert np.array_equal(np.concatenate(chunks), np.arange(len(windows)))
+        county = [self.ds.key(win.target)[0] for win in windows]
+        for chunk in chunks:
+            assert 1 <= chunk.size <= tr._WINDOW_CHUNK
+            assert np.all(np.diff(chunk) == 1)
+            assert len({county[i] for i in chunk.tolist()}) == 1
+        # each county's windows are cut into as few chunks as c allows
+        sizes = {c: county.count(c) for c in set(county)}
+        assert len(chunks) == sum(-(-n // tr._WINDOW_CHUNK) for n in sizes.values())
+        assert max(sizes.values()) > tr._WINDOW_CHUNK
+
+    @pytest.mark.parametrize("batch_size", [3, 7, 64])
+    def test_every_epoch_visits_each_window_once(self, monkeypatch, batch_size):
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=3, seed=1)
+        [(chunks, batches)] = recorded_epochs(monkeypatch, lambda: self.lyra(cfg))
+        n = sum(chunk.size for chunk in chunks)
+        per_epoch = -(-n // batch_size)
+        assert len(batches) == 3 * per_epoch
+        for e in range(3):
+            epoch = batches[e * per_epoch:(e + 1) * per_epoch]
+            assert all(b.size == min(batch_size, n) for b in epoch[:-1])
+            order = np.concatenate(epoch)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            # chunks stay whole and in their own order within the epoch
+            starts = {int(chunk[0]): chunk for chunk in chunks}
+            at = 0
+            while at < n:
+                chunk = starts[int(order[at])]
+                assert np.array_equal(order[at:at + chunk.size], chunk)
+                at += chunk.size
+
+    @pytest.mark.parametrize("train", ["global", "gru_att"])
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_record_models_keep_old_traces(self, monkeypatch, train, batch_size):
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=4, seed=1)
+        fit = {"global": lambda: tr.train_global(self.ds, cfg, H=6, readout_hidden=0),
+               "gru_att": lambda: tr.train_gru_att(self.ds, cfg, H=6, attn_hidden=4,
+                                                   head_hidden=0)}[train]
+        params, report = fit()
+        with monkeypatch.context() as m:
+            old_driver(m)
+            old_params, old_report = fit()
+        assert [v.hex() for v in report.losses] == [v.hex() for v in old_report.losses]
+        assert stores_equal(params.store, old_params.store)
+
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    def test_single_window_chunks_are_the_old_shuffle(self, monkeypatch, batch_size):
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=3, seed=2)
+        monkeypatch.setattr(tr, "_WINDOW_CHUNK", 1)
+        params, report = self.lyra(cfg)
+        with monkeypatch.context() as m:
+            old_driver(m)
+            old_params, old_report = self.lyra(cfg)
+        assert [v.hex() for v in report.losses] == [v.hex() for v in old_report.losses]
+        assert stores_equal(params.store, old_params.store)
+
+
 class TestFineTune:
     def setup_method(self):
         self.ds = small_synth()
@@ -623,7 +730,7 @@ def reference_fine_tune(p, sample_set, train, cfg, target_labels, stats=None):
             targets)
         return loss, idx.size
 
-    tr._run_epochs(len(windows), cfg.fine_tune_epochs, epoch_fn)
+    tr._run_epochs([np.arange(len(windows))], cfg.fine_tune_epochs, epoch_fn)
     return tuned
 
 
