@@ -9,9 +9,10 @@ in one batched engine over stacked [B,T,d] sequences. This script walks
 a single county through the engine's stages with freshly initialized
 parameters, checking the structural invariants as it goes, and ends
 with `lyra_predict`, which makes the same computation in one call from
-a `LyraWindow`.  A window is rows of the panel's one feature block: the
-target season's row plus the context rows (picked by `lookback_windows`)
-with their labels, which `window_table` turns into the engine's inputs.
+a `Windows` batch.  A window is rows of the panel's one feature block:
+the target season's row plus the context rows (picked by
+`lookback_windows`) with their labels, which `window_table` turns into
+the engine's inputs.
 """
 import numpy as np
 
@@ -89,25 +90,27 @@ assert np.allclose(one.data[0], by_hand[0], atol=1e-12)
 print("head(z_target + z_history) verified")
 
 # ---------------------------------------------------------------------------
-# 6. lyra_predict does steps 1-4 for a list of windows in one call and
-# maps the results back to physical units.  A window holds the target's
-# block row, the label fed to the target's own embedding (read by row
-# from the `model_labels` table), and the context rows with
-# their labels; `lookback_windows` slices that context from the county's
-# run of training rows (its last w seasons), and window_table gathers
-# the window's rows from the block into the same xs, triples and sample
-# as above.
+# 6. lyra_predict does steps 1-4 for a batch of windows in one call and
+# maps the results back to physical units.  A `Windows` batch holds each
+# target's block row, the label fed to the target's own embedding (read
+# by row from the `model_labels` table), and the context rows with their
+# labels, every window's context in one array cut by `offsets`;
+# `lookback_windows` slices that context from the county's run of
+# training rows (its last w seasons), and window_table gathers the
+# window's rows from the block into the same xs, triples and sample as
+# above.
 
 stats = NormStats(feature_mean=np.zeros(d), feature_std=np.ones(d),
                   label_mean=10.0, label_std=2.0)
-(window,) = lookback_windows(train, [test.row("c01", 2003)], label_table, p.w)
-print(f"look-back window of row {window.target} (c01 2003): rows {window.context.tolist()}, "
-      f"years {train.row_years[window.context].tolist()}")
-xs_w, triples_w, samples_w = window_table(p, train, [window])
+windows = lookback_windows(train, [test.row("c01", 2003)], label_table, p.w)
+print(f"look-back window of row {windows.targets[0]} (c01 2003): "
+      f"rows {windows.context.tolist()}, offsets {windows.offsets.tolist()}, "
+      f"years {train.row_years[windows.context].tolist()}")
+xs_w, triples_w, samples_w = window_table(p, train, windows)
 assert np.array_equal(xs_w, xs)
 assert all(np.array_equal(a, b) for a, b in zip(samples_w, sample))
 assert all(np.array_equal(a, b) for a, b in zip(triples_w, triples))
-(out,) = lyra_predict(p, stats, train, [window])
+(out,) = lyra_predict(p, stats, train, windows)
 print(f"lyra_predict: {out.prediction:.4f} (physical units), "
       f"history years {out.history_years}")
 assert np.allclose(out.beta, beta, atol=1e-12)

@@ -17,15 +17,17 @@ records for training; with tape None it runs as plain inference.  Windows
 of any history lengths share one cross-year attention pass, padded to the
 longest history and masked so that padded slots get weight exactly 0.
 
-Training, fine-tuning and prediction all describe their work as
-`LyraWindow`s: a target row of the panel's feature block (see
-`data.Dataset`) plus labeled context rows.  `lookback_windows` is the one
-place a window's context is chosen (the county's last w training seasons
-before the target, then any extras), for a whole batch of targets with
-one audited label read; `window_table` is the one place windows become
-the engine's inputs: one row gather for `xs`, index arrays for the
-samples.  `lyra_predict` predicts any number of windows as one
-untraced `lyra_forward` call.
+Training, fine-tuning and prediction all describe their work as one
+`Windows` batch: per window a target row of the panel's feature block
+(see `data.Dataset`) and its label, plus labeled context rows, every
+window's context laid end to end in one array with an offset per window.
+`Windows.take` gives a sub-batch.  `lookback_windows` is the one place a
+window's context is chosen (the county's last w training seasons before
+the target, then any extras), for a whole batch of targets with array
+operations and one audited label read; `window_table` is the one place
+windows become the engine's inputs: one row gather for `xs`, index
+arrays for the samples.  `lyra_predict` predicts any number of windows
+as one untraced `lyra_forward` call.
 
 The engine also runs K stacked copies of a model at once (a `ParamStore`
 of K copies, every parameter with a leading model axis): each input is
@@ -176,19 +178,52 @@ class LyraParams:
 # semantic containers
 
 
-@dataclass(frozen=True, eq=False)
-class LyraWindow:
-    """A target season and the look-back context its prediction attends over.
+def _ranges(lo, hi) -> np.ndarray:
+    """The concatenation of the ranges lo[i]:hi[i], as one index array."""
+    n = hi - lo
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
-    target is the season's block row and label the (normalized) label fed
-    to its own embedding; context holds block rows in attention order, and
-    context_labels their (normalized) labels.
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A batch of target seasons and the look-back contexts their predictions
+    attend over, the contexts laid out end to end.
+
+    Window i predicts block row `targets[i]`, feeding the (normalized)
+    `labels[i]` to its own embedding; its context is
+    `context[offsets[i]:offsets[i + 1]]`, block rows in attention order,
+    with their (normalized) labels in the same slice of `context_labels`.
     """
 
-    target: int
-    label: float
+    targets: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
     context: np.ndarray
     context_labels: np.ndarray
+
+    @classmethod
+    def of(cls, targets, labels, lengths, context, context_labels) -> "Windows":
+        """Windows whose contexts have the given lengths, in order."""
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(np.asarray(targets, dtype=np.int64), np.asarray(labels, dtype=np.float64),
+                   offsets, np.asarray(context, dtype=np.int64),
+                   np.asarray(context_labels, dtype=np.float64))
+
+    def __len__(self):
+        return len(self.targets)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, idx) -> "Windows":
+        """The windows at positions `idx`, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lo, hi = self.offsets[idx], self.offsets[idx + 1]
+        pick = _ranges(lo, hi)
+        return Windows.of(self.targets[idx], self.labels[idx], hi - lo, self.context[pick],
+                          self.context_labels[pick])
 
 
 @dataclass
@@ -321,7 +356,7 @@ def lyra_forward(tape, p: LyraParams, xs: np.ndarray, triples, samples, pooled_c
     return preds, beta.data
 
 
-def window_table(p: LyraParams, ds: Dataset, windows):
+def window_table(p: LyraParams, ds: Dataset, windows: Windows):
     """Engine inputs (xs, triples, samples) for windows over ds's block, one sample each.
 
     Sequences are the distinct rows and context triples the distinct (row,
@@ -331,17 +366,13 @@ def window_table(p: LyraParams, ds: Dataset, windows):
     sorted by key, then the target triples sorted by (key, label); each
     history lists its window's context in order.
     """
-    if not windows:
+    if not len(windows):
         raise ContractError("no windows to tabulate")
-    target = np.array([win.target for win in windows], dtype=np.int64)
-    target_labels = np.array([win.label for win in windows], dtype=np.float64)
-    length = np.array([len(win.context) for win in windows])
+    target, target_labels, length = windows.targets, windows.labels, windows.lengths
     if (length < 1).any():
         raise ContractError("sample with empty history window")
-    rows = np.concatenate([win.context for win in windows])
-    labels = np.concatenate([win.context_labels for win in windows])
-    order = np.lexsort((labels, rows))
-    rows, labels = rows[order], labels[order]
+    order = np.lexsort((windows.context_labels, windows.context))
+    rows, labels = windows.context[order], windows.context_labels[order]
     first = np.ones(len(rows), dtype=bool)  # first of its (row, label) pair
     first[1:] = (rows[1:] != rows[:-1]) | (labels[1:] != labels[:-1])
     context = (np.cumsum(first) - 1)[np.argsort(order)]  # each context entry's triple
@@ -354,47 +385,49 @@ def window_table(p: LyraParams, ds: Dataset, windows):
     triples = (seq_rows, np.concatenate([labels[first], target_labels[tgt_order]]),
                years - p.year_min)
     col = np.arange(length.max())
-    history = context[(np.cumsum(length) - length)[:, None]
+    history = context[windows.offsets[:-1, None]
                       + np.where(col < length[:, None], col, 0)]  # padded with the first
     samples = (np.argsort(tgt_order) + first.sum(), history, length)
     return np.take(ds.features, seq, axis=0), triples, samples
 
 
-def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> list:
+def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> Windows:
     """One window per block row in `targets`: the one place look-back
     windows are chosen.
 
     A target's context is its county's last w training seasons before it,
     ascending, with their observed labels, then its extras: `extras`, if
-    given, holds per target None or (rows, normalized labels) to append.
-    `labels` is a table per block row (`model_labels`): labels[t] is the
-    normalized label fed to target t's own embedding.
-    Targets may be rows of `train` or of another split of its block.  The
-    observed labels of every window are one audited read, and a window
-    without extras holds slices of `train.rows` and of that read.
+    given, is (sizes, rows, normalized labels), target i's sizes[i] extras
+    and every target's extras concatenated in target order.  `labels` is a
+    table per block row (`model_labels`): labels[t] is the normalized
+    label fed to target t's own embedding.  Targets may be rows of `train`
+    or of another split of its block.  The observed labels of every
+    window are one audited read.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")
     targets = np.asarray(targets, dtype=np.int64)
     # A target's earlier seasons end where it sorts into train.rows, and
-    # start no earlier than its county's run or w seasons back.
+    # start no earlier than its county's first season or w seasons back.
     stop = np.searchsorted(train.rows, targets)
-    start = np.maximum(stop - w, train.run_starts([train.key(t)[0] for t in targets.tolist()]))
+    start = np.maximum(stop - w, np.searchsorted(train.rows, train.first_rows[targets]))
     for i in np.flatnonzero(start >= stop)[:1]:
         county, year = train.key(targets[i])
         raise ContractError(f"county {county} has no feature history before {year}")
-    length = stop - start
-    at = np.cumsum(length) - length  # each window's slice of the one label read
-    observed = train.labels(train.rows[np.repeat(start - at, length) + np.arange(length.sum())])
-    windows = []
-    for target, label, lo, hi, i, extra in zip(targets.tolist(), labels[targets].tolist(),
-                                               start.tolist(), stop.tolist(), at.tolist(),
-                                               extras or [None] * len(targets)):
-        context, values = train.rows[lo:hi], observed[i:i + hi - lo]
-        if extra:
-            context = np.concatenate([context, np.asarray(extra[0], np.int64)])
-            values = np.concatenate([values, np.asarray(extra[1], np.float64)])
-        windows.append(LyraWindow(target, label, context, values))
+    own = stop - start
+    rows = train.rows[_ranges(start, stop)]
+    observed = train.labels(rows)
+    if extras is None:
+        return Windows.of(targets, labels[targets], own, rows, observed)
+    sizes, extra_rows, extra_labels = extras
+    windows = Windows.of(targets, labels[targets], own + sizes,
+                         np.empty(len(rows) + len(extra_rows), dtype=np.int64),
+                         np.empty(len(rows) + len(extra_rows)))
+    lo = windows.offsets[:-1]
+    for part, values, at in ((rows, observed, _ranges(lo, lo + own)),
+                             (extra_rows, extra_labels, _ranges(lo + own, windows.offsets[1:]))):
+        windows.context[at] = part
+        windows.context_labels[at] = values
     return windows
 
 
@@ -440,7 +473,7 @@ def stack_tables(p: LyraParams, tables):
             [len(samples[0]) for _, _, samples in tables])
 
 
-def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows) -> list:
+def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows: Windows) -> list:
     """Predictions for windows over ds's block in one untraced lyra_forward call.
 
     On plain parameters every window is predicted by them; on K stacked
@@ -453,13 +486,14 @@ def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows) -> list:
     size = len(windows) // groups
     if size * groups != len(windows):
         raise ContractError(f"{len(windows)} windows for {groups} parameter copies")
-    tables = [window_table(p, ds, windows[k * size:(k + 1) * size]) for k in range(groups)]
+    tables = [window_table(p, ds, windows.take(np.arange(k * size, (k + 1) * size)))
+              for k in range(groups)]
     xs, triples, samples, _ = stack_tables(p, tables)
     preds, beta = lyra_forward(None, p, xs, triples, samples)
-    return [PredictResult(prediction=stats.denormalize_label(pred),
-                          beta=beta[i, :len(win.context)].copy(),
-                          history_years=ds.row_years[win.context].tolist())
-            for i, (win, pred) in enumerate(zip(windows, preds.data.tolist()))]
+    years = np.split(ds.row_years[windows.context], windows.offsets[1:-1])
+    return [PredictResult(prediction=pred, beta=weights[:n].copy(), history_years=y.tolist())
+            for pred, weights, n, y in zip(stats.denormalize_label(preds.data).tolist(), beta,
+                                           windows.lengths.tolist(), years)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,9 @@ class Dataset:
     are per-season views.  A Dataset covers the block rows in `rows`: all
     of them for a panel, a subset for a split.  Splits and normalized
     copies keep the panel's row numbering, and `labels` normalizes as it
-    reads, so the panel's one label array is never copied.
+    reads, so the panel's one label array is never copied.  `row_years`
+    and `first_rows` hold, per block row, the season's year and the block
+    row of its county's first season.
     """
 
     def __init__(self, keys, features, labels, neighbors=None):
@@ -131,11 +133,18 @@ class Dataset:
             raise IngestionError(f"duplicate record for {key}")
         self._set(keys, features, labels, dict(neighbors or {}))
 
-    def _set(self, keys, features, labels, neighbors, rows=None, label_norms=()) -> "Dataset":
+    def _set(self, keys, features, labels, neighbors, rows=None, label_norms=(),
+             first_rows=None) -> "Dataset":
         self.features, self._keys, self._labels = features, keys, labels  # per block row
         self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
         self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
         self.row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))  # per block row
+        if first_rows is None:
+            counties = np.array([county for county, _ in keys])
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = counties[1:] != counties[:-1]
+            first_rows = np.maximum.accumulate(np.where(first, np.arange(len(keys)), 0))
+        self.first_rows = first_rows
         self.rows = np.arange(len(keys)) if rows is None else rows
         self._row = {keys[r]: r for r in self.rows.tolist()}  # (county, year) -> block row
         self._runs = {}  # county -> (start, stop) of its run in `rows`
@@ -150,7 +159,7 @@ class Dataset:
         """The Dataset of some of these rows: of this block, or of `features` in its place."""
         return Dataset.__new__(Dataset)._set(
             self._keys, self.features if features is None else features, self._labels,
-            self.neighbors, rows, self._label_norms + label_norms)
+            self.neighbors, rows, self._label_norms + label_norms, self.first_rows)
 
     def __len__(self):
         return len(self.rows)

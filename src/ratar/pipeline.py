@@ -518,9 +518,9 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
     counties = models.test_counties
     out = CountyPredictions()
     tuned = {}  # county -> its refined sample set, for fine-tuning
-    extras = []  # per county: None, or its context extras (rows, normalized labels)
-    for county in counties:
-        extra = None
+    sizes = np.zeros(len(counties), dtype=np.int64)  # per county: its context extras
+    extras = []  # every county's context extras, one after another
+    for i, county in enumerate(counties):
         if cfg.integration != "none":
             result, refined = retrieve_refine(cfg, models, ctx, county)
             out.retrievals.append(result)
@@ -530,27 +530,29 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
             elif cfg.integration == "finetune":
                 tuned[county] = refined
             else:
-                extra = ([e.record for e in refined.entries],
-                         [stats.normalize_label(e.label_refined) for e in refined.entries])
-        extras.append(extra)
+                sizes[i] = len(refined.entries)
+                extras += refined.entries
     with _stage(f"history seed {models.seed}"):
         # one season per county, so the test rows come in county order
-        windows = lookback_windows(train_n, test_n.rows, models.model_labels,
-                                   models.lyra.w, extras)
+        windows = lookback_windows(
+            train_n, test_n.rows, models.model_labels, models.lyra.w,
+            (sizes, np.fromiter((e.record for e in extras), np.int64, len(extras)),
+             stats.normalize_label(np.fromiter((e.label_refined for e in extras),
+                                               np.float64, len(extras)))))
 
     results = {}
+    is_tuned = np.array([county in tuned for county in counties], dtype=bool)
     if tuned:
-        tuned_windows = [win for county, win in zip(counties, windows) if county in tuned]
         with _stage(f"fine_tune seed {models.seed} counties {' '.join(tuned)}"):
             stack = fine_tune(models.lyra, list(tuned.values()), train_n, tcfg,
                               models.model_labels, stats=stats)
-            results.update(zip(tuned, lyra_predict(stack, stats, train_n, tuned_windows)))
-    shared = [(county, win) for county, win in zip(counties, windows) if county not in tuned]
-    if shared:
+            results.update(zip(tuned, lyra_predict(stack, stats, train_n,
+                                                   windows.take(np.flatnonzero(is_tuned)))))
+    if not is_tuned.all():
         with _stage(f"predict seed {models.seed}"):
-            results.update(zip([county for county, _ in shared],
-                               lyra_predict(models.lyra, stats, train_n,
-                                            [win for _, win in shared])))
+            shared = np.flatnonzero(~is_tuned)
+            results.update(zip([counties[i] for i in shared.tolist()],
+                               lyra_predict(models.lyra, stats, train_n, windows.take(shared))))
     for county in counties:
         pred = results[county]
         out.predictions[county] = pred.prediction

@@ -129,7 +129,11 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
 
     Constant vectors have zero centered norm; their similarity is
     defined as 0 so they never clear a positive retrieval threshold.
+    Vectors over the same years (ascending, as every panel holds them)
+    are compared whole: those are the values alignment would select.
     """
+    if a.years == b.years and len(a.years) >= 2:
+        return _centered_cos(a.r, b.r)
     common = sorted(set(a.years) & set(b.years))
     if len(common) < max(2, min(_MIN_COMMON_YEARS, len(a.years), len(b.years))):
         raise ContractError(

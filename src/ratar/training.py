@@ -4,11 +4,11 @@ fine-tuning.
 All loops share one epoch driver and one step: record a tape, run the
 batched forward, backprop MSE, and apply an adaptive-moment update with
 global-norm gradient clipping.  Inputs are row gathers from the training
-Dataset's block.  The cross-year model's work is a list of `LyraWindow`s
-built once, by one `backbone.lookback_windows` call: one window per
+Dataset's block.  The cross-year model's work is one `backbone.Windows`
+batch built once, by one `backbone.lookback_windows` call: one window per
 training season with an earlier season, or, when fine-tuning, one per
 usable refined sample (a block row of the training Dataset).  Each step's
-engine inputs are `window_table` of that batch's windows.  The label a
+engine inputs are `window_table` of that step's `Windows.take`.  The label a
 window feeds its target season comes from the caller's `target_labels`
 table, one value per block row; the pipeline fills it with the global
 model's predictions (`backbone.model_labels`), so the cross-year loops
@@ -348,7 +348,7 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
     opt = Adam(params.store, cfg.lr, cfg.clip_norm)
 
     def epoch_fn(idx):
-        xs, triples, samples = window_table(params, train, [windows[i] for i in idx])
+        xs, triples, samples = window_table(params, train, windows.take(idx))
         loss = _mse_step(
             params.store, opt,
             lambda tape: lyra_forward(tape, params, xs, triples, samples)[0],
@@ -362,28 +362,24 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
 
 
 def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
-    """Each county's (fine-tune windows, normalized targets), from one
-    `lookback_windows` call over every set; warns on what it skips."""
-    rows, entries, sizes = [], [], []
+    """(windows, normalized targets, windows per set) of every set's usable
+    entries, set by set, from one `lookback_windows` call; warns on what
+    it skips."""
+    entries = []
     for sample_set in sample_sets:
         if not sample_set.entries:
             warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
-        size = len(entries)
-        for entry in sample_set.entries:
-            county, year = train.key(entry.record)
-            if entry.record == train.county_rows(county)[0]:
-                warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
-                continue
-            rows.append(entry.record)
-            entries.append(entry)
-        sizes.append(len(entries) - size)
-    windows = lookback_windows(train, rows, target_labels, p.w)
-    targets = [stats.normalize_label(e.label_refined) for e in entries]
-    out, start = [], 0
-    for size in sizes:
-        out.append((windows[start:start + size], targets[start:start + size]))
-        start += size
-    return out
+        entries += sample_set.entries
+    rows = np.fromiter((e.record for e in entries), np.int64, len(entries))
+    usable = (np.searchsorted(train.rows, train.first_rows[rows])
+              < np.searchsorted(train.rows, rows))  # an earlier season of its county
+    for county, year in map(train.key, rows[~usable].tolist()):
+        warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
+    refined = np.fromiter((e.label_refined for e in entries), np.float64, len(entries))
+    owner = np.repeat(np.arange(len(sample_sets)), [len(s.entries) for s in sample_sets])
+    return (lookback_windows(train, rows[usable], target_labels, p.w),
+            stats.normalize_label(refined[usable]),
+            np.bincount(owner[usable], minlength=len(sample_sets)))
 
 
 def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
@@ -410,16 +406,14 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     """
     cfg.validate()
     tuned = p.stack(len(sample_sets))
-    active, windows, targets = [], [], []
-    per_set = _tuning_windows(p, sample_sets, train, target_labels, stats)
-    for k, (copy_windows, copy_targets) in enumerate(per_set):
-        if copy_windows and cfg.fine_tune_epochs > 0:
-            active.append(k)
-            windows.append(copy_windows)
-            targets.append(copy_targets)
-    if active:
-        inputs = stack_tables(p, [window_table(p, train, w) for w in windows])
-        tuned.store.flat[active] = _tune_stack(p, inputs, targets, cfg).store.flat
+    windows, targets, sizes = _tuning_windows(p, sample_sets, train, target_labels, stats)
+    active = np.flatnonzero(sizes)
+    if len(active) and cfg.fine_tune_epochs > 0:
+        stop = np.cumsum(sizes)
+        parts = [np.arange(stop[k] - sizes[k], stop[k]) for k in active]
+        inputs = stack_tables(p, [window_table(p, train, windows.take(part)) for part in parts])
+        tuned.store.flat[active] = _tune_stack(p, inputs, [targets[part] for part in parts],
+                                               cfg).store.flat
     return tuned
 
 

@@ -47,7 +47,6 @@ from ratar import refinement as rf
 from ratar import retrieval as rt
 from ratar import training as tr
 from ratar.backbone import LyraParams
-from ratar.backbone import LyraWindow as RowWindow
 from ratar.data import CountyYearRecord, Dataset
 from ratar.numcore import ContractError, DimensionError, NumericError, Tensor
 
@@ -100,13 +99,53 @@ def as_arrays(samples):
             np.array([len(s.history) for s in samples], dtype=np.int64))
 
 
+@dataclass(frozen=True, eq=False)
+class RowWindow:
+    """One window of a `backbone.Windows` batch: its target's block row and
+    label, and its context's block rows and labels, in attention order."""
+
+    target: int
+    label: float
+    context: np.ndarray
+    context_labels: np.ndarray
+
+
+def window_list(windows):
+    """A `backbone.Windows` batch as a list of `RowWindow`s, in order."""
+    cut = windows.offsets[1:-1]
+    return [RowWindow(target, label, context, labels)
+            for target, label, context, labels in zip(
+                windows.targets.tolist(), windows.labels.tolist(),
+                np.split(windows.context, cut), np.split(windows.context_labels, cut))]
+
+
+def window_batch(windows):
+    """`RowWindow`s as one `backbone.Windows` batch, in order."""
+    return bb.Windows.of([w.target for w in windows], [w.label for w in windows],
+                         [len(w.context) for w in windows],
+                         np.concatenate([np.empty(0, np.int64)] + [w.context for w in windows]),
+                         np.concatenate([np.empty(0)] + [w.context_labels for w in windows]))
+
+
+def extras_of(per_target):
+    """`backbone.lookback_windows`' extras from a list of, per target, None
+    or (rows, normalized labels)."""
+    given = [((), ()) if extra is None else extra for extra in per_target]
+    return (np.array([len(rows) for rows, _ in given], dtype=np.int64),
+            np.concatenate([np.empty(0, np.int64)]
+                           + [np.asarray(rows, np.int64) for rows, _ in given]),
+            np.concatenate([np.empty(0)] + [np.asarray(labels, np.float64) for _, labels in given]))
+
+
 def row_windows(ds, windows):
-    """Record-based windows as row windows over ds's block (ds holds every season)."""
-    return [RowWindow(ds.row(w.target.county, w.target.year), w.label,
-                      np.array([ds.row(rec.county, rec.year) for rec, _ in w.context],
-                               dtype=np.int64),
-                      np.array([label for _, label in w.context], dtype=np.float64))
-            for w in windows]
+    """Record-based windows as one `backbone.Windows` batch over ds's block
+    (ds holds every season)."""
+    return window_batch([
+        RowWindow(ds.row(w.target.county, w.target.year), w.label,
+                  np.array([ds.row(rec.county, rec.year) for rec, _ in w.context],
+                           dtype=np.int64),
+                  np.array([label for _, label in w.context], dtype=np.float64))
+        for w in windows])
 
 
 @dataclass

@@ -569,7 +569,7 @@ class TestLyraPredict:
         with pytest.raises(nc.ContractError, match="history"):
             bb.lyra_predict(p, norm_stats(), ds, windows)
         with pytest.raises(nc.ContractError, match="no windows"):
-            bb.lyra_predict(p, norm_stats(), ds, [])
+            bb.lyra_predict(p, norm_stats(), ds, oracles.window_batch([]))
 
     def test_batch_matches_single_windows(self):
         """One call over windows of mixed lengths and counties equals a call per window."""
@@ -586,7 +586,7 @@ class TestLyraPredict:
         ds, windows = panel_windows(*specs)
         batch = bb.lyra_predict(p, stats, ds, windows)
         assert len(batch) == len(windows)
-        for spec, win, out in zip(specs, windows, batch):
+        for spec, win, out in zip(specs, oracles.window_list(windows), batch):
             solo = predict_one(p, stats, *spec)
             np.testing.assert_allclose(out.prediction, solo.prediction, rtol=1e-15, atol=0)
             np.testing.assert_allclose(out.beta, solo.beta, rtol=1e-15, atol=1e-300)
@@ -625,23 +625,24 @@ class TestLookbackWindow:
         target = test.row("c9", 2004)
         # a shorter history is taken whole; seasons from the target year on are not
         targets = [target, train.row("c9", 2002)]
-        win, mid = bb.lookback_windows(train, targets, label_table(train, targets, [0.3, 0.0]),
-                                       w=2)
+        win, mid = oracles.window_list(
+            bb.lookback_windows(train, targets, label_table(train, targets, [0.3, 0.0]), w=2))
         assert win.target == target and win.label == 0.3
         assert [train.key(r) for r in win.context] == [("c9", 2002), ("c9", 2003)]
         assert win.context_labels.tolist() == train.labels(
             [train.row("c9", y) for y in (2002, 2003)]).tolist()
         assert train.row_years[mid.context].tolist() == [2000, 2001]
-        assert bb.lookback_windows(train, [], label_table(train), w=2) == []
+        empty = bb.lookback_windows(train, [], label_table(train), w=2)
+        assert len(empty) == 0 and empty.offsets.tolist() == [0] and not len(empty.context)
 
     def test_extra_follows_history(self):
         rng = np.random.default_rng(11)
         train, test = self.panel(rng)
         target = test.row("c9", 2004)
         extra_rows = [train.row("c3", 2001), train.row("c9", 2000)]
-        win, plain = bb.lookback_windows(train, [target, target],
-                                         label_table(train, [target], [0.3]), w=2,
-                                         extras=[(extra_rows, [1.5, -0.5]), None])
+        win, plain = oracles.window_list(bb.lookback_windows(
+            train, [target, target], label_table(train, [target], [0.3]), w=2,
+            extras=oracles.extras_of([(extra_rows, [1.5, -0.5]), None])))
         np.testing.assert_array_equal(win.context[:2], plain.context)
         np.testing.assert_array_equal(win.context_labels[:2], plain.context_labels)
         assert win.context[2:].tolist() == extra_rows
@@ -677,8 +678,10 @@ class TestLookbackWindow:
                   ([train.row("c9", 2000), train.row("c3", 2001)], rng.standard_normal(2)),
                   None, ((), ())]
         for given in (None, extras):
-            got = bb.lookback_windows(train, targets, table, w, given)
-            for i, (target, label, win) in enumerate(zip(targets, labels, got)):
+            got = bb.lookback_windows(train, targets, table, w,
+                                      None if given is None else oracles.extras_of(given))
+            for i, (target, label, win) in enumerate(zip(targets, labels,
+                                                         oracles.window_list(got))):
                 extra = ((), ()) if given is None or given[i] is None else given[i]
                 want = oracles.row_lookback_window(train, target, label, w, *extra)
                 assert (win.target, win.label) == (want.target, want.label)

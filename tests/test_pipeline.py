@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dataset_of, reference_extrapolate_bias
+from oracles import dataset_of, extras_of, reference_extrapolate_bias, window_batch, window_list
 from ratar import backbone as bb
 from ratar import pipeline as pl
 from ratar import training as tr
@@ -112,14 +112,14 @@ class TestIntegrateContext:
     def window(self, county, extra=()):
         """county's test-year window, then the (block row, label) extras."""
         extra_rows = [row for row, _ in extra]
-        (win,) = lookback_windows(self.train, [self.test.row(county, 2005)],
-                                  self.labels, self.lyra.w,
-                                  [(extra_rows, [label for _, label in extra])])
+        (win,) = window_list(lookback_windows(
+            self.train, [self.test.row(county, 2005)], self.labels, self.lyra.w,
+            extras_of([(extra_rows, [label for _, label in extra])])))
         return win
 
     def predict(self, county, extra=()):
         return lyra_predict(self.lyra, self.stats, self.train,
-                            [self.window(county, extra)])[0]
+                            window_batch([self.window(county, extra)]))[0]
 
     def county(self, win):
         return self.train.key(win.target)[0]
@@ -145,7 +145,7 @@ class TestIntegrateContext:
 
         def recording(p, stats, ds, windows):
             assert ds.features is self.train.features
-            calls.append(list(windows))
+            calls.append(window_list(windows))
             return lyra_predict(p, stats, ds, windows)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
@@ -171,7 +171,8 @@ class TestIntegrateContext:
         assert [self.county(win) for win in windows] == sorted(out.predictions)
         for win in windows:
             assert self.keys(win) == self.keys(self.window(self.county(win)))
-        for win, want in zip(windows, lyra_predict(self.lyra, self.stats, self.train, windows)):
+        for win, want in zip(windows, lyra_predict(self.lyra, self.stats, self.train,
+                                                   window_batch(windows))):
             assert out.predictions[self.county(win)] == want.prediction
 
     def test_extended_window_beta(self):
@@ -200,7 +201,7 @@ class TestIntegrateContext:
                 self.keys(self.window(refined.query)) + want)
             if want:
                 assert refined.query not in out.fallbacks
-        batch = lyra_predict(self.lyra, self.stats, self.train, windows)
+        batch = lyra_predict(self.lyra, self.stats, self.train, window_batch(windows))
         for win, want in zip(windows, batch):
             assert out.predictions[self.county(win)] == want.prediction
         # the refined label reaches the appended embedding: a different
@@ -210,7 +211,7 @@ class TestIntegrateContext:
         county = self.county(win)
         shifted = replace(win, context_labels=win.context_labels + np.eye(len(win.context))[-1])
         moved = lyra_predict(self.lyra, self.stats, self.train,
-                             windows[:i] + [shifted] + windows[i + 1:])
+                             window_batch(windows[:i] + [shifted] + windows[i + 1:]))
         assert moved[i].prediction != out.predictions[county]
         rows = [a for a in out.attention if a[0] == county]
         assert [a[2] for a in rows] == self.train.row_years[win.context].tolist()
@@ -569,7 +570,7 @@ class TestModelLabels:
 
         def recording(kind, original):
             def wrapper(p, ds, windows):
-                recorded[kind].extend(windows)
+                recorded[kind].extend(window_list(windows))
                 return original(p, ds, windows)
             return wrapper
 
@@ -604,7 +605,7 @@ class TestPredictCalls:
 
         def recording(p, stats, ds, windows):
             assert ds is models.train_n
-            calls.append((p, list(windows)))
+            calls.append((p, window_list(windows)))
             return lyra_predict(p, stats, ds, windows)
 
         monkeypatch.setattr(pl, "lyra_predict", recording)
@@ -618,7 +619,8 @@ class TestPredictCalls:
         assert p is models.lyra
         assert [county_of(models, win) for win in windows] == models.test_counties
         for win in windows:
-            solo = lyra_predict(models.lyra, models.stats, models.train_n, [win])[0]
+            solo = lyra_predict(models.lyra, models.stats, models.train_n,
+                                window_batch([win]))[0]
             np.testing.assert_allclose(out.predictions[county_of(models, win)],
                                        solo.prediction, rtol=1e-15, atol=0)
         assert list(out.predictions) == models.test_counties
@@ -653,7 +655,8 @@ class TestPredictCalls:
             assert p is stack and p.store.copies == len(tuned)
             assert [county_of(models, win) for win in windows] == tuned
             for k, win in enumerate(windows):
-                solo = lyra_predict(stack.member(k), models.stats, models.train_n, [win])[0]
+                solo = lyra_predict(stack.member(k), models.stats, models.train_n,
+                                    window_batch([win]))[0]
                 np.testing.assert_allclose(out.predictions[county_of(models, win)],
                                            solo.prediction, rtol=1e-12, atol=0)
         if out.fallbacks:

@@ -163,6 +163,37 @@ class TestCenteredCosine:
         b = vec("b", range(2000, 2004), [1.0, 2.0, 3.0, 4.0])
         assert rt.centered_cosine(a, b) == 0.0
 
+    @staticmethod
+    def aligned(a, b):
+        """The general path: each vector's values selected on the common years."""
+        common = sorted(set(a.years) & set(b.years))
+        va = a.r[[a.years.index(y) for y in common]]
+        vb = b.r[[b.years.index(y) for y in common]]
+        return rt._centered_cos(va, vb)
+
+    @pytest.mark.parametrize("years", [range(2000, 2012), [2000, 2002, 2003, 2007, 2008],
+                                       [2001, 2004]])
+    def test_same_years_fast_path_has_general_bits(self, years):
+        """Vectors over the same years, complete or gapped, compared whole,
+        give the aligned path's bits; so do mixed-year pairs, which align."""
+        rng = np.random.default_rng(len(years))
+        vectors = [vec(f"c{i}", years, rng.standard_normal(len(years)) * 10 ** i)
+                   for i in range(4)]
+        vectors.append(vec("z", years, np.full(len(years), 3.0)))  # zero norm
+        if len(years) > 3:
+            vectors.append(vec("g", list(years)[1:], rng.standard_normal(len(years) - 1)))
+        for a in vectors:
+            for b in vectors:
+                got, want = rt.centered_cosine(a, b), self.aligned(a, b)
+                assert float(got).hex() == float(want).hex()
+
+    def test_embedding_panel_fast_path_has_general_bits(self):
+        rng = np.random.default_rng(5)
+        panel = rt.embedding_panel({f"c{i}": rng.standard_normal(6) + i for i in range(8)})
+        for a in panel.values():
+            for b in panel.values():
+                assert float(rt.centered_cosine(a, b)).hex() == float(self.aligned(a, b)).hex()
+
 
 class TestRetrieve:
     def setup_method(self):

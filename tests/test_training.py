@@ -367,9 +367,9 @@ class TestLyraSampleSpecs:
     @staticmethod
     def windows(ds, w, labels=None):
         labels = np.zeros(len(ds.row_years)) if labels is None else labels
-        return oracles.train_lyra_windows(
+        return oracles.window_list(oracles.train_lyra_windows(
             ds, w, tr.TrainConfig(batch_size=None, epochs=1), labels,
-            dims=LyraDims(d=ds.d, H=2, Z=2, E=1, attn_hidden=0, mlp_hidden=0))
+            dims=LyraDims(d=ds.d, H=2, Z=2, E=1, attn_hidden=0, mlp_hidden=0)))
 
     def test_window_truncation(self):
         recs = []
@@ -505,7 +505,8 @@ class TestWindowChunks:
 
     def test_chunks_are_short_runs_of_one_county(self, monkeypatch):
         cfg = tr.TrainConfig(lr=3e-3, batch_size=5, epochs=1, seed=0)
-        windows = oracles.train_lyra_windows(self.ds, 2, cfg, self.labels, dims=tiny_dims())
+        windows = oracles.window_list(
+            oracles.train_lyra_windows(self.ds, 2, cfg, self.labels, dims=tiny_dims()))
         [(chunks, _)] = recorded_epochs(monkeypatch, lambda: self.lyra(cfg))
         assert np.array_equal(np.concatenate(chunks), np.arange(len(windows)))
         county = [self.ds.key(win.target)[0] for win in windows]
@@ -635,9 +636,9 @@ class TestFineTune:
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
         row = refined.entries[-1].record
-        (window,) = lookback_windows(self.ds, [row], self.labels, self.params.w)
-        before = lyra_predict(self.params, self.stats, self.ds, [window])[0].prediction
-        after = lyra_predict(tuned, self.stats, self.ds, [window])[0].prediction
+        window = lookback_windows(self.ds, [row], self.labels, self.params.w)
+        before = lyra_predict(self.params, self.stats, self.ds, window)[0].prediction
+        after = lyra_predict(tuned, self.stats, self.ds, window)[0].prediction
         target = refined.entries[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
@@ -809,8 +810,8 @@ class TestStackedFineTune:
                                    self.labels, self.params.w)
         got = np.array([r.prediction
                         for r in lyra_predict(stack, self.stats, self.ds, windows)])
-        want = np.array([lyra_predict(ref, self.stats, self.ds, [win])[0].prediction
-                         for ref, win in zip(refs, windows)])
+        want = np.array([lyra_predict(ref, self.stats, self.ds, windows.take([k]))[0].prediction
+                         for k, ref in enumerate(refs)])
         for name in self.params.store.names():
             tuned = stack.store.value(name)
             ref_values = np.stack([ref.store.value(name) for ref in refs])
@@ -891,7 +892,7 @@ class TestStepMemory:
         rows = [r for c in train.counties for r in train.county_rows(c)[1:].tolist()]
         windows = lookback_windows(train, rows, observed_labels(train), 5)
         xs, triples, samples = window_table(p, train, windows)  # histories of lengths 1..5
-        ys = train.labels([win.target for win in windows])
+        ys = train.labels(windows.targets)
         return p.store, (lambda tape: lyra_forward(tape, p, xs, triples, samples)[0]), ys
 
     @pytest.mark.parametrize("model", ["global", "lyra"])

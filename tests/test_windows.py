@@ -61,7 +61,7 @@ def test_training_batches(seed_run):
     perm = np.random.default_rng(0).permutation(len(new))
     for lo in range(0, len(new), 16):
         batch = perm[lo:lo + 16]
-        assert_same_table(bb.window_table(p, train, [new[i] for i in batch]),
+        assert_same_table(bb.window_table(p, train, new.take(batch)),
                           oracles.window_table(p, [old[i] for i in batch]))
 
 
@@ -70,7 +70,9 @@ def test_padded_fine_tune_stack(seed_run):
     train, labels, p = models.train_n, models.model_labels, models.lyra
     sets = [s for s in (pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties)
             if s.entries]
-    new = [windows for windows, _ in tr._tuning_windows(p, sets, train, labels, models.stats)]
+    windows, _, sizes = tr._tuning_windows(p, sets, train, labels, models.stats)
+    new = [windows.take(np.arange(stop - size, stop))
+           for size, stop in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
     old = []
     for sample_set in sets:
         recs = [oracles.get(train, *train.key(e.record)) for e in sample_set.entries]
@@ -93,8 +95,9 @@ def test_stack_pads_history_width_and_orders_repeated_targets(seed_run):
     groups = [[("c001", 2002, 0.0), ("c000", 2002, 0.0)], [("c001", 2004, 0.0)],
               [("c004", 2004, 1.0), ("c004", 2004, -1.0)]]
     # one call per window: a repeated target takes a label of its own
-    new = [[bb.lookback_windows(train, [train.row(c, y)], labels + shift, p.w)[0]
-            for c, y, shift in keys] for keys in groups]
+    new = [oracles.window_batch(
+        [oracles.window_list(bb.lookback_windows(train, [train.row(c, y)], labels + shift, p.w))[0]
+         for c, y, shift in keys]) for keys in groups]
     old = [[oracles.lookback_window(train, oracles.get(train, c, y),
                                     labels[train.row(c, y)] + shift, p.w)
             for c, y, shift in keys] for keys in groups]
@@ -118,8 +121,8 @@ def test_prediction_windows_with_context_extras(seed_run):
         old.append(oracles.lookback_window(train, oracles.get(test, county, cfg.test_year),
                                            label, p.w, extra))
     new = bb.lookback_windows(train, [test.row(county, cfg.test_year) for county in counties],
-                              models.model_labels, p.w, extras)
-    assert max(len(win.context) for win in new) > p.w, "some windows must carry extras"
+                              models.model_labels, p.w, oracles.extras_of(extras))
+    assert new.lengths.max() > p.w, "some windows must carry extras"
     assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
 
 
