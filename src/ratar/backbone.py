@@ -17,17 +17,15 @@ records for training; with tape None it runs as plain inference.  Windows
 of any history lengths share one cross-year attention pass, padded to the
 longest history and masked so that padded slots get weight exactly 0.
 
-Training, fine-tuning and prediction all describe their work as one
-`Windows` batch: per window a target row of the panel's feature block
-(see `data.Dataset`) and its label, plus labeled context rows, every
-window's context laid end to end in one array with an offset per window.
-`Windows.take` gives a sub-batch.  `lookback_windows` is the one place a
-window's context is chosen (the county's last w training seasons before
-the target, then any extras), for a whole batch of targets with array
-operations and one audited label read; `window_table` is the one place
-windows become the engine's inputs: one row gather for `xs`, index
-arrays for the samples.  `lyra_predict` predicts any number of windows
-as one untraced `lyra_forward` call.
+Training, fine-tuning and prediction describe their work as one `Windows`
+batch: per window a target row of the panel's feature block (see
+`data.Dataset`) and its label, and labeled context rows, all contexts end
+to end in arrays cut by offsets.  `lookback_windows` is the one place a
+context is chosen (the county's last w training seasons before the
+target, then any extras), for a batch of targets with array operations
+and one audited label read; `window_table` is the one place windows
+become the engine's inputs: one row gather for `xs`, index arrays for the
+samples.  `lyra_predict` predicts any windows in one `lyra_forward` call.
 
 The engine also runs K stacked copies of a model at once (a `ParamStore`
 of K copies, every parameter with a leading model axis): each input is
@@ -186,29 +184,18 @@ def _ranges(lo, hi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Windows:
-    """A batch of target seasons and the look-back contexts their predictions
-    attend over, the contexts laid out end to end.
-
-    Window i predicts block row `targets[i]`, feeding the (normalized)
-    `labels[i]` to its own embedding; its context is
-    `context[offsets[i]:offsets[i + 1]]`, block rows in attention order,
-    with their (normalized) labels in the same slice of `context_labels`.
-    """
+    """A batch of target seasons and the look-back contexts their
+    predictions attend over, the contexts laid end to end: window i
+    predicts block row `targets[i]`, feeding the (normalized) `labels[i]`
+    to its own embedding, and attends over the block rows
+    `context[offsets[i]:offsets[i + 1]]`, whose (normalized) labels are the
+    same slice of `context_labels`."""
 
     targets: np.ndarray
     labels: np.ndarray
     offsets: np.ndarray
     context: np.ndarray
     context_labels: np.ndarray
-
-    @classmethod
-    def of(cls, targets, labels, lengths, context, context_labels) -> "Windows":
-        """Windows whose contexts have the given lengths, in order."""
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return cls(np.asarray(targets, dtype=np.int64), np.asarray(labels, dtype=np.float64),
-                   offsets, np.asarray(context, dtype=np.int64),
-                   np.asarray(context_labels, dtype=np.float64))
 
     def __len__(self):
         return len(self.targets)
@@ -221,9 +208,9 @@ class Windows:
         """The windows at positions `idx`, in that order."""
         idx = np.asarray(idx, dtype=np.int64)
         lo, hi = self.offsets[idx], self.offsets[idx + 1]
-        pick = _ranges(lo, hi)
-        return Windows.of(self.targets[idx], self.labels[idx], hi - lo, self.context[pick],
-                          self.context_labels[pick])
+        offsets, pick = np.concatenate([[0], np.cumsum(hi - lo)]), _ranges(lo, hi)
+        return Windows(self.targets[idx], self.labels[idx], offsets, self.context[pick],
+                       self.context_labels[pick])
 
 
 @dataclass
@@ -408,24 +395,21 @@ def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> Wi
         raise ContractError("look-back window must be at least 1")
     targets = np.asarray(targets, dtype=np.int64)
     # A target's earlier seasons end where it sorts into train.rows, and
-    # start no earlier than its county's first season or w seasons back.
+    # start no earlier than its county's run or w seasons back.
     stop = np.searchsorted(train.rows, targets)
-    start = np.maximum(stop - w, np.searchsorted(train.rows, train.first_rows[targets]))
+    start = np.maximum(stop - w, train.run_starts(targets))
     for i in np.flatnonzero(start >= stop)[:1]:
         county, year = train.key(targets[i])
         raise ContractError(f"county {county} has no feature history before {year}")
+    sizes, extra_rows, extra_labels = extras or (0, train.rows[:0], np.empty(0))
     own = stop - start
+    windows = Windows(targets, labels[targets], np.concatenate([[0], np.cumsum(own + sizes)]),
+                      np.empty(own.sum() + len(extra_rows), dtype=np.int64),
+                      np.empty(own.sum() + len(extra_rows)))
+    lo, hi = windows.offsets[:-1], windows.offsets[1:]
     rows = train.rows[_ranges(start, stop)]
-    observed = train.labels(rows)
-    if extras is None:
-        return Windows.of(targets, labels[targets], own, rows, observed)
-    sizes, extra_rows, extra_labels = extras
-    windows = Windows.of(targets, labels[targets], own + sizes,
-                         np.empty(len(rows) + len(extra_rows), dtype=np.int64),
-                         np.empty(len(rows) + len(extra_rows)))
-    lo = windows.offsets[:-1]
-    for part, values, at in ((rows, observed, _ranges(lo, lo + own)),
-                             (extra_rows, extra_labels, _ranges(lo + own, windows.offsets[1:]))):
+    for part, values, at in ((rows, train.labels(rows), _ranges(lo, lo + own)),
+                             (extra_rows, extra_labels, _ranges(lo + own, hi))):
         windows.context[at] = part
         windows.context_labels[at] = values
     return windows

@@ -108,9 +108,7 @@ class Dataset:
     are per-season views.  A Dataset covers the block rows in `rows`: all
     of them for a panel, a subset for a split.  Splits and normalized
     copies keep the panel's row numbering, and `labels` normalizes as it
-    reads, so the panel's one label array is never copied.  `row_years`
-    and `first_rows` hold, per block row, the season's year and the block
-    row of its county's first season.
+    reads, so the panel's one label array is never copied.
     """
 
     def __init__(self, keys, features, labels, neighbors=None):
@@ -138,13 +136,12 @@ class Dataset:
         self.features, self._keys, self._labels = features, keys, labels  # per block row
         self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
         self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
-        self.row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))  # per block row
+        # per block row: its year, and its county's first block row (keys are sorted)
+        self.row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))
         if first_rows is None:
             counties = np.array([county for county, _ in keys])
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = counties[1:] != counties[:-1]
-            first_rows = np.maximum.accumulate(np.where(first, np.arange(len(keys)), 0))
-        self.first_rows = first_rows
+            first_rows = np.searchsorted(counties, counties)
+        self._first_rows = first_rows
         self.rows = np.arange(len(keys)) if rows is None else rows
         self._row = {keys[r]: r for r in self.rows.tolist()}  # (county, year) -> block row
         self._runs = {}  # county -> (start, stop) of its run in `rows`
@@ -159,7 +156,7 @@ class Dataset:
         """The Dataset of some of these rows: of this block, or of `features` in its place."""
         return Dataset.__new__(Dataset)._set(
             self._keys, self.features if features is None else features, self._labels,
-            self.neighbors, rows, self._label_norms + label_norms, self.first_rows)
+            self.neighbors, rows, self._label_norms + label_norms, self._first_rows)
 
     def __len__(self):
         return len(self.rows)
@@ -191,11 +188,11 @@ class Dataset:
         """(county, start, stop) per county, in order: its run of positions in `rows`."""
         return [(county, start, stop) for county, (start, stop) in self._runs.items()]
 
-    def run_starts(self, counties) -> np.ndarray:
-        """Per county, the position in `rows` of its first season (len(self)
-        for a county with none here)."""
-        none = (len(self.rows),)
-        return np.array([self._runs.get(county, none)[0] for county in counties], np.int64)
+    def run_starts(self, rows) -> np.ndarray:
+        """Per block row in `rows` (of this block, here or not), the position
+        in `self.rows` where its county's seasons here begin: those before
+        the row sit from there to the row's own `searchsorted` position."""
+        return np.searchsorted(self.rows, self._first_rows[rows])
 
     def labels(self, rows=None) -> np.ndarray:
         """Labels of block rows (default: its own), NaN for none; each row is an audited read."""

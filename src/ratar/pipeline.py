@@ -14,8 +14,9 @@ experiment driver and every CLI subcommand are built from the same links:
   cross-year model's target seasons in training, fine-tuning and
   prediction, the residuals and the training embeddings) is read from
   it by row;
-- `retrieval_context`: residuals, training embeddings, bias matrices
-  and the resolved refinement sigma, giving a `RetrievalContext`.  The
+- `retrieval_context`: residuals, training embeddings, bias matrices,
+  their rows extended to the test year (a `refinement.BiasTable`) and
+  the resolved refinement sigma, giving a `RetrievalContext`.  The
   embeddings and the labels the bias matrices read are arrays with a
   row per training season, in the training split's row order.  The
   residuals (and, in embedding mode, the mean embeddings, built on
@@ -399,14 +400,14 @@ class RetrievalContext:
 
     `residuals` (a `retrieval.ResidualPanel`) are filled in residual
     mode only.  The training `embeddings` (a row per season of `train`,
-    in its row order), the per-year `regressors` and the per-county
-    `biases` need the cross-year model and are None or empty without
-    one; so is `mean_emb`, the mean embeddings as a
-    `retrieval.embedding_panel`, built on first read.  `sigma` is the refinement noise scale in
-    physical units.  `retrieved` and `refined` keep what
-    `retrieve_refine` computed from it, so that runs sharing the context
-    (the variants of one driver run) retrieve and refine each county
-    once per setting.
+    in its row order), the per-year `regressors`, the per-county
+    `biases`, their `bias_table` toward the test year and `mean_emb`
+    (the mean embeddings as a `retrieval.embedding_panel`, built on
+    first read) need the cross-year model and are None or empty without
+    one.  `sigma` is the refinement noise scale in physical units.
+    `retrieved` and `refined` keep what `retrieve_refine` computed from
+    it, so that runs sharing the context (the variants of one driver
+    run) retrieve and refine each county once per setting.
     """
     adjacency: dict
     sigma: float
@@ -415,6 +416,7 @@ class RetrievalContext:
     embeddings: np.ndarray | None = None
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
+    bias_table: rf.BiasTable | None = None
     retrieved: dict = field(default_factory=dict)
     refined: dict = field(default_factory=dict)
 
@@ -432,7 +434,8 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
     """Residuals, embeddings, bias matrices and resolved sigma for one seed.
 
     The training embeddings are computed once; the bias matrices and
-    the embedding-mode match keys both come from them.  An unset
+    the embedding-mode match keys both come from them, and the bias
+    rows are extended to `cfg.test_year` once.  An unset
     `cfg.sigma` resolves to a fixed fraction of the training label std.
     """
     sigma = (cfg.sigma if cfg.sigma is not None
@@ -446,6 +449,7 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
         with _stage(f"refinement_setup seed {models.seed}"):
             ctx.embeddings = _training_embeddings(models)
             ctx.regressors, ctx.biases = _refinement_setup(models, ctx.embeddings)
+            ctx.bias_table = rf.extrapolate_biases(ctx.biases, models.train_n, cfg.test_year)
     return ctx
 
 
@@ -480,7 +484,7 @@ def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalCon
             ctx.refined[refine_key] = rf.refine_labels(
                 result,
                 train_n,
-                ctx.biases if cfg.refine else {},
+                ctx.bias_table if cfg.refine else None,
                 sigma=ctx.sigma if cfg.refine else 0.0,
                 seed=models.seed * 1000003 + idx,
                 target_year=cfg.test_year,
@@ -514,7 +518,6 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
     order.  `ctx` is not read when `cfg.integration` is "none".
     """
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
-    tcfg = replace(cfg.train, seed=models.seed)
     counties = models.test_counties
     out = CountyPredictions()
     tuned = {}  # county -> its refined sample set, for fine-tuning
@@ -533,31 +536,30 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                 sizes[i] = len(refined.entries)
                 extras += refined.entries
     with _stage(f"history seed {models.seed}"):
+        rows = np.fromiter((e.record for e in extras), np.int64, len(extras))
+        labels = np.fromiter((e.label_refined for e in extras), np.float64, len(extras))
         # one season per county, so the test rows come in county order
-        windows = lookback_windows(
-            train_n, test_n.rows, models.model_labels, models.lyra.w,
-            (sizes, np.fromiter((e.record for e in extras), np.int64, len(extras)),
-             stats.normalize_label(np.fromiter((e.label_refined for e in extras),
-                                               np.float64, len(extras)))))
+        windows = lookback_windows(train_n, test_n.rows, models.model_labels, models.lyra.w,
+                                   (sizes, rows, stats.normalize_label(labels)))
 
-    results = {}
     is_tuned = np.array([county in tuned for county in counties], dtype=bool)
+    results = {}
     if tuned:
         with _stage(f"fine_tune seed {models.seed} counties {' '.join(tuned)}"):
-            stack = fine_tune(models.lyra, list(tuned.values()), train_n, tcfg,
-                              models.model_labels, stats=stats)
-            results.update(zip(tuned, lyra_predict(stack, stats, train_n,
-                                                   windows.take(np.flatnonzero(is_tuned)))))
+            stack = fine_tune(models.lyra, list(tuned.values()), train_n,
+                              replace(cfg.train, seed=models.seed), models.model_labels,
+                              stats=stats)
+            at = np.flatnonzero(is_tuned)
+            results.update(zip(at.tolist(), lyra_predict(stack, stats, train_n, windows.take(at))))
     if not is_tuned.all():
         with _stage(f"predict seed {models.seed}"):
-            shared = np.flatnonzero(~is_tuned)
-            results.update(zip([counties[i] for i in shared.tolist()],
-                               lyra_predict(models.lyra, stats, train_n, windows.take(shared))))
-    for county in counties:
-        pred = results[county]
-        out.predictions[county] = pred.prediction
-        for year, beta in zip(pred.history_years, pred.beta):
-            out.attention.append((county, cfg.test_year, year, float(beta)))
+            at = np.flatnonzero(~is_tuned)
+            results.update(zip(at.tolist(),
+                               lyra_predict(models.lyra, stats, train_n, windows.take(at))))
+    for i, county in enumerate(counties):
+        out.predictions[county] = results[i].prediction
+        out.attention += [(county, cfg.test_year, year, float(beta))
+                          for year, beta in zip(results[i].history_years, results[i].beta)]
     return out
 
 

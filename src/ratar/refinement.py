@@ -16,22 +16,24 @@ county's label drifts across years and shifts retrieved labels forward:
     predicting its embedding alone, and a county's matrix is cut from its
     run of rows.
 3.  Each row s is extrapolated with a least-squares line over k to the
-    target year, giving a per-sample correction b_hat.  A row's line is
-    fitted once, on first use, and evaluated for every target year.  It
-    is `np.polyfit`'s degree-1 arithmetic, with the scaled design built
-    once per pattern of valid years and shared by every row and county
-    with that pattern, and one `lstsq` per row.
+    target year t, the correction b_hat for samples from year s.  A fitted
+    row spans all its county's years, so b_hat is linear in the row:
+    B[s] . c, c_k = 1/n + (t - x_bar)(x_k - x_bar) / sum((x - x_bar)^2),
+    one c per set of years.  `extrapolate_biases` makes the `BiasTable` of
+    every training season's b_hat once per seed; nothing is cached on a
+    `BiasMatrix`, so no line goes stale, and a table names its target year.
 4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
     Gaussian noise, leaving features untouched; with sigma 0 no
     generator is made.  Retrieved samples are block rows of the training
-    Dataset, and their labels are one audited `Dataset.labels` read.
+    Dataset: `refine_labels` reads their labels in one audited
+    `Dataset.labels` call, gathers their b_hat from the table, draws
+    every copy's eps at once, and computes the refined labels as arrays.
 
 Labels here are in physical units throughout.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,64 +130,37 @@ def fit_year_regressor(year, Z, y, z_mean, z_scale, lam=_RIDGE_LAM):
 class BiasMatrix:
     """Per-county grid of cross-year label gaps.
 
-    B[s, k] holds y^k - g_s(z^k) for this county; `years` maps both
-    axes to calendar years and `valid` masks cells where either the
-    year-s regressor or the year-k observation was unavailable.  Each
-    row's extrapolation line is cached on first use, so B and valid must
-    not change after the first `extrapolate_bias` call.
+    B[s, k] holds y^k - g_s(z^k) for this county; `years` (ascending)
+    maps both axes to calendar years.  `fitted[s]` says whether year s
+    had a regressor (a row without one is zero); `valid` masks its cells.
     """
 
     county: str
     years: list
     B: np.ndarray
-    valid: np.ndarray
-    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    fitted: np.ndarray
 
-    def row_line(self, source_year):
-        """(method, x0, slope, intercept) of row `source_year`, fitted once.
-
-        Fits a degree-1 least-squares line over the row's valid cells,
-        with the year axis centred at x0.  Fewer than 2 valid cells gives
-        the row mean as the intercept ("row_mean"); an empty row gives 0
-        ("zero").  Either way the slope is 0.
-        """
-        if source_year not in self.years:
-            raise ContractError(f"county {self.county}: year {source_year} not in bias matrix")
-        line = self._lines.get(source_year)
-        if line is None:
-            line = self._lines[source_year] = self._fit_row(self.years.index(source_year))
-        return line
-
-    def _fit_row(self, si):
-        mask = self.valid[si]
-        ys = self.B[si][mask]
-        if ys.size == 0:
-            return "zero", 0.0, 0.0, 0.0
-        if ys.size == 1:
-            return "row_mean", 0.0, 0.0, float(ys[0])
-        x0, lhs, scale, rcond = _line_design(tuple(np.asarray(self.years)[mask].tolist()))
-        slope, intercept = np.linalg.lstsq(lhs, ys, rcond)[0] / scale
-        return "ols", x0, slope, intercept
+    @property
+    def valid(self) -> np.ndarray:
+        return np.repeat(np.asarray(self.fitted)[:, None], len(self.years), axis=1)
 
 
-@functools.lru_cache(maxsize=256)
-def _line_design(years):
-    """`np.polyfit(xs - x0, ys, 1)`'s scaled design for the years `years`.
+def extend_rows(years, B, fitted, target_year):
+    """(b_hat, method) of every bias row over `years`: the row's
+    least-squares line at `target_year`, B[s] . c ("ols"), its one cell
+    for a single year ("row_mean"), or 0 for an unfitted row ("zero").
 
-    Returns (x0, lhs, scale, rcond): the year axis is centred at its mean
-    x0 for conditioning, and a row's fit is `lstsq(lhs, ys, rcond)[0] /
-    scale`, polyfit's own arithmetic, so its line has polyfit's bits.
-    One design serves every row of that valid-year pattern, in every
-    county.  One `lstsq` over many rows at once is not bit-equal to these
-    per-row solves.
+    B is a matrix [n x n] or a stack [m x n x n] of matrices over the same
+    years, and fitted its rows' flags [n] or [m x n].
     """
-    xs = np.asarray(years, dtype=np.float64)
-    x0 = xs.mean()
-    lhs = np.vander(xs - x0, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    lhs.flags.writeable = scale.flags.writeable = False
-    return x0, lhs, scale, len(xs) * np.finfo(np.float64).eps
+    x = np.asarray(years, dtype=np.float64)
+    if len(x) == 1:
+        weights, method = np.ones(1), "row_mean"
+    else:
+        xc = x - x.mean()
+        weights = 1.0 / len(x) + (target_year - x.mean()) * xc / (xc @ xc)
+        method = "ols"
+    return np.where(fitted, B @ weights, 0.0), np.where(fitted, method, "zero")
 
 
 def build_bias_matrix(regressors, train, Z, y):
@@ -198,7 +173,7 @@ def build_bias_matrix(regressors, train, Z, y):
     all of `Z`, and row s of a county's matrix is B[s] = y - g_s(Z) over
     its run; each cell has the bits of predicting its embedding alone
     (see `YearRegressor.predict`).  Rows of years without a regressor
-    stay zero and invalid.
+    stay zero and unfitted.
     """
     years = train.years
     fitted = np.array([s in regressors for s in years])
@@ -207,33 +182,48 @@ def build_bias_matrix(regressors, train, Z, y):
         B[si] = y - regressors[years[si]].predict(Z)
     row_years = train.row_years[train.rows]
     year_index = np.searchsorted(years, row_years)  # each row's row of B
-    out = {}
-    for county, start, stop in train.runs():
-        idx = year_index[start:stop]
-        out[county] = BiasMatrix(county=county, years=row_years[start:stop].tolist(),
-                                 B=B[idx, start:stop],
-                                 valid=np.repeat(fitted[idx, None], stop - start, axis=1))
-    return out
+    return {county: BiasMatrix(county=county, years=row_years[start:stop].tolist(),
+                               B=B[year_index[start:stop], start:stop],
+                               fitted=fitted[year_index[start:stop]])
+            for county, start, stop in train.runs()}
 
 
-@dataclass
-class BiasEstimate:
-    value: float
-    method: str  # "ols", "row_mean", or "zero"
+@dataclass(frozen=True)
+class BiasTable:
+    """Every training season's bias row extended to one target year.
 
-
-def extrapolate_bias(bm, source_year, target_year):
-    """Extend row `source_year` of the bias matrix to `target_year`.
-
-    Evaluates the row's least-squares line (`BiasMatrix.row_line`) at the
-    target year; a row with fewer than 2 valid cells gives its mean, an
-    empty row a zero bias.  The method used is reported so callers can
-    surface degraded rows.
+    Indexed by block row, like `backbone.model_labels`: a sample from
+    season `row` is shifted by `b_hat[row]`, estimated as `method[row]`
+    (see `extend_rows`), or passes unrefined ("missing", b_hat 0) when
+    its county has no bias matrix or its year is not in it.
     """
-    method, x0, slope, intercept = bm.row_line(source_year)
-    if method != "ols":
-        return BiasEstimate(intercept, method)
-    return BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
+
+    target_year: int
+    b_hat: np.ndarray
+    method: np.ndarray
+
+
+def extrapolate_biases(biases, train, target_year) -> BiasTable:
+    """The `BiasTable` of `train`'s seasons, from `biases` {county: BiasMatrix}:
+    matrices over the same years are extended by one `extend_rows` call,
+    and each of a county's seasons in `train` reads its year's row."""
+    b_hat = np.zeros(len(train.row_years))
+    method = np.full(len(train.row_years), "missing", dtype=object)
+    groups = {}  # years -> the matrices over them
+    for bm in biases.values():
+        groups.setdefault(tuple(bm.years), []).append(bm)
+    for years, group in groups.items():
+        values, methods = extend_rows(years, np.stack([bm.B for bm in group]),
+                                      np.stack([bm.fitted for bm in group]), target_year)
+        runs = [train.county_rows(bm.county) for bm in group]
+        rows = np.concatenate(runs)
+        owner = np.repeat(np.arange(len(group)), [len(run) for run in runs])
+        grid = np.asarray(years)
+        at = np.minimum(np.searchsorted(grid, train.row_years[rows]), len(grid) - 1)
+        hit = grid[at] == train.row_years[rows]  # the season's year is a matrix year
+        cell = (owner * len(grid) + at)[hit]
+        b_hat[rows[hit]], method[rows[hit]] = values.ravel()[cell], methods.ravel()[cell]
+    return BiasTable(target_year, b_hat, method)
 
 
 @dataclass
@@ -266,37 +256,35 @@ def refine_labels(retrieved, train, biases, sigma, seed, target_year, stats, cop
 
     `retrieved.samples` are block rows of `train`, whose labels are
     normalized by `stats`; refinement works in physical units.  Each
-    sample (county j, year s) gets y + b_hat + sigma * eps, where b_hat
-    extrapolates county j's own bias row for year s.  Samples are
-    processed in (county, year) order, which is block-row order, with a
-    seeded generator, so the output is invariant to retrieval ordering.
-    Samples without a bias matrix pass through unrefined and are flagged.
+    sample (county j, year s) gets y + b_hat + sigma * eps, b_hat read
+    from `biases`, the `BiasTable` toward `target_year` (None: nothing is
+    refined).  Samples come in (county, year) order, which is block-row
+    order, `copies` entries each, with every entry's eps from one seeded
+    draw, so the output is invariant to retrieval ordering.  Samples
+    without a bias row pass through unrefined and are flagged.
     """
     if sigma < 0:
         raise ContractError(f"sigma must be nonnegative, got {sigma}")
     if copies < 1:
         raise ContractError(f"copies must be at least 1, got {copies}")
-    rng = np.random.default_rng(seed) if sigma > 0 else None  # no draws without noise
-    out = RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
+    if biases is not None and biases.target_year != target_year:
+        raise ContractError(f"bias table extends to {biases.target_year}, "
+                            f"refinement targets {target_year}")
     rows = np.sort(retrieved.samples)
     labels = train.labels(rows) * stats.label_std + stats.label_mean
-    for row, label in zip(rows.tolist(), labels.tolist()):
-        county, year = train.key(row)
-        bm = biases.get(county)
-        if bm is None or year not in bm.years:
-            est = None
-        else:
-            est = extrapolate_bias(bm, year, target_year)
-        for _ in range(copies):
-            eps = float(rng.standard_normal()) if sigma > 0 else 0.0
-            if est is None:
-                out.entries.append(RefinedSample(row, label, 0.0, label, False, "missing"))
-            else:
-                refined = label + est.value + sigma * eps
-                out.entries.append(
-                    RefinedSample(row, label, est.value, refined, True, est.method)
-                )
-    return out
+    if biases is None:
+        b_hat, method = np.zeros(len(rows)), np.full(len(rows), "missing", dtype=object)
+    else:
+        b_hat, method = biases.b_hat[rows], biases.method[rows]
+    # one entry per copy of each sample
+    rows, labels, b_hat, method = (part.repeat(copies) for part in (rows, labels, b_hat, method))
+    refined = method != "missing"
+    eps = np.random.default_rng(seed).standard_normal(len(rows)) if sigma > 0 else 0.0
+    shifted = np.where(refined, labels + b_hat + sigma * eps, labels)
+    entries = zip(rows.tolist(), labels.tolist(), b_hat.tolist(), shifted.tolist(),
+                  refined.tolist(), method.tolist())
+    return RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma,
+                            entries=[RefinedSample(*entry) for entry in entries])
 
 
 def save_bias_csv(biases, path):
@@ -304,11 +292,10 @@ def save_bias_csv(biases, path):
     lines = ["county,source_year,target_year,bias,valid"]
     for county in sorted(biases):
         bm = biases[county]
+        valid = bm.valid
         for si, s in enumerate(bm.years):
             for ki, k in enumerate(bm.years):
-                lines.append(
-                    f"{county},{s},{k},{bm.B[si, ki]!r},{int(bm.valid[si, ki])}"
-                )
+                lines.append(f"{county},{s},{k},{bm.B[si, ki]!r},{int(valid[si, ki])}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -134,16 +134,12 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
     """
     if a.years == b.years and len(a.years) >= 2:
         return _centered_cos(a.r, b.r)
-    common = sorted(set(a.years) & set(b.years))
+    common, ia, ib = np.intersect1d(a.years, b.years, assume_unique=True, return_indices=True)
     if len(common) < max(2, min(_MIN_COMMON_YEARS, len(a.years), len(b.years))):
         raise ContractError(
             f"counties {a.county} and {b.county} share only {len(common)} years"
         )
-    ia = {y: i for i, y in enumerate(a.years)}
-    ib = {y: i for i, y in enumerate(b.years)}
-    va = a.r[[ia[y] for y in common]]
-    vb = b.r[[ib[y] for y in common]]
-    return _centered_cos(va, vb)
+    return _centered_cos(a.r[ia], b.r[ib])
 
 
 class ResidualPanel(Mapping):

@@ -338,8 +338,7 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
     year_max = train.years[-1] if year_max is None else year_max
     params = LyraParams.init(dims=dims, w=w, year_min=year_min, year_max=year_max,
                              seed=cfg.seed)
-    later = np.ones(len(train), dtype=bool)  # seasons with an earlier one
-    later[train.run_starts(train.counties)] = False
+    later = train.run_starts(train.rows) < np.arange(len(train))  # with an earlier season
     targets = _training_labels(train)[later]
     rows = train.rows[later]
     if not rows.size:
@@ -362,17 +361,15 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
 
 
 def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
-    """(windows, normalized targets, windows per set) of every set's usable
-    entries, set by set, from one `lookback_windows` call; warns on what
-    it skips."""
+    """(windows, normalized targets, windows per set) of the sets' usable
+    entries, from one `lookback_windows` call; warns on what it skips."""
     entries = []
     for sample_set in sample_sets:
         if not sample_set.entries:
             warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
         entries += sample_set.entries
     rows = np.fromiter((e.record for e in entries), np.int64, len(entries))
-    usable = (np.searchsorted(train.rows, train.first_rows[rows])
-              < np.searchsorted(train.rows, rows))  # an earlier season of its county
+    usable = train.run_starts(rows) < np.searchsorted(train.rows, rows)  # with history
     for county, year in map(train.key, rows[~usable].tolist()):
         warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
     refined = np.fromiter((e.label_refined for e in entries), np.float64, len(entries))
@@ -408,27 +405,16 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     tuned = p.stack(len(sample_sets))
     windows, targets, sizes = _tuning_windows(p, sample_sets, train, target_labels, stats)
     active = np.flatnonzero(sizes)
-    if len(active) and cfg.fine_tune_epochs > 0:
-        stop = np.cumsum(sizes)
-        parts = [np.arange(stop[k] - sizes[k], stop[k]) for k in active]
-        inputs = stack_tables(p, [window_table(p, train, windows.take(part)) for part in parts])
-        tuned.store.flat[active] = _tune_stack(p, inputs, [targets[part] for part in parts],
-                                               cfg).store.flat
-    return tuned
-
-
-def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
-    """Stacked copies of p, copy k trained on group k of the `stack_tables` inputs.
-
-    targets[k] lists copy k's normalized targets, one per real sample.
-    """
-    xs, triples, samples, counts = inputs
-    stack = p.stack(len(targets))
-    size = len(samples[0]) // len(targets)
-    padded = np.zeros((len(targets), size))
-    for k, copy_targets in enumerate(targets):
-        padded[k, :len(copy_targets)] = copy_targets
-    padded = padded.ravel()
+    if not len(active) or cfg.fine_tune_epochs == 0:
+        return tuned
+    stop = np.cumsum(sizes)
+    xs, triples, samples, counts = stack_tables(
+        p, [window_table(p, train, windows.take(np.arange(stop[k] - sizes[k], stop[k])))
+            for k in active])
+    stack = p.stack(len(active))
+    # each copy's targets lead its group of samples, in set order
+    padded = np.zeros((len(active), len(samples[0]) // len(active)))
+    padded[np.arange(padded.shape[1]) < sizes[active, None]] = targets
 
     pooled_const = None
     if cfg.freeze_encoder:
@@ -442,8 +428,9 @@ def _tune_stack(p: LyraParams, inputs, targets, cfg: TrainConfig) -> LyraParams:
             stack.store, opt,
             lambda tape: lyra_forward(tape, stack, xs, triples, samples,
                                       pooled_const=pooled_const)[0],
-            padded, counts)
+            padded.ravel(), counts)
         return loss, idx.size
 
     _run_epochs([np.arange(len(samples[0]))], cfg.fine_tune_epochs, epoch_fn)
-    return stack
+    tuned.store.flat[active] = stack.store.flat
+    return tuned

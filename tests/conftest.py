@@ -33,8 +33,8 @@ class RefineSetup:
         )
         self.models = pl.train_models(self.cfg, self.dataset, 0)
         ctx = pl.retrieval_context(self.cfg, self.models, {})
-        self.embeddings, self.regressors, self.biases = (
-            ctx.embeddings, ctx.regressors, ctx.biases)
+        self.embeddings, self.regressors, self.biases, self.bias_table = (
+            ctx.embeddings, ctx.regressors, ctx.biases, ctx.bias_table)
 
 
 @pytest.fixture(scope="session")

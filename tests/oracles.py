@@ -1,25 +1,34 @@
 """Shared test helpers: datasets from records, the windows `train_lyra`
 trains on, and the record-based window code that `backbone` used before.
 
+`backbone.Windows` is one batch with every window's context end to end;
+`RowWindow` is one window of it, and every test that builds or unpacks
+windows one by one goes through `window_list` (batch to `RowWindow`s)
+and `window_batch` (`RowWindow`s to a batch); `extras_of` turns
+per-target extras into `lookback_windows`' concatenated form.
+
 `lookback_window`, `window_table` and `stack_tables` below are the earlier
 record-based builders, kept verbatim (with their `LyraSample` and
 record-based `LyraWindow`) as the bitwise oracle for the row-indexed ones;
 `as_arrays` turns their samples into the engine's index arrays, and
-`row_windows` turns their windows into row windows.
+`row_windows` turns their windows into a `backbone.Windows` batch.
 
 The per-county and per-query forms that the batched paths replaced are
 kept verbatim as their oracles too: `row_lookback_window` for
 `backbone.lookback_windows`, `query_screen`/`query_retrieve` for the
-per-setting retrieval screen, `county_bias_matrix` for the one-call
-`refinement.build_bias_matrix`, and `reference_extrapolate_bias` (one
-`np.polyfit` per call) for the shared-design row lines.
+per-setting retrieval screen, and `county_bias_matrix` for the one-call
+`refinement.build_bias_matrix`.  `reference_extrapolate_bias` (one
+`np.polyfit` per call, with its `BiasEstimate`) is the polyfit reference
+that the closed-form `refinement.extend_rows` is compared with.
 `build_bias_matrix` is the one-call form as it read (county, year)-keyed
 dicts of embeddings and labels, before it took a Dataset's runs of rows;
 `bias_inputs` turns such dicts into the array form's arguments.
 
 `collect_samples` and `refine_labels` are the record-based retrieval
-samples and label refinement that block rows replaced, kept verbatim as
-the oracle for `retrieval._collect_samples` and `refinement.refine_labels`.
+samples and label refinement (one `reference_extrapolate_bias` and one
+scalar draw per entry) that block rows and arrays replaced, kept verbatim
+as the oracle for `retrieval._collect_samples` and
+`refinement.refine_labels`.
 
 `run_epochs` is the epoch driver as it was before training shuffled
 chunks of work, kept verbatim as the oracle for the record models' loss
@@ -121,10 +130,12 @@ def window_list(windows):
 
 def window_batch(windows):
     """`RowWindow`s as one `backbone.Windows` batch, in order."""
-    return bb.Windows.of([w.target for w in windows], [w.label for w in windows],
-                         [len(w.context) for w in windows],
-                         np.concatenate([np.empty(0, np.int64)] + [w.context for w in windows]),
-                         np.concatenate([np.empty(0)] + [w.context_labels for w in windows]))
+    lengths = np.array([len(w.context) for w in windows], dtype=np.int64)
+    return bb.Windows(np.array([w.target for w in windows], dtype=np.int64),
+                      np.array([w.label for w in windows], dtype=np.float64),
+                      np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+                      np.concatenate([np.empty(0, np.int64)] + [w.context for w in windows]),
+                      np.concatenate([np.empty(0)] + [w.context_labels for w in windows]))
 
 
 def extras_of(per_target):
@@ -347,14 +358,14 @@ def county_bias_matrix(county, regressors, embeddings, labels):
     y = np.array([labels[k] for k in years], dtype=np.float64)
     K = len(years)
     B = np.zeros((K, K))
-    valid = np.zeros((K, K), dtype=bool)
+    fitted = np.zeros(K, dtype=bool)
     for si, s in enumerate(years):
         g = regressors.get(s)
         if g is None:
             continue
         B[si] = y - g.predict(Z)
-        valid[si] = True
-    return rf.BiasMatrix(county=county, years=years, B=B, valid=valid)
+        fitted[si] = True
+    return rf.BiasMatrix(county=county, years=years, B=B, fitted=fitted)
 
 
 def bias_inputs(embeddings, labels):
@@ -404,8 +415,7 @@ def build_bias_matrix(regressors, embeddings, labels):
         stop = start + len(county_years)
         idx = [year_index[s] for s in county_years]
         out[county] = rf.BiasMatrix(county=county, years=county_years,
-                                    B=B[idx, start:stop],
-                                    valid=np.repeat(fitted[idx, None], stop - start, axis=1))
+                                    B=B[idx, start:stop], fitted=fitted[idx])
         start = stop
     return out
 
@@ -423,9 +433,15 @@ def _reject_shapes(keys, rows):
     raise ContractError(f"counties' embeddings differ in width: {widths}")
 
 
+@dataclass
+class BiasEstimate:
+    value: float
+    method: str  # "ols", "row_mean", or "zero"
+
+
 def reference_extrapolate_bias(bm, source_year, target_year):
-    """extrapolate_bias as it was before row lines were cached: one
-    `np.polyfit` per call."""
+    """`refinement.extrapolate_bias` as it was before row lines were
+    cached: one `np.polyfit` per call, over the row's valid cells."""
     if source_year not in bm.years:
         raise ContractError(f"county {bm.county}: year {source_year} not in bias matrix")
     si = bm.years.index(source_year)
@@ -433,13 +449,13 @@ def reference_extrapolate_bias(bm, source_year, target_year):
     xs = np.asarray(bm.years, dtype=np.float64)[mask]
     ys = bm.B[si][mask]
     if xs.size == 0:
-        return rf.BiasEstimate(0.0, "zero")
+        return BiasEstimate(0.0, "zero")
     if xs.size == 1:
-        return rf.BiasEstimate(float(ys[0]), "row_mean")
+        return BiasEstimate(float(ys[0]), "row_mean")
     # center the year axis before the polynomial fit for conditioning
     x0 = xs.mean()
     slope, intercept = np.polyfit(xs - x0, ys, 1)
-    return rf.BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
+    return BiasEstimate(float(intercept + slope * (target_year - x0)), "ols")
 
 
 def collect_samples(matched, train):
@@ -478,7 +494,7 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
         if bm is None or rec.year not in bm.years:
             est = None
         else:
-            est = rf.extrapolate_bias(bm, rec.year, target_year)
+            est = reference_extrapolate_bias(bm, rec.year, target_year)
         for _ in range(copies):
             eps = float(rng.standard_normal()) if sigma > 0 else 0.0
             if est is None:

@@ -18,9 +18,9 @@ from ratar.data import load_dataset, save_dataset_csv
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "ablate_c07": "a66989687b3cebdc5e0f9e7fb7618ee291eaabe16bcbf4a714a53dc3b31ca110",
-    "retrieve_wide": "c7b1793eeb1e3304ccd328db32a805f34bd0aaa32c81dc540a694cb11dfdec44",
-    "finetune_county": "76a3a83edab7f777e65164e84ce6d24a796f0fcdffbb7d99e771a63432c4c389",
+    "ablate_c07": "9c1a21fba24053fe491b0f87812272d846cd1c352ab241e44adc0c0d01aa2136",
+    "retrieve_wide": "989bb21fa1e550a13912cfbd22ac423fb4e21eaf70dcfe8dcd01b12222599957",
+    "finetune_county": "9de0607e793b4a05abd4565d3bf113d9ee333845db63ed72203aea9bf55d4cc9",
 }
 
 

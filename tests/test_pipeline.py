@@ -793,46 +793,52 @@ class TestRefinementSetupCalls:
 
 
 class TestExtrapolationFits:
-    """Each (county, source year) bias row is fitted once and keeps its bits."""
+    """Bias rows are extended to the test year once per seed, in closed form."""
 
-    def test_cached_lines_match_per_call_fits(self):
-        rng = np.random.default_rng(7)
-        years = [2000, 2001, 2003, 2004, 2007, 2008]
-        for _ in range(50):
-            B = rng.standard_normal((6, 6)) * 3.0
-            valid = rng.random((6, 6)) < 0.7
-            bm = rf.BiasMatrix("c", years, B, valid)
-            for target in (2009, 2010, 2009, 2015):
-                for s in years:
-                    got, want = (rf.extrapolate_bias(bm, s, target),
-                                 reference_extrapolate_bias(bm, s, target))
-                    assert (got.value.hex(), got.method) == (want.value.hex(), want.method)
-
-    def test_one_polyfit_per_row_and_refined_csv_unchanged(self, tmp_path, monkeypatch):
+    @staticmethod
+    def config(tmp_path, **overrides):
         synth = replace(synth_cfg(), n_counties=24, n_years=12)
         train = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=1, seed=0,
                                fine_tune_lr=1e-3, fine_tune_epochs=1)
-        fits = []
+        return base_config(tmp_path, synthetic=synth, test_year=2011, train=train, **overrides)
+
+    def test_one_extension_per_seed_matches_polyfit(self, tmp_path, monkeypatch):
+        cfg = self.config(tmp_path, out_dir=None)
+        ds, adjacency = pl.load(cfg)
+        models = pl.train_models(cfg, ds, 0)
+        calls = []
+        original = rf.extend_rows
+
+        def counting(years, B, fitted, target_year):
+            calls.append((years, B.shape, target_year))
+            return original(years, B, fitted, target_year)
+
+        monkeypatch.setattr(rf, "extend_rows", counting)
+        ctx = pl.retrieval_context(cfg, models, adjacency)
+        # every county covers the same eleven years: one stack of 24 matrices
+        assert calls == [(tuple(range(2000, 2011)), (24, 11, 11), 2011)]
+        refined = [pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties]
+        assert len(calls) == 1  # none per query or sample
+        entries = [e for s in refined for e in s.entries]
+        assert sum(e.method == "ols" for e in entries) > len(models.test_counties)
+        for e in entries:
+            county, year = models.train_n.key(e.record)
+            want = reference_extrapolate_bias(ctx.biases[county], year, 2011)
+            assert e.method == want.method
+            assert abs(e.bias_hat - want.value) <= 1e-12 * max(1.0, abs(want.value))
+
+    def test_no_least_squares_solve(self, tmp_path, monkeypatch):
+        calls = []
         lstsq = np.linalg.lstsq
 
-        def counting(a, b, rcond):  # one least-squares solve per fitted row line
-            fits.append(len(b))
-            return lstsq(a, b, rcond)
-
-        def run(name):
-            out = tmp_path / name
-            pl.run_experiment(base_config(tmp_path, synthetic=synth, test_year=2011,
-                                          train=train, out_dir=str(out)))
-            return (out / "refined.csv").read_bytes()
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
-        cached = run("cached")
-        lines = [line.split(",") for line in cached.decode().splitlines()[1:]]
-        fitted = [(f[1], f[2]) for f in lines if f[-1] == "ols"]
-        assert len(fitted) > len(set(fitted)) > 0  # samples share rows
-        assert 0 < len(fits) <= len(set(fitted))
-        monkeypatch.setattr(rf, "extrapolate_bias", reference_extrapolate_bias)
-        assert run("per_sample") == cached
+        report = pl.run_experiment(self.config(tmp_path, out_dir=None))
+        assert report.retrieved_total > 0
+        assert calls == []
 
 
 class TestLabelAuditOnBlocks:

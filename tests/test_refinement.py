@@ -173,7 +173,7 @@ def reference_bias_matrix(county, regressors, embeddings, labels):
         raise ContractError(f"county {county}: no years with both embedding and label")
     K = len(years)
     B = np.zeros((K, K))
-    valid = np.zeros((K, K), dtype=bool)
+    fitted = np.zeros(K, dtype=bool)
     for si, s in enumerate(years):
         g = regressors.get(s)
         if g is None:
@@ -181,8 +181,8 @@ def reference_bias_matrix(county, regressors, embeddings, labels):
         for ki, k in enumerate(years):
             pred = float(g.predict(embeddings[k][None, :])[0])
             B[si, ki] = labels[k] - pred
-            valid[si, ki] = True
-    return rf.BiasMatrix(county=county, years=years, B=B, valid=valid)
+        fitted[si] = True
+    return rf.BiasMatrix(county=county, years=years, B=B, fitted=fitted)
 
 
 class TestBiasMatrixOracle:
@@ -211,6 +211,7 @@ class TestBiasMatrixOracle:
     def assert_bit_equal(got, want):
         assert got.county == want.county and got.years == want.years
         assert got.B.dtype == want.B.dtype and got.B.tobytes() == want.B.tobytes()
+        assert np.array_equal(got.fitted, want.fitted)
         assert np.array_equal(got.valid, want.valid)
 
     @pytest.mark.parametrize("E", [1, 2, 5, 8, 16])
@@ -234,27 +235,29 @@ class TestBiasMatrixOracle:
         self.assert_bit_equal(got, reference_bias_matrix("c0", regs, *one))
 
 
-class TestExtrapolateBias:
+class TestExtrapolate:
     @staticmethod
-    def matrix_with_row(years, row_values, valid_row=None):
+    def matrix_with_row(years, row_values, fitted=True):
         K = len(years)
         B = np.zeros((K, K))
         B[0, :] = row_values
-        valid = np.ones((K, K), dtype=bool)
-        if valid_row is not None:
-            valid[0, :] = valid_row
-        return rf.BiasMatrix(county="c0", years=list(years), B=B, valid=valid)
+        rows = np.ones(K, dtype=bool)
+        rows[0] = fitted
+        return rf.BiasMatrix(county="c0", years=list(years), B=B, fitted=rows)
+
+    def first_row(self, bm, target):
+        values, methods = rf.extend_rows(bm.years, bm.B, bm.fitted, target)
+        return values[0], methods[0]
 
     def test_exact_line(self):
         bm = self.matrix_with_row([2001, 2002, 2003], [1.0, 2.0, 3.0])
-        est = rf.extrapolate_bias(bm, 2001, 2004)
-        assert est.method == "ols"
-        np.testing.assert_allclose(est.value, 4.0, atol=1e-10)
+        value, method = self.first_row(bm, 2004)
+        assert method == "ols"
+        np.testing.assert_allclose(value, 4.0, atol=1e-10)
 
     def test_constant_row(self):
         bm = self.matrix_with_row([2001, 2002, 2003], [0.7, 0.7, 0.7])
-        est = rf.extrapolate_bias(bm, 2001, 2010)
-        np.testing.assert_allclose(est.value, 0.7, atol=1e-10)
+        np.testing.assert_allclose(self.first_row(bm, 2010)[0], 0.7, atol=1e-10)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(6)
@@ -262,29 +265,113 @@ class TestExtrapolateBias:
         for _ in range(200):
             row = rng.standard_normal(10) * 2.0 + rng.standard_normal() * np.arange(10)
             bm = self.matrix_with_row(years, row)
-            est = rf.extrapolate_bias(bm, 2000, 2011)
-            np.testing.assert_allclose(est.value, ols_oracle(years, row, 2011), atol=1e-8)
+            np.testing.assert_allclose(self.first_row(bm, 2011)[0],
+                                       ols_oracle(years, row, 2011), atol=1e-8)
 
-    def test_single_valid_cell_falls_back_to_mean(self):
-        bm = self.matrix_with_row(
-            [2001, 2002, 2003], [5.0, 99.0, 98.0], valid_row=[True, False, False]
-        )
-        est = rf.extrapolate_bias(bm, 2001, 2004)
-        assert est.method == "row_mean"
-        np.testing.assert_allclose(est.value, 5.0)
+    def test_one_year_county_gives_its_cell(self):
+        bm = rf.BiasMatrix("c0", [2001], np.array([[5.0]]), np.ones(1, dtype=bool))
+        assert self.first_row(bm, 2004) == (5.0, "row_mean")
 
-    def test_no_valid_cells_gives_zero(self):
-        bm = self.matrix_with_row(
-            [2001, 2002, 2003], [5.0, 6.0, 7.0], valid_row=[False, False, False]
-        )
-        est = rf.extrapolate_bias(bm, 2001, 2004)
-        assert est.method == "zero"
-        assert est.value == 0.0
+    def test_unfitted_row_gives_zero(self):
+        bm = self.matrix_with_row([2001, 2002, 2003], [5.0, 6.0, 7.0], fitted=False)
+        assert self.first_row(bm, 2004) == (0.0, "zero")
 
-    def test_unknown_source_year_rejected(self):
-        bm = self.matrix_with_row([2001, 2002, 2003], [1.0, 2.0, 3.0])
-        with pytest.raises(ContractError):
-            rf.extrapolate_bias(bm, 1990, 2004)
+    def test_valid_is_the_fitted_rows(self):
+        bm = self.matrix_with_row([2001, 2002, 2003], [5.0, 6.0, 7.0], fitted=False)
+        assert bm.valid.tolist() == [[False] * 3, [True] * 3, [True] * 3]
+
+
+def polyfit_value(years, row, target):
+    """A row's degree-1 `np.polyfit` line over its years, at the target year."""
+    xs = np.asarray(years, dtype=np.float64)
+    x0 = xs.mean()
+    slope, intercept = np.polyfit(xs - x0, row, 1)
+    return intercept + slope * (target - x0)
+
+
+def relative_error(got, want, row):
+    """|got - want| relative to the larger of |want| and the row's largest cell."""
+    return abs(got - want) / max(abs(want), np.abs(row).max())
+
+
+class TestClosedFormLines:
+    """The closed form b_hat = B[s] . c agrees with `np.polyfit`'s lines."""
+
+    @staticmethod
+    def gapped_years(rng, n):
+        return sorted(rng.choice(np.arange(1985, 2020), size=n, replace=False).tolist())
+
+    def test_random_rows_match_polyfit(self):
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for n in range(2, 15):
+            for _ in range(20):
+                years = self.gapped_years(rng, n)
+                B = rng.standard_normal((n, n)) * rng.uniform(0.01, 100.0, (n, 1))
+                B += rng.standard_normal((n, 1)) * (np.asarray(years) - years[0])
+                bm = rf.BiasMatrix("c", years, B, np.ones(n, dtype=bool))
+                for target in (years[-1] + 1, years[-1] + 7, years[n // 2]):
+                    values, methods = rf.extend_rows(bm.years, bm.B, bm.fitted, target)
+                    assert set(methods.tolist()) == {"ols"}
+                    for si in range(n):
+                        want = polyfit_value(years, B[si], target)
+                        worst = max(worst, relative_error(values[si], want, B[si]))
+        print(f"closed form vs np.polyfit: worst relative error {worst:.1e}")
+        assert worst < 1e-12
+
+    def test_matches_per_call_reference(self):
+        """Values and methods of the polyfit-per-call reference, rows with and
+        without a regressor, one-year counties included."""
+        rng = np.random.default_rng(21)
+        methods = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 15))
+            years = self.gapped_years(rng, n)
+            bm = rf.BiasMatrix("c", years, rng.standard_normal((n, n)) * 4.0,
+                               rng.random(n) < 0.8)
+            bm.B[~bm.fitted] = 0.0
+            for target in (2020, 2026):
+                values, got = rf.extend_rows(bm.years, bm.B, bm.fitted, target)
+                for si, s in enumerate(years):
+                    want = oracles.reference_extrapolate_bias(bm, s, target)
+                    assert got[si] == want.method
+                    assert relative_error(values[si], want.value, bm.B[si] + 1.0) < 1e-12
+                    methods.add(want.method)
+        assert methods == {"ols", "row_mean", "zero"}
+
+    @pytest.mark.parametrize("E", [1, 3])
+    def test_stacked_counties_match_one_by_one(self, E):
+        """A table over counties of mixed years reads, for every season, the
+        bits of extending its county's matrix alone."""
+        rng = np.random.default_rng(330 + E)
+        regs, embeddings, labels = TestBatchedBiasMatrices.panel(rng, E, n_counties=30)
+        for county in ("x0", "x1"):  # two more counties over c04's years
+            for (c, y) in [key for key in embeddings if key[0] == "c04"]:
+                embeddings[county, y] = embeddings[c, y] + 1.0
+                labels[county, y] = labels[c, y] - 2.0
+        inputs = oracles.bias_inputs(embeddings, labels)
+        biases = rf.build_bias_matrix(regs, *inputs)
+        train = inputs[0]
+        assert len({tuple(bm.years) for bm in biases.values()}) < len(biases)
+        table = rf.extrapolate_biases(biases, train, 2013)
+        for county, bm in biases.items():
+            values, methods = rf.extend_rows(bm.years, bm.B, bm.fitted, 2013)
+            rows = train.county_rows(county)
+            assert table.b_hat[rows].tobytes() == values.tobytes()
+            assert table.method[rows].tolist() == methods.tolist()
+
+    def test_table_is_indexed_by_block_row(self):
+        """Every season of a county with a matrix reads its row's value;
+        seasons of other counties, or of years not in the matrix, are missing."""
+        ds, rows = make_samples([("a", 2000, 1.0), ("a", 2001, 2.0), ("a", 2003, 2.5),
+                                 ("b", 2001, 3.0), ("c", 2002, 4.0)])
+        bm = rf.BiasMatrix("a", [2000, 2001, 2002], np.arange(9.0).reshape(3, 3),
+                           np.array([True, False, True]))
+        table = rf.extrapolate_biases({"a": bm}, ds, 2005)
+        values, methods = rf.extend_rows(bm.years, bm.B, bm.fitted, 2005)
+        assert table.target_year == 2005
+        assert table.method[rows].tolist() == ["ols", "zero", "missing", "missing", "missing"]
+        assert table.b_hat[rows].tolist() == [values[0], 0.0, 0.0, 0.0, 0.0]
 
 
 class TestBatchedBiasMatrices:
@@ -365,52 +452,6 @@ class TestBatchedBiasMatrices:
         assert sorted(calls) == [(s, len(embeddings)) for s in sorted(regs) if s in years]
 
 
-class TestSharedDesignLines:
-    """Row lines solved on a shared design keep `np.polyfit`'s bits."""
-
-    def test_random_eleven_year_rows_match_polyfit(self):
-        rng = np.random.default_rng(20)
-        years = list(range(2000, 2011))
-        rows = rng.standard_normal((2000, 11)) * rng.uniform(0.01, 100.0, (2000, 1))
-        rows += rng.standard_normal((2000, 1)) * np.arange(11)
-        bm = rf.BiasMatrix("c", years, rows, np.ones(rows.shape, bool))  # 2000 rows, 11 years
-        for si in range(2000):
-            _, x0, slope, intercept = bm._fit_row(si)
-            xs = np.asarray(years, dtype=np.float64)
-            want = np.polyfit(xs - xs.mean(), rows[si], 1)
-            assert (float(slope).hex(), float(intercept).hex()) == \
-                (float(want[0]).hex(), float(want[1]).hex())
-
-    def test_masks_that_drop_years_match_reference(self):
-        rng = np.random.default_rng(21)
-        rf._line_design.cache_clear()
-        fitted = 0
-        for _ in range(40):
-            years = sorted(rng.choice(np.arange(1990, 2015), size=int(rng.integers(1, 12)),
-                                      replace=False).tolist())
-            K = len(years)
-            valid = rng.random((K, K)) < 0.6
-            valid[rng.random(K) < 0.2] = True  # some rows keep every year
-            bm = rf.BiasMatrix("c", years, rng.standard_normal((K, K)) * 4.0, valid)
-            for s in years:
-                for target in (2015, 2020):
-                    got = rf.extrapolate_bias(bm, s, target)
-                    want = oracles.reference_extrapolate_bias(bm, s, target)
-                    assert (got.value.hex(), got.method) == (want.value.hex(), want.method)
-                    fitted += got.method == "ols"
-        assert fitted > 100 and rf._line_design.cache_info().hits > 0
-
-    def test_design_shared_across_counties(self):
-        rf._line_design.cache_clear()
-        years = [2000, 2001, 2003, 2004]
-        for county in ("a", "b", "c"):
-            bm = rf.BiasMatrix(county, years, np.arange(16.0).reshape(4, 4) ** 1.5,
-                               np.ones((4, 4), bool))
-            for s in years:
-                bm.row_line(s)
-        assert rf._line_design.cache_info().misses == 1
-
-
 def tiny_retrieval(rows):
     # minimal stand-in for a retrieval result: only .query and .samples used
     class R:
@@ -428,9 +469,11 @@ def make_samples(labels):
 
 
 def refine(ds, rows, biases, **kwargs):
-    """refine_labels of rows of ds, whose labels are in physical units."""
+    """refine_labels of rows of ds, whose labels are in physical units,
+    with `biases` {county: BiasMatrix} extended to the target year."""
     unit = NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
-    return rf.refine_labels(tiny_retrieval(rows), ds, biases, stats=unit, **kwargs)
+    table = rf.extrapolate_biases(biases, ds, kwargs["target_year"])
+    return rf.refine_labels(tiny_retrieval(rows), ds, table, stats=unit, **kwargs)
 
 
 class TestRefineLabels:
@@ -440,7 +483,7 @@ class TestRefineLabels:
         for si in range(K):
             for ki in range(K):
                 B[si, ki] = slope * (years[ki] - years[si])
-        return rf.BiasMatrix(county=county, years=list(years), B=B, valid=np.ones((K, K), bool))
+        return rf.BiasMatrix(county=county, years=list(years), B=B, fitted=np.ones(K, bool))
 
     def test_sigma_zero_is_affine(self):
         years = [2000, 2001, 2002]
@@ -506,6 +549,34 @@ class TestRefineLabels:
         with pytest.raises(AssertionError, match="sigma 0"):
             refine(ds, rows, biases, sigma=0.1, seed=0, target_year=2003)
 
+    def test_target_year_must_be_the_tables(self):
+        ds, rows = make_samples([("a", 2001, 5.0)])
+        table = rf.extrapolate_biases({"a": self.linear_biases("a", [2000, 2001], 0.5)}, ds,
+                                      2003)
+        unit = NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
+        with pytest.raises(ContractError, match="2003.*2004"):
+            rf.refine_labels(tiny_retrieval(rows), ds, table, sigma=0.0, seed=0,
+                             target_year=2004, stats=unit)
+        out = rf.refine_labels(tiny_retrieval(rows), ds, None, sigma=0.0, seed=0,
+                               target_year=2004, stats=unit)
+        assert [(e.label_refined, e.method) for e in out.entries] == [(5.0, "missing")]
+
+    @pytest.mark.parametrize("n, copies", [(1, 1), (3, 1), (4, 3)])
+    def test_noise_is_scalar_draws_in_entry_order(self, n, copies):
+        """One (n, copies) draw holds the bits of n * copies scalar draws,
+        row-major, missing samples included."""
+        years = [2000, 2001, 2002]
+        ds, rows = make_samples([(c, 2001, float(i)) for i, c in enumerate("abcdef"[:n])])
+        biases = {c: self.linear_biases(c, years, 0.5) for c in "abcdef"[:n:2]}
+        out = refine(ds, rows, biases, sigma=0.3, seed=11, target_year=2003, copies=copies)
+        draws = np.random.default_rng(11)
+        assert len(out.entries) == n * copies
+        for e in out.entries:
+            eps = float(draws.standard_normal())
+            want = e.label + e.bias_hat + 0.3 * eps if e.refined else e.label
+            assert float(e.label_refined).hex() == float(want).hex()
+        assert any(not e.refined for e in out.entries) == (n > 1)
+
     def test_features_never_altered(self):
         ds, rows = make_samples([("a", 2001, 5.0)])
         before = ds.features.copy()
@@ -519,17 +590,17 @@ class TestCsvExports:
     def test_bias_csv(self, tmp_path):
         years = [2000, 2001]
         B = np.array([[0.0, 0.5], [-0.5, 0.0]])
-        bm = rf.BiasMatrix("c0", years, B, np.ones((2, 2), bool))
+        bm = rf.BiasMatrix("c0", years, B, np.array([True, False]))
         path = tmp_path / "bias.csv"
         rf.save_bias_csv({"c0": bm}, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "county,source_year,target_year,bias,valid"
-        assert len(lines) == 5
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1", "1", "0", "0"]
 
     def test_refined_csv(self, tmp_path):
         ds, rows = make_samples([("a", 2001, 5.0)])
         years = [2000, 2001]
-        bm = rf.BiasMatrix("a", years, np.zeros((2, 2)), np.ones((2, 2), bool))
+        bm = rf.BiasMatrix("a", years, np.zeros((2, 2)), np.ones(2, bool))
         out = refine(ds, rows, {"a": bm}, sigma=0.0, seed=0, target_year=2002)
         path = tmp_path / "refined.csv"
         rf.save_refined_csv([out], ds, str(path))

@@ -8,7 +8,8 @@ tables, and for prediction windows with context extras.
 
 It also keeps the record-based `collect_samples` and `refine_labels`:
 retrieved block rows must name the same seasons in the same order, and
-their refined samples must carry the same label bits.
+their refined samples must carry the same labels and methods, with
+bias corrections within 1e-12 of the oracle's `np.polyfit` lines.
 """
 
 from dataclasses import replace
@@ -126,15 +127,26 @@ def test_prediction_windows_with_context_extras(seed_run):
     assert_same_table(bb.window_table(p, train, new), oracles.window_table(p, old))
 
 
-def same_refined(new, old, train):
-    """Refined sets name the same seasons, in order, with bit-equal values."""
+def close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def same_refined(new, old, train, seed, sigma):
+    """Refined sets name the same seasons, in order, with the same methods
+    and label bits as the record-based oracle, and bias_hat within 1e-12
+    of its `np.polyfit` lines; every entry's noise is the next of one
+    generator's scalar draws, in entry order."""
     assert (new.query, new.target_year, new.sigma) == (old.query, old.target_year, old.sigma)
     assert len(new.entries) == len(old.entries)
+    draws = np.random.default_rng(seed)
     for got, want in zip(new.entries, old.entries):
         assert train.key(got.record) == (want.record.county, want.record.year)
-        for name in ("label", "bias_hat", "label_refined"):
-            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex()
         assert (got.refined, got.method) == (want.refined, want.method)
+        assert float(got.label).hex() == float(want.label).hex()
+        assert close(got.bias_hat, want.bias_hat) and close(got.label_refined, want.label_refined)
+        eps = float(draws.standard_normal()) if sigma > 0 else 0.0
+        shifted = got.label + got.bias_hat + sigma * eps if got.refined else got.label
+        assert float(got.label_refined).hex() == float(shifted).hex()
 
 
 @pytest.mark.parametrize("mode, top_k", [("residual", None), ("residual", 1),
@@ -143,7 +155,7 @@ def same_refined(new, old, train):
 def test_samples_and_refinement_match_records(seed_run, mode, top_k, sigma, copies):
     cfg, models, ctx = seed_run
     train, stats = models.train_n, models.stats
-    sizes = []
+    sizes, methods = [], set()
     for idx, county in enumerate(models.test_counties):
         if mode == "neighboring":
             result = rt.retrieve_neighboring(county, ctx.adjacency, train)
@@ -157,7 +169,9 @@ def test_samples_and_refinement_match_records(seed_run, mode, top_k, sigma, copi
             [(rec.county, rec.year) for rec in old.samples]
         args = dict(sigma=sigma, seed=idx, target_year=cfg.test_year, copies=copies,
                     stats=stats)
-        same_refined(rf.refine_labels(result, train, ctx.biases, **args),
-                     oracles.refine_labels(old, ctx.biases, **args), train)
+        new = rf.refine_labels(result, train, ctx.bias_table, **args)
+        same_refined(new, oracles.refine_labels(old, ctx.biases, **args), train, idx, sigma)
         sizes.append(len(result.samples))
+        methods.update(e.method for e in new.entries)
     assert max(sizes) > 0, "some county must retrieve samples"
+    assert "ols" in methods
