@@ -632,8 +632,6 @@ class TestLookbackWindow:
         assert win.context_labels.tolist() == train.labels(
             [train.row("c9", y) for y in (2002, 2003)]).tolist()
         assert train.row_years[mid.context].tolist() == [2000, 2001]
-        empty = bb.lookback_windows(train, [], label_table(train), w=2)
-        assert len(empty) == 0 and empty.offsets.tolist() == [0] and not len(empty.context)
 
     def test_extra_follows_history(self):
         rng = np.random.default_rng(11)
@@ -713,6 +711,46 @@ class TestLookbackWindow:
         label_audit.reset()
         assert len(reads) == 1
         assert batched == per_target == 3  # c9 2001 is in all three windows
+
+
+class TestWindows:
+    """A `Windows` batch: contexts end to end, cut by offsets."""
+
+    @staticmethod
+    def batch(rng):
+        """Eight windows over TestLookbackWindow's panel, some with extras."""
+        train, test = TestLookbackWindow.panel(rng)
+        targets = [test.row("c9", 2004), train.row("c9", 2003), train.row("c9", 2001)] * 2
+        targets += [train.row("c9", 2002), test.row("c9", 2004)]
+        extras = [None, ([train.row("c3", 2001)], [0.5]), None,
+                  ([train.row("c9", 2000)] * 2, [1.0, -1.0]), None, None, None,
+                  ([train.row("c3", 2001)], [2.0])]
+        table = rng.standard_normal(len(train.row_years))
+        return train, bb.lookback_windows(train, targets, table, 3, oracles.extras_of(extras))
+
+    def test_take_of_shuffled_index_equals_slices(self):
+        rng = np.random.default_rng(16)
+        _, windows = self.batch(rng)
+        whole = oracles.window_list(windows)
+        for idx in (rng.permutation(len(windows)), [3, 3, 0], [5]):
+            got = windows.take(idx)
+            assert got.offsets.dtype == np.int64 and got.offsets[0] == 0
+            assert got.lengths.tolist() == [len(whole[i].context) for i in idx]
+            for win, i in zip(oracles.window_list(got), idx):
+                want = whole[i]
+                assert (win.target, win.label) == (want.target, want.label)
+                assert bits(win.context) == bits(want.context)
+                assert bits(win.context_labels) == bits(want.context_labels)
+
+    def test_empty_targets_give_an_empty_batch(self):
+        rng = np.random.default_rng(17)
+        train, windows = self.batch(rng)
+        for got in (bb.lookback_windows(train, [], label_table(train), w=2),
+                    bb.lookback_windows(train, [], label_table(train), 2, oracles.extras_of([])),
+                    windows.take([])):
+            assert len(got) == 0 and got.offsets.tolist() == [0]
+            assert got.context.dtype == np.int64 and not len(got.context)
+            assert got.context_labels.dtype == np.float64 and not len(got.context_labels)
 
 
 class TestWindowTable:

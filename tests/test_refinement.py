@@ -235,7 +235,7 @@ class TestBiasMatrixOracle:
         self.assert_bit_equal(got, reference_bias_matrix("c0", regs, *one))
 
 
-class TestExtrapolate:
+class TestExtrapolateBias:
     @staticmethod
     def matrix_with_row(years, row_values, fitted=True):
         K = len(years)
@@ -268,11 +268,13 @@ class TestExtrapolate:
             np.testing.assert_allclose(self.first_row(bm, 2011)[0],
                                        ols_oracle(years, row, 2011), atol=1e-8)
 
-    def test_one_year_county_gives_its_cell(self):
+    def test_single_valid_cell_falls_back_to_mean(self):
+        """A one-year county's row has one valid cell: the row's value."""
         bm = rf.BiasMatrix("c0", [2001], np.array([[5.0]]), np.ones(1, dtype=bool))
         assert self.first_row(bm, 2004) == (5.0, "row_mean")
 
-    def test_unfitted_row_gives_zero(self):
+    def test_no_valid_cells_gives_zero(self):
+        """A row without a regressor is all invalid: b_hat 0."""
         bm = self.matrix_with_row([2001, 2002, 2003], [5.0, 6.0, 7.0], fitted=False)
         assert self.first_row(bm, 2004) == (0.0, "zero")
 
