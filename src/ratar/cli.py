@@ -11,7 +11,8 @@ and nothing else: `load` and `train_models` (with any checkpoints) for
 the first seed, then `retrieval_context`, `retrieve_refine` and
 `predict_counties` as far as the subcommand needs.  `retrieve` and
 `refine` therefore write exactly what `run` computes for the same
-counties; `--county` only selects which county is written.
+counties: they retrieve and refine every test county, and `--county`
+only selects which county is written.
 
 All experiment subcommands share one configuration surface: an
 optional JSON file (--config) whose keys mirror ExperimentConfig
@@ -245,8 +246,8 @@ def _cmd_retrieve(args) -> int:
     models, adjacency = _seed_models(args, cfg,
                                      with_lyra=cfg.retrieval_mode == "embedding")
     ctx = pl.retrieval_context(cfg, models, adjacency)
-    results = [pl.retrieve_refine(cfg, models, ctx, county)[0]
-               for county in _query_counties(args, models)]
+    queries = set(_query_counties(args, models))
+    results = [r for r in pl.retrieve_refine(cfg, models, ctx)[0] if r.query in queries]
     path = os.path.join(out, "retrieval.csv")
     rt.save_retrieval_csv(results, models.train_n, path)
     total = sum(len(r.samples) for r in results)
@@ -259,12 +260,12 @@ def _cmd_refine(args) -> int:
     out = _require_out(cfg)
     models, adjacency = _seed_models(args, cfg)
     ctx = pl.retrieval_context(cfg, models, adjacency)
-    refined_sets = [pl.retrieve_refine(cfg, models, ctx, county)[1]
-                    for county in _query_counties(args, models)]
+    queries = set(_query_counties(args, models))
+    refined = pl.retrieve_refine(cfg, models, ctx)[1]
+    refined = refined.select([query in queries for query in refined.queries])
     rf.save_bias_csv(ctx.biases, os.path.join(out, "bias.csv"))
-    rf.save_refined_csv(refined_sets, models.train_n, os.path.join(out, "refined.csv"))
-    total = sum(len(s.entries) for s in refined_sets)
-    print(f"refined {total} samples across {len(refined_sets)} queries -> {out}")
+    rf.save_refined_csv(refined, models.train_n, os.path.join(out, "refined.csv"))
+    print(f"refined {len(refined.entries)} samples across {len(refined.queries)} queries -> {out}")
     return 0
 
 

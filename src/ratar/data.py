@@ -132,23 +132,25 @@ class Dataset:
         self._set(keys, features, labels, dict(neighbors or {}))
 
     def _set(self, keys, features, labels, neighbors, rows=None, label_norms=(),
-             first_rows=None) -> "Dataset":
+             row_years=None, first_rows=None) -> "Dataset":
         self.features, self._keys, self._labels = features, keys, labels  # per block row
         self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
         self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
-        # per block row: its year, and its county's first block row (keys are sorted)
-        self.row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))
-        if first_rows is None:
+        # per block row, shared by views: its year, its county's first row (keys sorted)
+        if row_years is None:
+            row_years = np.fromiter((y for _, y in keys), np.int64, len(keys))
             counties = np.array([county for county, _ in keys])
             first_rows = np.searchsorted(counties, counties)
-        self._first_rows = first_rows
+        self.row_years, self._first_rows = row_years, first_rows
         self.rows = np.arange(len(keys)) if rows is None else rows
-        self._row = {keys[r]: r for r in self.rows.tolist()}  # (county, year) -> block row
-        self._runs = {}  # county -> (start, stop) of its run in `rows`
-        for i, (county, _) in enumerate(self._row):
-            self._runs[county] = (self._runs.get(county, (i,))[0], i + 1)
-        self.counties = list(self._runs)
-        self.years = sorted(set(self.row_years[self.rows].tolist()))
+        first = first_rows[self.rows]
+        starts = np.flatnonzero(np.diff(first, prepend=-1))  # where each county's run begins
+        stops = np.append(starts[1:], len(self.rows))
+        self.counties = [keys[row][0] for row in self.rows[starts].tolist()]
+        # county -> (start, stop) of its run in `rows`
+        self._runs = dict(zip(self.counties, zip(starts.tolist(), stops.tolist())))
+        # not np.unique: numpy's hash-based unique costs about 1 MiB of peak RSS
+        self.years = sorted(set(row_years[self.rows].tolist()))
         self.T, self.d = features.shape[1:]
         return self
 
@@ -156,7 +158,8 @@ class Dataset:
         """The Dataset of some of these rows: of this block, or of `features` in its place."""
         return Dataset.__new__(Dataset)._set(
             self._keys, self.features if features is None else features, self._labels,
-            self.neighbors, rows, self._label_norms + label_norms, self._first_rows)
+            self.neighbors, rows, self._label_norms + label_norms, self.row_years,
+            self._first_rows)
 
     def __len__(self):
         return len(self.rows)
@@ -170,7 +173,12 @@ class Dataset:
 
     def keys(self) -> list:
         """The (county, year) of each of this dataset's rows, in row order."""
-        return list(self._row)
+        return [self._keys[row] for row in self.rows.tolist()]
+
+    @cached_property
+    def _row(self) -> dict:
+        """(county, year) -> block row, for this dataset's rows."""
+        return {self._keys[row]: row for row in self.rows.tolist()}
 
     def row(self, county, year) -> int:
         """The block row of one of this dataset's seasons."""
@@ -209,7 +217,7 @@ class Dataset:
     def records(self) -> list:
         """One `CountyYearRecord` view per row, in row order."""
         return [CountyYearRecord(c, y, self.features[r], None if v != v else v)
-                for r, (c, y), v in zip(self.rows.tolist(), self._row,
+                for r, (c, y), v in zip(self.rows.tolist(), self.keys(),
                                         self._normalized(self._labels[self.rows]).tolist())]
 
 

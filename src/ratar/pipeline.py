@@ -20,15 +20,16 @@ experiment driver and every CLI subcommand are built from the same links:
   embeddings and the labels the bias matrices read are arrays with a
   row per training season, in the training split's row order.  The
   residuals (and, in embedding mode, the mean embeddings, built on
-  first read) are held as a `retrieval.ResidualPanel`, whose all-pairs
-  similarity table is built once per seed and whose screen is built
-  once per retrieval setting, for every query, on the first query.
+  first read) are held as a `retrieval.ResidualPanel`, built from
+  arrays, whose all-pairs similarity table is built once per seed and
+  whose screen once per retrieval setting, for every query at once.
   Every county's bias matrix comes from one `build_bias_matrix` call;
-- `retrieve_refine`: one test county's retrieved samples, with their
-  labels refined toward the test year.  Retrieval reads the query's row
-  of the screen and computes exact similarities for its short list
-  only.  The context keeps each county's results, so runs sharing it
-  retrieve and refine a county once;
+- `retrieve_refine`: every test county's retrieved samples, with their
+  labels refined toward the test year.  Each county reads its row of
+  the screen and computes exact similarities for its short list only;
+  one `refine_labels` call then refines every county's samples, as
+  arrays cut by per-county offsets.  The context keeps the results per
+  setting, so runs sharing it retrieve and refine the counties once;
 - `predict_counties`: retrieve and refine every county, build every
   county's look-back window in one `lookback_windows` call, integrate
   (per-county fine-tuning or context augmentation), then predict,
@@ -406,8 +407,9 @@ class RetrievalContext:
     first read) need the cross-year model and are None or empty without
     one.  `sigma` is the refinement noise scale in physical units.
     `retrieved` and `refined` keep what `retrieve_refine` computed from
-    it, so that runs sharing the context (the variants of one driver
-    run) retrieve and refine each county once per setting.
+    it, one entry per setting holding every test county, so that runs
+    sharing the context (the variants of one driver run) retrieve and
+    refine the counties once per setting.
     """
     adjacency: dict
     sigma: float
@@ -453,45 +455,48 @@ def retrieval_context(cfg: ExperimentConfig, models: SeedModels,
     return ctx
 
 
-def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalContext,
-                    county: str):
-    """One test county's (retrieval result, refined sample set).
+def retrieve_refine(cfg: ExperimentConfig, models: SeedModels, ctx: RetrievalContext):
+    """Every test county's retrieval result, with its retrieved labels
+    refined toward the test year: (results in `models.test_counties`
+    order, their `refinement.RefinedSampleSet`).
 
-    The refinement noise is seeded from the seed and the county's index
-    in `models.test_counties`, so it does not depend on which other
-    counties are processed.  With `cfg.refine` off, labels pass through
-    unshifted and without noise.  Results are kept in `ctx.retrieved`
-    and `ctx.refined`, keyed by the county and the settings they depend
-    on: a county is retrieved once per retrieval setting and refined
-    once per refinement setting.
+    Each county is retrieved on its own; all of them are refined in one
+    `refine_labels` call.  A county's refinement noise is seeded from the
+    seed and its index in `models.test_counties`, so it does not depend
+    on the other counties.  With `cfg.refine` off, labels pass through
+    unshifted and without noise.  The results are kept in `ctx.retrieved`
+    and `ctx.refined`, keyed by the settings they depend on: the counties
+    are retrieved once per retrieval setting and refined once per
+    refinement setting.
     """
-    idx = models.test_counties.index(county)
-    train_n = models.train_n
-    key = (county, cfg.retrieval_mode, cfg.threshold, cfg.top_k)
+    counties, train_n = models.test_counties, models.train_n
+    key = (cfg.retrieval_mode, cfg.threshold, cfg.top_k)
     if key not in ctx.retrieved:
-        with _stage(f"retrieval county {county}"):
-            if cfg.retrieval_mode == "neighboring":
-                result = rt.retrieve_neighboring(county, ctx.adjacency, train_n)
-            else:
-                panel = ctx.residuals if cfg.retrieval_mode == "residual" else ctx.mean_emb
-                result = rt.retrieve(county, panel, train_n, threshold=cfg.threshold,
-                                     top_k=cfg.top_k)
-        ctx.retrieved[key] = result
-    result = ctx.retrieved[key]
+        results = []
+        for county in counties:
+            with _stage(f"retrieval county {county}"):
+                if cfg.retrieval_mode == "neighboring":
+                    results.append(rt.retrieve_neighboring(county, ctx.adjacency, train_n))
+                else:
+                    panel = ctx.residuals if cfg.retrieval_mode == "residual" else ctx.mean_emb
+                    results.append(rt.retrieve(county, panel, train_n,
+                                               threshold=cfg.threshold, top_k=cfg.top_k))
+        ctx.retrieved[key] = results
+    results = ctx.retrieved[key]
     refine_key = key + (cfg.refine, cfg.refine_copies, cfg.test_year)
     if refine_key not in ctx.refined:
-        with _stage(f"refinement county {county}"):
+        with _stage(f"refinement seed {models.seed}"):
             ctx.refined[refine_key] = rf.refine_labels(
-                result,
+                results,
                 train_n,
                 ctx.bias_table if cfg.refine else None,
                 sigma=ctx.sigma if cfg.refine else 0.0,
-                seed=models.seed * 1000003 + idx,
+                seeds=[models.seed * 1000003 + idx for idx in range(len(counties))],
                 target_year=cfg.test_year,
                 copies=cfg.refine_copies,
                 stats=models.stats,
             )
-    return result, ctx.refined[refine_key]
+    return results, ctx.refined[refine_key]
 
 
 @dataclass
@@ -500,7 +505,7 @@ class CountyPredictions:
     predictions: dict = field(default_factory=dict)
     fallbacks: set = field(default_factory=set)
     retrievals: list = field(default_factory=list)
-    refined_sets: list = field(default_factory=list)
+    refined: rf.RefinedSampleSet | None = None
     attention: list = field(default_factory=list)  # (county, year, history year, beta)
 
 
@@ -508,9 +513,9 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
                      ctx: RetrievalContext | None) -> CountyPredictions:
     """Retrieve/refine/integrate/predict for every test county.
 
-    Counties are retrieved and refined one by one, then every county's
-    look-back window, with any context extras, comes from one
-    `lookback_windows` call.  Fine-tuning tunes every county with
+    Every county is retrieved and refined by one `retrieve_refine` call,
+    then every county's look-back window, with any context extras, comes
+    from one `lookback_windows` call.  Fine-tuning tunes every county with
     refined samples in one `fine_tune` call, which returns their copies
     stacked, and predicts them in one `lyra_predict` call on the stack;
     every county on the seed's shared parameters (no integration,
@@ -520,33 +525,27 @@ def predict_counties(cfg: ExperimentConfig, models: SeedModels,
     train_n, test_n, stats = models.train_n, models.test_n, models.stats
     counties = models.test_counties
     out = CountyPredictions()
-    tuned = {}  # county -> its refined sample set, for fine-tuning
     sizes = np.zeros(len(counties), dtype=np.int64)  # per county: its context extras
-    extras = []  # every county's context extras, one after another
-    for i, county in enumerate(counties):
-        if cfg.integration != "none":
-            result, refined = retrieve_refine(cfg, models, ctx, county)
-            out.retrievals.append(result)
-            out.refined_sets.append(refined)
-            if not refined.entries:
-                out.fallbacks.add(county)
-            elif cfg.integration == "finetune":
-                tuned[county] = refined
-            else:
-                sizes[i] = len(refined.entries)
-                extras += refined.entries
+    rows, labels = np.empty(0, np.int64), np.empty(0)  # every county's context extras
+    is_tuned = np.zeros(len(counties), dtype=bool)
+    if cfg.integration != "none":
+        out.retrievals, out.refined = retrieve_refine(cfg, models, ctx)
+        found = out.refined.sizes > 0
+        out.fallbacks = {county for county, hit in zip(counties, found.tolist()) if not hit}
+        if cfg.integration == "finetune":
+            is_tuned = found
+        else:
+            sizes, rows, labels = out.refined.sizes, out.refined.entries, out.refined.label_refined
     with _stage(f"history seed {models.seed}"):
-        rows = np.fromiter((e.record for e in extras), np.int64, len(extras))
-        labels = np.fromiter((e.label_refined for e in extras), np.float64, len(extras))
         # one season per county, so the test rows come in county order
         windows = lookback_windows(train_n, test_n.rows, models.model_labels, models.lyra.w,
                                    (sizes, rows, stats.normalize_label(labels)))
 
-    is_tuned = np.array([county in tuned for county in counties], dtype=bool)
     results = {}
-    if tuned:
-        with _stage(f"fine_tune seed {models.seed} counties {' '.join(tuned)}"):
-            stack = fine_tune(models.lyra, list(tuned.values()), train_n,
+    if is_tuned.any():
+        tuned = out.refined.select(is_tuned)
+        with _stage(f"fine_tune seed {models.seed} counties {' '.join(tuned.queries)}"):
+            stack = fine_tune(models.lyra, tuned, train_n,
                               replace(cfg.train, seed=models.seed), models.model_labels,
                               stats=stats)
             at = np.flatnonzero(is_tuned)
@@ -701,9 +700,8 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
                           os.path.join(out, "retrieval.csv"))
     rt.save_flags_csv(predicted.retrievals, os.path.join(out, "flags.csv"))
     rf.save_bias_csv(biases, os.path.join(out, "bias.csv"))
-    if predicted.refined_sets:
-        rf.save_refined_csv(predicted.refined_sets, models.train_n,
-                            os.path.join(out, "refined.csv"))
+    if predicted.refined is not None:
+        rf.save_refined_csv(predicted.refined, models.train_n, os.path.join(out, "refined.csv"))
 
     save_checkpoint(os.path.join(out, "ckpt", f"global_seed{models.seed}.npz"),
                     models.f, models.stats)

@@ -22,19 +22,20 @@ county's label drifts across years and shifts retrieved labels forward:
     one c per set of years.  `extrapolate_biases` makes the `BiasTable` of
     every training season's b_hat once per seed; nothing is cached on a
     `BiasMatrix`, so no line goes stale, and a table names its target year.
-4.  A retrieved label y becomes y + b_hat + sigma * eps with seeded
-    Gaussian noise, leaving features untouched; with sigma 0 no
+4.  A retrieved label y becomes y + b_hat + sigma * eps with Gaussian
+    noise seeded per query, leaving features untouched; with sigma 0 no
     generator is made.  Retrieved samples are block rows of the training
-    Dataset: `refine_labels` reads their labels in one audited
-    `Dataset.labels` call, gathers their b_hat from the table, draws
-    every copy's eps at once, and computes the refined labels as arrays.
+    Dataset: one `refine_labels` call refines every query's samples, with
+    one audited `Dataset.labels` read and one b_hat gather, into one
+    `RefinedSampleSet` of arrays cut by per-query offsets.
 
 Labels here are in physical units throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -226,42 +227,55 @@ def extrapolate_biases(biases, train, target_year) -> BiasTable:
     return BiasTable(target_year, b_hat, method)
 
 
-@dataclass
-class RefinedSample:
-    """One refined copy of a retrieved sample; `record` is its block row in
-    the training Dataset, and the labels are in physical units."""
-
-    record: int
-    label: float
-    bias_hat: float
-    label_refined: float
-    refined: bool
-    method: str
-
-
-@dataclass
+@dataclass(frozen=True)
 class RefinedSampleSet:
-    query: str
+    """Every query's refined samples for one refinement setting: query q's
+    entries (refined copies of its retrieved samples) are the slice
+    `offsets[q]:offsets[q + 1]` of `entries` (their block rows in the
+    training Dataset), `label`, `bias_hat`, `label_refined` (physical
+    units) and `method` (see `BiasTable`; "missing": passed unrefined)."""
+
+    queries: list
     target_year: int
     sigma: float
-    entries: list = field(default_factory=list)
+    offsets: np.ndarray
+    entries: np.ndarray
+    label: np.ndarray
+    bias_hat: np.ndarray
+    label_refined: np.ndarray
+    method: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:  # entries per query
+        return np.diff(self.offsets)
 
     @property
     def n_refined(self):
-        return sum(1 for e in self.entries if e.refined)
+        return int(np.count_nonzero(self.method != "missing"))
+
+    def select(self, keep) -> "RefinedSampleSet":
+        """The sets of the queries where the mask `keep` is true, in order."""
+        keep = np.asarray(keep, dtype=bool)
+        at = np.repeat(keep, self.sizes)
+        return replace(self, queries=list(compress(self.queries, keep)),
+                       offsets=np.concatenate([[0], np.cumsum(self.sizes[keep])]),
+                       **{name: getattr(self, name)[at] for name in
+                          ("entries", "label", "bias_hat", "label_refined", "method")})
 
 
-def refine_labels(retrieved, train, biases, sigma, seed, target_year, stats, copies=1):
-    """Shift retrieved labels to the target year.
+def refine_labels(results, train, biases, sigma, seeds, target_year, stats, copies=1):
+    """Shift every query's retrieved labels to the target year, in one pass.
 
-    `retrieved.samples` are block rows of `train`, whose labels are
+    `results` hold one retrieval result per query, and `seeds` one noise
+    seed per query.  Samples are block rows of `train`, whose labels are
     normalized by `stats`; refinement works in physical units.  Each
     sample (county j, year s) gets y + b_hat + sigma * eps, b_hat read
     from `biases`, the `BiasTable` toward `target_year` (None: nothing is
-    refined).  Samples come in (county, year) order, which is block-row
-    order, `copies` entries each, with every entry's eps from one seeded
-    draw, so the output is invariant to retrieval ordering.  Samples
-    without a bias row pass through unrefined and are flagged.
+    refined).  A query's samples come in (county, year) order, which is
+    block-row order, `copies` entries each, with eps drawn by a generator
+    of its own seed: its entries depend on neither retrieval ordering nor
+    the other queries.  Samples without a bias row pass through
+    unrefined.  All labels are one audited read, and all b_hat one gather.
     """
     if sigma < 0:
         raise ContractError(f"sigma must be nonnegative, got {sigma}")
@@ -270,7 +284,8 @@ def refine_labels(retrieved, train, biases, sigma, seed, target_year, stats, cop
     if biases is not None and biases.target_year != target_year:
         raise ContractError(f"bias table extends to {biases.target_year}, "
                             f"refinement targets {target_year}")
-    rows = np.sort(retrieved.samples)
+    rows = np.concatenate([np.empty(0, np.int64)] + [np.sort(r.samples) for r in results])
+    sizes = np.array([len(r.samples) for r in results], dtype=np.int64) * copies
     labels = train.labels(rows) * stats.label_std + stats.label_mean
     if biases is None:
         b_hat, method = np.zeros(len(rows)), np.full(len(rows), "missing", dtype=object)
@@ -279,12 +294,14 @@ def refine_labels(retrieved, train, biases, sigma, seed, target_year, stats, cop
     # one entry per copy of each sample
     rows, labels, b_hat, method = (part.repeat(copies) for part in (rows, labels, b_hat, method))
     refined = method != "missing"
-    eps = np.random.default_rng(seed).standard_normal(len(rows)) if sigma > 0 else 0.0
+    eps = 0.0
+    if sigma > 0:
+        eps = np.concatenate([np.empty(0)] + [np.random.default_rng(seed).standard_normal(n)
+                                              for seed, n in zip(seeds, sizes.tolist())])
     shifted = np.where(refined, labels + b_hat + sigma * eps, labels)
-    entries = zip(rows.tolist(), labels.tolist(), b_hat.tolist(), shifted.tolist(),
-                  refined.tolist(), method.tolist())
-    return RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma,
-                            entries=[RefinedSample(*entry) for entry in entries])
+    return RefinedSampleSet([r.query for r in results], target_year, sigma,
+                            np.concatenate([[0], np.cumsum(sizes)]), rows, labels, b_hat,
+                            shifted, method)
 
 
 def save_bias_csv(biases, path):
@@ -300,21 +317,20 @@ def save_bias_csv(biases, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def save_refined_csv(sample_sets, train, path):
-    """Write refined samples as
+def save_refined_csv(refined, train, path):
+    """Write a `RefinedSampleSet`'s entries as
     query,source_county,source_year,label,bias_hat,label_refined,method.
 
-    Samples are rows of `train`, the Dataset they were retrieved from.
+    Entries are rows of `train`, the Dataset they were retrieved from.
     method is how the bias was estimated: "ols", "row_mean", "zero", or
     "missing" for a sample that passed through unrefined.
     """
     lines = ["query,source_county,source_year,label,bias_hat,label_refined,method"]
-    for ss in sample_sets:
-        for e in ss.entries:
-            county, year = train.key(e.record)
-            lines.append(
-                f"{ss.query},{county},{year},"
-                f"{e.label!r},{e.bias_hat!r},{e.label_refined!r},{e.method}"
-            )
+    queries = np.repeat(np.array(refined.queries, dtype=object), refined.sizes)
+    for query, row, label, bias_hat, shifted, method in zip(
+            queries.tolist(), refined.entries.tolist(), refined.label.tolist(),
+            refined.bias_hat.tolist(), refined.label_refined.tolist(), refined.method.tolist()):
+        county, year = train.key(row)
+        lines.append(f"{query},{county},{year},{label!r},{bias_hat!r},{shifted!r},{method}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

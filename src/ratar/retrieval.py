@@ -15,10 +15,10 @@ Every county is compared with every other, so the comparison is made
 once per seed for all pairs, screened once per setting for all queries,
 and confirmed exactly per query:
 
-- `compute_residuals` returns a `ResidualPanel`: the residual vectors,
-  plus a county-by-county similarity table built on first use from four
-  matrix products over the [counties x years] residual matrix.  That is
-  O(N^2 * years) multiply-adds in BLAS, once per seed.
+- `compute_residuals` returns a `ResidualPanel` built from its arrays:
+  the [counties x years] residual matrix, filled a block of equally long
+  vectors at a time, and a similarity table built on first use from four
+  matrix products over it: O(N^2 * years) multiply-adds, once per seed.
 - The panel's screen for a (threshold, top_k) setting is built on first
   use, for every query row at once, and kept: the flagged candidates,
   and a short list of the candidates that could still clear the
@@ -99,19 +99,15 @@ def compute_residuals(train, predictions, stats):
     first.  A county's vector is its run of rows, years ascending; a
     county with an unlabeled season has non-finite residuals, a contract
     error.  The result maps county to `ResidualVector`, as a
-    `ResidualPanel`.
+    `ResidualPanel` built from the arrays.
     """
     labels = train.labels() * stats.label_std + stats.label_mean
     preds = predictions[train.rows] * stats.label_std + stats.label_mean
     residuals = labels - preds
-    years = train.row_years[train.rows].tolist()
-    out = {}
-    for county, start, stop in train.runs():
-        r = residuals[start:stop]
-        if not np.all(np.isfinite(r)):
-            raise ContractError(f"non-finite residuals for county {county}")
-        out[county] = ResidualVector(county, years[start:stop], r)
-    return ResidualPanel(out)
+    for at in np.flatnonzero(~np.isfinite(residuals))[:1].tolist():
+        raise ContractError(f"non-finite residuals for county {train.key(train.rows[at])[0]}")
+    sizes = [stop - start for _, start, stop in train.runs()]
+    return ResidualPanel.of_runs(train.counties, train.row_years[train.rows], residuals, sizes)
 
 
 def _centered_cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,46 +141,69 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
 class ResidualPanel(Mapping):
     """Residual vectors by county, with the all-pairs similarity screen.
 
-    Reads like the `{county: ResidualVector}` dict it wraps.  Row i of
-    `R` is the i-th county in sorted order: its residuals less their
-    full-vector mean in the columns of its years, 0 elsewhere.  `M` is
-    the matching 0/1 year mask.  `min_common` is the fewest common
-    years a pair needs to be compared (0: no such rule).  The
-    similarity and common-year-count tables are built on the first
-    `tables()` call and kept, and so is each setting's `screen` (two
-    N x N bool masks); nothing else N x N outlives its build.
+    Reads like a `{county: ResidualVector}` dict, a county's vector made
+    from the panel's arrays on its first read.  Row i of `R` is the i-th
+    county in sorted order: its residuals less their full-vector mean in
+    the columns of its years, 0 elsewhere.  `M` is the matching 0/1 year
+    mask.  `min_common` is the fewest common years a pair needs to be
+    compared (0: no such rule).  The similarity and common-year-count
+    tables are built on the first `tables()` call and kept, and so is
+    each setting's `screen` (two N x N bool masks); nothing else N x N
+    outlives its build.
     """
 
     def __init__(self, vectors, min_common=_MIN_COMMON_YEARS):
-        self._vectors = dict(vectors)
-        self.min_common = min_common
-        self.counties = sorted(self._vectors)
+        counties = sorted(vectors)
+        rvs = [vectors[county] for county in counties]
+        self._fill(counties, np.concatenate([np.empty(0, np.int64)] + [rv.years for rv in rvs]),
+                   np.concatenate([np.empty(0)] + [rv.r for rv in rvs]),
+                   [len(rv.years) for rv in rvs], min_common)
+
+    @classmethod
+    def of_runs(cls, counties, years, r, sizes, min_common=_MIN_COMMON_YEARS):
+        """The panel of sorted `counties` whose vectors lie end to end:
+        county i's are the next `sizes[i]` entries of `years` and `r`."""
+        panel = cls.__new__(cls)
+        panel._fill(counties, years, r, sizes, min_common)
+        return panel
+
+    def _fill(self, counties, years, r, sizes, min_common):
+        self.counties, self.min_common = list(counties), min_common
         self.index = {c: i for i, c in enumerate(self.counties)}
-        years = sorted({y for rv in self._vectors.values() for y in rv.years})
-        column = {y: j for j, y in enumerate(years)}
-        shape = (len(self.counties), len(years))
+        self._years, self._r = np.asarray(years, dtype=np.int64), r
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
+        grid, cols = np.unique(self._years, return_inverse=True)
+        shape = (len(self.counties), len(grid))
         self.R, self.M = np.zeros(shape), np.zeros(shape)
         self.peak2 = np.zeros(shape[0])  # max r^2 per county
         self.zero_norm = np.zeros(shape[0], dtype=bool)
-        for i, county in enumerate(self.counties):
-            rv = self._vectors[county]
-            centered = rv.r - rv.r.mean()
-            cols = [column[y] for y in rv.years]
-            self.R[i, cols] = centered
-            self.M[i, cols] = 1.0
-            self.peak2[i] = np.max(rv.r * rv.r)
-            self.zero_norm[i] = float(np.linalg.norm(centered)) < _ZERO_NORM
+        for n in sorted(set(sizes.tolist())):  # the counties with n years, as one block
+            at = np.flatnonzero(sizes == n)
+            idx = self._offsets[at, None] + np.arange(n)
+            block = r[idx]
+            centered = block - block.mean(axis=1, keepdims=True)
+            self.R[at[:, None], cols[idx]] = centered
+            self.M[at[:, None], cols[idx]] = 1.0
+            self.peak2[at] = (block * block).max(axis=1)
+            self.zero_norm[at] = np.sqrt((centered * centered).sum(axis=1)) < _ZERO_NORM
+        self._vectors = {}  # county -> its ResidualVector, made on first read
         self._tables = None
         self._screens = {}
 
     def __getitem__(self, county):
+        if county not in self._vectors:
+            i = self.index[county]
+            lo, hi = self._offsets[i], self._offsets[i + 1]
+            self._vectors[county] = ResidualVector(county, self._years[lo:hi].tolist(),
+                                                   self._r[lo:hi])
         return self._vectors[county]
 
     def __iter__(self):
-        return iter(self._vectors)
+        return iter(self.counties)
 
     def __len__(self):
-        return len(self._vectors)
+        return len(self.counties)
 
     def tables(self):
         """(screened similarity, common-year count), both N x N."""

@@ -40,6 +40,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -155,9 +156,10 @@ class Adam:
     def step(self):
         store = self._store
         rows = store.copies or 1
-        squares = [(store.grad(n) ** 2).reshape(rows, -1).sum(axis=1).tolist()
-                   for n in store.names()]
-        total = np.sqrt([sum(row) for row in zip(*squares)])
+        squares = [(store.grad(n) ** 2).reshape(rows, -1).sum(axis=1) for n in store.names()]
+        # a left fold over the parameters, rounded alike on every Python
+        # (from 3.12 the builtin `sum` of floats is compensated)
+        total = np.sqrt(np.add.accumulate(squares)[-1])
         scale = self._clip / np.maximum(total, self._clip)
         self._t += 1
         b1, b2 = self._b1, self._b2
@@ -360,35 +362,31 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 
 
-def _tuning_windows(p: LyraParams, sample_sets, train, target_labels, stats):
-    """(windows, normalized targets, windows per set) of the sets' usable
-    entries, from one `lookback_windows` call; warns on what it skips."""
-    entries = []
-    for sample_set in sample_sets:
-        if not sample_set.entries:
-            warnings.warn(f"empty fine-tune sample set for query {sample_set.query}")
-        entries += sample_set.entries
-    rows = np.fromiter((e.record for e in entries), np.int64, len(entries))
+def _tuning_windows(p: LyraParams, refined, train, target_labels, stats):
+    """(windows, normalized targets, windows per query) of a `RefinedSampleSet`'s
+    usable entries, from one `lookback_windows` call; warns on what it skips."""
+    for query in compress(refined.queries, refined.sizes == 0):
+        warnings.warn(f"empty fine-tune sample set for query {query}")
+    rows = refined.entries
     usable = train.run_starts(rows) < np.searchsorted(train.rows, rows)  # with history
     for county, year in map(train.key, rows[~usable].tolist()):
         warnings.warn(f"retrieved sample ({county},{year}) has no history; skipped")
-    refined = np.fromiter((e.label_refined for e in entries), np.float64, len(entries))
-    owner = np.repeat(np.arange(len(sample_sets)), [len(s.entries) for s in sample_sets])
+    owner = np.repeat(np.arange(len(refined.queries)), refined.sizes)
     return (lookback_windows(train, rows[usable], target_labels, p.w),
-            stats.normalize_label(refined[usable]),
-            np.bincount(owner[usable], minlength=len(sample_sets)))
+            stats.normalize_label(refined.label_refined[usable]),
+            np.bincount(owner[usable], minlength=len(refined.queries)))
 
 
-def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
+def fine_tune(p: LyraParams, refined, train, cfg: TrainConfig,
               target_labels: np.ndarray, stats) -> LyraParams:
     """Adapt copies of the parameters to counties' refined samples, in one pass.
 
-    sample_sets is a list of counties' RefinedSampleSets; the result is
-    stacked parameters (see `LyraParams.stack`) whose copy k is tuned on
-    set k.  Each copy takes a few full-batch MSE steps on its refined
-    retrieved samples; the input parameters are never mutated.  Each
-    refined entry with an earlier season is one window: the look-back
-    window of its block row (one `lookback_windows` call for all sets),
+    refined is a `RefinedSampleSet` of counties' refined samples; the
+    result is stacked parameters (see `LyraParams.stack`) whose copy k is
+    tuned on query k's entries.  Each copy takes a few full-batch MSE steps
+    on its refined retrieved samples; the input parameters are never
+    mutated.  Each refined entry with an earlier season is one window: the
+    look-back window of its block row (one `lookback_windows` call for all),
     with its row's `target_labels` entry fed to its own embedding and its
     refined label, normalized by `stats`, as supervision.  An entry
     without an earlier season is skipped with a warning; a copy whose set
@@ -402,8 +400,8 @@ def fine_tune(p: LyraParams, sample_sets, train, cfg: TrainConfig,
     would get alone, and Adam clips each copy's gradient by its own norm.
     """
     cfg.validate()
-    tuned = p.stack(len(sample_sets))
-    windows, targets, sizes = _tuning_windows(p, sample_sets, train, target_labels, stats)
+    tuned = p.stack(len(refined.queries))
+    windows, targets, sizes = _tuning_windows(p, refined, train, target_labels, stats)
     active = np.flatnonzero(sizes)
     if not len(active) or cfg.fine_tune_epochs == 0:
         return tuned

@@ -28,7 +28,9 @@ dicts of embeddings and labels, before it took a Dataset's runs of rows;
 samples and label refinement (one `reference_extrapolate_bias` and one
 scalar draw per entry) that block rows and arrays replaced, kept verbatim
 as the oracle for `retrieval._collect_samples` and
-`refinement.refine_labels`.
+`refinement.refine_labels`, with the per-query `SampleSet` of per-entry
+`Entry`s they filled.  `entries` reads a `refinement.RefinedSampleSet`
+back as `Entry`s, and `refined_set` builds one from per-query entries.
 
 `run_epochs` is the epoch driver as it was before training shuffled
 chunks of work, kept verbatim as the oracle for the record models' loss
@@ -43,9 +45,10 @@ audited `rec.yield_label` (it reads the record's label unaudited).
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -468,6 +471,52 @@ def collect_samples(matched, train):
     return samples
 
 
+class Entry(NamedTuple):
+    """One refined copy of a retrieved sample (`record`: a block row, or a
+    record in the record-based oracle), labels in physical units."""
+
+    record: object
+    label: float
+    bias_hat: float
+    label_refined: float
+    refined: bool
+    method: str
+
+
+@dataclass
+class SampleSet:
+    """One query's refined entries, as the record-based oracle fills them."""
+
+    query: str
+    target_year: int
+    sigma: float
+    entries: list = field(default_factory=list)
+
+
+def entries(refined, q=None):
+    """A `RefinedSampleSet`'s entries as `Entry`s: all, or query q's only."""
+    lo, hi = (0, len(refined.entries)) if q is None else refined.offsets[q:q + 2].tolist()
+    parts = (refined.entries, refined.label, refined.bias_hat, refined.label_refined,
+             refined.method)
+    return [Entry(row, label, bias_hat, shifted, method != "missing", method)
+            for row, label, bias_hat, shifted, method
+            in zip(*(part[lo:hi].tolist() for part in parts))]
+
+
+def refined_set(sets, target_year, sigma=0.0):
+    """A `RefinedSampleSet` of {query: its entries, as `Entry`s or
+    (row, label, bias_hat, label_refined, refined, method) tuples}."""
+    flat = [Entry(*e) for group in sets.values() for e in group]
+    sizes = [len(group) for group in sets.values()]
+    return rf.RefinedSampleSet(
+        list(sets), target_year, sigma, np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        np.array([e.record for e in flat], dtype=np.int64),
+        np.array([e.label for e in flat], dtype=np.float64),
+        np.array([e.bias_hat for e in flat], dtype=np.float64),
+        np.array([e.label_refined for e in flat], dtype=np.float64),
+        np.array([e.method for e in flat], dtype=object))
+
+
 def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=None):
     """Shift retrieved labels to the target year.
 
@@ -484,7 +533,7 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
     if copies < 1:
         raise ContractError(f"copies must be at least 1, got {copies}")
     rng = np.random.default_rng(seed) if sigma > 0 else None  # no draws without noise
-    out = rf.RefinedSampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
+    out = SampleSet(query=retrieved.query, target_year=target_year, sigma=sigma)
     ordered = sorted(retrieved.samples, key=lambda r: (r.county, r.year))
     for rec in ordered:
         label = float(label_of(rec))
@@ -498,11 +547,11 @@ def refine_labels(retrieved, biases, sigma, seed, target_year, copies=1, stats=N
         for _ in range(copies):
             eps = float(rng.standard_normal()) if sigma > 0 else 0.0
             if est is None:
-                out.entries.append(rf.RefinedSample(rec, label, 0.0, label, False, "missing"))
+                out.entries.append(Entry(rec, label, 0.0, label, False, "missing"))
             else:
                 refined = label + est.value + sigma * eps
                 out.entries.append(
-                    rf.RefinedSample(rec, label, est.value, refined, True, est.method)
+                    Entry(rec, label, est.value, refined, True, est.method)
                 )
     return out
 

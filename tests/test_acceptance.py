@@ -242,17 +242,19 @@ def test_c06_refinement_halves_stale_label_error(refine_setup):
     models = s.models
     residuals = rt.compute_residuals(models.train_n, models.model_labels, models.stats)
     unrefined, refined = [], []
-    for idx, county in enumerate(sorted(models.train_n.counties)):
-        result = rt.retrieve(county, residuals, models.train_n,
-                             threshold=s.cfg.threshold)
-        refined_set = rf.refine_labels(result, models.train_n, s.bias_table, sigma=0.0, seed=idx,
-                                       target_year=s.test_year,
-                                       stats=models.stats)
-        for entry in refined_set.entries:
-            county = models.train_n.key(entry.record)[0]
-            gt = s.truth.rows[(county, s.test_year)].noiseless_yield
-            unrefined.append(entry.label - gt)
-            refined.append(entry.label_refined - gt)
+    counties = sorted(models.train_n.counties)
+    results = [rt.retrieve(county, residuals, models.train_n, threshold=s.cfg.threshold)
+               for county in counties]
+    refined_set = rf.refine_labels(results, models.train_n, s.bias_table, sigma=0.0,
+                                   seeds=range(len(counties)), target_year=s.test_year,
+                                   stats=models.stats)
+    for row, label, label_refined in zip(refined_set.entries.tolist(),
+                                         refined_set.label.tolist(),
+                                         refined_set.label_refined.tolist()):
+        county = models.train_n.key(row)[0]
+        gt = s.truth.rows[(county, s.test_year)].noiseless_yield
+        unrefined.append(label - gt)
+        refined.append(label_refined - gt)
     rmse_u = float(np.sqrt(np.mean(np.square(unrefined))))
     rmse_r = float(np.sqrt(np.mean(np.square(refined))))
     print(f"c06 refinement: unrefined {rmse_u:.3f}, refined {rmse_r:.3f} "

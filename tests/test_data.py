@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,35 @@ class TestDatasetIndexes:
         ds, _ = self.gappy()
         ds.keys().clear()
         assert ds.keys()
+
+    @staticmethod
+    def scan(ds):
+        """(row index, runs, counties, years) built row by row, as every
+        Dataset built them before views derived them with array ops."""
+        row = {ds.key(r): r for r in ds.rows.tolist()}
+        runs = {}
+        for i, (county, _) in enumerate(row):
+            runs[county] = (runs.get(county, (i,))[0], i + 1)
+        years = sorted({year for _, year in row})
+        return row, [(county, *run) for county, run in runs.items()], list(runs), years
+
+    def test_views_match_the_row_scan(self):
+        ds, keys = self.gappy()
+        train, test = data.split_by_test_year(ds, 2004)
+        normed = data.zscore_apply(ds, data.zscore_fit(train))
+        for view in (ds, train, test, normed, *data.split_by_test_year(normed, 2004)):
+            row, runs, counties, years = self.scan(view)
+            assert view.row_years is ds.row_years
+            assert (view.runs(), view.counties, view.years, view.keys()) == \
+                (runs, counties, years, list(row))
+            for key in sorted(keys):
+                if key in row:
+                    assert view.row(*key) == row[key]
+                else:
+                    message = re.escape(f"no record for ({key[0]},{key[1]})")
+                    with pytest.raises(ContractError, match=message):
+                        view.row(*key)
+        assert test.years == [2004] and len(test.counties) < len(train.counties)
 
 
 class TestDatasetConstructor:

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import dataset_of, extras_of, reference_extrapolate_bias, window_batch, window_list
 from ratar import backbone as bb
 from ratar import pipeline as pl
@@ -130,9 +131,8 @@ class TestIntegrateContext:
         for y in self.train.years[-n:]:
             row = self.train.row(source, y)
             phys = self.stats.denormalize_label(self.train.labels([row]).item())
-            entries.append(rf.RefinedSample(row, phys, 0.3, phys + 0.3, True, "ols"))
-        return rf.RefinedSampleSet(query=county, target_year=2005, sigma=0.0,
-                                   entries=entries)
+            entries.append(oracles.Entry(row, phys, 0.3, phys + 0.3, True, "ols"))
+        return entries
 
     def context_run(self, monkeypatch, threshold):
         """Context-mode outputs, and the windows of each lyra_predict call."""
@@ -179,11 +179,10 @@ class TestIntegrateContext:
         county = self.train.counties[0]
         w = len(self.predict(county).history_years)
         refined = self.refined_entries(county, n=2)
-        extra = [(e.record, self.stats.normalize_label(e.label_refined))
-                 for e in refined.entries]
+        extra = [(e.record, self.stats.normalize_label(e.label_refined)) for e in refined]
         out = self.predict(county, extra=extra)
         assert out.beta.shape == (w + 2,)
-        assert out.history_years[w:] == [self.train.key(e.record)[1] for e in refined.entries]
+        assert out.history_years[w:] == [self.train.key(e.record)[1] for e in refined]
         np.testing.assert_allclose(out.beta.sum(), 1.0, atol=1e-9)
         assert np.all(out.beta >= 0.0) and np.all(out.beta <= 1.0)
 
@@ -193,14 +192,12 @@ class TestIntegrateContext:
         out, calls = self.context_run(monkeypatch, 0.0)
         (windows,) = calls
         by_county = {self.county(win): win for win in windows}
-        assert out.refined_sets and any(s.entries for s in out.refined_sets)
-        for refined in out.refined_sets:
+        assert out.refined.queries == sorted(out.predictions) and len(out.refined.entries)
+        for q, query in enumerate(out.refined.queries):
             want = [(*self.train.key(e.record), self.stats.normalize_label(e.label_refined))
-                    for e in refined.entries]
-            assert self.keys(by_county[refined.query]) == (
-                self.keys(self.window(refined.query)) + want)
-            if want:
-                assert refined.query not in out.fallbacks
+                    for e in oracles.entries(out.refined, q)]
+            assert self.keys(by_county[query]) == self.keys(self.window(query)) + want
+            assert (query in out.fallbacks) == (not want)
         batch = lyra_predict(self.lyra, self.stats, self.train, window_batch(windows))
         for win, want in zip(windows, batch):
             assert out.predictions[self.county(win)] == want.prediction
@@ -638,9 +635,9 @@ class TestPredictCalls:
         cfg = self.config(tmp_path, threshold=threshold)
         tunes = []
 
-        def recording_fine_tune(p, sample_sets, *args, **kwargs):
-            tuned = tr.fine_tune(p, sample_sets, *args, **kwargs)
-            tunes.append((list(sample_sets), tuned))
+        def recording_fine_tune(p, refined, *args, **kwargs):
+            tuned = tr.fine_tune(p, refined, *args, **kwargs)
+            tunes.append((refined, tuned))
             return tuned
 
         monkeypatch.setattr(pl, "fine_tune", recording_fine_tune)
@@ -649,8 +646,8 @@ class TestPredictCalls:
         assert len(tunes) == (1 if tuned else 0)
         assert len(calls) == (1 if tuned else 0) + (1 if out.fallbacks else 0)
         if tuned:
-            (sets, stack), = tunes
-            assert [s.query for s in sets] == tuned
+            (refined, stack), = tunes
+            assert refined.queries == tuned and all(refined.sizes > 0)
             p, windows = calls[0]
             assert p is stack and p.store.copies == len(tuned)
             assert [county_of(models, win) for win in windows] == tuned
@@ -694,23 +691,24 @@ class TestSharedRetrieval:
                           train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
                                                fine_tune_lr=1e-3, fine_tune_epochs=2))
         pl.ablate(cfg)
-        n = len(cfg.seeds) * cfg.synthetic.n_counties
-        assert counts == {"retrieve": n, "refine": 2 * n}
+        # per seed: each county retrieved once, and all of them refined once
+        # with refinement and once without
+        assert counts == {"retrieve": len(cfg.seeds) * cfg.synthetic.n_counties,
+                          "refine": 2 * len(cfg.seeds)}
 
     def test_shared_results_match_fresh_ones(self, tmp_path):
         cfg = base_config(tmp_path, out_dir=None)
         ds, adjacency = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         shared = pl.retrieval_context(cfg, models, adjacency)
-        county = models.test_counties[2]
         for refine in (True, False, True):
             sub = replace(cfg, refine=refine)
-            got = pl.retrieve_refine(sub, models, shared, county)
-            fresh = pl.retrieve_refine(sub, models,
-                                       pl.retrieval_context(sub, models, adjacency), county)
-            assert np.array_equal(got[0].samples, fresh[0].samples)
-            assert [e.label_refined for e in got[1].entries] == \
-                [e.label_refined for e in fresh[1].entries]
+            got = pl.retrieve_refine(sub, models, shared)
+            fresh = pl.retrieve_refine(sub, models, pl.retrieval_context(sub, models, adjacency))
+            assert [r.query for r in got[0]] == models.test_counties
+            for a, b in zip(got[0], fresh[0]):
+                assert np.array_equal(a.samples, b.samples)
+            assert oracles.entries(got[1]) == oracles.entries(fresh[1])
         assert len(shared.retrieved) == 1 and len(shared.refined) == 2
 
 
@@ -817,9 +815,8 @@ class TestExtrapolationFits:
         ctx = pl.retrieval_context(cfg, models, adjacency)
         # every county covers the same eleven years: one stack of 24 matrices
         assert calls == [(tuple(range(2000, 2011)), (24, 11, 11), 2011)]
-        refined = [pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties]
+        entries = oracles.entries(pl.retrieve_refine(cfg, models, ctx)[1])
         assert len(calls) == 1  # none per query or sample
-        entries = [e for s in refined for e in s.entries]
         assert sum(e.method == "ols" for e in entries) > len(models.test_counties)
         for e in entries:
             county, year = models.train_n.key(e.record)

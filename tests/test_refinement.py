@@ -454,13 +454,14 @@ class TestBatchedBiasMatrices:
         assert sorted(calls) == [(s, len(embeddings)) for s in sorted(regs) if s in years]
 
 
-def tiny_retrieval(rows):
+def tiny_retrieval(rows, query="q"):
     # minimal stand-in for a retrieval result: only .query and .samples used
     class R:
-        query = "q"
-        samples = rows
+        pass
 
-    return R()
+    result = R()
+    result.query, result.samples = query, np.asarray(rows, dtype=np.int64)
+    return result
 
 
 def make_samples(labels):
@@ -470,12 +471,17 @@ def make_samples(labels):
     return ds, np.array([ds.row(county, year) for county, year, _ in labels], dtype=np.int64)
 
 
-def refine(ds, rows, biases, **kwargs):
-    """refine_labels of rows of ds, whose labels are in physical units,
-    with `biases` {county: BiasMatrix} extended to the target year."""
-    unit = NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
+def unit_stats(ds):
+    return NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
+
+
+def refine(ds, rows, biases, seed, **kwargs):
+    """refine_labels of one query retrieving rows of ds, whose labels are in
+    physical units, with `biases` {county: BiasMatrix} extended to the
+    target year; its entries, as `oracles.Entry`s."""
     table = rf.extrapolate_biases(biases, ds, kwargs["target_year"])
-    return rf.refine_labels(tiny_retrieval(rows), ds, table, stats=unit, **kwargs)
+    return oracles.entries(rf.refine_labels([tiny_retrieval(rows)], ds, table, seeds=[seed],
+                                            stats=unit_stats(ds), **kwargs))
 
 
 class TestRefineLabels:
@@ -492,7 +498,7 @@ class TestRefineLabels:
         ds, rows = make_samples([("a", 2001, 5.0), ("b", 2002, 6.0)])
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
         out = refine(ds, rows, biases, sigma=0.0, seed=0, target_year=2003)
-        by_key = {ds.key(e.record): e for e in out.entries}
+        by_key = {ds.key(e.record): e for e in out}
         np.testing.assert_allclose(by_key[("a", 2001)].label_refined, 5.0 + 0.5 * 2, atol=1e-9)
         np.testing.assert_allclose(by_key[("b", 2002)].label_refined, 6.0 + 0.5 * 1, atol=1e-9)
 
@@ -502,7 +508,7 @@ class TestRefineLabels:
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b")}
         one = refine(ds, rows, biases, sigma=0.3, seed=7, target_year=2003)
         two = refine(ds, rows, biases, sigma=0.3, seed=7, target_year=2003)
-        for e1, e2 in zip(one.entries, two.entries):
+        for e1, e2 in zip(one, two):
             assert e1.label_refined == e2.label_refined
 
     def test_order_invariant(self):
@@ -511,14 +517,14 @@ class TestRefineLabels:
         biases = {c: self.linear_biases(c, years, 0.5) for c in ("a", "b", "c")}
         fwd = refine(ds, rows, biases, sigma=0.2, seed=3, target_year=2003)
         rev = refine(ds, rows[::-1], biases, sigma=0.2, seed=3, target_year=2003)
-        fwd_map = {ds.key(e.record): e.label_refined for e in fwd.entries}
-        rev_map = {ds.key(e.record): e.label_refined for e in rev.entries}
+        fwd_map = {ds.key(e.record): e.label_refined for e in fwd}
+        rev_map = {ds.key(e.record): e.label_refined for e in rev}
         assert fwd_map == rev_map
 
     def test_missing_bias_matrix_passes_through(self):
         ds, rows = make_samples([("a", 2001, 5.0)])
         out = refine(ds, rows, {}, sigma=0.0, seed=0, target_year=2003)
-        entry = out.entries[0]
+        entry = out[0]
         assert entry.label_refined == 5.0 and not entry.refined
 
     def test_negative_sigma_rejected(self):
@@ -531,8 +537,8 @@ class TestRefineLabels:
         ds, rows = make_samples([("a", 2001, 5.0)])
         biases = {"a": self.linear_biases("a", years, 0.5)}
         out = refine(ds, rows, biases, sigma=0.1, seed=1, target_year=2002, copies=3)
-        assert len(out.entries) == 3
-        assert len({e.label_refined for e in out.entries}) == 3
+        assert len(out) == 3
+        assert len({e.label_refined for e in out}) == 3
 
     def test_no_generator_without_noise(self, monkeypatch):
         years = [2000, 2001, 2002]
@@ -546,8 +552,7 @@ class TestRefineLabels:
         monkeypatch.setattr(rf.np.random, "default_rng", refuse)
         got = refine(ds, rows, biases, sigma=0.0, seed=0, target_year=2003,
                                copies=2)
-        assert [e.label_refined for e in got.entries] == \
-            [e.label_refined for e in want.entries for _ in range(2)]
+        assert [e.label_refined for e in got] == [e.label_refined for e in want for _ in range(2)]
         with pytest.raises(AssertionError, match="sigma 0"):
             refine(ds, rows, biases, sigma=0.1, seed=0, target_year=2003)
 
@@ -555,13 +560,13 @@ class TestRefineLabels:
         ds, rows = make_samples([("a", 2001, 5.0)])
         table = rf.extrapolate_biases({"a": self.linear_biases("a", [2000, 2001], 0.5)}, ds,
                                       2003)
-        unit = NormStats(np.zeros(ds.d), np.ones(ds.d), 0.0, 1.0)
+        unit = unit_stats(ds)
         with pytest.raises(ContractError, match="2003.*2004"):
-            rf.refine_labels(tiny_retrieval(rows), ds, table, sigma=0.0, seed=0,
+            rf.refine_labels([tiny_retrieval(rows)], ds, table, sigma=0.0, seeds=[0],
                              target_year=2004, stats=unit)
-        out = rf.refine_labels(tiny_retrieval(rows), ds, None, sigma=0.0, seed=0,
+        out = rf.refine_labels([tiny_retrieval(rows)], ds, None, sigma=0.0, seeds=[0],
                                target_year=2004, stats=unit)
-        assert [(e.label_refined, e.method) for e in out.entries] == [(5.0, "missing")]
+        assert [(e.label_refined, e.method) for e in oracles.entries(out)] == [(5.0, "missing")]
 
     @pytest.mark.parametrize("n, copies", [(1, 1), (3, 1), (4, 3)])
     def test_noise_is_scalar_draws_in_entry_order(self, n, copies):
@@ -572,12 +577,12 @@ class TestRefineLabels:
         biases = {c: self.linear_biases(c, years, 0.5) for c in "abcdef"[:n:2]}
         out = refine(ds, rows, biases, sigma=0.3, seed=11, target_year=2003, copies=copies)
         draws = np.random.default_rng(11)
-        assert len(out.entries) == n * copies
-        for e in out.entries:
+        assert len(out) == n * copies
+        for e in out:
             eps = float(draws.standard_normal())
             want = e.label + e.bias_hat + 0.3 * eps if e.refined else e.label
             assert float(e.label_refined).hex() == float(want).hex()
-        assert any(not e.refined for e in out.entries) == (n > 1)
+        assert any(not e.refined for e in out) == (n > 1)
 
     def test_features_never_altered(self):
         ds, rows = make_samples([("a", 2001, 5.0)])
@@ -585,7 +590,42 @@ class TestRefineLabels:
         years = [2000, 2001]
         biases = {"a": self.linear_biases("a", years, 0.5)}
         out = refine(ds, rows, biases, sigma=0.5, seed=2, target_year=2002)
-        assert out.entries[0].refined and np.array_equal(ds.features, before)
+        assert out[0].refined and np.array_equal(ds.features, before)
+
+    def many(self):
+        """Three queries over one panel, the second retrieving nothing, and
+        each query's part refined alone (copies 2, noise on)."""
+        ds, rows = make_samples([(c, y, float(i) + 0.25 * (y - 2000))
+                                 for i, c in enumerate("abcd") for y in (2000, 2001, 2002)])
+        biases = {c: self.linear_biases(c, [2000, 2001, 2002], 0.5) for c in "abc"}
+        table = rf.extrapolate_biases(biases, ds, 2003)
+        results = [tiny_retrieval(rows[[8, 1, 9, 0]], "q0"), tiny_retrieval([], "q1"),
+                   tiny_retrieval(rows[[11, 5]], "q2")]
+        args = dict(sigma=0.3, target_year=2003, stats=unit_stats(ds), copies=2)
+        alone = [rf.refine_labels([r], ds, table, seeds=[seed], **args)
+                 for r, seed in zip(results, (5, 6, 7))]
+        return rf.refine_labels(results, ds, table, seeds=[5, 6, 7], **args), alone
+
+    def test_queries_refined_together_match_each_alone(self):
+        """One call over many queries holds, query by query, the bits of
+        refining each alone: its own generator's draws, cut by offsets."""
+        together, alone = self.many()
+        assert together.queries == ["q0", "q1", "q2"]
+        assert together.offsets.tolist() == [0, 8, 8, 12]
+        for q, one in enumerate(alone):
+            got = oracles.entries(together, q)
+            assert [e.record for e in got] == sorted(e.record for e in got)
+            assert [tuple(map(repr, e)) for e in got] == \
+                [tuple(map(repr, e)) for e in oracles.entries(one)]
+        assert together.n_refined == sum(one.n_refined for one in alone) == 8
+
+    def test_select_keeps_the_chosen_queries(self):
+        together, alone = self.many()
+        picked = together.select([True, False, True])
+        assert picked.queries == ["q0", "q2"]
+        assert picked.offsets.tolist() == [0, 8, 12]
+        assert oracles.entries(picked) == oracles.entries(alone[0]) + oracles.entries(alone[2])
+        assert oracles.entries(together.select([False, True, False])) == []
 
 
 class TestCsvExports:
@@ -603,9 +643,11 @@ class TestCsvExports:
         ds, rows = make_samples([("a", 2001, 5.0)])
         years = [2000, 2001]
         bm = rf.BiasMatrix("a", years, np.zeros((2, 2)), np.ones(2, bool))
-        out = refine(ds, rows, {"a": bm}, sigma=0.0, seed=0, target_year=2002)
+        table = rf.extrapolate_biases({"a": bm}, ds, 2002)
+        out = rf.refine_labels([tiny_retrieval(rows)], ds, table, sigma=0.0, seeds=[0],
+                               target_year=2002, stats=unit_stats(ds))
         path = tmp_path / "refined.csv"
-        rf.save_refined_csv([out], ds, str(path))
+        rf.save_refined_csv(out, ds, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "query,source_county,source_year,label,bias_hat,label_refined,method"
         assert len(lines) == 2

@@ -2,8 +2,11 @@
 window-sample construction, per-county fine-tuning (checked against the
 per-county loop it replaced), and step memory."""
 
+import functools
 import gc
 import json
+import math
+import operator
 import tracemalloc
 import warnings
 
@@ -13,7 +16,6 @@ import pytest
 import oracles
 from oracles import dataset_of
 from ratar import numcore as nc
-from ratar import refinement as rf
 from ratar import training as tr
 from ratar.backbone import (
     GruParams,
@@ -62,7 +64,7 @@ def refined_sample(ds, county, year, shift):
     """A refined sample of one season of ds: its label, shifted by `shift`."""
     row = ds.row(county, year)
     label = ds.labels([row]).item()
-    return rf.RefinedSample(row, label, shift, label + shift, True, "ols")
+    return oracles.Entry(row, label, shift, label + shift, True, "ols")
 
 
 def store_arrays(store):
@@ -92,13 +94,19 @@ class TestTrainConfig:
             tr.TrainConfig(fine_tune_lr=-1.0).validate()
 
 
+def left_fold(values):
+    """The sum of floats added left to right from 0.0, as the builtin `sum`
+    adds them before Python 3.12 (from 3.12 it compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def adam_oracle_step(values, m, v2, grads, t, lr, clip, b1=0.9, b2=0.999, eps=1e-8):
     """One reference step, parameter by parameter, on dicts of arrays.
 
     Rebinds the entries of values, m and v2; returns whether the global
     gradient norm exceeded clip.
     """
-    norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    norm = np.sqrt(left_fold(float((g ** 2).sum()) for g in grads.values()))
     scale = clip / norm if norm > clip else 1.0
     for k in values:
         g = grads[k] * scale
@@ -197,6 +205,22 @@ class TestAdam:
         for name in start:
             np.testing.assert_allclose(store.value(name), want[name], atol=1e-12)
 
+    def test_clip_norm_is_a_left_fold(self):
+        """Squared norms 1e16, 1 and 1 total 1e16 added left to right, but
+        1e16 + 2 with compensation; the clip scale must come from the former
+        on every Python."""
+        grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+        squares = [float((g ** 2).sum()) for g in grads.values()]
+        fold, compensated = np.sqrt(left_fold(squares)), np.sqrt(math.fsum(squares))
+        g = np.concatenate(list(grads.values()))
+        want = (1 - 0.9) * (g * (1.0 / fold))
+        assert not np.array_equal(want, (1 - 0.9) * (g * (1.0 / compensated)))
+        store = ParamStore({name: np.zeros(1) for name in grads})
+        opt = tr.Adam(store, lr=0.1, clip_norm=1.0)
+        self.inject(store, grads)
+        opt.step()
+        assert opt._m.tobytes() == want.tobytes()
+
     def test_zero_grad_is_identity(self):
         store = self.make_store()
         start = store_arrays(store)
@@ -274,12 +298,11 @@ class TestFlatAdamMatchesPerParameter:
         params, _ = tr.train_lyra(ds, 2, base, dims=tiny_dims(), target_labels=labels)
         county = ds.counties[0]
         entries = [refined_sample(ds, county, y, 2.0) for y in ds.years[-3:]]
-        refined = rf.RefinedSampleSet(query="qq", target_year=ds.years[-1] + 1, sigma=0.0,
-                                      entries=entries)
+        refined = oracles.refined_set({"qq": entries}, ds.years[-1] + 1)
         cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=8, clip_norm=0.05,
                              freeze_encoder=freeze)
         self.run_both(monkeypatch, lambda: tr.fine_tune(
-            params, [refined], ds, cfg, target_labels=labels,
+            params, refined, ds, cfg, target_labels=labels,
             stats=identity_stats(4)).member(0))
 
 
@@ -579,31 +602,28 @@ class TestFineTune:
     def refined_set(self, shift=0.0, years=None, county=None):
         county = county or self.county
         years = years or self.ds.years[-2:]
-        entries = []
-        for y in years:
-            entries.append(refined_sample(self.ds, county, y, shift))
-        return rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
-                                   sigma=0.0, entries=entries)
+        entries = [refined_sample(self.ds, county, y, shift) for y in years]
+        return oracles.refined_set({"qq": entries}, self.ds.years[-1] + 1)
 
     def test_zero_epochs_identity(self):
         cfg = tr.TrainConfig(fine_tune_epochs=0)
-        tuned = tr.fine_tune(self.params, [self.refined_set()], self.ds, cfg,
+        tuned = tr.fine_tune(self.params, self.refined_set(), self.ds, cfg,
                              target_labels=self.labels, stats=self.stats).member(0)
         assert tuned is not self.params
         assert stores_equal(tuned.store, self.params.store)
 
     def test_empty_set_warns_and_returns_copy(self):
-        empty = rf.RefinedSampleSet(query="qq", target_year=2010, sigma=0.0, entries=[])
+        empty = oracles.refined_set({"qq": []}, 2010)
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="empty"):
-            tuned = tr.fine_tune(self.params, [empty], self.ds, cfg,
+            tuned = tr.fine_tune(self.params, empty, self.ds, cfg,
                                  target_labels=self.labels, stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_global_params_never_mutated(self):
         before = store_arrays(self.params.store)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
-        tr.fine_tune(self.params, [self.refined_set(shift=2.0)], self.ds, cfg,
+        tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
                      target_labels=self.labels, stats=self.stats)
         after = store_arrays(self.params.store)
         assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -612,19 +632,15 @@ class TestFineTune:
         # supervision set to the model's own predictions -> exactly zero
         # gradients -> fine-tuning must leave the copy bitwise unchanged
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5)
-        probe = self.refined_set(shift=0.0)
-        rows = [e.record for e in probe.entries]
+        probe = oracles.entries(self.refined_set(shift=0.0))
+        rows = [e.record for e in probe]
         windows = lookback_windows(self.ds, rows, observed_labels(self.ds), self.params.w)
         preds = lyra_forward(None, self.params,
                              *window_table(self.params, self.ds, windows))[0].data
-        entries = [
-            rf.RefinedSample(e.record, e.label, 0.0,
-                             self.stats.denormalize_label(preds[i]), True, "ols")
-            for i, e in enumerate(probe.entries)
-        ]
-        refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
-                                      sigma=0.0, entries=entries)
-        tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+        entries = [e._replace(bias_hat=0.0, label_refined=self.stats.denormalize_label(preds[i]))
+                   for i, e in enumerate(probe)]
+        refined = oracles.refined_set({"qq": entries}, self.ds.years[-1] + 1)
+        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
@@ -632,20 +648,20 @@ class TestFineTune:
     def test_moves_toward_refined_labels(self):
         cfg = tr.TrainConfig(fine_tune_lr=5e-3, fine_tune_epochs=30)
         refined = self.refined_set(shift=3.0)
-        tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
                              target_labels=observed_labels(self.ds),
                              stats=self.stats).member(0)
-        row = refined.entries[-1].record
+        row = oracles.entries(refined)[-1].record
         window = lookback_windows(self.ds, [row], self.labels, self.params.w)
         before = lyra_predict(self.params, self.stats, self.ds, window)[0].prediction
         after = lyra_predict(tuned, self.stats, self.ds, window)[0].prediction
-        target = refined.entries[-1].label_refined
+        target = oracles.entries(refined)[-1].label_refined
         assert abs(after - target) < abs(before - target)
 
     def test_freeze_encoder_keeps_encoder_fixed(self):
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
                              freeze_encoder=True)
-        tuned = tr.fine_tune(self.params, [self.refined_set(shift=2.0)], self.ds, cfg,
+        tuned = tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
                              target_labels=self.labels, stats=self.stats).member(0)
         changed = [n for n in self.params.store.names()
                    if not np.array_equal(tuned.store.value(n), self.params.store.value(n))]
@@ -656,8 +672,7 @@ class TestFineTune:
         """Two copies of one entry, refined to two labels, stay two samples."""
         entries = [refined_sample(self.ds, self.county, self.ds.years[-1], shift)
                    for shift in (-1.0, 1.0)]
-        refined = rf.RefinedSampleSet(query="qq", target_year=self.ds.years[-1] + 1,
-                                      sigma=0.0, entries=entries)
+        refined = oracles.refined_set({"qq": entries}, self.ds.years[-1] + 1)
         tables = []
 
         def recording(p, ds, windows):
@@ -666,7 +681,7 @@ class TestFineTune:
 
         monkeypatch.setattr(tr, "window_table", recording)
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=1)
-        tr.fine_tune(self.params, [refined], self.ds, cfg, target_labels=self.labels,
+        tr.fine_tune(self.params, refined, self.ds, cfg, target_labels=self.labels,
                      stats=self.stats)
         (xs, (seq_rows, _, _), (target, history, _)), = tables
         assert len(xs) == 1 + self.params.w and len(target) == 2
@@ -676,11 +691,10 @@ class TestFineTune:
 
     def test_sample_without_history_skipped(self):
         entries = [refined_sample(self.ds, self.county, self.ds.years[0], 0.0)]
-        refined = rf.RefinedSampleSet(query="qq", target_year=2010, sigma=0.0,
-                                      entries=entries)
+        refined = oracles.refined_set({"qq": entries}, 2010)
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="history"):
-            tuned = tr.fine_tune(self.params, [refined], self.ds, cfg,
+            tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
                                  target_labels=observed_labels(self.ds),
                                  stats=self.stats).member(0)
         assert stores_equal(tuned.store, self.params.store)
@@ -762,11 +776,15 @@ class TestStackedFineTune:
     def entry(self, county, year, shift):
         row = self.ds.row(county, year)
         label = self.stats.denormalize_label(self.ds.labels([row]).item())
-        return rf.RefinedSample(row, label, shift, label + shift, True, "ols")
+        return oracles.Entry(row, label, shift, label + shift, True, "ols")
 
     def sample_set(self, k, entries):
-        return rf.RefinedSampleSet(query=f"q{k}", target_year=self.ds.years[-1] + 1,
-                                   sigma=0.0, entries=entries)
+        return oracles.SampleSet(query=f"q{k}", target_year=self.ds.years[-1] + 1,
+                                 sigma=0.0, entries=entries)
+
+    def together(self, sets):
+        """The per-county sets as one `RefinedSampleSet`."""
+        return oracles.refined_set({s.query: s.entries for s in sets}, self.ds.years[-1] + 1)
 
     def random_sets(self, seed, n=6):
         """Sets of 1-4 entries from random counties, so window counts differ.
@@ -800,7 +818,8 @@ class TestStackedFineTune:
                                                 self.labels, self.stats))
                 clipped.append(ClipRecordingAdam.clipped)
         before = self.params.store.flat.copy()
-        stack = tr.fine_tune(self.params, sets, self.ds, cfg, self.labels, self.stats)
+        stack = tr.fine_tune(self.params, self.together(sets), self.ds, cfg, self.labels,
+                             self.stats)
         np.testing.assert_array_equal(self.params.store.flat, before)
         assert stack.store.copies == len(sets)
 
@@ -874,7 +893,7 @@ class TestStackedFineTune:
     def test_divergence_reported_with_epoch(self):
         cfg = tr.TrainConfig(fine_tune_lr=1e200, fine_tune_epochs=5)
         with pytest.raises(tr.TrainingError, match="epoch"):
-            tr.fine_tune(self.params, self.random_sets(14, n=3), self.ds, cfg,
+            tr.fine_tune(self.params, self.together(self.random_sets(14, n=3)), self.ds, cfg,
                          self.labels, self.stats)
 
 

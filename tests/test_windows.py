@@ -8,8 +8,9 @@ tables, and for prediction windows with context extras.
 
 It also keeps the record-based `collect_samples` and `refine_labels`:
 retrieved block rows must name the same seasons in the same order, and
-their refined samples must carry the same labels and methods, with
-bias corrections within 1e-12 of the oracle's `np.polyfit` lines.
+each query's part of the one-pass refined set must carry the same labels
+and methods as refining its records alone, with bias corrections within
+1e-12 of the oracle's `np.polyfit` lines.
 """
 
 from dataclasses import replace
@@ -69,14 +70,14 @@ def test_training_batches(seed_run):
 def test_padded_fine_tune_stack(seed_run):
     cfg, models, ctx = seed_run
     train, labels, p = models.train_n, models.model_labels, models.lyra
-    sets = [s for s in (pl.retrieve_refine(cfg, models, ctx, c)[1] for c in models.test_counties)
-            if s.entries]
-    windows, _, sizes = tr._tuning_windows(p, sets, train, labels, models.stats)
+    refined = pl.retrieve_refine(cfg, models, ctx)[1]
+    refined = refined.select(refined.sizes > 0)
+    windows, _, sizes = tr._tuning_windows(p, refined, train, labels, models.stats)
     new = [windows.take(np.arange(stop - size, stop))
            for size, stop in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
     old = []
-    for sample_set in sets:
-        recs = [oracles.get(train, *train.key(e.record)) for e in sample_set.entries]
+    for q in range(len(refined.queries)):
+        recs = [oracles.get(train, *train.key(e.record)) for e in oracles.entries(refined, q)]
         old.append([oracles.lookback_window(train, rec, labels[train.row(rec.county, rec.year)],
                                             p.w)
                     for rec in recs if oracles.county_years(train, rec.county)[0] < rec.year])
@@ -112,9 +113,10 @@ def test_prediction_windows_with_context_extras(seed_run):
     context_cfg = replace(cfg, threshold=0.5, integration="context")
     counties = models.test_counties
     labels = models.model_labels[[test.row(county, cfg.test_year) for county in counties]]
+    refined = pl.retrieve_refine(context_cfg, models, ctx)[1]
     extras, old = [], []
-    for county, label in zip(counties, labels):
-        entries = pl.retrieve_refine(context_cfg, models, ctx, county)[1].entries
+    for q, (county, label) in enumerate(zip(counties, labels)):
+        entries = oracles.entries(refined, q)
         values = [stats.normalize_label(e.label_refined) for e in entries]
         extras.append(([e.record for e in entries], values))
         extra = [(oracles.get(train, *train.key(e.record)), value)
@@ -131,15 +133,17 @@ def close(got, want, tol=1e-12):
     return abs(got - want) <= tol * max(1.0, abs(want))
 
 
-def same_refined(new, old, train, seed, sigma):
-    """Refined sets name the same seasons, in order, with the same methods
-    and label bits as the record-based oracle, and bias_hat within 1e-12
-    of its `np.polyfit` lines; every entry's noise is the next of one
-    generator's scalar draws, in entry order."""
-    assert (new.query, new.target_year, new.sigma) == (old.query, old.target_year, old.sigma)
-    assert len(new.entries) == len(old.entries)
+def same_refined(new, q, old, train, seed, sigma):
+    """Query q's part of a refined set names the same seasons, in order,
+    with the same methods and label bits as the record-based oracle, and
+    bias_hat within 1e-12 of its `np.polyfit` lines; every entry's noise
+    is the next of one generator's scalar draws, in entry order."""
+    assert (new.queries[q], new.target_year, new.sigma) == \
+        (old.query, old.target_year, old.sigma)
+    got_entries = oracles.entries(new, q)
+    assert len(got_entries) == len(old.entries)
     draws = np.random.default_rng(seed)
-    for got, want in zip(new.entries, old.entries):
+    for got, want in zip(got_entries, old.entries):
         assert train.key(got.record) == (want.record.county, want.record.year)
         assert (got.refined, got.method) == (want.refined, want.method)
         assert float(got.label).hex() == float(want.label).hex()
@@ -155,23 +159,23 @@ def same_refined(new, old, train, seed, sigma):
 def test_samples_and_refinement_match_records(seed_run, mode, top_k, sigma, copies):
     cfg, models, ctx = seed_run
     train, stats = models.train_n, models.stats
-    sizes, methods = [], set()
-    for idx, county in enumerate(models.test_counties):
+    results = []
+    for county in models.test_counties:
         if mode == "neighboring":
-            result = rt.retrieve_neighboring(county, ctx.adjacency, train)
+            results.append(rt.retrieve_neighboring(county, ctx.adjacency, train))
         else:
             panel = ctx.residuals if mode == "residual" else ctx.mean_emb
-            result = rt.retrieve(county, panel, train, threshold=0.5, top_k=top_k)
-        old = rt.RetrievalResult(query=county, matched=result.matched,
+            results.append(rt.retrieve(county, panel, train, threshold=0.5, top_k=top_k))
+    args = dict(sigma=sigma, target_year=cfg.test_year, copies=copies, stats=stats)
+    new = rf.refine_labels(results, train, ctx.bias_table, seeds=range(len(results)), **args)
+    for idx, result in enumerate(results):
+        old = rt.RetrievalResult(query=result.query, matched=result.matched,
                                  samples=oracles.collect_samples(result.matched, train))
         assert result.samples.dtype == np.int64
         assert [train.key(r) for r in result.samples.tolist()] == \
             [(rec.county, rec.year) for rec in old.samples]
-        args = dict(sigma=sigma, seed=idx, target_year=cfg.test_year, copies=copies,
-                    stats=stats)
-        new = rf.refine_labels(result, train, ctx.bias_table, **args)
-        same_refined(new, oracles.refine_labels(old, ctx.biases, **args), train, idx, sigma)
-        sizes.append(len(result.samples))
-        methods.update(e.method for e in new.entries)
-    assert max(sizes) > 0, "some county must retrieve samples"
-    assert "ols" in methods
+        same_refined(new, idx, oracles.refine_labels(old, ctx.biases, seed=idx, **args), train,
+                     idx, sigma)
+    assert max(len(result.samples) for result in results) > 0, \
+        "some county must retrieve samples"
+    assert "ols" in set(new.method.tolist())
