@@ -167,10 +167,6 @@ class LyraParams:
         """`copies` stacked copies of these parameters (see `ParamStore.stack`)."""
         return replace(self, store=self.store.stack(copies))
 
-    def member(self, k: int) -> "LyraParams":
-        """Copy k of stacked parameters, as plain parameters of its own."""
-        return replace(self, store=self.store.member(k))
-
 
 # ---------------------------------------------------------------------------
 # semantic containers

@@ -42,8 +42,6 @@ from .data import (
     save_adjacency_csv,
     save_dataset_csv,
     save_truth_csv,
-    split_by_test_year,
-    zscore_fit,
 )
 from .numcore import ContractError, NumericError
 from .training import TrainConfig, TrainingError, save_train_report
@@ -150,32 +148,20 @@ def _require_out(cfg) -> str:
     return cfg.out_dir
 
 
-def _stats_bits(stats) -> dict:
-    return {key: (arr.shape, arr.tobytes()) for key, arr in stats.to_arrays().items()}
-
-
 def _seed_models(args, cfg, with_lyra=True):
     """Load data, then train or load the models of the first seed.
 
-    Checkpoints must come from the same dataset and test year: the
-    training split's feature and label statistics are fit first, and a
-    checkpoint saved with any other statistics (or none) is refused
-    before any model is trained.
+    Checkpoints must come from the same dataset and test year:
+    `train_models` refuses one saved with other normalization statistics
+    than the training split's (or none) before any model is trained.
     """
     ds, adjacency = pl.load(cfg)
     paths = {"lyra": getattr(args, "lyra_ckpt", None),
              "f": getattr(args, "global_ckpt", None)}
     loaded = {key: load_checkpoint(path) for key, path in paths.items() if path is not None}
-    if loaded:
-        split_stats = zscore_fit(split_by_test_year(ds, cfg.test_year)[0])
-    for key, (params, stats) in loaded.items():
-        if stats is None or _stats_bits(stats) != _stats_bits(split_stats):
-            # only the cross-year model records the test year it was fit for
-            fit_for = f" (fit for test year {params.year_max})" if key == "lyra" else ""
-            raise ContractError(
-                f"checkpoint {paths[key]}{fit_for} does not hold the normalization "
-                f"statistics of this run's training split (test year {cfg.test_year})")
     models = pl.train_models(cfg, ds, cfg.seeds[0], with_lyra=with_lyra,
+                             checkpoints={key: (paths[key], stats)
+                                          for key, (_params, stats) in loaded.items()},
                              **{key: params for key, (params, _stats) in loaded.items()})
     return models, adjacency
 
@@ -290,7 +276,7 @@ def _cmd_predict(args) -> int:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(predictions)} predictions -> {path}")
-        if any(r.has_label for r in models.test.records):
+        if models.test.labeled.any():
             report = pl.evaluate(predictions, models.test, models.seed,
                                  fallbacks=fallbacks)
             print(f"test rmse {report.rmse_mean:.4f} (physical units)")

@@ -1,8 +1,10 @@
 """County-year data model, CSV ingestion, normalization, splits, synthesis.
 
-A `Dataset` is one [records x T x d] feature block in (county, year)
+A `Dataset` is one [rows x T x d] feature block in (county, year)
 order with a (county, year) -> row index: a county's seasons are a run of
 rows, splits are row subsets, and normalization is one array operation.
+The library reads it only as arrays: features by block row, labels
+through `labels`, and which rows have one through the `labeled` mask.
 
 Labels are guarded by a module-level access audit: every label read goes
 through `Dataset.labels`, which reports the years of the rows it reads to
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -104,11 +107,12 @@ class CountyYearRecord:
 class Dataset:
     """County-year seasons as one feature block in (county, year) order.
 
-    Row i of `features` [rows x T x d] is the season `key(i)`; `records`
-    are per-season views.  A Dataset covers the block rows in `rows`: all
-    of them for a panel, a subset for a split.  Splits and normalized
-    copies keep the panel's row numbering, and `labels` normalizes as it
-    reads, so the panel's one label array is never copied.
+    Row i of `features` [rows x T x d] is the season `key(i)`.  A Dataset
+    covers the block rows in `rows`: all of them for a panel, a subset for
+    a split.  Splits and normalized copies keep the panel's row numbering,
+    and `labels` normalizes as it reads, so the panel's one label array is
+    never copied.  `records`, per-season `CountyYearRecord` views, are
+    kept for readers outside the library; nothing in it reads them.
     """
 
     def __init__(self, keys, features, labels, neighbors=None):
@@ -164,9 +168,6 @@ class Dataset:
     def __len__(self):
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def key(self, row) -> tuple:
         """The (county, year) of a block row."""
         return self._keys[row]
@@ -207,6 +208,11 @@ class Dataset:
         rows = self.rows if rows is None else np.asarray(rows, dtype=np.int64)
         label_audit.note_rows(self.row_years[rows], lambda i: self._keys[rows[i]])
         return self._normalized(self._labels[rows])
+
+    @property
+    def labeled(self) -> np.ndarray:
+        """Per row of this dataset, whether its season has a label; not a read."""
+        return ~np.isnan(self._labels[self.rows])
 
     def _normalized(self, values):
         for mean, std in self._label_norms:
@@ -481,18 +487,25 @@ def _fmt(x: float) -> str:
 
 
 def save_dataset_csv(ds: Dataset, path: str) -> None:
-    """Write the exact ingestion format; floats keep full round-trip precision."""
+    """Write the exact ingestion format; floats keep full round-trip precision.
+
+    A season's lines are joined from its block row; `csv.writer` quotes its
+    county and year as it would in a whole row (numbers never need it).
+    Labels are written as held (normalized for a normalized copy), unaudited.
+    """
+    labels, prefix = ds._normalized(ds._labels[ds.rows]), io.StringIO()
+    key_writer = csv.writer(prefix, lineterminator="\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["county", "year", "day"] + [f"f{j + 1}" for j in range(ds.d)] + ["yield"])
-        for rec in ds.records:
-            label = _fmt(rec._yield_label) if rec.has_label else ""
-            for t in range(ds.T):
-                writer.writerow(
-                    [rec.county, rec.year, t + 1]
-                    + [_fmt(v) for v in rec.features[t]]
-                    + [label]
-                )
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["county", "year", "day"] + [f"f{j + 1}" for j in range(ds.d)] + ["yield"])
+        for row, key, label in zip(ds.rows.tolist(), ds.keys(), labels.tolist()):
+            prefix.seek(0)
+            prefix.truncate()
+            key_writer.writerow(key)
+            head = prefix.getvalue()[:-1]
+            tail = "," + ("" if label != label else _fmt(label)) + "\n"
+            fh.write("".join(f"{head},{day},{','.join(map(repr, values))}{tail}"
+                             for day, values in enumerate(ds.features[row].tolist(), 1)))
 
 
 def load_adjacency(path: str) -> dict:

@@ -119,7 +119,7 @@ class ParamStore:
     A store of `copies` K holds K independent copies of a model: `flat`
     is [K x n], row k holding copy k, and each array (given and viewed)
     has a leading model axis, [K, *shape].  `stack` makes one from a
-    plain store and `member` takes one copy back out.
+    plain store.
     """
 
     def __init__(self, arrays, copies: int | None = None):
@@ -182,12 +182,6 @@ class ParamStore:
             raise ContractError("stack takes a plain store and at least one copy")
         return ParamStore({name: np.broadcast_to(arr, (copies,) + arr.shape)
                            for name, arr in self._values.items()}, copies)
-
-    def member(self, k: int) -> "ParamStore":
-        """Copy k of a stacked store, as a plain store of its own."""
-        if self.copies is None:
-            raise ContractError("member takes a stacked store")
-        return ParamStore({name: arr[k] for name, arr in self._values.items()})
 
 
 class ComputeTape:

@@ -66,7 +66,6 @@ import json
 import os
 import time
 import warnings
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -308,14 +307,22 @@ class SeedModels:
         return labels
 
 
+def _stats_bits(stats: NormStats) -> dict:
+    return {key: (arr.shape, arr.tobytes()) for key, arr in stats.to_arrays().items()}
+
+
 def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=None,
-                 with_lyra=True) -> SeedModels:
+                 with_lyra=True, checkpoints=None) -> SeedModels:
     """Split, normalize, and train the models a seed's run needs.
 
     Pre-trained parameters (from checkpoints) can be injected via `f`
     and `lyra` (whose window must be `cfg.w` and whose last year must be
     `cfg.test_year`) to skip the corresponding training runs;
-    `with_lyra` false skips the cross-year model.
+    `with_lyra` false skips the cross-year model.  `checkpoints` maps
+    "f" or "lyra" to the (path, statistics) of the file the injected
+    parameters came from: a checkpoint saved with other statistics than
+    this training split's (or none) is refused before any model is
+    trained.
     """
     if lyra is not None and lyra.w != cfg.w:
         raise ContractError(
@@ -329,6 +336,13 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
     with _stage("normalize"):
         stats = zscore_fit(train_phys)
         train_n, test_n = split_by_test_year(zscore_apply(ds, stats), cfg.test_year)
+    for key, (path, saved) in (checkpoints or {}).items():
+        if saved is None or _stats_bits(saved) != _stats_bits(stats):
+            # only the cross-year model records the test year it was fit for
+            fit_for = f" (fit for test year {lyra.year_max})" if key == "lyra" else ""
+            raise ContractError(
+                f"checkpoint {path}{fit_for} does not hold the normalization "
+                f"statistics of this run's training split (test year {cfg.test_year})")
     models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n, test=test,
                         f=f, lyra=lyra)
     tcfg = replace(cfg.train, seed=seed)
@@ -399,13 +413,13 @@ def _refinement_setup(models: SeedModels, Z):
 class RetrievalContext:
     """What per-county retrieval and refinement read, for one seed.
 
-    `residuals` (a `retrieval.ResidualPanel`) are filled in residual
-    mode only.  The training `embeddings` (a row per season of `train`,
-    in its row order), the per-year `regressors`, the per-county
-    `biases`, their `bias_table` toward the test year and `mean_emb`
-    (the mean embeddings as a `retrieval.embedding_panel`, built on
-    first read) need the cross-year model and are None or empty without
-    one.  `sigma` is the refinement noise scale in physical units.
+    `residuals` (a `retrieval.ResidualPanel`) is filled in residual
+    mode only, and None otherwise.  The training `embeddings` (a row per
+    season of `train`, in its row order), the per-year `regressors`, the
+    per-county `biases`, their `bias_table` toward the test year and
+    `mean_emb` (the mean embeddings as a `retrieval.embedding_panel`,
+    built on first read) need the cross-year model and are None or empty
+    without one.  `sigma` is the refinement noise scale in physical units.
     `retrieved` and `refined` keep what `retrieve_refine` computed from
     it, one entry per setting holding every test county, so that runs
     sharing the context (the variants of one driver run) retrieve and
@@ -414,7 +428,7 @@ class RetrievalContext:
     adjacency: dict
     sigma: float
     train: Dataset
-    residuals: Mapping = field(default_factory=dict)
+    residuals: rt.ResidualPanel | None = None
     embeddings: np.ndarray | None = None
     regressors: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
@@ -423,12 +437,13 @@ class RetrievalContext:
     refined: dict = field(default_factory=dict)
 
     @cached_property
-    def mean_emb(self) -> Mapping:
+    def mean_emb(self) -> rt.ResidualPanel | None:
         """Each county's mean training embedding, as a `retrieval.embedding_panel`."""
         if self.embeddings is None:
-            return {}
-        return rt.embedding_panel({county: self.embeddings[start:stop].mean(axis=0)
-                                   for county, start, stop in self.train.runs()})
+            return None
+        return rt.embedding_panel(self.train.counties,
+                                  np.stack([self.embeddings[start:stop].mean(axis=0)
+                                            for _, start, stop in self.train.runs()]))
 
 
 def retrieval_context(cfg: ExperimentConfig, models: SeedModels,

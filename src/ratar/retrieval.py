@@ -98,8 +98,8 @@ def compute_residuals(train, predictions, stats):
     are normalized by `stats`, and both are mapped back to physical units
     first.  A county's vector is its run of rows, years ascending; a
     county with an unlabeled season has non-finite residuals, a contract
-    error.  The result maps county to `ResidualVector`, as a
-    `ResidualPanel` built from the arrays.
+    error.  The result is the `ResidualPanel` of these runs, which maps
+    county to `ResidualVector`.
     """
     labels = train.labels() * stats.label_std + stats.label_mean
     preds = predictions[train.rows] * stats.label_std + stats.label_mean
@@ -107,7 +107,7 @@ def compute_residuals(train, predictions, stats):
     for at in np.flatnonzero(~np.isfinite(residuals))[:1].tolist():
         raise ContractError(f"non-finite residuals for county {train.key(train.rows[at])[0]}")
     sizes = [stop - start for _, start, stop in train.runs()]
-    return ResidualPanel.of_runs(train.counties, train.row_years[train.rows], residuals, sizes)
+    return ResidualPanel(train.counties, train.row_years[train.rows], residuals, sizes)
 
 
 def _centered_cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,33 +141,21 @@ def centered_cosine(a: ResidualVector, b: ResidualVector) -> float:
 class ResidualPanel(Mapping):
     """Residual vectors by county, with the all-pairs similarity screen.
 
-    Reads like a `{county: ResidualVector}` dict, a county's vector made
-    from the panel's arrays on its first read.  Row i of `R` is the i-th
-    county in sorted order: its residuals less their full-vector mean in
-    the columns of its years, 0 elsewhere.  `M` is the matching 0/1 year
-    mask.  `min_common` is the fewest common years a pair needs to be
-    compared (0: no such rule).  The similarity and common-year-count
-    tables are built on the first `tables()` call and kept, and so is
-    each setting's `screen` (two N x N bool masks); nothing else N x N
-    outlives its build.
+    Built from the vectors laid end to end in arrays; reads like a
+    `{county: ResidualVector}` mapping, a county's vector made from those
+    arrays on its first read.  Row i of `R` is the i-th county in sorted
+    order: its residuals less their full-vector mean in the columns of
+    its years, 0 elsewhere.  `M` is the matching 0/1 year mask.
+    `min_common` is the fewest common years a pair needs to be compared
+    (0: no such rule).  The similarity and common-year-count tables are
+    built on the first `tables()` call and kept, and so is each setting's
+    `screen` (two N x N bool masks); nothing else N x N outlives its
+    build.
     """
 
-    def __init__(self, vectors, min_common=_MIN_COMMON_YEARS):
-        counties = sorted(vectors)
-        rvs = [vectors[county] for county in counties]
-        self._fill(counties, np.concatenate([np.empty(0, np.int64)] + [rv.years for rv in rvs]),
-                   np.concatenate([np.empty(0)] + [rv.r for rv in rvs]),
-                   [len(rv.years) for rv in rvs], min_common)
-
-    @classmethod
-    def of_runs(cls, counties, years, r, sizes, min_common=_MIN_COMMON_YEARS):
+    def __init__(self, counties, years, r, sizes, min_common=_MIN_COMMON_YEARS):
         """The panel of sorted `counties` whose vectors lie end to end:
         county i's are the next `sizes[i]` entries of `years` and `r`."""
-        panel = cls.__new__(cls)
-        panel._fill(counties, years, r, sizes, min_common)
-        return panel
-
-    def _fill(self, counties, years, r, sizes, min_common):
         self.counties, self.min_common = list(counties), min_common
         self.index = {c: i for i, c in enumerate(self.counties)}
         self._years, self._r = np.asarray(years, dtype=np.int64), r
@@ -330,7 +318,7 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
     the query (three for residuals), or whose vectors are constant, are
     flagged and skipped.  `residuals` is the `ResidualPanel` of
     `compute_residuals`, or an `embedding_panel` for the mean-embedding
-    baseline; a plain dict of `ResidualVector`s is wrapped in one first.
+    baseline.
 
     A panel builds its screen once per (threshold, top_k) setting, for
     every query at once (`ResidualPanel.screen`); each query then reads
@@ -344,22 +332,21 @@ def retrieve(query, residuals, train, threshold=0.9, top_k=None):
         raise ContractError(f"top_k must be at least 1, got {top_k}")
     if query not in residuals:
         raise ContractError(f"no residual vector for query county {query}")
-    panel = residuals if isinstance(residuals, ResidualPanel) else ResidualPanel(residuals)
     result = RetrievalResult(query=query)
-    q = panel.index[query]
-    if panel.zero_norm[q]:
+    q = residuals.index[query]
+    if residuals.zero_norm[q]:
         result.flags.append(f"degenerate_query:{query}")
         return result
-    flagged, keep = panel.screen(threshold, top_k)
-    _sim, overlap = panel.tables()
+    flagged, keep = residuals.screen(threshold, top_k)
+    _sim, overlap = residuals.tables()
     for j in np.flatnonzero(flagged[q]):
-        kind = "insufficient_overlap" if overlap[q, j] < panel.min_common else "zero_norm"
-        result.flags.append(f"{kind}:{panel.counties[j]}")
-    rq = panel[query]
+        kind = "insufficient_overlap" if overlap[q, j] < residuals.min_common else "zero_norm"
+        result.flags.append(f"{kind}:{residuals.counties[j]}")
+    rq = residuals[query]
     sims = []
     for j in np.flatnonzero(keep[q]):
-        county = panel.counties[j]
-        sims.append((county, centered_cosine(rq, panel[county])))
+        county = residuals.counties[j]
+        sims.append((county, centered_cosine(rq, residuals[county])))
     return _match(result, sims, train, threshold, top_k)
 
 
@@ -370,30 +357,31 @@ def retrieve_neighboring(query, adjacency, train):
     """Baseline: matched counties are the query's geographic neighbors.
 
     Similarity is a sentinel 1.0 so downstream code paths are shared.
-    A query absent from the adjacency map yields an empty, flagged
-    result rather than an error.
+    Each neighbor is matched once, however often the map lists it, and
+    the query is never its own neighbor.  A query absent from the
+    adjacency map yields an empty, flagged result rather than an error.
     """
     result = RetrievalResult(query=query)
     if query not in adjacency:
         warnings.warn(f"county {query} missing from adjacency map")
         result.flags.append(f"missing_adjacency:{query}")
         return result
-    matched = [(c, _NEIGHBOR_SENTINEL) for c in sorted(adjacency[query])]
+    matched = [(c, _NEIGHBOR_SENTINEL) for c in sorted(set(adjacency[query]) - {query})]
     result.matched = matched
     result.samples = _collect_samples(matched, train)
     return result
 
 
-def embedding_panel(embeddings) -> ResidualPanel:
-    """Mean embeddings as a panel: every dimension is a shared "year".
+def embedding_panel(counties, means) -> ResidualPanel:
+    """Mean embeddings as a panel: row i of `means` [N x E] is sorted
+    county i's, and every dimension is a shared "year".
 
     No common-year rule applies, so only constant embeddings are
     skipped.
     """
-    return ResidualPanel(
-        {county: ResidualVector(county, list(range(len(z))), np.asarray(z, dtype=np.float64))
-         for county, z in embeddings.items()},
-        min_common=0)
+    n, width = means.shape
+    return ResidualPanel(counties, np.tile(np.arange(width), n), means.ravel(), [width] * n,
+                         min_common=0)
 
 
 def save_retrieval_csv(results, train, path):

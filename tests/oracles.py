@@ -42,10 +42,18 @@ The Dataset accessors these oracles were written against are gone from
 the library, so `county_years` and `get` below stand in for
 `Dataset.county_years` and `Dataset.get`, and `label_of(rec)` for the
 audited `rec.yield_label` (it reads the record's label unaudited).
+
+Forms the library dropped because only tests used them: `residual_panel`
+and `embedding_panel` build panels from `{county: vector}` dicts (the
+panel's dict constructor), `member` and `store_member` take one copy out
+of stacked parameters (`LyraParams.member`, `ParamStore.member`), and
+`save_dataset_csv` is the per-record CSV writer, kept verbatim as the
+byte-equality oracle for `data.save_dataset_csv`.
 """
 
+import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -76,6 +84,54 @@ def get(ds, county, year):
 def label_of(rec):
     """A record's label, as its `yield_label` property read it."""
     return rec._yield_label
+
+
+def residual_panel(vectors, min_common=rt._MIN_COMMON_YEARS):
+    """The `retrieval.ResidualPanel` of {county: ResidualVector}."""
+    counties = sorted(vectors)
+    rvs = [vectors[county] for county in counties]
+    return rt.ResidualPanel(counties,
+                            np.concatenate([np.empty(0, np.int64)] + [rv.years for rv in rvs]),
+                            np.concatenate([np.empty(0)] + [rv.r for rv in rvs]),
+                            [len(rv.years) for rv in rvs], min_common)
+
+
+def embedding_panel(embeddings):
+    """The `retrieval.embedding_panel` of {county: mean embedding}."""
+    counties = sorted(embeddings)
+    return rt.embedding_panel(counties, np.stack([np.asarray(embeddings[c], dtype=np.float64)
+                                                  for c in counties]))
+
+
+def store_member(store, k):
+    """Copy k of a stacked `ParamStore`, as a plain store of its own."""
+    if store.copies is None:
+        raise ContractError("member takes a stacked store")
+    return nc.ParamStore({name: store.value(name)[k] for name in store.names()})
+
+
+def member(params, k):
+    """Copy k of stacked `LyraParams`, as plain parameters of its own."""
+    return replace(params, store=store_member(params.store, k))
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def save_dataset_csv(ds, path):
+    """Write the exact ingestion format; floats keep full round-trip precision."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["county", "year", "day"] + [f"f{j + 1}" for j in range(ds.d)] + ["yield"])
+        for rec in ds.records:
+            label = _fmt(rec._yield_label) if rec.has_label else ""
+            for t in range(ds.T):
+                writer.writerow(
+                    [rec.county, rec.year, t + 1]
+                    + [_fmt(v) for v in rec.features[t]]
+                    + [label]
+                )
 
 
 def train_lyra_windows(train, w, cfg, target_labels, **kwargs):
@@ -334,7 +390,7 @@ def query_retrieve(query, residuals, train, threshold=0.9, top_k=None):
     if query not in residuals:
         raise ContractError(f"no residual vector for query county {query}")
     panel = (residuals if isinstance(residuals, rt.ResidualPanel)
-             else rt.ResidualPanel(residuals))
+             else residual_panel(residuals))
     result = rt.RetrievalResult(query=query)
     if panel.zero_norm[panel.index[query]]:
         result.flags.append(f"degenerate_query:{query}")

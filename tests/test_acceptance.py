@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import oracles
 import ratar.backbone as bb
 import ratar.numcore as nc
 import ratar.pipeline as pl
@@ -138,10 +139,10 @@ def test_c03_similarity_algebra():
                             year_shock_std=0.2, obs_noise_std=0.1, seed=3)
     ds, _ = generate_synthetic(synth)
     rng2 = np.random.default_rng(4)
-    residuals = {
+    residuals = oracles.residual_panel({
         c: rt.ResidualVector(c, ds.years, rng2.standard_normal(len(ds.years)))
         for c in sorted(ds.counties)
-    }
+    })
     for county in sorted(ds.counties)[:6]:
         prev = None
         for threshold in (0.1, 0.4, 0.7, 0.9):

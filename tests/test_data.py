@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import dataset_of, get
 from ratar import data
 from ratar.data import CountyYearRecord, Dataset, IngestionError
@@ -125,7 +126,7 @@ class TestZscore:
         train, _ = data.split_by_test_year(ds, 2002)
         stats = data.zscore_fit(train)
         normed = data.zscore_apply(train, stats)
-        stacked = np.concatenate([r.features for r in normed])
+        stacked = np.concatenate([r.features for r in normed.records])
         np.testing.assert_allclose(np.abs(stacked.mean(axis=0)), 0.0, atol=1e-10)
         np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-10)
 
@@ -165,7 +166,7 @@ class TestZscore:
         train, _ = data.split_by_test_year(ds, 2002)
         stats = data.zscore_fit(train)
         normed = data.zscore_apply(train, stats)
-        for rec, y in zip(train, train.labels()):
+        for rec, y in zip(train.records, train.labels()):
             back = get(normed, rec.county, rec.year)
             np.testing.assert_allclose(
                 back.features * stats.feature_std + stats.feature_mean, rec.features,
@@ -193,8 +194,8 @@ class TestSplit:
     def test_prior_years_protocol(self, tmp_path):
         ds = data.load_dataset(write_csv(tmp_path / "d.csv", FIXTURE_CSV))
         train, test = data.split_by_test_year(ds, 2002)
-        assert sorted({r.year for r in train}) == [2000, 2001]
-        assert {r.year for r in test} == {2002}
+        assert sorted({r.year for r in train.records}) == [2000, 2001]
+        assert {r.year for r in test.records} == {2002}
         assert len(train) + len(test) == len(ds)
 
     def test_k_counts_training_years(self, tmp_path):
@@ -343,7 +344,7 @@ class TestSyntheticGenerator:
     def test_determinism_bitwise(self):
         ds1, truth1 = data.generate_synthetic(self.CFG)
         ds2, truth2 = data.generate_synthetic(self.CFG)
-        for r1, r2 in zip(ds1, ds2):
+        for r1, r2 in zip(ds1.records, ds2.records):
             assert np.array_equal(r1.features, r2.features)
         assert ds1.labels().tobytes() == ds2.labels().tobytes()
         for key in truth1.rows:
@@ -355,7 +356,7 @@ class TestSyntheticGenerator:
         assert ds.T == 20 and ds.d == 8
         assert len(truth.rows) == len(ds)
         labels = ds.labels()
-        assert all(rec.has_label for rec in ds) and (labels >= 0.0).all()
+        assert ds.labeled.all() and (labels >= 0.0).all()
         assert list(ds.neighbors) == ds.counties
 
     @staticmethod
@@ -385,7 +386,7 @@ class TestSyntheticGenerator:
         """Recompute every noiseless yield from truth components and features."""
         ds, truth = data.generate_synthetic(self.CFG)
         years = ds.years
-        for rec in ds:
+        for rec in ds.records:
             row = truth.rows[(rec.county, rec.year)]
             agg = rec.features.mean(axis=0)
             u = (agg - truth.feature_centers) / truth.response_scale
@@ -462,7 +463,7 @@ class TestCsvRoundtrip:
         data.save_dataset_csv(ds, str(path))
         back = data.load_dataset(str(path))
         assert len(back) == len(ds)
-        for rec in ds:
+        for rec in ds.records:
             other = get(back, rec.county, rec.year)
             assert np.array_equal(other.features, rec.features)
         assert back.keys() == ds.keys()
@@ -490,6 +491,49 @@ class TestCsvRoundtrip:
         data.save_dataset_csv(ds, str(p1))
         data.save_dataset_csv(ds, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBlockWriter:
+    """`save_dataset_csv` writes the bytes of the per-record writer."""
+
+    @staticmethod
+    def same_bytes(ds, tmp_path):
+        got, want = tmp_path / "block.csv", tmp_path / "records.csv"
+        data.save_dataset_csv(ds, str(got))
+        oracles.save_dataset_csv(ds, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        return got
+
+    def test_raw_panel(self, tmp_path):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        self.same_bytes(ds, tmp_path)
+
+    def test_split_views(self, tmp_path):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        for view in data.split_by_test_year(ds, ds.years[3]):
+            self.same_bytes(view, tmp_path)
+
+    def test_normalized_views(self, tmp_path):
+        ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        train, _ = data.split_by_test_year(ds, ds.years[-1])
+        norm = data.zscore_apply(ds, data.zscore_fit(train))
+        self.same_bytes(norm, tmp_path)
+        self.same_bytes(data.split_by_test_year(norm, ds.years[-1])[1], tmp_path)
+
+    def test_unlabeled_seasons(self, tmp_path):
+        rng = np.random.default_rng(2)
+        keys = [(c, y) for c in ("a", "b") for y in (2000, 2001, 2002)]
+        ds = Dataset(keys, rng.standard_normal((6, 3, 2)) * 1e5,
+                     [1.5, None, -0.0, None, None, 1e-300])
+        path = self.same_bytes(ds, tmp_path)
+        assert data.load_dataset(str(path)).labeled.tolist() == ds.labeled.tolist()
+
+    def test_county_names_that_need_quoting(self, tmp_path):
+        names = ['a,b', 'say "hi"', "two\nlines", " padded ", "é"]
+        ds = Dataset([(c, 2000) for c in names], np.arange(30.0).reshape(5, 3, 2),
+                     [1.0, 2.0, None, 4.0, 5.0])
+        path = self.same_bytes(ds, tmp_path)
+        assert data.load_dataset(str(path)).keys() == ds.keys()
 
 
 class TestLabelAudit:
@@ -525,6 +569,12 @@ class TestLabelAudit:
         ds = self.season(2020)
         with data.label_audit.guard(2020):
             assert ds.records[0].has_label
+        assert data.label_audit.violation_count() == 0
+
+    def test_labeled_is_not_a_read(self):
+        ds = Dataset([("a", 2020), ("b", 2020)], np.zeros((2, 2, 1)), [3.0, None])
+        with data.label_audit.guard(2020):
+            assert ds.labeled.tolist() == [True, False]
         assert data.label_audit.violation_count() == 0
 
     def test_guard_exits_cleanly(self):
@@ -975,7 +1025,7 @@ class TestZscoreApplyBits:
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
         got = data.zscore_apply(ds, data.zscore_fit(ds))
         block = got.records[0].features.base
-        assert block is not None and all(r.features.base is block for r in got)
+        assert block is not None and all(r.features.base is block for r in got.records)
 
     def test_empty_dataset(self):
         ds, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)

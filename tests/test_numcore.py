@@ -596,7 +596,7 @@ class TestModelAxis:
         assert stack.flat[1, 3] == 9.0 and store.value("b")[0, 0] == 1.0
         stack.grad("a")[0] += 1.0
         assert stack.flat_grad[0, :3].tolist() == [1.0, 1.0, 1.0]
-        member = stack.member(1)
+        member = oracles.store_member(stack, 1)
         assert member.copies is None and member.value("b")[0, 0] == 9.0
         member.set_value("a", np.zeros(3))
         assert stack.value("a")[1].tolist() == [0.0, 1.0, 2.0]

@@ -390,6 +390,24 @@ def report_bits(reports):
             for rep in reports]
 
 
+class TestCheckpointStats:
+    def test_other_statistics_refused_before_training(self, tmp_path, monkeypatch):
+        """A checkpoint saved with another split's statistics, or none, is
+        refused before any training; one with this split's is used."""
+        cfg = base_config(tmp_path, out_dir=None)
+        ds, _ = generate_synthetic(cfg.synthetic)
+        counts = count_training(monkeypatch)
+        f = bb.GruParams.init(d=4, H=6, readout_hidden=0)
+        for saved in (zscore_fit(split_by_test_year(ds, 2004)[0]), None):
+            with pytest.raises(ContractError, match=r"^checkpoint g\.npz does not hold"):
+                pl.train_models(cfg, ds, 0, f=f, checkpoints={"f": ("g.npz", saved)})
+        assert counts == {"train_global": 0, "train_lyra": 0}
+        own = zscore_fit(split_by_test_year(ds, 2005)[0])
+        models = pl.train_models(cfg, ds, 0, f=f, with_lyra=False,
+                                 checkpoints={"f": ("g.npz", own)})
+        assert models.f is f and counts == {"train_global": 0, "train_lyra": 0}
+
+
 class TestSweepSharesModels:
     """A sweep trains each seed's models once and keeps every bit of the per-value runs."""
 
@@ -652,7 +670,7 @@ class TestPredictCalls:
             assert p is stack and p.store.copies == len(tuned)
             assert [county_of(models, win) for win in windows] == tuned
             for k, win in enumerate(windows):
-                solo = lyra_predict(stack.member(k), models.stats, models.train_n,
+                solo = lyra_predict(oracles.member(stack, k), models.stats, models.train_n,
                                     window_batch([win]))[0]
                 np.testing.assert_allclose(out.predictions[county_of(models, win)],
                                            solo.prediction, rtol=1e-12, atol=0)

@@ -189,7 +189,7 @@ class TestCenteredCosine:
 
     def test_embedding_panel_fast_path_has_general_bits(self):
         rng = np.random.default_rng(5)
-        panel = rt.embedding_panel({f"c{i}": rng.standard_normal(6) + i for i in range(8)})
+        panel = oracles.embedding_panel({f"c{i}": rng.standard_normal(6) + i for i in range(8)})
         for a in panel.values():
             for b in panel.values():
                 assert float(rt.centered_cosine(a, b)).hex() == float(self.aligned(a, b)).hex()
@@ -199,13 +199,14 @@ class TestRetrieve:
     def setup_method(self):
         years = list(range(2000, 2010))
         p = np.array([1.0, -1.0, 2.0, 0.5, -2.0, 1.5, 0.0, -0.5, 2.5, -1.5])
-        self.residuals = {
+        self.vectors = {
             "qq": vec("qq", years, p),
             "hi": vec("hi", years, 2.0 * p + 1.0),          # similarity exactly 1
             "mid": vec("mid", years, p + 0.4 * np.sin(np.arange(10))),
             "anti": vec("anti", years, -p),                  # similarity -1
             "flat": vec("flat", years, np.zeros(10)),        # degenerate
         }
+        self.residuals = oracles.residual_panel(self.vectors)
         self.train = toy_dataset(["qq", "hi", "mid", "anti", "flat"], years)
 
     def test_matched_and_ordering(self):
@@ -241,8 +242,8 @@ class TestRetrieve:
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_rejected(self, top_k):
         # a negative cut used to drop the worst match and a zero one every match
-        for panel in (self.residuals, rt.ResidualPanel(self.residuals),
-                      rt.embedding_panel({c: rv.r for c, rv in self.residuals.items()})):
+        for panel in (self.residuals,
+                      oracles.embedding_panel({c: rv.r for c, rv in self.vectors.items()})):
             with pytest.raises(ContractError, match=rf"top_k must be at least 1, got {top_k}$"):
                 rt.retrieve("qq", panel, self.train, threshold=-2.0, top_k=top_k)
 
@@ -261,9 +262,9 @@ class TestRetrieve:
         assert np.array_equal(a.samples, b.samples)
 
     def test_short_overlap_skipped(self):
-        residuals = dict(self.residuals)
+        residuals = dict(self.vectors)
         residuals["newbie"] = vec("newbie", [2008, 2009], [1.0, 2.0])
-        out = rt.retrieve("qq", residuals, self.train, threshold=-2.0)
+        out = rt.retrieve("qq", oracles.residual_panel(residuals), self.train, threshold=-2.0)
         assert "newbie" not in {c for c, _ in out.matched}
 
 
@@ -278,6 +279,14 @@ class TestRetrieveNeighboring:
         assert all(s == 1.0 for _, s in out.matched)
         keys = sample_keys(out.samples, self.train)
         assert keys == [(c, y) for c in ("b", "c") for y in range(2003, 2008)]
+
+    def test_each_neighbor_once_and_never_the_query(self):
+        """A pair listed twice, or a `c,c` row, must not add seasons."""
+        adj = {"a": ["c", "b", "b", "a", "c"]}
+        out = rt.retrieve_neighboring("a", adj, self.train)
+        assert out.matched == [("b", 1.0), ("c", 1.0)]
+        assert sample_keys(out.samples, self.train) == \
+            [(c, y) for c in ("b", "c") for y in range(2003, 2008)]
 
     def test_isolated_county(self):
         out = rt.retrieve_neighboring("d", self.adj, self.train)
@@ -297,7 +306,7 @@ class TestRetrieveNeighboring:
 class TestRetrieveEmbedding:
     def setup_method(self):
         self.train = toy_dataset(["a", "b", "c"], range(2000, 2008))
-        self.embeddings = rt.embedding_panel({
+        self.embeddings = oracles.embedding_panel({
             "a": np.array([1.0, 2.0, 3.0, 4.0]),
             "b": np.array([2.0, 4.0, 6.0, 8.0]),   # sim 1 with a after centering
             "c": np.array([4.0, 3.0, 2.0, 1.0]),   # sim -1
@@ -324,7 +333,7 @@ class TestCsvExport:
         p = np.arange(10.0)
         residuals = {"q": vec("q", years, p), "m": vec("m", years, p * 3 + 1)}
         train = toy_dataset(["q", "m"], years)
-        out = rt.retrieve("q", residuals, train, threshold=0.9)
+        out = rt.retrieve("q", oracles.residual_panel(residuals), train, threshold=0.9)
         path = tmp_path / "retrieval.csv"
         rt.save_retrieval_csv([out], train, str(path))
         lines = path.read_text().strip().split("\n")
@@ -486,24 +495,15 @@ class TestScreenEquivalence:
     def test_residual_mode(self, seed):
         residuals = random_residuals(seed)
         train = toy_dataset(sorted(residuals), range(2000, 2012))
-        panel = rt.ResidualPanel(residuals)
+        panel = oracles.residual_panel(residuals)
         assert_same_as_oracle(panel, residuals, oracle_retrieve, rt.retrieve, train,
                               sorted(residuals))
-
-    def test_plain_dict_is_wrapped(self):
-        residuals = random_residuals(2)
-        train = toy_dataset(sorted(residuals), range(2000, 2012))
-        for query in ("c000", "big1", "near1", "short0", "const0", "shift0"):
-            for top_k in (None, 1):
-                want = oracle_retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
-                got = rt.retrieve(query, residuals, train, threshold=0.3, top_k=top_k)
-                assert outcome(got, train) == outcome(want, train)
 
     def test_cancellation_pairs_are_exact(self):
         # offset rows carry 1e6 next to 1e-3 of signal: the screen cannot
         # resolve them, so their values must come from the scalar formula
         residuals = random_residuals(3)
-        panel = rt.ResidualPanel(residuals)
+        panel = oracles.residual_panel(residuals)
         sim, _overlap = panel.tables()
         big = [panel.index[c] for c in ("big0", "big1", "big4", "dbig0", "near1")]
         assert np.all(np.isnan(sim[np.ix_(big, big)]))
@@ -519,7 +519,7 @@ class TestScreenEquivalence:
         sims = dict(want.matched)
         assert "c000" in sims and sims["c000"] == sims["dc000"]
         rank = [c for c, _s in want.matched].index("c000")
-        got = rt.retrieve("c003", rt.ResidualPanel(residuals), train, threshold=-2.0,
+        got = rt.retrieve("c003", oracles.residual_panel(residuals), train, threshold=-2.0,
                           top_k=rank + 1)
         assert [c for c, _s in got.matched][-1] == "c000"
         assert outcome(got, train) == outcome(oracle_retrieve("c003", residuals, train,
@@ -530,13 +530,13 @@ class TestScreenEquivalence:
     def test_embedding_mode(self, width):
         embeddings = random_rows(width, width)
         train = toy_dataset(sorted(embeddings), range(2000, 2008))
-        panel = rt.embedding_panel(embeddings)
+        panel = oracles.embedding_panel(embeddings)
         queries = sorted(embeddings)[::3] + ["big0", "near1", "const0", "dc000"]
         assert_same_as_oracle(panel, embeddings, oracle_retrieve_embedding,
                               rt.retrieve, train, queries)
         for query in ("c001", "const1"):
             want = oracle_retrieve_embedding(query, embeddings, train, threshold=0.2, top_k=2)
-            got = rt.retrieve(query, rt.embedding_panel(embeddings), train, threshold=0.2,
+            got = rt.retrieve(query, oracles.embedding_panel(embeddings), train, threshold=0.2,
                               top_k=2)
             assert outcome(got, train) == outcome(want, train)
 
@@ -561,7 +561,7 @@ class TestPerSettingScreen:
     def test_residual_rows_match_per_query_screens(self, seed):
         residuals = random_residuals(seed)
         train = toy_dataset(sorted(residuals), range(2000, 2012))
-        panel = rt.ResidualPanel(residuals)
+        panel = oracles.residual_panel(residuals)
         sim = panel.tables()[0]
         assert np.isnan(sim).any(), "untrusted pairs are screened"
         flagged_seen = 0
@@ -584,7 +584,7 @@ class TestPerSettingScreen:
 
     def test_ties_at_the_top_k_cut(self):
         """Screened values tied at, and within the margin of, the top_k-th best."""
-        panel = rt.ResidualPanel(random_residuals(4))
+        panel = oracles.residual_panel(random_residuals(4))
         sim, overlap = panel.tables()
         sim, ties = sim.copy(), {}
         for query in ("c003", "c010", "big1"):
@@ -609,7 +609,7 @@ class TestPerSettingScreen:
     def test_embedding_rows_match_per_query_screens(self, width):
         embeddings = random_rows(width, width)
         train = toy_dataset(sorted(embeddings), range(2000, 2008))
-        panel = rt.embedding_panel(embeddings)
+        panel = oracles.embedding_panel(embeddings)
         for query in sorted(embeddings):
             for threshold, top_k in self.settings(panel, query)[::6]:
                 got = rt.retrieve(query, panel, train, threshold=threshold, top_k=top_k)
@@ -619,7 +619,7 @@ class TestPerSettingScreen:
     def test_built_once_per_setting(self, monkeypatch):
         residuals = random_residuals(5)
         train = toy_dataset(sorted(residuals), range(2000, 2012))
-        panel = rt.ResidualPanel(residuals)
+        panel = oracles.residual_panel(residuals)
         builds = []
         original = rt.ResidualPanel._build_screen
 
@@ -656,7 +656,7 @@ class TestScreenCost:
 
         monkeypatch.setattr(rt, "centered_cosine", counting_cosine)
         monkeypatch.setattr(rt.ResidualPanel, "_build_tables", counting_build)
-        panel = rt.ResidualPanel(residuals)
+        panel = oracles.residual_panel(residuals)
         matched = 0
         for query in sorted(residuals):
             matched += len(rt.retrieve(query, panel, train, threshold=0.5, top_k=1).matched)
@@ -672,7 +672,8 @@ class TestFlagsCsv:
         residuals = {"q": vec("q", years, p), "flat": vec("flat", years, np.ones(10)),
                      "new": vec("new", years[-2:], [1.0, 2.0]), "m": vec("m", years, p + 1)}
         train = toy_dataset(sorted(residuals), years)
-        results = [rt.retrieve(c, residuals, train, threshold=0.5) for c in ("q", "flat")]
+        panel = oracles.residual_panel(residuals)
+        results = [rt.retrieve(c, panel, train, threshold=0.5) for c in ("q", "flat")]
         path = tmp_path / "flags.csv"
         rt.save_flags_csv(results, str(path))
         assert path.read_text().splitlines() == [

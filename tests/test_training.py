@@ -301,9 +301,9 @@ class TestFlatAdamMatchesPerParameter:
         refined = oracles.refined_set({"qq": entries}, ds.years[-1] + 1)
         cfg = tr.TrainConfig(fine_tune_lr=1e-2, fine_tune_epochs=8, clip_norm=0.05,
                              freeze_encoder=freeze)
-        self.run_both(monkeypatch, lambda: tr.fine_tune(
+        self.run_both(monkeypatch, lambda: oracles.member(tr.fine_tune(
             params, refined, ds, cfg, target_labels=labels,
-            stats=identity_stats(4)).member(0))
+            stats=identity_stats(4)), 0))
 
 
 class TestTrainGlobal:
@@ -607,8 +607,8 @@ class TestFineTune:
 
     def test_zero_epochs_identity(self):
         cfg = tr.TrainConfig(fine_tune_epochs=0)
-        tuned = tr.fine_tune(self.params, self.refined_set(), self.ds, cfg,
-                             target_labels=self.labels, stats=self.stats).member(0)
+        tuned = oracles.member(tr.fine_tune(self.params, self.refined_set(), self.ds, cfg,
+                                            target_labels=self.labels, stats=self.stats), 0)
         assert tuned is not self.params
         assert stores_equal(tuned.store, self.params.store)
 
@@ -616,8 +616,8 @@ class TestFineTune:
         empty = oracles.refined_set({"qq": []}, 2010)
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="empty"):
-            tuned = tr.fine_tune(self.params, empty, self.ds, cfg,
-                                 target_labels=self.labels, stats=self.stats).member(0)
+            tuned = oracles.member(tr.fine_tune(self.params, empty, self.ds, cfg,
+                                                target_labels=self.labels, stats=self.stats), 0)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_global_params_never_mutated(self):
@@ -640,17 +640,17 @@ class TestFineTune:
         entries = [e._replace(bias_hat=0.0, label_refined=self.stats.denormalize_label(preds[i]))
                    for i, e in enumerate(probe)]
         refined = oracles.refined_set({"qq": entries}, self.ds.years[-1] + 1)
-        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             target_labels=observed_labels(self.ds),
-                             stats=self.stats).member(0)
+        tuned = oracles.member(tr.fine_tune(self.params, refined, self.ds, cfg,
+                                            target_labels=observed_labels(self.ds),
+                                            stats=self.stats), 0)
         assert stores_equal(tuned.store, self.params.store)
 
     def test_moves_toward_refined_labels(self):
         cfg = tr.TrainConfig(fine_tune_lr=5e-3, fine_tune_epochs=30)
         refined = self.refined_set(shift=3.0)
-        tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                             target_labels=observed_labels(self.ds),
-                             stats=self.stats).member(0)
+        tuned = oracles.member(tr.fine_tune(self.params, refined, self.ds, cfg,
+                                            target_labels=observed_labels(self.ds),
+                                            stats=self.stats), 0)
         row = oracles.entries(refined)[-1].record
         window = lookback_windows(self.ds, [row], self.labels, self.params.w)
         before = lyra_predict(self.params, self.stats, self.ds, window)[0].prediction
@@ -661,8 +661,8 @@ class TestFineTune:
     def test_freeze_encoder_keeps_encoder_fixed(self):
         cfg = tr.TrainConfig(fine_tune_lr=1e-3, fine_tune_epochs=5,
                              freeze_encoder=True)
-        tuned = tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
-                             target_labels=self.labels, stats=self.stats).member(0)
+        tuned = oracles.member(tr.fine_tune(self.params, self.refined_set(shift=2.0), self.ds, cfg,
+                                            target_labels=self.labels, stats=self.stats), 0)
         changed = [n for n in self.params.store.names()
                    if not np.array_equal(tuned.store.value(n), self.params.store.value(n))]
         assert changed, "fine-tuning with a label shift must move some parameters"
@@ -694,9 +694,9 @@ class TestFineTune:
         refined = oracles.refined_set({"qq": entries}, 2010)
         cfg = tr.TrainConfig()
         with pytest.warns(UserWarning, match="history"):
-            tuned = tr.fine_tune(self.params, refined, self.ds, cfg,
-                                 target_labels=observed_labels(self.ds),
-                                 stats=self.stats).member(0)
+            tuned = oracles.member(tr.fine_tune(self.params, refined, self.ds, cfg,
+                                                target_labels=observed_labels(self.ds),
+                                                stats=self.stats), 0)
         assert stores_equal(tuned.store, self.params.store)
 
 
