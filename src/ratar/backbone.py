@@ -266,10 +266,12 @@ def model_labels(p: GruParams, ds: Dataset) -> np.ndarray:
 
     One `global_forward` over ds's rows; a season's value can differ in
     its last bits with the batch it is computed in, so each run computes
-    every label it uses once, from one table.
+    every label it uses once, from one table.  A non-finite label raises
+    NumericError.
     """
     table = np.full(len(ds.row_years), np.nan)
-    table[ds.rows] = global_forward(None, p, np.take(ds.features, ds.rows, axis=0)).data
+    table[ds.rows] = nc._check_finite(
+        global_forward(None, p, np.take(ds.features, ds.rows, axis=0)).data, "model labels")
     return table
 
 
@@ -461,6 +463,7 @@ def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows: Windows)
     k, over `stack_tables` of one `window_table` per group.  Results come in
     window order, each with the prediction in physical units, the window's
     attention weights and the years of its context, in attention order.
+    A non-finite prediction raises NumericError.
     """
     groups = p.store.copies or 1
     size = len(windows) // groups
@@ -470,6 +473,7 @@ def lyra_predict(p: LyraParams, stats: NormStats, ds: Dataset, windows: Windows)
               for k in range(groups)]
     xs, triples, samples, _ = stack_tables(p, tables)
     preds, beta = lyra_forward(None, p, xs, triples, samples)
+    nc._check_finite(preds.data, "predictions")
     years = np.split(ds.row_years[windows.context], windows.offsets[1:-1])
     return [PredictResult(prediction=pred, beta=weights[:n].copy(), history_years=y.tolist())
             for pred, weights, n, y in zip(stats.denormalize_label(preds.data).tolist(), beta,

@@ -45,7 +45,21 @@ and summation order.  The backward pass computes every day's gate factors
 at once into its cotangent buffer and takes that buffer, like the rest of
 its scratch, from the _reused_scratch block around a training loop, so
 they live from the loop's first backward pass to its end instead of being
-allocated and page-faulted in again every step.
+allocated and page-faulted in again every step.  Both day loops take
+each day's views by iterating day-major transposes of their buffers, with
+the loop-invariant slices taken once, so a day costs its ufunc calls and
+little Python indexing.
+
+Non-finite values are caught at named boundaries, not after every op: a
+Tensor a caller builds, every ParamStore write (constructor, set_value,
+set_flat), and the loss (mse_loss).  Op outputs and the store views that
+tape leaves and untraced binds wrap are not checked again (Tensor._wrap).
+Most ops carry an inf or NaN forward to their output, and so to the loss;
+the ops that could turn one finite check their input instead: tanh,
+softmax_rows (whose exp gives a -inf score the weight 0) and gru_sequence's
+gate pre-activations, which its sigmoid and tanh would saturate.  The
+pipeline checks the untraced outputs that leave the engine (model labels,
+training embeddings, predictions) inside the stage that made them.
 
 Broadcasting is restricted to scalar-vs-tensor; everything else must match
 shapes exactly so gradient rules stay auditable.
@@ -73,15 +87,24 @@ class NumericError(FloatingPointError):
     """Non-finite values where finite ones are required."""
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite values in tensor")
+def _check_finite(arr, what: str = "values in tensor"):
+    """arr itself; NumericError("non-finite <what>") if any entry is inf or NaN."""
+    if not np.isfinite(arr).all():
+        raise NumericError(f"non-finite {what}")
     return arr
+
+
+def _as_array(data) -> np.ndarray:
+    return _check_finite(np.asarray(data, dtype=np.float64))
 
 
 class Tensor:
     """Dense float64 array, optionally attached to a tape.
+
+    A Tensor built by a caller, Tensor(data), must be finite.  Op outputs
+    and bound store views are wrapped without that check (_wrap): the loss,
+    the store's writes and the ops that could hide an overflow check
+    instead (see the module docstring).
 
     No op writes into a Tensor's data, but a Tensor bound from a ParamStore
     (a tape leaf, or an untraced ComputeTape.bind) wraps the store's view
@@ -105,6 +128,15 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, traced={self.tape is not None})"
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray, tape: "ComputeTape | None" = None) -> "Tensor":
+        """A Tensor over a float64 array, without the finite check: an op's
+        output or a store's view, whose values are checked at the boundaries."""
+        t = cls.__new__(cls)
+        t.data, t.tape = data, tape
+        t.node = None if tape is None else next(tape._nodes)
+        return t
 
 
 class ParamStore:
@@ -193,7 +225,7 @@ class ComputeTape:
         self._nodes = itertools.count()
 
     def leaf(self, store: ParamStore, name: str) -> Tensor:
-        t = Tensor(store.value(name), tape=self)
+        t = Tensor._wrap(store.value(name), tape=self)
         self._leaves[t.node] = (store, name)
         return t
 
@@ -204,7 +236,7 @@ class ComputeTape:
         Neither copies: a later set_value or set_flat shows in the Tensor.
         """
         if tape is None:
-            return Tensor(store.value(name))
+            return Tensor._wrap(store.value(name))
         return tape.leaf(store, name)
 
     def backward(self, loss: Tensor) -> None:
@@ -239,7 +271,7 @@ def _emit(data, inputs, vjp) -> Tensor:
             if tape is not None and tape is not t.tape:
                 raise ContractError("operands belong to different tapes")
             tape = t.tape
-    out = Tensor(data, tape=tape)
+    out = Tensor._wrap(data, tape)
     if tape is not None:
         tape._records.append((out.node, tuple(t.node for t in inputs), vjp))
     return out
@@ -332,7 +364,7 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
+    out = np.tanh(_check_finite(x.data))  # tanh would saturate an overflow
     return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
@@ -340,6 +372,7 @@ def softmax_rows(m: Tensor) -> Tensor:
     """Row-wise max-stabilized softmax of a 2-D matrix."""
     if m.ndim != 2 or m.shape[1] == 0:
         raise DimensionError(f"softmax_rows needs nonempty rows, got {m.shape}")
+    _check_finite(m.data)  # exp would turn a -inf score into a finite weight 0
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
@@ -352,7 +385,8 @@ def mse_loss(pred: Tensor, target: Tensor, counts=None) -> Tensor:
     With counts, both vectors are K equal groups, group k holding counts[k]
     real entries followed by padding.  The loss is then the sum over groups
     of each group's mean over its real entries: padding gets no gradient,
-    and each group's gradient is that of its own mean.
+    and each group's gradient is that of its own mean.  A non-finite loss
+    raises NumericError: the loss is where a training step's overflows show.
     """
     if pred.ndim != 1 or target.ndim != 1 or pred.shape != target.shape:
         raise DimensionError(f"mse_loss shapes {pred.shape} vs {target.shape}")
@@ -361,7 +395,7 @@ def mse_loss(pred: Tensor, target: Tensor, counts=None) -> Tensor:
     diff = pred.data - target.data
     if counts is None:
         n = pred.shape[0]
-        out = np.asarray((diff @ diff) / n)
+        out = _check_finite(np.asarray((diff @ diff) / n), "loss")
         return _emit(out, (pred, target),
                      lambda g: ((2.0 / n) * diff * g, (-2.0 / n) * diff * g))
     counts = np.asarray(counts, dtype=np.int64)
@@ -371,7 +405,8 @@ def mse_loss(pred: Tensor, target: Tensor, counts=None) -> Tensor:
     if counts.min() < 1 or counts.max() > size:
         raise DimensionError(f"mse_loss counts {counts.tolist()} for groups of {size}")
     diff = np.where((np.arange(size) < counts[:, None]).ravel(), diff, 0.0)
-    out = np.asarray(((diff * diff).reshape(counts.size, size).sum(axis=1) / counts).sum())
+    out = _check_finite(np.asarray(((diff * diff).reshape(counts.size, size).sum(axis=1)
+                                   / counts).sum()), "loss")
     scale = np.repeat(2.0 / counts, size)
     return _emit(out, (pred, target), lambda g: (scale * diff * g, -scale * diff * g))
 
@@ -530,6 +565,15 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
     other buffers come from the enclosing _reused_scratch block, which
     training opens around each loop, so they live from the loop's first
     backward pass to its end; outside a block, for one backward pass.
+
+    Neither day loop indexes per day.  The forward zips day-major views,
+    states.transpose(2, 0, 1, 3) for the state entering and leaving a day
+    and steps[1:] for its gates; BPTT zips, from the last day down to day 1,
+    DA's and the output cotangent's day-major transposes and the days' r and
+    u, and runs day 0, which has no reset gate and no carry, after the loop.
+    The slices every day reads (pre[:2], pre's gates, bias[:2], bias[2],
+    du's halves) are taken once.  The output is not checked again: the
+    pre-activation check is where this op can hide an overflow.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3:
@@ -547,8 +591,7 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
                 f"gru_sequence {name} has shape {p.shape}, expected {lead + shape}")
     if T == 0:
         raise DimensionError("gru_sequence needs at least one step")
-    if not np.all(np.isfinite(xs)):
-        raise NumericError("non-finite values in tensor")
+    _check_finite(xs)
     # A plain parameter is one copy: every array below carries the copy
     # axis K, and a step's [B x n] rows are [K, B/K, n], group k on copy k.
     K = copies or 1
@@ -568,32 +611,30 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
         # x@W_r, x@W_u, x@W_c for every day: [T, 1, K, B/K, d] @ [3, K, d, H]
         np.matmul(xs.transpose(1, 0, 2).reshape(T, 1, K, Bk, d), W, out=steps)
         r, u, c = steps[0]
-        np.add(steps[0, 1:], bias[1:], out=pre[1:])
-        if not np.isfinite(pre[1:]).all():
-            raise NumericError("non-finite values in tensor")
+        _check_finite(np.add(steps[0, 1:], bias[1:], out=pre[1:]))
         r.fill(0.0)
         _sigmoid_into(pre[1], u)
         np.tanh(pre[2], out=c)
         np.multiply(u, c, out=states[:, :, 0])
-        for t in range(1, T):
-            h = states[:, :, t - 1]
-            ru, (r, u, c) = steps[t, :2], steps[t]
-            np.matmul(h, Uru, out=pre[:2])
-            np.add(ru, pre[:2], out=pre[:2])
-            np.add(pre[:2], bias[:2], out=pre[:2])
-            _sigmoid_into(pre[:2], ru)
+        pre_ru, (pre_r, pre_u, pre_c), bias_ru, bias_c = pre[:2], pre, bias[:2], bias[2]
+        days = states.transpose(2, 0, 1, 3)  # days[t] is the state after day t
+        for h, h_next, ru, r, u, c in zip(days, days[1:], steps[1:, :2],
+                                          *steps[1:].swapaxes(0, 1)):
+            np.matmul(h, Uru, out=pre_ru)
+            np.add(ru, pre_ru, out=pre_ru)
+            np.add(pre_ru, bias_ru, out=pre_ru)
+            _sigmoid_into(pre_ru, ru)
             np.multiply(r, h, out=rh)
-            np.matmul(rh, Uc, out=pre[2])
-            np.add(c, pre[2], out=pre[2])
-            np.add(pre[2], bias[2], out=pre[2])
+            np.matmul(rh, Uc, out=pre_c)
+            np.add(c, pre_c, out=pre_c)
+            np.add(pre_c, bias_c, out=pre_c)
             if not np.isfinite(pre).all():
                 raise NumericError("non-finite values in tensor")
-            np.tanh(pre[2], out=c)
-            np.subtract(1.0, u, out=pre[0])  # the pre-activations are spent
-            np.multiply(pre[0], h, out=pre[0])
-            np.multiply(u, c, out=pre[1])
-            np.add(pre[0], pre[1], out=states[:, :, t])
-    del pre, rh  # before the output Tensor's finite check allocates
+            np.tanh(pre_c, out=c)
+            np.subtract(1.0, u, out=pre_r)  # the pre-activations are spent
+            np.multiply(pre_r, h, out=pre_r)
+            np.multiply(u, c, out=pre_u)
+            np.add(pre_r, pre_u, out=h_next)
 
     def bptt(g):
         scratch = _SCRATCH.get() or _Scratch()
@@ -622,23 +663,29 @@ def gru_sequence(xs, W_r, U_r, b_r, W_u, U_u, b_u, W_c, U_c, b_c) -> Tensor:
         UcT, UruT = Uc.swapaxes(-1, -2), Uru.swapaxes(-1, -2)
         dh, carry, d_rh = (scratch.take(name, (K, Bk, H)) for name in ("dh", "carry", "d_rh"))
         du = scratch.take("du", (2, K, Bk, H))  # da_r@U_r.T, da_u@U_u.T
+        du_r, du_u = du
         carry.fill(0.0)
-        for t in range(T - 1, -1, -1):
-            da_r, da_u, da_c = DA[:, :, t]
-            np.add(G[:, :, t], carry, out=dh)
+        # from the last day down to day 1, each day's views: da_r and da_u
+        # together, da_r, da_u, da_c, the output cotangent, r and u
+        DAt, Gt = DA.transpose(2, 0, 1, 3, 4)[:0:-1], G.transpose(2, 0, 1, 3)[:0:-1]
+        for da_ru, da_r, da_u, da_c, g_t, r, u in zip(DAt[:, :2], *DAt.swapaxes(0, 1), Gt,
+                                                      steps[:0:-1, 0], steps[:0:-1, 1]):
+            np.add(g_t, carry, out=dh)
             np.multiply(dh, da_u, out=da_u)
             np.multiply(dh, da_c, out=da_c)
-            if t:  # the first step starts from the constant zero state
-                r, u, _ = steps[t]
-                np.matmul(da_c, UcT, out=d_rh)
-                np.multiply(d_rh, da_r, out=da_r)
-                np.matmul(DA[:2, :, t], UruT, out=du)
-                np.subtract(1.0, u, out=carry)
-                np.multiply(dh, carry, out=carry)
-                np.multiply(d_rh, r, out=d_rh)
-                np.add(carry, d_rh, out=carry)
-                np.add(carry, du[0], out=carry)
-                np.add(carry, du[1], out=carry)
+            np.matmul(da_c, UcT, out=d_rh)
+            np.multiply(d_rh, da_r, out=da_r)
+            np.matmul(da_ru, UruT, out=du)
+            np.subtract(1.0, u, out=carry)
+            np.multiply(dh, carry, out=carry)
+            np.multiply(d_rh, r, out=d_rh)
+            np.add(carry, d_rh, out=carry)
+            np.add(carry, du_r, out=carry)
+            np.add(carry, du_u, out=carry)
+        # day 0 starts from the constant zero state: no reset gate, no carry
+        np.add(G[:, :, 0], carry, out=dh)
+        np.multiply(dh, DA[1, :, 0], out=DA[1, :, 0])
+        np.multiply(dh, DA[2, :, 0], out=DA[2, :, 0])
         flat_r, flat_u, flat_c = DA.reshape(3, T * B, H)
         X, hp_flat = X.reshape(T * B, d), hp.reshape(T * B, H)
         cotangents = [_group_outer(X, flat_r, copies), _group_outer(hp_flat, flat_r, copies),

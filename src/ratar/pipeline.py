@@ -52,7 +52,11 @@ Context augmentation appends the refined samples' rows, with their
 normalized refined labels, to the look-back window that cross-year
 attention runs over.
 
-Every stage error is re-raised tagged with its stage name.  A label
+Every stage error is re-raised tagged with its stage name, non-finite
+model labels, training embeddings and predictions included: each is
+checked inside the stage that made it.  While a seed runs, every stage
+also adds its seconds to the seed's total for its kind, the stage name's
+first word (`EvalReport.stage_seconds`, written to timings.json).  A label
 audit guards the test year for the entire run; only evaluation reads
 test labels, inside an explicit allow scope.  Counties whose retrieval
 comes back empty fall back to the plain cross-year prediction and are
@@ -61,6 +65,7 @@ flagged in the report.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import os
@@ -97,7 +102,7 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .numcore import ContractError
+from .numcore import ContractError, _check_finite
 from .training import (
     TrainConfig,
     TrainReport,
@@ -116,14 +121,36 @@ class PipelineError(RuntimeError):
     """A stage failure, tagged with the stage (and county) it came from."""
 
 
+# The current seed's stage seconds by kind, while `_run_variants` runs it.
+_STAGE_SECONDS = contextvars.ContextVar("_STAGE_SECONDS", default=None)
+
+
+@contextmanager
+def _timing_stages(seconds: dict):
+    """Within the block, every `_stage` adds its seconds to `seconds`."""
+    token = _STAGE_SECONDS.set(seconds)
+    try:
+        yield
+    finally:
+        _STAGE_SECONDS.reset(token)
+
+
 @contextmanager
 def _stage(name):
+    """Tag errors raised in the block with the stage name, and add the
+    block's seconds to its kind (the name's first word) in `_STAGE_SECONDS`."""
+    start = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(f"[{name}] {exc}") from exc
+    finally:
+        seconds = _STAGE_SECONDS.get()
+        if seconds is not None:
+            kind = name.split()[0]
+            seconds[kind] = seconds.get(kind, 0.0) + (time.perf_counter() - start)
 
 
 @dataclass
@@ -151,6 +178,8 @@ class ExperimentConfig:
     def validate(self):
         if not self.seeds:
             raise ContractError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ContractError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.retrieval_mode not in _RETRIEVAL_MODES:
             raise ContractError(f"retrieval_mode must be one of {_RETRIEVAL_MODES}")
         if self.integration not in _INTEGRATION_MODES:
@@ -194,6 +223,10 @@ class EvalReport:
     seconds: float = 0.0
     audit_violations: int = 0
     retrieved_total: float = 0.0
+    # the run's wall-clock seconds per seed and stage kind, {seed: {kind: s}};
+    # a kind sums its stages, and an enclosing stage's time includes its
+    # nested stages' (`export_diagnostics` writes it to timings.json)
+    stage_seconds: dict = field(default_factory=dict, compare=False)
     # the first seed's (SeedModels, bias matrices, CountyPredictions), for
     # export and inspection; written to no artifact
     first_seed: tuple | None = field(default=None, repr=False, compare=False)
@@ -225,7 +258,7 @@ def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
     return EvalReport(variant=variant, seed_results=[sr], rmse_mean=rmse, rmse_std=0.0)
 
 
-def _merge_reports(variant, per_seed, seconds, violations=0):
+def _merge_reports(variant, per_seed, seconds, violations, stage_seconds):
     seed_results = [rep.seed_results[0] for rep in per_seed]
     seed_results.sort(key=lambda sr: sr.seed)
     rmses = np.array([sr.rmse for sr in seed_results])
@@ -238,6 +271,7 @@ def _merge_reports(variant, per_seed, seconds, violations=0):
         seconds=seconds,
         audit_violations=violations,
         retrieved_total=retrieved,
+        stage_seconds=stage_seconds,
         first_seed=per_seed[0].first_seed,
     )
 
@@ -371,6 +405,7 @@ def _training_embeddings(models: SeedModels) -> np.ndarray:
     or the year's own learned embedding row) would let a regressor fit
     on year s track the very cross-year drift the bias matrix is
     supposed to expose, collapsing the measured biases toward zero.
+    A non-finite embedding raises NumericError.
     """
     train_n = models.train_n
     xs = np.take(train_n.features, train_n.rows, axis=0)
@@ -381,7 +416,7 @@ def _training_embeddings(models: SeedModels) -> np.ndarray:
     triples = (np.arange(len(train_n)), models.model_labels[train_n.rows],
                train_n.row_years[train_n.rows] - lyra.year_min)
     z_all, _, _ = embed_batch(None, lyra, xs, triples)
-    return z_all.data
+    return _check_finite(z_all.data, "training embeddings")
 
 
 def _refinement_setup(models: SeedModels, Z):
@@ -585,7 +620,9 @@ def _gruatt_predictions(cfg, models: SeedModels) -> CountyPredictions:
                                   attn_hidden=dims.attn_hidden,
                                   head_hidden=dims.mlp_hidden)
     test_n = models.test_n  # one season per county, so its rows come in county order
-    preds = gruatt_forward(None, params, np.take(test_n.features, test_n.rows, axis=0)).data
+    with _stage(f"predict seed {models.seed}"):
+        preds = _check_finite(gruatt_forward(None, params, np.take(test_n.features, test_n.rows,
+                                                                   axis=0)).data, "predictions")
     return CountyPredictions(dict(zip(test_n.counties, map(models.stats.denormalize_label, preds))))
 
 
@@ -606,31 +643,34 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
             groups.setdefault(cfg.w if sub is None else sub.w, []).append((i, name, sub))
     ds, adjacency = load(cfg, dataset, adjacency)
     per_variant = [[] for _ in variants]
+    stage_seconds = {seed: {} for seed in cfg.seeds}
     start = time.perf_counter()
     label_audit.reset()
     with label_audit.guard(cfg.test_year):
         for n, seed in enumerate(cfg.seeds):
-            f = None  # the seed's global model, once trained
-            for w, members in groups.items():
-                models = train_models(replace(cfg, w=w), ds, seed, f=f)
-                f = models.f
-                ctx = None
-                if any(sub is not None and sub.integration != "none" for *_, sub in members):
-                    ctx = retrieval_context(cfg, models, adjacency)
-                for i, name, sub in members:
-                    with _stage(f"evaluate {name} seed {seed}"):
-                        out = (_gruatt_predictions(cfg, models) if sub is None
-                               else predict_counties(sub, models, ctx))
-                        report = evaluate(out.predictions, models.test, seed, name,
-                                          out.fallbacks,
-                                          sum(len(r.samples) for r in out.retrievals))
-                    if n == 0:
-                        report.first_seed = (models, ctx.biases if ctx else {}, out)
-                    per_variant[i].append(report)
-                del models, ctx, out  # nothing of this seed is alive in the next one
+            with _timing_stages(stage_seconds[seed]):
+                f = None  # the seed's global model, once trained
+                for w, members in groups.items():
+                    models = train_models(replace(cfg, w=w), ds, seed, f=f)
+                    f = models.f
+                    ctx = None
+                    if any(sub is not None and sub.integration != "none"
+                           for *_, sub in members):
+                        ctx = retrieval_context(cfg, models, adjacency)
+                    for i, name, sub in members:
+                        with _stage(f"evaluate {name} seed {seed}"):
+                            out = (_gruatt_predictions(cfg, models) if sub is None
+                                   else predict_counties(sub, models, ctx))
+                            report = evaluate(out.predictions, models.test, seed, name,
+                                              out.fallbacks,
+                                              sum(len(r.samples) for r in out.retrievals))
+                        if n == 0:
+                            report.first_seed = (models, ctx.biases if ctx else {}, out)
+                        per_variant[i].append(report)
+                    del models, ctx, out  # nothing of this seed is alive in the next one
     seconds = time.perf_counter() - start
     violations = label_audit.violation_count()
-    return [_merge_reports(name, reports, seconds, violations)
+    return [_merge_reports(name, reports, seconds, violations, stage_seconds)
             for (name, _sub), reports in zip(variants, per_variant)]
 
 
@@ -674,8 +714,10 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
     (attention, errors, retrieval, flags, bias, refined) describe the first
     seed's run in `cfg.seeds` order, matching their fixed single-run column
     layouts, and the checkpoints, named by that seed, hold its models (all
-    from `report.first_seed`).  Nothing written
-    here includes wall-clock values, so reruns are byte-identical.
+    from `report.first_seed`).  Only timings.json holds wall-clock values:
+    the run's seconds and its stage seconds per seed and stage kind (see
+    `EvalReport.stage_seconds`).  Every other file is byte-identical
+    between reruns.
     """
     models, biases, predicted = report.first_seed
     out = cfg.out_dir
@@ -684,6 +726,13 @@ def export_diagnostics(cfg: ExperimentConfig, report: EvalReport) -> None:
 
     with open(os.path.join(out, "run.json"), "w") as fh:
         json.dump(_config_blob(cfg), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    with open(os.path.join(out, "timings.json"), "w") as fh:
+        json.dump({"seconds": report.seconds,
+                   "stage_seconds": [{"seed": seed, "stages": stages}
+                                     for seed, stages in report.stage_seconds.items()]},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     lines = ["seed,rmse"]

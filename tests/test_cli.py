@@ -168,6 +168,14 @@ class TestRun:
         assert rc == 2
         assert "top_k must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "retrieve"])
+    def test_duplicate_seeds_exit_2(self, tmp_path, capsys, command):
+        rc = cli.main([command, "--config", tiny_config(tmp_path), "--seed", "0,0,1",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "seeds must be distinct, got [0, 0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = cli.main(["run", "--data", str(tmp_path / "nope.csv"),
                        "--test-year", "2004", "--out", str(tmp_path / "x")])

@@ -181,6 +181,40 @@ class TestMatmul:
         assert np.array_equal(one, two)
 
 
+def overflowed(traced):
+    """A [1 x 2] op output holding +inf, on a fresh tape if traced: an op's
+    output is not checked, so the overflow reaches the next op."""
+    tape = nc.ComputeTape() if traced else None
+    a = nc.ComputeTape.bind(tape, nc.ParamStore({"a": [[1e308, 0.0]]}), "a")
+    with np.errstate(over="ignore"):
+        return nc.add(a, a)
+
+
+class TestFiniteBoundaries:
+    """Ops carry inf and NaN to their outputs; only ops that could turn a
+    non-finite input finite check it, and the loss is checked."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_non_saturating_ops_carry_inf(self, traced):
+        out = nc.matmul(overflowed(traced), nc.Tensor([[1.0], [1.0]]))
+        assert np.isposinf(out.data).all() and (out.tape is not None) == traced
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("op", [nc.tanh, nc.softmax_rows])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_saturating_op_refuses_non_finite_input(self, op, traced):
+        # tanh(inf) is 1 and a -inf score gets softmax weight 0: either
+        # would hide the overflow from everything downstream
+        with pytest.raises(NumericError, match="non-finite values in tensor"):
+            op(nc.add(overflowed(traced), nc.Tensor(-2.0)))
+
+    @pytest.mark.parametrize("counts", [None, [1, 1]])
+    def test_non_finite_loss_raises(self, counts):
+        pred = nc.reshape(overflowed(True), (2,))
+        with pytest.raises(NumericError, match="non-finite loss"):
+            nc.mse_loss(pred, nc.Tensor([0.0, 0.0]), counts)
+
+
 class TestSoftmax:
     def test_uniform_inputs(self):
         out = oracles.softmax(nc.Tensor([0.0, 0.0, 0.0]))

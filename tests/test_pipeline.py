@@ -343,6 +343,13 @@ class TestConfig:
         with pytest.raises(ContractError, match=rf"top_k must be at least 1, got {top_k}$"):
             cfg.validate()
 
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        # seeds (0, 0, 1) would run seed 0 twice and weight it twice in the mean
+        with pytest.raises(ContractError, match=r"seeds must be distinct, got \[0, 0, 1\]$"):
+            pl.ExperimentConfig(test_year=2005, seeds=(0, 0, 1)).validate()
+        with pytest.raises(pl.PipelineError, match=r"^\[config\] seeds must be distinct"):
+            pl.run_experiment(base_config(tmp_path, seeds=(1, 0, 1)))
+
 
 def reference_sweep(cfg, axis, values, dataset=None):
     """The sweep the shared driver replaced: one full `run_experiment` per value."""
@@ -689,6 +696,67 @@ class TestPredictCalls:
         message = str(info.value)
         assert message.startswith("[fine_tune seed 0 counties c000 ")
         assert "diverged at epoch" in message
+
+
+def poisoned(forward, pair=False):
+    """`forward` with the first entry of its output Tensor (the first of a
+    pair of outputs, if `pair`) set to inf."""
+    def wrapper(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        (out[0] if pair else out).data.reshape(-1)[0] = np.inf
+        return out
+    return wrapper
+
+
+class TestNonFiniteOutputs:
+    """A non-finite value in an untraced output that leaves the engine is
+    refused inside the stage that made it, which the error names."""
+
+    @pytest.mark.parametrize("module,name,pair,stage,what", [
+        (bb, "global_forward", False, "train_lyra seed 0", "model labels"),
+        (pl, "embed_batch", True, "refinement_setup seed 0", "training embeddings"),
+        (bb, "lyra_forward", True, "predict seed 0", "predictions"),
+    ])
+    def test_run_names_the_stage(self, tmp_path, monkeypatch, module, name, pair, stage, what):
+        monkeypatch.setattr(module, name, poisoned(getattr(module, name), pair))
+        cfg = base_config(tmp_path, out_dir=None, threshold=0.9999)  # every county falls back
+        with pytest.raises(pl.PipelineError, match=rf"^\[{stage}\] non-finite {what}$"):
+            pl.run_experiment(cfg)
+
+    def test_gruatt_predictions_name_the_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pl, "gruatt_forward", poisoned(pl.gruatt_forward))
+        cfg = base_config(tmp_path, out_dir=None)
+        models = pl.train_models(cfg, pl.load(cfg)[0], 0, with_lyra=False)
+        with pytest.raises(pl.PipelineError, match=r"^\[predict seed 0\] non-finite predictions$"):
+            pl._gruatt_predictions(cfg, models)
+
+
+class TestStageTimings:
+    @pytest.mark.filterwarnings("ignore:retrieved sample")
+    def test_seconds_per_seed_and_kind(self, tmp_path):
+        report = pl.run_experiment(base_config(tmp_path, seeds=(1, 0)))
+        assert list(report.stage_seconds) == [1, 0]
+        kinds = {"split", "normalize", "train_global", "train_lyra", "residuals",
+                 "refinement_setup", "retrieval", "refinement", "history", "fine_tune",
+                 "predict", "evaluate"}
+        for stages in report.stage_seconds.values():
+            assert kinds - {"predict"} <= set(stages) <= kinds
+            assert all(s >= 0.0 for s in stages.values())
+            # evaluate encloses fine-tuning and prediction, and every
+            # retrieval and refinement stage, which sum over counties
+            assert stages["evaluate"] >= stages["fine_tune"] + stages["retrieval"]
+        blob = json.loads((tmp_path / "run" / "timings.json").read_text())
+        assert blob == {"seconds": report.seconds,
+                        "stage_seconds": [{"seed": seed, "stages": stages}
+                                          for seed, stages in report.stage_seconds.items()]}
+        assert pl._STAGE_SECONDS.get() is None
+
+    @pytest.mark.filterwarnings("ignore:retrieved sample")
+    def test_ablate_shares_one_table_per_run(self, tmp_path):
+        reports = pl.ablate(base_config(tmp_path, out_dir=None, seeds=(0,)))
+        tables = [rep.stage_seconds for rep in reports.values()]
+        assert all(table is tables[0] for table in tables)
+        assert {"train_gruatt", "predict"} <= set(tables[0][0])
 
 
 class TestSharedRetrieval:

@@ -368,6 +368,22 @@ class TestTrainGlobal:
         with pytest.raises(tr.TrainingError, match="epoch"):
             tr.train_global(self.ds, cfg, H=6, readout_hidden=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_op_overflow_raises_at_the_loss(self):
+        # Saturated gates make every state exactly 1, so the pooled states
+        # times a readout weight of 1e308 overflow in the readout's matmul,
+        # not in the GRU; the inf reaches the loss, whose check raises
+        # before any backward pass or parameter write.
+        params = GruParams.init(d=self.ds.d, H=6, readout_hidden=0, seed=0)
+        for name, value in (("gru.b_u", 50.0), ("gru.b_c", 50.0), ("readout.out.W", 1e308)):
+            params.store.set_value(name, np.full(params.store.value(name).shape, value))
+        xs = np.take(self.ds.features, self.ds.rows, axis=0)
+        assert np.isposinf(global_forward(None, params, xs).data).all()
+        before = params.store.flat.copy()
+        with pytest.raises(tr.TrainingError, match=r"diverged at epoch 1: non-finite loss$"):
+            tr._fit_records(self.ds, self.cfg, lambda: params, global_forward)
+        np.testing.assert_array_equal(params.store.flat, before)
+
     def test_unlabeled_train_rejected(self):
         recs = list(self.ds.records)
         recs.append(CountyYearRecord("zz", 2000, np.zeros((8, 4)), None))
