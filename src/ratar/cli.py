@@ -12,12 +12,16 @@ the first seed, then `retrieval_context`, `retrieve_refine` and
 `predict_counties` as far as the subcommand needs.  `retrieve` and
 `refine` therefore write exactly what `run` computes for the same
 counties: they retrieve and refine every test county, and `--county`
-only selects which county is written.
+only selects which county is written (one without a test-year record
+is refused before any training).  A run that read a test-year label
+(counted by the audit its loaded dataset carries) exits 2 and writes
+no output.
 
 All experiment subcommands share one configuration surface: an
 optional JSON file (--config) whose keys mirror ExperimentConfig
 fields (with nested `train`, `dims`, and `synthetic` objects),
-overridden field-by-field by flags.  --seed takes a comma list.
+overridden field-by-field by flags; its `seeds` are a list of ints.
+--seed takes a comma list.
 Exit status is 0 on success and 2 on any failure, with a
 stage-tagged message on stderr.
 """
@@ -38,7 +42,6 @@ from .data import (
     IngestionError,
     SyntheticConfig,
     generate_synthetic,
-    label_audit,
     save_adjacency_csv,
     save_dataset_csv,
     save_truth_csv,
@@ -91,10 +94,17 @@ def _experiment_config(args) -> pl.ExperimentConfig:
                 blob = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ContractError(f"bad JSON in {args.config}: {exc}")
+        if not isinstance(blob, dict):
+            raise ContractError(f"bad config: {args.config} must hold a JSON object")
+    for name in ("train", "dims", "synthetic"):
+        if not isinstance(blob.get(name), (dict, type(None))):
+            raise ContractError(f"bad config: {name} must be a JSON object, got {blob[name]!r}")
     train_blob = dict(blob.pop("train", None) or {})
     dims_blob = blob.pop("dims", None)
     synth_blob = blob.pop("synthetic", None)
     file_seeds = blob.pop("seeds", None)
+    if file_seeds is not None and not isinstance(file_seeds, list):
+        raise ContractError(f"bad config: seeds must be a list of ints, got {file_seeds!r}")
     kwargs = dict(blob)
 
     for name in _SCALAR_FIELDS:
@@ -151,11 +161,17 @@ def _require_out(cfg) -> str:
 def _seed_models(args, cfg, with_lyra=True):
     """Load data, then train or load the models of the first seed.
 
-    Checkpoints must come from the same dataset and test year:
+    A `--county` without a test-year record is refused before any
+    training.  Checkpoints must come from the same dataset and test year:
     `train_models` refuses one saved with other normalization statistics
     than the training split's (or none) before any model is trained.
     """
     ds, adjacency = pl.load(cfg)
+    if getattr(args, "county", None) is not None:
+        try:
+            ds.row(args.county, cfg.test_year)
+        except ContractError:
+            raise ContractError(f"county {args.county} has no test-year record") from None
     paths = {"lyra": getattr(args, "lyra_ckpt", None),
              "f": getattr(args, "global_ckpt", None)}
     loaded = {key: load_checkpoint(path) for key, path in paths.items() if path is not None}
@@ -164,14 +180,6 @@ def _seed_models(args, cfg, with_lyra=True):
                                           for key, (_params, stats) in loaded.items()},
                              **{key: params for key, (params, _stats) in loaded.items()})
     return models, adjacency
-
-
-def _query_counties(args, models) -> list:
-    if args.county is None:
-        return models.test_counties
-    if args.county not in models.test_counties:
-        raise ContractError(f"county {args.county} has no test-year record")
-    return [args.county]
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +240,8 @@ def _cmd_retrieve(args) -> int:
     models, adjacency = _seed_models(args, cfg,
                                      with_lyra=cfg.retrieval_mode == "embedding")
     ctx = pl.retrieval_context(cfg, models, adjacency)
-    queries = set(_query_counties(args, models))
-    results = [r for r in pl.retrieve_refine(cfg, models, ctx)[0] if r.query in queries]
+    results = [r for r in pl.retrieve_refine(cfg, models, ctx)[0]
+               if args.county in (None, r.query)]
     path = os.path.join(out, "retrieval.csv")
     rt.save_retrieval_csv(results, models.train_n, path)
     total = sum(len(r.samples) for r in results)
@@ -246,9 +254,8 @@ def _cmd_refine(args) -> int:
     out = _require_out(cfg)
     models, adjacency = _seed_models(args, cfg)
     ctx = pl.retrieval_context(cfg, models, adjacency)
-    queries = set(_query_counties(args, models))
     refined = pl.retrieve_refine(cfg, models, ctx)[1]
-    refined = refined.select([query in queries for query in refined.queries])
+    refined = refined.select([args.county in (None, query) for query in refined.queries])
     rf.save_bias_csv(ctx.biases, os.path.join(out, "bias.csv"))
     rf.save_refined_csv(refined, models.train_n, os.path.join(out, "refined.csv"))
     print(f"refined {len(refined.entries)} samples across {len(refined.queries)} queries -> {out}")
@@ -258,30 +265,29 @@ def _cmd_refine(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _experiment_config(args).validate()
     out = _require_out(cfg)
-    label_audit.reset()
-    with label_audit.guard(cfg.test_year):
-        models, adjacency = _seed_models(args, cfg)
-        ctx = (pl.retrieval_context(cfg, models, adjacency)
-               if cfg.integration != "none" else None)
-        predicted = pl.predict_counties(cfg, models, ctx)
-        predictions, fallbacks = predicted.predictions, predicted.fallbacks
-        if label_audit.violation_count():  # a leaking run writes nothing
-            print(f"audit violations {label_audit.violation_count()}; nothing written")
-            return 2
-        lines = ["county,year,prediction,fallback"]
-        for county in sorted(predictions):
-            lines.append(f"{county},{cfg.test_year},{predictions[county]!r},"
-                         f"{int(county in fallbacks)}")
-        path = os.path.join(out, "predictions.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {len(predictions)} predictions -> {path}")
-        if models.test.labeled.any():
-            report = pl.evaluate(predictions, models.test, models.seed,
-                                 fallbacks=fallbacks)
-            print(f"test rmse {report.rmse_mean:.4f} (physical units)")
-    print(f"audit violations {label_audit.violation_count()}")
-    return 0 if label_audit.violation_count() == 0 else 2
+    models, adjacency = _seed_models(args, cfg)
+    ctx = (pl.retrieval_context(cfg, models, adjacency)
+           if cfg.integration != "none" else None)
+    predicted = pl.predict_counties(cfg, models, ctx)
+    predictions, fallbacks = predicted.predictions, predicted.fallbacks
+    audit = models.test.audit
+    if audit.violations:  # a leaking run writes nothing
+        print(f"audit violations {audit.violations}; nothing written")
+        return 2
+    lines = ["county,year,prediction,fallback"]
+    for county in sorted(predictions):
+        lines.append(f"{county},{cfg.test_year},{predictions[county]!r},"
+                     f"{int(county in fallbacks)}")
+    path = os.path.join(out, "predictions.csv")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {len(predictions)} predictions -> {path}")
+    if models.test.labeled.any():
+        report = pl.evaluate(predictions, models.test, models.seed,
+                             fallbacks=fallbacks)
+        print(f"test rmse {report.rmse_mean:.4f} (physical units)")
+    print(f"audit violations {audit.violations}")
+    return 0 if audit.violations == 0 else 2
 
 
 def _cmd_run(args) -> int:
@@ -306,9 +312,11 @@ def _cmd_sweep(args) -> int:
     for value, rep in zip(values, reports):
         print(f"{args.axis}={value}: rmse {rep.rmse_mean:.4f} +/- {rep.rmse_std:.4f}, "
               f"{rep.retrieved_total:.1f} retrieved samples/seed")
-    if cfg.out_dir:
+    violations = reports[0].audit_violations
+    print(f"audit violations {violations}")
+    if cfg.out_dir and violations == 0:  # a leaking run writes nothing
         print(f"consolidated table -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
-    return 0
+    return 0 if violations == 0 else 2
 
 
 def _cmd_ablate(args) -> int:
@@ -316,9 +324,11 @@ def _cmd_ablate(args) -> int:
     reports = pl.ablate(cfg)
     for name, rep in reports.items():
         print(f"{name}: rmse {rep.rmse_mean:.4f} +/- {rep.rmse_std:.4f}")
-    if cfg.out_dir:
+    violations = reports["ratar"].audit_violations
+    print(f"audit violations {violations}")
+    if cfg.out_dir and violations == 0:  # a leaking run writes nothing
         print(f"variant table -> {os.path.join(cfg.out_dir, 'ablate.csv')}")
-    return 0
+    return 0 if violations == 0 else 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ rows, splits are row subsets, and normalization is one array operation.
 The library reads it only as arrays: features by block row, labels
 through `labels`, and which rows have one through the `labeled` mask.
 
-Labels are guarded by a module-level access audit: every label read goes
-through `Dataset.labels`, which reports the years of the rows it reads to
-`label_audit`, and reads of a guarded (test) year outside an explicit
-allow() scope count as violations.  Evaluation code opens an allow()
-scope; nothing else should.
+Every Dataset carries a label audit, shared by its splits and normalized
+copies: every label read goes through `Dataset.labels`, which notes the
+years of the rows it reads on it, and reads of the audit's guarded (test)
+year outside an explicit allow() scope count as violations.  A new panel
+guards nothing; `Dataset.guarded(year)` gives a run its own guarded view.
+Evaluation code opens an allow() scope; nothing else should.
 
 CSV ingestion (`load_dataset`) parses a chunk of rows at a time: each
 chunk is transposed into columns, and its numbers are converted with
@@ -24,6 +25,7 @@ once the last chunk is in, and the rows become the Dataset's feature block.
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import io
 import math
@@ -42,21 +44,12 @@ class IngestionError(ValueError):
 
 
 class LabelAudit:
-    """Counts label reads of guarded years outside allow() scopes."""
+    """Counts reads of `year`'s labels outside allow() scopes; None guards nothing."""
 
-    def __init__(self):
-        self._guarded: set[int] = set()
+    def __init__(self, year: int | None = None):
+        self.year = year
+        self.violations = 0
         self._allow_depth = 0
-        self._violations: list[tuple[str, int]] = []
-
-    @contextmanager
-    def guard(self, *years: int):
-        added = [y for y in years if y not in self._guarded]
-        self._guarded.update(added)
-        try:
-            yield self
-        finally:
-            self._guarded.difference_update(added)
 
     @contextmanager
     def allow(self):
@@ -66,24 +59,10 @@ class LabelAudit:
         finally:
             self._allow_depth -= 1
 
-    def note_rows(self, years, key_of) -> None:
-        """A bulk read of rows of the given years; key_of(i) names row i."""
-        if self._guarded and self._allow_depth == 0:
-            hit = np.zeros(len(years), dtype=bool)
-            for year in self._guarded:
-                hit |= years == year
-            self._violations += map(key_of, np.flatnonzero(hit))
-
-    def violation_count(self) -> int:
-        return len(self._violations)
-
-    def reset(self) -> None:
-        self._guarded.clear()
-        self._allow_depth = 0
-        self._violations.clear()
-
-
-label_audit = LabelAudit()
+    def note_rows(self, years) -> None:
+        """A bulk read of rows of the given years."""
+        if self.year is not None and self._allow_depth == 0:
+            self.violations += int(np.count_nonzero(years == self.year))
 
 
 @dataclass(slots=True, eq=False)
@@ -110,9 +89,9 @@ class Dataset:
     Row i of `features` [rows x T x d] is the season `key(i)`.  A Dataset
     covers the block rows in `rows`: all of them for a panel, a subset for
     a split.  Splits and normalized copies keep the panel's row numbering,
-    and `labels` normalizes as it reads, so the panel's one label array is
-    never copied.  `records`, per-season `CountyYearRecord` views, are
-    kept for readers outside the library; nothing in it reads them.
+    and `labels` normalizes as it reads, so the panel's one label array
+    (and its label `audit`) is shared, never copied.  `records`, per-season
+    `CountyYearRecord` views, are kept for readers outside the library.
     """
 
     def __init__(self, keys, features, labels, neighbors=None):
@@ -136,9 +115,10 @@ class Dataset:
         self._set(keys, features, labels, dict(neighbors or {}))
 
     def _set(self, keys, features, labels, neighbors, rows=None, label_norms=(),
-             row_years=None, first_rows=None) -> "Dataset":
+             row_years=None, first_rows=None, audit=None) -> "Dataset":
         self.features, self._keys, self._labels = features, keys, labels  # per block row
         self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
+        self.audit = LabelAudit() if audit is None else audit  # a new panel's guards nothing
         self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
         # per block row, shared by views: its year, its county's first row (keys sorted)
         if row_years is None:
@@ -163,7 +143,14 @@ class Dataset:
         return Dataset.__new__(Dataset)._set(
             self._keys, self.features if features is None else features, self._labels,
             self.neighbors, rows, self._label_norms + label_norms, self.row_years,
-            self._first_rows)
+            self._first_rows, self.audit)
+
+    def guarded(self, year: int) -> "Dataset":
+        """These rows under a new audit of `year`; block and labels are shared,
+        and this Dataset keeps its own audit."""
+        view = copy.copy(self)  # shares every array and the cached indexes
+        view.audit = LabelAudit(year)
+        return view
 
     def __len__(self):
         return len(self.rows)
@@ -206,7 +193,7 @@ class Dataset:
     def labels(self, rows=None) -> np.ndarray:
         """Labels of block rows (default: its own), NaN for none; each row is an audited read."""
         rows = self.rows if rows is None else np.asarray(rows, dtype=np.int64)
-        label_audit.note_rows(self.row_years[rows], lambda i: self._keys[rows[i]])
+        self.audit.note_rows(self.row_years[rows])
         return self._normalized(self._labels[rows])
 
     @property

@@ -3,7 +3,7 @@
 A run executes one chain per seed.  Each link is a public call, and the
 experiment driver and every CLI subcommand are built from the same links:
 
-- `load`: the dataset and the county adjacency;
+- `load`: the dataset, under a label audit of the test year, and the adjacency;
 - `train_models`: split by test year, normalize the panel on training
   statistics and split it again (the normalized splits share one block),
   and train the global and the cross-year model (or take them from
@@ -56,9 +56,9 @@ Every stage error is re-raised tagged with its stage name, non-finite
 model labels, training embeddings and predictions included: each is
 checked inside the stage that made it.  While a seed runs, every stage
 also adds its seconds to the seed's total for its kind, the stage name's
-first word (`EvalReport.stage_seconds`, written to timings.json).  A label
-audit guards the test year for the entire run; only evaluation reads
-test labels, inside an explicit allow scope.  Counties whose retrieval
+first word (`EvalReport.stage_seconds`, written to timings.json).  The
+dataset `load` returns carries the run's label audit; only evaluation
+reads test labels, inside an explicit allow scope.  Counties whose retrieval
 comes back empty fall back to the plain cross-year prediction and are
 flagged in the report.
 """
@@ -95,7 +95,6 @@ from .data import (
     NormStats,
     SyntheticConfig,
     generate_synthetic,
-    label_audit,
     load_adjacency,
     load_dataset,
     split_by_test_year,
@@ -178,6 +177,9 @@ class ExperimentConfig:
     def validate(self):
         if not self.seeds:
             raise ContractError("seeds must be non-empty")
+        if not isinstance(self.seeds, (tuple, list)) or not all(
+                isinstance(seed, int) and not isinstance(seed, bool) for seed in self.seeds):
+            raise ContractError(f"seeds must be a list of ints, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.retrieval_mode not in _RETRIEVAL_MODES:
@@ -238,10 +240,10 @@ def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
 
     Only labeled test records count; a labeled county without a
     prediction is a contract error naming the county.  Label reads
-    happen inside an audit allow-scope: evaluation is the one stage
-    entitled to test-year labels.
+    happen inside an allow scope of the test split's audit: evaluation
+    is the one stage entitled to test-year labels.
     """
-    with label_audit.allow():
+    with test.audit.allow():
         labels = test.labels().tolist()
     rows = []
     for (county, year), label in zip(test.keys(), labels):
@@ -282,10 +284,11 @@ def _merge_reports(variant, per_seed, seconds, violations, stage_seconds):
 
 def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
          adjacency: dict | None = None):
-    """The run's (dataset, adjacency); given values pass through.
+    """The run's (dataset, adjacency); a given adjacency passes through.
 
-    The dataset otherwise comes from `cfg.data_path` or `cfg.synthetic`,
-    the adjacency from `cfg.adjacency_path` or the dataset's own
+    The dataset is a view of `dataset` (or of the panel `cfg.data_path`
+    or `cfg.synthetic` gives) under a new label audit of `cfg.test_year`.
+    The adjacency comes from `cfg.adjacency_path` or the dataset's own
     neighbor lists.
     """
     with _stage("load"):
@@ -301,7 +304,7 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
             adjacency = load_adjacency(cfg.adjacency_path)
         elif adjacency is None:
             adjacency = {county: list(nbs) for county, nbs in dataset.neighbors.items()}
-    return dataset, adjacency
+    return dataset.guarded(cfg.test_year), adjacency
 
 
 @dataclass
@@ -632,8 +635,8 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
     Variants may differ from `cfg` only in `w` and in what prediction
     reads (threshold, top_k, refine, integration); a None config is the
     pooled-only GRU-attention baseline.  All are validated before any
-    data is loaded.  The test year's labels are guarded for the whole
-    run; every report carries the run's seconds and audit violations.
+    data is loaded.  Every report carries the run's seconds and the
+    violation count of its label audit (see `load`).
     """
     groups: dict[int, list] = {}  # w -> (index, name, config) of the variants sharing it
     with _stage("config"):
@@ -645,32 +648,29 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
     per_variant = [[] for _ in variants]
     stage_seconds = {seed: {} for seed in cfg.seeds}
     start = time.perf_counter()
-    label_audit.reset()
-    with label_audit.guard(cfg.test_year):
-        for n, seed in enumerate(cfg.seeds):
-            with _timing_stages(stage_seconds[seed]):
-                f = None  # the seed's global model, once trained
-                for w, members in groups.items():
-                    models = train_models(replace(cfg, w=w), ds, seed, f=f)
-                    f = models.f
-                    ctx = None
-                    if any(sub is not None and sub.integration != "none"
-                           for *_, sub in members):
-                        ctx = retrieval_context(cfg, models, adjacency)
-                    for i, name, sub in members:
-                        with _stage(f"evaluate {name} seed {seed}"):
-                            out = (_gruatt_predictions(cfg, models) if sub is None
-                                   else predict_counties(sub, models, ctx))
-                            report = evaluate(out.predictions, models.test, seed, name,
-                                              out.fallbacks,
-                                              sum(len(r.samples) for r in out.retrievals))
-                        if n == 0:
-                            report.first_seed = (models, ctx.biases if ctx else {}, out)
-                        per_variant[i].append(report)
-                    del models, ctx, out  # nothing of this seed is alive in the next one
+    for n, seed in enumerate(cfg.seeds):
+        with _timing_stages(stage_seconds[seed]):
+            f = None  # the seed's global model, once trained
+            for w, members in groups.items():
+                models = train_models(replace(cfg, w=w), ds, seed, f=f)
+                f = models.f
+                ctx = None
+                if any(sub is not None and sub.integration != "none"
+                       for *_, sub in members):
+                    ctx = retrieval_context(cfg, models, adjacency)
+                for i, name, sub in members:
+                    with _stage(f"evaluate {name} seed {seed}"):
+                        out = (_gruatt_predictions(cfg, models) if sub is None
+                               else predict_counties(sub, models, ctx))
+                        report = evaluate(out.predictions, models.test, seed, name,
+                                          out.fallbacks,
+                                          sum(len(r.samples) for r in out.retrievals))
+                    if n == 0:
+                        report.first_seed = (models, ctx.biases if ctx else {}, out)
+                    per_variant[i].append(report)
+                del models, ctx, out  # nothing of this seed is alive in the next one
     seconds = time.perf_counter() - start
-    violations = label_audit.violation_count()
-    return [_merge_reports(name, reports, seconds, violations, stage_seconds)
+    return [_merge_reports(name, reports, seconds, ds.audit.violations, stage_seconds)
             for (name, _sub), reports in zip(variants, per_variant)]
 
 
@@ -678,9 +678,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    adjacency: dict | None = None) -> EvalReport:
     """Execute the full pipeline for every seed and write artifacts.
 
-    The test year's labels are guarded for the whole run; the report
-    carries the audit's violation count (which must be zero).  A run
-    with violations writes no artifacts.
+    The report carries the run's label-audit violation count (which
+    must be zero).  A run with violations writes no artifacts.
     """
     (report,) = _run_variants(cfg, [(cfg.variant, cfg)], dataset, adjacency)
     if cfg.out_dir is not None and report.audit_violations == 0:
@@ -790,7 +789,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = No
 
     Every value is validated before any training.  Threshold and top-k
     values share every model of a seed; look-back values share its
-    global model.
+    global model.  A run with audit violations writes no table.
     """
     if axis not in _SWEEP_AXES:
         raise ContractError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}")
@@ -798,7 +797,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = No
         raise ContractError("sweep needs at least one value")
     variants = [(f"{axis}={value}", _SWEEP_AXES[axis](cfg, value)) for value in values]
     reports = _run_variants(cfg, variants, dataset, adjacency)
-    if cfg.out_dir is not None:
+    if cfg.out_dir is not None and reports[0].audit_violations == 0:
         os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["axis,value,rmse_mean,rmse_std,retrieved_total"]
         for value, rep in zip(values, reports):
@@ -815,7 +814,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
     Variants: "ratar" (full pipeline), "wo_refine" (retrieval kept, raw
     labels), "lyra" (no retrieval), "gruatt" (no cross-year stage), and
     "ratar_context" (context integration) when the base integration is
-    fine-tuning.
+    fine-tuning.  A run with audit violations writes no table.
     """
     with _stage("config"):
         if cfg.integration == "none":
@@ -826,7 +825,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
         variants.append(("ratar_context", replace(cfg, integration="context")))
     reports = dict(zip((name for name, _sub in variants),
                        _run_variants(cfg, variants, dataset, adjacency)))
-    if cfg.out_dir is not None:
+    if cfg.out_dir is not None and reports["ratar"].audit_violations == 0:
         os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["variant,rmse_mean,rmse_std"]
         for name, rep in reports.items():

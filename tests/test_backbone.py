@@ -18,7 +18,7 @@ import oracles
 from oracles import dataset_of, row_windows
 from ratar import backbone as bb
 from ratar import numcore as nc
-from ratar.data import CountyYearRecord, Dataset, NormStats, label_audit, split_by_test_year
+from ratar.data import CountyYearRecord, Dataset, NormStats, split_by_test_year
 
 
 def sig(x):
@@ -690,7 +690,7 @@ class TestLookbackWindow:
         """A batch whose context holds guarded rows is one read that counts
         each of them once, as the per-target reads did."""
         rng = np.random.default_rng(15)
-        train, _ = self.panel(rng)
+        train = self.panel(rng)[0].guarded(2001)
         targets = [train.row("c9", 2003), train.row("c9", 2002), train.row("c9", 2003)]
         reads = []
         original = Dataset.labels
@@ -699,16 +699,13 @@ class TestLookbackWindow:
             reads.append(rows)
             return original(self, rows)
 
-        label_audit.reset()
-        with label_audit.guard(2001):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(Dataset, "labels", recording)
-                bb.lookback_windows(train, targets, label_table(train), w=2)
-            batched = label_audit.violation_count()
-            for target in targets:
-                oracles.row_lookback_window(train, target, 0.0, w=2)
-            per_target = label_audit.violation_count() - batched
-        label_audit.reset()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Dataset, "labels", recording)
+            bb.lookback_windows(train, targets, label_table(train), w=2)
+        batched = train.audit.violations
+        for target in targets:
+            oracles.row_lookback_window(train, target, 0.0, w=2)
+        per_target = train.audit.violations - batched
         assert len(reads) == 1
         assert batched == per_target == 3  # c9 2001 is in all three windows
 

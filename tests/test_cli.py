@@ -103,6 +103,21 @@ class TestParsing:
         err = capsys.readouterr().err
         assert message in err and "label_source" in err
 
+    @pytest.mark.parametrize("blob, message", [
+        ({"test_year": 2004, "seeds": 0}, "seeds must be a list of ints, got 0"),
+        ([{"test_year": 2004}], "must hold a JSON object"),
+        ({"test_year": 2004, "train": [1]}, "train must be a JSON object, got [1]"),
+        ({"test_year": 2004, "dims": 3}, "dims must be a JSON object"),
+        ({"test_year": 2004, "synthetic": "small"}, "synthetic must be a JSON object"),
+        ({"test_year": 2004, "seeds": "01"}, "seeds must be a list of ints, got '01'"),
+    ], ids=["seeds_int", "top_level_list", "train_list", "dims_int", "synthetic_str",
+            "seeds_str"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["run", "--mode", "psychic"])
@@ -415,6 +430,24 @@ class TestRetrieveRefine:
             assert cli.main(["retrieve", "--config", cfgp, "--mode", mode,
                              "--out", str(tmp_path / mode)]) == 0
 
+    @pytest.mark.parametrize("command", ["retrieve", "refine"])
+    def test_unknown_county_refused_before_training(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        trained = []
+        for name in ("train_global", "train_lyra"):
+            def counting(*args, _name=name, _original=getattr(pl, name), **kwargs):
+                trained.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pl, name, counting)
+        cfgp = tiny_config(tmp_path)
+        assert cli.main([command, "--config", cfgp, "--county", "zz",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "county zz has no test-year record" in capsys.readouterr().err
+        assert trained == []
+        assert cli.main([command, "--config", cfgp, "--county", "c003",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert trained
+
     def test_county_rows_match_run(self, tmp_path):
         cfgp = tiny_config(tmp_path, sigma=None)  # default sigma: noise on
         fdir, rdir = tmp_path / "f", tmp_path / "run"
@@ -453,6 +486,33 @@ class TestRetrieveRefine:
 
 
 class TestSweepAblate:
+    # one leaking read per `predict_counties` call: one per value, or per
+    # variant but gruatt
+    @pytest.mark.filterwarnings("ignore:retrieved sample")
+    @pytest.mark.parametrize("command, table, reads", [
+        (["sweep", "--axis", "threshold", "--values", "0.2,0.9"], "sweep.csv", 2),
+        (["ablate"], "ablate.csv", 4),
+    ], ids=["sweep", "ablate"])
+    def test_test_label_read_writes_no_table(self, tmp_path, monkeypatch, capsys,
+                                             command, table, reads):
+        """Like `run`: a run that read a test label writes no table and exits 2."""
+        cfgp = tiny_config(tmp_path)
+        original = pl.predict_counties
+
+        def leaking(cfg, models, ctx):
+            models.test.labels(models.test.rows[:1])  # the leak
+            return original(cfg, models, ctx)
+
+        monkeypatch.setattr(pl, "predict_counties", leaking)
+        out = tmp_path / "out"
+        assert cli.main([command[0], "--config", cfgp, "--out", str(out), *command[1:]]) == 2
+        assert f"audit violations {reads}\n" in capsys.readouterr().out
+        assert not (out / table).exists()
+        monkeypatch.setattr(pl, "predict_counties", original)
+        assert cli.main([command[0], "--config", cfgp, "--out", str(out), *command[1:]]) == 0
+        assert "audit violations 0" in capsys.readouterr().out
+        assert (out / table).exists()
+
     def test_sweep_writes_consolidated_csv(self, tmp_path):
         cfgp = tiny_config(tmp_path)
         out = tmp_path / "sweep"

@@ -537,64 +537,93 @@ class TestBlockWriter:
 
 
 class TestLabelAudit:
-    """Reads through `Dataset.labels`, the one audited label path."""
-
-    def setup_method(self):
-        data.label_audit.reset()
+    """Reads through `Dataset.labels`, the one audited label path, counted
+    on the reading Dataset's own audit."""
 
     @staticmethod
-    def season(year):
-        return Dataset([("a", year)], np.zeros((1, 2, 1)), [3.0])
+    def season(year, guarded=None):
+        ds = Dataset([("a", year)], np.zeros((1, 2, 1)), [3.0])
+        return ds if guarded is None else ds.guarded(guarded)
 
     def test_guarded_read_recorded(self):
-        ds = self.season(2020)
-        with data.label_audit.guard(2020):
-            ds.labels()
-        assert data.label_audit.violation_count() == 1
+        ds = self.season(2020, guarded=2020)
+        ds.labels()
+        assert ds.audit.violations == 1
 
     def test_unguarded_year_not_recorded(self):
-        ds = self.season(2019)
-        with data.label_audit.guard(2020):
-            ds.labels()
-        assert data.label_audit.violation_count() == 0
+        ds = self.season(2019, guarded=2020)
+        ds.labels()
+        assert ds.audit.violations == 0
 
     def test_allow_scope_suppresses(self):
-        ds = self.season(2020)
-        with data.label_audit.guard(2020):
-            with data.label_audit.allow():
-                ds.labels()
-        assert data.label_audit.violation_count() == 0
+        ds = self.season(2020, guarded=2020)
+        with ds.audit.allow():
+            ds.labels()
+        assert ds.audit.violations == 0
 
     def test_has_label_is_not_a_read(self):
-        ds = self.season(2020)
-        with data.label_audit.guard(2020):
-            assert ds.records[0].has_label
-        assert data.label_audit.violation_count() == 0
+        ds = self.season(2020, guarded=2020)
+        assert ds.records[0].has_label
+        assert ds.audit.violations == 0
 
     def test_labeled_is_not_a_read(self):
-        ds = Dataset([("a", 2020), ("b", 2020)], np.zeros((2, 2, 1)), [3.0, None])
-        with data.label_audit.guard(2020):
-            assert ds.labeled.tolist() == [True, False]
-        assert data.label_audit.violation_count() == 0
+        ds = Dataset([("a", 2020), ("b", 2020)], np.zeros((2, 2, 1)), [3.0, None]).guarded(2020)
+        assert ds.labeled.tolist() == [True, False]
+        assert ds.audit.violations == 0
 
-    def test_guard_exits_cleanly(self):
+    def test_new_panels_guard_nothing(self, tmp_path):
         ds = self.season(2020)
-        with data.label_audit.guard(2020):
-            pass
         ds.labels()
-        assert data.label_audit.violation_count() == 0
+        data.save_dataset_csv(ds, str(tmp_path / "d.csv"))
+        synthetic, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
+        for panel in (ds, data.load_dataset(str(tmp_path / "d.csv")), synthetic):
+            assert panel.audit.year is None and panel.audit.violations == 0
 
-    @pytest.mark.parametrize("guarded", [(), (2003,), (2001, 2004), (1990,), (1990, 2050)])
+    def test_guarded_shares_the_block_and_leaves_the_caller(self):
+        ds = Dataset([("a", 2019), ("a", 2020), ("b", 2020)], np.arange(12.0).reshape(3, 2, 2),
+                     [1.0, 2.0, None])
+        audit = ds.audit
+        view = ds.guarded(2020)
+        assert view.features is ds.features and view._labels is ds._labels
+        assert view.keys() == ds.keys() and view is not ds
+        assert ds.audit is audit and audit.year is None and view.audit.year == 2020
+        view.labels()
+        ds.labels()
+        assert view.audit.violations == 2 and audit.violations == 0
+
+    def test_views_share_the_audit(self):
+        ds = Dataset([("a", 2019), ("a", 2020)], np.zeros((2, 2, 1)), [1.0, 2.0]).guarded(2020)
+        train, test = data.split_by_test_year(ds, 2020)
+        stats = data.zscore_fit(train)
+        normalized = data.zscore_apply(ds, stats)
+        for view in (train, test, normalized):
+            assert view.audit is ds.audit
+        test.labels()
+        normalized.labels()
+        train.labels(test.rows)  # a test row, read through the train split
+        assert ds.audit.violations == 3
+
+    def test_audits_never_count_each_others_reads(self):
+        a = self.season(2020, guarded=2020)
+        b = self.season(2020, guarded=2020)
+        a.labels()
+        a.labels()
+        with b.audit.allow():
+            a.labels()
+        assert (a.audit.violations, b.audit.violations) == (3, 0)
+        b.labels()
+        assert (a.audit.violations, b.audit.violations) == (3, 1)
+
+    @pytest.mark.parametrize("guarded", [None, 2003, 2001, 1990, 2050],
+                             ids=[f"guarded{i}" for i in range(5)])
     def test_bulk_reads_match_the_isin_form(self, guarded):
-        """note_rows records what `np.isin(years, guarded)` selects, in row order."""
-        years = np.random.default_rng(len(guarded)).integers(2000, 2006, 40)
-        keys = [("c", i) for i in range(len(years))]
-        with data.label_audit.guard(*guarded):
-            data.label_audit.note_rows(years, keys.__getitem__)
-            got = list(data.label_audit._violations)
-        want = [keys[i] for i in np.flatnonzero(np.isin(years, list(guarded)))]
-        assert got == want
-        assert bool(want) == any(2000 <= y < 2006 for y in guarded)
+        """note_rows counts what `np.isin(years, [guarded])` selects."""
+        years = np.random.default_rng(7).integers(2000, 2006, 40)
+        audit = data.LabelAudit(guarded)
+        audit.note_rows(years)
+        want = int(np.isin(years, [] if guarded is None else [guarded]).sum())
+        assert audit.violations == want
+        assert bool(want) == (guarded is not None and 2000 <= guarded < 2006)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from ratar.data import (
     NormStats,
     SyntheticConfig,
     generate_synthetic,
-    label_audit,
     split_by_test_year,
     zscore_apply,
     zscore_fit,
@@ -306,7 +305,6 @@ class TestRunExperiment:
 
     def test_no_test_label_reads(self, tmp_path):
         cfg = base_config(tmp_path)
-        label_audit.reset()
         report = pl.run_experiment(cfg)
         assert report.audit_violations == 0
 
@@ -349,6 +347,11 @@ class TestConfig:
             pl.ExperimentConfig(test_year=2005, seeds=(0, 0, 1)).validate()
         with pytest.raises(pl.PipelineError, match=r"^\[config\] seeds must be distinct"):
             pl.run_experiment(base_config(tmp_path, seeds=(1, 0, 1)))
+
+    @pytest.mark.parametrize("seeds", [("0", "1"), (0, 1.0), (True,), 5, "01"])
+    def test_non_int_seeds_rejected(self, seeds):
+        with pytest.raises(ContractError, match=r"^seeds must be a list of ints, got "):
+            pl.ExperimentConfig(test_year=2005, seeds=seeds).validate()
 
 
 def reference_sweep(cfg, axis, values, dataset=None):
@@ -948,6 +951,28 @@ class TestLabelAuditOnBlocks:
         report = pl.run_experiment(self.config(tmp_path))
         assert report.audit_violations == 2 * 10  # every test county, on each seed
 
+    @pytest.mark.filterwarnings("ignore:retrieved sample")
+    def test_nested_run_keeps_the_outer_audit(self, tmp_path, monkeypatch):
+        """A run started inside another run counts on its own audit: the
+        outer run's test-label reads after it still count on the outer one."""
+        cfg = replace(self.config(tmp_path), seeds=(0,))
+        ds, _truth = generate_synthetic(cfg.synthetic)
+        original = pl.predict_counties
+        inner = []
+
+        def nesting(sub, models, ctx):
+            if not inner:
+                inner.append(None)  # the inner run starts no run of its own
+                inner[0] = pl.run_experiment(cfg, dataset=ds)
+                models.test_n.labels()  # the outer run's leak
+            return original(sub, models, ctx)
+
+        monkeypatch.setattr(pl, "predict_counties", nesting)
+        outer = pl.run_experiment(cfg, dataset=ds)
+        assert inner[0].audit_violations == 0
+        assert outer.audit_violations == 10  # every test county
+        assert ds.audit.year is None and ds.audit.violations == 0
+
     def test_no_bulk_array_in_train_models_holds_a_test_label(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)
         ds, _ = pl.load(cfg)
@@ -960,11 +985,9 @@ class TestLabelAuditOnBlocks:
             return labels(self, rows)
 
         monkeypatch.setattr(Dataset, "labels", recording)
-        label_audit.reset()
-        with label_audit.guard(cfg.test_year):
-            models = pl.train_models(cfg, ds, 0)
-            models.model_labels
-        assert label_audit.violation_count() == 0
+        models = pl.train_models(cfg, ds, 0)
+        models.model_labels
+        assert ds.audit.year == cfg.test_year and ds.audit.violations == 0
         assert read_years and max(read_years) < cfg.test_year
         # normalization copies no label array: the splits read the loaded one
         for split in (models.train_n, models.test_n, models.test):

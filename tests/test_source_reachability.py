@@ -20,8 +20,6 @@ ALLOWED = {
     "numcore.grad_check",
     # read by the benchmark's tracer (perfbench/tracer.py)
     "RefinedSampleSet.n_refined",
-    # used by demos/03_backbone_walkthrough.py
-    "Dataset.row",
     # read by the benchmark's worker (perfbench/worker.py), with the
     # has_label of each record it gives
     "Dataset.records",

@@ -34,7 +34,7 @@ from ratar.data import (
     NormStats,
     SyntheticConfig,
     generate_synthetic,
-    label_audit,
+    split_by_test_year,
     zscore_apply,
     zscore_fit,
 )
@@ -489,11 +489,10 @@ class TestTrainLyra:
                               table[params.year_row(self.ds.years[-1])])
 
     def test_no_label_reads_outside_training_years(self):
-        test_year = self.ds.years[-1] + 1
-        label_audit.reset()
-        with label_audit.guard(test_year):
-            tr.train_lyra(self.ds, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
-        assert label_audit.violation_count() == 0
+        test_year = self.ds.years[-1]
+        train, _ = split_by_test_year(self.ds.guarded(test_year), test_year)
+        tr.train_lyra(train, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
+        assert train.audit.year == test_year and train.audit.violations == 0
 
 
 def recorded_epochs(monkeypatch, train):
