@@ -11,6 +11,7 @@ structure that the retrieval and refinement stages later exploit.
 import numpy as np
 
 from ratar.data import SyntheticConfig, generate_synthetic, split_by_test_year
+from ratar.pipeline import ExperimentConfig, load
 
 cfg = SyntheticConfig(
     n_counties=24,
@@ -29,7 +30,7 @@ print(f"panel: {cfg.n_counties} counties x {cfg.n_years} years, "
       f"T={cfg.T} days, d={cfg.d} weather channels")
 print(f"records: {len(ds)}")
 
-# Labels are read in bulk, in row order, through the audited `labels()`.
+# Labels are read in bulk, in row order, through `labels()`.
 labels = ds.labels()
 county, year = ds.key(0)
 print(f"\nfirst record: county={county} year={year} "
@@ -80,10 +81,19 @@ for y, t in zip(years, trend):
     print(f"  {y}: {t:7.3f}")
 
 # ---------------------------------------------------------------------------
-# Splitting holds out the final year.  Its records keep their labels, but
-# a run reads them only when it evaluates, under the label audit.
+# Splitting holds out the final year.  Its records keep their labels here,
+# but the panel a run works on holds none of them: `load` strips them and
+# hands the labelled test split to evaluation alone.
 
 train, test = split_by_test_year(ds, test_year=years[-1])
 print(f"\ntrain records: {len(train)} (years {years[0]}..{years[-2]})")
 print(f"test records:  {len(test)} (year {years[-1]})")
 assert years[-1] not in train.years
+
+run_ds, _adjacency, labelled_test = load(ExperimentConfig(test_year=years[-1]), ds)
+held_out = run_ds.row_years[run_ds.rows] == years[-1]
+stripped = np.isnan(run_ds.labels()[held_out])
+print(f"run panel: {int(stripped.sum())} of {int(held_out.sum())} test-year labels are NaN; "
+      f"evaluation's split has {int(labelled_test.labeled.sum())} labelled records")
+assert stripped.all() and labelled_test.labeled.all()
+assert not np.isnan(ds.labels()).any()  # the generated panel keeps its labels

@@ -23,7 +23,7 @@ batch: per window a target row of the panel's feature block (see
 to end in arrays cut by offsets.  `lookback_windows` is the one place a
 context is chosen (the county's last w training seasons before the
 target, then any extras), for a batch of targets with array operations
-and one audited label read; `window_table` is the one place windows
+and one label read; `window_table` is the one place windows
 become the engine's inputs: one row gather for `xs`, index arrays for the
 samples.  `lyra_predict` predicts any windows in one `lyra_forward` call.
 
@@ -387,7 +387,7 @@ def lookback_windows(train: Dataset, targets, labels, w: int, extras=None) -> Wi
     table per block row (`model_labels`): labels[t] is the normalized
     label fed to target t's own embedding.  Targets may be rows of `train`
     or of another split of its block.  The observed labels of every
-    window are one audited read.
+    window are one label read.
     """
     if w < 1:
         raise ContractError("look-back window must be at least 1")

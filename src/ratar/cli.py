@@ -13,9 +13,9 @@ the first seed, then `retrieval_context`, `retrieve_refine` and
 `refine` therefore write exactly what `run` computes for the same
 counties: they retrieve and refine every test county, and `--county`
 only selects which county is written (one without a test-year record
-is refused before any training).  A run that read a test-year label
-(counted by the audit its loaded dataset carries) exits 2 and writes
-no output.
+is refused before any training).  Only `evaluate` gets the labelled test
+split `load` returns; the dataset every other call reads holds no label
+from the test year on.
 
 All experiment subcommands share one configuration surface: an
 optional JSON file (--config) whose keys mirror ExperimentConfig
@@ -151,6 +151,14 @@ def _experiment_config(args) -> pl.ExperimentConfig:
         raise ContractError(f"bad config: {exc}")
 
 
+def _validated_config(args) -> pl.ExperimentConfig:
+    """The checked config of a piecewise subcommand; errors read as `run`'s."""
+    try:
+        return _experiment_config(args).validate()
+    except ContractError as exc:
+        raise ContractError(f"[config] {exc}") from None
+
+
 def _require_out(cfg) -> str:
     if cfg.out_dir is None:
         raise ContractError("--out is required for this subcommand")
@@ -159,14 +167,14 @@ def _require_out(cfg) -> str:
 
 
 def _seed_models(args, cfg, with_lyra=True):
-    """Load data, then train or load the models of the first seed.
+    """(models, adjacency, labelled test split): the first seed's models, trained or loaded.
 
     A `--county` without a test-year record is refused before any
     training.  Checkpoints must come from the same dataset and test year:
     `train_models` refuses one saved with other normalization statistics
     than the training split's (or none) before any model is trained.
     """
-    ds, adjacency = pl.load(cfg)
+    ds, adjacency, test = pl.load(cfg)
     if getattr(args, "county", None) is not None:
         try:
             ds.row(args.county, cfg.test_year)
@@ -179,7 +187,7 @@ def _seed_models(args, cfg, with_lyra=True):
                              checkpoints={key: (paths[key], stats)
                                           for key, (_params, stats) in loaded.items()},
                              **{key: params for key, (params, _stats) in loaded.items()})
-    return models, adjacency
+    return models, adjacency, test
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +221,9 @@ def _save_trained(out, name, params, stats, report):
 
 
 def _cmd_train_global(args) -> int:
-    cfg = _experiment_config(args).validate()
+    cfg = _validated_config(args)
     out = _require_out(cfg)
-    models, _adjacency = _seed_models(args, cfg, with_lyra=False)
+    models, _adjacency, _test = _seed_models(args, cfg, with_lyra=False)
     ckpt, report = _save_trained(out, "global", models.f, models.stats,
                                  models.global_report)
     print(f"global model: final loss {report.final_loss:.6f}, "
@@ -224,9 +232,9 @@ def _cmd_train_global(args) -> int:
 
 
 def _cmd_train_lyra(args) -> int:
-    cfg = _experiment_config(args).validate()
+    cfg = _validated_config(args)
     out = _require_out(cfg)
-    models, _adjacency = _seed_models(args, cfg)
+    models, _adjacency, _test = _seed_models(args, cfg)
     ckpt, report = _save_trained(out, "lyra", models.lyra, models.stats,
                                  models.lyra_report)
     print(f"cross-year model: final loss {report.final_loss:.6f}, "
@@ -235,10 +243,9 @@ def _cmd_train_lyra(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    cfg = _experiment_config(args).validate()
+    cfg = _validated_config(args)
     out = _require_out(cfg)
-    models, adjacency = _seed_models(args, cfg,
-                                     with_lyra=cfg.retrieval_mode == "embedding")
+    models, adjacency, _test = _seed_models(args, cfg, with_lyra=cfg.retrieval_mode == "embedding")
     ctx = pl.retrieval_context(cfg, models, adjacency)
     results = [r for r in pl.retrieve_refine(cfg, models, ctx)[0]
                if args.county in (None, r.query)]
@@ -250,9 +257,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    cfg = _experiment_config(args).validate()
+    cfg = _validated_config(args)
     out = _require_out(cfg)
-    models, adjacency = _seed_models(args, cfg)
+    models, adjacency, _test = _seed_models(args, cfg)
     ctx = pl.retrieval_context(cfg, models, adjacency)
     refined = pl.retrieve_refine(cfg, models, ctx)[1]
     refined = refined.select([args.county in (None, query) for query in refined.queries])
@@ -263,17 +270,13 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cfg = _experiment_config(args).validate()
+    cfg = _validated_config(args)
     out = _require_out(cfg)
-    models, adjacency = _seed_models(args, cfg)
+    models, adjacency, test = _seed_models(args, cfg)
     ctx = (pl.retrieval_context(cfg, models, adjacency)
            if cfg.integration != "none" else None)
     predicted = pl.predict_counties(cfg, models, ctx)
     predictions, fallbacks = predicted.predictions, predicted.fallbacks
-    audit = models.test.audit
-    if audit.violations:  # a leaking run writes nothing
-        print(f"audit violations {audit.violations}; nothing written")
-        return 2
     lines = ["county,year,prediction,fallback"]
     for county in sorted(predictions):
         lines.append(f"{county},{cfg.test_year},{predictions[county]!r},"
@@ -282,12 +285,10 @@ def _cmd_predict(args) -> int:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(predictions)} predictions -> {path}")
-    if models.test.labeled.any():
-        report = pl.evaluate(predictions, models.test, models.seed,
-                             fallbacks=fallbacks)
+    if test.labeled.any():
+        report = pl.evaluate(predictions, test, models.seed, fallbacks=fallbacks)
         print(f"test rmse {report.rmse_mean:.4f} (physical units)")
-    print(f"audit violations {audit.violations}")
-    return 0 if audit.violations == 0 else 2
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -298,11 +299,10 @@ def _cmd_run(args) -> int:
               f"({sum(1 for r in sr.rows if r.fallback)} fallback counties, "
               f"{sr.retrieved_samples} retrieved samples)")
     print(f"rmse {report.rmse_mean:.4f} +/- {report.rmse_std:.4f} "
-          f"over {len(report.seed_results)} seeds; "
-          f"audit violations {report.audit_violations}")
-    if cfg.out_dir and report.audit_violations == 0:  # a leaking run writes nothing
+          f"over {len(report.seed_results)} seeds")
+    if cfg.out_dir:
         print(f"artifacts -> {cfg.out_dir}")
-    return 0 if report.audit_violations == 0 else 2
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -312,11 +312,9 @@ def _cmd_sweep(args) -> int:
     for value, rep in zip(values, reports):
         print(f"{args.axis}={value}: rmse {rep.rmse_mean:.4f} +/- {rep.rmse_std:.4f}, "
               f"{rep.retrieved_total:.1f} retrieved samples/seed")
-    violations = reports[0].audit_violations
-    print(f"audit violations {violations}")
-    if cfg.out_dir and violations == 0:  # a leaking run writes nothing
+    if cfg.out_dir:
         print(f"consolidated table -> {os.path.join(cfg.out_dir, 'sweep.csv')}")
-    return 0 if violations == 0 else 2
+    return 0
 
 
 def _cmd_ablate(args) -> int:
@@ -324,11 +322,9 @@ def _cmd_ablate(args) -> int:
     reports = pl.ablate(cfg)
     for name, rep in reports.items():
         print(f"{name}: rmse {rep.rmse_mean:.4f} +/- {rep.rmse_std:.4f}")
-    violations = reports["ratar"].audit_violations
-    print(f"audit violations {violations}")
-    if cfg.out_dir and violations == 0:  # a leaking run writes nothing
+    if cfg.out_dir:
         print(f"variant table -> {os.path.join(cfg.out_dir, 'ablate.csv')}")
-    return 0 if violations == 0 else 2
+    return 0
 
 
 # ---------------------------------------------------------------------------

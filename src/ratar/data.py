@@ -6,12 +6,10 @@ rows, splits are row subsets, and normalization is one array operation.
 The library reads it only as arrays: features by block row, labels
 through `labels`, and which rows have one through the `labeled` mask.
 
-Every Dataset carries a label audit, shared by its splits and normalized
-copies: every label read goes through `Dataset.labels`, which notes the
-years of the rows it reads on it, and reads of the audit's guarded (test)
-year outside an explicit allow() scope count as violations.  A new panel
-guards nothing; `Dataset.guarded(year)` gives a run its own guarded view.
-Evaluation code opens an allow() scope; nothing else should.
+A run holds no test-year label: `Dataset.labels_before(year)` gives the
+same rows and block with a new label array, NaN from `year` on, which
+its splits and normalized copies carry like any label array.  Only the
+labelled test split of the panel as given (see `pipeline.load`) reads them.
 
 CSV ingestion (`load_dataset`) parses a chunk of rows at a time: each
 chunk is transposed into columns, and its numbers are converted with
@@ -25,11 +23,9 @@ once the last chunk is in, and the rows become the Dataset's feature block.
 from __future__ import annotations
 
 import bisect
-import copy
 import csv
 import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice
@@ -43,34 +39,11 @@ class IngestionError(ValueError):
     """Malformed dataset input; message carries the offending row or record."""
 
 
-class LabelAudit:
-    """Counts reads of `year`'s labels outside allow() scopes; None guards nothing."""
-
-    def __init__(self, year: int | None = None):
-        self.year = year
-        self.violations = 0
-        self._allow_depth = 0
-
-    @contextmanager
-    def allow(self):
-        self._allow_depth += 1
-        try:
-            yield self
-        finally:
-            self._allow_depth -= 1
-
-    def note_rows(self, years) -> None:
-        """A bulk read of rows of the given years."""
-        if self.year is not None and self._allow_depth == 0:
-            self.violations += int(np.count_nonzero(years == self.year))
-
-
 @dataclass(slots=True, eq=False)
 class CountyYearRecord:
     """One county-year: a view of its row [T x d] of a Dataset's block, and its label.
 
-    The label is read through `Dataset.labels`, the audited path; `has_label`
-    answers presence without counting as a read.
+    The label is read through `Dataset.labels`; `has_label` answers presence.
     """
 
     county: str
@@ -89,9 +62,9 @@ class Dataset:
     Row i of `features` [rows x T x d] is the season `key(i)`.  A Dataset
     covers the block rows in `rows`: all of them for a panel, a subset for
     a split.  Splits and normalized copies keep the panel's row numbering,
-    and `labels` normalizes as it reads, so the panel's one label array
-    (and its label `audit`) is shared, never copied.  `records`, per-season
-    `CountyYearRecord` views, are kept for readers outside the library.
+    and `labels` normalizes as it reads, so they share the panel's label
+    array, never copy it.  `records`, per-season `CountyYearRecord` views,
+    are kept for readers outside the library.
     """
 
     def __init__(self, keys, features, labels, neighbors=None):
@@ -115,10 +88,9 @@ class Dataset:
         self._set(keys, features, labels, dict(neighbors or {}))
 
     def _set(self, keys, features, labels, neighbors, rows=None, label_norms=(),
-             row_years=None, first_rows=None, audit=None) -> "Dataset":
+             row_years=None, first_rows=None) -> "Dataset":
         self.features, self._keys, self._labels = features, keys, labels  # per block row
         self.neighbors = neighbors  # county -> its neighbors (the adjacency, if known)
-        self.audit = LabelAudit() if audit is None else audit  # a new panel's guards nothing
         self._label_norms = label_norms  # (mean, std) pairs applied on read, in order
         # per block row, shared by views: its year, its county's first row (keys sorted)
         if row_years is None:
@@ -138,19 +110,18 @@ class Dataset:
         self.T, self.d = features.shape[1:]
         return self
 
-    def _view(self, rows, features=None, label_norms=()) -> "Dataset":
-        """The Dataset of some of these rows: of this block, or of `features` in its place."""
+    def _view(self, rows, features=None, label_norms=(), labels=None) -> "Dataset":
+        """The Dataset of some of these rows: of this block and label array,
+        or of `features` or `labels` (per block row) in their place."""
         return Dataset.__new__(Dataset)._set(
-            self._keys, self.features if features is None else features, self._labels,
-            self.neighbors, rows, self._label_norms + label_norms, self.row_years,
-            self._first_rows, self.audit)
+            self._keys, self.features if features is None else features,
+            self._labels if labels is None else labels, self.neighbors, rows,
+            self._label_norms + label_norms, self.row_years, self._first_rows)
 
-    def guarded(self, year: int) -> "Dataset":
-        """These rows under a new audit of `year`; block and labels are shared,
-        and this Dataset keeps its own audit."""
-        view = copy.copy(self)  # shares every array and the cached indexes
-        view.audit = LabelAudit(year)
-        return view
+    def labels_before(self, year: int) -> "Dataset":
+        """These rows with no label of `year` or later: the block is shared,
+        the label array is new, and this Dataset keeps its labels."""
+        return self._view(self.rows, labels=np.where(self.row_years < year, self._labels, np.nan))
 
     def __len__(self):
         return len(self.rows)
@@ -191,14 +162,13 @@ class Dataset:
         return np.searchsorted(self.rows, self._first_rows[rows])
 
     def labels(self, rows=None) -> np.ndarray:
-        """Labels of block rows (default: its own), NaN for none; each row is an audited read."""
+        """Labels of block rows (default: its own), NaN for none."""
         rows = self.rows if rows is None else np.asarray(rows, dtype=np.int64)
-        self.audit.note_rows(self.row_years[rows])
         return self._normalized(self._labels[rows])
 
     @property
     def labeled(self) -> np.ndarray:
-        """Per row of this dataset, whether its season has a label; not a read."""
+        """Per row of this dataset, whether its season has a label."""
         return ~np.isnan(self._labels[self.rows])
 
     def _normalized(self, values):
@@ -478,7 +448,7 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 
     A season's lines are joined from its block row; `csv.writer` quotes its
     county and year as it would in a whole row (numbers never need it).
-    Labels are written as held (normalized for a normalized copy), unaudited.
+    Labels are written as held (normalized for a normalized copy).
     """
     labels, prefix = ds._normalized(ds._labels[ds.rows]), io.StringIO()
     key_writer = csv.writer(prefix, lineterminator="\n")

@@ -3,7 +3,8 @@
 A run executes one chain per seed.  Each link is a public call, and the
 experiment driver and every CLI subcommand are built from the same links:
 
-- `load`: the dataset, under a label audit of the test year, and the adjacency;
+- `load`: the dataset with no label from the test year on, the adjacency,
+  and the labelled test split, which only `evaluate` reads;
 - `train_models`: split by test year, normalize the panel on training
   statistics and split it again (the normalized splits share one block),
   and train the global and the cross-year model (or take them from
@@ -56,11 +57,11 @@ Every stage error is re-raised tagged with its stage name, non-finite
 model labels, training embeddings and predictions included: each is
 checked inside the stage that made it.  While a seed runs, every stage
 also adds its seconds to the seed's total for its kind, the stage name's
-first word (`EvalReport.stage_seconds`, written to timings.json).  The
-dataset `load` returns carries the run's label audit; only evaluation
-reads test labels, inside an explicit allow scope.  Counties whose retrieval
-comes back empty fall back to the plain cross-year prediction and are
-flagged in the report.
+first word (`EvalReport.stage_seconds`, written to timings.json).  No
+stage but `evaluate` can read a test label: the dataset `load` returns
+holds none, so a stage that reads one gets NaN, which its named finite
+check refuses.  Counties whose retrieval comes back empty fall back to
+the plain cross-year prediction and are flagged in the report.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import json
+import math
 import os
 import time
 import warnings
@@ -182,6 +184,8 @@ class ExperimentConfig:
             raise ContractError(f"seeds must be a list of ints, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractError(f"seeds must be distinct, got {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ContractError(f"seeds must be non-negative, got {list(self.seeds)}")
         if self.retrieval_mode not in _RETRIEVAL_MODES:
             raise ContractError(f"retrieval_mode must be one of {_RETRIEVAL_MODES}")
         if self.integration not in _INTEGRATION_MODES:
@@ -190,10 +194,20 @@ class ExperimentConfig:
             raise ContractError("look-back window must be at least 1")
         if self.top_k is not None and self.top_k < 1:
             raise ContractError(f"top_k must be at least 1, got {self.top_k}")
-        if self.sigma is not None and self.sigma < 0:
-            raise ContractError("sigma must be nonnegative")
+        if not math.isfinite(self.threshold):
+            raise ContractError(f"threshold must be finite, got {self.threshold}")
+        if self.sigma is not None and not 0 <= self.sigma < math.inf:
+            raise ContractError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.refine_copies < 1:
             raise ContractError("refine_copies must be at least 1")
+        widths = {"global_H": (self.global_H, 1),
+                  "global_readout_hidden": (self.global_readout_hidden, 0)}
+        if self.dims is not None:
+            widths.update({f"dims.{name}": (getattr(self.dims, name), low) for name, low in (
+                ("d", 1), ("H", 1), ("Z", 1), ("E", 1), ("attn_hidden", 0), ("mlp_hidden", 0))})
+        for name, (width, low) in widths.items():
+            if width < low:
+                raise ContractError(f"{name} must be at least {low}, got {width}")
         self.train.validate()
         return self
 
@@ -223,7 +237,7 @@ class EvalReport:
     rmse_mean: float
     rmse_std: float
     seconds: float = 0.0
-    audit_violations: int = 0
+    audit_violations: int = 0  # always 0; the benchmark worker still reads it
     retrieved_total: float = 0.0
     # the run's wall-clock seconds per seed and stage kind, {seed: {kind: s}};
     # a kind sums its stages, and an enclosing stage's time includes its
@@ -239,12 +253,10 @@ def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
     """Physical-unit RMSE of per-county predictions on one test split.
 
     Only labeled test records count; a labeled county without a
-    prediction is a contract error naming the county.  Label reads
-    happen inside an allow scope of the test split's audit: evaluation
-    is the one stage entitled to test-year labels.
+    prediction is a contract error naming the county.  `test` is the
+    labelled test split `load` returns, which no other stage gets.
     """
-    with test.audit.allow():
-        labels = test.labels().tolist()
+    labels = test.labels().tolist()
     rows = []
     for (county, year), label in zip(test.keys(), labels):
         if label != label:  # NaN: unlabeled
@@ -260,7 +272,7 @@ def evaluate(predictions, test, seed, variant="eval", fallbacks=frozenset(),
     return EvalReport(variant=variant, seed_results=[sr], rmse_mean=rmse, rmse_std=0.0)
 
 
-def _merge_reports(variant, per_seed, seconds, violations, stage_seconds):
+def _merge_reports(variant, per_seed, seconds, stage_seconds):
     seed_results = [rep.seed_results[0] for rep in per_seed]
     seed_results.sort(key=lambda sr: sr.seed)
     rmses = np.array([sr.rmse for sr in seed_results])
@@ -271,7 +283,6 @@ def _merge_reports(variant, per_seed, seconds, violations, stage_seconds):
         rmse_mean=float(rmses.mean()),
         rmse_std=float(rmses.std()),
         seconds=seconds,
-        audit_violations=violations,
         retrieved_total=retrieved,
         stage_seconds=stage_seconds,
         first_seed=per_seed[0].first_seed,
@@ -284,12 +295,13 @@ def _merge_reports(variant, per_seed, seconds, violations, stage_seconds):
 
 def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
          adjacency: dict | None = None):
-    """The run's (dataset, adjacency); a given adjacency passes through.
+    """The run's (dataset, adjacency, test); a given adjacency passes through.
 
-    The dataset is a view of `dataset` (or of the panel `cfg.data_path`
-    or `cfg.synthetic` gives) under a new label audit of `cfg.test_year`.
-    The adjacency comes from `cfg.adjacency_path` or the dataset's own
-    neighbor lists.
+    The dataset is `dataset` (or the panel `cfg.data_path` or
+    `cfg.synthetic` gives) with no label from `cfg.test_year` on, which
+    the caller's panel keeps; `test` is that panel's labelled test split,
+    for `evaluate` only.  The adjacency comes from `cfg.adjacency_path`
+    or the dataset's own neighbor lists.
     """
     with _stage("load"):
         if dataset is None:
@@ -304,22 +316,24 @@ def load(cfg: ExperimentConfig, dataset: Dataset | None = None,
             adjacency = load_adjacency(cfg.adjacency_path)
         elif adjacency is None:
             adjacency = {county: list(nbs) for county, nbs in dataset.neighbors.items()}
-    return dataset.guarded(cfg.test_year), adjacency
+    with _stage("split"):
+        _train, test = split_by_test_year(dataset, cfg.test_year)
+    return dataset.labels_before(cfg.test_year), adjacency, test
 
 
 @dataclass
 class SeedModels:
     """One seed's normalized split and models.
 
-    `train_n` and `test_n` share one normalized block; `test` is the
-    unnormalized test split, whose labels `evaluate` reads.  A report is
-    None for a model that was passed in rather than trained.
+    `train_n` and `test_n` share one normalized block and the label array
+    of the dataset they were split from, which for a run holds no test
+    label (see `load`).  A report is None for a model that was passed in
+    rather than trained.
     """
     seed: int
     stats: NormStats
     train_n: Dataset
     test_n: Dataset
-    test: Dataset
     f: GruParams
     lyra: LyraParams | None
     global_report: TrainReport | None = None
@@ -369,7 +383,7 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
             f"cross-year model was trained for test year {lyra.year_max}, "
             f"config has test year {cfg.test_year}")
     with _stage("split"):
-        train_phys, test = split_by_test_year(ds, cfg.test_year)
+        train_phys, _test = split_by_test_year(ds, cfg.test_year)
     with _stage("normalize"):
         stats = zscore_fit(train_phys)
         train_n, test_n = split_by_test_year(zscore_apply(ds, stats), cfg.test_year)
@@ -380,8 +394,7 @@ def train_models(cfg: ExperimentConfig, ds: Dataset, seed: int, f=None, lyra=Non
             raise ContractError(
                 f"checkpoint {path}{fit_for} does not hold the normalization "
                 f"statistics of this run's training split (test year {cfg.test_year})")
-    models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n, test=test,
-                        f=f, lyra=lyra)
+    models = SeedModels(seed=seed, stats=stats, train_n=train_n, test_n=test_n, f=f, lyra=lyra)
     tcfg = replace(cfg.train, seed=seed)
     if f is None:
         with _stage(f"train_global seed {seed}"):
@@ -635,8 +648,7 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
     Variants may differ from `cfg` only in `w` and in what prediction
     reads (threshold, top_k, refine, integration); a None config is the
     pooled-only GRU-attention baseline.  All are validated before any
-    data is loaded.  Every report carries the run's seconds and the
-    violation count of its label audit (see `load`).
+    data is loaded.  Every report carries the run's seconds.
     """
     groups: dict[int, list] = {}  # w -> (index, name, config) of the variants sharing it
     with _stage("config"):
@@ -644,7 +656,7 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
             if sub is not None:
                 sub.validate()
             groups.setdefault(cfg.w if sub is None else sub.w, []).append((i, name, sub))
-    ds, adjacency = load(cfg, dataset, adjacency)
+    ds, adjacency, test = load(cfg, dataset, adjacency)
     per_variant = [[] for _ in variants]
     stage_seconds = {seed: {} for seed in cfg.seeds}
     start = time.perf_counter()
@@ -662,7 +674,7 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
                     with _stage(f"evaluate {name} seed {seed}"):
                         out = (_gruatt_predictions(cfg, models) if sub is None
                                else predict_counties(sub, models, ctx))
-                        report = evaluate(out.predictions, models.test, seed, name,
+                        report = evaluate(out.predictions, test, seed, name,
                                           out.fallbacks,
                                           sum(len(r.samples) for r in out.retrievals))
                     if n == 0:
@@ -670,19 +682,15 @@ def _run_variants(cfg: ExperimentConfig, variants: list, dataset, adjacency) -> 
                     per_variant[i].append(report)
                 del models, ctx, out  # nothing of this seed is alive in the next one
     seconds = time.perf_counter() - start
-    return [_merge_reports(name, reports, seconds, ds.audit.violations, stage_seconds)
+    return [_merge_reports(name, reports, seconds, stage_seconds)
             for (name, _sub), reports in zip(variants, per_variant)]
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    adjacency: dict | None = None) -> EvalReport:
-    """Execute the full pipeline for every seed and write artifacts.
-
-    The report carries the run's label-audit violation count (which
-    must be zero).  A run with violations writes no artifacts.
-    """
+    """Execute the full pipeline for every seed and write artifacts."""
     (report,) = _run_variants(cfg, [(cfg.variant, cfg)], dataset, adjacency)
-    if cfg.out_dir is not None and report.audit_violations == 0:
+    if cfg.out_dir is not None:
         with _stage("export"):
             export_diagnostics(cfg, report)
     return report
@@ -789,7 +797,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = No
 
     Every value is validated before any training.  Threshold and top-k
     values share every model of a seed; look-back values share its
-    global model.  A run with audit violations writes no table.
+    global model.
     """
     if axis not in _SWEEP_AXES:
         raise ContractError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}")
@@ -797,7 +805,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, dataset: Dataset | None = No
         raise ContractError("sweep needs at least one value")
     variants = [(f"{axis}={value}", _SWEEP_AXES[axis](cfg, value)) for value in values]
     reports = _run_variants(cfg, variants, dataset, adjacency)
-    if cfg.out_dir is not None and reports[0].audit_violations == 0:
+    if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["axis,value,rmse_mean,rmse_std,retrieved_total"]
         for value, rep in zip(values, reports):
@@ -814,7 +822,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
     Variants: "ratar" (full pipeline), "wo_refine" (retrieval kept, raw
     labels), "lyra" (no retrieval), "gruatt" (no cross-year stage), and
     "ratar_context" (context integration) when the base integration is
-    fine-tuning.  A run with audit violations writes no table.
+    fine-tuning.
     """
     with _stage("config"):
         if cfg.integration == "none":
@@ -825,7 +833,7 @@ def ablate(cfg: ExperimentConfig, dataset: Dataset | None = None,
         variants.append(("ratar_context", replace(cfg, integration="context")))
     reports = dict(zip((name for name, _sub in variants),
                        _run_variants(cfg, variants, dataset, adjacency)))
-    if cfg.out_dir is not None and reports["ratar"].audit_violations == 0:
+    if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         lines = ["variant,rmse_mean,rmse_std"]
         for name, rep in reports.items():

@@ -26,7 +26,7 @@ county's label drifts across years and shifts retrieved labels forward:
     noise seeded per query, leaving features untouched; with sigma 0 no
     generator is made.  Retrieved samples are block rows of the training
     Dataset: one `refine_labels` call refines every query's samples, with
-    one audited `Dataset.labels` read and one b_hat gather, into one
+    one `Dataset.labels` read and one b_hat gather, into one
     `RefinedSampleSet` of arrays cut by per-query offsets.
 
 Labels here are in physical units throughout.
@@ -275,7 +275,7 @@ def refine_labels(results, train, biases, sigma, seeds, target_year, stats, copi
     block-row order, `copies` entries each, with eps drawn by a generator
     of its own seed: its entries depend on neither retrieval ordering nor
     the other queries.  Samples without a bias row pass through
-    unrefined.  All labels are one audited read, and all b_hat one gather.
+    unrefined.  All labels are one read, and all b_hat one gather.
     """
     if sigma < 0:
         raise ContractError(f"sigma must be nonnegative, got {sigma}")

@@ -37,6 +37,7 @@ exactly its own, so one county's adaptation cannot leak into another's.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -81,6 +82,9 @@ class TrainConfig:
     freeze_encoder: bool = False
 
     def validate(self):
+        for name in ("lr", "fine_tune_lr", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0 or self.fine_tune_lr <= 0:
             raise ContractError("learning rates must be positive")
         if self.epochs < 1:

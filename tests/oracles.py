@@ -40,8 +40,8 @@ reference and the `softmax_rows` tests compare against them.
 
 The Dataset accessors these oracles were written against are gone from
 the library, so `county_years` and `get` below stand in for
-`Dataset.county_years` and `Dataset.get`, and `label_of(rec)` for the
-audited `rec.yield_label` (it reads the record's label unaudited).
+`Dataset.county_years` and `Dataset.get`, and `label_of(rec)` for
+`rec.yield_label` (it reads the record's private label field).
 
 Forms the library dropped because only tests used them: `residual_panel`
 and `embedding_panel` build panels from `{county: vector}` dicts (the

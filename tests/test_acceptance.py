@@ -307,7 +307,7 @@ def test_c09_residual_retrieval_finds_cluster_mates(ablation_setup):
     s = ablation_setup
     models = s.models
     top_k = 10
-    _ds, adjacency = pl.load(s.cfg, s.dataset)
+    _ds, adjacency, _test = pl.load(s.cfg, s.dataset)
     ctx = pl.retrieval_context(s.cfg, models, adjacency)
     residuals, mean_emb = ctx.residuals, ctx.mean_emb
     purity = {}
@@ -331,12 +331,21 @@ def test_c09_residual_retrieval_finds_cluster_mates(ablation_setup):
     assert purity["residual"] > purity["neighboring"]
 
 
-def test_c10_reproducible_and_leak_free(tmp_path):
-    """Same seed and data give byte-identical reports; no test-label reads."""
+def test_c10_reproducible_and_leak_free(tmp_path, monkeypatch):
+    """Same seed and data give byte-identical reports; no test-label reads:
+    every test-year label of the panel the models train on reads NaN."""
     synth = SyntheticConfig(n_counties=12, n_years=6, T=12, d=8,
                             n_hidden_clusters=2, year_bias_slope=0.2,
                             year_shock_std=0.1, obs_noise_std=0.1, seed=5)
     ds, _ = generate_synthetic(synth)
+    train_models, leaked = pl.train_models, []
+
+    def stripped(cfg, run_ds, *args, **kwargs):
+        held_out = run_ds.rows[run_ds.row_years[run_ds.rows] >= cfg.test_year]
+        leaked.append(int(np.count_nonzero(~np.isnan(run_ds._labels[held_out]))))
+        return train_models(cfg, run_ds, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "train_models", stripped)
     reports = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -357,5 +366,7 @@ def test_c10_reproducible_and_leak_free(tmp_path):
         assert a == b, f"{fname} differs between identical runs"
     violations = [rep.audit_violations for rep in reports]
     print(f"c10 reproducibility: {len(names)} artifacts byte-identical, "
-          f"audit violations {violations}, rmse {reports[0].rmse_mean:.3f}")
+          f"audit violations {violations}, test labels in training panels {sum(leaked)}, "
+          f"rmse {reports[0].rmse_mean:.3f}")
     assert violations == [0, 0]
+    assert len(leaked) == 4 and sum(leaked) == 0  # two runs of two seeds

@@ -687,27 +687,26 @@ class TestLookbackWindow:
                 assert bits(win.context_labels) == bits(want.context_labels)
 
     def test_one_read_counts_one_violation_per_test_row(self):
-        """A batch whose context holds guarded rows is one read that counts
-        each of them once, as the per-target reads did."""
+        """A batch whose context holds rows of a held-out year reads them in
+        one read, each of them once, as the per-target reads did."""
         rng = np.random.default_rng(15)
-        train = self.panel(rng)[0].guarded(2001)
+        train = self.panel(rng)[0]
         targets = [train.row("c9", 2003), train.row("c9", 2002), train.row("c9", 2003)]
         reads = []
         original = Dataset.labels
 
         def recording(self, rows=None):
-            reads.append(rows)
+            reads.append(self.row_years[self.rows if rows is None else rows])
             return original(self, rows)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Dataset, "labels", recording)
             bb.lookback_windows(train, targets, label_table(train), w=2)
-        batched = train.audit.violations
-        for target in targets:
-            oracles.row_lookback_window(train, target, 0.0, w=2)
-        per_target = train.audit.violations - batched
-        assert len(reads) == 1
-        assert batched == per_target == 3  # c9 2001 is in all three windows
+            assert len(reads) == 1
+            for target in targets:
+                oracles.row_lookback_window(train, target, 0.0, w=2)
+        batched, *per_target = (int(np.count_nonzero(years == 2001)) for years in reads)
+        assert batched == sum(per_target) == 3  # c9 2001 is in all three windows
 
 
 class TestWindows:

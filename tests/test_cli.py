@@ -191,6 +191,36 @@ class TestRun:
         assert "seeds must be distinct, got [0, 0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold", "nan", "threshold must be finite, got nan"),
+        ("--sigma", "nan", "sigma must be finite and nonnegative, got nan"),
+        ("--sigma", "inf", "sigma must be finite and nonnegative, got inf"),
+        ("--lr", "nan", "lr must be finite, got nan"),
+        ("--fine-tune-lr", "nan", "fine_tune_lr must be finite, got nan"),
+        ("--clip-norm", "nan", "clip_norm must be finite, got nan"),
+        ("--seed", "-1", "seeds must be non-negative, got [-1]"),
+        ("--global-h", "0", "global_H must be at least 1, got 0"),
+        ("--global-readout-hidden", "-1", "global_readout_hidden must be at least 0, got -1"),
+        ("--dim-h", "0", "dims.H must be at least 1, got 0"),
+        ("--dim-z", "0", "dims.Z must be at least 1, got 0"),
+    ])
+    def test_impossible_config_exits_2_before_load(self, tmp_path, capsys, flag, value,
+                                                   message):
+        rc = cli.main(["run", "--config", tiny_config(tmp_path), flag, value,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: [config] {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train-global", "train-lyra", "retrieve", "refine",
+                                         "predict"])
+    def test_piecewise_config_error_is_tagged(self, tmp_path, capsys, command):
+        rc = cli.main([command, "--config", tiny_config(tmp_path), "--threshold", "nan",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [config] threshold must be finite, got nan\n"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc = cli.main(["run", "--data", str(tmp_path / "nope.csv"),
                        "--test-year", "2004", "--out", str(tmp_path / "x")])
@@ -375,42 +405,6 @@ class TestPiecewise:
         got = (pdir / "predictions.csv").read_text().strip().splitlines()[1:]
         assert got == [want[c] for c in sorted(want)]
 
-    def test_predict_fails_on_a_test_label_read(self, tmp_path, monkeypatch, capsys):
-        """One test-year label read during predict is an audit violation: exit 2."""
-        cfgp = tiny_config(tmp_path, integration="none", refine=False)
-        original = pl.predict_counties
-
-        def leaking(cfg, models, ctx):
-            models.test.labels(models.test.rows[:1])  # the leak
-            return original(cfg, models, ctx)
-
-        monkeypatch.setattr(pl, "predict_counties", leaking)
-        pdir = tmp_path / "p4"
-        assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 2
-        assert "audit violations 1" in capsys.readouterr().out
-        assert not (pdir / "predictions.csv").exists()  # a leaking run writes nothing
-        monkeypatch.setattr(pl, "predict_counties", original)
-        assert cli.main(["predict", "--config", cfgp, "--out", str(pdir)]) == 0
-        assert "audit violations 0" in capsys.readouterr().out
-        assert (pdir / "predictions.csv").exists()
-
-    def test_run_writes_nothing_on_a_test_label_read(self, tmp_path, monkeypatch, capsys):
-        cfgp = tiny_config(tmp_path, integration="none", refine=False)
-        original = pl.predict_counties
-
-        def leaking(cfg, models, ctx):
-            models.test.labels(models.test.rows[:1])  # the leak
-            return original(cfg, models, ctx)
-
-        monkeypatch.setattr(pl, "predict_counties", leaking)
-        rdir = tmp_path / "r4"
-        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 2
-        assert "audit violations 1" in capsys.readouterr().out
-        assert not rdir.exists() or not any(rdir.iterdir())
-        monkeypatch.setattr(pl, "predict_counties", original)
-        assert cli.main(["run", "--config", cfgp, "--out", str(rdir)]) == 0
-        assert (rdir / "predictions.csv").exists() and (rdir / "report.csv").exists()
-
 
 def csv_rows(path, prefix=""):
     return [line for line in path.read_text().splitlines()[1:]
@@ -486,33 +480,6 @@ class TestRetrieveRefine:
 
 
 class TestSweepAblate:
-    # one leaking read per `predict_counties` call: one per value, or per
-    # variant but gruatt
-    @pytest.mark.filterwarnings("ignore:retrieved sample")
-    @pytest.mark.parametrize("command, table, reads", [
-        (["sweep", "--axis", "threshold", "--values", "0.2,0.9"], "sweep.csv", 2),
-        (["ablate"], "ablate.csv", 4),
-    ], ids=["sweep", "ablate"])
-    def test_test_label_read_writes_no_table(self, tmp_path, monkeypatch, capsys,
-                                             command, table, reads):
-        """Like `run`: a run that read a test label writes no table and exits 2."""
-        cfgp = tiny_config(tmp_path)
-        original = pl.predict_counties
-
-        def leaking(cfg, models, ctx):
-            models.test.labels(models.test.rows[:1])  # the leak
-            return original(cfg, models, ctx)
-
-        monkeypatch.setattr(pl, "predict_counties", leaking)
-        out = tmp_path / "out"
-        assert cli.main([command[0], "--config", cfgp, "--out", str(out), *command[1:]]) == 2
-        assert f"audit violations {reads}\n" in capsys.readouterr().out
-        assert not (out / table).exists()
-        monkeypatch.setattr(pl, "predict_counties", original)
-        assert cli.main([command[0], "--config", cfgp, "--out", str(out), *command[1:]]) == 0
-        assert "audit violations 0" in capsys.readouterr().out
-        assert (out / table).exists()
-
     def test_sweep_writes_consolidated_csv(self, tmp_path):
         cfgp = tiny_config(tmp_path)
         out = tmp_path / "sweep"
@@ -532,3 +499,24 @@ class TestSweepAblate:
         assert lines[0] == "variant,rmse_mean,rmse_std"
         assert len(lines) >= 5
         assert "ratar" in capsys.readouterr().out
+
+
+class TestNoTestLabel:
+    """No experiment subcommand gives its stages a test-year label."""
+
+    @pytest.mark.filterwarnings("ignore:retrieved sample")
+    @pytest.mark.parametrize("command", [
+        ["train-global"], ["train-lyra"], ["retrieve"], ["refine"], ["predict"], ["run"],
+        ["sweep", "--axis", "threshold", "--values", "0.3"], ["ablate"],
+    ], ids=lambda command: command[0])
+    def test_train_models_gets_no_test_label(self, tmp_path, monkeypatch, command):
+        original, reads = pl.train_models, []
+
+        def recording(cfg, ds, *args, **kwargs):
+            reads.append(ds.labels(ds.rows[ds.row_years[ds.rows] >= cfg.test_year]))
+            return original(cfg, ds, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "train_models", recording)
+        assert cli.main([command[0], "--config", tiny_config(tmp_path),
+                         "--out", str(tmp_path / "out"), *command[1:]]) == 0
+        assert reads and all(len(labels) == 8 and np.isnan(labels).all() for labels in reads)

@@ -16,7 +16,7 @@ from ratar.numcore import ContractError, NumericError
 
 
 def label(ds, county, year):
-    """One season's label, read through the audited `Dataset.labels`."""
+    """One season's label, read through `Dataset.labels`."""
     return ds.labels([ds.row(county, year)]).item()
 
 
@@ -537,93 +537,63 @@ class TestBlockWriter:
 
 
 class TestLabelAudit:
-    """Reads through `Dataset.labels`, the one audited label path, counted
-    on the reading Dataset's own audit."""
+    """`Dataset.labels_before`: a run's panel holds no label from its test
+    year on, so no read of it can return one."""
 
     @staticmethod
-    def season(year, guarded=None):
-        ds = Dataset([("a", year)], np.zeros((1, 2, 1)), [3.0])
-        return ds if guarded is None else ds.guarded(guarded)
-
-    def test_guarded_read_recorded(self):
-        ds = self.season(2020, guarded=2020)
-        ds.labels()
-        assert ds.audit.violations == 1
-
-    def test_unguarded_year_not_recorded(self):
-        ds = self.season(2019, guarded=2020)
-        ds.labels()
-        assert ds.audit.violations == 0
-
-    def test_allow_scope_suppresses(self):
-        ds = self.season(2020, guarded=2020)
-        with ds.audit.allow():
-            ds.labels()
-        assert ds.audit.violations == 0
-
-    def test_has_label_is_not_a_read(self):
-        ds = self.season(2020, guarded=2020)
-        assert ds.records[0].has_label
-        assert ds.audit.violations == 0
-
-    def test_labeled_is_not_a_read(self):
-        ds = Dataset([("a", 2020), ("b", 2020)], np.zeros((2, 2, 1)), [3.0, None]).guarded(2020)
-        assert ds.labeled.tolist() == [True, False]
-        assert ds.audit.violations == 0
+    def panel():
+        return Dataset([("a", 2019), ("a", 2020), ("b", 2020)], np.arange(12.0).reshape(3, 2, 2),
+                       [1.0, 2.0, None])
 
     def test_new_panels_guard_nothing(self, tmp_path):
-        ds = self.season(2020)
-        ds.labels()
+        """A new panel keeps every label it was given."""
+        ds = self.panel()
         data.save_dataset_csv(ds, str(tmp_path / "d.csv"))
         synthetic, _ = data.generate_synthetic(TestSyntheticGenerator.CFG)
-        for panel in (ds, data.load_dataset(str(tmp_path / "d.csv")), synthetic):
-            assert panel.audit.year is None and panel.audit.violations == 0
+        for panel in (ds, data.load_dataset(str(tmp_path / "d.csv"))):
+            assert panel.labeled.tolist() == [True, True, False]
+        assert synthetic.labeled.all()
 
     def test_guarded_shares_the_block_and_leaves_the_caller(self):
-        ds = Dataset([("a", 2019), ("a", 2020), ("b", 2020)], np.arange(12.0).reshape(3, 2, 2),
-                     [1.0, 2.0, None])
-        audit = ds.audit
-        view = ds.guarded(2020)
-        assert view.features is ds.features and view._labels is ds._labels
+        ds = self.panel()
+        view = ds.labels_before(2020)
+        assert view.features is ds.features and view._labels is not ds._labels
         assert view.keys() == ds.keys() and view is not ds
-        assert ds.audit is audit and audit.year is None and view.audit.year == 2020
-        view.labels()
-        ds.labels()
-        assert view.audit.violations == 2 and audit.violations == 0
+        assert np.array_equal(view.labels(), [1.0, np.nan, np.nan], equal_nan=True)
+        assert view.labeled.tolist() == [True, False, False]
+        assert np.array_equal(ds.labels(), [1.0, 2.0, np.nan], equal_nan=True)
 
-    def test_views_share_the_audit(self):
-        ds = Dataset([("a", 2019), ("a", 2020)], np.zeros((2, 2, 1)), [1.0, 2.0]).guarded(2020)
-        train, test = data.split_by_test_year(ds, 2020)
-        stats = data.zscore_fit(train)
-        normalized = data.zscore_apply(ds, stats)
-        for view in (train, test, normalized):
-            assert view.audit is ds.audit
-        test.labels()
-        normalized.labels()
-        train.labels(test.rows)  # a test row, read through the train split
-        assert ds.audit.violations == 3
+    def test_no_cached_records_come_along(self):
+        ds = self.panel()
+        assert [r.has_label for r in ds.records] == [True, True, False]  # cached on ds
+        view = ds.labels_before(2020)
+        assert [r.has_label for r in view.records] == [True, False, False]
+        assert [r.has_label for r in ds.records] == [True, True, False]
 
-    def test_audits_never_count_each_others_reads(self):
-        a = self.season(2020, guarded=2020)
-        b = self.season(2020, guarded=2020)
-        a.labels()
-        a.labels()
-        with b.audit.allow():
-            a.labels()
-        assert (a.audit.violations, b.audit.violations) == (3, 0)
-        b.labels()
-        assert (a.audit.violations, b.audit.violations) == (3, 1)
+    def test_views_carry_the_stripping(self):
+        ds = Dataset([("a", 2019), ("a", 2020)], np.zeros((2, 2, 1)), [1.0, 2.0])
+        stripped = ds.labels_before(2020)
+        train, test = data.split_by_test_year(stripped, 2020)
+        normalized = data.zscore_apply(stripped, data.zscore_fit(train))
+        for view in (train, test, normalized, *data.split_by_test_year(normalized, 2020)):
+            assert view._labels is stripped._labels
+            assert np.isnan(view.labels(test.rows)).all()
+        assert train.labels().tolist() == [1.0]
+        assert ds.labels(test.rows).tolist() == [2.0]
 
-    @pytest.mark.parametrize("guarded", [None, 2003, 2001, 1990, 2050],
+    @pytest.mark.parametrize("cut", [2006, 2003, 2001, 1990, 2050],
                              ids=[f"guarded{i}" for i in range(5)])
-    def test_bulk_reads_match_the_isin_form(self, guarded):
-        """note_rows counts what `np.isin(years, [guarded])` selects."""
-        years = np.random.default_rng(7).integers(2000, 2006, 40)
-        audit = data.LabelAudit(guarded)
-        audit.note_rows(years)
-        want = int(np.isin(years, [] if guarded is None else [guarded]).sum())
-        assert audit.violations == want
-        assert bool(want) == (guarded is not None and 2000 <= guarded < 2006)
+    def test_bulk_reads_match_the_isin_form(self, cut):
+        """A bulk read of `labels_before(cut)` is NaN exactly where
+        `np.isin` selects the panel's years from `cut` on."""
+        rng = np.random.default_rng(7)
+        keys = [(f"c{i:02d}", int(year)) for i, year in enumerate(rng.integers(2000, 2006, 40))]
+        ds = Dataset(keys, np.zeros((40, 2, 1)), rng.uniform(1.0, 2.0, 40).tolist())
+        years = ds.row_years[ds.rows]
+        want = np.isin(years, [year for year in ds.years if year >= cut])
+        got = np.isnan(ds.labels_before(cut).labels())
+        assert got.tolist() == want.tolist()
+        assert got.any() == (cut < 2006) and got.all() == (cut <= min(ds.years))
 
 
 # ---------------------------------------------------------------------------

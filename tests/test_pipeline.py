@@ -99,7 +99,7 @@ class TestEvaluate:
 class TestIntegrateContext:
     def setup_method(self):
         ds, _ = generate_synthetic(synth_cfg())
-        train, self.test_phys = split_by_test_year(ds, 2005)
+        train, _test = split_by_test_year(ds, 2005)
         self.stats = zscore_fit(train)
         self.train, self.test = split_by_test_year(zscore_apply(ds, self.stats), 2005)
         cfg = tr.TrainConfig(lr=3e-3, batch_size=None, epochs=5, seed=0)
@@ -139,7 +139,7 @@ class TestIntegrateContext:
                                   integration="context", sigma=0.0, seeds=(0,),
                                   dims=tiny_dims())
         models = pl.SeedModels(seed=0, stats=self.stats, train_n=self.train,
-                               test_n=self.test, test=self.test_phys, f=self.f, lyra=self.lyra)
+                               test_n=self.test, f=self.f, lyra=self.lyra)
         calls = []
 
         def recording(p, stats, ds, windows):
@@ -304,8 +304,17 @@ class TestRunExperiment:
             assert a == b, f"{name} differs between identical runs"
 
     def test_no_test_label_reads(self, tmp_path):
-        cfg = base_config(tmp_path)
-        report = pl.run_experiment(cfg)
+        """The caller's panel keeps its labels, and `evaluate` scores every
+        test county on them."""
+        cfg = base_config(tmp_path, out_dir=None)
+        ds, _truth = generate_synthetic(cfg.synthetic)
+        labels = ds.labels()
+        report = pl.run_experiment(cfg, dataset=ds)
+        assert np.array_equal(ds.labels(), labels)
+        want = {county: label for (county, year), label in zip(ds.keys(), labels.tolist())
+                if year == cfg.test_year}
+        for sr in report.seed_results:
+            assert {row.county: row.label for row in sr.rows} == want
         assert report.audit_violations == 0
 
     def test_missing_test_year_tagged(self, tmp_path):
@@ -352,6 +361,39 @@ class TestConfig:
     def test_non_int_seeds_rejected(self, seeds):
         with pytest.raises(ContractError, match=r"^seeds must be a list of ints, got "):
             pl.ExperimentConfig(test_year=2005, seeds=seeds).validate()
+
+    @pytest.mark.parametrize("field", ["threshold", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ContractError, match=rf"^{field} must be finite"):
+            pl.ExperimentConfig(test_year=2005, **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["lr", "fine_tune_lr", "clip_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_train_floats_rejected(self, field, value):
+        train = tr.TrainConfig(**{field: value})
+        with pytest.raises(ContractError, match=rf"^{field} must be finite, got {value}$"):
+            pl.ExperimentConfig(test_year=2005, train=train).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match=r"^seeds must be non-negative, got \[0, -1\]$"):
+            pl.ExperimentConfig(test_year=2005, seeds=(0, -1)).validate()
+
+    @pytest.mark.parametrize("field, width, low", [
+        ("global_H", 0, 1), ("global_readout_hidden", -1, 0),
+        ("dims.d", 0, 1), ("dims.H", 0, 1), ("dims.Z", 0, 1), ("dims.E", 0, 1),
+        ("dims.attn_hidden", -1, 0), ("dims.mlp_hidden", -1, 0),
+    ])
+    def test_impossible_width_rejected(self, field, width, low):
+        def config(value):
+            if field.startswith("dims."):
+                return pl.ExperimentConfig(test_year=2005,
+                                           dims=replace(LyraDims(d=4), **{field[5:]: value}))
+            return pl.ExperimentConfig(test_year=2005, **{field: value})
+
+        with pytest.raises(ContractError, match=rf"^{field} must be at least {low}, got {width}$"):
+            config(width).validate()
+        config(low).validate()  # the least width passes
 
 
 def reference_sweep(cfg, axis, values, dataset=None):
@@ -588,7 +630,7 @@ class TestModelLabels:
 
     def test_every_window_reads_the_table(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)
-        ds, adjacency = pl.load(cfg)
+        ds, adjacency, _test = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         ctx = pl.retrieval_context(cfg, models, adjacency)
         recorded = {"fine_tune": [], "predict": []}
@@ -623,7 +665,7 @@ class TestPredictCalls:
 
     @staticmethod
     def recorded_run(cfg, monkeypatch):
-        ds, adjacency = pl.load(cfg)
+        ds, adjacency, _test = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         ctx = pl.retrieval_context(cfg, models, adjacency)
         calls = []
@@ -787,7 +829,7 @@ class TestSharedRetrieval:
 
     def test_shared_results_match_fresh_ones(self, tmp_path):
         cfg = base_config(tmp_path, out_dir=None)
-        ds, adjacency = pl.load(cfg)
+        ds, adjacency, _test = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         shared = pl.retrieval_context(cfg, models, adjacency)
         for refine in (True, False, True):
@@ -861,7 +903,7 @@ class TestRefinementSetupCalls:
         cfg = base_config(tmp_path, out_dir=None, synthetic=synth, test_year=2011,
                           train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=1, seed=0,
                                                fine_tune_lr=1e-3, fine_tune_epochs=1))
-        ds, adjacency = pl.load(cfg)
+        ds, adjacency, _test = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         calls = []
         original = rf.YearRegressor.predict
@@ -891,7 +933,7 @@ class TestExtrapolationFits:
 
     def test_one_extension_per_seed_matches_polyfit(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path, out_dir=None)
-        ds, adjacency = pl.load(cfg)
+        ds, adjacency, _test = pl.load(cfg)
         models = pl.train_models(cfg, ds, 0)
         calls = []
         original = rf.extend_rows
@@ -928,7 +970,7 @@ class TestExtrapolationFits:
 
 
 class TestLabelAuditOnBlocks:
-    """Bulk label reads of the block design stay visible to the label audit."""
+    """Bulk label reads of the block design find no test label to read."""
 
     @staticmethod
     def config(tmp_path):
@@ -938,44 +980,25 @@ class TestLabelAuditOnBlocks:
 
     @pytest.mark.parametrize("read", ["test_split", "test_rows_of_train_split"])
     def test_bulk_test_label_read_is_a_violation(self, tmp_path, monkeypatch, read):
+        """A stage that reads test labels in bulk gets only NaN."""
         original = pl.predict_counties
+        reads = []
 
         def leaking(cfg, models, ctx):
             if read == "test_split":
-                models.test_n.labels()
+                reads.append(models.test_n.labels())
             else:  # the same rows, through the train split's view of the block
-                models.train_n.labels(models.test_n.rows)
+                reads.append(models.train_n.labels(models.test_n.rows))
             return original(cfg, models, ctx)
 
         monkeypatch.setattr(pl, "predict_counties", leaking)
-        report = pl.run_experiment(self.config(tmp_path))
-        assert report.audit_violations == 2 * 10  # every test county, on each seed
-
-    @pytest.mark.filterwarnings("ignore:retrieved sample")
-    def test_nested_run_keeps_the_outer_audit(self, tmp_path, monkeypatch):
-        """A run started inside another run counts on its own audit: the
-        outer run's test-label reads after it still count on the outer one."""
-        cfg = replace(self.config(tmp_path), seeds=(0,))
-        ds, _truth = generate_synthetic(cfg.synthetic)
-        original = pl.predict_counties
-        inner = []
-
-        def nesting(sub, models, ctx):
-            if not inner:
-                inner.append(None)  # the inner run starts no run of its own
-                inner[0] = pl.run_experiment(cfg, dataset=ds)
-                models.test_n.labels()  # the outer run's leak
-            return original(sub, models, ctx)
-
-        monkeypatch.setattr(pl, "predict_counties", nesting)
-        outer = pl.run_experiment(cfg, dataset=ds)
-        assert inner[0].audit_violations == 0
-        assert outer.audit_violations == 10  # every test county
-        assert ds.audit.year is None and ds.audit.violations == 0
+        pl.run_experiment(self.config(tmp_path))
+        assert [len(values) for values in reads] == [10, 10]  # every test county, on each seed
+        assert np.isnan(np.concatenate(reads)).all()
 
     def test_no_bulk_array_in_train_models_holds_a_test_label(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path)
-        ds, _ = pl.load(cfg)
+        ds, _, test = pl.load(cfg)
         read_years = []
         labels = Dataset.labels
 
@@ -987,8 +1010,10 @@ class TestLabelAuditOnBlocks:
         monkeypatch.setattr(Dataset, "labels", recording)
         models = pl.train_models(cfg, ds, 0)
         models.model_labels
-        assert ds.audit.year == cfg.test_year and ds.audit.violations == 0
         assert read_years and max(read_years) < cfg.test_year
-        # normalization copies no label array: the splits read the loaded one
-        for split in (models.train_n, models.test_n, models.test):
+        # normalization copies no label array: the splits read the loaded
+        # one, which holds no test label, while `test` holds every one
+        for split in (models.train_n, models.test_n):
             assert split._labels is ds._labels
+        assert np.isnan(ds._labels[ds.row_years >= cfg.test_year]).all()
+        assert not np.isnan(test.labels()).any() and test.rows.tolist() == models.test_n.rows.tolist()

@@ -489,10 +489,17 @@ class TestTrainLyra:
                               table[params.year_row(self.ds.years[-1])])
 
     def test_no_label_reads_outside_training_years(self):
+        """Training on a split with no label from the held-out year on gives
+        the bits that training on the fully labelled split gives."""
         test_year = self.ds.years[-1]
-        train, _ = split_by_test_year(self.ds.guarded(test_year), test_year)
-        tr.train_lyra(train, 2, self.cfg, dims=tiny_dims(), target_labels=self.labels)
-        assert train.audit.year == test_year and train.audit.violations == 0
+        trained = []
+        for ds in (self.ds, self.ds.labels_before(test_year)):
+            train, _ = split_by_test_year(ds, test_year)
+            trained.append(tr.train_lyra(train, 2, self.cfg, dims=tiny_dims(),
+                                         target_labels=self.labels))
+        (p1, r1), (p2, r2) = trained
+        assert stores_equal(p1.store, p2.store)
+        assert r1.losses == r2.losses
 
 
 def recorded_epochs(monkeypatch, train):

@@ -47,7 +47,7 @@ def seed_run(tmp_path_factory):
     cfg = base_config(tmp_path_factory.mktemp("windows"), out_dir=None, threshold=0.9,
                       train=tr.TrainConfig(lr=3e-3, batch_size=None, epochs=3, seed=0,
                                            fine_tune_lr=1e-3, fine_tune_epochs=2))
-    ds, adjacency = pl.load(cfg)
+    ds, adjacency, _test = pl.load(cfg)
     models = pl.train_models(cfg, ds, 0)
     return cfg, models, pl.retrieval_context(cfg, models, adjacency)
 
