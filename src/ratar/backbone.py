@@ -83,6 +83,14 @@ def _init_mlp(arrays: dict, prefix: str, n_in: int, hidden: int, n_out: int, rng
         _init_linear(arrays, prefix + ".out", n_in, n_out, rng)
 
 
+def _init_scores(arrays: dict, H: int, hidden: int, rng) -> None:
+    # The day-attention score head.  Softmax over a season's days ignores a
+    # shift shared by every score, so an output bias would get a gradient of
+    # exactly 0: the head has none.
+    _init_mlp(arrays, "attn", H, hidden, 1, rng)
+    del arrays["attn.out.b"]
+
+
 def _init_gru(arrays: dict, d: int, H: int, rng) -> None:
     for gate in ("r", "u", "c"):
         arrays[f"gru.W_{gate}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, H))
@@ -110,7 +118,8 @@ class GruParams:
 
 @dataclass
 class GruAttParams:
-    """Ablation backbone: daily encoder and attention pooling only."""
+    """Ablation backbone: daily encoder, attention pooling (its score head
+    without an output bias) and a head MLP."""
 
     store: ParamStore
     d: int
@@ -123,7 +132,7 @@ class GruAttParams:
         rng = np.random.default_rng(seed)
         arrays = {}
         _init_gru(arrays, d, H, rng)
-        _init_mlp(arrays, "attn", H, attn_hidden, 1, rng)
+        _init_scores(arrays, H, attn_hidden, rng)
         _init_mlp(arrays, "head", H, head_hidden, 1, rng)
         return cls(store=ParamStore(arrays), d=d, H=H, attn_hidden=attn_hidden,
                    head_hidden=head_hidden)
@@ -131,6 +140,10 @@ class GruAttParams:
 
 @dataclass
 class LyraParams:
+    """The cross-year model: daily encoder, attention pooling (its score
+    head without an output bias), the yearly embedding MLP and year table,
+    and the head MLP; `w` is its look-back window."""
+
     store: ParamStore
     dims: LyraDims
     w: int
@@ -146,7 +159,7 @@ class LyraParams:
         rng = np.random.default_rng(seed)
         arrays = {}
         _init_gru(arrays, dims.d, dims.H, rng)
-        _init_mlp(arrays, "attn", dims.H, dims.attn_hidden, 1, rng)
+        _init_scores(arrays, dims.H, dims.attn_hidden, rng)
         _init_mlp(arrays, "embed", dims.H + 1 + dims.E, dims.mlp_hidden, dims.Z, rng)
         _init_mlp(arrays, "head", dims.Z, dims.mlp_hidden, 1, rng)
         arrays["year_table"] = rng.normal(0.0, 0.1, (year_max - year_min + 1, dims.E))
@@ -229,7 +242,9 @@ def _mlp(bound: dict, x: Tensor, prefix: str) -> Tensor:
     hidden_key = prefix + ".h.W"
     if hidden_key in bound:
         x = nc.tanh(nc.add_bias(nc.matmul(x, bound[hidden_key]), bound[prefix + ".h.b"]))
-    return nc.add_bias(nc.matmul(x, bound[prefix + ".out.W"]), bound[prefix + ".out.b"])
+    out = nc.matmul(x, bound[prefix + ".out.W"])
+    bias = bound.get(prefix + ".out.b")  # the attention score head has none
+    return out if bias is None else nc.add_bias(out, bias)
 
 
 def gru_encode(bound: dict, xs: np.ndarray) -> Tensor:
@@ -524,14 +539,23 @@ def load_checkpoint(path: str):
         raise ContractError(f"unknown checkpoint kind {kind!r}")
     if "dims" in meta:
         meta["dims"] = _from_meta(path, LyraDims, meta["dims"])
-    return _from_meta(path, _KINDS[kind], meta, store=store), stats
+    params = _from_meta(path, _KINDS[kind], meta, store=store)
+    # the parameters a model of these dims has (an old cross-year or
+    # attention checkpoint holds the score bias `attn.out.b`)
+    _same_names(path, "parameter", _KINDS[kind].init(**meta).store.names(), store.names())
+    return params, stats
 
 
 def _from_meta(path: str, cls, meta: dict, **given):
     """cls(**meta, **given) once meta holds exactly cls's other fields."""
     expected = {f.name for f in dataclasses.fields(cls)} - given.keys()
-    odd = sorted(expected ^ meta.keys())
+    _same_names(path, f"{cls.__name__} field", expected, meta.keys())
+    return cls(**meta, **given)
+
+
+def _same_names(path: str, what: str, expected, got) -> None:
+    """Refuse checkpoint `path` unless `got` holds exactly the `expected` names."""
+    odd = sorted(set(expected) ^ set(got))
     if odd:
         state = "lacks" if odd[0] in expected else "has unknown"
-        raise ContractError(f"checkpoint {path} {state} {cls.__name__} field {odd[0]!r}")
-    return cls(**meta, **given)
+        raise ContractError(f"checkpoint {path} {state} {what} {odd[0]!r}")

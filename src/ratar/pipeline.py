@@ -56,8 +56,9 @@ attention runs over.
 Every stage error is re-raised tagged with its stage name, non-finite
 model labels, training embeddings and predictions included: each is
 checked inside the stage that made it.  While a seed runs, every stage
-also adds its seconds to the seed's total for its kind, the stage name's
-first word (`EvalReport.stage_seconds`, written to timings.json).  No
+also adds its own seconds, less those of the stages nested in it, to the
+seed's total for its kind, the stage name's first word
+(`EvalReport.stage_seconds`, written to timings.json).  No
 stage but `evaluate` can read a test label: the dataset `load` returns
 holds none, so a stage that reads one gets NaN, which its named finite
 check refuses.  Counties whose retrieval comes back empty fall back to
@@ -124,6 +125,8 @@ class PipelineError(RuntimeError):
 
 # The current seed's stage seconds by kind, while `_run_variants` runs it.
 _STAGE_SECONDS = contextvars.ContextVar("_STAGE_SECONDS", default=None)
+# The innermost open stage's running total of its nested stages' seconds.
+_NESTED_SECONDS = contextvars.ContextVar("_NESTED_SECONDS", default=None)
 
 
 @contextmanager
@@ -139,8 +142,11 @@ def _timing_stages(seconds: dict):
 @contextmanager
 def _stage(name):
     """Tag errors raised in the block with the stage name, and add the
-    block's seconds to its kind (the name's first word) in `_STAGE_SECONDS`."""
+    block's own seconds, less its nested stages', to its kind (the name's
+    first word) in `_STAGE_SECONDS`."""
     start = time.perf_counter()
+    nested = [0.0]
+    token = _NESTED_SECONDS.set(nested)
     try:
         yield
     except PipelineError:
@@ -148,10 +154,15 @@ def _stage(name):
     except Exception as exc:
         raise PipelineError(f"[{name}] {exc}") from exc
     finally:
+        _NESTED_SECONDS.reset(token)
+        elapsed = time.perf_counter() - start
+        outer = _NESTED_SECONDS.get()
+        if outer is not None:
+            outer[0] += elapsed
         seconds = _STAGE_SECONDS.get()
         if seconds is not None:
             kind = name.split()[0]
-            seconds[kind] = seconds.get(kind, 0.0) + (time.perf_counter() - start)
+            seconds[kind] = seconds.get(kind, 0.0) + (elapsed - nested[0])
 
 
 @dataclass
@@ -240,8 +251,9 @@ class EvalReport:
     audit_violations: int = 0  # always 0; the benchmark worker still reads it
     retrieved_total: float = 0.0
     # the run's wall-clock seconds per seed and stage kind, {seed: {kind: s}};
-    # a kind sums its stages, and an enclosing stage's time includes its
-    # nested stages' (`export_diagnostics` writes it to timings.json)
+    # a kind sums its stages' own seconds, less those of stages nested in
+    # them, so a seed's kinds add up to no more than its time
+    # (`export_diagnostics` writes it to timings.json)
     stage_seconds: dict = field(default_factory=dict, compare=False)
     # the first seed's (SeedModels, bias matrices, CountyPredictions), for
     # export and inspection; written to no artifact

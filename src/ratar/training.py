@@ -18,14 +18,15 @@ triple reproduces its loss trace bitwise.
 
 Minibatch loops shuffle chunks of their work, not single items.  The
 record models (`train_global`, `train_gru_att`) shuffle one record per
-chunk.  The cross-year model shuffles runs of up to `_WINDOW_CHUNK`
-consecutive windows of one county.  A window reads its target and up to
-w earlier seasons of its county, and a batch encodes (GRU forward and
+chunk.  The cross-year model shuffles each county's whole run of
+consecutive windows as one chunk.  A window reads its target and up to w
+earlier seasons of its county, and a batch encodes (GRU forward and
 backward) each season it reads once; windows shuffled one by one spread
 a season's windows over as many batches, so it is encoded up to w+1
-times per epoch.  c neighbouring windows read only c-1 seasons more than
-one does, which at c=4 cuts those encodings by a fifth to a half, while
-each batch still mixes many counties.
+times per epoch.  Kept together, a county's windows read its seasons in
+one batch, and a batch boundary that cuts the run re-reads at most w of
+them, so each season is encoded about once per epoch.  A batch then
+mixes fewer counties: a few whole runs and the ends of one or two more.
 
 Fine-tuning never touches the input parameters.  It trains one copy of
 them per county, on that county's refined retrieved samples, and all of a
@@ -60,10 +61,6 @@ from .backbone import (
     window_table,
 )
 from .numcore import ComputeTape, ContractError, NumericError, Tensor
-
-
-# Consecutive windows of one county shuffled as one unit in `train_lyra`.
-_WINDOW_CHUNK = 4
 
 
 class TrainingError(RuntimeError):
@@ -303,21 +300,6 @@ def sync_year_rows(p: LyraParams, trained_years) -> list:
     return synced
 
 
-def _window_chunks(train) -> list:
-    """`train_lyra`'s shuffle units, as index arrays into its windows: runs
-    of at most `_WINDOW_CHUNK` consecutive windows of one county, cut from
-    the county's first.  Every season but its county's first has a window,
-    in row order, so a county's windows are consecutive.
-    """
-    chunks, lo = [], 0
-    for _, start, stop in train.runs():
-        hi = lo + stop - start - 1
-        chunks += [np.arange(at, min(at + _WINDOW_CHUNK, hi))
-                   for at in range(lo, hi, _WINDOW_CHUNK)]
-        lo = hi
-    return chunks
-
-
 def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
                dims: LyraDims | None = None, year_max: int | None = None):
     """Fit the full cross-year model on all window samples by MSE.
@@ -328,8 +310,8 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
     target is always the observed label; the label fed into the target
     year's own embedding is `target_labels[row]`, the season's entry in a
     table per block row, the same substitute the target year gets at test
-    time.  Minibatches are cut from shuffled runs of consecutive windows
-    of one county (`_window_chunks`).
+    time.  Minibatches are cut from the counties' whole runs of windows,
+    shuffled as units, so a season is GRU-encoded about once per epoch.
     Untrained year-table rows are synced to the nearest trained year
     afterwards so a held-out year can be embedded.
     """
@@ -360,8 +342,11 @@ def train_lyra(train, w: int, cfg: TrainConfig, target_labels: np.ndarray,
             targets[idx])
         return loss, idx.size
 
-    losses, seconds = _run_epochs(_window_chunks(train), cfg.epochs, epoch_fn,
-                                  cfg.batch_size, cfg.seed)
+    # Every season but its county's first has a window, in row order, so
+    # county j's windows are positions start - j .. stop - j - 2.
+    chunks = [np.arange(start - j, stop - j - 1)
+              for j, (_, start, stop) in enumerate(train.runs()) if stop - start > 1]
+    losses, seconds = _run_epochs(chunks, cfg.epochs, epoch_fn, cfg.batch_size, cfg.seed)
     sync_year_rows(params, train.years)
     return params, TrainReport(losses=losses, seconds=seconds, n_samples=len(windows))
 

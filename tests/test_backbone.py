@@ -40,7 +40,9 @@ def tiny_lyra(seed=0, **overrides):
 def np_mlp(store, x, prefix):
     if prefix + ".h.W" in store:
         x = np.tanh(x @ store.value(prefix + ".h.W") + store.value(prefix + ".h.b"))
-    return x @ store.value(prefix + ".out.W") + store.value(prefix + ".out.b")
+    out = x @ store.value(prefix + ".out.W")
+    # the attention score head has no output bias
+    return out if prefix == "attn" else out + store.value(prefix + ".out.b")
 
 
 def np_gru(store, x):
@@ -320,13 +322,12 @@ class TestAttentionPool:
         p = tiny_lyra(attn_hidden=0)
         w = np.array([[0.4], [-0.6], [1.1]])
         p.store.set_value("attn.out.W", w)
-        p.store.set_value("attn.out.b", np.array([0.2]))
         rng = np.random.default_rng(2)
         xs = rng.standard_normal((2, 5, 2))
         weights, pooled = pool(p, xs)
         for b in range(2):
             h = np_gru(p.store, xs[b])
-            expected_w = np_softmax((h @ w + 0.2).ravel())
+            expected_w = np_softmax((h @ w).ravel())
             np.testing.assert_allclose(weights[b], expected_w, atol=1e-12)
             np.testing.assert_allclose(pooled[b], expected_w @ h, atol=1e-12)
 
@@ -995,6 +996,31 @@ class TestCheckpoint:
         arrays["meta"] = np.array(json.dumps(meta))
         np.savez(path, **arrays)
         with pytest.raises(nc.ContractError, match=re.escape(f"{path} {message}")):
+            bb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("params", [
+        lambda: bb.GruAttParams.init(d=2, H=3, attn_hidden=2, head_hidden=0, seed=2),
+        lambda: tiny_lyra(seed=3),
+        lambda: tiny_lyra(seed=3, attn_hidden=0),
+    ], ids=["gruatt", "lyra", "lyra_linear_scores"])
+    def test_old_score_bias_checkpoint_refused(self, tmp_path, params):
+        """A checkpoint written while the day-attention score head still had
+        an output bias is refused, naming the file and the parameter."""
+        p = params()
+        assert "attn.out.b" not in p.store
+        path = str(tmp_path / "old.npz")
+        bb.save_checkpoint(path, p, None)
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        arrays["param:attn.out.b"] = np.zeros(1)
+        np.savez(path, **arrays)
+        with pytest.raises(nc.ContractError,
+                           match=re.escape(f"checkpoint {path} has unknown parameter 'attn.out.b'")):
+            bb.load_checkpoint(path)
+        del arrays["param:attn.out.b"], arrays["param:attn.out.W"]
+        np.savez(path, **arrays)
+        with pytest.raises(nc.ContractError,
+                           match=re.escape(f"checkpoint {path} lacks parameter 'attn.out.W'")):
             bb.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

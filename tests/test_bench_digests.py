@@ -18,9 +18,9 @@ from ratar.data import load_dataset, save_dataset_csv
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 DIGESTS = {
-    "ablate_c07": "9c1a21fba24053fe491b0f87812272d846cd1c352ab241e44adc0c0d01aa2136",
-    "retrieve_wide": "989bb21fa1e550a13912cfbd22ac423fb4e21eaf70dcfe8dcd01b12222599957",
-    "finetune_county": "9de0607e793b4a05abd4565d3bf113d9ee333845db63ed72203aea9bf55d4cc9",
+    "ablate_c07": "1b8bdc74e516066fc5170f5c1b1c7134c1b9e0ed7b9899474747f10c43fdfd36",
+    "retrieve_wide": "d1dd1ca411b6f749223aabc41a6a6f4f811940c6324473e0120e9be43d8fd7f8",
+    "finetune_county": "929d6495003f88efebf76f2908815e3593796cbb37e601db4f59d701f85677fb",
 }
 
 

@@ -787,14 +787,29 @@ class TestStageTimings:
         for stages in report.stage_seconds.values():
             assert kinds - {"predict"} <= set(stages) <= kinds
             assert all(s >= 0.0 for s in stages.values())
-            # evaluate encloses fine-tuning and prediction, and every
-            # retrieval and refinement stage, which sum over counties
-            assert stages["evaluate"] >= stages["fine_tune"] + stages["retrieval"]
+        # a kind holds its stages' own seconds, less their nested stages'
+        # (evaluate encloses fine-tuning, prediction, retrieval and
+        # refinement), so a seed's kinds add up to no more than its time
+        assert sum(sum(stages.values()) for stages in report.stage_seconds.values()) \
+            <= report.seconds
         blob = json.loads((tmp_path / "run" / "timings.json").read_text())
         assert blob == {"seconds": report.seconds,
                         "stage_seconds": [{"seed": seed, "stages": stages}
                                           for seed, stages in report.stage_seconds.items()]}
         assert pl._STAGE_SECONDS.get() is None
+
+    def test_nested_stage_seconds_are_not_counted_twice(self, monkeypatch):
+        clock = iter(range(100))
+        monkeypatch.setattr(pl.time, "perf_counter", lambda: float(next(clock)))
+        seconds = {}
+        with pl._timing_stages(seconds):
+            with pl._stage("evaluate a"):  # opens at 0, closes at 7
+                with pl._stage("train_gruatt seed 0"):  # 1 to 4
+                    with pl._stage("predict seed 0"):  # 2 to 3
+                        pass
+                with pl._stage("predict seed 0"):  # 5 to 6
+                    pass
+        assert seconds == {"evaluate": 3.0, "train_gruatt": 2.0, "predict": 2.0}
 
     @pytest.mark.filterwarnings("ignore:retrieved sample")
     def test_ablate_shares_one_table_per_run(self, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from oracles import dataset_of
+from ratar import backbone
 from ratar import numcore as nc
 from ratar import training as tr
 from ratar.backbone import (
@@ -527,7 +528,7 @@ def recorded_epochs(monkeypatch, train):
 def old_driver(monkeypatch):
     """Run training under the epoch driver as it was before chunks (oracles.run_epochs)."""
     monkeypatch.setattr(tr, "_run_epochs",
-                        lambda chunks, *args: oracles.run_epochs(len(chunks), *args))
+                        lambda chunks, *args: oracles.run_epochs(sum(map(len, chunks)), *args))
 
 
 def ragged_synth():
@@ -538,8 +539,8 @@ def ragged_synth():
 
 
 class TestWindowChunks:
-    """`train_lyra` shuffles runs of consecutive windows of one county; the
-    record models shuffle single records, exactly as before chunks."""
+    """`train_lyra` shuffles each county's whole run of windows as one unit;
+    the record models shuffle single records, exactly as before chunks."""
 
     def setup_method(self):
         self.ds = ragged_synth()
@@ -548,21 +549,25 @@ class TestWindowChunks:
     def lyra(self, cfg, w=2):
         return tr.train_lyra(self.ds, w, cfg, dims=tiny_dims(), target_labels=self.labels)
 
-    def test_chunks_are_short_runs_of_one_county(self, monkeypatch):
+    def test_chunks_are_whole_county_runs(self, monkeypatch):
         cfg = tr.TrainConfig(lr=3e-3, batch_size=5, epochs=1, seed=0)
         windows = oracles.window_list(
             oracles.train_lyra_windows(self.ds, 2, cfg, self.labels, dims=tiny_dims()))
         [(chunks, _)] = recorded_epochs(monkeypatch, lambda: self.lyra(cfg))
-        assert np.array_equal(np.concatenate(chunks), np.arange(len(windows)))
         county = [self.ds.key(win.target)[0] for win in windows]
-        for chunk in chunks:
-            assert 1 <= chunk.size <= tr._WINDOW_CHUNK
-            assert np.all(np.diff(chunk) == 1)
-            assert len({county[i] for i in chunk.tolist()}) == 1
-        # each county's windows are cut into as few chunks as c allows
-        sizes = {c: county.count(c) for c in set(county)}
-        assert len(chunks) == sum(-(-n // tr._WINDOW_CHUNK) for n in sizes.values())
-        assert max(sizes.values()) > tr._WINDOW_CHUNK
+        # one chunk per county with two or more seasons, in row order,
+        # holding exactly that county's windows
+        seasons = [(c, stop - start) for c, start, stop in self.ds.runs()]
+        multi = [(c, n) for c, n in seasons if n > 1]
+        assert len(multi) < len(seasons)  # some county has one season
+        assert len(chunks) == len(multi)
+        at = 0
+        for (c, n), chunk in zip(multi, chunks):
+            n -= 1  # every season but the county's first is a window's target
+            assert np.array_equal(chunk, np.arange(at, at + n))
+            assert {county[i] for i in chunk.tolist()} == {c}
+            at += n
+        assert at == len(windows)
 
     @pytest.mark.parametrize("batch_size", [3, 7, 64])
     def test_every_epoch_visits_each_window_once(self, monkeypatch, batch_size):
@@ -601,13 +606,41 @@ class TestWindowChunks:
     @pytest.mark.parametrize("batch_size", [None, 5])
     def test_single_window_chunks_are_the_old_shuffle(self, monkeypatch, batch_size):
         cfg = tr.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=3, seed=2)
-        monkeypatch.setattr(tr, "_WINDOW_CHUNK", 1)
-        params, report = self.lyra(cfg)
+        driver = tr._run_epochs
+        with monkeypatch.context() as m:
+            # the same windows, each its own chunk
+            m.setattr(tr, "_run_epochs", lambda chunks, *args: driver(
+                list(np.concatenate(chunks)[:, None]), *args))
+            params, report = self.lyra(cfg)
         with monkeypatch.context() as m:
             old_driver(m)
             old_params, old_report = self.lyra(cfg)
         assert [v.hex() for v in report.losses] == [v.hex() for v in old_report.losses]
         assert stores_equal(params.store, old_params.store)
+
+    def test_each_season_encoded_about_once_per_epoch(self, monkeypatch):
+        """One small-batch epoch GRU-encodes at most S + (batches - 1) * w
+        seasons, S the seasons some window reads: a batch encodes each
+        season it reads once, and a batch boundary cuts one county's run,
+        whose two sides then both read at most w of its seasons."""
+        ds = small_synth(n_years=10)  # 8 counties of 9 windows each
+        labels = observed_labels(ds)
+        w, batch_size = 2, 8
+        cfg = tr.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=1, seed=3)
+        windows = oracles.train_lyra_windows(ds, w, cfg, labels, dims=tiny_dims())
+        seasons = len(np.union1d(windows.targets, windows.context))
+        batches = -(-len(windows) // batch_size)
+        rows = []
+        encode = backbone.gru_encode
+
+        def counting(bound, xs):
+            rows.append(len(xs))
+            return encode(bound, xs)
+
+        monkeypatch.setattr(backbone, "gru_encode", counting)
+        tr.train_lyra(ds, w, cfg, dims=tiny_dims(), target_labels=labels)
+        assert len(rows) == batches
+        assert seasons < sum(rows) <= seasons + (batches - 1) * w
 
 
 class TestFineTune:
@@ -856,14 +889,7 @@ class TestStackedFineTune:
         for name in self.params.store.names():
             tuned = stack.store.value(name)
             ref_values = np.stack([ref.store.value(name) for ref in refs])
-            if name == "attn.out.b":
-                # Softmax ignores a shift of all scores, so this bias's true
-                # gradient is 0: its computed gradient is rounding noise, which
-                # padding reorders and Adam scales up by about 1/eps.  It moves
-                # by ~1e-11 and cannot change a prediction.
-                np.testing.assert_allclose(tuned, ref_values, rtol=0, atol=1e-10)
-            else:
-                np.testing.assert_allclose(tuned, ref_values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(tuned, ref_values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         ref_flat = np.stack([ref.store.flat for ref in refs])
         print(f"stacked fine-tune vs per-county loop: "
